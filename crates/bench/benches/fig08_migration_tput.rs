@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let imsi = ids[i % ids.len()];
             i += 1;
-            let cur = sut.node.demux().slice_for_imsi(imsi).unwrap();
+            let cur = sut.node.slice_of(imsi).unwrap();
             assert!(sut.migrate(imsi, 1 - cur));
         })
     });

@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let imsi = ids[i % ids.len()];
             i += 1;
-            let cur = sut.node.demux().slice_for_imsi(imsi).unwrap();
+            let cur = sut.node.slice_of(imsi).unwrap();
             sut.migrate(imsi, 1 - cur);
             let m = gen.next_packet(0);
             if let Some(out) = sut.process(m) {

@@ -57,7 +57,7 @@ fn build(cfg: HaConfig) -> (HaCluster, usize, u64, (u32, u32)) {
     let victim = ha.owner_of(victim_imsi).unwrap();
     let keys = {
         let node = ha.cluster().node(victim);
-        let s = node.demux().slice_for_imsi(victim_imsi).unwrap();
+        let s = node.slice_of(victim_imsi).unwrap();
         let ctx = node.slice(s).ctrl.context_of(victim_imsi).unwrap();
         let g = ctx.ctrl_read();
         (g.tunnels.gw_teid, g.ue_ip)

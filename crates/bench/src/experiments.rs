@@ -347,7 +347,7 @@ pub fn fig08_migration_tput(scale: Scale) -> Vec<Fig8Row> {
             while done < target {
                 let imsi = ids[next % ids.len()];
                 next += 1;
-                if let Some(cur) = sut.node.demux().slice_for_imsi(imsi) {
+                if let Some(cur) = sut.node.slice_of(imsi) {
                     sut.migrate(imsi, 1 - cur);
                 }
                 done += 1;
@@ -391,7 +391,7 @@ pub fn fig09_migration_latency(scale: Scale) -> Vec<Fig9Row> {
             while done < target {
                 let imsi = ids[next % ids.len()];
                 next += 1;
-                if let Some(cur) = sut.node.demux().slice_for_imsi(imsi) {
+                if let Some(cur) = sut.node.slice_of(imsi) {
                     sut.migrate(imsi, 1 - cur);
                 }
                 done += 1;

@@ -136,7 +136,7 @@ mod tests {
                 // Migrate one user per tick, ping-ponging between slices.
                 let imsi = imsis[next_mig % imsis.len()];
                 next_mig += 1;
-                let cur = sut.node.demux().slice_for_imsi(imsi).unwrap();
+                let cur = sut.node.slice_of(imsi).unwrap();
                 sut.migrate(imsi, 1 - cur);
             },
         );

@@ -18,6 +18,7 @@
 //!   gateway its own TEID space.
 
 use crate::config::EpcConfig;
+use crate::demux::{packet_key, PacketKey};
 use crate::node::{NodeVerdict, PepcNode};
 use crate::state::{ControlState, CounterState};
 use pepc_backend::{Hss, Pcrf};
@@ -30,15 +31,6 @@ use std::sync::Arc;
 /// Bits reserved below the node index in TEID / UE IP spaces.
 const NODE_SHIFT: u32 = 28;
 
-/// The data-plane key the balancer routes a packet by.
-#[derive(Debug, Clone, Copy)]
-enum RouteKey {
-    /// Uplink GTP-U: gateway TEID.
-    Teid(u32),
-    /// Downlink plain IP: UE address.
-    UeIp(u32),
-}
-
 /// A cluster of PEPC nodes behind one virtual IP.
 pub struct Cluster {
     nodes: Vec<PepcNode>,
@@ -46,12 +38,10 @@ pub struct Cluster {
     virtual_ip: u32,
     /// Nodes declared dead by the failover coordinator. Their identifier
     /// regions stay allocated (TEIDs / UE IPs survive the failover), but
-    /// packets re-steer through the redirect tables below.
+    /// packets re-steer through the redirect table below.
     dead: Vec<bool>,
-    /// Adopted-user re-steering: gateway TEID → surviving node.
-    redirect_teid: HashMap<u32, usize>,
-    /// Adopted-user re-steering: UE IP → surviving node.
-    redirect_ue_ip: HashMap<u32, usize>,
+    /// Adopted-user re-steering: gateway TEID / UE IP → surviving node.
+    redirect: HashMap<PacketKey, usize>,
     /// Balancer-level terminal drops (unroutable regions, failover
     /// blackout). Exported as a pseudo-slice so cluster-wide packet
     /// conservation stays checkable: `rx` here counts only packets the
@@ -80,8 +70,7 @@ impl Cluster {
             lb: Maglev::new(&names, template.lb_table_size),
             virtual_ip,
             dead: vec![false; n],
-            redirect_teid: HashMap::new(),
-            redirect_ue_ip: HashMap::new(),
+            redirect: HashMap::new(),
             lb_drops: DataMetrics::default(),
         }
     }
@@ -110,19 +99,15 @@ impl Cluster {
 
     /// Route one data packet: TEID (uplink) / UE IP (downlink) ranges
     /// identify the owning node without any per-user LB state. Packets
-    /// whose region node is dead re-steer through the redirect tables a
+    /// whose region node is dead re-steer through the redirect table a
     /// failover populated; before adoption completes they are charged to
     /// the failover blackout.
     pub fn process(&mut self, m: Mbuf) -> NodeVerdict {
         let n = self.nodes.len();
-        match Self::route_of_packet(&m) {
+        match packet_key(&m).and_then(|key| Some((Self::node_of(key)?, key))) {
             Some((k, key)) if k < n => {
                 if self.dead[k] {
-                    let target = match key {
-                        RouteKey::Teid(teid) => self.redirect_teid.get(&teid),
-                        RouteKey::UeIp(ip) => self.redirect_ue_ip.get(&ip),
-                    };
-                    match target.copied() {
+                    match self.redirect.get(&key).copied() {
                         Some(t) => self.nodes[t].process(m),
                         None => {
                             self.lb_drops.rx += 1;
@@ -142,21 +127,13 @@ impl Cluster {
         }
     }
 
-    fn route_of_packet(m: &Mbuf) -> Option<(usize, RouteKey)> {
-        let d = m.data();
-        if d.len() < 20 || d[0] != 0x45 {
-            return None;
-        }
-        let is_gtpu = d.len() >= 36 && d[9] == 17 && u16::from_be_bytes([d[22], d[23]]) == pepc_net::GTPU_PORT;
-        if is_gtpu {
+    /// Node whose identifier region `key` lies in.
+    fn node_of(key: PacketKey) -> Option<usize> {
+        match key {
             // Uplink: TEID regions start at 0x1000_0000, one per node.
-            let teid = u32::from_be_bytes([d[32], d[33], d[34], d[35]]);
-            let k = usize::try_from((teid >> NODE_SHIFT).checked_sub(1)?).ok()?;
-            Some((k, RouteKey::Teid(teid)))
-        } else {
+            PacketKey::Teid(teid) => usize::try_from((teid >> NODE_SHIFT).checked_sub(1)?).ok(),
             // Downlink: UE IP regions start at 0x0A00_0001, one per node.
-            let dst = u32::from_be_bytes([d[16], d[17], d[18], d[19]]);
-            Some(((dst >> NODE_SHIFT) as usize, RouteKey::UeIp(dst)))
+            PacketKey::UeIp(ip) => Some((ip >> NODE_SHIFT) as usize),
         }
     }
 
@@ -213,8 +190,8 @@ impl Cluster {
         assert!(!self.dead[target], "cannot adopt onto a dead node");
         let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
         let slice = self.nodes[target].adopt_user(ctrl, counters);
-        self.redirect_teid.insert(gw_teid, target);
-        self.redirect_ue_ip.insert(ue_ip, target);
+        self.redirect.insert(PacketKey::Teid(gw_teid), target);
+        self.redirect.insert(PacketKey::UeIp(ue_ip), target);
         slice
     }
 
@@ -283,7 +260,7 @@ mod tests {
     fn keys_of(c: &mut Cluster, imsi: u64) -> (u32, u32) {
         let k = c.home_node(imsi);
         let node = c.node(k);
-        let s = node.demux().slice_for_imsi(imsi).unwrap();
+        let s = node.slice_of(imsi).unwrap();
         let ctx = node.slice(s).ctrl.context_of(imsi).unwrap();
         let g = ctx.ctrl_read();
         (g.tunnels.gw_teid, g.ue_ip)
@@ -372,7 +349,7 @@ mod tests {
         // replication log).
         let (ctrl, counters) = {
             let node = c.node(victim);
-            let s = node.demux().slice_for_imsi(imsi).unwrap();
+            let s = node.slice_of(imsi).unwrap();
             let ctx = node.slice(s).ctrl.context_of(imsi).unwrap();
             let pair = (ctx.ctrl_read().clone(), ctx.counters());
             pair
@@ -402,7 +379,7 @@ mod tests {
         assert_eq!(snap.data_totals().drop_failover, 2, "no further failover drops");
         // Counters travelled with the user.
         let node = c.node(target);
-        let s = node.demux().slice_for_imsi(imsi).unwrap();
+        let s = node.slice_of(imsi).unwrap();
         assert!(node.slice(s).ctrl.counters_of(imsi).unwrap().uplink_packets >= 1);
     }
 
@@ -427,7 +404,7 @@ mod tests {
         }
         let k = c.home_node(7);
         let node = c.node(k);
-        let s = node.demux().slice_for_imsi(7).unwrap();
+        let s = node.slice_of(7).unwrap();
         assert_eq!(node.slice(s).ctrl.counters_of(7).unwrap().uplink_packets, 10);
     }
 }

@@ -25,12 +25,14 @@ use crate::pcef::PcefAction;
 use crate::procedure::{Disposition, ProcState, SigMsg, UeMachine, MAILBOX_CAP, PAGING_MAX_RETX, PAGING_RETX_TICKS};
 use crate::proxy::Proxy;
 use crate::slab::{UeHandle, UeRef, UeSlab};
-use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, Uid};
+use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn, Uid};
+use crate::twolevel::BuildKeyHasher;
 use pepc_backend::hss::sim_response;
 use pepc_net::BpfProgram;
 use pepc_sigproto::nas::{cause, NasMsg};
 use pepc_sigproto::s1ap::S1apPdu;
 use pepc_telemetry::LatencyHistogram;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -80,7 +82,7 @@ pub struct ControlPlane {
     /// rehash under an attach storm) and shrinks after mass detach.
     users: IncrementalTable<UeHandle>,
     by_guti: IncrementalTable<u64>,
-    by_mme_ue_id: HashMap<u32, u64>,
+    by_mme_ue_id: HashMap<u32, u64, BuildKeyHasher>,
     alloc: Allocator,
     next_uid: Uid,
     next_mme_ue_id: u32,
@@ -96,10 +98,10 @@ pub struct ControlPlane {
     proxy: Option<Arc<Proxy>>,
     /// One procedure machine per UE with signaling in flight (or parked
     /// in its mailbox). Retired as soon as the UE goes quiescent.
-    machines: HashMap<u64, UeMachine>,
+    machines: HashMap<u64, UeMachine, BuildKeyHasher>,
     /// eNodeB-UE-id → IMSI routing index, maintained by the dispatcher
     /// (the S1 association a UE last signaled on).
-    by_enb_ue_id: HashMap<u32, u64>,
+    by_enb_ue_id: HashMap<u32, u64, BuildKeyHasher>,
     /// UEs in ECM-IDLE: released from the radio but still attached
     /// (context retained). Gates `PageTrigger` staleness. A `BTreeSet`
     /// so iteration stays deterministic.
@@ -117,6 +119,9 @@ pub struct ControlPlane {
     /// snapshot per dirty user, without knowing event semantics. A
     /// `BTreeSet` so the drain order is deterministic.
     dirty: std::collections::BTreeSet<u64>,
+    /// The user that last detached (or was rolled back), until the node
+    /// layer takes it to retire the user's steering exception.
+    departed: Option<u64>,
     /// Per-procedure processing latency (control threads are off the
     /// packet hot path, so these are always recorded).
     attach_ns: LatencyHistogram,
@@ -144,7 +149,7 @@ impl ControlPlane {
         ControlPlane {
             users: IncrementalTable::new(),
             by_guti: IncrementalTable::new(),
-            by_mme_ue_id: HashMap::new(),
+            by_mme_ue_id: HashMap::default(),
             alloc,
             next_uid: 0,
             next_mme_ue_id: alloc.mme_ue_id_base,
@@ -153,13 +158,14 @@ impl ControlPlane {
             pending_updates: Vec::new(),
             installed_rules: std::collections::HashSet::new(),
             proxy,
-            machines: HashMap::new(),
-            by_enb_ue_id: HashMap::new(),
+            machines: HashMap::default(),
+            by_enb_ue_id: HashMap::default(),
             idle_ues: std::collections::BTreeSet::new(),
             pending_tx: Vec::new(),
             proc_tick: 0,
             metrics: CtrlMetrics::default(),
             dirty: std::collections::BTreeSet::new(),
+            departed: None,
             attach_ns: LatencyHistogram::new(),
             service_request_ns: LatencyHistogram::new(),
             handover_ns: LatencyHistogram::new(),
@@ -204,6 +210,12 @@ impl ControlPlane {
         uid
     }
 
+    fn allocate_mme_ue_id(&mut self) -> u32 {
+        let id = self.next_mme_ue_id;
+        self.next_mme_ue_id += 1;
+        id
+    }
+
     /// Gateway-side uplink TEID for a uid.
     pub fn teid_for(&self, uid: Uid) -> u32 {
         self.alloc.teid_base + uid as u32
@@ -223,7 +235,7 @@ impl ControlPlane {
     /// Data-plane keys (uplink tunnel, UE IP) of a known user, read from
     /// the consolidated state — migrated-in users keep their original
     /// keys, so these are never re-derived arithmetically.
-    fn keys_of(&self, imsi: u64) -> Option<(u32, u32)> {
+    pub fn keys_of(&self, imsi: u64) -> Option<(u32, u32)> {
         let ctx = self.slab.resolve(*self.users.get(imsi)?)?;
         let c = ctx.ctrl_read();
         Some((c.tunnels.gw_teid, c.ue_ip))
@@ -304,20 +316,71 @@ impl ControlPlane {
     fn do_detach(&mut self, imsi: u64) -> bool {
         match self.users.remove(imsi) {
             Some(handle) => {
-                let (guti, gw_teid, ue_ip) = {
+                let (guti, gw_teid, ue_ip, conn) = {
                     let ctx = self.slab.resolve(handle).expect("indexed handle is live");
                     let c = ctx.ctrl_read();
-                    (c.guti, c.tunnels.gw_teid, c.ue_ip)
+                    (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
                 };
                 self.by_guti.remove(guti);
+                self.unindex_s1(imsi, conn);
                 self.idle_ues.remove(&imsi);
                 self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
                 self.metrics.detaches += 1;
                 self.dirty.insert(imsi);
+                self.departed = Some(imsi);
                 self.drop_machine(imsi);
                 true
             }
             None => false,
+        }
+    }
+
+    // -- S1 association index --------------------------------------------------
+    // A UE is indexed under one S1 association at a time (plus a page's
+    // interim MME id, carried by `ProcState::PagingWait`). The ids live with
+    // their owner — the user's context, or the machine while an attach runs
+    // ahead of it — so every teardown unindexes by key.
+
+    /// Make `conn` the user's S1 association, replacing the one it had.
+    fn bind_s1(&mut self, imsi: u64, handle: UeHandle, conn: S1Conn) {
+        let Some(ctx) = self.slab.resolve(handle) else { return };
+        let old = ctx.s1_conn();
+        ctx.set_s1_conn(conn);
+        if let Some(old) = old {
+            if old.mme_ue_id != conn.mme_ue_id {
+                self.by_mme_ue_id.remove(&old.mme_ue_id);
+            }
+            if old.enb_ue_id != conn.enb_ue_id {
+                self.unindex_enb_ue_id(old.enb_ue_id, imsi);
+            }
+        }
+        self.by_mme_ue_id.insert(conn.mme_ue_id, imsi);
+        self.by_enb_ue_id.insert(conn.enb_ue_id, imsi);
+    }
+
+    /// Unindex a departing user's S1 association.
+    fn unindex_s1(&mut self, imsi: u64, conn: Option<S1Conn>) {
+        if let Some(conn) = conn {
+            self.by_mme_ue_id.remove(&conn.mme_ue_id);
+            self.unindex_enb_ue_id(conn.enb_ue_id, imsi);
+        }
+    }
+
+    /// Unindex `enb_ue_id` if it still routes to `imsi` (the ids are not
+    /// unique across eNodeBs: another UE may have signaled under it since).
+    fn unindex_enb_ue_id(&mut self, enb_ue_id: u32, imsi: u64) {
+        if let Entry::Occupied(e) = self.by_enb_ue_id.entry(enb_ue_id) {
+            if *e.get() == imsi {
+                e.remove();
+            }
+        }
+    }
+
+    /// Unindex the id a machine bound for an attach whose user record
+    /// never came to exist (or is being displaced by a newer attempt).
+    fn release_machine_enb(&mut self, m: &mut UeMachine) {
+        if std::mem::take(&mut m.enb_bound) {
+            self.unindex_enb_ue_id(m.enb_ue_id, m.imsi);
         }
     }
 
@@ -605,9 +668,7 @@ impl ControlPlane {
             _ => None,
         };
         if let Some(imsi) = rollback {
-            if self.users.contains_key(imsi) {
-                self.by_mme_ue_id.retain(|_, u| *u != imsi);
-                self.do_detach(imsi);
+            if self.do_detach(imsi) {
                 // Rollback of a never-completed attach, not a real detach.
                 self.metrics.detaches -= 1;
             }
@@ -648,31 +709,25 @@ impl ControlPlane {
 
     fn step_attach_start(&mut self, m: &mut UeMachine, enb_ue_id: u32, ecgi: u32) -> Vec<S1apPdu> {
         let imsi = m.imsi;
+        self.release_machine_enb(m);
         m.enb_ue_id = enb_ue_id;
-        self.by_enb_ue_id.insert(enb_ue_id, imsi);
         if let Some(&handle) = self.users.get(imsi) {
             // Duplicate attach for an already-attached IMSI (the UE lost
             // our earlier accept): idempotent. Skip re-authentication and
             // re-emit the context setup with the SAME identifiers —
             // nothing is reallocated.
-            let (guti, ue_ip, gw_teid, ambr) = {
+            let (guti, ue_ip, gw_teid, ambr, conn) = {
                 let ctx = self.slab.resolve(handle).expect("indexed handle is live");
                 let mut c = ctx.ctrl_write();
                 c.ecgi = ecgi;
-                (c.guti, c.ue_ip, c.tunnels.gw_teid, c.qos.ambr_kbps)
+                (c.guti, c.ue_ip, c.tunnels.gw_teid, c.qos.ambr_kbps, ctx.s1_conn())
             };
             self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
             self.idle_ues.remove(&imsi);
             self.dirty.insert(imsi);
-            let mme_ue_id = match self.by_mme_ue_id.iter().filter(|(_, u)| **u == imsi).map(|(id, _)| *id).min() {
-                Some(id) => id,
-                None => {
-                    let id = self.next_mme_ue_id;
-                    self.next_mme_ue_id += 1;
-                    self.by_mme_ue_id.insert(id, imsi);
-                    id
-                }
-            };
+            // Same MME UE id as the association the UE already has.
+            let mme_ue_id = conn.map_or_else(|| self.allocate_mme_ue_id(), |c| c.mme_ue_id);
+            self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
             self.metrics.proc_started += 1;
             m.preexisting = true;
             m.state = ProcState::AttachWaitIcs { imsi, mme_ue_id };
@@ -685,13 +740,15 @@ impl ControlPlane {
                 nas: NasMsg::AttachAccept { guti, ue_ip, tac: self.tac }.encode(),
             }];
         }
-        // Fresh attach: authenticate against the HSS.
+        // Fresh attach: authenticate against the HSS. Until the user
+        // record exists the machine owns the eNodeB-UE-id binding.
+        self.by_enb_ue_id.insert(enb_ue_id, imsi);
+        m.enb_bound = true;
         let proxy = match &self.proxy {
             Some(p) => Arc::clone(p),
             None => return vec![],
         };
-        let mme_ue_id = self.next_mme_ue_id;
-        self.next_mme_ue_id += 1;
+        let mme_ue_id = self.allocate_mme_ue_id();
         match proxy.authentication_info(imsi) {
             Ok(ch) => {
                 self.metrics.proc_started += 1;
@@ -726,7 +783,6 @@ impl ControlPlane {
             return vec![S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE }];
         }
         let imsi = m.imsi;
-        self.by_enb_ue_id.insert(enb_ue_id, imsi);
         // The UE answered a page: the paging procedure resolves here and
         // the service request takes over (its Insert wakes the data path
         // and flushes the idle buffer).
@@ -747,9 +803,9 @@ impl ControlPlane {
             (c.tunnels.gw_teid, c.ue_ip)
         };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-        let mme_ue_id = self.next_mme_ue_id;
-        self.next_mme_ue_id += 1;
-        self.by_mme_ue_id.insert(mme_ue_id, imsi);
+        // A fresh S1 association replaces the one released at idle.
+        let mme_ue_id = self.allocate_mme_ue_id();
+        self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
         self.metrics.service_requests += 1;
         self.metrics.proc_started += 1;
         self.metrics.proc_completed += 1;
@@ -805,8 +861,10 @@ impl ControlPlane {
                 let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
                 // Counted on AttachComplete instead.
                 self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi, false);
-                self.by_mme_ue_id.insert(id, imsi);
                 let handle = *self.users.get(imsi).expect("do_attach just indexed the user");
+                // The user record exists: it takes over the association.
+                m.enb_bound = false;
+                self.bind_s1(imsi, handle, S1Conn { mme_ue_id: id, enb_ue_id: m.enb_ue_id });
                 // Install PCRF rules.
                 if let Ok(rules) = proxy.fetch_rules(id, imsi) {
                     let ctx = self.slab.resolve(handle).expect("indexed handle is live");
@@ -846,7 +904,6 @@ impl ControlPlane {
                 // removed the user.
                 match self.by_guti.get(guti).copied() {
                     Some(user_imsi) => {
-                        self.by_mme_ue_id.retain(|_, u| *u != user_imsi);
                         self.do_detach(user_imsi);
                         self.metrics.proc_started += 1;
                         self.metrics.proc_completed += 1;
@@ -919,7 +976,8 @@ impl ControlPlane {
             return vec![];
         }
         let imsi = m.imsi;
-        let (gw_teid, ambr) = match self.users.get(imsi).copied().and_then(|h| self.slab.resolve(h)) {
+        let Some(handle) = self.users.get(imsi).copied() else { return vec![] };
+        let (gw_teid, ambr) = match self.slab.resolve(handle) {
             Some(ctx) => {
                 let c = ctx.ctrl_read();
                 (c.tunnels.gw_teid, c.qos.ambr_kbps)
@@ -928,7 +986,7 @@ impl ControlPlane {
         };
         self.metrics.proc_started += 1;
         m.enb_ue_id = enb_ue_id;
-        self.by_enb_ue_id.insert(enb_ue_id, imsi);
+        self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
         m.state = ProcState::HandoverWaitAck { imsi, source_enb_ue_id: enb_ue_id, mme_ue_id };
         // Addressed to the *target* eNodeB (the node layer routes it
         // there).
@@ -980,8 +1038,7 @@ impl ControlPlane {
             Some(ctx) => ctx.ctrl_read().guti,
             None => return vec![],
         };
-        let mme_ue_id = self.next_mme_ue_id;
-        self.next_mme_ue_id += 1;
+        let mme_ue_id = self.allocate_mme_ue_id();
         self.by_mme_ue_id.insert(mme_ue_id, imsi);
         self.metrics.paged += 1;
         self.metrics.proc_started += 1;
@@ -999,12 +1056,8 @@ impl ControlPlane {
     /// Single-shot; preempts any in-flight procedure via `dispose`.
     fn step_net_detach(&mut self, m: &mut UeMachine) -> Vec<S1apPdu> {
         let imsi = m.imsi;
-        if !self.users.contains_key(imsi) {
-            return vec![];
-        }
-        let enb_ue_id = m.enb_ue_id;
-        let mme_ue_id = self.by_mme_ue_id.iter().find(|(_, u)| **u == imsi).map(|(id, _)| *id).unwrap_or(0);
-        self.by_mme_ue_id.retain(|_, u| *u != imsi);
+        let Some(conn) = self.context_of(imsi).map(|ctx| ctx.s1_conn()) else { return vec![] };
+        let (enb_ue_id, mme_ue_id) = (m.enb_ue_id, conn.map_or(0, |c| c.mme_ue_id));
         self.do_detach(imsi);
         self.metrics.proc_started += 1;
         self.metrics.proc_completed += 1;
@@ -1034,9 +1087,11 @@ impl ControlPlane {
 
     /// Put a machine back, or retire it if quiescent (idle with an empty
     /// mailbox) so the table only holds UEs with signaling in flight.
-    fn retire_or_keep(&mut self, m: UeMachine) {
+    fn retire_or_keep(&mut self, mut m: UeMachine) {
         if m.in_flight() || !m.mailbox.is_empty() {
             self.machines.insert(m.imsi, m);
+        } else {
+            self.release_machine_enb(&mut m);
         }
     }
 
@@ -1044,7 +1099,7 @@ impl ControlPlane {
     /// checked out for stepping is not in the table — its teardown is the
     /// caller's job — so this is safely a no-op mid-delivery.
     fn drop_machine(&mut self, imsi: u64) {
-        if let Some(m) = self.machines.remove(&imsi) {
+        if let Some(mut m) = self.machines.remove(&imsi) {
             self.metrics.sig_dropped += m.mailbox.len() as u64;
             if m.in_flight() {
                 self.metrics.proc_aborted += 1;
@@ -1053,8 +1108,8 @@ impl ControlPlane {
                     self.by_mme_ue_id.remove(&mme_ue_id);
                 }
             }
+            self.release_machine_enb(&mut m);
         }
-        self.by_enb_ue_id.retain(|_, u| *u != imsi);
     }
 
     // -- procedure supervision ---------------------------------------------------
@@ -1165,7 +1220,7 @@ impl ControlPlane {
                     }
                 }
             }
-            self.by_enb_ue_id.retain(|_, u| *u != imsi);
+            self.release_machine_enb(&mut m);
             n += 1;
         }
         n
@@ -1211,7 +1266,7 @@ impl ControlPlane {
             return None;
         }
         self.metrics.releases += 1;
-        let mme_ue_id = self.by_mme_ue_id.iter().find(|(_, u)| **u == imsi).map(|(m, _)| *m).unwrap_or(0);
+        let mme_ue_id = self.context_of(imsi)?.s1_conn().map_or(0, |c| c.mme_ue_id);
         Some(S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id, cause: cause::SUCCESS })
     }
 
@@ -1282,14 +1337,14 @@ impl ControlPlane {
         // (accounted as aborted) and the peer retries against the new
         // owner. Only the committed ControlState moves.
         self.drop_machine(imsi);
-        let (ctrl, counters) = {
+        let (ctrl, counters, conn) = {
             let ctx = self.slab.resolve(handle).expect("indexed handle is live");
             let c = ctx.ctrl_read();
-            (c.clone(), ctx.counters())
+            (c.clone(), ctx.counters(), ctx.s1_conn())
         };
         let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
         self.by_guti.remove(guti);
-        self.by_mme_ue_id.retain(|_, u| *u != imsi);
+        self.unindex_s1(imsi, conn);
         self.idle_ues.remove(&imsi);
         self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
         self.metrics.migrations_out += 1;
@@ -1318,7 +1373,12 @@ impl ControlPlane {
         let guti = ctrl.guti;
         let gw_teid = ctrl.tunnels.gw_teid;
         let ue_ip = ctrl.ue_ip;
+        // Restoring over a live user keeps the S1 association it is indexed under.
+        let conn = self.context_of(imsi).and_then(|old| old.s1_conn());
         let handle = self.slab.alloc(ctrl, counters);
+        if let (Some(conn), Some(ctx)) = (conn, self.slab.resolve(handle)) {
+            ctx.set_s1_conn(conn);
+        }
         self.users.insert(imsi, handle);
         self.by_guti.insert(guti, imsi);
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
@@ -1375,6 +1435,11 @@ impl ControlPlane {
         out
     }
 
+    /// The user that last left through a detach or an attach rollback, once.
+    pub fn take_departed(&mut self) -> Option<u64> {
+        self.departed.take()
+    }
+
     /// Whether any control state changed since the last dirty drain.
     pub fn has_dirty_users(&self) -> bool {
         !self.dirty.is_empty()
@@ -1396,6 +1461,11 @@ impl ControlPlane {
     /// Number of users homed on this slice.
     pub fn user_count(&self) -> usize {
         self.users.len()
+    }
+
+    /// Sizes of the MME-UE-id and eNodeB-UE-id routing indexes (leak oracle).
+    pub fn s1_index_len(&self) -> (usize, usize) {
+        (self.by_mme_ue_id.len(), self.by_enb_ue_id.len())
     }
 
     /// Control-plane metrics.

@@ -5,140 +5,157 @@
 //! uplink) or user device IP address (for downlink) to map incoming
 //! traffic to a specific slice", and IMSI/GUTI for signaling.
 //!
-//! The Demux also owns the **per-user migration queues** (§4.3): while a
-//! user is mid-migration its packets are parked here and drained to the
-//! new slice once the transfer completes, so migration loses no packets
-//! and never exposes two slices writing one user's state.
+//! Steering is **arithmetic on the identifier region** (DESIGN.md §5):
+//! slice `k` allocates TEIDs and UE addresses from `base + (k << 24)`, so
+//! the owning slice is the identifier's high bits and the Demux keeps no
+//! per-user state. Its one table holds the *exceptions* — users living on
+//! a slice other than the one their identifiers name (migrated, adopted
+//! from a failed node) — and the **per-user migration queues** (§4.3):
+//! packets of a user mid-migration are parked here and drained to the new
+//! slice afterwards, so migration loses no packets and never exposes two
+//! slices writing one user's state. The table is consulted first, behind
+//! an `is_empty()` branch: with no moved users, no hash probe.
 
 use pepc_net::Mbuf;
 use std::collections::HashMap;
 
+/// Bits of an identifier below the slice index (≈16M users per slice).
+pub const REGION_SHIFT: u32 = 24;
+
 /// Where the Demux wants a packet to go.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum Steer {
     /// Deliver to this slice index.
-    ToSlice(usize),
+    ToSlice(usize, Mbuf),
     /// The user is migrating; the packet has been parked.
     Parked,
-    /// No mapping for this packet's key.
-    Unknown,
-    /// The packet could not be parsed.
-    Malformed,
+    /// Unparseable, or keyed in no slice's region and by no moved user.
+    Unroutable,
 }
 
-/// The steering table.
-#[derive(Debug, Default)]
+/// A user living off its home region, or mid-migration.
+#[derive(Debug)]
+struct Moved {
+    slice: usize,
+    keys: [PacketKey; 2],
+    /// The migration queue, while one is in progress.
+    parked: Option<Vec<Mbuf>>,
+}
+
+/// Region arithmetic plus the exception table.
+#[derive(Debug)]
 pub struct Demux {
-    by_teid: HashMap<u32, usize>,
-    by_ue_ip: HashMap<u32, usize>,
-    by_imsi: HashMap<u64, usize>,
-    /// IMSIs currently migrating, with their parked packets.
-    migrating: HashMap<u64, Vec<Mbuf>>,
-    /// Reverse key index so parking can recognise a migrating user's
-    /// packets by TEID/IP.
-    teid_to_imsi: HashMap<u32, u64>,
-    ip_to_imsi: HashMap<u32, u64>,
+    teid_base: u32,
+    ue_ip_base: u32,
+    slices: usize,
+    moved: HashMap<u64, Moved>,
+    moved_keys: HashMap<PacketKey, u64>,
 }
 
 impl Demux {
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(teid_base: u32, ue_ip_base: u32, slices: usize) -> Self {
+        Demux { teid_base, ue_ip_base, slices, moved: HashMap::new(), moved_keys: HashMap::new() }
     }
 
-    /// Register a user's keys as served by `slice`.
-    pub fn map_user(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, slice: usize) {
-        self.by_imsi.insert(imsi, slice);
-        self.by_teid.insert(gw_teid, slice);
-        self.by_ue_ip.insert(ue_ip, slice);
-        self.teid_to_imsi.insert(gw_teid, imsi);
-        self.ip_to_imsi.insert(ue_ip, imsi);
+    /// Slice a fresh IMSI is homed on (static hash, as the paper's Demux
+    /// does for signaling).
+    pub fn home_slice(&self, imsi: u64) -> usize {
+        (imsi.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.slices
     }
 
-    /// Remove a user entirely.
-    pub fn unmap_user(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32) {
-        self.by_imsi.remove(&imsi);
-        self.by_teid.remove(&gw_teid);
-        self.by_ue_ip.remove(&ue_ip);
-        self.teid_to_imsi.remove(&gw_teid);
-        self.ip_to_imsi.remove(&ue_ip);
-        self.migrating.remove(&imsi);
+    /// Slice whose allocator issued `key`, if any.
+    pub fn region_of(&self, key: PacketKey) -> Option<usize> {
+        let offset = match key {
+            PacketKey::Teid(teid) => teid.wrapping_sub(self.teid_base),
+            PacketKey::UeIp(ip) => ip.wrapping_sub(self.ue_ip_base),
+        };
+        let k = (offset >> REGION_SHIFT) as usize;
+        (k < self.slices).then_some(k)
     }
 
-    /// Slice serving a signaling-plane identifier.
-    pub fn slice_for_imsi(&self, imsi: u64) -> Option<usize> {
-        self.by_imsi.get(&imsi).copied()
+    /// Whether no user is off-home or migrating: all steering is arithmetic.
+    pub fn is_clear(&self) -> bool {
+        self.moved.is_empty()
+    }
+
+    /// Slice serving `imsi` if it is attached at all: its exception
+    /// entry, else its home. The caller verifies against the slice.
+    pub fn slice_hint(&self, imsi: u64) -> usize {
+        let moved = if self.is_clear() { None } else { self.moved.get(&imsi) };
+        moved.map_or_else(|| self.home_slice(imsi), |m| m.slice)
     }
 
     /// Steer one data packet. Uplink GTP-U is keyed by TEID; downlink IP
     /// by destination address. Packets of migrating users are parked.
-    pub fn steer(&mut self, m: Mbuf) -> (Steer, Option<Mbuf>) {
-        let key = match packet_key(&m) {
-            Some(k) => k,
-            None => return (Steer::Malformed, Some(m)),
-        };
-        let (imsi, slice) = match key {
-            PacketKey::Teid(teid) => (self.teid_to_imsi.get(&teid), self.by_teid.get(&teid)),
-            PacketKey::UeIp(ip) => (self.ip_to_imsi.get(&ip), self.by_ue_ip.get(&ip)),
-        };
-        if let Some(imsi) = imsi {
-            if let Some(queue) = self.migrating.get_mut(imsi) {
-                queue.push(m);
-                return (Steer::Parked, None);
+    pub fn steer(&mut self, m: Mbuf) -> Steer {
+        let Some(key) = packet_key(&m) else { return Steer::Unroutable };
+        if !self.is_clear() {
+            if let Some(moved) = self.moved_keys.get(&key).and_then(|imsi| self.moved.get_mut(imsi)) {
+                return match &mut moved.parked {
+                    Some(queue) => {
+                        queue.push(m);
+                        Steer::Parked
+                    }
+                    None => Steer::ToSlice(moved.slice, m),
+                };
             }
         }
-        match slice {
-            Some(&s) => (Steer::ToSlice(s), Some(m)),
-            None => (Steer::Unknown, Some(m)),
+        self.region_of(key).map_or(Steer::Unroutable, |k| Steer::ToSlice(k, m))
+    }
+
+    /// Record that `imsi` (with these data-plane keys) lives on `slice`:
+    /// an exception entry if that is not where its identifiers point,
+    /// none (any old one removed) if it is. A migration nothing waited on.
+    pub fn place(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, slice: usize) {
+        self.park(imsi, gw_teid, ue_ip, slice);
+        self.finish(imsi, slice);
+    }
+
+    /// Begin parking packets for `imsi`, served by `slice` (migration
+    /// started); [`Self::finish`] hands them back when it ends.
+    pub fn park(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, slice: usize) {
+        self.forget(imsi);
+        let keys = [PacketKey::Teid(gw_teid), PacketKey::UeIp(ue_ip)];
+        self.moved_keys.extend(keys.map(|k| (k, imsi)));
+        self.moved.insert(imsi, Moved { slice, keys, parked: Some(Vec::new()) });
+    }
+
+    /// End `imsi`'s migration on slice `landed` (the target, or the source
+    /// if it aborted): returns the parked packets, in arrival order, and
+    /// keeps the entry only if the user now lives off-home.
+    pub fn finish(&mut self, imsi: u64, landed: usize) -> Vec<Mbuf> {
+        let Some(moved) = self.moved.get_mut(&imsi) else { return Vec::new() };
+        moved.slice = landed;
+        let (keys, parked) = (moved.keys, moved.parked.take().unwrap_or_default());
+        if self.home_slice(imsi) == landed && keys.iter().all(|&k| self.region_of(k) == Some(landed)) {
+            self.forget(imsi);
+        }
+        parked
+    }
+
+    /// Drop `imsi`'s entry, if it has one (it detached).
+    pub fn forget(&mut self, imsi: u64) {
+        if let Some(moved) = self.moved.remove(&imsi) {
+            for key in moved.keys {
+                self.moved_keys.remove(&key);
+            }
         }
     }
 
-    /// Steer a whole burst, appending one `(steer, packet)` pair per
-    /// packet to `out` in input order. The burst vector is drained.
-    /// Parked packets are consumed by their migration queue (the `Mbuf`
-    /// side of the pair is `None`), exactly as in [`Self::steer`].
-    pub fn steer_burst(&mut self, burst: &mut Vec<Mbuf>, out: &mut Vec<(Steer, Option<Mbuf>)>) {
-        out.reserve(burst.len());
-        for m in burst.drain(..) {
-            out.push(self.steer(m));
-        }
-    }
-
-    /// Begin parking packets for `imsi` (migration started).
-    pub fn begin_migration(&mut self, imsi: u64) {
-        self.migrating.entry(imsi).or_default();
-    }
-
-    /// Finish a migration: repoint the user's keys at `new_slice` and
-    /// return the parked packets for delivery there.
-    pub fn finish_migration(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, new_slice: usize) -> Vec<Mbuf> {
-        self.by_imsi.insert(imsi, new_slice);
-        self.by_teid.insert(gw_teid, new_slice);
-        self.by_ue_ip.insert(ue_ip, new_slice);
-        self.teid_to_imsi.insert(gw_teid, imsi);
-        self.ip_to_imsi.insert(ue_ip, imsi);
-        self.migrating.remove(&imsi).unwrap_or_default()
-    }
-
-    /// Abort a migration (source keeps the user); parked packets are
-    /// returned for redelivery to the original slice.
-    pub fn abort_migration(&mut self, imsi: u64) -> Vec<Mbuf> {
-        self.migrating.remove(&imsi).unwrap_or_default()
-    }
-
-    /// Number of users currently mapped.
-    pub fn user_count(&self) -> usize {
-        self.by_imsi.len()
+    /// Number of users currently off-home or migrating.
+    pub fn moved_count(&self) -> usize {
+        self.moved.len()
     }
 
     /// Number of packets currently parked across all migrations.
     pub fn parked_count(&self) -> usize {
-        self.migrating.values().map(Vec::len).sum()
+        self.moved.values().filter_map(|m| m.parked.as_ref()).map(Vec::len).sum()
     }
 }
 
 /// Steering key of one data packet: the same identifier the data plane
 /// will look the user up by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKey {
     /// Uplink GTP-U: the tunnel endpoint id.
     Teid(u32),
@@ -170,6 +187,18 @@ mod tests {
     use pepc_net::ipv4::IpProto;
     use pepc_net::{Ipv4Hdr, IPV4_HDR_LEN};
 
+    const TEID_BASE: u32 = 0x1000_0000;
+    const IP_BASE: u32 = 0x0A00_0001;
+
+    fn demux() -> Demux {
+        Demux::new(TEID_BASE, IP_BASE, 4)
+    }
+
+    /// The `n`-th keys of slice `k`'s region.
+    fn keys(k: u32, n: u32) -> (u32, u32) {
+        (TEID_BASE + (k << REGION_SHIFT) + n, IP_BASE + (k << REGION_SHIFT) + n)
+    }
+
     fn downlink(dst: u32) -> Mbuf {
         let mut m = Mbuf::new();
         let mut hdr = vec![0u8; IPV4_HDR_LEN + 8];
@@ -184,76 +213,102 @@ mod tests {
         m
     }
 
-    #[test]
-    fn steers_uplink_by_teid_and_downlink_by_ip() {
-        let mut d = Demux::new();
-        d.map_user(7, 0x1000, 0x0A000001, 3);
-        let (s, m) = d.steer(uplink(0x1000));
-        assert_eq!(s, Steer::ToSlice(3));
-        assert!(m.is_some());
-        let (s, _) = d.steer(downlink(0x0A000001));
-        assert_eq!(s, Steer::ToSlice(3));
+    fn slice_of(s: Steer) -> Option<usize> {
+        match s {
+            Steer::ToSlice(k, _) => Some(k),
+            _ => None,
+        }
     }
 
     #[test]
-    fn unknown_keys_reported() {
-        let mut d = Demux::new();
-        assert_eq!(d.steer(uplink(0x9999)).0, Steer::Unknown);
-        assert_eq!(d.steer(downlink(0x0B000001)).0, Steer::Unknown);
+    fn steers_uplink_by_teid_and_downlink_by_ip_region() {
+        let mut d = demux();
+        let (teid, ip) = keys(3, 7);
+        assert_eq!(slice_of(d.steer(uplink(teid))), Some(3));
+        assert_eq!(slice_of(d.steer(downlink(ip))), Some(3));
+        assert!(d.is_clear(), "steering registered nothing");
+    }
+
+    #[test]
+    fn out_of_region_keys_reported() {
+        let mut d = demux();
+        assert!(matches!(d.steer(uplink(TEID_BASE - 1)), Steer::Unroutable));
+        assert!(matches!(d.steer(uplink(TEID_BASE + (4 << REGION_SHIFT))), Steer::Unroutable));
+        assert!(matches!(d.steer(downlink(0x0B00_0001 + (4 << REGION_SHIFT))), Steer::Unroutable));
     }
 
     #[test]
     fn malformed_packets_reported() {
-        let mut d = Demux::new();
-        assert_eq!(d.steer(Mbuf::from_payload(&[0u8; 4])).0, Steer::Malformed);
+        let mut d = demux();
+        assert!(matches!(d.steer(Mbuf::from_payload(&[0u8; 4])), Steer::Unroutable));
     }
 
     #[test]
-    fn signaling_steered_by_imsi() {
-        let mut d = Demux::new();
-        d.map_user(7, 1, 2, 5);
-        assert_eq!(d.slice_for_imsi(7), Some(5));
-        assert_eq!(d.slice_for_imsi(8), None);
+    fn signaling_hint_is_exception_or_home() {
+        let mut d = demux();
+        let home = d.home_slice(7);
+        assert_eq!(d.slice_hint(7), home);
+        let (teid, ip) = keys(home as u32, 0);
+        d.place(7, teid, ip, home);
+        assert!(d.is_clear(), "a user at home needs no entry");
+        let away = (home + 1) % 4;
+        d.place(7, teid, ip, away);
+        assert_eq!(d.slice_hint(7), away);
+        assert_eq!(d.moved_count(), 1);
+        d.forget(7);
+        assert!(d.is_clear());
+        assert_eq!(d.slice_hint(7), home);
+    }
+
+    #[test]
+    fn foreign_keys_are_steered_by_their_exception() {
+        let mut d = demux();
+        // Keys from another node's region (HA adoption).
+        let (teid, ip) = (0x5000_0042, 0x5A00_0042);
+        assert!(matches!(d.steer(uplink(teid)), Steer::Unroutable));
+        let home = d.home_slice(9);
+        d.place(9, teid, ip, home);
+        assert_eq!(slice_of(d.steer(uplink(teid))), Some(home));
+        assert_eq!(slice_of(d.steer(downlink(ip))), Some(home));
     }
 
     #[test]
     fn migration_parks_and_drains_in_order() {
-        let mut d = Demux::new();
-        d.map_user(7, 0x1000, 0x0A000001, 0);
-        d.begin_migration(7);
+        let mut d = demux();
+        let home = d.home_slice(7);
+        let (teid, ip) = keys(home as u32, 0);
+        d.park(7, teid, ip, home);
         // Both directions get parked.
-        assert_eq!(d.steer(uplink(0x1000)).0, Steer::Parked);
-        assert_eq!(d.steer(downlink(0x0A000001)).0, Steer::Parked);
+        assert!(matches!(d.steer(uplink(teid)), Steer::Parked));
+        assert!(matches!(d.steer(downlink(ip)), Steer::Parked));
         assert_eq!(d.parked_count(), 2);
         // Other users flow normally.
-        d.map_user(8, 0x1001, 0x0A000002, 0);
-        assert_eq!(d.steer(uplink(0x1001)).0, Steer::ToSlice(0));
+        assert_eq!(slice_of(d.steer(uplink(teid + 1))), Some(home));
 
-        let parked = d.finish_migration(7, 0x1000, 0x0A000001, 1);
+        let away = (home + 1) % 4;
+        let parked = d.finish(7, away);
         assert_eq!(parked.len(), 2);
+        assert!(matches!(packet_key(&parked[0]), Some(PacketKey::Teid(_))), "arrival order kept");
         assert_eq!(d.parked_count(), 0);
         // New packets go to the new slice.
-        assert_eq!(d.steer(uplink(0x1000)).0, Steer::ToSlice(1));
+        assert_eq!(slice_of(d.steer(uplink(teid))), Some(away));
+        // Migrating back home retires the exception.
+        d.park(7, teid, ip, away);
+        assert!(d.finish(7, home).is_empty());
+        assert!(d.is_clear());
+        assert_eq!(slice_of(d.steer(uplink(teid))), Some(home));
     }
 
     #[test]
     fn abort_migration_returns_packets_and_keeps_mapping() {
-        let mut d = Demux::new();
-        d.map_user(7, 0x1000, 0x0A000001, 0);
-        d.begin_migration(7);
-        d.steer(uplink(0x1000));
-        let parked = d.abort_migration(7);
+        let mut d = demux();
+        let home = d.home_slice(7);
+        let (teid, ip) = keys(home as u32, 0);
+        d.park(7, teid, ip, home);
+        d.steer(uplink(teid));
+        let parked = d.finish(7, home);
         assert_eq!(parked.len(), 1);
-        assert_eq!(d.steer(uplink(0x1000)).0, Steer::ToSlice(0), "mapping unchanged");
-    }
-
-    #[test]
-    fn unmap_removes_all_keys() {
-        let mut d = Demux::new();
-        d.map_user(7, 0x1000, 0x0A000001, 0);
-        d.unmap_user(7, 0x1000, 0x0A000001);
-        assert_eq!(d.user_count(), 0);
-        assert_eq!(d.steer(uplink(0x1000)).0, Steer::Unknown);
-        assert_eq!(d.slice_for_imsi(7), None);
+        assert!(d.is_clear(), "aborted at home: no entry left");
+        assert_eq!(slice_of(d.steer(uplink(teid))), Some(home), "mapping unchanged");
     }
 }

@@ -13,16 +13,19 @@
 use crate::config::EpcConfig;
 use crate::ctrl::{Allocator, CtrlEvent};
 use crate::data::PacketVerdict;
-use crate::demux::{Demux, Steer};
-use crate::migrate::UserSnapshot;
+use crate::demux::{Demux, Steer, REGION_SHIFT};
 use crate::proxy::Proxy;
 use crate::slice::Slice;
 use pepc_backend::{Hss, Pcrf};
 use pepc_fabric::Clock;
 use pepc_net::Mbuf;
+use pepc_sigproto::nas::NasMsg;
 use pepc_sigproto::s1ap::S1apPdu;
 use pepc_telemetry::{LatencyHistogram, MetricsSnapshot};
 use std::sync::Arc;
+
+/// Base of the GUTI space; slice `k`'s region starts `k << 32` above it.
+const GUTI_BASE: u64 = 0xD00D_0000_0000;
 
 /// Outcome of handing the node a data packet.
 #[derive(Debug)]
@@ -45,6 +48,24 @@ impl NodeVerdict {
     }
 }
 
+impl From<PacketVerdict> for NodeVerdict {
+    fn from(v: PacketVerdict) -> Self {
+        match v {
+            PacketVerdict::Forward(m) => NodeVerdict::Forward(m),
+            PacketVerdict::Drop(_) => NodeVerdict::Drop,
+            PacketVerdict::Buffered => NodeVerdict::Buffered,
+        }
+    }
+}
+
+/// One slice's share of the burst in flight: its packets, and where in
+/// the input each of them stood.
+#[derive(Default)]
+struct Bucket {
+    packets: Vec<Mbuf>,
+    positions: Vec<usize>,
+}
+
 /// A PEPC node.
 pub struct PepcNode {
     config: EpcConfig,
@@ -58,6 +79,10 @@ pub struct PepcNode {
     migration_ns: Vec<LatencyHistogram>,
     /// Clock the node stamps migration latencies with (virtual under sim).
     clock: Clock,
+    /// `process_burst` scratch, one bucket per slice, reused across bursts.
+    buckets: Vec<Bucket>,
+    /// `process_burst` scratch: the verdicts of the slice being drained.
+    verdicts: Vec<PacketVerdict>,
 }
 
 impl PepcNode {
@@ -73,15 +98,16 @@ impl PepcNode {
             slice_cfg.data_core = 2 * k + 1;
             slices.push(Slice::new(&slice_cfg, config.gw_ip, config.tac, alloc, proxy.clone()));
         }
-        let migration_ns = vec![LatencyHistogram::new(); config.slices];
         PepcNode {
+            demux: Demux::new(config.teid_base, config.ue_ip_base, config.slices),
+            migration_ns: vec![LatencyHistogram::new(); config.slices],
+            buckets: (0..config.slices).map(|_| Bucket::default()).collect(),
             config,
             slices,
-            demux: Demux::new(),
             proxy,
             migration_out: Vec::new(),
-            migration_ns,
             clock: Clock::new(),
+            verdicts: Vec::new(),
         }
     }
 
@@ -96,91 +122,67 @@ impl PepcNode {
     }
 
     /// The identifier region slice `k` allocates from (24 bits ≈ 16M users
-    /// per slice).
+    /// per slice). Steering inverts exactly this layout.
     fn allocator_for(config: &EpcConfig, k: usize) -> Allocator {
         let k = k as u32;
         Allocator {
-            teid_base: config.teid_base + (k << 24),
-            ue_ip_base: config.ue_ip_base + (k << 24),
-            guti_base: 0xD00D_0000_0000 + (u64::from(k) << 32),
-            mme_ue_id_base: 1 + (k << 24),
+            teid_base: config.teid_base + (k << REGION_SHIFT),
+            ue_ip_base: config.ue_ip_base + (k << REGION_SHIFT),
+            guti_base: GUTI_BASE + (u64::from(k) << 32),
+            mme_ue_id_base: 1 + (k << REGION_SHIFT),
         }
     }
 
     /// Slice a fresh IMSI will be homed on (static hash, as the paper's
     /// Demux does for signaling).
     pub fn home_slice(&self, imsi: u64) -> usize {
-        (imsi.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.slices.len()
+        self.demux.home_slice(imsi)
+    }
+
+    /// Slice serving `imsi`, if it is attached: where the Demux points,
+    /// verified against that slice's own user index.
+    pub fn slice_of(&self, imsi: u64) -> Option<usize> {
+        let k = self.demux.slice_hint(imsi);
+        self.slices[k].ctrl.context_of(imsi).is_some().then_some(k)
     }
 
     /// Attach a user via the synthetic event path. Returns the slice it
-    /// was homed on. Registers the Demux mapping.
+    /// was homed on.
     pub fn attach(&mut self, imsi: u64) -> usize {
-        let k = self.demux.slice_for_imsi(imsi).unwrap_or_else(|| self.home_slice(imsi));
+        let k = self.demux.slice_hint(imsi);
         self.slices[k].handle_ctrl_event(CtrlEvent::Attach { imsi });
-        let ctx = self.slices[k].ctrl.context_of(imsi).expect("just attached");
-        let (gw_teid, ue_ip) = {
-            let c = ctx.ctrl_read();
-            (c.tunnels.gw_teid, c.ue_ip)
-        };
-        self.demux.map_user(imsi, gw_teid, ue_ip, k);
         k
     }
 
     /// Detach a user everywhere.
     pub fn detach(&mut self, imsi: u64) -> bool {
-        match self.demux.slice_for_imsi(imsi) {
-            Some(k) => {
-                let ctx = self.slices[k].ctrl.context_of(imsi);
-                if let Some(ctx) = ctx {
-                    let (gw_teid, ue_ip) = {
-                        let c = ctx.ctrl_read();
-                        (c.tunnels.gw_teid, c.ue_ip)
-                    };
-                    self.demux.unmap_user(imsi, gw_teid, ue_ip);
-                }
-                self.slices[k].handle_ctrl_event(CtrlEvent::Detach { imsi })
-            }
-            None => false,
-        }
+        self.ctrl_event(CtrlEvent::Detach { imsi })
     }
 
     /// Apply a synthetic control event to the owning slice.
     pub fn ctrl_event(&mut self, ev: CtrlEvent) -> bool {
-        match ev {
-            CtrlEvent::Attach { .. } => {
-                let CtrlEvent::Attach { imsi } = ev else { unreachable!() };
-                self.attach(imsi);
-                true
-            }
-            CtrlEvent::S1Handover { imsi, .. }
-            | CtrlEvent::ModifyBearer { imsi, .. }
-            | CtrlEvent::Release { imsi }
-            | CtrlEvent::Detach { imsi } => match self.demux.slice_for_imsi(imsi) {
-                Some(k) => self.slices[k].handle_ctrl_event(ev),
-                None => false,
-            },
-        }
+        let (CtrlEvent::Attach { imsi }
+        | CtrlEvent::S1Handover { imsi, .. }
+        | CtrlEvent::ModifyBearer { imsi, .. }
+        | CtrlEvent::Release { imsi }
+        | CtrlEvent::Detach { imsi }) = ev;
+        let k = self.demux.slice_hint(imsi);
+        let ok = self.slices[k].handle_ctrl_event(ev);
+        self.retire_departed(k);
+        ok
     }
 
     /// Route one S1AP PDU to the right slice and return its responses.
     ///
-    /// InitialUEMessage is routed by the IMSI inside the NAS payload;
-    /// UE-associated follow-ups are routed by the MME UE id, whose ranges
-    /// are disjoint per slice.
+    /// InitialUEMessage is routed by the IMSI (attach) or the GUTI
+    /// (service request) inside the NAS payload; UE-associated follow-ups
+    /// are routed by the MME UE id. GUTI and MME-UE-id ranges are disjoint
+    /// per slice, so both are arithmetic.
     pub fn handle_s1ap(&mut self, pdu: &S1apPdu) -> Vec<S1apPdu> {
         let k = match pdu {
-            S1apPdu::InitialUeMessage { nas, .. } => match pepc_sigproto::nas::NasMsg::decode(nas) {
-                Ok(pepc_sigproto::nas::NasMsg::AttachRequest { imsi, .. }) => {
-                    self.demux.slice_for_imsi(imsi).unwrap_or_else(|| self.home_slice(imsi))
-                }
-                // Service Requests carry only a GUTI; probe the slices for
-                // the owner (GUTI regions are per-slice, so at most one
-                // hit). Unknown GUTIs go to slice 0, which answers with
-                // the release-and-reattach command.
-                Ok(pepc_sigproto::nas::NasMsg::ServiceRequest { guti }) => {
-                    (0..self.slices.len()).find(|&k| self.slices[k].ctrl.knows_guti(guti)).unwrap_or(0)
-                }
+            S1apPdu::InitialUeMessage { nas, .. } => match NasMsg::decode(nas) {
+                Ok(NasMsg::AttachRequest { imsi, .. }) => self.demux.slice_hint(imsi),
+                Ok(NasMsg::ServiceRequest { guti }) => self.slice_of_guti(guti),
                 _ => return vec![],
             },
             S1apPdu::UplinkNasTransport { mme_ue_id, .. }
@@ -193,23 +195,18 @@ impl PepcNode {
             _ => return vec![],
         };
         let rsp = self.slices[k].handle_s1ap(pdu);
-        // Context-setup completion reveals the user's data-plane keys;
-        // register the Demux mapping then.
-        if let S1apPdu::InitialContextSetupResponse { .. } = pdu {
-            // The slice knows the user; find it via the ICS request we
-            // would have emitted. Simplest robust approach: scan the
-            // slice's IMSIs missing a demux mapping (attach volume per
-            // call is 1, so this is the just-attached user).
-            for imsi in self.slices[k].ctrl.imsis() {
-                if self.demux.slice_for_imsi(imsi).is_none() {
-                    if let Some(ctx) = self.slices[k].ctrl.context_of(imsi) {
-                        let c = ctx.ctrl_read();
-                        self.demux.map_user(imsi, c.tunnels.gw_teid, c.ue_ip, k);
-                    }
-                }
+        self.retire_departed(k);
+        rsp
+    }
+
+    /// Retire the exception entry of the user slice `k` just let go of
+    /// (detach, attach rollback), if it had one.
+    fn retire_departed(&mut self, k: usize) {
+        if let Some(imsi) = self.slices[k].ctrl.take_departed() {
+            if !self.demux.is_clear() && self.slice_of(imsi).is_none() {
+                self.demux.forget(imsi);
             }
         }
-        rsp
     }
 
     /// Drive network-triggered paging on every slice; returns the paging
@@ -240,70 +237,63 @@ impl PepcNode {
     }
 
     fn slice_of_mme_ue_id(&self, mme_ue_id: u32) -> usize {
-        (((mme_ue_id - 1) >> 24) as usize).min(self.slices.len().saturating_sub(1))
+        ((mme_ue_id.saturating_sub(1) >> REGION_SHIFT) as usize).min(self.slices.len().saturating_sub(1))
+    }
+
+    /// Slice owning a GUTI: the one whose region it lies in, if it knows
+    /// it. A moved user keeps its GUTI, so while any user is off-home the
+    /// other slices are probed too. Unknown GUTIs go to slice 0, which
+    /// answers with the release-and-reattach command.
+    fn slice_of_guti(&self, guti: u64) -> usize {
+        let knows = |k: &usize| self.slices[*k].ctrl.knows_guti(guti);
+        let home = (guti.wrapping_sub(GUTI_BASE) >> 32) as usize;
+        if home < self.slices.len() && knows(&home) {
+            home
+        } else if self.demux.is_clear() {
+            0
+        } else {
+            (0..self.slices.len()).find(knows).unwrap_or(0)
+        }
     }
 
     /// Process one data packet end to end.
     pub fn process(&mut self, m: Mbuf) -> NodeVerdict {
-        let (steer, m) = self.demux.steer(m);
-        match steer {
-            Steer::ToSlice(k) => match self.slices[k].process_packet(m.expect("steered")) {
-                PacketVerdict::Forward(out) => NodeVerdict::Forward(out),
-                PacketVerdict::Drop(_) => NodeVerdict::Drop,
-                PacketVerdict::Buffered => NodeVerdict::Buffered,
-            },
+        match self.demux.steer(m) {
+            Steer::ToSlice(k, m) => self.slices[k].process_packet(m).into(),
             Steer::Parked => NodeVerdict::Parked,
-            Steer::Unknown | Steer::Malformed => NodeVerdict::Drop,
+            Steer::Unroutable => NodeVerdict::Drop,
         }
     }
 
     /// Process a burst of data packets end to end, returning one verdict
-    /// per packet in input order. Consecutive packets steered to the same
-    /// slice are handed to that slice as one burst, so the slice-level
-    /// lock coalescing and prefetching apply across the demux too.
-    pub fn process_burst(&mut self, mut burst: Vec<Mbuf>) -> Vec<NodeVerdict> {
-        let mut steered = Vec::with_capacity(burst.len());
-        self.demux.steer_burst(&mut burst, &mut steered);
-        let mut out = Vec::with_capacity(steered.len());
-        // Flush buffer for the current same-slice run.
-        let mut run: Vec<Mbuf> = Vec::new();
-        let mut run_slice: Option<usize> = None;
-        for (steer, m) in steered {
-            match steer {
-                Steer::ToSlice(k) => {
-                    if run_slice != Some(k) {
-                        self.flush_run(&mut run, &mut run_slice, &mut out);
-                        run_slice = Some(k);
-                    }
-                    run.push(m.expect("steered"));
+    /// per packet in input order: bucket the burst by slice, hand each
+    /// non-empty bucket to its slice as *one* burst (its prefetching, lock
+    /// coalescing and once-per-burst sync then cover the slice's whole
+    /// share), scatter the verdicts back to their packets' positions. A
+    /// user lives on one slice, so per-user order is the input's.
+    pub fn process_burst(&mut self, burst: Vec<Mbuf>) -> Vec<NodeVerdict> {
+        let mut out = Vec::with_capacity(burst.len());
+        for (at, m) in burst.into_iter().enumerate() {
+            out.push(match self.demux.steer(m) {
+                Steer::ToSlice(k, m) => {
+                    self.buckets[k].packets.push(m);
+                    self.buckets[k].positions.push(at);
+                    NodeVerdict::Drop // overwritten by the slice's verdict below
                 }
-                Steer::Parked => {
-                    self.flush_run(&mut run, &mut run_slice, &mut out);
-                    out.push(NodeVerdict::Parked);
-                }
-                Steer::Unknown | Steer::Malformed => {
-                    self.flush_run(&mut run, &mut run_slice, &mut out);
-                    out.push(NodeVerdict::Drop);
-                }
+                Steer::Parked => NodeVerdict::Parked,
+                Steer::Unroutable => NodeVerdict::Drop,
+            });
+        }
+        for (slice, bucket) in self.slices.iter_mut().zip(&mut self.buckets) {
+            if bucket.packets.is_empty() {
+                continue;
+            }
+            slice.process_burst_into(&mut bucket.packets, &mut self.verdicts);
+            for (at, v) in bucket.positions.drain(..).zip(self.verdicts.drain(..)) {
+                out[at] = v.into();
             }
         }
-        self.flush_run(&mut run, &mut run_slice, &mut out);
         out
-    }
-
-    /// Drain a pending same-slice run through its slice's burst path.
-    fn flush_run(&mut self, run: &mut Vec<Mbuf>, run_slice: &mut Option<usize>, out: &mut Vec<NodeVerdict>) {
-        let Some(k) = run_slice.take() else { return };
-        if run.is_empty() {
-            return;
-        }
-        for v in self.slices[k].process_burst(run) {
-            match v {
-                PacketVerdict::Forward(m) => out.push(NodeVerdict::Forward(m)),
-                PacketVerdict::Drop(_) => out.push(NodeVerdict::Drop),
-                PacketVerdict::Buffered => out.push(NodeVerdict::Buffered),
-            }
-        }
     }
 
     /// Migrate `imsi` from its current slice to `target`. Packets
@@ -312,43 +302,35 @@ impl PepcNode {
     /// [`PepcNode::take_migration_output`]. Returns false if the user is
     /// unknown or already on `target`.
     pub fn migrate(&mut self, imsi: u64, target: usize) -> bool {
-        let source = match self.demux.slice_for_imsi(imsi) {
-            Some(s) => s,
-            None => return false,
-        };
+        let Some(source) = self.slice_of(imsi) else { return false };
         if source == target || target >= self.slices.len() {
             return false;
         }
+        let Some((gw_teid, ue_ip)) = self.slices[source].ctrl.keys_of(imsi) else { return false };
         let t0 = self.clock.now_ns();
         // 1. Park subsequent packets.
-        self.demux.begin_migration(imsi);
+        self.demux.park(imsi, gw_teid, ue_ip, source);
         // 2. Extract from the source slice (control thread removes its
-        //    indexes and tells the source data thread to forget).
-        let snap: UserSnapshot = match self.slices[source].extract_user(imsi) {
-            Some(s) => s,
-            None => {
-                // Inconsistent mapping; heal by aborting the migration.
-                let parked = self.demux.abort_migration(imsi);
-                self.requeue(source, parked);
-                return false;
+        //    indexes and tells the source data thread to forget), and
+        // 3. install at the target. A source that will not let go aborts
+        //    the migration: the user stays put.
+        let landed = match self.slices[source].extract_user(imsi) {
+            Some(snap) => {
+                self.slices[target].install_user(snap);
+                target
             }
+            None => source,
         };
-        let (gw_teid, ue_ip) = (snap.gw_teid, snap.ue_ip);
-        // 3. Install at the target.
-        self.slices[target].install_user(snap);
-        // 4. Repoint the Demux and drain the parked packets to the target.
-        let parked = self.demux.finish_migration(imsi, gw_teid, ue_ip, target);
-        self.requeue(target, parked);
-        self.migration_ns[target].record(self.clock.now_ns().saturating_sub(t0));
-        true
-    }
-
-    fn requeue(&mut self, slice: usize, parked: Vec<Mbuf>) {
-        for m in parked {
-            if let PacketVerdict::Forward(out) = self.slices[slice].process_packet(m) {
+        // 4. Repoint the Demux and drain the parked packets to the owner.
+        for m in self.demux.finish(imsi, landed) {
+            if let PacketVerdict::Forward(out) = self.slices[landed].process_packet(m) {
                 self.migration_out.push(out);
             }
         }
+        if landed == target {
+            self.migration_ns[target].record(self.clock.now_ns().saturating_sub(t0));
+        }
+        landed == target
     }
 
     /// Packets forwarded while draining migration queues.
@@ -413,25 +395,25 @@ impl PepcNode {
         &self.demux
     }
 
-    /// Recovery hook: re-register a restored user's steering keys (a
-    /// recovery controller rebuilds the Demux from the same checkpoint it
-    /// restored the slices from).
-    pub fn demux_mut_for_recovery(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, slice: usize) {
-        self.demux.map_user(imsi, gw_teid, ue_ip, slice);
+    /// Recovery hook: tell the Demux a restored user lives on `slice` —
+    /// after a migration, not where its identifiers point.
+    pub fn restore_steering(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, slice: usize) {
+        self.demux.place(imsi, gw_teid, ue_ip, slice);
     }
 
     /// Adopt a user recovered from another node's replica: restore the
     /// state into the IMSI's home slice (identifiers and tunnels are
     /// preserved, so in-flight GTP tunnels stay valid), push the
-    /// data-plane insert through immediately, and register the Demux
-    /// steering keys. Returns the slice the user landed on.
+    /// data-plane insert through immediately, and point the Demux at it
+    /// (its keys lie in the failed node's region). Returns the slice the
+    /// user landed on.
     pub fn adopt_user(&mut self, ctrl: crate::state::ControlState, counters: crate::state::CounterState) -> usize {
         let imsi = ctrl.imsi;
         let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
-        let k = self.demux.slice_for_imsi(imsi).unwrap_or_else(|| self.home_slice(imsi));
+        let k = self.demux.slice_hint(imsi);
         self.slices[k].ctrl.restore_user(ctrl, counters);
         self.slices[k].sync_now();
-        self.demux.map_user(imsi, gw_teid, ue_ip, k);
+        self.demux.place(imsi, gw_teid, ue_ip, k);
         k
     }
 
@@ -466,7 +448,7 @@ mod tests {
     }
 
     fn uplink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
-        let k = node.demux.slice_for_imsi(imsi).unwrap();
+        let k = node.slice_of(imsi).unwrap();
         let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
         let (teid, ue_ip) = {
             let c = ctx.ctrl_read();
@@ -481,7 +463,7 @@ mod tests {
     }
 
     fn downlink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
-        let k = node.demux.slice_for_imsi(imsi).unwrap();
+        let k = node.slice_of(imsi).unwrap();
         let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
         let ue_ip = ctx.ctrl_read().ue_ip;
         let mut m = Mbuf::new();
@@ -569,14 +551,15 @@ mod tests {
     fn migration_moves_user_and_preserves_packets() {
         let mut n = node(2);
         n.attach(7);
-        let src = n.demux.slice_for_imsi(7).unwrap();
+        let src = n.slice_of(7).unwrap();
         let dst = 1 - src;
         // Traffic before migration.
         let up = uplink_for(&mut n, 7);
         assert!(n.process(up).is_forward());
 
         assert!(n.migrate(7, dst));
-        assert_eq!(n.demux.slice_for_imsi(7), Some(dst));
+        assert_eq!(n.slice_of(7), Some(dst));
+        assert_eq!(n.demux().moved_count(), 1, "off-home: one exception entry");
         assert_eq!(n.slice(src).ctrl.user_count(), 0);
         assert_eq!(n.slice(dst).ctrl.user_count(), 1);
         // Counters travelled.
@@ -591,7 +574,7 @@ mod tests {
     fn node_snapshot_covers_slices_and_migration() {
         let mut n = node(2);
         n.attach(7);
-        let src = n.demux.slice_for_imsi(7).unwrap();
+        let src = n.slice_of(7).unwrap();
         let dst = 1 - src;
         let up = uplink_for(&mut n, 7);
         assert!(n.process(up).is_forward());
@@ -616,7 +599,7 @@ mod tests {
     fn migrate_rejects_bad_targets() {
         let mut n = node(2);
         n.attach(7);
-        let src = n.demux.slice_for_imsi(7).unwrap();
+        let src = n.slice_of(7).unwrap();
         assert!(!n.migrate(7, src), "same slice");
         assert!(!n.migrate(7, 99), "out of range");
         assert!(!n.migrate(999, 0), "unknown user");
@@ -628,12 +611,12 @@ mod tests {
         n.attach(7);
         assert!(n.detach(7));
         assert_eq!(n.user_count(), 0);
-        assert_eq!(n.demux().user_count(), 0);
+        assert_eq!(n.slice_of(7), None);
         assert!(!n.detach(7));
     }
 
     #[test]
-    fn s1ap_attach_routes_and_registers_demux() {
+    fn s1ap_attach_routes_without_registering_anything() {
         use crate::ctrl::run_attach_with;
         let hss = Arc::new(Hss::new());
         hss.provision_range(1, 100, 100_000);
@@ -650,7 +633,8 @@ mod tests {
         // Drive the full attach through the node's S1AP routing.
         let (_, _, _) = run_attach_with(|pdu| n.handle_s1ap(pdu), 42, 1, 0xE0, 0xC0A80001).unwrap();
         assert_eq!(n.user_count(), 1);
-        assert!(n.demux().slice_for_imsi(42).is_some(), "demux registered from ICS response");
+        assert_eq!(n.slice_of(42), Some(n.home_slice(42)));
+        assert!(n.demux().is_clear(), "steering is arithmetic: nothing registered");
         // Traffic flows both ways through node-level processing.
         let up = uplink_for(&mut n, 42);
         assert!(n.process(up).is_forward());

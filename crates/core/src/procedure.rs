@@ -162,6 +162,9 @@ pub struct UeMachine {
     pub imsi: u64,
     /// Last eNodeB UE id seen for this UE (routing index value).
     pub enb_ue_id: u32,
+    /// This machine owns the routing-index entry of `enb_ue_id`: an attach
+    /// is running ahead of the user record, which takes it over at birth.
+    pub enb_bound: bool,
     pub state: ProcState,
     /// Messages deferred until the running procedure terminates.
     pub mailbox: VecDeque<SigMsg>,
@@ -181,6 +184,7 @@ impl UeMachine {
         UeMachine {
             imsi,
             enb_ue_id: 0,
+            enb_bound: false,
             state: ProcState::Idle,
             mailbox: VecDeque::new(),
             last_tx: Vec::new(),

@@ -28,6 +28,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Slice-internal user identifier: dense, assigned at attach.
@@ -307,6 +308,10 @@ impl CtrlView {
 #[repr(C)]
 pub struct UeContext {
     ctrl: RwLock<ControlState>,
+    /// The UE's current [`S1Conn`] as `mme_ue_id << 32 | enb_ue_id`, 0 =
+    /// none. Control-thread state (atomic only for `Sync`), in the padding
+    /// of the control lines: free, and read where detach reads the keys.
+    s1_conn: AtomicU64,
     view: SeqCell<CtrlView>,
     counters: SeqCell<CounterState>,
 }
@@ -328,7 +333,19 @@ const _: () = {
     assert!(view_off % 64 == 0);
     assert!(cnt_off % 64 == 0);
     assert!(cnt_off - view_off >= 64);
+    assert!(std::mem::size_of::<UeContext>() == 320);
 };
+
+/// A UE's current S1 association: the id pair its signaling is indexed
+/// under in the control plane's routing maps, kept with the context so
+/// teardown unindexes by key. Slice-local: not part of [`ControlState`],
+/// so neither checkpointed, replicated nor migrated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct S1Conn {
+    /// Allocated by the slice from its region; never 0.
+    pub mme_ue_id: u32,
+    pub enb_ue_id: u32,
+}
 
 impl UeContext {
     pub fn new(ctrl: ControlState) -> Arc<Self> {
@@ -350,7 +367,23 @@ impl UeContext {
 
     fn raw_with_counters(ctrl: ControlState, counters: CounterState) -> Self {
         let view = CtrlView::project(&ctrl);
-        UeContext { ctrl: RwLock::new(ctrl), view: SeqCell::new(view), counters: SeqCell::new(counters) }
+        UeContext {
+            ctrl: RwLock::new(ctrl),
+            s1_conn: AtomicU64::new(0),
+            view: SeqCell::new(view),
+            counters: SeqCell::new(counters),
+        }
+    }
+
+    /// The UE's current S1 association, if it has signaled over S1AP.
+    pub fn s1_conn(&self) -> Option<S1Conn> {
+        let packed = self.s1_conn.load(Ordering::Relaxed);
+        (packed != 0).then_some(S1Conn { mme_ue_id: (packed >> 32) as u32, enb_ue_id: packed as u32 })
+    }
+
+    /// Replace the S1 association (control thread only).
+    pub fn set_s1_conn(&self, conn: S1Conn) {
+        self.s1_conn.store(u64::from(conn.mme_ue_id) << 32 | u64::from(conn.enb_ue_id), Ordering::Relaxed);
     }
 
     // -- control half ---------------------------------------------------------

@@ -64,6 +64,11 @@ impl Hasher for KeyHasher {
         self.0 = splitmix64(x);
     }
 
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.0 = splitmix64(u64::from(x));
+    }
+
     fn write(&mut self, bytes: &[u8]) {
         // Generic fallback (unused by the u64-keyed maps): FNV-1a.
         let mut h = if self.0 == 0 { 0xCBF2_9CE4_8422_2325 } else { self.0 };

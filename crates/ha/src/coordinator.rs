@@ -514,7 +514,7 @@ mod tests {
     fn keys_of(c: &mut HaCluster, imsi: u64) -> (u32, u32) {
         let k = c.owner_of(imsi).unwrap();
         let node = c.cluster().node(k);
-        let s = node.demux().slice_for_imsi(imsi).unwrap();
+        let s = node.slice_of(imsi).unwrap();
         let ctx = node.slice(s).ctrl.context_of(imsi).unwrap();
         let g = ctx.ctrl_read();
         (g.tunnels.gw_teid, g.ue_ip)

@@ -388,13 +388,7 @@ impl SimWorld {
                 let k = self.ha.attach(imsi);
                 // Cache the identifiers the network handed back — the
                 // eNodeB addresses data by these from now on.
-                let node = self.ha.cluster().node(k);
-                if let Some(s) = node.demux().slice_for_imsi(imsi) {
-                    if let Some(ctx) = node.slice(s).ctrl.context_of(imsi) {
-                        let c = ctx.ctrl_read();
-                        self.keys.insert(imsi, (c.tunnels.gw_teid, c.ue_ip));
-                    }
-                }
+                self.cache_keys(imsi, k);
             }
             OpKind::Bearer(imsi) => {
                 let enb_teid = 0xE000 + (imsi & 0xFFF) as u32;
@@ -413,7 +407,7 @@ impl SimWorld {
                     return;
                 }
                 let node = self.ha.cluster().node(k);
-                let Some(cur) = node.demux().slice_for_imsi(imsi) else { return };
+                let Some(cur) = node.slice_of(imsi) else { return };
                 let slices = node.slice_count();
                 if slices < 2 {
                     return;
@@ -586,11 +580,8 @@ impl SimWorld {
     /// handshake finishes (what a real eNodeB keeps from the ICS request).
     fn cache_keys(&mut self, imsi: u64, k: usize) {
         let node = self.ha.cluster().node(k);
-        if let Some(s) = node.demux().slice_for_imsi(imsi) {
-            if let Some(ctx) = node.slice(s).ctrl.context_of(imsi) {
-                let c = ctx.ctrl_read();
-                self.keys.insert(imsi, (c.tunnels.gw_teid, c.ue_ip));
-            }
+        if let Some(keys) = node.slice_of(imsi).and_then(|s| node.slice(s).ctrl.keys_of(imsi)) {
+            self.keys.insert(imsi, keys);
         }
     }
 
@@ -604,7 +595,7 @@ impl SimWorld {
         };
         let state = {
             let node = self.ha.cluster().node(k);
-            let s = node.demux().slice_for_imsi(imsi);
+            let s = node.slice_of(imsi);
             s.and_then(|s| node.slice(s).ctrl.context_of(imsi)).map(|ctx| (ctx.ctrl_read().clone(), ctx.counters()))
         };
         if let Some((ctrl, counters)) = state {

@@ -293,7 +293,7 @@ impl SystemUnderTest for HaSut {
                 new_enb_ip: 0xC0A8_0001,
             });
             let node = self.ha.cluster().node(k);
-            let s = node.demux().slice_for_imsi(imsi).expect("attached");
+            let s = node.slice_of(imsi).expect("attached");
             let ctx = node.slice(s).ctrl.context_of(imsi).expect("attached");
             let c = ctx.ctrl_read();
             keys.push(UserKeys { teid: c.tunnels.gw_teid, ue_ip: c.ue_ip });

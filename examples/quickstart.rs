@@ -80,7 +80,7 @@ fn main() {
     }
 
     // 6. Charging counters accumulated in the user's consolidated state.
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     let counters = node.slice(k).ctrl.counters_of(imsi).unwrap();
     println!(
         "counters: {} uplink / {} downlink packets, {} / {} bytes",

@@ -33,7 +33,7 @@ fn uplink(teid: u32, ue_ip: u32) -> Mbuf {
 fn keys_of(c: &mut Cluster, imsi: u64) -> (u32, u32) {
     let k = c.home_node(imsi);
     let node = c.node(k);
-    let s = node.demux().slice_for_imsi(imsi).unwrap();
+    let s = node.slice_of(imsi).unwrap();
     let ctx = node.slice(s).ctrl.context_of(imsi).unwrap();
     let g = ctx.ctrl_read();
     (g.tunnels.gw_teid, g.ue_ip)
@@ -81,7 +81,7 @@ fn checkpoint_restore_survives_node_failure() {
     for &imsi in &imsis {
         node.attach(imsi);
         node.ctrl_event(CtrlEvent::S1Handover { imsi, new_enb_teid: 0xE000 + imsi as u32, new_enb_ip: 0xC0A8_0001 });
-        let k = node.demux().slice_for_imsi(imsi).unwrap();
+        let k = node.slice_of(imsi).unwrap();
         let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
         let c = ctx.ctrl_read();
         keys.push((c.tunnels.gw_teid, c.ue_ip));
@@ -114,7 +114,7 @@ fn checkpoint_restore_survives_node_failure() {
             let c = ctx.ctrl_read();
             let (teid, ue_ip) = (c.tunnels.gw_teid, c.ue_ip);
             drop(c);
-            recovered.demux_mut_for_recovery(imsi, teid, ue_ip, k);
+            recovered.restore_steering(imsi, teid, ue_ip, k);
         }
     }
 
@@ -125,7 +125,7 @@ fn checkpoint_restore_survives_node_failure() {
         total_packets += 1;
     }
     assert_eq!(total_packets, 100);
-    let k = recovered.demux().slice_for_imsi(7).unwrap();
+    let k = recovered.slice_of(7).unwrap();
     let counters = recovered.slice(k).ctrl.counters_of(7).unwrap();
     // 7 % 5 = 2 → 3 pre-failure packets + 1 post-recovery.
     assert_eq!(counters.uplink_packets, 4, "charging state survived the failure");
@@ -135,7 +135,7 @@ fn checkpoint_restore_survives_node_failure() {
 fn restore_is_idempotent_per_user() {
     let mut node = pepc::node::PepcNode::new(template(), None);
     node.attach(7);
-    let k = node.demux().slice_for_imsi(7).unwrap();
+    let k = node.slice_of(7).unwrap();
     let cp = recovery::checkpoint(&node.slice(k).ctrl);
     // Restoring on top of a live slice overwrites rather than duplicates.
     let before = node.slice(k).ctrl.user_count();

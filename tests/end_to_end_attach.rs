@@ -67,7 +67,7 @@ fn attach_traffic_handover_detach_lifecycle() {
     }
 
     // X2 handover repoints the downlink without touching the gateway TEID.
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     let mme_ue_id = {
         // First attach on this slice → first MME UE id of its range.
 
@@ -158,7 +158,7 @@ fn pcef_rules_from_pcrf_drive_qos_classing() {
     let (_, ue_ip, gw_teid) = run_attach_with(|p| node.handle_s1ap(p), imsi, 1, 0xE1, 0xC0A8_0001).expect("attach");
     // SIP traffic (udp :5060) matches the PCRF's QCI-5 rule — the rule
     // set was installed at attach; verify the user's rule list is wired.
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
     assert!(!ctx.ctrl_read().pcef_rules.is_empty());
     let mut up = udp_packet(ue_ip, 0x0808_0808, 5060, b"INVITE");

@@ -21,7 +21,7 @@ fn node() -> PepcNode {
 }
 
 fn uplink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
     let (teid, ue_ip) = {
         let c = ctx.ctrl_read();
@@ -92,7 +92,7 @@ fn lossy_wire_reduces_delivery_but_not_correctness() {
     for m in arrived {
         assert!(n.process(m).is_forward(), "survivors all forward");
     }
-    let k = n.demux().slice_for_imsi(7).unwrap();
+    let k = n.slice_of(7).unwrap();
     assert_eq!(n.slice(k).ctrl.counters_of(7).unwrap().uplink_packets as usize, got);
 }
 

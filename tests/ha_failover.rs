@@ -54,7 +54,7 @@ fn downlink(ue_ip: u32) -> Mbuf {
 
 fn ctrl_state_of(ha: &mut HaCluster, node: usize, imsi: u64) -> Option<ControlState> {
     let n = ha.cluster().node(node);
-    let s = n.demux().slice_for_imsi(imsi)?;
+    let s = n.slice_of(imsi)?;
     let ctx = n.slice(s).ctrl.context_of(imsi)?;
     let state = ctx.ctrl_read().clone();
     Some(state)

@@ -28,7 +28,7 @@ fn node(slices: usize) -> PepcNode {
 }
 
 fn keys_of(node: &mut PepcNode, imsi: u64) -> (u32, u32) {
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
     let c = ctx.ctrl_read();
     (c.tunnels.gw_teid, c.ue_ip)
@@ -57,7 +57,7 @@ fn downlink(ue_ip: u32) -> Mbuf {
 
 /// Close the gate for DNS (dst port 53) traffic of `imsi`.
 fn close_dns_gate(node: &mut PepcNode, imsi: u64) {
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     node.slice(k).data.apply_update(
         pepc::data::DpUpdate::InstallRule {
             id: 100,
@@ -88,7 +88,7 @@ fn run_mixed_workload(seed: u64) -> MetricsSnapshot {
     // steers its TEID, so its uplinks reach the slice and must be
     // attributed to `drop_unknown_user` (not silently lost).
     let ghost = 5usize;
-    let k = n.demux().slice_for_imsi(imsis[ghost]).unwrap();
+    let k = n.slice_of(imsis[ghost]).unwrap();
     let (g_teid, g_ip) = keys[ghost];
     for s in 0..n.slice_count() {
         n.slice(s).sync_now(); // drain queued attach updates first

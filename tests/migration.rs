@@ -20,7 +20,7 @@ fn node(slices: usize) -> PepcNode {
 }
 
 fn uplink(node: &mut PepcNode, imsi: u64) -> Mbuf {
-    let k = node.demux().slice_for_imsi(imsi).unwrap();
+    let k = node.slice_of(imsi).unwrap();
     let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
     let (teid, ue_ip) = {
         let c = ctx.ctrl_read();
@@ -43,11 +43,11 @@ fn counters_and_keys_survive_repeated_migration() {
     for round in 0..30 {
         let pkt = uplink(&mut n, 7);
         assert!(n.process(pkt).is_forward(), "round {round}");
-        let cur = n.demux().slice_for_imsi(7).unwrap();
+        let cur = n.slice_of(7).unwrap();
         let target = (cur + 1) % 3;
         assert!(n.migrate(7, target), "round {round}");
     }
-    let k = n.demux().slice_for_imsi(7).unwrap();
+    let k = n.slice_of(7).unwrap();
     let counters = n.slice(k).ctrl.counters_of(7).unwrap();
     assert_eq!(counters.uplink_packets, 30, "every packet counted exactly once");
 }
@@ -60,7 +60,7 @@ fn migration_of_many_users_is_complete_and_disjoint() {
     }
     // Move every user to slice 0.
     for imsi in 0..200u64 {
-        let cur = n.demux().slice_for_imsi(imsi).unwrap();
+        let cur = n.slice_of(imsi).unwrap();
         if cur != 0 {
             assert!(n.migrate(imsi, 0));
         }
@@ -80,7 +80,7 @@ fn parked_packets_drain_to_target_in_order() {
     // while the user is in flight.
     let mut n = node(2);
     n.attach(7);
-    let src = n.demux().slice_for_imsi(7).unwrap();
+    let src = n.slice_of(7).unwrap();
 
     // Build packets before migration so keys are stable.
     let pkts: Vec<Mbuf> = (0..5).map(|_| uplink(&mut n, 7)).collect();
@@ -101,7 +101,7 @@ fn migrating_rate_limiter_state_prevents_burst_reset() {
     // migrating (that would make migration a rate-limit escape hatch).
     let mut n = node(2);
     n.attach(7);
-    let k = n.demux().slice_for_imsi(7).unwrap();
+    let k = n.slice_of(7).unwrap();
     n.slice(k).handle_ctrl_event(CtrlEvent::ModifyBearer { imsi: 7, ambr_kbps: 8 }); // 1 kB/s
     n.slice(k).sync_now();
 
@@ -133,7 +133,7 @@ fn migrate_unknown_or_invalid_is_safe() {
     n.attach(7);
     assert!(!n.migrate(999, 0));
     assert!(!n.migrate(7, 5));
-    let cur = n.demux().slice_for_imsi(7).unwrap();
+    let cur = n.slice_of(7).unwrap();
     assert!(!n.migrate(7, cur));
     // User unharmed.
     let pkt = uplink(&mut n, 7);
