@@ -42,11 +42,18 @@
 //!
 //! 1. **Parse pass** — classify direction and parse/decap headers for the
 //!    whole burst; malformed packets and the stateless-IoT fast path are
-//!    fully decided here.
-//! 2. **Lookup pass** — resolve each packet's [`UeContext`] through the
-//!    two-level table in packet order, issuing software prefetches for
-//!    the lookup [`PREFETCH_DISTANCE`] slots ahead, and fuse consecutive
-//!    packets that resolve to the same user into *groups*.
+//!    fully decided here. Each packet that needs a lookup has its table
+//!    lines hinted as soon as its key is known (stage **2a** of the
+//!    lookup, below), so the rest of the parse pass covers that fetch.
+//! 2. **Lookup pass** — staged, so that a cold user's dependent misses
+//!    (table lines → generation → cell lines) are paid once per stage,
+//!    overlapped across the burst, instead of serially per packet:
+//!    **(2a)** hint every lookup's table lines from the hash alone;
+//!    then, a tile of the burst at a time, **(2b)** run the real
+//!    two-level `get` in packet order, keep the handle, and hint its
+//!    generation and cell lines from the handle's arithmetic alone, and
+//!    **(2c)** resolve each handle and fuse consecutive packets of the
+//!    same user into *groups*.
 //! 3. **Act pass** — enforce each group with **one** lock-free seqlock
 //!    read of the user's [`crate::state::CtrlView`] and **one** counter
 //!    publish (and one token-bucket setup when the user has no PCEF
@@ -131,14 +138,15 @@ impl PacketVerdict {
     }
 }
 
-/// How many lookups ahead of the current packet the burst path prefetches
-/// (pass 2). Far enough to cover a DRAM fetch at per-packet costs, close
-/// enough to stay within typical burst sizes.
-pub const PREFETCH_DISTANCE: usize = 8;
+/// Lookups probed (2b) then resolved (2c) together. A slice's share of
+/// a node burst fits one tile; an oversized burst is walked tile by tile
+/// so the generation line 2b hints is still in L1 when 2c reads it. A
+/// guard, not a tuned value: no effect up to 128 packets (DESIGN.md §5.7).
+const LOOKUP_TILE: usize = 32;
 
 /// Names of the three instrumented pipeline stages, index-aligned with
-/// [`DataPlane::stage_latencies`]: parse/classify, lookup+prefetch,
-/// enforce+charge.
+/// [`DataPlane::stage_latencies`]: parse/classify (+ the table-line hints
+/// of lookup stage 2a), probe+resolve (2b–2c), enforce+charge.
 pub const STAGE_NAMES: [&str; 3] = ["parse", "lookup", "enforce"];
 
 /// Pass-1 classification of one packet in a burst.
@@ -218,9 +226,11 @@ pub struct DataPlane {
     /// Burst scratch (reused across calls; never holds state between them).
     slots: Vec<Slot>,
     decisions: Vec<Decision>,
+    /// What stage 2b's table `get` returned per packet, for stage 2c.
+    handles: Vec<Option<UeHandle>>,
     /// Same-user run starts discovered in pass 2: (first slot index, ctx).
     /// Lives only within one `process_burst_into` call (cleared at entry
-    /// and exit); see the SAFETY notes at its fill and use sites.
+    /// and exit); see the SAFETY note at its use site in pass 3.
     groups: Vec<GroupRun>,
     /// When true (and `telemetry` too), each burst additionally records
     /// one amortized ns/packet sample per pipeline stage.
@@ -292,6 +302,7 @@ impl DataPlane {
             update_delay_ns: LatencyHistogram::new(),
             slots: Vec::with_capacity(64),
             decisions: Vec::with_capacity(64),
+            handles: Vec::with_capacity(64),
             groups: Vec::with_capacity(64),
             stage_timing: false,
             stage_ns: [LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new()],
@@ -509,68 +520,82 @@ impl DataPlane {
     /// `out` (one per packet, input order); `burst` is drained.
     pub fn process_burst_into(&mut self, burst: &mut Vec<Mbuf>, now_ns: u64, out: &mut Vec<PacketVerdict>) {
         let n = burst.len();
-        if n == 0 {
-            return;
-        }
-        if n == 1 {
-            // Burst-1 bypass: the slot/group scratch and the prefetch
-            // scheduling of the 3-pass pipeline cost more than they save
-            // for a single packet; the scalar path shares every decision
+        if n <= 1 {
+            // Burst-1 bypass: the slot/group scratch and the staged
+            // lookup of the 3-pass pipeline cost more than they save for
+            // a single packet; the scalar path shares every decision
             // stage, so verdicts and counters are identical.
-            let m = burst.pop().expect("len checked");
-            out.push(self.process(m, now_ns));
+            if let Some(m) = burst.pop() {
+                out.push(self.process(m, now_ns));
+            }
             return;
         }
         self.metrics.rx += n as u64;
+        let forwarded_before = self.metrics.forwarded;
         // One clock read pair per burst (not two per packet).
         let t0 = if self.telemetry { Some(Instant::now()) } else { None };
         let stage = self.telemetry && self.stage_timing;
 
         // Pass 1: classify direction and parse headers for the whole
-        // burst. Uplink packets are decapped in place.
+        // burst. Uplink packets are decapped in place. Stage 2a of the
+        // lookup rides along: a pending key's table lines are hinted
+        // (hash only, no load) the moment it is known, so parsing the
+        // rest of the burst covers the first round of misses.
         self.slots.clear();
         for m in burst.iter_mut() {
             let slot = self.classify(m);
+            if let Slot::Lookup { uplink, key, .. } = slot {
+                let table = if uplink { &self.by_teid } else { &self.by_ue_ip };
+                table.prefetch(key);
+            }
             self.slots.push(slot);
         }
         let t_parse = if stage { Some(Instant::now()) } else { None };
 
-        // Pass 2: resolve contexts in packet order (promotions and stats
-        // identical to the scalar path), prefetching the table target
-        // PREFETCH_DISTANCE lookups ahead, and fuse consecutive packets
-        // of the same user into groups.
+        // Pass 2: probe and resolve, one tile at a time. Each stage's
+        // loads depend on lines the previous stage only *hinted*, so the
+        // misses of a tile overlap instead of queueing behind each other.
         self.decisions.clear();
         self.decisions.resize(n, Decision::Drop(DropReason::Malformed));
+        self.handles.clear();
         self.groups.clear();
         let mut last_ptr: *const UeContext = std::ptr::null();
-        // Walks `slots` and `burst` in lockstep while calling `&mut self`
-        // helpers; an iterator over either would pin a borrow the other
-        // side needs.
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..n {
-            let Slot::Lookup { uplink, key, .. } = self.slots[k] else {
-                last_ptr = std::ptr::null();
-                continue;
-            };
-            self.prefetch_lookup(k + PREFETCH_DISTANCE);
-            let table = if uplink { &mut self.by_teid } else { &mut self.by_ue_ip };
-            let handle = table.get(key, now_ns).copied();
-            match handle.and_then(|h| self.slab.resolve(h)).map(|r| std::ptr::from_ref(r.context())) {
-                Some(p) => {
-                    if p != last_ptr {
-                        last_ptr = p;
-                        // SAFETY: `p` points into a slab chunk kept alive
-                        // by `self.slab`; the prefetch itself never
-                        // dereferences, and pass 3 re-justifies the
-                        // borrow before using the pointer.
-                        unsafe { (*p).prefetch_cells() };
-                        self.groups.push(GroupRun { start: k, ctx: p });
+        for tile in (0..n).step_by(LOOKUP_TILE).map(|start| start..n.min(start + LOOKUP_TILE)) {
+            // 2b: the real `get`s, in packet order (promotions, stats and
+            // activity stamps exactly as the scalar path), each followed
+            // by hints for the lines 2c and pass 3 read through its
+            // handle. A promotion may grow the primary and strand 2a's
+            // hints for the rest of the burst: slower, never wrong.
+            for slot in &self.slots[tile.clone()] {
+                let handle = match *slot {
+                    Slot::Lookup { uplink, key, .. } => {
+                        let table = if uplink { &mut self.by_teid } else { &mut self.by_ue_ip };
+                        table.get(key, now_ns).copied().inspect(|&h| self.slab.prefetch(h))
                     }
-                }
-                None => {
-                    let d = self.idle_or_unknown(uplink, key, &mut burst[k], now_ns);
-                    self.slots[k] = Slot::Done(d);
+                    Slot::Done(_) => None,
+                };
+                self.handles.push(handle);
+            }
+            // 2c: generation check, miss handling, and fusing consecutive
+            // packets of the same user into groups (runs may span tiles).
+            // Index loop: `idle_or_unknown` needs `&mut self`.
+            for k in tile {
+                let Slot::Lookup { uplink, key, .. } = self.slots[k] else {
                     last_ptr = std::ptr::null();
+                    continue;
+                };
+                match self.handles[k].and_then(|h| self.slab.resolve(h)).map(|r| std::ptr::from_ref(r.context())) {
+                    Some(p) => {
+                        if p != last_ptr {
+                            last_ptr = p;
+                            self.groups.push(GroupRun { start: k, ctx: p });
+                        }
+                    }
+                    None => {
+                        let d = self.idle_or_unknown(uplink, key, &mut burst[k], now_ns);
+                        self.slots[k] = Slot::Done(d);
+                        last_ptr = std::ptr::null();
+                    }
                 }
             }
         }
@@ -623,11 +648,7 @@ impl DataPlane {
             // per burst.
             let elapsed = t0.elapsed();
             let per_pkt_ns = elapsed.as_nanos() as u64 / n as u64;
-            for d in &self.decisions {
-                if matches!(d, Decision::Forward) {
-                    self.pipeline_ns.record(per_pkt_ns);
-                }
-            }
+            self.pipeline_ns.record_n(per_pkt_ns, self.metrics.forwarded - forwarded_before);
             // One amortized ns/packet sample per stage per burst; the
             // enforce stage runs from the end of pass 2 to verdict
             // emission, so the three stage samples sum to ~per_pkt_ns.
@@ -647,9 +668,12 @@ impl DataPlane {
         match classify_fast(m.data()) {
             PktClass::GtpU { teid } => {
                 // The classifier validated the full outer stack, including
-                // `len == gtp_length + GTPU_OVERHEAD`, so the pull cannot
-                // fail.
-                m.pull(GTPU_OVERHEAD).expect("classifier validated the outer stack");
+                // `len == gtp_length + GTPU_OVERHEAD`; should the two ever
+                // disagree the packet is a counted drop, not a panic.
+                if m.pull(GTPU_OVERHEAD).is_err() {
+                    self.metrics.drop_malformed += 1;
+                    return Slot::Done(Decision::Drop(DropReason::Malformed));
+                }
                 let bytes = m.len() as u64;
                 // Stateless-IoT fast path (§4.2): TEID in the reserved
                 // pool ⇒ no per-user state lookup; aggregate charging;
@@ -691,18 +715,6 @@ impl DataPlane {
         }
     }
 
-    /// Software-prefetch the two-level bucket and context for the lookup
-    /// at `slot_idx` (no promotion, no stats — the real `get` follows).
-    #[inline]
-    fn prefetch_lookup(&self, slot_idx: usize) {
-        if let Some(Slot::Lookup { uplink, key, .. }) = self.slots.get(slot_idx) {
-            let table = if *uplink { &self.by_teid } else { &self.by_ue_ip };
-            if let Some(r) = table.peek(*key).and_then(|&h| self.slab.resolve(h)) {
-                prefetch_read(std::ptr::from_ref(r.context()).cast::<u8>());
-            }
-        }
-    }
-
     /// Enforcement for one same-user run `[start, end)` of the burst:
     /// one lock-free seqlock read of the control view, one owner-read +
     /// single publish of the counter cell, and (for rule-less users, the
@@ -716,8 +728,9 @@ impl DataPlane {
         // With no PCEF rules the action is always the default, so the
         // effective rate is the plain AMBR for every packet of the run.
         let run_bucket = TokenBucket::from_kbps(c.ambr_kbps);
-        // Owner read of the counter cell — we are its single writer, so
-        // this is a plain copy; mutate locally across the run and
+        // Owner read of the counter cell. It goes through the seqlock
+        // `read()` like any reader's, but we are the cell's single
+        // writer, so it never retries; mutate locally across the run and
         // publish once at the end.
         let mut cnt = ctx.counters();
         #[allow(clippy::needless_range_loop)] // k indexes three parallel arrays
@@ -916,19 +929,6 @@ fn effective_rate(ambr_kbps: u32, rule_kbps: u32) -> u32 {
 #[inline]
 fn in_pool(value: u32, base: u32, size: u32) -> bool {
     value.wrapping_sub(base) < size
-}
-
-/// Hint the CPU to pull the cache line at `p` for an upcoming read. A
-/// no-op off x86_64 (and always safe: prefetch never faults).
-#[inline]
-fn prefetch_read(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it does not dereference `p`.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 #[cfg(test)]

@@ -259,6 +259,18 @@ impl<V> IncrementalTable<V> {
         Some(Loc { in_old: true, idx: i })
     }
 
+    /// Hint the three lines (`ctrl`, `keys`, `vals`) a probe for `key`
+    /// starts on in the live array. Pure address arithmetic: no load, no
+    /// side effect. A key still in the draining array is not covered.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        let t = &self.live;
+        let i = t.ideal(key);
+        crate::prefetch_line(t.ctrl.as_ptr().wrapping_add(i));
+        crate::prefetch_line(t.keys.as_ptr().wrapping_add(i));
+        crate::prefetch_line(t.vals.as_ptr().wrapping_add(i));
+    }
+
     /// Read the value at a [`Loc`] from [`Self::locate`].
     #[inline]
     pub fn at(&self, loc: Loc) -> &V {

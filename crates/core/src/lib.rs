@@ -80,3 +80,19 @@ pub use slice::{Slice, SliceHandle};
 pub use state::{ControlState, CounterState, CtrlView, DeviceClass, UeContext, Uid};
 pub use table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
 pub use twolevel::TwoLevelTable;
+
+/// Hint the CPU to pull the cache line holding `p` for an upcoming read.
+/// A no-op off x86_64. The one prefetch site of the crate: the staged
+/// burst lookup ([`data`]) reaches it through the table, slab and context
+/// `prefetch` methods.
+#[inline]
+pub(crate) fn prefetch_line<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch is a hint: it never dereferences `p` and cannot
+    // fault, whatever the address.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch(p.cast::<i8>(), core::arch::x86_64::_MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}

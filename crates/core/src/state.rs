@@ -408,19 +408,18 @@ impl UeContext {
         self.ctrl_view_with_retries().0
     }
 
-    /// Hint the CPU to pull the view and counter cell cache lines for an
-    /// upcoming visit. The burst path's resolve pass calls this so the
-    /// enforcement pass's cell reads overlap their misses across the
-    /// whole burst instead of paying them serially.
+    /// Hint the CPU to pull the lines the enforcement pass reads: the view
+    /// cell's one line and the counter cell's two (8-byte sequence +
+    /// 64-byte payload = 72 B, so the payload's last word spills onto a
+    /// second line). The burst path's probe stage calls this (through
+    /// [`crate::slab::UeSlab::prefetch`]) so a burst's cell misses
+    /// overlap instead of being paid serially.
     #[inline]
     pub fn prefetch_cells(&self) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is a hint; it does not dereference.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(std::ptr::from_ref(&self.view) as *const i8, _MM_HINT_T0);
-            _mm_prefetch(std::ptr::from_ref(&self.counters) as *const i8, _MM_HINT_T0);
-        }
+        crate::prefetch_line(&self.view);
+        let counters = std::ptr::from_ref(&self.counters).cast::<u8>();
+        crate::prefetch_line(counters);
+        crate::prefetch_line(counters.wrapping_add(64));
     }
 
     /// [`Self::ctrl_view`] plus the retry count (stress-test

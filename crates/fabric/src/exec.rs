@@ -109,6 +109,14 @@ impl<R: Send + 'static> Worker<R> {
         self.stop.store(true, Ordering::Relaxed);
     }
 
+    /// True once the worker's loop has exited — its poll returned
+    /// [`Poll::Done`], or it saw a stop request — so [`Worker::join`] will
+    /// not block. Lets a caller wait for *natural* completion: `join`
+    /// alone requests a stop first and may cut the job short.
+    pub fn is_finished(&self) -> bool {
+        self.handle.as_ref().is_none_or(JoinHandle::is_finished)
+    }
+
     /// Stop (if not already stopped) and wait for the worker, returning
     /// its final value.
     pub fn join(mut self) -> R {
@@ -229,6 +237,11 @@ mod tests {
                 Poll::Done
             }
         });
+        // `join` alone would request a stop, possibly before the worker
+        // thread has polled five times; wait for it to finish by itself.
+        while !w.is_finished() {
+            std::thread::yield_now();
+        }
         assert_eq!(w.join(), vec![0, 1, 2, 3, 4]);
     }
 

@@ -47,9 +47,19 @@ impl LatencyHistogram {
     /// Record one latency sample (nanoseconds).
     #[inline]
     pub fn record(&mut self, ns: u64) {
-        self.buckets[Self::index(ns)] += 1;
-        self.count += 1;
-        self.sum += ns;
+        self.record_n(ns, 1);
+    }
+
+    /// Record `count` samples of the same value — what a burst does with
+    /// its amortized per-packet time — at the cost of one.
+    #[inline]
+    pub fn record_n(&mut self, ns: u64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        self.buckets[Self::index(ns)] += count;
+        self.count += count;
+        self.sum += ns * count;
         self.max = self.max.max(ns);
         self.min = self.min.min(ns);
     }
@@ -209,6 +219,28 @@ mod tests {
         assert_eq!(a.count(), 200);
         assert!(a.quantile_ns(0.25) < 1000);
         assert!(a.quantile_ns(0.75) > 50_000);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (mut bulk, mut single) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for (v, k) in [(0u64, 3u64), (97, 1), (5_000, 32), (97, 0), (1_234_567, 7)] {
+            bulk.record_n(v, k);
+            for _ in 0..k {
+                single.record(v);
+            }
+        }
+        // Whole-struct equality covers buckets (hence every quantile),
+        // count, sum (hence mean), min and max.
+        assert_eq!(bulk, single);
+        assert_eq!(bulk.count(), 43);
+        assert_eq!((bulk.min_ns(), bulk.max_ns()), (0, 1_234_567));
+        assert_eq!(bulk.quantile_ns(0.5), single.quantile_ns(0.5));
+        assert_eq!(bulk.mean_ns(), single.mean_ns());
+        // A zero-count record leaves even an empty histogram's min/max alone.
+        let mut empty = LatencyHistogram::new();
+        empty.record_n(9, 0);
+        assert_eq!(empty, LatencyHistogram::new());
     }
 
     #[test]

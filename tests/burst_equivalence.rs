@@ -55,8 +55,15 @@ fn counters_of(slab: &UeSlab, h: UeHandle) -> CounterState {
 }
 
 fn build_plane() -> (DataPlane, Vec<UeHandle>) {
+    // Half the users start demoted so bursts exercise promotions.
+    build_plane_with(256, USERS, |u| u % 2 == 0)
+}
+
+/// A plane pre-sized for `expected_users` holding `users` seeded users,
+/// each indexed active (primary table) or idle (secondary) per `active`.
+fn build_plane_with(expected_users: usize, users: u32, active: impl Fn(u32) -> bool) -> (DataPlane, Vec<UeHandle>) {
     let iot = IotConfig { enabled: true, teid_base: IOT_TEID_BASE, ip_base: IOT_IP_BASE, pool_size: 64 };
-    let mut dp = DataPlane::new(GW_IP, 256, TwoLevelConfig::default(), iot);
+    let mut dp = DataPlane::new(GW_IP, expected_users, TwoLevelConfig::default(), iot);
     dp.apply_update(
         DpUpdate::InstallRule {
             id: 1,
@@ -65,23 +72,24 @@ fn build_plane() -> (DataPlane, Vec<UeHandle>) {
         },
         0,
     );
-    let mut handles = Vec::new();
-    for u in 0..USERS {
-        let mut ctrl = ControlState::new(404_01_0000000000 + u64::from(u));
-        ctrl.ue_ip = UE_IP_BASE + u;
-        let ambr = if flavour(u) == Flavour::RateLimited { 8 } else { 0 };
-        ctrl.qos = QosPolicy { qci: 9, ambr_kbps: ambr, gbr_kbps: 0 };
-        ctrl.tunnels = TunnelState { enb_teid: 0xE000 + u, enb_ip: ENB_IP, gw_teid: TEID_BASE + u };
-        if flavour(u) == Flavour::Gated {
-            ctrl.pcef_rules.push(1);
-        }
-        let handle = dp.slab().alloc(ctrl, CounterState::default());
-        // Half the users start demoted so bursts exercise promotions.
-        let active = u % 2 == 0;
-        dp.apply_update(DpUpdate::Insert { gw_teid: TEID_BASE + u, ue_ip: UE_IP_BASE + u, handle, active }, 0);
-        handles.push(handle);
-    }
+    let handles = (0..users).map(|u| insert_user(&mut dp, u, active(u), 0)).collect();
     (dp, handles)
+}
+
+/// Allocate seeded user `u` (its flavour follows [`flavour`]) and index it
+/// active or idle.
+fn insert_user(dp: &mut DataPlane, u: u32, active: bool, now: u64) -> UeHandle {
+    let mut ctrl = ControlState::new(404_01_0000000000 + u64::from(u));
+    ctrl.ue_ip = UE_IP_BASE + u;
+    let ambr = if flavour(u) == Flavour::RateLimited { 8 } else { 0 };
+    ctrl.qos = QosPolicy { qci: 9, ambr_kbps: ambr, gbr_kbps: 0 };
+    ctrl.tunnels = TunnelState { enb_teid: 0xE000 + u, enb_ip: ENB_IP, gw_teid: TEID_BASE + u };
+    if flavour(u) == Flavour::Gated {
+        ctrl.pcef_rules.push(1);
+    }
+    let handle = dp.slab().alloc(ctrl, CounterState::default());
+    dp.apply_update(DpUpdate::Insert { gw_teid: TEID_BASE + u, ue_ip: UE_IP_BASE + u, handle, active }, now);
+    handle
 }
 
 fn inner_udp(src: u32, dst: u32, dst_port: u16, payload_len: usize) -> Mbuf {
@@ -138,6 +146,37 @@ fn verdict_kind(v: &PacketVerdict) -> (u8, Option<DropReason>, usize) {
     }
 }
 
+/// Feed `packets` to `burst_dp` as one burst and byte-identical copies to
+/// `scalar` one at a time, both at `now`; the verdicts must agree.
+fn run_both(scalar: &mut DataPlane, burst_dp: &mut DataPlane, packets: Vec<Mbuf>, now: u64, what: &str) {
+    let copies: Vec<Mbuf> = packets.iter().map(|m| Mbuf::from_payload(m.data())).collect();
+    let mut burst_in = packets;
+    let burst_out = burst_dp.process_burst(&mut burst_in, now);
+    let scalar_out: Vec<PacketVerdict> = copies.into_iter().map(|m| scalar.process(m, now)).collect();
+    assert_eq!(burst_out.len(), scalar_out.len());
+    for (k, (b, s)) in burst_out.iter().zip(&scalar_out).enumerate() {
+        assert_eq!(verdict_kind(b), verdict_kind(s), "{what} packet {k} of {}", scalar_out.len());
+    }
+}
+
+/// Everything the two planes expose must be equal: drop taxonomy, IoT
+/// aggregates, two-level churn, histogram population, idle-mode side
+/// state, and every user's counters (a handle stale on one side must be
+/// stale on the other).
+fn assert_planes_equal(scalar: &DataPlane, burst_dp: &DataPlane, handles: (&[UeHandle], &[UeHandle]), what: &str) {
+    assert_eq!(scalar.metrics(), burst_dp.metrics(), "{what}: drop taxonomy diverged");
+    assert_eq!((scalar.iot_packets, scalar.iot_bytes), (burst_dp.iot_packets, burst_dp.iot_bytes), "{what}");
+    assert_eq!(scalar.table_stats(), burst_dp.table_stats(), "{what}: table churn diverged");
+    assert_eq!(scalar.primary_count(), burst_dp.primary_count(), "{what}: primary occupancy diverged");
+    assert_eq!(scalar.pipeline_latency().count(), scalar.metrics().forwarded, "{what}");
+    assert_eq!(burst_dp.pipeline_latency().count(), burst_dp.metrics().forwarded, "{what}: histogram population");
+    assert_eq!(scalar.idle_buffered_report(), burst_dp.idle_buffered_report(), "{what}: idle buffers diverged");
+    for (u, (a, b)) in handles.0.iter().zip(handles.1).enumerate() {
+        let counters = |dp: &DataPlane, h: UeHandle| dp.slab().resolve(h).map(|r| r.counters());
+        assert_eq!(counters(scalar, *a), counters(burst_dp, *b), "{what}: user {u} counters diverged");
+    }
+}
+
 #[test]
 fn burst_path_is_observationally_identical_to_scalar() {
     for seed in [7u64, 42, 1234] {
@@ -154,35 +193,9 @@ fn burst_path_is_observationally_identical_to_scalar() {
             // see one `now`, matching the one-clock-read design.
             now += rng.gen_range(0..2_000_000);
             let packets: Vec<Mbuf> = (0..burst_size).map(|_| next_packet(&mut rng, &mut sticky)).collect();
-            // The scalar plane sees byte-identical copies.
-            let copies: Vec<Mbuf> = packets.iter().map(|m| Mbuf::from_payload(m.data())).collect();
-
-            let mut burst_in = packets;
-            let burst_out = burst_dp.process_burst(&mut burst_in, now);
-            let scalar_out: Vec<PacketVerdict> = copies.into_iter().map(|m| scalar.process(m, now)).collect();
-
-            assert_eq!(burst_out.len(), scalar_out.len());
-            for (k, (b, s)) in burst_out.iter().zip(&scalar_out).enumerate() {
-                assert_eq!(verdict_kind(b), verdict_kind(s), "seed {seed} packet {k}");
-            }
+            run_both(&mut scalar, &mut burst_dp, packets, now, &format!("seed {seed}"));
         }
-
-        assert_eq!(scalar.metrics(), burst_dp.metrics(), "seed {seed}: drop taxonomy diverged");
-        assert_eq!(scalar.iot_packets, burst_dp.iot_packets, "seed {seed}");
-        assert_eq!(scalar.iot_bytes, burst_dp.iot_bytes, "seed {seed}");
-        assert_eq!(scalar.table_stats(), burst_dp.table_stats(), "seed {seed}: table churn diverged");
-        assert_eq!(
-            scalar.pipeline_latency().count(),
-            burst_dp.pipeline_latency().count(),
-            "seed {seed}: histogram population diverged"
-        );
-        for (u, (a, b)) in scalar_ctxs.iter().zip(&burst_ctxs).enumerate() {
-            assert_eq!(
-                counters_of(scalar.slab(), *a),
-                counters_of(burst_dp.slab(), *b),
-                "seed {seed}: user {u} counters diverged"
-            );
-        }
+        assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &format!("seed {seed}"));
     }
 }
 
@@ -228,30 +241,13 @@ fn burst_path_identical_under_concurrent_view_republish() {
             let burst_size = rng.gen_range(1..49);
             now += rng.gen_range(0..2_000_000);
             let packets: Vec<Mbuf> = (0..burst_size).map(|_| next_packet(&mut rng, &mut sticky)).collect();
-            let copies: Vec<Mbuf> = packets.iter().map(|m| Mbuf::from_payload(m.data())).collect();
-
-            let mut burst_in = packets;
-            let burst_out = burst_dp.process_burst(&mut burst_in, now);
-            let scalar_out: Vec<PacketVerdict> = copies.into_iter().map(|m| scalar.process(m, now)).collect();
-
-            assert_eq!(burst_out.len(), scalar_out.len());
-            for (k, (b, s)) in burst_out.iter().zip(&scalar_out).enumerate() {
-                assert_eq!(verdict_kind(b), verdict_kind(s), "seed {seed} packet {k}");
-            }
+            run_both(&mut scalar, &mut burst_dp, packets, now, &format!("seed {seed}"));
         }
 
         stop.store(true, Ordering::Relaxed);
         assert!(republisher.join().expect("republisher") > 0, "republisher made progress");
 
-        assert_eq!(scalar.metrics(), burst_dp.metrics(), "seed {seed}: drop taxonomy diverged");
-        assert_eq!(scalar.table_stats(), burst_dp.table_stats(), "seed {seed}: table churn diverged");
-        for (u, (a, b)) in scalar_ctxs.iter().zip(&burst_ctxs).enumerate() {
-            assert_eq!(
-                counters_of(scalar.slab(), *a),
-                counters_of(burst_dp.slab(), *b),
-                "seed {seed}: user {u} counters diverged"
-            );
-        }
+        assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &format!("seed {seed}"));
     }
 }
 
@@ -273,5 +269,122 @@ fn scalar_process_is_the_burst_size_one_case() {
     assert_eq!(a.metrics(), b.metrics());
     for (x, y) in a_ctxs.iter().zip(&b_ctxs) {
         assert_eq!(counters_of(a.slab(), *x), counters_of(b.slab(), *y));
+    }
+}
+
+/// Burst sizes on either side of the plane's internal lookup tile (32
+/// at the time of writing) and one spanning several tiles. Fixed on
+/// purpose: the random sizes after them cover whatever the tile becomes.
+const EDGE_SIZES: [usize; 6] = [1, 2, 31, 32, 33, 128];
+const EDGE_USERS: u32 = 400;
+/// Users `0..SUSPENDED` are suspended (idle, context retained).
+const SUSPENDED: u32 = 8;
+/// The next `STALE` users' slots are freed behind the tables' backs.
+const STALE: u32 = 4;
+
+/// A plane for what a *staged* lookup can get wrong: a small primary and
+/// every user inserted idle (so promotions grow and relocate the primary
+/// between a burst's hint stage and its probe stage), some users
+/// suspended, and some table entries left holding dead handles — two
+/// merely freed, two whose slot already serves another tenant. Returns
+/// the users' handles and those other tenants'.
+fn build_edge_plane() -> (DataPlane, Vec<UeHandle>, Vec<UeHandle>) {
+    let (mut dp, handles) = build_plane_with(16, EDGE_USERS, |_| false);
+    for u in 0..SUSPENDED {
+        let imsi = 404_01_0000000000 + u64::from(u);
+        dp.apply_update(DpUpdate::Suspend { gw_teid: TEID_BASE + u, ue_ip: UE_IP_BASE + u, imsi }, 0);
+    }
+    let mut tenants = Vec::new();
+    for u in SUSPENDED..SUSPENDED + STALE {
+        assert!(dp.slab().free(handles[u as usize]));
+        if u % 2 == 0 {
+            let tenant = dp.slab().alloc(ControlState::new(999_000 + u64::from(u)), CounterState::default());
+            assert_eq!(tenant.index(), handles[u as usize].index(), "slot reused under the stale table entry");
+            tenants.push(tenant);
+        }
+    }
+    (dp, handles, tenants)
+}
+
+/// One burst of the edge workload. A third of the packets rotate through
+/// three users (the same user at non-adjacent positions), a fifth repeat
+/// the previous user (adjacent runs), the rest pick any user — live,
+/// suspended or stale — an unknown key, or a malformed frame.
+fn edge_burst(rng: &mut rand::rngs::StdRng, size: usize, users: std::ops::Range<u32>) -> Vec<Mbuf> {
+    let rotation = [(); 3].map(|()| rng.gen_range(users.clone()));
+    let mut prev = rotation[0];
+    (0..size)
+        .map(|k| {
+            let u = match rng.gen_range(0..15) {
+                0..=4 => rotation[k % 3],
+                5..=7 => prev,
+                8..=12 => rng.gen_range(users.clone()),
+                13 => return uplink(0x00DE_AD00 + k as u32, UE_IP_BASE, 443),
+                _ => return Mbuf::from_payload(&[0xFF; 40]),
+            };
+            prev = u;
+            if rng.gen_range(0..2) == 0 {
+                uplink(TEID_BASE + u, UE_IP_BASE + u, 443)
+            } else {
+                inner_udp(0x0808_0808, UE_IP_BASE + u, 443, 48)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn staged_lookup_edge_cases_match_scalar() {
+    for seed in [3u64, 99] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (mut scalar, scalar_ctxs, scalar_tenants) = build_edge_plane();
+        let (mut burst_dp, burst_ctxs, burst_tenants) = build_edge_plane();
+        let what = format!("seed {seed}");
+
+        // Every burst size around the tile boundary, then random ones.
+        let mut now = 1_000u64;
+        for round in 0..60 {
+            let size = EDGE_SIZES.get(round).copied().unwrap_or_else(|| rng.gen_range(1..129));
+            now += rng.gen_range(0..2_000_000);
+            let packets = edge_burst(&mut rng, size, 0..EDGE_USERS);
+            run_both(&mut scalar, &mut burst_dp, packets, now, &format!("{what} round {round}"));
+            assert_eq!(scalar.take_paging_events(), burst_dp.take_paging_events(), "{what} round {round}");
+        }
+        assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &what);
+        let m = burst_dp.metrics();
+        assert!(burst_dp.table_stats().promotions > 100, "{what}: promotions happened inside bursts");
+        assert!(burst_dp.primary_count() > 24, "{what}: the primary grew past its first resize mid-burst");
+        assert!(m.idle_buffered > 0 && m.drop_idle_overflow > 0 && m.drop_idle_uplink > 0, "{what}: {m:?}");
+        assert!(m.drop_unknown_user > 0 && m.drop_malformed > 0 && m.forwarded > 0, "{what}: {m:?}");
+        for t in scalar_tenants.iter().zip(&burst_tenants) {
+            let untouched = CounterState::default();
+            assert_eq!(counters_of(scalar.slab(), *t.0), untouched, "{what}: stale key charged the slot's new tenant");
+            assert_eq!(
+                counters_of(burst_dp.slab(), *t.1),
+                untouched,
+                "{what}: stale key charged the slot's new tenant"
+            );
+        }
+
+        // A burst that starts, runs and ends with a lookup index mid-
+        // resize: settle both planes, attach fresh active users until an
+        // insert begins a grow, then look up only those (primary hits
+        // mutate nothing, so the drain cannot advance under the burst).
+        let [fresh, burst_fresh] = [&mut scalar, &mut burst_dp].map(|dp| {
+            while dp.tables_migrating() {
+                dp.maintain_tables();
+            }
+            let mut fresh = EDGE_USERS;
+            while !dp.tables_migrating() {
+                insert_user(dp, fresh, true, now);
+                fresh += 1;
+            }
+            fresh
+        });
+        assert_eq!(fresh, burst_fresh, "{what}: identical planes begin the grow at the same insert");
+        assert!(fresh > EDGE_USERS + 3, "{what}: a few fresh users to look up");
+        let packets = edge_burst(&mut rng, 128, EDGE_USERS..fresh);
+        run_both(&mut scalar, &mut burst_dp, packets, now + 1, &format!("{what} mid-resize"));
+        assert!(scalar.tables_migrating() && burst_dp.tables_migrating(), "{what}: still mid-resize after the burst");
+        assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &format!("{what} mid-resize"));
     }
 }
