@@ -13,7 +13,10 @@
 //!   each `process_pending` call, and the reported figure is
 //!   `max(shard busy) / packets` — the per-packet wall-clock the slowest
 //!   shard would impose if each shard ran on its own core, which is how
-//!   fig7 counts a multi-core slice. `scripts/bench_shard.py` converts
+//!   fig7 counts a multi-core slice. Each steer is offered `BURST × N`
+//!   packets, so every width's shards run ≈`BURST`-packet sub-bursts and
+//!   the ratio between widths compares like with like (per-burst costs
+//!   amortize over the same run length). `scripts/bench_shard.py` converts
 //!   it to aggregate Mpps, checks the 1→4 scaling floor, and pins the
 //!   per-stage ns/packet budget.
 //!
@@ -76,14 +79,16 @@ fn aggregate(shards: usize) {
     for d in sut.path.shards_mut() {
         d.set_stage_timing(true);
     }
-    let mut burst: Vec<Mbuf> = Vec::with_capacity(BURST);
-    let mut verdicts: Vec<PacketVerdict> = Vec::with_capacity(BURST);
+    // One steer's offer: a `BURST`-packet sub-burst per shard.
+    let offer = BURST * shards;
+    let mut burst: Vec<Mbuf> = Vec::with_capacity(offer);
+    let mut verdicts: Vec<PacketVerdict> = Vec::with_capacity(offer);
     let mut busy_ns = vec![0u64; shards];
     let mut pkts = 0u64;
     // Warmup: fill the tables' primary level and the branch predictors.
     for _ in 0..ROUNDS / 10 {
         burst.clear();
-        for _ in 0..BURST {
+        for _ in 0..offer {
             burst.push(gen.next_packet(0));
         }
         for v in sut.path.process_burst(&mut burst, 0) {
@@ -94,7 +99,7 @@ fn aggregate(shards: usize) {
     }
     for _ in 0..ROUNDS {
         burst.clear();
-        for _ in 0..BURST {
+        for _ in 0..offer {
             burst.push(gen.next_packet(0));
         }
         pkts += burst.len() as u64;

@@ -9,7 +9,8 @@ shard count (1, 2, 4, 8):
 
 - aggregate ns/packet (max per-shard busy time over packets — the
   wall-clock the slowest shard imposes when each runs on its own core)
-  and the aggregate Mpps it implies,
+  and the aggregate Mpps it implies; each steer offers `burst` x shards
+  packets, so every width's shards run `burst`-packet sub-bursts,
 - scaling vs the 1-shard pipeline plus the perfect-scaling reference,
 - per-stage (parse / lookup / enforce) ns/packet medians,
 - steering imbalance (max/mean packets).
