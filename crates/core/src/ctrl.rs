@@ -21,14 +21,13 @@ use crate::data::DpUpdate;
 use crate::inctable::IncrementalTable;
 use crate::metrics::CtrlMetrics;
 use crate::migrate::UserSnapshot;
-use crate::pcef::PcefAction;
+use crate::pcef::Pcef;
 use crate::procedure::{Disposition, ProcState, SigMsg, UeMachine, MAILBOX_CAP, PAGING_MAX_RETX, PAGING_RETX_TICKS};
 use crate::proxy::Proxy;
 use crate::slab::{UeHandle, UeRef, UeSlab};
 use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn, Uid};
 use crate::twolevel::BuildKeyHasher;
 use pepc_backend::hss::sim_response;
-use pepc_net::BpfProgram;
 use pepc_sigproto::nas::{cause, NasMsg};
 use pepc_sigproto::s1ap::S1apPdu;
 use pepc_telemetry::LatencyHistogram;
@@ -869,11 +868,14 @@ impl ControlPlane {
                 if let Ok(rules) = proxy.fetch_rules(id, imsi) {
                     let ctx = self.slab.resolve(handle).expect("indexed handle is live");
                     let mut c = ctx.ctrl_write();
-                    for r in rules {
-                        if self.installed_rules.insert(r.rule_id as u16) {
-                            self.pending_updates.push(rule_to_update(&r));
+                    for r in &rules {
+                        let Some(rule_id) = Pcef::gx_id(r) else { continue };
+                        // A slice sends each rule to its data plane once.
+                        if self.installed_rules.insert(rule_id) {
+                            let (program, action) = Pcef::from_gx(r);
+                            self.pending_updates.push(DpUpdate::InstallRule { id: rule_id, program, action });
                         }
-                        c.pcef_rules.push(r.rule_id as u16);
+                        c.pcef_rules.push(rule_id);
                     }
                 }
                 let (guti, ue_ip, gw_teid, ambr) = {
@@ -1497,22 +1499,6 @@ impl ControlPlane {
     }
 }
 
-/// Translate a Gx rule into the data-plane install update.
-fn rule_to_update(r: &pepc_sigproto::gx::GxRule) -> DpUpdate {
-    let program = if r.proto == 0 && r.dst_port_lo == 0 && r.dst_port_hi == 0 {
-        BpfProgram::match_all(r.rule_id)
-    } else if r.dst_port_lo == 0 && r.dst_port_hi == 0 {
-        BpfProgram::match_proto_port_range(r.proto, 0, u16::MAX, r.rule_id)
-    } else {
-        BpfProgram::match_proto_port_range(r.proto, r.dst_port_lo, r.dst_port_hi, r.rule_id)
-    };
-    DpUpdate::InstallRule {
-        id: r.rule_id as u16,
-        program,
-        action: PcefAction { qci: r.qci, rate_kbps: r.rate_kbps, gate_closed: false },
-    }
-}
-
 /// Drive a complete attach for `imsi` against `cp`, emulating the UE/eNodeB
 /// side (SIM key derived as the HSS provisions it). Returns the
 /// (guti, ue_ip, gw_teid) from the Attach Accept. Test/bench helper —
@@ -1591,9 +1577,12 @@ mod tests {
     }
 
     fn cp_with_backends(subscribers: u64) -> ControlPlane {
+        cp_with_pcrf(subscribers, Arc::new(Pcrf::with_standard_rules()))
+    }
+
+    fn cp_with_pcrf(subscribers: u64, pcrf: Arc<Pcrf>) -> ControlPlane {
         let hss = Arc::new(Hss::new());
         hss.provision_range(1, subscribers, 100_000);
-        let pcrf = Arc::new(Pcrf::with_standard_rules());
         let proxy = Arc::new(Proxy::new(hss, pcrf, 1, 40401));
         ControlPlane::new(0x0AFE0001, 1, alloc(), Some(proxy))
     }
@@ -1704,6 +1693,28 @@ mod tests {
         let ups = cp.take_updates();
         assert!(ups.iter().any(|u| matches!(u, DpUpdate::InstallRule { .. })));
         assert!(ups.iter().any(|u| matches!(u, DpUpdate::Insert { .. })));
+    }
+
+    #[test]
+    fn gx_rule_id_beyond_u16_reaches_neither_data_plane_nor_user() {
+        use pepc_sigproto::gx::GxRule;
+        let pcrf = Arc::new(Pcrf::with_standard_rules());
+        // 65 537 would truncate to 1 — the id of the rule listed after it.
+        let rule = |rule_id, qci| GxRule { rule_id, proto: 0, dst_port_lo: 0, dst_port_hi: 0, qci, rate_kbps: 0 };
+        pcrf.set_rules(42, vec![rule(65_537, 3), rule(1, 8)]);
+        let mut cp = cp_with_pcrf(100, pcrf);
+        run_attach_procedure(&mut cp, 42, 1, 0xE0, 0xC0A80005).unwrap();
+        let listed: Vec<u16> = cp.context_of(42).unwrap().ctrl_read().pcef_rules.iter().collect();
+        assert_eq!(listed, [1]);
+        let installed: Vec<(u16, u8)> = cp
+            .take_updates()
+            .iter()
+            .filter_map(|u| match u {
+                DpUpdate::InstallRule { id, action, .. } => Some((*id, action.qci)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(installed, [(1, 8)], "rule 1 installed once, as itself");
     }
 
     #[test]

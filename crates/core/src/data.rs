@@ -735,7 +735,10 @@ impl DataPlane {
         let mut cnt = ctx.counters();
         #[allow(clippy::needless_range_loop)] // k indexes three parallel arrays
         for k in start..end {
-            let Slot::Lookup { uplink, bytes, .. } = self.slots[k] else { unreachable!("groups span Lookup slots") };
+            let Slot::Lookup { uplink, bytes, .. } = self.slots[k] else {
+                debug_assert!(false, "groups span Lookup slots");
+                continue;
+            };
             self.decisions[k] = self.enforce_one(&c, run_bucket, &mut cnt, uplink, bytes, &mut burst[k], now_ns);
         }
         // One release publish per same-user run (the seqlock analogue of
@@ -765,7 +768,7 @@ impl DataPlane {
             PcefAction::default()
         } else {
             let ft = FiveTuple::from_ipv4(m.data()).unwrap_or_default();
-            self.pcef.classify(&ft, c.pcef_rules().iter())
+            self.pcef.classify(&ft, c.rule_ids().iter().copied())
         };
         if action.gate_closed {
             self.metrics.drop_gate += 1;

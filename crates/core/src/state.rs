@@ -272,13 +272,10 @@ impl CtrlView {
         self.rule_len == 0
     }
 
-    /// The applicable PCEF rule ids, re-assembled into a [`smallrules::RuleSet`].
-    pub fn pcef_rules(&self) -> smallrules::RuleSet {
-        let mut rs = smallrules::RuleSet::default();
-        for &id in &self.rule_ids[..usize::from(self.rule_len).min(6)] {
-            rs.push(id);
-        }
-        rs
+    /// The applicable PCEF rule ids, in the user's order, borrowed from
+    /// this snapshot (the `min` keeps the slice total for any bit pattern).
+    pub fn rule_ids(&self) -> &[u16] {
+        &self.rule_ids[..usize::from(self.rule_len).min(self.rule_ids.len())]
     }
 
     /// Whether the user is a stateless-IoT pool device.

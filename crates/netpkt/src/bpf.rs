@@ -6,6 +6,12 @@
 //! [`FiveTuple`](crate::FiveTuple) with bounded, verifiable control flow
 //! (forward jumps only, like real BPF), so a malformed operator rule can
 //! never hang the data plane.
+//!
+//! Programs are resolved when they are verified, not when they run: the
+//! verifier also recognises the loop-free shapes operators actually
+//! install (the four constructors below) and [`BpfProgram::run`] answers
+//! those with plain compares. The interpreter remains the general case and
+//! the oracle the tests hold `run` to.
 
 use crate::error::{NetError, Result};
 use crate::fivetuple::FiveTuple;
@@ -38,9 +44,46 @@ pub enum Insn {
     Ret(u32),
 }
 
-/// A verified filter program.
+/// What a program computes, when verification recognised one of the
+/// constructor shapes: `run` answers these without touching `insns`.
+/// Operands stay `u32` as the instructions carry them, so a constant no
+/// field can reach (a "protocol" above 255) misses here as it does there.
+/// A prefix hit is `dst_ip & mask == prefix`; a range is `[lo, hi)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Const(u32),
+    DstPort { port: u32, verdict: u32 },
+    DstPrefix { mask: u32, prefix: u32, verdict: u32 },
+    ProtoPortRange { proto: u32, lo: u32, hi: u32, verdict: u32 },
+    General,
+}
+
+impl Shape {
+    fn of(insns: &[Insn]) -> Shape {
+        use {Field::*, Insn::*};
+        match *insns {
+            [Ret(v)] => Shape::Const(v),
+            [Ld(DstPort), JmpEq { k, jt: 0, jf: 1 }, Ret(verdict), Ret(0)] => Shape::DstPort { port: k, verdict },
+            [Ld(DstIp), And(mask), JmpEq { k, jt: 0, jf: 1 }, Ret(verdict), Ret(0)] => {
+                Shape::DstPrefix { mask, prefix: k, verdict }
+            }
+            [Ld(Proto), JmpEq { k: proto, jt: 0, jf: 4 }, Ld(DstPort), JmpGe { k: lo, jt: 0, jf: 2 }, JmpGe { k: hi, jt: 1, jf: 0 }, Ret(verdict), Ret(0)] => {
+                Shape::ProtoPortRange { proto, lo, hi, verdict }
+            }
+            _ => Shape::General,
+        }
+    }
+}
+
+/// A verified filter program. One pointer wide, so the data-plane update
+/// that carries a rule is no wider than the per-user updates queued beside
+/// it; `shape` leads the block it points to.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BpfProgram {
+pub struct BpfProgram(Box<Verified>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Verified {
+    shape: Shape,
     insns: Vec<Insn>,
 }
 
@@ -73,18 +116,34 @@ impl BpfProgram {
         if !matches!(insns.last(), Some(Insn::Ret(_))) {
             return Err(NetError::BadProgram { reason: "program must end in Ret" });
         }
-        Ok(BpfProgram { insns })
+        Ok(BpfProgram(Box::new(Verified { shape: Shape::of(&insns), insns })))
     }
 
     /// Run the program over a five-tuple; returns the `Ret` verdict.
     ///
-    /// Execution is O(program length): only forward jumps exist, so each
-    /// instruction runs at most once.
+    /// A recognised shape costs its compares; anything else is interpreted.
+    #[inline]
     pub fn run(&self, ft: &FiveTuple) -> u32 {
+        let hit = |cond: bool, verdict: u32| if cond { verdict } else { 0 };
+        match self.0.shape {
+            Shape::Const(v) => v,
+            Shape::DstPort { port, verdict } => hit(u32::from(ft.dst_port) == port, verdict),
+            Shape::DstPrefix { mask, prefix, verdict } => hit(ft.dst_ip & mask == prefix, verdict),
+            Shape::ProtoPortRange { proto, lo, hi, verdict } => {
+                let port = u32::from(ft.dst_port);
+                hit(u32::from(ft.proto) == proto && lo <= port && port < hi, verdict)
+            }
+            Shape::General => self.interpret(ft),
+        }
+    }
+
+    /// The interpreter. Execution is O(program length): only forward jumps
+    /// exist, so each instruction runs at most once.
+    fn interpret(&self, ft: &FiveTuple) -> u32 {
         let mut acc: u32 = 0;
         let mut pc = 0usize;
-        while pc < self.insns.len() {
-            match self.insns[pc] {
+        while pc < self.0.insns.len() {
+            match self.0.insns[pc] {
                 Insn::Ld(f) => {
                     acc = match f {
                         Field::SrcIp => ft.src_ip,
@@ -114,12 +173,12 @@ impl BpfProgram {
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.insns.len()
+        self.0.insns.len()
     }
 
     /// True if the program has no instructions (never true post-verify).
     pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
+        self.0.insns.is_empty()
     }
 
     /// Convenience constructor: match an exact destination port.
@@ -175,6 +234,11 @@ mod tests {
         FiveTuple { src_ip: 0x0A000001, dst_ip: 0x08080808, src_port: 40000, dst_port, proto }
     }
 
+    /// Whether verification resolved `p` to a compare shape.
+    fn is_resolved(p: &BpfProgram) -> bool {
+        p.0.shape != Shape::General
+    }
+
     #[test]
     fn match_all_always_matches() {
         assert_eq!(BpfProgram::match_all(7).run(&ft(1, 17)), 7);
@@ -221,6 +285,153 @@ mod tests {
         // Over-long program.
         let long = vec![Insn::Ret(0); BpfProgram::MAX_LEN + 1];
         assert!(BpfProgram::new(long).is_err());
+    }
+
+    /// The five-tuples the resolution tests sweep: every combination of a
+    /// few values on and around the operands the programs under test use.
+    fn grid() -> Vec<FiveTuple> {
+        let mut v = Vec::new();
+        for proto in [0u8, 6, 17] {
+            for dst_port in [0u16, 79, 80, 81, 8000, 8999, 9000, u16::MAX] {
+                for dst_ip in [0u32, 0x0808_0808, 0x0809_0808, u32::MAX] {
+                    v.push(FiveTuple { src_ip: 0x0A00_0001, dst_ip, src_port: 40000, dst_port, proto });
+                }
+            }
+        }
+        v
+    }
+
+    fn constructors() -> Vec<BpfProgram> {
+        vec![
+            BpfProgram::match_all(7),
+            BpfProgram::match_dst_port(80, 3),
+            BpfProgram::match_dst_prefix(0x0808_0000, 16, 9),
+            BpfProgram::match_proto_port_range(6, 8000, 9000, 4),
+        ]
+    }
+
+    #[test]
+    fn constructors_are_resolved_at_verify_time() {
+        for p in constructors() {
+            assert!(is_resolved(&p), "{p:?}");
+            for ft in grid() {
+                assert_eq!(p.run(&ft), p.interpret(&ft), "{p:?} on {ft}");
+            }
+        }
+        // The Gx translation's proto-only form is the range shape too.
+        assert!(is_resolved(&BpfProgram::match_proto_port_range(17, 0, u16::MAX, 1)));
+    }
+
+    #[test]
+    fn one_instruction_off_a_shape_falls_back_and_agrees() {
+        for p in constructors() {
+            for i in 0..p.len() {
+                let mut insns = p.0.insns.clone();
+                insns[i] = match insns[i] {
+                    Insn::Ld(Field::DstPort) => Insn::Ld(Field::SrcPort),
+                    Insn::Ld(_) => Insn::Ld(Field::DstPort),
+                    Insn::And(k) => Insn::JmpGe { k, jt: 0, jf: 0 },
+                    Insn::JmpEq { k, jt, jf } => Insn::JmpGe { k, jt, jf },
+                    Insn::JmpGe { k, jt, jf } => Insn::JmpEq { k, jt, jf },
+                    // A non-zero miss verdict, or a one-instruction program
+                    // grown by one (still constant, no longer the shape).
+                    Insn::Ret(0) => Insn::Ret(1),
+                    Insn::Ret(v) if p.len() == 1 => {
+                        insns.push(Insn::Ret(v));
+                        Insn::Ld(Field::Proto)
+                    }
+                    Insn::Ret(v) => Insn::JmpEq { k: v, jt: 0, jf: 0 },
+                };
+                let q = BpfProgram::new(insns).unwrap();
+                assert!(!is_resolved(&q), "{q:?}");
+                for ft in grid() {
+                    assert_eq!(q.run(&ft), q.interpret(&ft), "{q:?} on {ft}");
+                }
+            }
+        }
+    }
+
+    mod props {
+        // Not `super::*`: this module's `Result` alias would shadow the
+        // one `proptest!` expands to.
+        use super::is_resolved;
+        use crate::bpf::{BpfProgram, Field, Insn};
+        use crate::FiveTuple;
+        use proptest::prelude::*;
+
+        /// Small operand domains, so random compares hit about as often
+        /// as they miss.
+        fn operand() -> impl Strategy<Value = u32> {
+            prop_oneof![0u32..4, Just(6u32), Just(17u32), any::<u32>()]
+        }
+
+        fn field() -> impl Strategy<Value = Field> {
+            (0u8..5)
+                .prop_map(|f| [Field::SrcIp, Field::DstIp, Field::SrcPort, Field::DstPort, Field::Proto][f as usize])
+        }
+
+        /// A random program the verifier accepts: random instructions,
+        /// every jump offset folded into the range still ahead of it, a
+        /// final `Ret`.
+        fn verified_program() -> impl Strategy<Value = BpfProgram> {
+            let insn = prop_oneof![
+                field().prop_map(Insn::Ld),
+                operand().prop_map(Insn::And),
+                (operand(), any::<u8>(), any::<u8>()).prop_map(|(k, jt, jf)| Insn::JmpEq { k, jt, jf }),
+                (operand(), any::<u8>(), any::<u8>()).prop_map(|(k, jt, jf)| Insn::JmpGe { k, jt, jf }),
+                operand().prop_map(Insn::Ret),
+            ];
+            (proptest::collection::vec(insn, 0..12), operand()).prop_map(|(mut insns, last)| {
+                insns.push(Insn::Ret(last));
+                let n = insns.len();
+                for (i, insn) in insns.iter_mut().enumerate() {
+                    if let Insn::JmpEq { jt, jf, .. } | Insn::JmpGe { jt, jf, .. } = insn {
+                        // A jump is never last, so `n - 1 - i >= 1`.
+                        let ahead = (n - 1 - i) as u8;
+                        *jt %= ahead;
+                        *jf %= ahead;
+                    }
+                }
+                BpfProgram::new(insns).expect("offsets folded in range")
+            })
+        }
+
+        fn five_tuple() -> impl Strategy<Value = FiveTuple> {
+            (operand(), operand(), operand(), operand(), operand()).prop_map(|(a, b, c, d, e)| FiveTuple {
+                src_ip: a,
+                dst_ip: b,
+                src_port: c as u16,
+                dst_port: d as u16,
+                proto: e as u8,
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn run_is_the_interpreter(p in verified_program(), ft in five_tuple()) {
+                prop_assert_eq!(p.run(&ft), p.interpret(&ft), "{:?} on {}", p, ft);
+            }
+
+            /// The same property where resolution actually happens: the
+            /// constructors over arbitrary operands (inverted and empty
+            /// ranges, a `/0` and a `/32`, verdict 0).
+            #[test]
+            fn resolved_shapes_are_the_interpreter(
+                k in (operand(), operand(), operand(), 0u8..33, operand()),
+                ft in five_tuple(),
+            ) {
+                let (a, lo, hi, len, verdict) = k;
+                for p in [
+                    BpfProgram::match_all(verdict),
+                    BpfProgram::match_dst_port(lo as u16, verdict),
+                    BpfProgram::match_dst_prefix(a, len, verdict),
+                    BpfProgram::match_proto_port_range(a as u8, lo as u16, hi as u16, verdict),
+                ] {
+                    prop_assert!(is_resolved(&p));
+                    prop_assert_eq!(p.run(&ft), p.interpret(&ft), "{:?} on {}", p, ft);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use pepc::data::{DataPlane, DpUpdate, DropReason, PacketVerdict};
 use pepc::pcef::PcefAction;
 use pepc::state::{ControlState, CounterState, QosPolicy, TunnelState};
 use pepc::{UeHandle, UeSlab};
-use pepc_net::bpf::BpfProgram;
+use pepc_net::bpf::{BpfProgram, Field, Insn};
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
@@ -54,6 +54,13 @@ fn counters_of(slab: &UeSlab, h: UeHandle) -> CounterState {
     slab.resolve(h).expect("live handle").counters()
 }
 
+/// The DNS gate rule every plane installs.
+const GATE: u16 = 1;
+
+fn install(dp: &mut DataPlane, id: u16, program: BpfProgram, action: PcefAction) {
+    dp.apply_update(DpUpdate::InstallRule { id, program, action }, 0);
+}
+
 fn build_plane() -> (DataPlane, Vec<UeHandle>) {
     // Half the users start demoted so bursts exercise promotions.
     build_plane_with(256, USERS, |u| u % 2 == 0)
@@ -64,13 +71,11 @@ fn build_plane() -> (DataPlane, Vec<UeHandle>) {
 fn build_plane_with(expected_users: usize, users: u32, active: impl Fn(u32) -> bool) -> (DataPlane, Vec<UeHandle>) {
     let iot = IotConfig { enabled: true, teid_base: IOT_TEID_BASE, ip_base: IOT_IP_BASE, pool_size: 64 };
     let mut dp = DataPlane::new(GW_IP, expected_users, TwoLevelConfig::default(), iot);
-    dp.apply_update(
-        DpUpdate::InstallRule {
-            id: 1,
-            program: BpfProgram::match_dst_port(53, 1),
-            action: PcefAction { qci: 9, rate_kbps: 0, gate_closed: true },
-        },
-        0,
+    install(
+        &mut dp,
+        GATE,
+        BpfProgram::match_dst_port(53, 1),
+        PcefAction { gate_closed: true, ..PcefAction::default() },
     );
     let handles = (0..users).map(|u| insert_user(&mut dp, u, active(u), 0)).collect();
     (dp, handles)
@@ -79,13 +84,19 @@ fn build_plane_with(expected_users: usize, users: u32, active: impl Fn(u32) -> b
 /// Allocate seeded user `u` (its flavour follows [`flavour`]) and index it
 /// active or idle.
 fn insert_user(dp: &mut DataPlane, u: u32, active: bool, now: u64) -> UeHandle {
+    let ambr = if flavour(u) == Flavour::RateLimited { 8 } else { 0 };
+    let rules: &[u16] = if flavour(u) == Flavour::Gated { &[GATE] } else { &[] };
+    insert_user_with(dp, u, ambr, rules, active, now)
+}
+
+/// Allocate user `u` with the given AMBR and PCEF rule list.
+fn insert_user_with(dp: &mut DataPlane, u: u32, ambr_kbps: u32, rules: &[u16], active: bool, now: u64) -> UeHandle {
     let mut ctrl = ControlState::new(404_01_0000000000 + u64::from(u));
     ctrl.ue_ip = UE_IP_BASE + u;
-    let ambr = if flavour(u) == Flavour::RateLimited { 8 } else { 0 };
-    ctrl.qos = QosPolicy { qci: 9, ambr_kbps: ambr, gbr_kbps: 0 };
+    ctrl.qos = QosPolicy { qci: 9, ambr_kbps, gbr_kbps: 0 };
     ctrl.tunnels = TunnelState { enb_teid: 0xE000 + u, enb_ip: ENB_IP, gw_teid: TEID_BASE + u };
-    if flavour(u) == Flavour::Gated {
-        ctrl.pcef_rules.push(1);
+    for &id in rules {
+        ctrl.pcef_rules.push(id);
     }
     let handle = dp.slab().alloc(ctrl, CounterState::default());
     dp.apply_update(DpUpdate::Insert { gw_teid: TEID_BASE + u, ue_ip: UE_IP_BASE + u, handle, active }, now);
@@ -386,5 +397,92 @@ fn staged_lookup_edge_cases_match_scalar() {
         run_both(&mut scalar, &mut burst_dp, packets, now + 1, &format!("{what} mid-resize"));
         assert!(scalar.tables_migrating() && burst_dp.tables_migrating(), "{what}: still mid-resize after the burst");
         assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &format!("{what} mid-resize"));
+    }
+}
+
+const RULE_USERS: u32 = 12;
+/// Rule ids of the rule-carrying population, beside [`GATE`]. `NEVER` is
+/// listed by users and installed by nobody.
+const MBR: u16 = 2;
+const CATCH_ALL: u16 = 3;
+const SRC_PORT: u16 = 700;
+const NEVER: u16 = 9;
+
+/// A plane whose users all carry rules, in four list shapes: the PCRF's
+/// order behind an uninstalled id, the MBR rule listed twice ahead of the
+/// gate, the catch-all first (so it shadows the gate), and a program of no
+/// constructor's shape (interpreted) ahead of an id beyond the table.
+/// Every user's AMBR is loose; only the MBR rule's 8 kbps can rate-drop.
+fn build_rule_plane() -> (DataPlane, Vec<UeHandle>) {
+    let (mut dp, _) = build_plane_with(64, 0, |_| true);
+    let open = PcefAction::default();
+    install(&mut dp, MBR, BpfProgram::match_proto_port_range(17, 443, 444, 2), PcefAction { rate_kbps: 8, ..open });
+    install(&mut dp, CATCH_ALL, BpfProgram::match_all(3), open);
+    let from_port_40000 = vec![
+        Insn::Ld(Field::SrcPort),
+        Insn::JmpEq { k: 40_000, jt: 1, jf: 0 },
+        Insn::Ret(0),
+        Insn::Ld(Field::DstPort),
+        Insn::JmpGe { k: 100, jt: 0, jf: 1 },
+        Insn::Ret(0),
+        Insn::Ret(7),
+    ];
+    // Source port 40 000 (every packet here) to a port below 100: gated.
+    install(&mut dp, SRC_PORT, BpfProgram::new(from_port_40000).unwrap(), PcefAction { gate_closed: true, ..open });
+    let lists: [&[u16]; 4] =
+        [&[NEVER, GATE, MBR, CATCH_ALL], &[MBR, MBR, GATE], &[CATCH_ALL, GATE, MBR], &[SRC_PORT, u16::MAX, MBR]];
+    let handles =
+        (0..RULE_USERS).map(|u| insert_user_with(&mut dp, u, 100_000, lists[u as usize % 4], true, 0)).collect();
+    (dp, handles)
+}
+
+/// Uplink or downlink for a rule-carrying user, to DNS, HTTP or HTTPS.
+fn rule_packet(rng: &mut rand::rngs::StdRng, sticky_user: &mut u32) -> Mbuf {
+    if rng.gen_range(0..2) == 0 {
+        *sticky_user = rng.gen_range(0..RULE_USERS);
+    }
+    let u = *sticky_user;
+    let dst_port = [53, 80, 443][rng.gen_range(0..3)];
+    if rng.gen_range(0..2) == 0 {
+        uplink(TEID_BASE + u, UE_IP_BASE + u, dst_port)
+    } else {
+        inner_udp(0x0808_0808, UE_IP_BASE + u, dst_port, 48)
+    }
+}
+
+#[test]
+fn rule_carrying_users_match_scalar_across_a_rule_replacement() {
+    for seed in [11u64, 2024] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (mut scalar, scalar_ctxs) = build_rule_plane();
+        let (mut burst_dp, burst_ctxs) = build_rule_plane();
+        let mut sticky = 0u32;
+        let mut now = 1_000u64;
+        let mut rounds = |scalar: &mut DataPlane, burst_dp: &mut DataPlane, what: &str| {
+            for round in 0..120 {
+                now += rng.gen_range(0..200_000);
+                let packets: Vec<Mbuf> =
+                    (0..rng.gen_range(1..49)).map(|_| rule_packet(&mut rng, &mut sticky)).collect();
+                run_both(scalar, burst_dp, packets, now, &format!("seed {seed} {what} round {round}"));
+            }
+        };
+
+        rounds(&mut scalar, &mut burst_dp, "before");
+        assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &format!("seed {seed} before"));
+        let before = burst_dp.metrics();
+        assert!(before.drop_gate > 0, "the DNS gate and the interpreted gate dropped: {before:?}");
+        assert!(before.drop_qos > 0, "the 8 kbps MBR under a 100 Mbps AMBR rate-dropped: {before:?}");
+        assert!(before.forwarded > 0 && before.drop_unknown_user == 0, "{before:?}");
+
+        // Between two bursts the MBR rule is replaced by an open, unlimited
+        // rule: from here on nothing can rate-drop.
+        for dp in [&mut scalar, &mut burst_dp] {
+            install(dp, MBR, BpfProgram::match_dst_port(443, 2), PcefAction::default());
+        }
+        rounds(&mut scalar, &mut burst_dp, "after");
+        assert_planes_equal(&scalar, &burst_dp, (&scalar_ctxs, &burst_ctxs), &format!("seed {seed} after"));
+        let after = burst_dp.metrics();
+        assert_eq!(after.drop_qos, before.drop_qos, "the replaced rule no longer limits");
+        assert!(after.drop_gate > before.drop_gate && after.forwarded > before.forwarded, "{after:?}");
     }
 }
