@@ -112,12 +112,11 @@ pub struct ControlPlane {
     /// Current tick on the supervising clock (drives procedure expiry).
     proc_tick: u64,
     metrics: CtrlMetrics,
-    /// IMSIs whose control state changed since the last
-    /// [`ControlPlane::take_dirty_users`] drain — the replication hook:
-    /// an HA layer drains this after applying events and ships a fresh
-    /// snapshot per dirty user, without knowing event semantics. A
-    /// `BTreeSet` so the drain order is deterministic.
-    dirty: std::collections::BTreeSet<u64>,
+    /// The replication hook: IMSIs whose control state changed since the
+    /// last [`ControlPlane::take_dirty_users`] drain (a `BTreeSet`, so the
+    /// drain is ordered). `None` until [`ControlPlane::track_dirty_users`]
+    /// arms it: a plane nothing replicates keeps no per-IMSI set.
+    dirty: Option<std::collections::BTreeSet<u64>>,
     /// The user that last detached (or was rolled back), until the node
     /// layer takes it to retire the user's steering exception.
     departed: Option<u64>,
@@ -163,7 +162,7 @@ impl ControlPlane {
             pending_tx: Vec::new(),
             proc_tick: 0,
             metrics: CtrlMetrics::default(),
-            dirty: std::collections::BTreeSet::new(),
+            dirty: None,
             departed: None,
             attach_ns: LatencyHistogram::new(),
             service_request_ns: LatencyHistogram::new(),
@@ -244,49 +243,42 @@ impl ControlPlane {
     /// per IMSI (re-attach reuses the context and re-announces it).
     /// `count` controls whether `metrics.attaches` increments here: the
     /// synthetic path counts at once, the S1AP path counts only when the
-    /// NAS Attach Complete lands.
-    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32, count: bool) {
+    /// NAS Attach Complete lands. Returns the user's (live) handle.
+    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32, count: bool) -> UeHandle {
         let t0 = std::time::Instant::now();
-        self.attach_inner(imsi, qos, device_class, ecgi, count);
-        self.attach_ns.record(t0.elapsed().as_nanos() as u64);
-    }
-
-    fn attach_inner(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32, count: bool) {
-        self.dirty.insert(imsi);
-        if let Some(&handle) = self.users.get(imsi) {
+        self.mark_dirty(imsi);
+        let (handle, gw_teid, ue_ip) = match self.users.get(imsi).copied() {
             // Re-attach: refresh and re-announce as active.
-            let (gw_teid, ue_ip) = {
+            Some(handle) => {
                 let ctx = self.slab.resolve(handle).expect("indexed handle is live");
                 let mut c = ctx.ctrl_write();
                 c.ecgi = ecgi;
                 c.qos = qos;
-                (c.tunnels.gw_teid, c.ue_ip)
-            };
-            self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-            if count {
-                self.metrics.attaches += 1;
+                (handle, c.tunnels.gw_teid, c.ue_ip)
             }
-            return;
-        }
-        let uid = self.allocate_uid();
-        let mut ctrl = ControlState::new(imsi);
-        ctrl.guti = self.guti_for(uid);
-        ctrl.ue_ip = self.ue_ip_for(uid);
-        ctrl.ecgi = ecgi;
-        ctrl.tac = self.tac;
-        ctrl.qos = qos;
-        ctrl.device_class = device_class;
-        ctrl.tunnels.gw_teid = self.teid_for(uid);
-        let guti = ctrl.guti;
-        let gw_teid = ctrl.tunnels.gw_teid;
-        let ue_ip = ctrl.ue_ip;
-        let handle = self.slab.alloc(ctrl, CounterState::default());
-        self.users.insert(imsi, handle);
-        self.by_guti.insert(guti, imsi);
+            None => {
+                let uid = self.allocate_uid();
+                let mut ctrl = ControlState::new(imsi);
+                ctrl.guti = self.guti_for(uid);
+                ctrl.ue_ip = self.ue_ip_for(uid);
+                ctrl.ecgi = ecgi;
+                ctrl.tac = self.tac;
+                ctrl.qos = qos;
+                ctrl.device_class = device_class;
+                ctrl.tunnels.gw_teid = self.teid_for(uid);
+                let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
+                let handle = self.slab.alloc(ctrl, CounterState::default());
+                self.users.insert(imsi, handle);
+                self.by_guti.insert(guti, imsi);
+                (handle, gw_teid, ue_ip)
+            }
+        };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         if count {
             self.metrics.attaches += 1;
         }
+        self.attach_ns.record(t0.elapsed().as_nanos() as u64);
+        handle
     }
 
     fn do_handover(&mut self, imsi: u64, new_enb_teid: u32, new_enb_ip: u32, new_ecgi: u32) -> bool {
@@ -304,7 +296,7 @@ impl ControlPlane {
                     }
                 }
                 self.metrics.handovers += 1;
-                self.dirty.insert(imsi);
+                self.mark_dirty(imsi);
                 self.handover_ns.record(t0.elapsed().as_nanos() as u64);
                 true
             }
@@ -325,7 +317,7 @@ impl ControlPlane {
                 self.idle_ues.remove(&imsi);
                 self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
                 self.metrics.detaches += 1;
-                self.dirty.insert(imsi);
+                self.mark_dirty(imsi);
                 self.departed = Some(imsi);
                 self.drop_machine(imsi);
                 true
@@ -401,7 +393,7 @@ impl ControlPlane {
                     Some(ctx) => {
                         ctx.ctrl_write().qos.ambr_kbps = ambr_kbps;
                         self.metrics.bearer_updates += 1;
-                        self.dirty.insert(imsi);
+                        self.mark_dirty(imsi);
                         true
                     }
                     None => false,
@@ -640,13 +632,11 @@ impl ControlPlane {
                 self.abort_machine(m);
                 self.metrics.proc_aborted += 1;
                 self.metrics.sig_consumed += 1;
-                let out = vec![S1apPdu::DownlinkNasTransport {
+                vec![S1apPdu::DownlinkNasTransport {
                     enb_ue_id,
                     mme_ue_id,
                     nas: NasMsg::AttachReject { cause: cause::PROTOCOL_ERROR }.encode(),
-                }];
-                m.last_tx = out.clone();
-                out
+                }]
             }
             Disposition::Drop => {
                 self.metrics.sig_dropped += 1;
@@ -685,8 +675,9 @@ impl ControlPlane {
         m.last_tx.clear();
     }
 
-    /// A delivered message mutates the control plane here. Sets
-    /// `last_tx` so retransmissions can be answered idempotently.
+    /// A delivered message mutates the control plane here. Caches the
+    /// reply in `last_tx` for retransmissions only while a procedure stays
+    /// in flight: nothing dedups in `Idle`, where the machine retires.
     fn step(&mut self, m: &mut UeMachine, msg: SigMsg) -> Vec<S1apPdu> {
         let out = match msg {
             SigMsg::AttachStart { enb_ue_id, ecgi, .. } => self.step_attach_start(m, enb_ue_id, ecgi),
@@ -702,7 +693,11 @@ impl ControlPlane {
             SigMsg::PageTrigger { .. } => self.step_page_trigger(m),
             SigMsg::NetDetach { .. } => self.step_net_detach(m),
         };
-        m.last_tx = out.clone();
+        if m.in_flight() {
+            m.last_tx.clone_from(&out);
+        } else {
+            m.last_tx.clear();
+        }
         out
     }
 
@@ -723,7 +718,7 @@ impl ControlPlane {
             };
             self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
             self.idle_ues.remove(&imsi);
-            self.dirty.insert(imsi);
+            self.mark_dirty(imsi);
             // Same MME UE id as the association the UE already has.
             let mme_ue_id = conn.map_or_else(|| self.allocate_mme_ue_id(), |c| c.mme_ue_id);
             self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
@@ -808,7 +803,7 @@ impl ControlPlane {
         self.metrics.service_requests += 1;
         self.metrics.proc_started += 1;
         self.metrics.proc_completed += 1;
-        self.dirty.insert(imsi);
+        self.mark_dirty(imsi);
         self.service_request_ns.record(t0.elapsed().as_nanos() as u64);
         vec![S1apPdu::DownlinkNasTransport { enb_ue_id, mme_ue_id, nas: NasMsg::ServiceAccept.encode() }]
     }
@@ -859,14 +854,19 @@ impl ControlPlane {
                 };
                 let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
                 // Counted on AttachComplete instead.
-                self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi, false);
-                let handle = *self.users.get(imsi).expect("do_attach just indexed the user");
+                let handle = self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi, false);
                 // The user record exists: it takes over the association.
                 m.enb_bound = false;
                 self.bind_s1(imsi, handle, S1Conn { mme_ue_id: id, enb_ue_id: m.enb_ue_id });
-                // Install PCRF rules.
-                if let Ok(rules) = proxy.fetch_rules(id, imsi) {
-                    let ctx = self.slab.resolve(handle).expect("indexed handle is live");
+                let rules = proxy.fetch_rules(id, imsi).unwrap_or_default();
+                let Some(ctx) = self.slab.resolve(handle) else {
+                    // `do_attach` returned a live handle; abort, never panic.
+                    self.metrics.proc_aborted += 1;
+                    m.state = ProcState::Idle;
+                    return vec![];
+                };
+                // Install PCRF rules; read the accept's fields in one guard.
+                let (guti, ue_ip, gw_teid, ambr) = {
                     let mut c = ctx.ctrl_write();
                     for r in &rules {
                         let Some(rule_id) = Pcef::gx_id(r) else { continue };
@@ -877,10 +877,6 @@ impl ControlPlane {
                         }
                         c.pcef_rules.push(rule_id);
                     }
-                }
-                let (guti, ue_ip, gw_teid, ambr) = {
-                    let ctx = self.slab.resolve(handle).expect("indexed handle is live");
-                    let c = ctx.ctrl_read();
                     (c.guti, c.ue_ip, c.tunnels.gw_teid, c.qos.ambr_kbps)
                 };
                 m.state = ProcState::AttachWaitIcs { imsi, mme_ue_id: id };
@@ -920,7 +916,7 @@ impl ControlPlane {
                         let h = *self.users.get(user_imsi).expect("GUTI index is consistent");
                         self.slab.resolve(h).expect("indexed handle is live").ctrl_write().tac = tac;
                     }
-                    self.dirty.insert(user_imsi);
+                    self.mark_dirty(user_imsi);
                     self.metrics.proc_started += 1;
                     self.metrics.proc_completed += 1;
                     vec![S1apPdu::DownlinkNasTransport {
@@ -944,7 +940,7 @@ impl ControlPlane {
                 c.tunnels.enb_teid = enb_teid;
                 c.tunnels.enb_ip = enb_ip;
                 drop(c);
-                self.dirty.insert(imsi);
+                self.mark_dirty(imsi);
             }
             m.state = ProcState::AttachWaitComplete { imsi, mme_ue_id };
         }
@@ -1080,7 +1076,7 @@ impl ControlPlane {
             Some((gw_teid, ue_ip)) => {
                 self.pending_updates.push(DpUpdate::Suspend { gw_teid, ue_ip, imsi });
                 self.idle_ues.insert(imsi);
-                self.dirty.insert(imsi);
+                self.mark_dirty(imsi);
                 true
             }
             None => false,
@@ -1259,19 +1255,6 @@ impl ControlPlane {
         self.by_guti.contains_key(guti)
     }
 
-    /// Active→idle: release a user's radio context (inactivity or an
-    /// eNodeB request). The data path is suspended — tunnels torn down,
-    /// context retained — so later downlink buffers behind a page.
-    /// Returns the S1AP release command for the eNodeB.
-    pub fn release_user(&mut self, imsi: u64, enb_ue_id: u32) -> Option<S1apPdu> {
-        if !self.suspend_user(imsi) {
-            return None;
-        }
-        self.metrics.releases += 1;
-        let mme_ue_id = self.context_of(imsi)?.s1_conn().map_or(0, |c| c.mme_ue_id);
-        Some(S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id, cause: cause::SUCCESS })
-    }
-
     /// Network-triggered page for an idle UE (downlink arrived while
     /// suspended). Counted as inbound signaling so the conservation
     /// identities hold without special cases.
@@ -1350,7 +1333,7 @@ impl ControlPlane {
         self.idle_ues.remove(&imsi);
         self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
         self.metrics.migrations_out += 1;
-        self.dirty.insert(imsi);
+        self.mark_dirty(imsi);
         Some(UserSnapshot { uid: imsi, imsi, gw_teid, ue_ip, ctrl, counters })
     }
 
@@ -1364,7 +1347,7 @@ impl ControlPlane {
         self.users.insert(snap.imsi, handle);
         self.pending_updates.push(DpUpdate::Insert { gw_teid: snap.gw_teid, ue_ip: snap.ue_ip, handle, active: true });
         self.metrics.migrations_in += 1;
-        self.dirty.insert(snap.imsi);
+        self.mark_dirty(snap.imsi);
     }
 
     /// Recovery: re-create a user from checkpointed state (see
@@ -1384,7 +1367,7 @@ impl ControlPlane {
         self.users.insert(imsi, handle);
         self.by_guti.insert(guti, imsi);
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-        self.dirty.insert(imsi);
+        self.mark_dirty(imsi);
     }
 
     /// Report every user's accumulated usage to the PCRF over Gx
@@ -1398,7 +1381,6 @@ impl ControlPlane {
             None => return 0,
         };
         let mut reported = 0;
-        let mut overridden = Vec::new();
         for (imsi, &handle) in self.users.iter() {
             let Some(ctx) = self.slab.resolve(handle) else { continue };
             let snap = ctx.counters().snapshot();
@@ -1406,12 +1388,13 @@ impl ControlPlane {
             {
                 if new_ambr != 0 {
                     ctx.ctrl_write().qos.ambr_kbps = new_ambr;
-                    overridden.push(imsi);
+                    if let Some(dirty) = &mut self.dirty {
+                        dirty.insert(imsi);
+                    }
                 }
                 reported += 1;
             }
         }
-        self.dirty.extend(overridden);
         reported
     }
 
@@ -1427,24 +1410,31 @@ impl ControlPlane {
         !self.pending_updates.is_empty()
     }
 
+    /// Arm the replication hook: from now on every control-state change
+    /// marks its IMSI for [`ControlPlane::take_dirty_users`]. One-way —
+    /// the HA layer arms every slice it replicates; a plane nothing
+    /// drains stays unarmed and keeps no dirty set.
+    pub fn track_dirty_users(&mut self) {
+        self.dirty.get_or_insert_with(Default::default);
+    }
+
+    fn mark_dirty(&mut self, imsi: u64) {
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(imsi);
+        }
+    }
+
     /// Drain the IMSIs whose control state changed since the last drain
-    /// (ascending order, so replication is deterministic). An IMSI in the
-    /// result that no longer resolves via [`ControlPlane::context_of`]
+    /// (ascending, so replication is deterministic; empty while unarmed).
+    /// An IMSI that no longer resolves via [`ControlPlane::context_of`]
     /// was detached/extracted — replicate that as a deletion.
     pub fn take_dirty_users(&mut self) -> Vec<u64> {
-        let out: Vec<u64> = self.dirty.iter().copied().collect();
-        self.dirty.clear();
-        out
+        self.dirty.as_mut().map_or_else(Vec::new, |dirty| std::mem::take(dirty).into_iter().collect())
     }
 
     /// The user that last left through a detach or an attach rollback, once.
     pub fn take_departed(&mut self) -> Option<u64> {
         self.departed.take()
-    }
-
-    /// Whether any control state changed since the last dirty drain.
-    pub fn has_dirty_users(&self) -> bool {
-        !self.dirty.is_empty()
     }
 
     /// Look up a user's shared context by IMSI. The returned reference
@@ -2008,6 +1998,119 @@ mod tests {
         assert_eq!(cp.metrics().proc_deduped, 1);
         assert_identities(&cp);
     }
+
+    /// Drive a fresh S1AP attach to `AttachWaitSmc`. Returns the MME UE
+    /// id, the Authentication Response sent, and the SMC command that
+    /// answered it.
+    fn attach_to_smc(cp: &mut ControlPlane, imsi: u64, enb_ue_id: u32) -> (u32, S1apPdu, Vec<S1apPdu>) {
+        let challenge = cp.handle_s1ap(&S1apPdu::InitialUeMessage {
+            enb_ue_id,
+            ecgi: 0x100,
+            tac: 1,
+            nas: NasMsg::AttachRequest { imsi, ue_capability: 0 }.encode(),
+        });
+        let [S1apPdu::DownlinkNasTransport { mme_ue_id, nas, .. }] = challenge.as_slice() else {
+            panic!("{challenge:?}")
+        };
+        let Ok(NasMsg::AuthenticationRequest { rand, .. }) = NasMsg::decode(nas) else { panic!("{challenge:?}") };
+        let nas = NasMsg::AuthenticationResponse { res: sim_response(Hss::key_for(imsi), rand) }.encode();
+        let auth = S1apPdu::UplinkNasTransport { enb_ue_id, mme_ue_id: *mme_ue_id, nas };
+        let smc = cp.handle_s1ap(&auth);
+        (*mme_ue_id, auth, smc)
+    }
+
+    #[test]
+    fn dirty_hook_records_nothing_until_armed() {
+        let mut cp = cp_with_backends(10);
+        // Full S1AP lifecycle: attach, X2 + S1 handover, TAU, release,
+        // page, service request, detach.
+        let (guti, ..) = run_attach_procedure(&mut cp, 3, 1, 0xE0, 5).unwrap();
+        let ps = S1apPdu::PathSwitchRequest { enb_ue_id: 2, mme_ue_id: 1, new_enb_teid: 0xF1, new_enb_ip: 6, ecgi: 2 };
+        assert!(matches!(cp.handle_s1ap(&ps).as_slice(), [S1apPdu::PathSwitchRequestAck { .. }]));
+        cp.handle_s1ap(&S1apPdu::HandoverRequired { enb_ue_id: 2, mme_ue_id: 1, target_ecgi: 9 });
+        cp.handle_s1ap(&S1apPdu::HandoverRequestAck { mme_ue_id: 1, new_enb_teid: 0xAA, new_enb_ip: 7 });
+        let tau = NasMsg::TrackingAreaUpdateRequest { guti, tac: 42 }.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 2, mme_ue_id: 1, nas: tau });
+        cp.handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 2, mme_ue_id: 1, cause: 0 });
+        assert_eq!(cp.page(3).len(), 1);
+        let sr = NasMsg::ServiceRequest { guti }.encode();
+        cp.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 4, ecgi: 1, tac: 1, nas: sr });
+        let detach = NasMsg::DetachRequest { guti }.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 4, mme_ue_id: 0, nas: detach });
+        let m = cp.metrics();
+        assert_eq!((m.attaches, m.handovers, m.releases, m.service_requests, m.detaches), (1, 2, 1, 1, 1));
+        // Synthetic events.
+        cp.apply_event(CtrlEvent::Attach { imsi: 7 });
+        cp.apply_event(CtrlEvent::S1Handover { imsi: 7, new_enb_teid: 1, new_enb_ip: 1 });
+        cp.apply_event(CtrlEvent::ModifyBearer { imsi: 7, ambr_kbps: 64 });
+        cp.apply_event(CtrlEvent::Detach { imsi: 7 });
+        assert!(cp.dirty.is_none(), "an unarmed plane keeps no per-IMSI set");
+        assert!(cp.take_dirty_users().is_empty());
+    }
+
+    #[test]
+    fn armed_dirty_hook_drains_ascending_deduplicated_and_once() {
+        let mut cp = cp_with_backends(10);
+        cp.track_dirty_users();
+        for imsi in [9, 5, 7] {
+            cp.apply_event(CtrlEvent::Attach { imsi });
+        }
+        cp.apply_event(CtrlEvent::S1Handover { imsi: 5, new_enb_teid: 1, new_enb_ip: 1 });
+        cp.apply_event(CtrlEvent::Attach { imsi: 9 });
+        cp.apply_event(CtrlEvent::Detach { imsi: 7 });
+        // An S1AP attach that reached its context setup, then was rolled
+        // back when a new attempt on another association preempted it.
+        let (mme_ue_id, ..) = attach_to_smc(&mut cp, 3, 1);
+        let nas = NasMsg::SecurityModeComplete.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+        assert!(cp.context_of(3).is_some());
+        cp.handle_s1ap(&S1apPdu::InitialUeMessage {
+            enb_ue_id: 2,
+            ecgi: 0x100,
+            tac: 1,
+            nas: NasMsg::AttachRequest { imsi: 3, ue_capability: 0 }.encode(),
+        });
+        assert_eq!(cp.metrics().proc_preempted, 1);
+        assert!(cp.context_of(3).is_none(), "the preempted attach was rolled back");
+        assert_eq!(cp.take_dirty_users(), [3, 5, 7, 9], "detached and rolled-back users included");
+        assert!(cp.take_dirty_users().is_empty(), "a drain empties the set");
+    }
+
+    #[test]
+    fn retransmit_cache_replays_in_flight_and_retires_with_the_procedure() {
+        let bytes = |pdus: &[S1apPdu]| pdus.iter().map(S1apPdu::encode).collect::<Vec<_>>();
+        let mut cp = cp_with_backends(4);
+        // A retransmitted Authentication Response while the attach waits
+        // for Security Mode Complete replays the SMC command byte for byte.
+        let (_, auth, smc) = attach_to_smc(&mut cp, 2, 1);
+        assert!(matches!(cp.machines[&2].state, ProcState::AttachWaitSmc { .. }));
+        assert_eq!(cp.machines[&2].last_tx, smc, "the in-flight step's reply is cached");
+        assert_eq!(bytes(&cp.handle_s1ap(&auth)), bytes(&smc), "retransmit replays the cached SMC command");
+        assert_eq!(cp.metrics().proc_deduped, 1);
+        // Finishing the attach retires the machine.
+        let nas = NasMsg::SecurityModeComplete.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: 1, nas });
+        cp.handle_s1ap(&S1apPdu::InitialContextSetupResponse { enb_ue_id: 1, mme_ue_id: 1, enb_teid: 5, enb_ip: 6 });
+        let nas = NasMsg::AttachComplete.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: 1, nas });
+        assert_eq!(cp.metrics().attaches, 1);
+        assert!(!cp.machines.contains_key(&2), "a finished procedure leaves no machine behind");
+        // A single-shot procedure never enters the table either.
+        cp.handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 1, mme_ue_id: 1, cause: 0 });
+        assert!(cp.is_idle(2) && cp.machines.is_empty());
+        // A paging retransmit replays the page byte for byte.
+        let page = cp.page(2);
+        assert!(matches!(page.as_slice(), [S1apPdu::Paging { .. }]));
+        cp.note_tick(PAGING_RETX_TICKS);
+        assert_eq!(bytes(&cp.take_pending_tx()), bytes(&page));
+        // The UE answers; the page resolves and its machine retires.
+        let Some(guti) = cp.context_of(2).map(|c| c.ctrl_read().guti) else { panic!() };
+        let sr = NasMsg::ServiceRequest { guti }.encode();
+        cp.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 3, ecgi: 1, tac: 1, nas: sr });
+        assert_eq!(cp.metrics().paging_resolved, 1);
+        assert!(cp.machines.is_empty());
+        assert_identities(&cp);
+    }
 }
 
 #[cfg(test)]
@@ -2086,21 +2189,5 @@ mod pcrf_reporting_tests {
             nas: NasMsg::ServiceRequest { guti: 0xDEAD }.encode(),
         });
         assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
-    }
-
-    #[test]
-    fn release_user_suspends_and_commands_enb() {
-        let mut cp =
-            ControlPlane::new(1, 1, Allocator { teid_base: 1, ue_ip_base: 1, guti_base: 1, mme_ue_id_base: 1 }, None);
-        cp.apply_event(CtrlEvent::Attach { imsi: 7 });
-        cp.take_updates();
-        let pdu = cp.release_user(7, 3).expect("known user");
-        assert!(matches!(pdu, S1apPdu::UeContextReleaseCommand { enb_ue_id: 3, .. }));
-        assert_eq!(cp.metrics().releases, 1);
-        let ups = cp.take_updates();
-        assert!(matches!(ups.as_slice(), [DpUpdate::Suspend { imsi: 7, .. }]));
-        assert!(cp.is_idle(7));
-        assert_eq!(cp.idle_user_count(), 1);
-        assert!(cp.release_user(999, 1).is_none());
     }
 }

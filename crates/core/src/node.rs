@@ -71,7 +71,6 @@ pub struct PepcNode {
     config: EpcConfig,
     slices: Vec<Slice>,
     demux: Demux,
-    proxy: Option<Arc<Proxy>>,
     /// Forwarded packets produced while draining migration queues.
     migration_out: Vec<Mbuf>,
     /// Per-user migration latency (park→drain), indexed by target slice —
@@ -104,7 +103,6 @@ impl PepcNode {
             buckets: (0..config.slices).map(|_| Bucket::default()).collect(),
             config,
             slices,
-            proxy,
             migration_out: Vec::new(),
             clock: Clock::new(),
             verdicts: Vec::new(),
@@ -415,11 +413,6 @@ impl PepcNode {
         self.slices[k].sync_now();
         self.demux.place(imsi, gw_teid, ue_ip, k);
         k
-    }
-
-    /// The proxy, when backends were supplied.
-    pub fn proxy(&self) -> Option<&Arc<Proxy>> {
-        self.proxy.as_ref()
     }
 
     /// The node configuration.

@@ -169,7 +169,9 @@ pub struct UeMachine {
     /// Messages deferred until the running procedure terminates.
     pub mailbox: VecDeque<SigMsg>,
     /// Response emitted for the last delivered message — replayed on
-    /// dedup so retransmissions are idempotent.
+    /// dedup (and by paging retransmits) so retransmissions are
+    /// idempotent. Written only while a procedure stays in flight; empty
+    /// in `Idle`, where nothing reads it.
     pub last_tx: Vec<S1apPdu>,
     /// Tick of the last delivered message (drives the supervision timer
     /// and the "stuck procedure" oracle).

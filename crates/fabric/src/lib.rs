@@ -25,7 +25,6 @@
 pub mod clock;
 pub mod exec;
 pub mod maglev;
-pub mod pcap;
 pub mod port;
 pub mod ring;
 pub mod wire;
@@ -33,7 +32,6 @@ pub mod wire;
 pub use clock::{Clock, LatencyHistogram, RateMeter, VirtualClock};
 pub use exec::{CoreId, Worker};
 pub use maglev::Maglev;
-pub use pcap::PcapWriter;
 pub use port::{Port, PortPair, PortStats};
 pub use ring::SpscRing;
 pub use wire::{FaultSpec, Wire, WireStats};

@@ -127,7 +127,14 @@ impl HaCluster {
         cfg: HaConfig,
         backends: Option<(std::sync::Arc<pepc_backend::Hss>, std::sync::Arc<pepc_backend::Pcrf>)>,
     ) -> Self {
-        let cluster = Cluster::new(n, template, backends);
+        let mut cluster = Cluster::new(n, template, backends);
+        // Replication is the dirty set's only reader: arm every slice.
+        for k in 0..n {
+            let node = cluster.node(k);
+            for s in 0..node.slice_count() {
+                node.slice(s).ctrl.track_dirty_users();
+            }
+        }
         let mut tx = Vec::with_capacity(n);
         let mut wires = Vec::with_capacity(n);
         let mut rx = Vec::with_capacity(n);
@@ -557,6 +564,52 @@ mod tests {
         assert!(c.ctrl_event(CtrlEvent::Detach { imsi: 7 }));
         assert_eq!(c.standby().user_count(k), 0);
         assert_eq!(c.owner_of(7), None);
+    }
+
+    #[test]
+    fn s1ap_lifecycle_replicates_through_the_armed_hook() {
+        use pepc_backend::{Hss, Pcrf};
+        use pepc_sigproto::nas::NasMsg;
+        use pepc_sigproto::s1ap::S1apPdu;
+        use std::sync::Arc;
+        let hss = Arc::new(Hss::new());
+        hss.provision_range(1, 16, 100_000);
+        let template = EpcConfig { slices: 2, ..EpcConfig::default() };
+        let backends = Some((hss, Arc::new(Pcrf::with_standard_rules())));
+        let mut c = HaCluster::with_backends(2, template, HaConfig::default(), backends);
+        let imsi = 7;
+        let k = c.cluster_ref().home_node(imsi);
+        let standby_enb_teid = |c: &HaCluster| -> Vec<u32> {
+            c.standby().users_of(k).iter().map(|(rec, _)| rec.ctrl.tunnels.enb_teid).collect()
+        };
+        // Attach: the standby holds the user (a CtrlSnapshot) with the
+        // eNodeB endpoint the context setup reported.
+        let mut mme_ue_id = 0;
+        let (guti, ..) = pepc::ctrl::run_attach_with(
+            |pdu| {
+                let out = c.node_s1ap(k, pdu);
+                if let [S1apPdu::DownlinkNasTransport { mme_ue_id: id, .. }] = out.as_slice() {
+                    mme_ue_id = *id;
+                }
+                out
+            },
+            imsi,
+            1,
+            0xE0,
+            0xC0A8_0005,
+        )
+        .unwrap();
+        assert_eq!(standby_enb_teid(&c), [0xE0]);
+        // S1 handover: a fresh CtrlSnapshot carries the target endpoint.
+        c.node_s1ap(k, &S1apPdu::HandoverRequired { enb_ue_id: 1, mme_ue_id, target_ecgi: 9 });
+        let ack = S1apPdu::HandoverRequestAck { mme_ue_id, new_enb_teid: 0xAA, new_enb_ip: 0xC0A8_0007 };
+        assert!(matches!(c.node_s1ap(k, &ack).as_slice(), [S1apPdu::HandoverCommand { .. }]));
+        assert_eq!(standby_enb_teid(&c), [0xAA]);
+        // Detach: a CtrlDelete removes the replica.
+        let nas = NasMsg::DetachRequest { guti }.encode();
+        c.node_s1ap(k, &S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+        assert_eq!(c.standby().user_count(k), 0);
+        assert_eq!(c.standby().gaps(k), 0);
     }
 
     #[test]
