@@ -1,142 +1,109 @@
-//! Software-RSS shard scaling: aggregate Mpps across 1→8 share-nothing
-//! pipelines, extending the fig7 method (throughput vs cores) to the
-//! in-process sharded data path of `pepc::ShardedDataPath`.
+//! Slice scaling: per-slice ns/packet of an N-slice `PepcNode` for
+//! N ∈ {1, 2, 4, 8}, extending the fig7 method (throughput vs cores) to
+//! the node's own slices.
 //!
-//! Two series per shard count N, both over the same 10K-user mixed
-//! uplink/downlink workload:
+//! Each width attaches the same 10K users and offers the same mixed
+//! uplink/downlink workload. Per round the bench buckets `BURST × N`
+//! packets by `node.demux().region_of(packet_key(..))` — the node's own
+//! steering arithmetic, untimed — so every slice runs ≈`BURST`-packet
+//! bursts at every width. It then times each slice's
+//! `process_burst_into` separately. Printed per N, in the criterion
+//! shim's `bench … ns/iter` line format:
 //!
-//! * `shard_scale/seq/N` — the criterion loop driving steer → N×process
-//!   → gather *sequentially* on one core (the overhead floor: it can
-//!   only lose to a single pipeline).
-//! * `shard_scale/aggregate/N` — printed in the same `bench … ns/iter`
-//!   format but measured directly: per-shard busy time is clocked around
-//!   each `process_pending` call, and the reported figure is
-//!   `max(shard busy) / packets` — the per-packet wall-clock the slowest
-//!   shard would impose if each shard ran on its own core, which is how
-//!   fig7 counts a multi-core slice. Each steer is offered `BURST × N`
-//!   packets, so every width's shards run ≈`BURST`-packet sub-bursts and
-//!   the ratio between widths compares like with like (per-burst costs
-//!   amortize over the same run length). `scripts/bench_shard.py` converts
-//!   it to aggregate Mpps, checks the 1→4 scaling floor, and pins the
-//!   per-stage ns/packet budget.
+//! * `shard_scale/slice/N` — Σ slice busy ns / packets: the measured
+//!   cost of a packet on the slice that owns it. All slices run on this
+//!   one thread, so this is a per-slice figure, not an aggregate rate;
+//! * `shard_scale/stage_{parse,lookup,enforce}/N` — stage medians merged
+//!   across slices;
+//! * `shard_scale/imbalance/N` — max/mean packets per slice over the run,
+//!   ×1000 to survive the one-decimal format.
 //!
-//! Also printed per N: `stage_parse` / `stage_lookup` / `stage_enforce`
-//! medians (merged across shards) and the steering imbalance (max/mean
-//! packets, ×1000 to survive the integer-ish ns format).
+//! `scripts/bench_shard.py` commits the numbers to `BENCH_shard.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pepc::config::{EpcConfig, SliceConfig};
 use pepc::data::PacketVerdict;
+use pepc::demux::packet_key;
+use pepc::node::PepcNode;
 use pepc::LatencyHistogram;
+use pepc_bench::NodeSut;
 use pepc_net::Mbuf;
-use pepc_workload::harness::{default_sharded_path, ShardedSut, SystemUnderTest};
+use pepc_workload::harness::SystemUnderTest;
 use pepc_workload::traffic::TrafficGen;
 use std::time::Instant;
 
 const USERS: u64 = 10_000;
 const BURST: usize = 64;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SLICE_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const ROUNDS: usize = 4_000;
 
-fn setup(shards: usize) -> (ShardedSut, TrafficGen) {
-    let mut sut = ShardedSut::new(default_sharded_path(USERS as usize, shards));
-    let keys = sut.attach_all(&(0..USERS).collect::<Vec<_>>());
-    let gen = TrafficGen::new(keys);
-    (sut, gen)
+fn main() {
+    for slices in SLICE_COUNTS {
+        measure(slices);
+    }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("shard_scale");
-    for shards in SHARD_COUNTS {
-        let (mut sut, mut gen) = setup(shards);
-        let mut burst: Vec<Mbuf> = Vec::with_capacity(BURST);
-        let mut fwd: Vec<Mbuf> = Vec::with_capacity(BURST);
-        g.bench_with_input(BenchmarkId::new("seq", shards), &shards, |b, _| {
-            b.iter(|| {
-                burst.clear();
-                for _ in 0..BURST {
-                    burst.push(gen.next_packet(0));
-                }
-                fwd.clear();
-                sut.process_burst(&mut burst, &mut fwd);
-                for out in fwd.drain(..) {
+fn measure(slices: usize) {
+    let config = EpcConfig {
+        slices,
+        slice: SliceConfig {
+            expected_users: (USERS as usize).div_ceil(slices),
+            stage_timing: true,
+            ..SliceConfig::default()
+        },
+        ..EpcConfig::default()
+    };
+    let mut sut = NodeSut::new(PepcNode::new(config, None));
+    let mut gen = TrafficGen::new(sut.attach_all(&(0..USERS).collect::<Vec<_>>()));
+    let node = &mut sut.node;
+
+    let mut buckets: Vec<Vec<Mbuf>> = (0..slices).map(|_| Vec::with_capacity(2 * BURST)).collect();
+    let mut verdicts: Vec<PacketVerdict> = Vec::with_capacity(2 * BURST);
+    let mut busy_ns = 0u64;
+    let mut per_slice = vec![0u64; slices];
+    // Warmup rounds fill the tables' primary level and the branch
+    // predictors; only the rest count.
+    for round in 0..ROUNDS + ROUNDS / 10 {
+        let timed = round >= ROUNDS / 10;
+        for _ in 0..BURST * slices {
+            let m = gen.next_packet(0);
+            let k = packet_key(&m).and_then(|key| node.demux().region_of(key)).expect("generated keys are in-region");
+            buckets[k].push(m);
+        }
+        for (k, bucket) in buckets.iter_mut().enumerate() {
+            if timed {
+                per_slice[k] += bucket.len() as u64;
+            }
+            let t0 = Instant::now();
+            node.slice(k).process_burst_into(bucket, &mut verdicts);
+            if timed {
+                busy_ns += t0.elapsed().as_nanos() as u64;
+            }
+            for v in verdicts.drain(..) {
+                if let PacketVerdict::Forward(out) = v {
                     gen.recycle(out);
                 }
-            })
-        });
+            }
+        }
     }
-    g.finish();
-    for shards in SHARD_COUNTS {
-        aggregate(shards);
-    }
-}
 
-/// The parallel-cores measurement: steer is untimed (it is the edge
-/// stage), each shard's pipeline run is timed separately, and the
-/// aggregate per-packet figure is `max(per-shard busy ns) / packets` —
-/// wall-clock of the slowest shard, as if each ran on its own core.
-fn aggregate(shards: usize) {
-    const ROUNDS: usize = 4_000;
-    let (mut sut, mut gen) = setup(shards);
-    for d in sut.path.shards_mut() {
-        d.set_stage_timing(true);
-    }
-    // One steer's offer: a `BURST`-packet sub-burst per shard.
-    let offer = BURST * shards;
-    let mut burst: Vec<Mbuf> = Vec::with_capacity(offer);
-    let mut verdicts: Vec<PacketVerdict> = Vec::with_capacity(offer);
-    let mut busy_ns = vec![0u64; shards];
-    let mut pkts = 0u64;
-    // Warmup: fill the tables' primary level and the branch predictors.
-    for _ in 0..ROUNDS / 10 {
-        burst.clear();
-        for _ in 0..offer {
-            burst.push(gen.next_packet(0));
-        }
-        for v in sut.path.process_burst(&mut burst, 0) {
-            if let PacketVerdict::Forward(out) = v {
-                gen.recycle(out);
-            }
-        }
-    }
-    for _ in 0..ROUNDS {
-        burst.clear();
-        for _ in 0..offer {
-            burst.push(gen.next_packet(0));
-        }
-        pkts += burst.len() as u64;
-        sut.path.steer(&mut burst);
-        for (s, busy) in busy_ns.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            sut.path.process_pending(s, 0);
-            *busy += t0.elapsed().as_nanos() as u64;
-        }
-        verdicts.clear();
-        sut.path.collect_verdicts(&mut verdicts);
-        for v in verdicts.drain(..) {
-            if let PacketVerdict::Forward(out) = v {
-                gen.recycle(out);
-            }
-        }
-    }
-    let max_busy = *busy_ns.iter().max().expect("at least one shard") as f64;
-    emit(&format!("shard_scale/aggregate/{shards}"), max_busy / pkts as f64);
+    let packets: u64 = per_slice.iter().sum();
+    emit(&format!("shard_scale/slice/{slices}"), busy_ns as f64 / packets as f64);
     let mut stages = [LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new()];
-    for d in sut.path.shards() {
-        for (total, h) in stages.iter_mut().zip(d.stage_latencies()) {
+    for k in 0..slices {
+        for (total, h) in stages.iter_mut().zip(node.slice_ref(k).data.stage_latencies()) {
             total.merge(h);
         }
     }
     for (h, name) in stages.iter().zip(pepc::data::STAGE_NAMES) {
-        emit(&format!("shard_scale/stage_{name}/{shards}"), h.quantile_ns(0.5) as f64);
+        emit(&format!("shard_scale/stage_{name}/{slices}"), h.quantile_ns(0.5) as f64);
     }
-    // max/mean packet imbalance, ×1000 (the format prints one decimal).
-    emit(&format!("shard_scale/imbalance/{shards}"), sut.path.shard_imbalance() * 1000.0);
+    let max = *per_slice.iter().max().expect("at least one slice") as f64;
+    let mean = packets as f64 / slices as f64;
+    emit(&format!("shard_scale/imbalance/{slices}"), max / mean * 1000.0);
 }
 
-/// Print in the criterion shim's line format so one parser serves both
-/// the criterion groups and the direct measurements.
+/// Print in the criterion shim's line format so one parser serves every
+/// bench.
 fn emit(name: &str, value: f64) {
     println!("bench {name:<50} {value:>12.1} ns/iter");
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -204,8 +204,7 @@ pub struct DataPlane {
     /// Buffered downlink flushed by a wake-up, already GTP-U encapped
     /// toward the re-established eNodeB tunnel.
     woken: Vec<Mbuf>,
-    /// The slice's context arena, shared with the control plane (and, in
-    /// sharded mode, every sibling shard).
+    /// The slice's context arena, shared with the control plane.
     slab: Arc<UeSlab>,
     pcef: Pcef,
     iot: IotConfig,
@@ -508,16 +507,9 @@ impl DataPlane {
         Decision::Drop(DropReason::UnknownUser)
     }
 
-    /// Process a whole burst, returning one verdict per packet in input
-    /// order. The burst vector is drained (emptied) by the call.
-    pub fn process_burst(&mut self, burst: &mut Vec<Mbuf>, now_ns: u64) -> Vec<PacketVerdict> {
-        let mut out = Vec::with_capacity(burst.len());
-        self.process_burst_into(burst, now_ns, &mut out);
-        out
-    }
-
-    /// Allocation-free core of the burst path: verdicts are appended to
-    /// `out` (one per packet, input order); `burst` is drained.
+    /// Process a whole burst: verdicts are appended to `out` (one per
+    /// packet, input order); `burst` is drained. Callers reuse `out`, so
+    /// the burst path allocates nothing per call.
     pub fn process_burst_into(&mut self, burst: &mut Vec<Mbuf>, now_ns: u64, out: &mut Vec<PacketVerdict>) {
         let n = burst.len();
         if n <= 1 {
@@ -950,6 +942,13 @@ mod tests {
     const TEID_UL: u32 = 0x1000;
     const TEID_DL: u32 = 0x2000;
 
+    /// One burst through `process_burst_into`: its verdicts, input order.
+    fn run_burst(dp: &mut DataPlane, burst: &mut Vec<Mbuf>, now: u64) -> Vec<PacketVerdict> {
+        let mut out = Vec::new();
+        dp.process_burst_into(burst, now, &mut out);
+        out
+    }
+
     fn dp() -> DataPlane {
         DataPlane::new(GW_IP, 64, TwoLevelConfig::default(), IotConfig::default())
     }
@@ -1216,7 +1215,7 @@ mod tests {
             inner_udp(0x08080808, UE_IP, 443, 64),
             Mbuf::from_payload(&[0xFF; 40]),
         ];
-        let out = dp.process_burst(&mut burst, 100);
+        let out = run_burst(&mut dp, &mut burst, 100);
         assert!(burst.is_empty(), "burst is drained");
         assert_eq!(out.len(), 4);
         assert!(out[0].is_forward());
@@ -1244,7 +1243,7 @@ mod tests {
             uplink_packet(TEID_UL + 1),
             uplink_packet(TEID_UL),
         ];
-        let out = dp.process_burst(&mut burst, 50);
+        let out = run_burst(&mut dp, &mut burst, 50);
         assert!(out.iter().all(|v| v.is_forward()));
         assert_eq!(counters(&dp, a).uplink_packets, 4);
         assert_eq!(counters(&dp, b).uplink_packets, 2);
@@ -1257,7 +1256,7 @@ mod tests {
         let mut dp = dp();
         attach_user(&mut dp, 0);
         let mut burst = vec![uplink_packet(TEID_UL), uplink_packet(0xDEAD), uplink_packet(TEID_UL)];
-        dp.process_burst(&mut burst, 7);
+        run_burst(&mut dp, &mut burst, 7);
         assert_eq!(dp.metrics().forwarded, 2);
         assert_eq!(dp.pipeline_latency().count(), 2);
     }
@@ -1265,7 +1264,7 @@ mod tests {
     #[test]
     fn empty_burst_is_a_no_op() {
         let mut dp = dp();
-        let out = dp.process_burst(&mut Vec::new(), 1);
+        let out = run_burst(&mut dp, &mut Vec::new(), 1);
         assert!(out.is_empty());
         assert_eq!(dp.metrics().rx, 0);
         assert_eq!(dp.pipeline_latency().count(), 0);
@@ -1289,7 +1288,7 @@ mod tests {
         }
         let mut burst: Vec<Mbuf> = (0..40).map(|_| uplink_packet(TEID_UL)).collect();
         let burst_verdicts: Vec<bool> =
-            burst_dp.process_burst(&mut burst, now).iter().map(|v| v.is_forward()).collect();
+            run_burst(&mut burst_dp, &mut burst, now).iter().map(|v| v.is_forward()).collect();
         assert_eq!(scalar_verdicts, burst_verdicts);
         assert_eq!(counters(&scalar, scalar_h), counters(&burst_dp, burst_h));
         assert_eq!(scalar.metrics(), burst_dp.metrics());
@@ -1318,18 +1317,18 @@ mod tests {
         attach_user(&mut dp, 0);
         // Off by default: the burst path records nothing per stage.
         let mut burst = vec![uplink_packet(TEID_UL), uplink_packet(TEID_UL)];
-        dp.process_burst(&mut burst, 1);
+        run_burst(&mut dp, &mut burst, 1);
         assert!(dp.stage_latencies().iter().all(|h| h.count() == 0));
         dp.set_stage_timing(true);
         let mut burst = vec![uplink_packet(TEID_UL), uplink_packet(TEID_UL), uplink_packet(0xDEAD)];
-        dp.process_burst(&mut burst, 2);
+        run_burst(&mut dp, &mut burst, 2);
         for (h, name) in dp.stage_latencies().iter().zip(STAGE_NAMES) {
             assert_eq!(h.count(), 1, "stage {name} records once per burst");
         }
         // Stage timing rides on telemetry: disabling telemetry stops it.
         dp.set_telemetry_enabled(false);
         let mut burst = vec![uplink_packet(TEID_UL)];
-        dp.process_burst(&mut burst, 3);
+        run_burst(&mut dp, &mut burst, 3);
         assert_eq!(dp.stage_latencies()[0].count(), 1);
     }
 
@@ -1446,7 +1445,7 @@ mod tests {
             inner_udp(1, UE_IP, 80, 16),
             inner_udp(1, 0x0A0000FF, 80, 16),
         ];
-        let out = dp.process_burst(&mut burst, 20);
+        let out = run_burst(&mut dp, &mut burst, 20);
         assert!(matches!(out[0], PacketVerdict::Buffered));
         assert!(matches!(out[1], PacketVerdict::Drop(DropReason::IdleUplink)));
         assert!(matches!(out[2], PacketVerdict::Buffered));

@@ -165,9 +165,7 @@ pub enum PacketKey {
 
 /// Extract the steering key without fully parsing the packet: uplink
 /// GTP-U (outer UDP :2152) → TEID at a fixed offset; otherwise downlink
-/// IPv4 → destination address. Shared by the slice-level [`Demux`] and
-/// the software-RSS shard steering ([`crate::shard`]) so both layers
-/// agree on what a packet is keyed by.
+/// IPv4 → destination address. The node's [`Demux`] steers on it.
 pub fn packet_key(m: &Mbuf) -> Option<PacketKey> {
     let d = m.data();
     if d.len() >= 20 && d[0] == 0x45 {

@@ -22,10 +22,10 @@
 //!
 //! Layout per bucket: 1 control byte (empty/full/tombstone), an 8-byte
 //! key, and the value, in three parallel arrays, so probing scans a
-//! dense byte array. Keys hash through the same splitmix64 finalizer as the shard
-//! steering. The `live` array uses backward-shift deletion (no
-//! tombstones, probe chains never rot); the `old` array tombstones
-//! drained/removed buckets since it only ever shrinks.
+//! dense byte array. Keys hash through the splitmix64 finalizer. The
+//! `live` array uses backward-shift deletion (no tombstones, probe chains
+//! never rot); the `old` array tombstones drained/removed buckets since
+//! it only ever shrinks.
 //!
 //! Not internally synchronized: like [`crate::twolevel::TwoLevelTable`]
 //! (which this backs) it belongs to exactly one thread.

@@ -54,7 +54,6 @@ pub mod proxy;
 pub mod qos;
 pub mod recovery;
 pub mod seqlock;
-pub mod shard;
 pub mod slab;
 pub mod slice;
 pub mod state;
@@ -74,7 +73,6 @@ pub use pcef::Pcef;
 pub use pepc_telemetry::{LatencyHistogram, MetricsSnapshot, RingGauge, SliceSnapshot, WireStat};
 pub use proxy::Proxy;
 pub use seqlock::SeqCell;
-pub use shard::ShardedDataPath;
 pub use slab::{UeHandle, UeRef, UeSlab};
 pub use slice::{Slice, SliceHandle};
 pub use state::{ControlState, CounterState, CtrlView, DeviceClass, UeContext, Uid};

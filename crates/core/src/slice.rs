@@ -208,16 +208,9 @@ impl Slice {
     /// schedule at burst granularity: the membership sync happens at most
     /// once per burst, before any packet of the burst is processed (a
     /// burst is the unit of work, just as one packet is in
-    /// [`Self::process_packet`]). The burst vector is drained.
-    pub fn process_burst(&mut self, burst: &mut Vec<Mbuf>) -> Vec<PacketVerdict> {
-        let mut out = Vec::with_capacity(burst.len());
-        self.process_burst_into(burst, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Self::process_burst`]: verdicts are
-    /// appended to `out` (one per packet, input order). Measurement
-    /// loops reuse `out` so the burst path stays malloc-free per call.
+    /// [`Self::process_packet`]). The burst vector is drained; verdicts
+    /// are appended to `out` (one per packet, input order), which callers
+    /// reuse so the burst path stays malloc-free per call.
     pub fn process_burst_into(&mut self, burst: &mut Vec<Mbuf>, out: &mut Vec<PacketVerdict>) {
         self.packets_since_sync = self.packets_since_sync.saturating_add(burst.len() as u32);
         if self.packets_since_sync >= self.sync_every {
@@ -601,11 +594,15 @@ mod tests {
         s.handle_ctrl_event(CtrlEvent::Attach { imsi: 7 });
         // A burst below the boundary does not sync: all unknown-user.
         let mut small: Vec<Mbuf> = (0..8).map(|_| uplink(0x1000, 0x0A000001)).collect();
-        assert!(s.process_burst(&mut small).iter().all(|v| !v.is_forward()));
+        let mut out = Vec::new();
+        s.process_burst_into(&mut small, &mut out);
+        assert!(out.iter().all(|v| !v.is_forward()));
         // The burst that crosses the boundary syncs before processing, so
         // every packet in it sees the attach.
         let mut crossing: Vec<Mbuf> = (0..32).map(|_| uplink(0x1000, 0x0A000001)).collect();
-        assert!(s.process_burst(&mut crossing).iter().all(|v| v.is_forward()));
+        out.clear();
+        s.process_burst_into(&mut crossing, &mut out);
+        assert!(out.iter().all(|v| v.is_forward()));
     }
 
     #[test]
@@ -689,7 +686,7 @@ mod tests {
         let mut s = Slice::new(&config, 0x0AFE0001, 1, alloc(), None);
         s.handle_ctrl_event(CtrlEvent::Attach { imsi: 7 });
         let mut burst: Vec<Mbuf> = (0..8).map(|_| uplink(0x1000, 0x0A000001)).collect();
-        s.process_burst(&mut burst);
+        s.process_burst_into(&mut burst, &mut Vec::new());
         let snap = s.telemetry_snapshot(0);
         assert_eq!(snap.stage_ns.len(), 3);
         assert!(snap.stage_ns.iter().all(|h| h.count() == 1), "one sample per stage per burst");

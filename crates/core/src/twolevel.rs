@@ -31,9 +31,7 @@ use crate::inctable::IncrementalTable;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// splitmix64 finalizer (Vigna) — bijective, full avalanche, a few
-/// cycles. Shared by [`KeyHasher`], the [`IncrementalTable`] probe, and
-/// the software-RSS shard steering in [`crate::shard`], so a table key
-/// and its owning shard are derived from the same mix.
+/// cycles. Shared by [`KeyHasher`] and the [`IncrementalTable`] probe.
 #[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -262,10 +262,6 @@ pub struct MetricsSnapshot {
     /// cluster fills these in so chaos runs can correlate fabric loss
     /// with slice drops).
     pub wires: Vec<WireStat>,
-    /// Software-RSS steering totals: packets steered to each shard of a
-    /// sharded data path (empty when the snapshot owner runs unsharded).
-    /// Skew is read off [`Self::shard_imbalance`], not inferred.
-    pub shard_packets: Vec<u64>,
 }
 
 impl MetricsSnapshot {
@@ -288,15 +284,6 @@ impl MetricsSnapshot {
                 out,
                 "wire {}: fwd={} dropped={} corrupted={} reordered={} duplicated={} delayed={} rate_limited={}",
                 w.name, w.forwarded, w.dropped, w.corrupted, w.reordered, w.duplicated, w.delayed, w.rate_limited,
-            );
-        }
-        if !self.shard_packets.is_empty() {
-            use std::fmt::Write;
-            let _ = writeln!(
-                out,
-                "shards: packets={:?} imbalance={:.3} (max/mean)",
-                self.shard_packets,
-                self.shard_imbalance(),
             );
         }
         out
@@ -336,23 +323,11 @@ impl MetricsSnapshot {
         t
     }
 
-    /// Shard imbalance as max/mean of the steered packet counts: 1.0 is
-    /// perfectly balanced, 0.0 means unsharded or no traffic yet.
-    pub fn shard_imbalance(&self) -> f64 {
-        let total: u64 = self.shard_packets.iter().sum();
-        if total == 0 || self.shard_packets.is_empty() {
-            return 0.0;
-        }
-        let max = *self.shard_packets.iter().max().expect("non-empty") as f64;
-        max / (total as f64 / self.shard_packets.len() as f64)
-    }
-
     /// See [`SliceSnapshot::deterministic_eq`].
     pub fn deterministic_eq(&self, other: &MetricsSnapshot) -> bool {
         self.slices.len() == other.slices.len()
             && self.slices.iter().zip(&other.slices).all(|(a, b)| a.deterministic_eq(b))
             && self.wires == other.wires
-            && self.shard_packets == other.shard_packets
     }
 }
 
@@ -387,7 +362,7 @@ mod tests {
         s.free_slots = 12;
         s.bytes_per_user = 1024;
         let wires = vec![WireStat { name: "repl:node1".into(), forwarded: 40, dropped: 2, ..Default::default() }];
-        MetricsSnapshot { slices: vec![s], wires, shard_packets: vec![60, 40] }
+        MetricsSnapshot { slices: vec![s], wires }
     }
 
     #[test]
@@ -402,7 +377,6 @@ mod tests {
         assert!(text.contains("wire repl:node1: fwd=40 dropped=2"), "{text}");
         assert!(text.contains("stage-parse"), "{text}");
         assert!(text.contains("stage-enforce"), "{text}");
-        assert!(text.contains("shards: packets=[60, 40] imbalance=1.200"), "{text}");
         assert!(text.contains("overload: shed[ho=0 attach=5 tau=2] limiter[enbs=2 tokens=17] backlog=3"), "{text}");
         assert!(text.contains("memory: slab=4096 tables=512 slots[live=4 free=12] bytes/user=1024"), "{text}");
         assert!(MetricsSnapshot::new().render().contains("no slices"));
@@ -444,19 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_imbalance_max_over_mean() {
-        let mut snap = MetricsSnapshot::new();
-        assert_eq!(snap.shard_imbalance(), 0.0, "unsharded");
-        snap.shard_packets = vec![0, 0];
-        assert_eq!(snap.shard_imbalance(), 0.0, "no traffic yet");
-        snap.shard_packets = vec![25, 25, 25, 25];
-        assert!((snap.shard_imbalance() - 1.0).abs() < 1e-9);
-        snap.shard_packets = vec![90, 10];
-        assert!((snap.shard_imbalance() - 1.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deterministic_eq_tracks_stage_counts_and_shards() {
+    fn deterministic_eq_tracks_stage_counts_and_gauges() {
         let a = sample();
         let mut b = sample();
         // Same stage population, different values: still deterministic-eq.
@@ -466,10 +428,6 @@ mod tests {
         // Extra stage sample breaks it.
         b.slices[0].stage_ns[0].record(1);
         assert!(!a.deterministic_eq(&b));
-        // Shard steering totals are deterministic and must match.
-        let mut c = sample();
-        c.shard_packets[0] += 1;
-        assert!(!a.deterministic_eq(&c));
         // Overload gauges are deterministic and must match.
         let mut d = sample();
         d.slices[0].mailbox_backlog += 1;
@@ -489,6 +447,15 @@ mod tests {
         assert_eq!(back, snap);
         assert!(back.deterministic_eq(&snap));
         assert!(MetricsSnapshot::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn json_with_retired_fields_still_parses() {
+        // Snapshots written before a field was removed carry it still.
+        let snap = sample();
+        let json = snap.to_json();
+        let older = format!("{},\"retired\":[60,40]}}", &json[..json.len() - 1]);
+        assert_eq!(MetricsSnapshot::from_json(&older).unwrap(), snap);
     }
 
     #[test]

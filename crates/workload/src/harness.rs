@@ -129,109 +129,8 @@ impl SystemUnderTest for PepcSut {
     }
 
     fn telemetry(&self) -> Option<pepc::MetricsSnapshot> {
-        Some(pepc::MetricsSnapshot {
-            slices: vec![self.slice.telemetry_snapshot(0)],
-            wires: Vec::new(),
-            shard_packets: Vec::new(),
-        })
+        Some(pepc::MetricsSnapshot { slices: vec![self.slice.telemetry_snapshot(0)], wires: Vec::new() })
     }
-}
-
-/// The software-RSS sharded data path as the system under test: one
-/// control plane feeding membership updates into N share-nothing
-/// pipelines (`pepc::ShardedDataPath`). Signaling syncs immediately (the
-/// steering stage is control-rate anyway), so throughput numbers isolate
-/// the sharded data path itself.
-pub struct ShardedSut {
-    pub ctrl: pepc::ControlPlane,
-    pub path: pepc::ShardedDataPath,
-    clock: Clock,
-    name: &'static str,
-}
-
-impl ShardedSut {
-    pub fn new(path: pepc::ShardedDataPath) -> Self {
-        use pepc::ctrl::Allocator;
-        let ctrl = pepc::ControlPlane::new(
-            crate::params::Defaults::GW_IP,
-            1,
-            Allocator { teid_base: 0x0100_0000, ue_ip_base: 0x0A00_0001, guti_base: 0xD00D_0000, mme_ue_id_base: 1 },
-            None,
-        );
-        ShardedSut { ctrl, path, clock: Clock::new(), name: "PEPC-sharded" }
-    }
-
-    fn sync(&mut self) {
-        if self.ctrl.has_updates() {
-            let now = self.clock.now_ns();
-            for u in self.ctrl.take_updates() {
-                self.path.apply_update(u, now);
-            }
-        }
-    }
-}
-
-impl SystemUnderTest for ShardedSut {
-    fn signal(&mut self, ev: SigEvent) -> bool {
-        let ok = match ev {
-            SigEvent::Attach { imsi } => self.ctrl.apply_event(CtrlEvent::Attach { imsi }),
-            SigEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
-                self.ctrl.apply_event(CtrlEvent::S1Handover { imsi, new_enb_teid, new_enb_ip })
-            }
-        };
-        self.sync();
-        ok
-    }
-
-    fn process(&mut self, m: Mbuf) -> Option<Mbuf> {
-        let mut burst = vec![m];
-        let mut out = Vec::with_capacity(1);
-        self.process_burst(&mut burst, &mut out);
-        out.pop()
-    }
-
-    fn process_burst(&mut self, burst: &mut Vec<Mbuf>, out: &mut Vec<Mbuf>) {
-        for v in self.path.process_burst(burst, self.clock.now_ns()) {
-            if let pepc::data::PacketVerdict::Forward(fwd) = v {
-                out.push(fwd);
-            }
-        }
-    }
-
-    fn attach_all(&mut self, imsis: &[u64]) -> Vec<UserKeys> {
-        let mut keys = Vec::with_capacity(imsis.len());
-        for &imsi in imsis {
-            self.ctrl.apply_event(CtrlEvent::Attach { imsi });
-            let ctx = self.ctrl.context_of(imsi).expect("attached");
-            let c = ctx.ctrl_read();
-            keys.push(UserKeys { teid: c.tunnels.gw_teid, ue_ip: c.ue_ip });
-            drop(c);
-            self.ctrl.apply_event(CtrlEvent::S1Handover {
-                imsi,
-                new_enb_teid: 0xE000_0000 + (imsi as u32 & 0xFFFF),
-                new_enb_ip: 0xC0A8_0001,
-            });
-        }
-        self.sync();
-        keys
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Convenience: build an N-shard data path with the harness defaults
-/// (two-level tables on, IoT off), sized for `expected_users`.
-pub fn default_sharded_path(expected_users: usize, shards: usize) -> pepc::ShardedDataPath {
-    use pepc::config::{IotConfig, TwoLevelConfig};
-    pepc::ShardedDataPath::new(
-        crate::params::Defaults::GW_IP,
-        expected_users,
-        TwoLevelConfig::default(),
-        IotConfig::default(),
-        shards,
-    )
 }
 
 /// An HA cluster as the system under test: the same mixed workload the

@@ -162,7 +162,8 @@ fn verdict_kind(v: &PacketVerdict) -> (u8, Option<DropReason>, usize) {
 fn run_both(scalar: &mut DataPlane, burst_dp: &mut DataPlane, packets: Vec<Mbuf>, now: u64, what: &str) {
     let copies: Vec<Mbuf> = packets.iter().map(|m| Mbuf::from_payload(m.data())).collect();
     let mut burst_in = packets;
-    let burst_out = burst_dp.process_burst(&mut burst_in, now);
+    let mut burst_out = Vec::new();
+    burst_dp.process_burst_into(&mut burst_in, now, &mut burst_out);
     let scalar_out: Vec<PacketVerdict> = copies.into_iter().map(|m| scalar.process(m, now)).collect();
     assert_eq!(burst_out.len(), scalar_out.len());
     for (k, (b, s)) in burst_out.iter().zip(&scalar_out).enumerate() {
@@ -274,7 +275,8 @@ fn scalar_process_is_the_burst_size_one_case() {
         let m = next_packet(&mut rng, &mut sticky);
         let copy = Mbuf::from_payload(m.data());
         let va = a.process(m, now);
-        let vb = b.process_burst(&mut vec![copy], now);
+        let mut vb = Vec::new();
+        b.process_burst_into(&mut vec![copy], now, &mut vb);
         assert_eq!(verdict_kind(&va), verdict_kind(&vb[0]), "packet {i}");
     }
     assert_eq!(a.metrics(), b.metrics());

@@ -249,7 +249,7 @@ proptest! {
             dropped: drops[0],
             ..Default::default()
         }];
-        let snap = MetricsSnapshot { slices: vec![s], wires, shard_packets: Vec::new() };
+        let snap = MetricsSnapshot { slices: vec![s], wires };
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         prop_assert_eq!(&back, &snap);
         prop_assert!(back.deterministic_eq(&snap));
