@@ -234,7 +234,7 @@ impl ControlPlane {
     /// the consolidated state — migrated-in users keep their original
     /// keys, so these are never re-derived arithmetically.
     pub fn keys_of(&self, imsi: u64) -> Option<(u32, u32)> {
-        let ctx = self.slab.resolve(*self.users.get(imsi)?)?;
+        let ctx = self.context_of(imsi)?;
         let c = ctx.ctrl_read();
         Some((c.tunnels.gw_teid, c.ue_ip))
     }
@@ -247,14 +247,13 @@ impl ControlPlane {
     fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32, count: bool) -> UeHandle {
         let t0 = std::time::Instant::now();
         self.mark_dirty(imsi);
-        let (handle, gw_teid, ue_ip) = match self.users.get(imsi).copied() {
+        let (handle, gw_teid, ue_ip) = match self.context_of(imsi) {
             // Re-attach: refresh and re-announce as active.
-            Some(handle) => {
-                let ctx = self.slab.resolve(handle).expect("indexed handle is live");
+            Some(ctx) => {
                 let mut c = ctx.ctrl_write();
                 c.ecgi = ecgi;
                 c.qos = qos;
-                (handle, c.tunnels.gw_teid, c.ue_ip)
+                (ctx.handle(), c.tunnels.gw_teid, c.ue_ip)
             }
             None => {
                 let uid = self.allocate_uid();
@@ -283,7 +282,7 @@ impl ControlPlane {
 
     fn do_handover(&mut self, imsi: u64, new_enb_teid: u32, new_enb_ip: u32, new_ecgi: u32) -> bool {
         let t0 = std::time::Instant::now();
-        match self.users.get(imsi).copied().and_then(|h| self.slab.resolve(h)) {
+        match self.context_of(imsi) {
             Some(ctx) => {
                 // The whole point: one in-place write, visible to the data
                 // thread through the shared context. No DpUpdate needed.
@@ -305,25 +304,20 @@ impl ControlPlane {
     }
 
     fn do_detach(&mut self, imsi: u64) -> bool {
-        match self.users.remove(imsi) {
-            Some(handle) => {
-                let (guti, gw_teid, ue_ip, conn) = {
-                    let ctx = self.slab.resolve(handle).expect("indexed handle is live");
-                    let c = ctx.ctrl_read();
-                    (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
-                };
-                self.by_guti.remove(guti);
-                self.unindex_s1(imsi, conn);
-                self.idle_ues.remove(&imsi);
-                self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
-                self.metrics.detaches += 1;
-                self.mark_dirty(imsi);
-                self.departed = Some(imsi);
-                self.drop_machine(imsi);
-                true
-            }
-            None => false,
-        }
+        let Some(ctx) = self.users.remove(imsi).and_then(|h| self.slab.resolve(h)) else { return false };
+        let (guti, gw_teid, ue_ip, conn) = {
+            let c = ctx.ctrl_read();
+            (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
+        };
+        self.by_guti.remove(guti);
+        self.unindex_s1(imsi, conn);
+        self.idle_ues.remove(&imsi);
+        self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
+        self.metrics.detaches += 1;
+        self.mark_dirty(imsi);
+        self.departed = Some(imsi);
+        self.drop_machine(imsi);
+        true
     }
 
     // -- S1 association index --------------------------------------------------
@@ -388,17 +382,15 @@ impl ControlPlane {
             CtrlEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
                 self.do_handover(imsi, new_enb_teid, new_enb_ip, 0)
             }
-            CtrlEvent::ModifyBearer { imsi, ambr_kbps } => {
-                match self.users.get(imsi).copied().and_then(|h| self.slab.resolve(h)) {
-                    Some(ctx) => {
-                        ctx.ctrl_write().qos.ambr_kbps = ambr_kbps;
-                        self.metrics.bearer_updates += 1;
-                        self.mark_dirty(imsi);
-                        true
-                    }
-                    None => false,
+            CtrlEvent::ModifyBearer { imsi, ambr_kbps } => match self.context_of(imsi) {
+                Some(ctx) => {
+                    ctx.ctrl_write().qos.ambr_kbps = ambr_kbps;
+                    self.metrics.bearer_updates += 1;
+                    self.mark_dirty(imsi);
+                    true
                 }
-            }
+                None => false,
+            },
             CtrlEvent::Detach { imsi } => self.do_detach(imsi),
             CtrlEvent::Release { imsi } => self.suspend_user(imsi),
         }
@@ -705,13 +697,13 @@ impl ControlPlane {
         let imsi = m.imsi;
         self.release_machine_enb(m);
         m.enb_ue_id = enb_ue_id;
-        if let Some(&handle) = self.users.get(imsi) {
+        if let Some(ctx) = self.context_of(imsi) {
             // Duplicate attach for an already-attached IMSI (the UE lost
             // our earlier accept): idempotent. Skip re-authentication and
             // re-emit the context setup with the SAME identifiers —
             // nothing is reallocated.
+            let handle = ctx.handle();
             let (guti, ue_ip, gw_teid, ambr, conn) = {
-                let ctx = self.slab.resolve(handle).expect("indexed handle is live");
                 let mut c = ctx.ctrl_write();
                 c.ecgi = ecgi;
                 (c.guti, c.ue_ip, c.tunnels.gw_teid, c.qos.ambr_kbps, ctx.s1_conn())
@@ -773,9 +765,18 @@ impl ControlPlane {
         let t0 = std::time::Instant::now();
         m.enb_ue_id = enb_ue_id;
         // Re-check: a deferred service request may outlive the user.
-        if self.by_guti.get(guti).copied() != Some(m.imsi) {
-            return vec![S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE }];
-        }
+        let ctx = match self.context_of(m.imsi) {
+            Some(ctx) if self.by_guti.get(guti).copied() == Some(m.imsi) => ctx,
+            _ => return vec![S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE }],
+        };
+        let handle = ctx.handle();
+        let (gw_teid, ue_ip) = {
+            let mut c = ctx.ctrl_write();
+            if ecgi != 0 {
+                c.ecgi = ecgi;
+            }
+            (c.tunnels.gw_teid, c.ue_ip)
+        };
         let imsi = m.imsi;
         // The UE answered a page: the paging procedure resolves here and
         // the service request takes over (its Insert wakes the data path
@@ -787,15 +788,6 @@ impl ControlPlane {
             m.state = ProcState::Idle;
         }
         self.idle_ues.remove(&imsi);
-        let handle = *self.users.get(imsi).expect("GUTI check above resolved the user");
-        let (gw_teid, ue_ip) = {
-            let ctx = self.slab.resolve(handle).expect("indexed handle is live");
-            let mut c = ctx.ctrl_write();
-            if ecgi != 0 {
-                c.ecgi = ecgi;
-            }
-            (c.tunnels.gw_teid, c.ue_ip)
-        };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         // A fresh S1 association replaces the one released at idle.
         let mme_ue_id = self.allocate_mme_ue_id();
@@ -910,23 +902,19 @@ impl ControlPlane {
                     None => vec![],
                 }
             }
-            (_, NasMsg::TrackingAreaUpdateRequest { guti, tac }) => match self.by_guti.get(guti).copied() {
-                Some(user_imsi) => {
-                    {
-                        let h = *self.users.get(user_imsi).expect("GUTI index is consistent");
-                        self.slab.resolve(h).expect("indexed handle is live").ctrl_write().tac = tac;
-                    }
-                    self.mark_dirty(user_imsi);
-                    self.metrics.proc_started += 1;
-                    self.metrics.proc_completed += 1;
-                    vec![S1apPdu::DownlinkNasTransport {
-                        enb_ue_id,
-                        mme_ue_id,
-                        nas: NasMsg::TrackingAreaUpdateAccept { tac }.encode(),
-                    }]
-                }
-                None => vec![],
-            },
+            (_, NasMsg::TrackingAreaUpdateRequest { guti, tac }) => {
+                let Some(user_imsi) = self.by_guti.get(guti).copied() else { return vec![] };
+                let Some(ctx) = self.context_of(user_imsi) else { return vec![] };
+                ctx.ctrl_write().tac = tac;
+                self.mark_dirty(user_imsi);
+                self.metrics.proc_started += 1;
+                self.metrics.proc_completed += 1;
+                vec![S1apPdu::DownlinkNasTransport {
+                    enb_ue_id,
+                    mme_ue_id,
+                    nas: NasMsg::TrackingAreaUpdateAccept { tac }.encode(),
+                }]
+            }
             // Delivered into Idle but meaningless there (stray
             // AttachComplete after completion, etc.): consumed, no-op.
             _ => vec![],
@@ -935,7 +923,7 @@ impl ControlPlane {
 
     fn step_ics_rsp(&mut self, m: &mut UeMachine, enb_teid: u32, enb_ip: u32) -> Vec<S1apPdu> {
         if let ProcState::AttachWaitIcs { imsi, mme_ue_id } = m.state {
-            if let Some(ctx) = self.users.get(imsi).copied().and_then(|h| self.slab.resolve(h)) {
+            if let Some(ctx) = self.context_of(imsi) {
                 let mut c = ctx.ctrl_write();
                 c.tunnels.enb_teid = enb_teid;
                 c.tunnels.enb_ip = enb_ip;
@@ -974,13 +962,10 @@ impl ControlPlane {
             return vec![];
         }
         let imsi = m.imsi;
-        let Some(handle) = self.users.get(imsi).copied() else { return vec![] };
-        let (gw_teid, ambr) = match self.slab.resolve(handle) {
-            Some(ctx) => {
-                let c = ctx.ctrl_read();
-                (c.tunnels.gw_teid, c.qos.ambr_kbps)
-            }
-            None => return vec![],
+        let Some(ctx) = self.context_of(imsi) else { return vec![] };
+        let (handle, gw_teid, ambr) = {
+            let c = ctx.ctrl_read();
+            (ctx.handle(), c.tunnels.gw_teid, c.qos.ambr_kbps)
         };
         self.metrics.proc_started += 1;
         m.enb_ue_id = enb_ue_id;
@@ -1031,11 +1016,7 @@ impl ControlPlane {
         if !self.idle_ues.contains(&imsi) {
             return vec![];
         }
-        let Some(handle) = self.users.get(imsi).copied() else { return vec![] };
-        let guti = match self.slab.resolve(handle) {
-            Some(ctx) => ctx.ctrl_read().guti,
-            None => return vec![],
-        };
+        let Some(guti) = self.context_of(imsi).map(|ctx| ctx.ctrl_read().guti) else { return vec![] };
         let mme_ue_id = self.allocate_mme_ue_id();
         self.by_mme_ue_id.insert(mme_ue_id, imsi);
         self.metrics.paged += 1;
@@ -1317,16 +1298,15 @@ impl ControlPlane {
     /// plane to forget the user (which also frees the slab slot — the
     /// snapshot no longer references the source arena at all).
     pub fn extract_user(&mut self, imsi: u64) -> Option<UserSnapshot> {
-        let handle = self.users.remove(imsi)?;
+        let (ctrl, counters, conn) = {
+            let ctx = self.users.remove(imsi).and_then(|h| self.slab.resolve(h))?;
+            let c = ctx.ctrl_read();
+            (c.clone(), ctx.counters(), ctx.s1_conn())
+        };
         // An in-flight procedure does not migrate: the machine is dropped
         // (accounted as aborted) and the peer retries against the new
         // owner. Only the committed ControlState moves.
         self.drop_machine(imsi);
-        let (ctrl, counters, conn) = {
-            let ctx = self.slab.resolve(handle).expect("indexed handle is live");
-            let c = ctx.ctrl_read();
-            (c.clone(), ctx.counters(), ctx.s1_conn())
-        };
         let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
         self.by_guti.remove(guti);
         self.unindex_s1(imsi, conn);

@@ -425,9 +425,12 @@ impl DataPlane {
         }
     }
 
-    /// Demote users idle past the two-level timeout. Returns demotions.
+    /// Demote users idle past the two-level timeout, as each one's counter
+    /// cell reports it (`last_activity_ns`). Returns demotions per index.
     pub fn evict_idle(&mut self, now_ns: u64) -> usize {
-        self.by_teid.evict_idle(now_ns) + self.by_ue_ip.evict_idle(now_ns)
+        let slab = &self.slab;
+        let last = |h: &UeHandle| slab.resolve(*h).map_or(0, |r| r.counters().last_activity_ns);
+        self.by_teid.evict_idle(now_ns, last) + self.by_ue_ip.evict_idle(now_ns, last)
     }
 
     /// Process one packet. `uplink` packets carry an outer GTP-U stack
@@ -764,7 +767,7 @@ impl DataPlane {
         };
         if action.gate_closed {
             self.metrics.drop_gate += 1;
-            cnt.qos_drops += 1;
+            cnt.qos_drops = cnt.qos_drops.saturating_add(1);
             cnt.last_activity_ns = now_ns;
             return Decision::Drop(DropReason::GateClosed);
         }
@@ -773,13 +776,14 @@ impl DataPlane {
         } else {
             TokenBucket::from_kbps(effective_rate(c.ambr_kbps, action.rate_kbps))
         };
-        let mut tokens = cnt.ambr_tokens;
+        let mut tokens = u64::from(cnt.ambr_tokens);
         let mut last = cnt.ambr_last_refill_ns;
         let admitted = bucket.admit(&mut tokens, &mut last, now_ns, bytes);
-        cnt.ambr_tokens = tokens;
+        // Lossless: tokens never exceed a burst, and bursts fit u32.
+        cnt.ambr_tokens = tokens as u32;
         cnt.ambr_last_refill_ns = last;
         if !admitted {
-            cnt.qos_drops += 1;
+            cnt.qos_drops = cnt.qos_drops.saturating_add(1);
             cnt.last_activity_ns = now_ns;
             self.metrics.drop_qos += 1;
             return Decision::Drop(DropReason::RateExceeded);
@@ -1085,7 +1089,7 @@ mod tests {
         }
         assert!((10..25).contains(&forwarded), "burst admitted ~15: {forwarded}");
         assert!(dropped > 0);
-        assert_eq!(counters(&dp, h).qos_drops, dropped);
+        assert_eq!(u64::from(counters(&dp, h).qos_drops), dropped);
         assert_eq!(dp.metrics().drop_qos, dropped);
     }
 
@@ -1146,6 +1150,41 @@ mod tests {
         assert_eq!(evicted, 2, "both indexes demote");
         assert_eq!(dp.primary_count(), 0);
         assert!(dp.process(uplink_packet(TEID_UL), 5001).is_forward(), "still served via secondary");
+    }
+
+    /// Uplink whose inner packet (1628 B) exceeds the 1500 B burst of an
+    /// 8 kbps bucket: always a rate drop.
+    fn oversized_uplink() -> Mbuf {
+        let mut m = inner_udp(UE_IP, 0x0808_0808, 53, 1600);
+        encap_gtpu(&mut m, ENB_IP, GW_IP, TEID_UL).unwrap();
+        m
+    }
+
+    #[test]
+    fn eviction_reads_activity_from_the_counter_cell() {
+        let two_level = TwoLevelConfig { enabled: true, idle_timeout_ns: 1000 };
+        let mut dp = DataPlane::new(GW_IP, 64, two_level, IotConfig::default());
+        let dropped_all = attach_user(&mut dp, 8);
+        attach_second_user(&mut dp); // never sends
+        assert_eq!(dp.evict_idle(1000), 0, "nobody is idle before the timeout passes");
+        assert!(matches!(dp.process(oversized_uplink(), 4500), PacketVerdict::Drop(DropReason::RateExceeded)));
+        // A rate drop still stamps activity, so only the silent user's
+        // two keys demote.
+        assert_eq!(dp.evict_idle(5000), 2);
+        assert_eq!(dp.primary_count(), 1);
+        assert_eq!(counters(&dp, dropped_all).last_activity_ns, 4500);
+    }
+
+    #[test]
+    fn qos_drops_saturate_instead_of_wrapping() {
+        let mut dp = dp();
+        let h = attach_user(&mut dp, 8);
+        dp.slab().resolve(h).unwrap().update_counters(|c| c.qos_drops = u32::MAX - 1);
+        for now in 1..=3 {
+            assert!(matches!(dp.process(oversized_uplink(), now), PacketVerdict::Drop(DropReason::RateExceeded)));
+        }
+        assert_eq!(counters(&dp, h).qos_drops, u32::MAX);
+        assert_eq!(dp.metrics().drop_qos, 3, "the plane's own counter is exact");
     }
 
     #[test]

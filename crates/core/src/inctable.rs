@@ -20,12 +20,19 @@
 //!   then `old`; reads never relocate (the per-packet path stays
 //!   read-only).
 //!
-//! Layout per bucket: 1 control byte (empty/full/tombstone), an 8-byte
-//! key, and the value, in three parallel arrays, so probing scans a
-//! dense byte array. Keys hash through the splitmix64 finalizer. The
-//! `live` array uses backward-shift deletion (no tombstones, probe chains
-//! never rot); the `old` array tombstones drained/removed buckets since
-//! it only ever shrinks.
+//! Layout: one array of buckets, each `{ tag: u64, val: V }` — 16 B for
+//! the 8-byte handles and ids every table in the tree stores, so four
+//! buckets share a cache line and a probe usually reads exactly one line.
+//! The tag is the key's complement: tag 0 means empty (a zeroed
+//! allocation is an all-empty array, no write pass) and tag 1 a
+//! tombstone. Keys hash through the splitmix64 finalizer. The `live`
+//! array uses backward-shift deletion (no tombstones, probe chains never
+//! rot); the `old` array tombstones drained/removed buckets since it only
+//! ever shrinks.
+//!
+//! **Reserved keys:** `u64::MAX` and `u64::MAX − 1` (the complements of
+//! the two marker tags) can never be stored; lookups of them miss.
+//! Callers that index outside input check [`is_reserved_key`] first.
 //!
 //! Not internally synchronized: like [`crate::twolevel::TwoLevelTable`]
 //! (which this backs) it belongs to exactly one thread.
@@ -51,9 +58,35 @@ const MIGRATE_STEP: usize = 512;
 /// Smallest capacity the table shrinks to.
 const MIN_CAP: usize = 16;
 
-const EMPTY: u8 = 0;
-const FULL: u8 = 1;
-const TOMB: u8 = 2;
+/// Tag of a never-used bucket (the complement of `u64::MAX`).
+const EMPTY: u64 = 0;
+/// Tag of a drained/removed bucket in the `old` array (the complement
+/// of `u64::MAX − 1`).
+const TOMB: u64 = 1;
+
+/// Whether `key` is one of the two keys the bucket encoding reserves
+/// (`u64::MAX`, `u64::MAX − 1`): such a key can never be stored.
+pub fn is_reserved_key(key: u64) -> bool {
+    !key <= TOMB
+}
+
+/// One slot: the key's complement and the value, side by side so a
+/// probe's key compare and the value read share a line.
+struct Bucket<V> {
+    tag: u64,
+    val: MaybeUninit<V>,
+}
+
+// The tables of the data path store 8-byte slab handles: four buckets
+// to a cache line.
+const _: () = assert!(std::mem::size_of::<Bucket<crate::slab::UeHandle>>() == 16);
+
+impl<V> Bucket<V> {
+    #[inline]
+    fn full(&self) -> bool {
+        self.tag > TOMB
+    }
+}
 
 /// A bucket location from [`IncrementalTable::locate`]; valid until the
 /// next mutating call.
@@ -64,9 +97,7 @@ pub struct Loc {
 }
 
 struct RawTable<V> {
-    ctrl: Box<[u8]>,
-    keys: Box<[u64]>,
-    vals: Box<[MaybeUninit<V>]>,
+    buckets: Box<[Bucket<V>]>,
     len: usize,
     mask: usize,
 }
@@ -74,17 +105,14 @@ struct RawTable<V> {
 impl<V> RawTable<V> {
     fn with_capacity(cap: usize) -> Self {
         debug_assert!(cap.is_power_of_two() && cap >= MIN_CAP);
-        RawTable {
-            ctrl: vec![EMPTY; cap].into_boxed_slice(),
-            keys: vec![0u64; cap].into_boxed_slice(),
-            vals: (0..cap).map(|_| MaybeUninit::uninit()).collect(),
-            len: 0,
-            mask: cap - 1,
-        }
+        // SAFETY: an all-zero bucket is valid — tag 0 (`EMPTY`) and an
+        // uninitialized value — so the zeroed slice is an empty array.
+        let buckets = unsafe { Box::<[Bucket<V>]>::new_zeroed_slice(cap).assume_init() };
+        RawTable { buckets, len: 0, mask: cap - 1 }
     }
 
     fn capacity(&self) -> usize {
-        self.ctrl.len()
+        self.buckets.len()
     }
 
     #[inline]
@@ -94,17 +122,18 @@ impl<V> RawTable<V> {
 
     /// Probe for `key`: skips tombstones, stops at the first empty
     /// bucket. Works for both the tombstone-free `live` array and the
-    /// tombstoned `old` array.
+    /// tombstoned `old` array; a reserved key never matches a marker.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
-        if self.len == 0 {
+        let tag = !key;
+        if self.len == 0 || tag <= TOMB {
             return None;
         }
         let mut i = self.ideal(key);
         loop {
-            match self.ctrl[i] {
+            match self.buckets[i].tag {
                 EMPTY => return None,
-                FULL if self.keys[i] == key => return Some(i),
+                t if t == tag => return Some(i),
                 _ => i = (i + 1) & self.mask,
             }
         }
@@ -113,22 +142,18 @@ impl<V> RawTable<V> {
     /// Insert into a tombstone-free array (`live` only). Returns the
     /// previous value if the key was present.
     fn insert(&mut self, key: u64, val: V) -> Option<V> {
+        let tag = !key;
         let mut i = self.ideal(key);
         loop {
-            match self.ctrl[i] {
+            let b = &mut self.buckets[i];
+            match b.tag {
                 EMPTY => {
-                    self.ctrl[i] = FULL;
-                    self.keys[i] = key;
-                    self.vals[i].write(val);
+                    *b = Bucket { tag, val: MaybeUninit::new(val) };
                     self.len += 1;
                     return None;
                 }
-                FULL if self.keys[i] == key => {
-                    // SAFETY: FULL buckets hold initialized values.
-                    let prev = unsafe { self.vals[i].assume_init_read() };
-                    self.vals[i].write(val);
-                    return Some(prev);
-                }
+                // SAFETY: a bucket tagged with a key holds its value.
+                t if t == tag => return Some(std::mem::replace(unsafe { b.val.assume_init_mut() }, val)),
                 _ => i = (i + 1) & self.mask,
             }
         }
@@ -138,28 +163,27 @@ impl<V> RawTable<V> {
     /// only — keeps the array tombstone-free so probe chains never rot).
     fn remove_shift(&mut self, key: u64) -> Option<V> {
         let mut hole = self.find(key)?;
-        // SAFETY: `find` only returns FULL buckets.
-        let out = unsafe { self.vals[hole].assume_init_read() };
+        // SAFETY: `find` only returns full buckets.
+        let out = unsafe { self.buckets[hole].val.assume_init_read() };
         let mask = self.mask;
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
-            if self.ctrl[j] != FULL {
+            if !self.buckets[j].full() {
                 break;
             }
             // An element may fill the hole iff its ideal bucket is not
             // in the (cyclic) gap between the hole and it — the standard
             // Robin-Hood/backward-shift condition.
-            let ideal = self.ideal(self.keys[j]);
+            let ideal = self.ideal(!self.buckets[j].tag);
             if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.keys[hole] = self.keys[j];
-                // SAFETY: relocating an initialized value bitwise; the
-                // source bucket is overwritten or emptied below.
-                self.vals[hole] = unsafe { std::ptr::read(&self.vals[j]) };
+                // SAFETY: relocating a bucket bitwise; the source is
+                // overwritten or emptied below, and `Bucket` has no drop.
+                self.buckets[hole] = unsafe { std::ptr::read(&self.buckets[j]) };
                 hole = j;
             }
         }
-        self.ctrl[hole] = EMPTY;
+        self.buckets[hole].tag = EMPTY;
         self.len -= 1;
         Some(out)
     }
@@ -167,31 +191,29 @@ impl<V> RawTable<V> {
     /// Remove by tombstoning (`old` only — it is drain-only, so rotting
     /// chains cost nothing: the array dies as soon as the scan finishes).
     fn remove_tomb(&mut self, key: u64) -> Option<V> {
-        let i = self.find(key)?;
-        self.ctrl[i] = TOMB;
-        self.len -= 1;
-        // SAFETY: `find` only returns FULL buckets.
-        Some(unsafe { self.vals[i].assume_init_read() })
+        self.take_at(self.find(key)?).map(|(_, v)| v)
     }
 
-    /// Take the contents of FULL bucket `i` (migration drain).
-    fn take_at(&mut self, i: usize) -> (u64, V) {
-        debug_assert_eq!(self.ctrl[i], FULL);
-        self.ctrl[i] = TOMB;
+    /// Take the contents of bucket `i` if it is full, tombstoning it
+    /// (migration drain and `old`-array removal).
+    fn take_at(&mut self, i: usize) -> Option<(u64, V)> {
+        let b = &mut self.buckets[i];
+        if !b.full() {
+            return None;
+        }
+        let key = !std::mem::replace(&mut b.tag, TOMB);
         self.len -= 1;
-        // SAFETY: asserted FULL above.
-        (self.keys[i], unsafe { self.vals[i].assume_init_read() })
+        // SAFETY: the bucket was full, and its tag now marks it taken.
+        Some((key, unsafe { b.val.assume_init_read() }))
     }
 }
 
 impl<V> Drop for RawTable<V> {
     fn drop(&mut self) {
         if std::mem::needs_drop::<V>() {
-            for i in 0..self.ctrl.len() {
-                if self.ctrl[i] == FULL {
-                    // SAFETY: FULL buckets hold initialized values.
-                    unsafe { self.vals[i].assume_init_drop() };
-                }
+            for b in self.buckets.iter_mut().filter(|b| b.full()) {
+                // SAFETY: full buckets hold initialized values.
+                unsafe { b.val.assume_init_drop() };
             }
         }
     }
@@ -237,10 +259,9 @@ impl<V> IncrementalTable<V> {
         self.live.capacity() + self.old.as_ref().map_or(0, RawTable::capacity)
     }
 
-    /// Resident bytes: ctrl byte + key + value per bucket, both arrays.
+    /// Resident bytes: one bucket per slot, both arrays.
     pub fn bytes(&self) -> u64 {
-        let per = |t: &RawTable<V>| (t.capacity() * (1 + 8 + std::mem::size_of::<V>())) as u64;
-        per(&self.live) + self.old.as_ref().map_or(0, per)
+        (self.capacity() * std::mem::size_of::<Bucket<V>>()) as u64
     }
 
     /// Whether an incremental migration is in progress.
@@ -259,46 +280,30 @@ impl<V> IncrementalTable<V> {
         Some(Loc { in_old: true, idx: i })
     }
 
-    /// Hint the three lines (`ctrl`, `keys`, `vals`) a probe for `key`
+    /// Hint the one line (key tag and value together) a probe for `key`
     /// starts on in the live array. Pure address arithmetic: no load, no
     /// side effect. A key still in the draining array is not covered.
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        let t = &self.live;
-        let i = t.ideal(key);
-        crate::prefetch_line(t.ctrl.as_ptr().wrapping_add(i));
-        crate::prefetch_line(t.keys.as_ptr().wrapping_add(i));
-        crate::prefetch_line(t.vals.as_ptr().wrapping_add(i));
+        crate::prefetch_line(self.live.buckets.as_ptr().wrapping_add(self.live.ideal(key)));
     }
 
-    /// Read the value at a [`Loc`] from [`Self::locate`].
+    /// Read the value at a [`Loc`] from [`Self::locate`] (`None` if a
+    /// mutation since left it on an empty or taken bucket).
     #[inline]
-    pub fn at(&self, loc: Loc) -> &V {
-        let t = if loc.in_old { self.old.as_ref().unwrap() } else { &self.live };
-        debug_assert_eq!(t.ctrl[loc.idx], FULL);
-        // SAFETY: locate only returns FULL buckets, and Loc is
-        // invalidated by mutation per its contract.
-        unsafe { t.vals[loc.idx].assume_init_ref() }
-    }
-
-    /// Mutable access at a [`Loc`] from [`Self::locate`].
-    #[inline]
-    pub fn at_mut(&mut self, loc: Loc) -> &mut V {
-        let t = if loc.in_old { self.old.as_mut().unwrap() } else { &mut self.live };
-        debug_assert_eq!(t.ctrl[loc.idx], FULL);
-        // SAFETY: as in `at`.
-        unsafe { t.vals[loc.idx].assume_init_mut() }
+    pub fn at(&self, loc: Loc) -> Option<&V> {
+        let t = match &self.old {
+            Some(old) if loc.in_old => old,
+            _ => &self.live,
+        };
+        let b = &t.buckets[loc.idx];
+        // SAFETY: a full bucket always holds an initialized value.
+        b.full().then(|| unsafe { b.val.assume_init_ref() })
     }
 
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
-        self.locate(key).map(|l| self.at(l))
-    }
-
-    #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        let loc = self.locate(key)?;
-        Some(self.at_mut(loc))
+        self.locate(key).and_then(|l| self.at(l))
     }
 
     #[inline]
@@ -310,6 +315,7 @@ impl<V> IncrementalTable<V> {
     /// performs one bounded migration step and, if the load threshold is
     /// crossed, *begins* a grow — never a full rehash.
     pub fn insert(&mut self, key: u64, val: V) -> Option<V> {
+        debug_assert!(!is_reserved_key(key), "reserved key {key:#x}");
         // The key may still sit in the draining array; evict it first so
         // it never exists in both.
         let displaced = self.old.as_mut().and_then(|o| o.remove_tomb(key));
@@ -350,11 +356,8 @@ impl<V> IncrementalTable<V> {
     /// Iterate all entries (live array first, then the draining one).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         fn walk<V>(t: &RawTable<V>) -> Vec<(u64, &V)> {
-            // SAFETY: FULL buckets hold initialized values.
-            (0..t.capacity())
-                .filter(|&i| t.ctrl[i] == FULL)
-                .map(|i| (t.keys[i], unsafe { t.vals[i].assume_init_ref() }))
-                .collect()
+            // SAFETY: full buckets hold initialized values.
+            t.buckets.iter().filter(|b| b.full()).map(|b| (!b.tag, unsafe { b.val.assume_init_ref() })).collect()
         }
         walk(&self.live).into_iter().chain(self.old.as_ref().map(walk).unwrap_or_default())
     }
@@ -384,8 +387,7 @@ impl<V> IncrementalTable<V> {
         let cap = old.capacity();
         let mut budget = MIGRATE_STEP;
         while self.scan < cap && budget > 0 {
-            if old.ctrl[self.scan] == FULL {
-                let (k, v) = old.take_at(self.scan);
+            if let Some((k, v)) = old.take_at(self.scan) {
                 let clash = self.live.insert(k, v);
                 debug_assert!(clash.is_none(), "key live in both arrays");
             }
@@ -509,11 +511,31 @@ mod tests {
         for i in 0..k {
             let loc = t.locate(i).unwrap();
             seen_old |= loc.in_old;
-            assert_eq!(*t.at(loc), i + 100);
-            *t.at_mut(loc) += 1;
-            assert_eq!(t.get(i), Some(&(i + 101)));
+            assert_eq!(t.at(loc), Some(&(i + 100)));
         }
         assert!(seen_old, "drain still had entries to exercise the old-array path");
+    }
+
+    #[test]
+    fn reserved_keys_never_match_a_marker_bucket() {
+        // A draining array: every bucket tombstoned (tag 1) but one full
+        // and one empty (tag 0). The two keys whose complements those
+        // tags are must miss, not return a marker bucket.
+        let mut t = RawTable::with_capacity(MIN_CAP);
+        for k in 0..MIN_CAP as u64 - 1 {
+            t.insert(k, k);
+        }
+        let probe = t.ideal(u64::MAX - 1);
+        let keep = (0..MIN_CAP).find(|&i| i != probe && t.buckets[i].full()).unwrap();
+        for i in (0..MIN_CAP).filter(|&i| i != keep) {
+            t.take_at(i);
+        }
+        assert_eq!(t.buckets[probe].tag, TOMB, "the probe starts on a tombstone");
+        for key in [u64::MAX, u64::MAX - 1] {
+            assert!(is_reserved_key(key));
+            assert_eq!(t.find(key), None);
+        }
+        assert!(!is_reserved_key(u64::MAX - 2));
     }
 
     #[test]
@@ -561,11 +583,14 @@ mod tests {
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
-            // Small key space so inserts/removes/gets collide often.
+            // Small key space so inserts/removes/gets collide often, plus
+            // the two largest storable keys (their tags sit just above the
+            // marker tags).
+            let key = || prop_oneof![0u64..64, (u64::MAX - 3)..(u64::MAX - 1)];
             prop_oneof![
-                (0u64..64, any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-                (0u64..64).prop_map(Op::Remove),
-                (0u64..64).prop_map(Op::Get),
+                (key(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+                key().prop_map(Op::Remove),
+                key().prop_map(Op::Get),
                 Just(Op::Maintain),
             ]
         }

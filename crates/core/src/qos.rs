@@ -11,11 +11,13 @@
 ///
 /// Stateless functions over `(tokens, last_refill_ns)` pairs so callers
 /// can keep the two words wherever the ownership discipline wants them.
+/// The burst is clamped to `u32::MAX` bytes so token counts fit the
+/// counter cell's `u32` (only rates above ≈ 343 Gbit/s are affected).
 #[derive(Debug, Clone, Copy)]
 pub struct TokenBucket {
     /// Refill rate in tokens (bytes) per second.
     rate_bytes_per_sec: u64,
-    /// Bucket depth: maximum burst, bytes.
+    /// Bucket depth: maximum burst, bytes (at most `u32::MAX`).
     burst_bytes: u64,
 }
 
@@ -24,12 +26,12 @@ impl TokenBucket {
     /// traffic (at least one MTU so single packets always fit).
     pub fn from_kbps(rate_kbps: u32) -> Self {
         let rate_bytes_per_sec = u64::from(rate_kbps) * 1000 / 8;
-        TokenBucket { rate_bytes_per_sec, burst_bytes: (rate_bytes_per_sec / 10).max(1500) }
+        Self::new(rate_bytes_per_sec, (rate_bytes_per_sec / 10).max(1500))
     }
 
-    /// An explicitly-sized bucket.
+    /// An explicitly-sized bucket (burst clamped to `1..=u32::MAX`).
     pub fn new(rate_bytes_per_sec: u64, burst_bytes: u64) -> Self {
-        TokenBucket { rate_bytes_per_sec, burst_bytes: burst_bytes.max(1) }
+        TokenBucket { rate_bytes_per_sec, burst_bytes: burst_bytes.clamp(1, u64::from(u32::MAX)) }
     }
 
     /// The burst capacity, bytes — also the correct initial token count.
@@ -51,13 +53,15 @@ impl TokenBucket {
             *last_refill_ns = now_ns.max(1);
             *tokens = self.burst_bytes;
         } else {
-            let elapsed = now_ns.saturating_sub(*last_refill_ns);
-            let refill = (elapsed as u128 * self.rate_bytes_per_sec as u128 / 1_000_000_000) as u64;
+            // u128: at high rates a long gap's refill × 10^9 overflows u64.
+            let elapsed = u128::from(now_ns.saturating_sub(*last_refill_ns));
+            let rate = u128::from(self.rate_bytes_per_sec);
+            let refill = elapsed * rate / 1_000_000_000;
             if refill > 0 {
-                *tokens = (*tokens + refill).min(self.burst_bytes);
+                *tokens = (u128::from(*tokens) + refill).min(u128::from(self.burst_bytes)) as u64;
                 // Only advance the stamp by the time actually converted to
-                // tokens, so sub-token intervals accumulate.
-                *last_refill_ns += refill * 1_000_000_000 / self.rate_bytes_per_sec;
+                // tokens (≤ `elapsed`), so sub-token intervals accumulate.
+                *last_refill_ns += (refill * 1_000_000_000 / rate) as u64;
             }
         }
         if *tokens >= bytes {
@@ -139,6 +143,23 @@ mod tests {
         assert_eq!(b.burst(), 1500, "single full-size packets must be admissible");
         let (mut tok, mut ts) = fresh(&b);
         assert!(b.admit(&mut tok, &mut ts, 1, 1500));
+    }
+
+    #[test]
+    fn max_rate_bucket_clamps_its_burst_and_never_overflows() {
+        // u32::MAX kbps ≈ 537 GB/s: the 100 ms burst would be ≈ 54 GB.
+        let b = TokenBucket::from_kbps(u32::MAX);
+        assert_eq!(b.burst(), u64::from(u32::MAX));
+        assert_eq!(TokenBucket::new(1, u64::MAX).burst(), u64::from(u32::MAX));
+        let (mut tok, mut ts) = (0u64, 0u64);
+        assert!(b.admit(&mut tok, &mut ts, 1, 1500));
+        // Drain the bucket, then idle for an hour: the refill is far
+        // beyond u64 once scaled by 10^9, and still lands on the cap.
+        let full = tok;
+        assert!(b.admit(&mut tok, &mut ts, 1, full));
+        assert!(b.admit(&mut tok, &mut ts, 1 + 3600 * SEC, u64::from(u32::MAX)));
+        assert_eq!(tok, 0);
+        assert!(ts <= 1 + 3600 * SEC);
     }
 
     #[test]

@@ -30,6 +30,14 @@ pub struct UserRecord {
     pub counters: CounterState,
 }
 
+impl UserRecord {
+    /// Whether the free-form IMSI or GUTI is a key the state tables
+    /// cannot store ([`crate::inctable::is_reserved_key`]): malformed.
+    pub fn has_reserved_key(&self) -> bool {
+        [self.ctrl.imsi, self.ctrl.guti].into_iter().any(crate::inctable::is_reserved_key)
+    }
+}
+
 /// A whole slice's user population.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SliceCheckpoint {
@@ -110,13 +118,16 @@ pub fn parse(bytes: &[u8]) -> Result<SliceCheckpoint, RecoveryError> {
 /// how many users were restored. Data-plane membership updates are queued
 /// exactly as attaches would queue them.
 ///
-/// All validation — parse errors and intra-checkpoint duplicate IMSIs —
-/// happens before the first record is applied, so a rejected checkpoint
-/// never partially applies.
+/// All validation — parse errors, reserved IMSIs/GUTIs and
+/// intra-checkpoint duplicate IMSIs — happens before the first record is
+/// applied, so a rejected checkpoint never partially applies.
 pub fn restore(cp: &mut ControlPlane, bytes: &[u8]) -> Result<usize, RecoveryError> {
     let parsed = parse(bytes)?;
     let mut seen = std::collections::HashSet::with_capacity(parsed.users.len());
     for rec in &parsed.users {
+        if rec.has_reserved_key() {
+            return Err(RecoveryError::Malformed("reserved imsi or guti".into()));
+        }
         if !seen.insert(rec.ctrl.imsi) {
             return Err(RecoveryError::DuplicateImsi(rec.ctrl.imsi));
         }

@@ -36,8 +36,8 @@ use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-/// Slots per chunk. 4096 contexts × 5 cache lines (320 B) each, plus
-/// their generations, ≈ 1.3 MiB per chunk — large enough to amortize
+/// Slots per chunk. 4096 contexts × 4 cache lines (256 B) each, plus
+/// their generations, ≈ 1 MiB per chunk — large enough to amortize
 /// allocation, small enough that a lightly-used slice doesn't strand
 /// much memory.
 pub const CHUNK_SLOTS: usize = 4096;
@@ -59,7 +59,7 @@ struct Chunk {
     slots: [UeContext; CHUNK_SLOTS],
 }
 
-/// Heap-allocate and fully initialize a chunk. `Chunk` is ≈ 1.3 MiB —
+/// Heap-allocate and fully initialize a chunk. `Chunk` is ≈ 1 MiB —
 /// far too large to construct on the stack and `Box` — so it is built
 /// in place.
 fn new_chunk() -> *mut Chunk {

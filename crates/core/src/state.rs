@@ -151,26 +151,30 @@ pub mod smallrules {
 ///
 /// `Copy`, all-integer, no padding surprises: it travels through a
 /// [`SeqCell`], whose readers may materialize torn copies before
-/// discarding them (see [`crate::seqlock`] module docs).
+/// discarding them (see [`crate::seqlock`] module docs). 56 bytes, the
+/// two `u32`s adjacent, so the cell (sequence + payload) is one line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(C)]
 pub struct CounterState {
     pub uplink_packets: u64,
     pub uplink_bytes: u64,
     pub downlink_packets: u64,
     pub downlink_bytes: u64,
-    /// Packets dropped by rate enforcement.
-    pub qos_drops: u64,
-    /// Last data activity, nanoseconds on the slice clock — read by the
-    /// control thread to drive primary-table eviction (§4.2 two-level).
-    pub last_activity_ns: u64,
+    /// Packets dropped by rate or gate enforcement (saturating).
+    pub qos_drops: u32,
     /// AMBR token bucket state (owned by the data thread; kept here so a
-    /// migration carries rate-limiter fill level with the user).
-    pub ambr_tokens: u64,
+    /// migration carries rate-limiter fill level with the user). At most
+    /// a burst, which [`crate::qos::TokenBucket`] clamps to `u32::MAX`.
+    pub ambr_tokens: u32,
+    /// Last data activity, nanoseconds on the slice clock — drives
+    /// primary-table eviction ([`crate::data::DataPlane::evict_idle`]).
+    pub last_activity_ns: u64,
     pub ambr_last_refill_ns: u64,
 }
 
-// SAFETY: eight `u64` fields — Copy, any bit pattern valid, no padding,
-// size 64 (multiple of 8), alignment 8.
+const _: () = assert!(std::mem::size_of::<CounterState>() == 56);
+// SAFETY: six `u64` and two adjacent `u32` fields in `repr(C)` order —
+// Copy, any bit pattern valid, no padding (size asserted), alignment 8.
 unsafe impl crate::seqlock::SeqPayload for CounterState {}
 
 /// A point-in-time copy of a user's counters, safe to hand to the control
@@ -192,7 +196,7 @@ impl CounterState {
             uplink_bytes: self.uplink_bytes,
             downlink_packets: self.downlink_packets,
             downlink_bytes: self.downlink_bytes,
-            qos_drops: self.qos_drops,
+            qos_drops: u64::from(self.qos_drops),
             last_activity_ns: self.last_activity_ns,
         }
     }
@@ -322,15 +326,16 @@ const _: () = {
     assert!(std::mem::align_of::<SeqCell<CtrlView>>() == 64);
     assert!(std::mem::align_of::<SeqCell<CounterState>>() == 64);
     assert!(std::mem::align_of::<UeContext>() == 64);
-    // The view (8-byte seq + projection) must stay within one line so a
-    // data-path read touches a single cache line.
+    // Each cell (8-byte seq + payload) stays within one line, so a
+    // data-path read or publish touches a single cache line.
     assert!(std::mem::size_of::<SeqCell<CtrlView>>() == 64);
+    assert!(std::mem::size_of::<SeqCell<CounterState>>() == 64);
     let view_off = std::mem::offset_of!(UeContext, view);
     let cnt_off = std::mem::offset_of!(UeContext, counters);
     assert!(view_off % 64 == 0);
     assert!(cnt_off % 64 == 0);
     assert!(cnt_off - view_off >= 64);
-    assert!(std::mem::size_of::<UeContext>() == 320);
+    assert!(std::mem::size_of::<UeContext>() == 256);
 };
 
 /// A UE's current S1 association: the id pair its signaling is indexed
@@ -405,18 +410,15 @@ impl UeContext {
         self.ctrl_view_with_retries().0
     }
 
-    /// Hint the CPU to pull the lines the enforcement pass reads: the view
-    /// cell's one line and the counter cell's two (8-byte sequence +
-    /// 64-byte payload = 72 B, so the payload's last word spills onto a
-    /// second line). The burst path's probe stage calls this (through
+    /// Hint the CPU to pull the two lines the enforcement pass reads: the
+    /// view cell's and the counter cell's (each one line). The burst
+    /// path's probe stage calls this (through
     /// [`crate::slab::UeSlab::prefetch`]) so a burst's cell misses
     /// overlap instead of being paid serially.
     #[inline]
     pub fn prefetch_cells(&self) {
         crate::prefetch_line(&self.view);
-        let counters = std::ptr::from_ref(&self.counters).cast::<u8>();
-        crate::prefetch_line(counters);
-        crate::prefetch_line(counters.wrapping_add(64));
+        crate::prefetch_line(&self.counters);
     }
 
     /// [`Self::ctrl_view`] plus the retry count (stress-test

@@ -80,11 +80,6 @@ impl Hasher for KeyHasher {
 /// `BuildHasher` plugging [`KeyHasher`] into the std `HashMap`.
 pub type BuildKeyHasher = BuildHasherDefault<KeyHasher>;
 
-struct Entry<V> {
-    value: V,
-    last_touch_ns: u64,
-}
-
 /// Counters describing table churn, used by the Figure 14 harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwoLevelStats {
@@ -96,8 +91,12 @@ pub struct TwoLevelStats {
 
 /// A primary/secondary keyed table (keys are TEIDs or UE IPs widened to
 /// `u64`).
+///
+/// The table keeps no activity stamps: a primary hit reads one bucket
+/// and writes nothing. Idleness is the value owner's to report (the data
+/// plane reads each user's counter cell) through [`Self::evict_idle`].
 pub struct TwoLevelTable<V> {
-    primary: IncrementalTable<Entry<V>>,
+    primary: IncrementalTable<V>,
     secondary: IncrementalTable<V>,
     /// When false, the table degenerates to a single flat table (the
     /// baseline of Figure 14): everything lives in `primary` and nothing
@@ -131,15 +130,12 @@ impl<V> TwoLevelTable<V> {
         }
     }
 
-    /// True when running in two-level mode.
-    pub fn is_two_level(&self) -> bool {
-        self.enabled
-    }
-
     /// Insert an *active* user (fresh attach): goes to the primary table.
-    pub fn insert_active(&mut self, key: u64, value: V, now_ns: u64) {
+    /// The clock argument is unused (activity lives with the value's
+    /// owner), as in [`Self::get`].
+    pub fn insert_active(&mut self, key: u64, value: V, _now_ns: u64) {
         self.secondary.remove(key);
-        self.primary.insert(key, Entry { value, last_touch_ns: now_ns });
+        self.primary.insert(key, value);
     }
 
     /// Insert an *idle* user directly into the secondary table (bulk
@@ -150,37 +146,37 @@ impl<V> TwoLevelTable<V> {
             self.primary.remove(key);
             self.secondary.insert(key, value);
         } else {
-            self.primary.insert(key, Entry { value, last_touch_ns: 0 });
+            self.primary.insert(key, value);
         }
     }
 
-    /// Data-path lookup: primary hit refreshes the activity stamp; a
-    /// primary miss consults the secondary table and promotes.
+    /// Data-path lookup: a primary hit is one probe that writes nothing;
+    /// a primary miss consults the secondary table and promotes. The
+    /// clock argument is unused: the packet that follows a hit stamps its
+    /// user's activity in the counter cell.
     #[inline]
-    pub fn get(&mut self, key: u64, now_ns: u64) -> Option<&V> {
-        // The hit path is a single probe: `locate` returns a borrow-free
-        // bucket address, reused for the stamp refresh and the return.
+    pub fn get(&mut self, key: u64, _now_ns: u64) -> Option<&V> {
+        // `locate` returns a borrow-free bucket address, so the miss path
+        // below may still mutate the tables.
         if let Some(loc) = self.primary.locate(key) {
             self.stats.primary_hits += 1;
-            let e = self.primary.at_mut(loc);
-            e.last_touch_ns = now_ns;
-            return Some(&e.value);
+            return self.primary.at(loc);
         }
         if self.enabled {
             if let Some(v) = self.secondary.remove(key) {
                 self.stats.promotions += 1;
-                self.primary.insert(key, Entry { value: v, last_touch_ns: now_ns });
-                return self.primary.get(key).map(|e| &e.value);
+                self.primary.insert(key, v);
+                return self.primary.get(key);
             }
         }
         self.stats.misses += 1;
         None
     }
 
-    /// Hint the primary-table lines the upcoming [`Self::get`] of `key`
+    /// Hint the primary-table line the upcoming [`Self::get`] of `key`
     /// probes first (stage 2a of the burst lookup). No load, no promotion,
-    /// no activity refresh, no stats; a key held by the secondary table
-    /// or a draining array simply gets no help.
+    /// no stats; a key held by the secondary table or a draining array
+    /// simply gets no help.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         self.primary.prefetch(key);
@@ -188,10 +184,7 @@ impl<V> TwoLevelTable<V> {
 
     /// Remove a user entirely (detach / migration). Returns the value.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        if let Some(e) = self.primary.remove(key) {
-            return Some(e.value);
-        }
-        self.secondary.remove(key)
+        self.primary.remove(key).or_else(|| self.secondary.remove(key))
     }
 
     /// Demote one user to the secondary table regardless of activity.
@@ -201,24 +194,24 @@ impl<V> TwoLevelTable<V> {
             return false;
         }
         match self.primary.remove(key) {
-            Some(e) => {
+            Some(v) => {
                 self.stats.demotions += 1;
-                self.secondary.insert(key, e.value);
+                self.secondary.insert(key, v);
                 true
             }
             None => false,
         }
     }
 
-    /// Demote every user idle since before `now_ns - idle_timeout`;
-    /// returns how many moved. The slice control loop calls this
-    /// periodically.
-    pub fn evict_idle(&mut self, now_ns: u64) -> usize {
+    /// Demote every primary user whose last activity, as
+    /// `last_active_ns` reports it for the value, lies before
+    /// `now_ns - idle_timeout`; returns how many moved.
+    pub fn evict_idle(&mut self, now_ns: u64, mut last_active_ns: impl FnMut(&V) -> u64) -> usize {
         if !self.enabled {
             return 0;
         }
         let cutoff = now_ns.saturating_sub(self.idle_timeout_ns);
-        let idle: Vec<u64> = self.primary.iter().filter(|(_, e)| e.last_touch_ns < cutoff).map(|(k, _)| k).collect();
+        let idle: Vec<u64> = self.primary.iter().filter(|(_, v)| last_active_ns(v) < cutoff).map(|(k, _)| k).collect();
         let n = idle.len();
         for k in idle {
             self.demote(k);
@@ -256,11 +249,6 @@ impl<V> TwoLevelTable<V> {
     /// True when the table holds no users.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total bucket count across both levels (capacity audit).
-    pub fn capacity(&self) -> usize {
-        self.primary.capacity() + self.secondary.capacity()
     }
 
     /// Resident bytes across both levels (memory gauge).
@@ -327,12 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_eviction_respects_timeout_and_activity() {
+    fn idle_eviction_reads_activity_from_the_owner() {
         let mut t = TwoLevelTable::new(100, 1000);
         t.insert_active(1, "busy", 0);
         t.insert_active(2, "idle", 0);
-        t.get(1, 1500); // refresh user 1
-        let evicted = t.evict_idle(2000); // cutoff = 1000
+        // The owner reports user 1 active at 1500, user 2 never.
+        let evicted = t.evict_idle(2000, |v| if *v == "busy" { 1500 } else { 0 }); // cutoff = 1000
         assert_eq!(evicted, 1);
         assert_eq!(t.primary_len(), 1);
         assert_eq!(t.secondary_len(), 1);
@@ -364,11 +352,10 @@ mod tests {
     #[test]
     fn single_table_mode_never_demotes() {
         let mut t = TwoLevelTable::new_single(100);
-        assert!(!t.is_two_level());
         t.insert_idle(1, "x"); // flat mode: still the one table
         assert_eq!(t.primary_len(), 1);
         assert_eq!(t.get(1, 0), Some(&"x"));
-        assert_eq!(t.evict_idle(u64::MAX), 0);
+        assert_eq!(t.evict_idle(u64::MAX, |_| 0), 0);
         assert!(!t.demote(1));
         assert_eq!(t.primary_len(), 1);
     }
@@ -391,18 +378,16 @@ mod tests {
         for k in 0..N {
             t.insert_active(k, k, 0);
         }
-        let peak = t.capacity();
-        let peak_bytes = t.bytes();
+        let peak = t.bytes();
         for k in 0..(N * 9 / 10) {
             assert_eq!(t.remove(k), Some(k));
         }
-        for _ in 0..2 * peak {
-            t.maintain();
+        for _ in 0..peak / 8 {
+            t.maintain(); // twice the peak bucket count (16 B each)
         }
         // The occupied level shrinks to ≤ peak/4; allow the (empty,
         // minimum-size) other level's few dozen buckets on top.
-        assert!(t.capacity() <= peak / 4 + 64, "capacity {} stuck near peak {peak} after mass detach", t.capacity());
-        assert!(t.bytes() <= peak_bytes / 4 + 64 * 32);
+        assert!(t.bytes() <= peak / 4 + 64 * 16, "{} bytes stuck near peak {peak} after mass detach", t.bytes());
         for k in (N * 9 / 10)..N {
             assert_eq!(t.get(k, 1), Some(&k), "survivor {k} lost in shrink");
         }
@@ -411,11 +396,13 @@ mod tests {
     #[test]
     fn no_user_lost_under_random_churn() {
         // Property-style check: arbitrary interleavings of promote /
-        // demote / evict never lose a user.
+        // demote / evict never lose a user. Activity is the step at which
+        // a user was last looked up.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let mut t = TwoLevelTable::new(1000, 50);
         const N: u64 = 500;
+        let mut active = [0u64; N as usize];
         for k in 0..N {
             if k % 2 == 0 {
                 t.insert_active(k, k, 0);
@@ -428,30 +415,32 @@ mod tests {
             match rng.gen_range(0..3) {
                 0 => {
                     assert_eq!(t.get(k, step), Some(&k), "user {k} lost at step {step}");
+                    active[k as usize] = step;
                 }
                 1 => {
                     t.demote(k);
                 }
                 _ => {
-                    t.evict_idle(step);
+                    t.evict_idle(step, |&v| active[v as usize]);
                 }
             }
             assert_eq!(t.len(), N as usize);
         }
     }
 
-    // Differential property: the incrementally-resizing table must be
-    // observationally identical to the pre-refactor std-HashMap backing
-    // under arbitrary insert/remove/promote/demote/touch sequences.
+    // Differential property: the incrementally-resizing, stamp-free table
+    // must be observationally identical to a std-HashMap model under
+    // arbitrary insert/remove/promote/demote/touch sequences, with
+    // activity kept outside both (as the data plane keeps it in the
+    // counter cell).
     mod differential {
         use super::*;
         use proptest::prelude::*;
         use std::collections::HashMap;
 
-        /// The pre-refactor implementation, verbatim semantics: two std
-        /// `HashMap`s and the same stats accounting.
+        /// Two std `HashMap`s and the same stats accounting.
         struct ModelTable {
-            primary: HashMap<u64, (u64, u64)>, // key -> (value, last_touch)
+            primary: HashMap<u64, u64>,
             secondary: HashMap<u64, u64>,
             stats: TwoLevelStats,
         }
@@ -461,9 +450,9 @@ mod tests {
                 ModelTable { primary: HashMap::new(), secondary: HashMap::new(), stats: TwoLevelStats::default() }
             }
 
-            fn insert_active(&mut self, k: u64, v: u64, now: u64) {
+            fn insert_active(&mut self, k: u64, v: u64) {
                 self.secondary.remove(&k);
-                self.primary.insert(k, (v, now));
+                self.primary.insert(k, v);
             }
 
             fn insert_idle(&mut self, k: u64, v: u64) {
@@ -471,15 +460,14 @@ mod tests {
                 self.secondary.insert(k, v);
             }
 
-            fn get(&mut self, k: u64, now: u64) -> Option<u64> {
-                if let Some((v, touch)) = self.primary.get_mut(&k) {
-                    *touch = now;
+            fn get(&mut self, k: u64) -> Option<u64> {
+                if let Some(&v) = self.primary.get(&k) {
                     self.stats.primary_hits += 1;
-                    return Some(*v);
+                    return Some(v);
                 }
                 if let Some(v) = self.secondary.remove(&k) {
                     self.stats.promotions += 1;
-                    self.primary.insert(k, (v, now));
+                    self.primary.insert(k, v);
                     return Some(v);
                 }
                 self.stats.misses += 1;
@@ -487,15 +475,12 @@ mod tests {
             }
 
             fn remove(&mut self, k: u64) -> Option<u64> {
-                if let Some((v, _)) = self.primary.remove(&k) {
-                    return Some(v);
-                }
-                self.secondary.remove(&k)
+                self.primary.remove(&k).or_else(|| self.secondary.remove(&k))
             }
 
             fn demote(&mut self, k: u64) -> bool {
                 match self.primary.remove(&k) {
-                    Some((v, _)) => {
+                    Some(v) => {
                         self.stats.demotions += 1;
                         self.secondary.insert(k, v);
                         true
@@ -504,9 +489,14 @@ mod tests {
                 }
             }
 
-            fn evict_idle(&mut self, now: u64, timeout: u64) -> usize {
+            fn evict_idle(&mut self, now: u64, timeout: u64, active: &HashMap<u64, u64>) -> usize {
                 let cutoff = now.saturating_sub(timeout);
-                let idle: Vec<u64> = self.primary.iter().filter(|(_, (_, t))| *t < cutoff).map(|(k, _)| *k).collect();
+                let idle: Vec<u64> = self
+                    .primary
+                    .iter()
+                    .filter(|(_, v)| active.get(v).map_or(0, |&t| t) < cutoff)
+                    .map(|(k, _)| *k)
+                    .collect();
                 let n = idle.len();
                 for k in idle {
                     self.demote(k);
@@ -519,7 +509,7 @@ mod tests {
         enum Op {
             InsertActive(u64, u64),
             InsertIdle(u64, u64),
-            Touch(u64), // data-path get: refresh / promote
+            Touch(u64), // data-path get: promote, then the packet stamps activity
             Remove(u64),
             Demote(u64),
             Evict,
@@ -540,25 +530,36 @@ mod tests {
 
         proptest! {
             #[test]
-            fn matches_pre_refactor_hashmap_backing(ops in proptest::collection::vec(op_strategy(), 0..300)) {
+            fn matches_hashmap_model(ops in proptest::collection::vec(op_strategy(), 0..300)) {
                 const TIMEOUT: u64 = 7;
                 let mut t: TwoLevelTable<u64> = TwoLevelTable::new(16, TIMEOUT);
                 let mut m = ModelTable::new();
+                // Last activity per value, shared by table and model.
+                let mut active: HashMap<u64, u64> = HashMap::new();
                 for (now, op) in ops.into_iter().enumerate() {
                     let now = now as u64;
                     match op {
                         Op::InsertActive(k, v) => {
                             t.insert_active(k, v, now);
-                            m.insert_active(k, v, now);
+                            m.insert_active(k, v);
                         }
                         Op::InsertIdle(k, v) => {
                             t.insert_idle(k, v);
                             m.insert_idle(k, v);
                         }
-                        Op::Touch(k) => prop_assert_eq!(t.get(k, now).copied(), m.get(k, now)),
+                        Op::Touch(k) => {
+                            let got = t.get(k, now).copied();
+                            prop_assert_eq!(got, m.get(k));
+                            if let Some(v) = got {
+                                active.insert(v, now);
+                            }
+                        }
                         Op::Remove(k) => prop_assert_eq!(t.remove(k), m.remove(k)),
                         Op::Demote(k) => prop_assert_eq!(t.demote(k), m.demote(k)),
-                        Op::Evict => prop_assert_eq!(t.evict_idle(now), m.evict_idle(now, TIMEOUT)),
+                        Op::Evict => {
+                            let last = |v: &u64| active.get(v).map_or(0, |&t| t);
+                            prop_assert_eq!(t.evict_idle(now, last), m.evict_idle(now, TIMEOUT, &active));
+                        }
                         // No model counterpart: the checks after the
                         // match pin that a hint changes nothing.
                         Op::Prefetch(k) => t.prefetch(k),

@@ -16,6 +16,7 @@
 //!   number, so a reordered older snapshot cannot revive a detached user.
 
 use crate::replog::{decode, ReplKind, ReplRecord};
+use pepc::inctable::is_reserved_key;
 use pepc::recovery::UserRecord;
 use std::collections::BTreeMap;
 
@@ -60,7 +61,8 @@ impl StandbyStore {
     /// Decode and apply one frame off the wire. Returns the originating
     /// node and frame kind on success (the caller feeds this to its
     /// failure detector as a liveness signal); `None` means the frame was
-    /// corrupt and was counted, not applied.
+    /// corrupt and was counted, not applied. A frame naming a reserved
+    /// IMSI or GUTI ([`pepc::inctable::is_reserved_key`]) is corrupt.
     pub fn ingest(&mut self, bytes: &[u8]) -> Option<(usize, ReplKind)> {
         let rec = match decode(bytes) {
             Ok(rec) => rec,
@@ -70,7 +72,8 @@ impl StandbyStore {
             }
         };
         let node = rec.node as usize;
-        if node >= self.replicas.len() {
+        let reserved = is_reserved_key(rec.imsi) || rec.user.as_ref().is_some_and(UserRecord::has_reserved_key);
+        if node >= self.replicas.len() || reserved {
             self.corrupt += 1;
             return None;
         }

@@ -50,10 +50,10 @@ METRICS = [
     "attach_steady_p99_ns",
 ]
 # Slab slot + two incremental-table entries, with growth headroom. The
-# measured figure is ~460 B/user (UeContext ~384 B + 2 x ~17 B/bucket
-# tables at post-doubling load); the budget leaves room for load-factor
-# phase, not for a per-user regression (an Arc + Box per user blows
-# straight through it).
+# measured figure is ~315-330 B/user (256 B UeContext slot + its
+# generation word + 2 x 16 B/bucket tables at post-doubling load); the
+# budget leaves room for load-factor phase, not for a per-user regression
+# (an Arc + Box per user blows straight through it).
 MAX_STATE_BYTES_PER_USER = 640
 # Incremental growth: attaches that land during a table-growth round
 # must stay within this multiple of steady-state attach p99.

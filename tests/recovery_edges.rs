@@ -129,3 +129,43 @@ fn replog_truncated_at_every_prefix_is_counted_corrupt() {
     assert_eq!(standby.ingest(&frame), Some((1, ReplKind::CtrlSnapshot)));
     assert_eq!(standby.user_count(1), 1);
 }
+
+/// The state tables reserve IMSI/GUTI keys `u64::MAX` and `u64::MAX − 1`,
+/// and a checkpoint's identifiers are free-form JSON: a record naming
+/// either is malformed, and the whole checkpoint applies nothing.
+#[test]
+fn checkpoint_with_a_reserved_imsi_or_guti_rejects_atomically() {
+    let doc = recovery::parse(&recovery::checkpoint(&populated(3))).unwrap();
+    let reserved: [fn(&mut pepc::state::ControlState); 2] = [|c| c.imsi = u64::MAX, |c| c.guti = u64::MAX - 1];
+    for set in reserved {
+        let mut bad = doc.clone();
+        set(&mut bad.users[1].ctrl);
+        let mut target = cp();
+        assert!(matches!(recovery::restore(&mut target, &recovery::encode(&bad)), Err(RecoveryError::Malformed(_))));
+        assert_eq!(target.user_count(), 0, "a reserved key partially applied");
+        assert!(!target.has_updates());
+    }
+    assert_eq!(recovery::restore(&mut cp(), &recovery::encode(&doc)).unwrap(), 3);
+}
+
+/// The same keys over replication: the standby counts the frame corrupt
+/// and applies nothing, whether the reserved key is the frame's IMSI or
+/// sits inside the carried record.
+#[test]
+fn replog_frame_with_a_reserved_imsi_or_guti_is_counted_corrupt() {
+    let frame = |imsi: u64, guti: u64| {
+        let mut ctrl = pepc::state::ControlState::new(imsi);
+        ctrl.guti = guti;
+        let user = Some(pepc::recovery::UserRecord { ctrl, counters: Default::default() });
+        encode(&ReplRecord { kind: ReplKind::CtrlSnapshot, node: 0, seq: 1, tick: 1, imsi, user })
+    };
+    let mut standby = StandbyStore::new(1);
+    for bad in [frame(u64::MAX, 0xD000), frame(u64::MAX - 1, 0xD000), frame(7, u64::MAX)] {
+        assert!(decode(&bad).is_ok(), "well-formed on the wire");
+        assert_eq!(standby.ingest(&bad), None);
+    }
+    assert_eq!(standby.corrupt(), 3);
+    assert_eq!((standby.user_count(0), standby.max_seq(0)), (0, 0), "a rejected frame applied");
+    assert_eq!(standby.ingest(&frame(7, 0xD000)), Some((0, ReplKind::CtrlSnapshot)));
+    assert_eq!(standby.user_count(0), 1);
+}

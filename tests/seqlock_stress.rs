@@ -1,22 +1,38 @@
 //! Torn-read stress for the single-writer seqlock protocol.
 //!
 //! Writers keep coupled invariants across the fields of each cell
-//! (`enb_ip == enb_teid ^ K`, `uplink_bytes == uplink_packets * 100`, …)
-//! so *any* torn read — a snapshot mixing two publishes — breaks an
-//! equation a reader checks. Readers hammer the cells for the whole run;
+//! (`enb_ip == enb_teid ^ K`; every counter word a function of
+//! `uplink_packets`) so *any* torn read — a snapshot mixing two publishes
+//! — breaks an equation a reader checks. Readers hammer the cells for the whole run;
 //! one violated invariant fails the test.
 //!
 //! Three seeds run as separate test functions so the CI concurrency
 //! matrix can select them individually.
 
 use pepc::seqlock::READ_RETRY_LIMIT;
-use pepc::state::{ControlState, CtrlView, UeContext};
+use pepc::state::{ControlState, CounterState, CtrlView, UeContext};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const TEID_IP_KEY: u32 = 0xDEAD_BEEF;
 const DROP_KEY: u64 = 0x5555_AAAA_5555_AAAA;
+
+/// The counter cell's content after publish `n`: every one of its seven
+/// words (six `u64`s, and the `qos_drops`/`ambr_tokens` pair) is derived
+/// from `n`, so a copy mixing two publishes matches no `n`.
+fn counters_for(n: u64) -> CounterState {
+    CounterState {
+        uplink_packets: n,
+        uplink_bytes: n * 100,
+        downlink_packets: n ^ DROP_KEY,
+        downlink_bytes: n.rotate_left(17),
+        qos_drops: (n ^ DROP_KEY) as u32,
+        ambr_tokens: ((n ^ DROP_KEY) >> 32) as u32,
+        last_activity_ns: !n,
+        ambr_last_refill_ns: n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    }
+}
 
 fn run_duration() -> Duration {
     // Long enough to cross many scheduler timeslices in release; short
@@ -48,11 +64,7 @@ fn stress(seed: u64) {
         g.tunnels.enb_ip = TEID_IP_KEY;
         g.qos.ambr_kbps = 7;
     }
-    ctx.update_counters(|c| {
-        c.uplink_packets = 0;
-        c.uplink_bytes = 0;
-        c.qos_drops = DROP_KEY;
-    });
+    ctx.publish_counters(counters_for(0));
 
     let stop = Arc::new(AtomicBool::new(false));
     let max_retries = Arc::new(AtomicU32::new(0));
@@ -93,11 +105,7 @@ fn stress(seed: u64) {
             let mut n = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 n += 1;
-                let mut c = ctx.counters();
-                c.uplink_packets = n;
-                c.uplink_bytes = n * 100;
-                c.qos_drops = n ^ DROP_KEY;
-                ctx.publish_counters(c);
+                ctx.publish_counters(counters_for(n));
                 if n.is_multiple_of(64) {
                     std::thread::yield_now();
                 }
@@ -135,8 +143,7 @@ fn stress(seed: u64) {
             let mut last_n = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let c = ctx.counters();
-                assert_eq!(c.uplink_bytes, c.uplink_packets * 100, "torn counter read: bytes/packets decoupled");
-                assert_eq!(c.qos_drops, c.uplink_packets ^ DROP_KEY, "torn counter read: checksum decoupled");
+                assert_eq!(c, counters_for(c.uplink_packets), "torn counter read: a word decoupled");
                 assert!(c.uplink_packets >= last_n, "counter snapshots must be monotone (single writer)");
                 last_n = c.uplink_packets;
                 reads += 1;
@@ -157,9 +164,7 @@ fn stress(seed: u64) {
     assert!(counted > 0 && read_count > 0, "counter threads made progress");
 
     // Final state is exactly the last publish — no lost updates.
-    let c = ctx.counters();
-    assert_eq!(c.uplink_packets, counted);
-    assert_eq!(c.uplink_bytes, counted * 100);
+    assert_eq!(ctx.counters(), counters_for(counted));
     check_view(&ctx.ctrl_view());
     // And the published view always equals the authoritative projection.
     assert_eq!(ctx.ctrl_view(), CtrlView::project(&ctx.ctrl_read()));
