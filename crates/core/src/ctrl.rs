@@ -8,21 +8,28 @@
 //! synchronization messages — the data thread reads the same memory), and
 //! manages data-plane table membership through batched [`DpUpdate`]s.
 //!
-//! Two entry points mirror the paper's two experiment sets (§5.1):
+//! Signaling enters one dispatcher, [`ControlPlane::handle_s1ap`] (and
+//! [`ControlPlane::page`] / [`ControlPlane::network_detach`] from the
+//! network side): admission, routing to the UE's procedure machine, its
+//! [`Disposition`], then one stepper running the leg the static table
+//! `LEGS` holds for the (wait state, message) pair. Every procedure ends
+//! through one exit hook, and every reply lands in one caller-owned buffer.
 //!
-//! * [`ControlPlane::handle_s1ap`] — the real protocol path: S1AP PDUs
-//!   carrying NAS, authentication against the HSS, rules from the PCRF
-//!   (used with SCTP in Figures 10/11 and the integration tests);
-//! * [`ControlPlane::apply_event`] — synthetic state operations
-//!   ("attach", "S1 handover") without wire messages, used to drive
-//!   signaling load at scale (Figures 5, 6, 12, 13).
+//! [`ControlPlane::apply_event`] is the synthetic wrapper behind the
+//! paper's at-scale signaling load (Figures 5, 6, 12, 13): it calls the
+//! effects the legs call (`do_attach`, `do_handover`, `do_detach`,
+//! `suspend_user`) without wire messages. Feeding it through the machines
+//! instead would add message kinds, policy rows and a machine checkout to
+//! each of a million set-up attaches, for no behaviour the legs lack.
 
 use crate::data::DpUpdate;
 use crate::inctable::IncrementalTable;
 use crate::metrics::CtrlMetrics;
 use crate::migrate::UserSnapshot;
 use crate::pcef::Pcef;
-use crate::procedure::{Disposition, ProcState, SigMsg, UeMachine, MAILBOX_CAP, PAGING_MAX_RETX, PAGING_RETX_TICKS};
+use crate::procedure::{
+    Disposition, MsgKind, ProcState, SigMsg, UeMachine, Wait, MAILBOX_CAP, PAGING_MAX_RETX, PAGING_RETX_TICKS,
+};
 use crate::proxy::Proxy;
 use crate::slab::{UeHandle, UeRef, UeSlab};
 use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn, Uid};
@@ -66,9 +73,76 @@ enum Routed {
     /// Deliver into the owning UE's procedure machine.
     Ue(u64, SigMsg),
     /// Answered (or legally absorbed) at the dispatcher itself.
-    Immediate(Vec<S1apPdu>),
+    Immediate(Option<S1apPdu>),
     /// Unroutable, undecodable, or MME-originated: discard.
     Discard,
+}
+
+/// One leg of a procedure: a machine waiting in `from` that is delivered
+/// a message of kind `on` runs `effect`, which moves it to `to` (`Idle`:
+/// the procedure completed) — or, for an IMSI already attached, from the
+/// attach start straight to `AttachIcs`.
+pub(crate) struct Leg {
+    pub from: Wait,
+    pub on: MsgKind,
+    pub to: Wait,
+    effect: fn(&mut ControlPlane, &mut UeMachine, SigMsg, &mut Vec<S1apPdu>) -> Step,
+}
+
+/// Every procedure leg. A delivered (state, message) pair without a row
+/// is consumed as a no-op: `dispose()` delivers everything to an idle
+/// machine, where only the messages that start a procedure have rows.
+pub(crate) static LEGS: [Leg; 15] = {
+    use MsgKind as M;
+    use Wait as W;
+    type C = ControlPlane;
+    [
+        Leg { from: W::Idle, on: M::AttachStart, to: W::AttachAuth, effect: C::attach_start },
+        Leg { from: W::AttachAuth, on: M::AuthRsp, to: W::AttachSmc, effect: C::attach_auth },
+        Leg { from: W::AttachSmc, on: M::SmcComplete, to: W::AttachIcs, effect: C::attach_smc },
+        Leg { from: W::AttachIcs, on: M::IcsRsp, to: W::AttachComplete, effect: C::attach_ics },
+        Leg { from: W::AttachComplete, on: M::AttachComplete, to: W::Idle, effect: C::attach_complete },
+        Leg { from: W::Idle, on: M::HoRequired, to: W::HandoverAck, effect: C::ho_required },
+        Leg { from: W::HandoverAck, on: M::HoAck, to: W::Idle, effect: C::ho_ack },
+        Leg { from: W::Idle, on: M::PageTrigger, to: W::Paging, effect: C::page_trigger },
+        Leg { from: W::Paging, on: M::ServiceStart, to: W::Idle, effect: C::service_start },
+        Leg { from: W::Idle, on: M::ServiceStart, to: W::Idle, effect: C::service_start },
+        Leg { from: W::Idle, on: M::Tau, to: W::Idle, effect: C::tau },
+        Leg { from: W::Idle, on: M::Detach, to: W::Idle, effect: C::detach },
+        Leg { from: W::Idle, on: M::NetDetach, to: W::Idle, effect: C::net_detach },
+        Leg { from: W::Idle, on: M::PathSwitch, to: W::Idle, effect: C::path_switch },
+        Leg { from: W::Idle, on: M::ReleaseReq, to: W::Idle, effect: C::release },
+    ]
+};
+
+/// The row for a (wait state, message kind) pair, if any.
+pub(crate) fn leg(from: Wait, on: MsgKind) -> Option<&'static Leg> {
+    LEGS.iter().find(|l| l.from == from && l.on == on)
+}
+
+/// What a leg's effect reports to the stepper.
+enum Step {
+    /// A re-check against the current state failed (the message outlived
+    /// the user or the session it was for): consumed, nothing started.
+    Stale,
+    /// The procedure moves to this state; `Idle` completes it.
+    To(ProcState),
+    /// The procedure failed: it ends as aborted.
+    Fail,
+}
+
+/// How a procedure ends; each outcome has one terminal counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exit {
+    Completed,
+    Preempted,
+    Aborted,
+    Expired,
+}
+
+/// A downlink NAS transport carrying `msg`.
+fn nas_to(out: &mut Vec<S1apPdu>, enb_ue_id: u32, mme_ue_id: u32, msg: NasMsg) {
+    out.push(S1apPdu::DownlinkNasTransport { enb_ue_id, mme_ue_id, nas: msg.encode() });
 }
 
 /// The control plane of one slice. Owned by exactly one thread.
@@ -200,35 +274,13 @@ impl ControlPlane {
         (self.overload.tracked_enbs(), self.overload.tokens_available())
     }
 
-    // -- identifier allocation ------------------------------------------------
-
-    fn allocate_uid(&mut self) -> Uid {
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        uid
-    }
-
     fn allocate_mme_ue_id(&mut self) -> u32 {
         let id = self.next_mme_ue_id;
         self.next_mme_ue_id += 1;
         id
     }
 
-    /// Gateway-side uplink TEID for a uid.
-    pub fn teid_for(&self, uid: Uid) -> u32 {
-        self.alloc.teid_base + uid as u32
-    }
-
-    /// UE IP for a uid.
-    pub fn ue_ip_for(&self, uid: Uid) -> u32 {
-        self.alloc.ue_ip_base + uid as u32
-    }
-
-    fn guti_for(&self, uid: Uid) -> u64 {
-        self.alloc.guti_base + uid
-    }
-
-    // -- core state operations (shared by both entry points) -------------------
+    // -- core state operations (shared by the legs and the synthetic events) ---
 
     /// Data-plane keys (uplink tunnel, UE IP) of a known user, read from
     /// the consolidated state — migrated-in users keep their original
@@ -240,11 +292,11 @@ impl ControlPlane {
     }
 
     /// Create and index a user; queues the data-plane insert. Idempotent
-    /// per IMSI (re-attach reuses the context and re-announces it).
-    /// `count` controls whether `metrics.attaches` increments here: the
-    /// synthetic path counts at once, the S1AP path counts only when the
-    /// NAS Attach Complete lands. Returns the user's (live) handle.
-    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32, count: bool) -> UeHandle {
+    /// per IMSI (re-attach reuses the context and re-announces it). The
+    /// caller counts the attach: the synthetic path at once, the S1AP path
+    /// only when the NAS Attach Complete lands. Returns the user's (live)
+    /// handle.
+    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32) -> UeHandle {
         let t0 = std::time::Instant::now();
         self.mark_dirty(imsi);
         let (handle, gw_teid, ue_ip) = match self.context_of(imsi) {
@@ -256,15 +308,18 @@ impl ControlPlane {
                 (ctx.handle(), c.tunnels.gw_teid, c.ue_ip)
             }
             None => {
-                let uid = self.allocate_uid();
+                // Identifiers are the slice's allocation bases plus a
+                // per-user counter.
+                let uid = self.next_uid;
+                self.next_uid += 1;
                 let mut ctrl = ControlState::new(imsi);
-                ctrl.guti = self.guti_for(uid);
-                ctrl.ue_ip = self.ue_ip_for(uid);
+                ctrl.guti = self.alloc.guti_base + uid;
+                ctrl.ue_ip = self.alloc.ue_ip_base + uid as u32;
                 ctrl.ecgi = ecgi;
                 ctrl.tac = self.tac;
                 ctrl.qos = qos;
                 ctrl.device_class = device_class;
-                ctrl.tunnels.gw_teid = self.teid_for(uid);
+                ctrl.tunnels.gw_teid = self.alloc.teid_base + uid as u32;
                 let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
                 let handle = self.slab.alloc(ctrl, CounterState::default());
                 self.users.insert(imsi, handle);
@@ -273,50 +328,57 @@ impl ControlPlane {
             }
         };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-        if count {
-            self.metrics.attaches += 1;
-        }
         self.attach_ns.record(t0.elapsed().as_nanos() as u64);
         handle
     }
 
     fn do_handover(&mut self, imsi: u64, new_enb_teid: u32, new_enb_ip: u32, new_ecgi: u32) -> bool {
         let t0 = std::time::Instant::now();
-        match self.context_of(imsi) {
-            Some(ctx) => {
-                // The whole point: one in-place write, visible to the data
-                // thread through the shared context. No DpUpdate needed.
-                {
-                    let mut c = ctx.ctrl_write();
-                    c.tunnels.enb_teid = new_enb_teid;
-                    c.tunnels.enb_ip = new_enb_ip;
-                    if new_ecgi != 0 {
-                        c.ecgi = new_ecgi;
-                    }
-                }
-                self.metrics.handovers += 1;
-                self.mark_dirty(imsi);
-                self.handover_ns.record(t0.elapsed().as_nanos() as u64);
-                true
+        let Some(ctx) = self.context_of(imsi) else { return false };
+        // The whole point: one in-place write, visible to the data thread
+        // through the shared context. No DpUpdate needed.
+        {
+            let mut c = ctx.ctrl_write();
+            c.tunnels.enb_teid = new_enb_teid;
+            c.tunnels.enb_ip = new_enb_ip;
+            if new_ecgi != 0 {
+                c.ecgi = new_ecgi;
             }
-            None => false,
         }
+        self.metrics.handovers += 1;
+        self.mark_dirty(imsi);
+        self.handover_ns.record(t0.elapsed().as_nanos() as u64);
+        true
     }
 
     fn do_detach(&mut self, imsi: u64) -> bool {
+        let removed = self.remove_user(imsi);
+        if removed {
+            self.metrics.detaches += 1;
+            self.departed = Some(imsi);
+        }
+        removed
+    }
+
+    /// Remove a user and everything indexed under it: its GUTI, its S1
+    /// association, its idleness, its machine (a procedure in flight ends
+    /// as aborted) and, through `Remove`, its data-plane entry and slab
+    /// slot. Detach, attach rollback and migration share it.
+    fn remove_user(&mut self, imsi: u64) -> bool {
         let Some(ctx) = self.users.remove(imsi).and_then(|h| self.slab.resolve(h)) else { return false };
         let (guti, gw_teid, ue_ip, conn) = {
             let c = ctx.ctrl_read();
             (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
         };
         self.by_guti.remove(guti);
-        self.unindex_s1(imsi, conn);
+        if let Some(conn) = conn {
+            self.by_mme_ue_id.remove(&conn.mme_ue_id);
+            self.unindex_enb_ue_id(conn.enb_ue_id, imsi);
+        }
         self.idle_ues.remove(&imsi);
         self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
-        self.metrics.detaches += 1;
         self.mark_dirty(imsi);
-        self.departed = Some(imsi);
-        self.drop_machine(imsi);
+        self.drop_machine(imsi, Exit::Aborted);
         true
     }
 
@@ -343,14 +405,6 @@ impl ControlPlane {
         self.by_enb_ue_id.insert(conn.enb_ue_id, imsi);
     }
 
-    /// Unindex a departing user's S1 association.
-    fn unindex_s1(&mut self, imsi: u64, conn: Option<S1Conn>) {
-        if let Some(conn) = conn {
-            self.by_mme_ue_id.remove(&conn.mme_ue_id);
-            self.unindex_enb_ue_id(conn.enb_ue_id, imsi);
-        }
-    }
-
     /// Unindex `enb_ue_id` if it still routes to `imsi` (the ids are not
     /// unique across eNodeBs: another UE may have signaled under it since).
     fn unindex_enb_ue_id(&mut self, enb_ue_id: u32, imsi: u64) {
@@ -361,14 +415,6 @@ impl ControlPlane {
         }
     }
 
-    /// Unindex the id a machine bound for an attach whose user record
-    /// never came to exist (or is being displaced by a newer attempt).
-    fn release_machine_enb(&mut self, m: &mut UeMachine) {
-        if std::mem::take(&mut m.enb_bound) {
-            self.unindex_enb_ue_id(m.enb_ue_id, m.imsi);
-        }
-    }
-
     // -- synthetic events (at-scale signaling workload) ------------------------
 
     /// Apply one synthetic control event. Returns false for events
@@ -376,7 +422,8 @@ impl ControlPlane {
     pub fn apply_event(&mut self, ev: CtrlEvent) -> bool {
         match ev {
             CtrlEvent::Attach { imsi } => {
-                self.do_attach(imsi, QosPolicy::default(), DeviceClass::Smartphone, 0, true);
+                self.do_attach(imsi, QosPolicy::default(), DeviceClass::Smartphone, 0);
+                self.metrics.attaches += 1;
                 true
             }
             CtrlEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
@@ -396,699 +443,548 @@ impl ControlPlane {
         }
     }
 
-    // -- full S1AP/NAS path -----------------------------------------------------
+    // -- the dispatcher -----------------------------------------------------------
 
     /// Process one S1AP PDU from an eNodeB; returns the PDUs to send back.
     ///
-    /// The dispatcher: route the PDU to the owning UE's procedure
-    /// machine, apply the machine's [`Disposition`], step it if the
-    /// message is delivered, then drain its mailbox while it is idle.
-    /// Every inbound PDU lands in exactly one signaling counter
-    /// (`sig_consumed` / `proc_deduped` / `sig_dropped`, or it is parked
-    /// in a mailbox) — see [`CtrlMetrics::signaling_conservation_holds`].
+    /// Admission, then routing to the owning UE's procedure machine, whose
+    /// [`Disposition`] decides the rest. Every inbound PDU lands in exactly
+    /// one signaling counter (`sig_consumed` / `proc_deduped` /
+    /// `sig_dropped` / `sig_overflow` / `sig_shed_*`, or it is parked in a
+    /// mailbox) — see [`CtrlMetrics::signaling_conservation_holds`].
     pub fn handle_s1ap(&mut self, pdu: &S1apPdu) -> Vec<S1apPdu> {
+        let mut out = Vec::new();
         self.metrics.s1ap_rx += 1;
-        if let Some(reply) = self.admission_check(pdu) {
-            return reply;
-        }
-        match self.route(pdu) {
-            Routed::Ue(imsi, msg) => self.deliver(imsi, msg),
-            Routed::Immediate(out) => {
-                self.metrics.sig_consumed += 1;
-                out
-            }
-            Routed::Discard => {
-                self.metrics.sig_dropped += 1;
-                vec![]
+        if self.admit(pdu, &mut out) {
+            match self.route(pdu) {
+                Routed::Ue(imsi, msg) => self.deliver(imsi, msg, &mut out),
+                Routed::Immediate(reply) => {
+                    self.metrics.sig_consumed += 1;
+                    out.extend(reply);
+                }
+                Routed::Discard => self.metrics.sig_dropped += 1,
             }
         }
+        out
     }
 
-    /// Consult the overload controller *before* any routing work.
-    /// `Some(reply)` means the PDU was shed: it is counted in its
-    /// priority class's `sig_shed_*` counter and answered with a NAS
-    /// `CongestionReject` carrying the configured back-off, so shed load
-    /// is signaled rather than silently dropped.
-    fn admission_check(&mut self, pdu: &S1apPdu) -> Option<Vec<S1apPdu>> {
+    /// Network-triggered page for an idle UE (downlink arrived while
+    /// suspended). Counted as inbound signaling so the conservation
+    /// identities hold without special cases.
+    pub fn page(&mut self, imsi: u64) -> Vec<S1apPdu> {
+        self.inject(imsi, SigMsg::PageTrigger { imsi })
+    }
+
+    /// Network-triggered detach (operator action / subscription
+    /// withdrawn). Counted as inbound signaling like [`Self::page`].
+    pub fn network_detach(&mut self, imsi: u64) -> Vec<S1apPdu> {
+        self.inject(imsi, SigMsg::NetDetach { imsi })
+    }
+
+    fn inject(&mut self, imsi: u64, msg: SigMsg) -> Vec<S1apPdu> {
+        let mut out = Vec::new();
+        self.metrics.s1ap_rx += 1;
+        self.deliver(imsi, msg, &mut out);
+        out
+    }
+
+    /// Consult the overload controller *before* any routing work. A shed
+    /// PDU (`false`) is counted in its priority class's `sig_shed_*`
+    /// counter and answered with a NAS `CongestionReject` carrying the
+    /// configured back-off, so shed load is signaled rather than silently
+    /// dropped.
+    fn admit(&mut self, pdu: &S1apPdu, out: &mut Vec<S1apPdu>) -> bool {
         use crate::overload::{classify_for_admission, SigClass};
         if !self.overload.enabled() {
-            return None;
+            return true;
         }
-        let (class, ecgi, enb_ue_id, mme_ue_id) = classify_for_admission(pdu)?;
-        // In-flight from the accounting identity — O(1), unlike scanning
-        // the machine table, which matters mid-storm.
-        let m = &self.metrics;
-        let in_flight =
-            m.proc_started.saturating_sub(m.proc_completed + m.proc_preempted + m.proc_aborted + m.proc_expired);
+        let Some((class, ecgi, enb_ue_id, mme_ue_id)) = classify_for_admission(pdu) else { return true };
+        // Every machine in the table has a procedure in flight.
+        let in_flight = self.machines.len() as u64;
         if self.overload.admit(class, ecgi, in_flight, self.proc_tick) {
-            return None;
+            return true;
         }
         match class {
             SigClass::Handover => self.metrics.sig_shed_handover += 1,
             SigClass::Attach => self.metrics.sig_shed_attach += 1,
             SigClass::Tau => self.metrics.sig_shed_tau += 1,
         }
-        Some(vec![S1apPdu::DownlinkNasTransport {
-            enb_ue_id,
-            mme_ue_id,
-            nas: NasMsg::CongestionReject { cause: cause::CONGESTION, backoff_ms: self.overload.backoff_ms() }.encode(),
-        }])
+        let backoff_ms = self.overload.backoff_ms();
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::CongestionReject { cause: cause::CONGESTION, backoff_ms });
+        false
     }
 
     /// Resolve which UE a PDU belongs to. GUTI-addressed NAS routes by
     /// GUTI (it may legally target a different user than the one
     /// signaling on this S1 association); everything else by eNodeB UE
     /// id, falling back to MME UE id.
-    fn route(&mut self, pdu: &S1apPdu) -> Routed {
-        match pdu {
-            S1apPdu::InitialUeMessage { enb_ue_id, ecgi, tac, nas } => match NasMsg::decode(nas) {
+    fn route(&self, pdu: &S1apPdu) -> Routed {
+        let by_mme = |id: u32| self.by_mme_ue_id.get(&id).copied();
+        let by_enb = |id: u32| self.by_enb_ue_id.get(&id).copied();
+        let (imsi, msg) = match *pdu {
+            S1apPdu::InitialUeMessage { enb_ue_id, ecgi, tac, ref nas } => match NasMsg::decode(nas) {
                 Ok(NasMsg::AttachRequest { imsi, .. }) => {
-                    Routed::Ue(imsi, SigMsg::AttachStart { enb_ue_id: *enb_ue_id, ecgi: *ecgi, tac: *tac, imsi })
+                    (Some(imsi), SigMsg::AttachStart { enb_ue_id, ecgi, tac, imsi })
                 }
                 Ok(NasMsg::ServiceRequest { guti }) => match self.by_guti.get(guti).copied() {
-                    Some(imsi) => Routed::Ue(imsi, SigMsg::ServiceStart { enb_ue_id: *enb_ue_id, ecgi: *ecgi, guti }),
+                    Some(imsi) => (Some(imsi), SigMsg::ServiceStart { enb_ue_id, ecgi, guti }),
                     // Unknown GUTI: tell the eNodeB to release the UE;
                     // it will re-attach with its IMSI.
-                    None => Routed::Immediate(vec![S1apPdu::UeContextReleaseCommand {
-                        enb_ue_id: *enb_ue_id,
-                        mme_ue_id: 0,
-                        cause: cause::ILLEGAL_UE,
-                    }]),
+                    None => {
+                        let release =
+                            S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE };
+                        return Routed::Immediate(Some(release));
+                    }
                 },
-                _ => Routed::Discard,
+                _ => return Routed::Discard,
             },
-            S1apPdu::UplinkNasTransport { enb_ue_id, mme_ue_id, nas } => {
-                let msg = match NasMsg::decode(nas) {
-                    Ok(m) => m,
-                    Err(_) => return Routed::Discard,
-                };
-                let imsi = match &msg {
+            S1apPdu::UplinkNasTransport { enb_ue_id, mme_ue_id, ref nas } => {
+                let Ok(msg) = NasMsg::decode(nas) else { return Routed::Discard };
+                let imsi = match msg {
                     NasMsg::DetachRequest { guti } | NasMsg::TrackingAreaUpdateRequest { guti, .. } => {
-                        self.by_guti.get(*guti).copied()
+                        self.by_guti.get(guti).copied()
                     }
-                    _ => {
-                        self.by_enb_ue_id.get(enb_ue_id).copied().or_else(|| self.by_mme_ue_id.get(mme_ue_id).copied())
-                    }
+                    _ => by_enb(enb_ue_id).or_else(|| by_mme(mme_ue_id)),
                 };
-                match imsi {
-                    Some(imsi) => Routed::Ue(imsi, SigMsg::Nas { enb_ue_id: *enb_ue_id, mme_ue_id: *mme_ue_id, msg }),
-                    None => Routed::Discard,
-                }
+                (imsi, SigMsg::Nas { enb_ue_id, mme_ue_id, msg })
             }
-            S1apPdu::InitialContextSetupResponse { enb_ue_id, mme_ue_id, enb_teid, enb_ip } => {
-                match self.by_enb_ue_id.get(enb_ue_id).copied().or_else(|| self.by_mme_ue_id.get(mme_ue_id).copied()) {
-                    Some(imsi) => Routed::Ue(
-                        imsi,
-                        SigMsg::IcsRsp {
-                            enb_ue_id: *enb_ue_id,
-                            mme_ue_id: *mme_ue_id,
-                            enb_teid: *enb_teid,
-                            enb_ip: *enb_ip,
-                        },
-                    ),
-                    None => Routed::Discard,
-                }
-            }
+            S1apPdu::InitialContextSetupResponse { enb_ue_id, mme_ue_id, enb_teid, enb_ip } => (
+                by_enb(enb_ue_id).or_else(|| by_mme(mme_ue_id)),
+                SigMsg::IcsRsp { enb_ue_id, mme_ue_id, enb_teid, enb_ip },
+            ),
             S1apPdu::PathSwitchRequest { enb_ue_id, mme_ue_id, new_enb_teid, new_enb_ip, ecgi } => {
-                match self.by_mme_ue_id.get(mme_ue_id).copied() {
-                    Some(imsi) => Routed::Ue(
-                        imsi,
-                        SigMsg::PathSwitch {
-                            enb_ue_id: *enb_ue_id,
-                            mme_ue_id: *mme_ue_id,
-                            new_enb_teid: *new_enb_teid,
-                            new_enb_ip: *new_enb_ip,
-                            ecgi: *ecgi,
-                        },
-                    ),
-                    None => Routed::Discard,
-                }
+                (by_mme(mme_ue_id), SigMsg::PathSwitch { enb_ue_id, mme_ue_id, new_enb_teid, new_enb_ip, ecgi })
             }
-            S1apPdu::HandoverRequired { enb_ue_id, mme_ue_id, target_ecgi: _ } => {
-                match self.by_mme_ue_id.get(mme_ue_id).copied() {
-                    Some(imsi) => Routed::Ue(imsi, SigMsg::HoRequired { enb_ue_id: *enb_ue_id, mme_ue_id: *mme_ue_id }),
-                    None => Routed::Discard,
-                }
+            S1apPdu::HandoverRequired { enb_ue_id, mme_ue_id, .. } => {
+                (by_mme(mme_ue_id), SigMsg::HoRequired { enb_ue_id, mme_ue_id })
             }
             S1apPdu::HandoverRequestAck { mme_ue_id, new_enb_teid, new_enb_ip } => {
-                match self.by_mme_ue_id.get(mme_ue_id).copied() {
-                    Some(imsi) => Routed::Ue(
-                        imsi,
-                        SigMsg::HoAck { mme_ue_id: *mme_ue_id, new_enb_teid: *new_enb_teid, new_enb_ip: *new_enb_ip },
-                    ),
-                    None => Routed::Discard,
-                }
+                (by_mme(mme_ue_id), SigMsg::HoAck { mme_ue_id, new_enb_teid, new_enb_ip })
             }
             S1apPdu::UeContextReleaseRequest { enb_ue_id, mme_ue_id, cause } => {
-                match self.by_mme_ue_id.get(mme_ue_id).copied().or_else(|| self.by_enb_ue_id.get(enb_ue_id).copied()) {
-                    Some(imsi) => Routed::Ue(
-                        imsi,
-                        SigMsg::ReleaseReq { enb_ue_id: *enb_ue_id, mme_ue_id: *mme_ue_id, cause: *cause },
-                    ),
-                    None => Routed::Discard,
-                }
+                (by_mme(mme_ue_id).or_else(|| by_enb(enb_ue_id)), SigMsg::ReleaseReq { enb_ue_id, mme_ue_id, cause })
             }
             // A completed release needs no further action.
-            S1apPdu::UeContextReleaseComplete { .. } => Routed::Immediate(vec![]),
+            S1apPdu::UeContextReleaseComplete { .. } => return Routed::Immediate(None),
             // MME-originated PDUs arriving inbound are protocol errors;
             // ignore them rather than crash the control thread.
-            _ => Routed::Discard,
-        }
+            _ => return Routed::Discard,
+        };
+        imsi.map_or(Routed::Discard, |imsi| Routed::Ue(imsi, msg))
     }
 
-    /// Check the UE's machine out of the table, deliver the message, then
-    /// drain the mailbox for as long as the machine stays idle (each
-    /// drained message may itself start a procedure and stop the drain).
-    fn deliver(&mut self, imsi: u64, msg: SigMsg) -> Vec<S1apPdu> {
+    /// Check the UE's machine out of the table, deliver the message, and
+    /// drain the mailbox.
+    fn deliver(&mut self, imsi: u64, msg: SigMsg, out: &mut Vec<S1apPdu>) {
         let mut m = self.machines.remove(&imsi).unwrap_or_else(|| UeMachine::new(imsi, self.proc_tick));
-        let mut out = self.deliver_one(&mut m, msg);
-        while !m.in_flight() {
-            match m.mailbox.pop_front() {
-                Some(next) => {
-                    let more = self.deliver_one(&mut m, next);
-                    out.extend(more);
-                }
-                None => break,
-            }
-        }
-        self.retire_or_keep(m);
-        out
+        self.deliver_one(&mut m, msg, out);
+        self.drain(m, out);
     }
 
-    /// Apply the machine's disposition for one message.
-    fn deliver_one(&mut self, m: &mut UeMachine, msg: SigMsg) -> Vec<S1apPdu> {
-        m.last_progress = self.proc_tick;
-        match m.dispose(&msg) {
-            Disposition::Deliver => {
-                self.metrics.sig_consumed += 1;
-                self.step(m, msg)
+    /// Deliver deferred messages for as long as the machine stays idle
+    /// (each may start a procedure and stop the drain), then put it back
+    /// if a procedure is in flight, or retire it: the table only holds
+    /// UEs with signaling in flight.
+    fn drain(&mut self, mut m: UeMachine, out: &mut Vec<S1apPdu>) {
+        while !m.in_flight() {
+            let Some(next) = m.mailbox.pop_front() else { return };
+            self.deliver_one(&mut m, next, out);
+        }
+        self.machines.insert(m.imsi, m);
+    }
+
+    /// Apply the machine's disposition for one message. Only a message
+    /// that moves the machine (delivered, preempting, or deduplicated)
+    /// counts as progress for the supervision timer.
+    fn deliver_one(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) {
+        let disposition = m.dispose(&msg);
+        if matches!(disposition, Disposition::Deliver | Disposition::Preempt | Disposition::Dedup) {
+            m.last_progress = self.proc_tick;
+        }
+        match disposition {
+            Disposition::Deliver => self.advance(m, msg, out),
+            Disposition::Preempt => {
+                self.exit(m, Exit::Preempted);
+                self.advance(m, msg, out);
             }
             Disposition::Dedup => {
                 self.metrics.proc_deduped += 1;
-                m.last_tx.clone()
+                out.extend_from_slice(&m.last_tx);
+            }
+            Disposition::Defer if m.mailbox.len() < MAILBOX_CAP => {
+                self.metrics.sig_deferred += 1;
+                m.mailbox.push_back(msg);
             }
             Disposition::Defer => {
-                if m.mailbox.len() >= MAILBOX_CAP {
-                    // A MAILBOX_CAP hit is its own drop cause: mailbox
-                    // pressure must be distinguishable from protocol
-                    // discards when reading a storm's metrics.
-                    self.metrics.sig_overflow += 1;
-                    // An overflowed service request gets an explicit
-                    // congestion answer so the UE backs off.
-                    if let SigMsg::ServiceStart { enb_ue_id, .. } = msg {
-                        vec![S1apPdu::DownlinkNasTransport {
-                            enb_ue_id,
-                            mme_ue_id: 0,
-                            nas: NasMsg::ServiceReject { cause: cause::CONGESTION }.encode(),
-                        }]
-                    } else {
-                        vec![]
-                    }
-                } else {
-                    self.metrics.sig_deferred += 1;
-                    m.mailbox.push_back(msg);
-                    vec![]
+                // A full mailbox is its own drop cause, so mailbox
+                // pressure reads apart from protocol discards. A service
+                // request gets a congestion answer so the UE backs off.
+                self.metrics.sig_overflow += 1;
+                if let SigMsg::ServiceStart { enb_ue_id, .. } = msg {
+                    nas_to(out, enb_ue_id, 0, NasMsg::ServiceReject { cause: cause::CONGESTION });
                 }
             }
-            Disposition::Preempt => {
-                self.abort_machine(m);
-                self.metrics.proc_preempted += 1;
-                self.metrics.sig_consumed += 1;
-                self.step(m, msg)
-            }
             Disposition::Abort => {
-                let (enb_ue_id, mme_ue_id) = match &msg {
-                    SigMsg::Nas { enb_ue_id, mme_ue_id, .. } => (*enb_ue_id, *mme_ue_id),
-                    _ => (m.enb_ue_id, 0),
-                };
-                self.abort_machine(m);
-                self.metrics.proc_aborted += 1;
+                self.exit(m, Exit::Aborted);
                 self.metrics.sig_consumed += 1;
-                vec![S1apPdu::DownlinkNasTransport {
-                    enb_ue_id,
-                    mme_ue_id,
-                    nas: NasMsg::AttachReject { cause: cause::PROTOCOL_ERROR }.encode(),
-                }]
+                // Only a NAS message mid-attach aborts.
+                if let SigMsg::Nas { enb_ue_id, mme_ue_id, .. } = msg {
+                    nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::PROTOCOL_ERROR });
+                }
             }
-            Disposition::Drop => {
-                self.metrics.sig_dropped += 1;
-                vec![]
-            }
+            Disposition::Drop => self.metrics.sig_dropped += 1,
         }
     }
 
-    /// Tear down the in-flight procedure: roll back a half-created attach
-    /// (unless the user record predates the procedure) and reset the
-    /// machine to `Idle`. The caller accounts the outcome
-    /// (preempted/aborted/expired).
-    fn abort_machine(&mut self, m: &mut UeMachine) {
-        let rollback = match m.state {
-            ProcState::AttachWaitIcs { imsi, .. } | ProcState::AttachWaitComplete { imsi, .. } if !m.preexisting => {
-                Some(imsi)
+    /// The stepper: run the leg for the machine's (wait state, message)
+    /// pair and keep the books. A leg out of `Idle` starts a procedure (the
+    /// one write of `proc_started`); one that completes or fails ends it
+    /// through [`Self::exit`]. The reply is cached for retransmissions only
+    /// while the procedure stays in flight (an idle machine retires).
+    fn advance(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) {
+        self.metrics.sig_consumed += 1;
+        let mark = out.len();
+        if let Some(leg) = leg(m.state.wait(), msg.kind()) {
+            let step = (leg.effect)(self, m, msg, out);
+            if !matches!(step, Step::Stale) && !m.in_flight() {
+                self.metrics.proc_started += 1;
             }
-            _ => None,
-        };
-        if let Some(imsi) = rollback {
-            if self.do_detach(imsi) {
-                // Rollback of a never-completed attach, not a real detach.
-                self.metrics.detaches -= 1;
+            match step {
+                Step::Stale => {}
+                Step::Fail => self.exit(m, Exit::Aborted),
+                Step::To(next) => {
+                    let reattach = m.preexisting && next.wait() == Wait::AttachIcs;
+                    debug_assert!(next.wait() == leg.to || reattach, "{:?} --{:?}--> {next:?}", leg.from, leg.on);
+                    if next == ProcState::Idle {
+                        self.exit(m, Exit::Completed);
+                    } else {
+                        m.state = next;
+                    }
+                }
             }
         }
-        // A preempted/aborted page closes its side of the paging identity
-        // here. No explicit buffer drop: the preemptor either removes the
-        // user (detach — `Remove` drops the buffer) or re-activates it
-        // (attach — `Insert` flushes the buffer).
+        m.last_tx.clear();
+        if m.in_flight() {
+            m.last_tx.extend_from_slice(&out[mark..]);
+        }
+    }
+
+    /// The one way a procedure ends (completed, preempted, aborted, expired,
+    /// or dropped with its user). Writes the terminal counter; closes a
+    /// page (resolved or expired; its interim MME UE id unindexed, and on
+    /// expiry its buffered downlink dropped); releases an attach's
+    /// eNodeB-UE-id binding; rolls back a half-created attach.
+    fn exit(&mut self, m: &mut UeMachine, how: Exit) {
+        let metrics = &mut self.metrics;
+        *match how {
+            Exit::Completed => &mut metrics.proc_completed,
+            Exit::Preempted => &mut metrics.proc_preempted,
+            Exit::Aborted => &mut metrics.proc_aborted,
+            Exit::Expired => &mut metrics.proc_expired,
+        } += 1;
+        let attach_user = matches!(m.state, ProcState::AttachWaitIcs { .. } | ProcState::AttachWaitComplete { .. });
+        // The user record is the attach's own: roll it back. Not a detach,
+        // but the node still retires its steering.
+        if attach_user && how != Exit::Completed && !m.preexisting && self.remove_user(m.imsi) {
+            self.departed = Some(m.imsi);
+        }
         if let ProcState::PagingWait { mme_ue_id, .. } = m.state {
-            self.metrics.paging_expired += 1;
+            if how == Exit::Completed {
+                self.metrics.paging_resolved += 1;
+            } else {
+                self.metrics.paging_expired += 1;
+            }
             self.by_mme_ue_id.remove(&mme_ue_id);
+            // A preemptor's `Remove` or `Insert` settles the buffer; after
+            // an expiry nothing else would.
+            if how == Exit::Expired {
+                if let Some((_, ue_ip)) = self.keys_of(m.imsi) {
+                    self.pending_updates.push(DpUpdate::DropIdleBuffer { ue_ip });
+                }
+            }
+        }
+        if std::mem::take(&mut m.enb_bound) {
+            self.unindex_enb_ue_id(m.enb_ue_id, m.imsi);
         }
         m.state = ProcState::Idle;
         m.preexisting = false;
         m.last_tx.clear();
     }
 
-    /// A delivered message mutates the control plane here. Caches the
-    /// reply in `last_tx` for retransmissions only while a procedure stays
-    /// in flight: nothing dedups in `Idle`, where the machine retires.
-    fn step(&mut self, m: &mut UeMachine, msg: SigMsg) -> Vec<S1apPdu> {
-        let out = match msg {
-            SigMsg::AttachStart { enb_ue_id, ecgi, .. } => self.step_attach_start(m, enb_ue_id, ecgi),
-            SigMsg::ServiceStart { enb_ue_id, ecgi, guti } => self.step_service_start(m, enb_ue_id, ecgi, guti),
-            SigMsg::Nas { enb_ue_id, mme_ue_id, msg } => self.step_nas(m, enb_ue_id, mme_ue_id, msg),
-            SigMsg::IcsRsp { enb_teid, enb_ip, .. } => self.step_ics_rsp(m, enb_teid, enb_ip),
-            SigMsg::PathSwitch { enb_ue_id, mme_ue_id, new_enb_teid, new_enb_ip, ecgi } => {
-                self.step_path_switch(m, enb_ue_id, mme_ue_id, new_enb_teid, new_enb_ip, ecgi)
-            }
-            SigMsg::HoRequired { enb_ue_id, mme_ue_id } => self.step_ho_required(m, enb_ue_id, mme_ue_id),
-            SigMsg::HoAck { new_enb_teid, new_enb_ip, .. } => self.step_ho_ack(m, new_enb_teid, new_enb_ip),
-            SigMsg::ReleaseReq { enb_ue_id, mme_ue_id, .. } => self.step_release(m, enb_ue_id, mme_ue_id),
-            SigMsg::PageTrigger { .. } => self.step_page_trigger(m),
-            SigMsg::NetDetach { .. } => self.step_net_detach(m),
-        };
-        if m.in_flight() {
-            m.last_tx.clone_from(&out);
-        } else {
-            m.last_tx.clear();
-        }
-        out
+    /// Reap a UE's machine out of the table: its mailbox is dropped and its
+    /// procedure ends as `how`. A machine checked out for stepping is not
+    /// in the table, so this is a no-op mid-delivery.
+    fn drop_machine(&mut self, imsi: u64, how: Exit) -> bool {
+        let Some(mut m) = self.machines.remove(&imsi) else { return false };
+        self.metrics.sig_dropped += m.mailbox.len() as u64;
+        self.exit(&mut m, how);
+        true
     }
 
-    fn step_attach_start(&mut self, m: &mut UeMachine, enb_ue_id: u32, ecgi: u32) -> Vec<S1apPdu> {
+    // -- procedure legs (the effects `LEGS` names) -----------------------------
+    // Each effect mutates the control plane for one delivered message and
+    // reports where the procedure goes; `advance` keeps the books.
+
+    /// Attach Request: challenge a fresh IMSI through the HSS, or re-accept
+    /// an attached one (the UE lost our accept) without re-authentication,
+    /// with the same identifiers and the MME UE id of its association.
+    fn attach_start(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::AttachStart { enb_ue_id, ecgi, .. } = msg else { return Step::Stale };
         let imsi = m.imsi;
-        self.release_machine_enb(m);
         m.enb_ue_id = enb_ue_id;
-        if let Some(ctx) = self.context_of(imsi) {
-            // Duplicate attach for an already-attached IMSI (the UE lost
-            // our earlier accept): idempotent. Skip re-authentication and
-            // re-emit the context setup with the SAME identifiers —
-            // nothing is reallocated.
-            let handle = ctx.handle();
-            let (guti, ue_ip, gw_teid, ambr, conn) = {
-                let mut c = ctx.ctrl_write();
-                c.ecgi = ecgi;
-                (c.guti, c.ue_ip, c.tunnels.gw_teid, c.qos.ambr_kbps, ctx.s1_conn())
-            };
-            self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-            self.idle_ues.remove(&imsi);
-            self.mark_dirty(imsi);
-            // Same MME UE id as the association the UE already has.
+        if let Some((handle, conn)) = self.context_of(imsi).map(|ctx| (ctx.handle(), ctx.s1_conn())) {
             let mme_ue_id = conn.map_or_else(|| self.allocate_mme_ue_id(), |c| c.mme_ue_id);
-            self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
-            self.metrics.proc_started += 1;
+            self.activate(imsi, handle, Some(ecgi), S1Conn { mme_ue_id, enb_ue_id });
+            if let Some(ctx) = self.context_of(imsi) {
+                out.push(self.accept_attach(&ctx.ctrl_read(), enb_ue_id, mme_ue_id));
+            }
             m.preexisting = true;
-            m.state = ProcState::AttachWaitIcs { imsi, mme_ue_id };
-            return vec![S1apPdu::InitialContextSetupRequest {
-                enb_ue_id,
-                mme_ue_id,
-                gw_teid,
-                gw_ip: self.gw_ip,
-                ambr_kbps: ambr,
-                nas: NasMsg::AttachAccept { guti, ue_ip, tac: self.tac }.encode(),
-            }];
+            return Step::To(ProcState::AttachWaitIcs { imsi, mme_ue_id });
         }
-        // Fresh attach: authenticate against the HSS. Until the user
-        // record exists the machine owns the eNodeB-UE-id binding.
+        let Some(proxy) = self.proxy.clone() else { return Step::Stale };
+        // Until the user record exists the machine owns the eNodeB-UE-id
+        // binding.
         self.by_enb_ue_id.insert(enb_ue_id, imsi);
         m.enb_bound = true;
-        let proxy = match &self.proxy {
-            Some(p) => Arc::clone(p),
-            None => return vec![],
-        };
         let mme_ue_id = self.allocate_mme_ue_id();
-        match proxy.authentication_info(imsi) {
-            Ok(ch) => {
-                self.metrics.proc_started += 1;
-                m.state = ProcState::AttachWaitAuth { imsi, xres: ch.xres, ecgi, mme_ue_id };
-                vec![S1apPdu::DownlinkNasTransport {
-                    enb_ue_id,
-                    mme_ue_id,
-                    nas: NasMsg::AuthenticationRequest { rand: ch.rand, autn: ch.autn }.encode(),
-                }]
-            }
-            Err(_) => {
-                self.metrics.attach_rejects += 1;
-                self.metrics.proc_started += 1;
-                self.metrics.proc_aborted += 1;
-                vec![S1apPdu::DownlinkNasTransport {
-                    enb_ue_id,
-                    mme_ue_id,
-                    nas: NasMsg::AttachReject { cause: cause::IMSI_UNKNOWN }.encode(),
-                }]
-            }
-        }
+        let Ok(ch) = proxy.authentication_info(imsi) else {
+            self.metrics.attach_rejects += 1;
+            nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::IMSI_UNKNOWN });
+            return Step::Fail;
+        };
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AuthenticationRequest { rand: ch.rand, autn: ch.autn });
+        Step::To(ProcState::AttachWaitAuth { imsi, xres: ch.xres, ecgi, mme_ue_id })
     }
 
-    /// Idle→active: a Service Request re-activates a known (idle) user.
-    /// The user's context is re-announced to the data plane as *active*,
-    /// promoting it back into the primary table.
-    fn step_service_start(&mut self, m: &mut UeMachine, enb_ue_id: u32, ecgi: u32, guti: u64) -> Vec<S1apPdu> {
-        let t0 = std::time::Instant::now();
-        m.enb_ue_id = enb_ue_id;
-        // Re-check: a deferred service request may outlive the user.
-        let ctx = match self.context_of(m.imsi) {
-            Some(ctx) if self.by_guti.get(guti).copied() == Some(m.imsi) => ctx,
-            _ => return vec![S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE }],
+    fn attach_auth(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let ProcState::AttachWaitAuth { imsi, xres, ecgi, mme_ue_id } = m.state else { return Step::Stale };
+        let SigMsg::Nas { enb_ue_id, msg: NasMsg::AuthenticationResponse { res }, .. } = msg else {
+            return Step::Stale;
         };
-        let handle = ctx.handle();
-        let (gw_teid, ue_ip) = {
+        if res != xres {
+            self.metrics.attach_rejects += 1;
+            nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AuthenticationReject { cause: cause::AUTH_FAILURE });
+            return Step::Fail;
+        }
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::SecurityModeCommand { integrity_alg: 2, ciphering_alg: 1 });
+        Step::To(ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id })
+    }
+
+    /// Security mode complete: create the user from the HSS profile,
+    /// install its PCRF rules, and send the context setup.
+    fn attach_smc(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id } = m.state else { return Step::Stale };
+        let SigMsg::Nas { enb_ue_id, .. } = msg else { return Step::Stale };
+        let Some(proxy) = self.proxy.clone() else { return Step::Fail };
+        let Ok(sub) = proxy.update_location(imsi) else {
+            self.metrics.attach_rejects += 1;
+            nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::NETWORK_FAILURE });
+            return Step::Fail;
+        };
+        let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
+        // Counted on AttachComplete instead.
+        let handle = self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi);
+        // The user record exists: it takes over the association.
+        m.enb_bound = false;
+        self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id: m.enb_ue_id });
+        let rules = proxy.fetch_rules(mme_ue_id, imsi).unwrap_or_default();
+        if let Some(ctx) = self.slab.resolve(handle) {
             let mut c = ctx.ctrl_write();
-            if ecgi != 0 {
-                c.ecgi = ecgi;
+            for r in &rules {
+                let Some(rule_id) = Pcef::gx_id(r) else { continue };
+                // A slice sends each rule to its data plane once.
+                if self.installed_rules.insert(rule_id) {
+                    let (program, action) = Pcef::from_gx(r);
+                    self.pending_updates.push(DpUpdate::InstallRule { id: rule_id, program, action });
+                }
+                c.pcef_rules.push(rule_id);
             }
-            (c.tunnels.gw_teid, c.ue_ip)
-        };
-        let imsi = m.imsi;
-        // The UE answered a page: the paging procedure resolves here and
-        // the service request takes over (its Insert wakes the data path
-        // and flushes the idle buffer).
-        if let ProcState::PagingWait { mme_ue_id: page_id, .. } = m.state {
-            self.metrics.proc_completed += 1;
-            self.metrics.paging_resolved += 1;
-            self.by_mme_ue_id.remove(&page_id);
-            m.state = ProcState::Idle;
+            out.push(self.accept_attach(&c, enb_ue_id, mme_ue_id));
         }
-        self.idle_ues.remove(&imsi);
-        self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-        // A fresh S1 association replaces the one released at idle.
-        let mme_ue_id = self.allocate_mme_ue_id();
-        self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
-        self.metrics.service_requests += 1;
-        self.metrics.proc_started += 1;
-        self.metrics.proc_completed += 1;
+        Step::To(ProcState::AttachWaitIcs { imsi, mme_ue_id })
+    }
+
+    /// Context setup response: record the eNodeB's tunnel endpoint.
+    fn attach_ics(&mut self, m: &mut UeMachine, msg: SigMsg, _: &mut Vec<S1apPdu>) -> Step {
+        let ProcState::AttachWaitIcs { imsi, mme_ue_id } = m.state else { return Step::Stale };
+        let SigMsg::IcsRsp { enb_teid, enb_ip, .. } = msg else { return Step::Stale };
+        if let Some(ctx) = self.context_of(imsi) {
+            let mut c = ctx.ctrl_write();
+            (c.tunnels.enb_teid, c.tunnels.enb_ip) = (enb_teid, enb_ip);
+        }
         self.mark_dirty(imsi);
-        self.service_request_ns.record(t0.elapsed().as_nanos() as u64);
-        vec![S1apPdu::DownlinkNasTransport { enb_ue_id, mme_ue_id, nas: NasMsg::ServiceAccept.encode() }]
+        Step::To(ProcState::AttachWaitComplete { imsi, mme_ue_id })
     }
 
-    fn step_nas(&mut self, m: &mut UeMachine, enb_ue_id: u32, mme_ue_id: u32, msg: NasMsg) -> Vec<S1apPdu> {
-        match (m.state, msg) {
-            (ProcState::AttachWaitAuth { imsi, xres, ecgi, mme_ue_id: id }, NasMsg::AuthenticationResponse { res }) => {
-                if res == xres {
-                    m.state = ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id: id };
-                    vec![S1apPdu::DownlinkNasTransport {
-                        enb_ue_id,
-                        mme_ue_id: id,
-                        nas: NasMsg::SecurityModeCommand { integrity_alg: 2, ciphering_alg: 1 }.encode(),
-                    }]
-                } else {
-                    self.metrics.attach_rejects += 1;
-                    self.metrics.proc_aborted += 1;
-                    m.state = ProcState::Idle;
-                    vec![S1apPdu::DownlinkNasTransport {
-                        enb_ue_id,
-                        mme_ue_id: id,
-                        nas: NasMsg::AuthenticationReject { cause: cause::AUTH_FAILURE }.encode(),
-                    }]
-                }
-            }
-            (ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id: id }, NasMsg::SecurityModeComplete) => {
-                let proxy = match &self.proxy {
-                    Some(p) => Arc::clone(p),
-                    None => {
-                        self.metrics.proc_aborted += 1;
-                        m.state = ProcState::Idle;
-                        return vec![];
-                    }
-                };
-                // Pull the subscription profile and policy rules.
-                let sub = match proxy.update_location(imsi) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.metrics.attach_rejects += 1;
-                        self.metrics.proc_aborted += 1;
-                        m.state = ProcState::Idle;
-                        return vec![S1apPdu::DownlinkNasTransport {
-                            enb_ue_id,
-                            mme_ue_id: id,
-                            nas: NasMsg::AttachReject { cause: cause::NETWORK_FAILURE }.encode(),
-                        }];
-                    }
-                };
-                let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
-                // Counted on AttachComplete instead.
-                let handle = self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi, false);
-                // The user record exists: it takes over the association.
-                m.enb_bound = false;
-                self.bind_s1(imsi, handle, S1Conn { mme_ue_id: id, enb_ue_id: m.enb_ue_id });
-                let rules = proxy.fetch_rules(id, imsi).unwrap_or_default();
-                let Some(ctx) = self.slab.resolve(handle) else {
-                    // `do_attach` returned a live handle; abort, never panic.
-                    self.metrics.proc_aborted += 1;
-                    m.state = ProcState::Idle;
-                    return vec![];
-                };
-                // Install PCRF rules; read the accept's fields in one guard.
-                let (guti, ue_ip, gw_teid, ambr) = {
-                    let mut c = ctx.ctrl_write();
-                    for r in &rules {
-                        let Some(rule_id) = Pcef::gx_id(r) else { continue };
-                        // A slice sends each rule to its data plane once.
-                        if self.installed_rules.insert(rule_id) {
-                            let (program, action) = Pcef::from_gx(r);
-                            self.pending_updates.push(DpUpdate::InstallRule { id: rule_id, program, action });
-                        }
-                        c.pcef_rules.push(rule_id);
-                    }
-                    (c.guti, c.ue_ip, c.tunnels.gw_teid, c.qos.ambr_kbps)
-                };
-                m.state = ProcState::AttachWaitIcs { imsi, mme_ue_id: id };
-                vec![S1apPdu::InitialContextSetupRequest {
-                    enb_ue_id,
-                    mme_ue_id: id,
-                    gw_teid,
-                    gw_ip: self.gw_ip,
-                    ambr_kbps: ambr,
-                    nas: NasMsg::AttachAccept { guti, ue_ip, tac: self.tac }.encode(),
-                }]
-            }
-            (ProcState::AttachWaitComplete { .. }, NasMsg::AttachComplete) => {
-                self.metrics.attaches += 1;
-                self.metrics.proc_completed += 1;
-                m.state = ProcState::Idle;
-                m.preexisting = false;
-                vec![]
-            }
-            (_, NasMsg::DetachRequest { guti }) => {
-                // Single-shot procedure; routing already resolved the
-                // GUTI, but re-resolve in case a preemption rollback just
-                // removed the user.
-                match self.by_guti.get(guti).copied() {
-                    Some(user_imsi) => {
-                        self.do_detach(user_imsi);
-                        self.metrics.proc_started += 1;
-                        self.metrics.proc_completed += 1;
-                        vec![S1apPdu::DownlinkNasTransport { enb_ue_id, mme_ue_id, nas: NasMsg::DetachAccept.encode() }]
-                    }
-                    None => vec![],
-                }
-            }
-            (_, NasMsg::TrackingAreaUpdateRequest { guti, tac }) => {
-                let Some(user_imsi) = self.by_guti.get(guti).copied() else { return vec![] };
-                let Some(ctx) = self.context_of(user_imsi) else { return vec![] };
-                ctx.ctrl_write().tac = tac;
-                self.mark_dirty(user_imsi);
-                self.metrics.proc_started += 1;
-                self.metrics.proc_completed += 1;
-                vec![S1apPdu::DownlinkNasTransport {
-                    enb_ue_id,
-                    mme_ue_id,
-                    nas: NasMsg::TrackingAreaUpdateAccept { tac }.encode(),
-                }]
-            }
-            // Delivered into Idle but meaningless there (stray
-            // AttachComplete after completion, etc.): consumed, no-op.
-            _ => vec![],
-        }
+    fn attach_complete(&mut self, _: &mut UeMachine, _: SigMsg, _: &mut Vec<S1apPdu>) -> Step {
+        self.metrics.attaches += 1;
+        Step::To(ProcState::Idle)
     }
 
-    fn step_ics_rsp(&mut self, m: &mut UeMachine, enb_teid: u32, enb_ip: u32) -> Vec<S1apPdu> {
-        if let ProcState::AttachWaitIcs { imsi, mme_ue_id } = m.state {
-            if let Some(ctx) = self.context_of(imsi) {
-                let mut c = ctx.ctrl_write();
-                c.tunnels.enb_teid = enb_teid;
-                c.tunnels.enb_ip = enb_ip;
-                drop(c);
-                self.mark_dirty(imsi);
-            }
-            m.state = ProcState::AttachWaitComplete { imsi, mme_ue_id };
-        }
-        vec![]
-    }
-
-    fn step_path_switch(
-        &mut self,
-        m: &mut UeMachine,
-        enb_ue_id: u32,
-        mme_ue_id: u32,
-        new_enb_teid: u32,
-        new_enb_ip: u32,
-        ecgi: u32,
-    ) -> Vec<S1apPdu> {
-        // Re-check: a deferred path switch may outlive the session.
-        if self.by_mme_ue_id.get(&mme_ue_id).copied() != Some(m.imsi) {
-            return vec![];
-        }
-        if self.do_handover(m.imsi, new_enb_teid, new_enb_ip, ecgi) {
-            self.metrics.proc_started += 1;
-            self.metrics.proc_completed += 1;
-            vec![S1apPdu::PathSwitchRequestAck { enb_ue_id, mme_ue_id }]
-        } else {
-            vec![]
-        }
-    }
-
-    fn step_ho_required(&mut self, m: &mut UeMachine, enb_ue_id: u32, mme_ue_id: u32) -> Vec<S1apPdu> {
-        if self.by_mme_ue_id.get(&mme_ue_id).copied() != Some(m.imsi) {
-            return vec![];
-        }
+    /// S1 Handover Required: ask the *target* eNodeB (the node layer
+    /// routes the request there) to prepare, and wait for its ack.
+    fn ho_required(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::HoRequired { enb_ue_id, mme_ue_id } = msg else { return Step::Stale };
         let imsi = m.imsi;
-        let Some(ctx) = self.context_of(imsi) else { return vec![] };
-        let (handle, gw_teid, ambr) = {
+        // Re-check: a deferred handover may outlive the session.
+        let Some(ctx) = self.context_of(imsi).filter(|_| self.by_mme_ue_id.get(&mme_ue_id) == Some(&imsi)) else {
+            return Step::Stale;
+        };
+        let (handle, gw_teid, ambr_kbps) = {
             let c = ctx.ctrl_read();
             (ctx.handle(), c.tunnels.gw_teid, c.qos.ambr_kbps)
         };
-        self.metrics.proc_started += 1;
         m.enb_ue_id = enb_ue_id;
         self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
-        m.state = ProcState::HandoverWaitAck { imsi, source_enb_ue_id: enb_ue_id, mme_ue_id };
-        // Addressed to the *target* eNodeB (the node layer routes it
-        // there).
-        vec![S1apPdu::HandoverRequest { mme_ue_id, gw_teid, gw_ip: self.gw_ip, ambr_kbps: ambr }]
+        out.push(S1apPdu::HandoverRequest { mme_ue_id, gw_teid, gw_ip: self.gw_ip, ambr_kbps });
+        Step::To(ProcState::HandoverWaitAck { imsi, source_enb_ue_id: enb_ue_id, mme_ue_id })
     }
 
-    fn step_ho_ack(&mut self, m: &mut UeMachine, new_enb_teid: u32, new_enb_ip: u32) -> Vec<S1apPdu> {
-        if let ProcState::HandoverWaitAck { imsi, source_enb_ue_id, mme_ue_id } = m.state {
-            self.do_handover(imsi, new_enb_teid, new_enb_ip, 0);
-            m.state = ProcState::Idle;
-            self.metrics.proc_completed += 1;
-            vec![S1apPdu::HandoverCommand { enb_ue_id: source_enb_ue_id, mme_ue_id }]
-        } else {
-            // Stray ack delivered into Idle: consumed, no-op.
-            vec![]
-        }
+    fn ho_ack(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let ProcState::HandoverWaitAck { imsi, source_enb_ue_id, mme_ue_id } = m.state else { return Step::Stale };
+        let SigMsg::HoAck { new_enb_teid, new_enb_ip, .. } = msg else { return Step::Stale };
+        self.do_handover(imsi, new_enb_teid, new_enb_ip, 0);
+        out.push(S1apPdu::HandoverCommand { enb_ue_id: source_enb_ue_id, mme_ue_id });
+        Step::To(ProcState::Idle)
     }
 
-    /// S1 Release (active→idle): suspend the user's data path — tunnels
-    /// torn down, context retained — and answer with the release command.
-    /// Single-shot: the UE stays attached and reachable via paging.
-    fn step_release(&mut self, m: &mut UeMachine, enb_ue_id: u32, mme_ue_id: u32) -> Vec<S1apPdu> {
+    /// Downlink arrived for an idle UE: page it. The supervision tick
+    /// retransmits the page until the UE answers with a Service Request
+    /// or the retry budget runs out.
+    fn page_trigger(&mut self, m: &mut UeMachine, _: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
         let imsi = m.imsi;
-        // Re-check: a deferred release may outlive the user.
-        if !self.users.contains_key(imsi) {
-            return vec![];
-        }
-        self.metrics.proc_started += 1;
-        self.metrics.proc_completed += 1;
-        if self.suspend_user(imsi) {
-            self.metrics.releases += 1;
-        }
-        vec![S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id, cause: cause::SUCCESS }]
-    }
-
-    /// Network-triggered paging: downlink arrived for an idle UE. Start a
-    /// `PagingWait` procedure and emit the paging PDU; the supervision
-    /// tick retransmits it until the UE answers with a Service Request or
-    /// the retry budget is exhausted.
-    fn step_page_trigger(&mut self, m: &mut UeMachine) -> Vec<S1apPdu> {
-        let imsi = m.imsi;
-        // Stale trigger: the UE re-activated or detached before the
-        // trigger drained. Consumed as a no-op.
-        if !self.idle_ues.contains(&imsi) {
-            return vec![];
-        }
-        let Some(guti) = self.context_of(imsi).map(|ctx| ctx.ctrl_read().guti) else { return vec![] };
+        // Stale trigger: the UE re-activated or detached before it drained.
+        let Some(ctx) = self.context_of(imsi).filter(|_| self.idle_ues.contains(&imsi)) else { return Step::Stale };
+        let guti = ctx.ctrl_read().guti;
         let mme_ue_id = self.allocate_mme_ue_id();
         self.by_mme_ue_id.insert(mme_ue_id, imsi);
         self.metrics.paged += 1;
-        self.metrics.proc_started += 1;
-        m.state = ProcState::PagingWait {
-            imsi,
-            mme_ue_id,
-            retries: 0,
-            next_retx: self.proc_tick.saturating_add(PAGING_RETX_TICKS),
-        };
-        vec![S1apPdu::Paging { mme_ue_id, guti }]
+        out.push(S1apPdu::Paging { mme_ue_id, guti });
+        let next_retx = self.proc_tick.saturating_add(PAGING_RETX_TICKS);
+        Step::To(ProcState::PagingWait { imsi, mme_ue_id, retries: 0, next_retx })
     }
 
-    /// Network-triggered detach (subscription withdrawn, operator
-    /// action): tear the user down and tell the UE and the eNodeB.
-    /// Single-shot; preempts any in-flight procedure via `dispose`.
-    fn step_net_detach(&mut self, m: &mut UeMachine) -> Vec<S1apPdu> {
+    /// Service Request (idle→active): re-activate a known user on a fresh
+    /// S1 association. A UE answering a page completes the page first.
+    fn service_start(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::ServiceStart { enb_ue_id, ecgi, guti } = msg else { return Step::Stale };
+        let t0 = std::time::Instant::now();
         let imsi = m.imsi;
-        let Some(conn) = self.context_of(imsi).map(|ctx| ctx.s1_conn()) else { return vec![] };
-        let (enb_ue_id, mme_ue_id) = (m.enb_ue_id, conn.map_or(0, |c| c.mme_ue_id));
-        self.do_detach(imsi);
-        self.metrics.proc_started += 1;
-        self.metrics.proc_completed += 1;
-        vec![
-            S1apPdu::DownlinkNasTransport {
-                enb_ue_id,
-                mme_ue_id,
-                nas: NasMsg::NetworkDetachRequest { cause: cause::NETWORK_FAILURE }.encode(),
-            },
-            S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id, cause: cause::NETWORK_FAILURE },
-        ]
+        m.enb_ue_id = enb_ue_id;
+        // Re-check: a deferred service request may outlive the user.
+        let Some(handle) = self.users.get(imsi).copied().filter(|_| self.by_guti.get(guti) == Some(&imsi)) else {
+            out.push(S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE });
+            return Step::Stale;
+        };
+        if m.in_flight() {
+            self.exit(m, Exit::Completed);
+        }
+        let mme_ue_id = self.allocate_mme_ue_id();
+        self.activate(imsi, handle, (ecgi != 0).then_some(ecgi), S1Conn { mme_ue_id, enb_ue_id });
+        self.metrics.service_requests += 1;
+        self.service_request_ns.record(t0.elapsed().as_nanos() as u64);
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::ServiceAccept);
+        Step::To(ProcState::Idle)
+    }
+
+    fn tau(&mut self, _: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::Nas { enb_ue_id, mme_ue_id, msg: NasMsg::TrackingAreaUpdateRequest { guti, tac } } = msg else {
+            return Step::Stale;
+        };
+        // Re-check: a deferred TAU may outlive the user.
+        let Some(user) = self.by_guti.get(guti).copied() else { return Step::Stale };
+        let Some(ctx) = self.context_of(user) else { return Step::Stale };
+        ctx.ctrl_write().tac = tac;
+        self.mark_dirty(user);
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::TrackingAreaUpdateAccept { tac });
+        Step::To(ProcState::Idle)
+    }
+
+    fn detach(&mut self, _: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::Nas { enb_ue_id, mme_ue_id, msg: NasMsg::DetachRequest { guti } } = msg else {
+            return Step::Stale;
+        };
+        // Routing resolved the GUTI, but a preemption rollback may just
+        // have removed the user.
+        let Some(user) = self.by_guti.get(guti).copied() else { return Step::Stale };
+        self.do_detach(user);
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::DetachAccept);
+        Step::To(ProcState::Idle)
+    }
+
+    /// Network-triggered detach: tear the user down and tell the UE and
+    /// the eNodeB.
+    fn net_detach(&mut self, m: &mut UeMachine, _: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let Some(conn) = self.context_of(m.imsi).map(|ctx| ctx.s1_conn()) else { return Step::Stale };
+        let (enb_ue_id, mme_ue_id, cause) = (m.enb_ue_id, conn.map_or(0, |c| c.mme_ue_id), cause::NETWORK_FAILURE);
+        self.do_detach(m.imsi);
+        nas_to(out, enb_ue_id, mme_ue_id, NasMsg::NetworkDetachRequest { cause });
+        out.push(S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id, cause });
+        Step::To(ProcState::Idle)
+    }
+
+    /// X2 path switch: the one in-place tunnel rewrite.
+    fn path_switch(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::PathSwitch { enb_ue_id, mme_ue_id, new_enb_teid, new_enb_ip, ecgi } = msg else {
+            return Step::Stale;
+        };
+        // Re-check: a deferred path switch may outlive the session.
+        if self.by_mme_ue_id.get(&mme_ue_id) != Some(&m.imsi)
+            || !self.do_handover(m.imsi, new_enb_teid, new_enb_ip, ecgi)
+        {
+            return Step::Stale;
+        }
+        out.push(S1apPdu::PathSwitchRequestAck { enb_ue_id, mme_ue_id });
+        Step::To(ProcState::Idle)
+    }
+
+    /// S1 Release (active→idle): suspend the data path (tunnels torn
+    /// down, context retained) and answer with the release command. The
+    /// UE stays attached and reachable by paging.
+    fn release(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
+        let SigMsg::ReleaseReq { enb_ue_id, mme_ue_id, .. } = msg else { return Step::Stale };
+        // Re-check: a deferred release may outlive the user.
+        if !self.suspend_user(m.imsi) {
+            return Step::Stale;
+        }
+        self.metrics.releases += 1;
+        out.push(S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id, cause: cause::SUCCESS });
+        Step::To(ProcState::Idle)
+    }
+
+    // -- helpers the legs share --------------------------------------------------
+
+    /// Re-announce a known user as active on a new S1 association
+    /// (service request, duplicate attach), in the cell `ecgi` if known.
+    /// The `Insert` promotes it back into the primary table and flushes
+    /// whatever its idle buffer parked.
+    fn activate(&mut self, imsi: u64, handle: UeHandle, ecgi: Option<u32>, conn: S1Conn) {
+        if let Some(ctx) = self.slab.resolve(handle) {
+            let mut c = ctx.ctrl_write();
+            c.ecgi = ecgi.unwrap_or(c.ecgi);
+            let (gw_teid, ue_ip) = (c.tunnels.gw_teid, c.ue_ip);
+            self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
+        }
+        self.idle_ues.remove(&imsi);
+        self.bind_s1(imsi, handle, conn);
+        self.mark_dirty(imsi);
+    }
+
+    /// The Initial Context Setup Request carrying the user's Attach Accept.
+    fn accept_attach(&self, c: &ControlState, enb_ue_id: u32, mme_ue_id: u32) -> S1apPdu {
+        let nas = NasMsg::AttachAccept { guti: c.guti, ue_ip: c.ue_ip, tac: self.tac }.encode();
+        let (gw_teid, gw_ip, ambr_kbps) = (c.tunnels.gw_teid, self.gw_ip, c.qos.ambr_kbps);
+        S1apPdu::InitialContextSetupRequest { enb_ue_id, mme_ue_id, gw_teid, gw_ip, ambr_kbps, nas }
     }
 
     /// Suspend `imsi`'s data path: unindex it from the forwarding tables
     /// (context retained in the slab) so downlink buffers behind a page.
     fn suspend_user(&mut self, imsi: u64) -> bool {
-        match self.keys_of(imsi) {
-            Some((gw_teid, ue_ip)) => {
-                self.pending_updates.push(DpUpdate::Suspend { gw_teid, ue_ip, imsi });
-                self.idle_ues.insert(imsi);
-                self.mark_dirty(imsi);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Put a machine back, or retire it if quiescent (idle with an empty
-    /// mailbox) so the table only holds UEs with signaling in flight.
-    fn retire_or_keep(&mut self, mut m: UeMachine) {
-        if m.in_flight() || !m.mailbox.is_empty() {
-            self.machines.insert(m.imsi, m);
-        } else {
-            self.release_machine_enb(&mut m);
-        }
-    }
-
-    /// Forget a UE's procedure machine (detach / extraction). A machine
-    /// checked out for stepping is not in the table — its teardown is the
-    /// caller's job — so this is safely a no-op mid-delivery.
-    fn drop_machine(&mut self, imsi: u64) {
-        if let Some(mut m) = self.machines.remove(&imsi) {
-            self.metrics.sig_dropped += m.mailbox.len() as u64;
-            if m.in_flight() {
-                self.metrics.proc_aborted += 1;
-                if let ProcState::PagingWait { mme_ue_id, .. } = m.state {
-                    self.metrics.paging_expired += 1;
-                    self.by_mme_ue_id.remove(&mme_ue_id);
-                }
-            }
-            self.release_machine_enb(&mut m);
-        }
+        let Some((gw_teid, ue_ip)) = self.keys_of(imsi) else { return false };
+        self.pending_updates.push(DpUpdate::Suspend { gw_teid, ue_ip, imsi });
+        self.idle_ues.insert(imsi);
+        self.mark_dirty(imsi);
+        true
     }
 
     // -- procedure supervision ---------------------------------------------------
@@ -1101,108 +997,59 @@ impl ControlPlane {
         // migration/shrink so idle slices still converge to the compact
         // layout after a mass detach.
         self.maintain_tables();
-        self.page_retx_sweep(now);
+        // The sweep's PDUs answer no inbound PDU: they stage until the
+        // wiring drains them.
+        let mut tx = std::mem::take(&mut self.pending_tx);
+        self.page_retx_sweep(now, &mut tx);
+        self.pending_tx = tx;
     }
 
     /// Timer-driven paging retransmission: every `PAGING_RETX_TICKS`
     /// ticks a silent page is re-sent, up to `PAGING_MAX_RETX` times;
     /// after that the page expires — the idle buffer is dropped and the
-    /// UE stays attached-idle. Deterministic tick arithmetic, IMSI order.
-    fn page_retx_sweep(&mut self, now: u64) {
-        let mut due: Vec<u64> = self
-            .machines
-            .iter()
-            .filter(|(_, m)| matches!(m.state, ProcState::PagingWait { next_retx, .. } if next_retx <= now))
-            .map(|(imsi, _)| *imsi)
-            .collect();
-        due.sort_unstable();
-        for key in due {
-            let Some(mut m) = self.machines.remove(&key) else { continue };
-            let ProcState::PagingWait { imsi, mme_ue_id, retries, .. } = m.state else {
-                self.machines.insert(key, m);
-                continue;
-            };
-            if retries >= PAGING_MAX_RETX {
-                // Escalation exhausted: drop the buffered downlink; the
-                // suspension itself persists until the UE signals.
-                self.metrics.paging_expired += 1;
-                self.metrics.proc_expired += 1;
-                self.by_mme_ue_id.remove(&mme_ue_id);
-                if let Some((_, ue_ip)) = self.keys_of(imsi) {
-                    self.pending_updates.push(DpUpdate::DropIdleBuffer { ue_ip });
-                }
-                m.state = ProcState::Idle;
-                m.last_tx.clear();
-                // Messages deferred behind the page can run now; their
-                // replies have no inbound PDU to answer, so they stage in
-                // `pending_tx`.
-                while !m.in_flight() {
-                    match m.mailbox.pop_front() {
-                        Some(next) => {
-                            let out = self.deliver_one(&mut m, next);
-                            self.pending_tx.extend(out);
-                        }
-                        None => break,
-                    }
-                }
-                self.retire_or_keep(m);
-            } else {
-                self.metrics.paging_retx += 1;
-                m.state = ProcState::PagingWait {
-                    imsi,
-                    mme_ue_id,
-                    retries: retries + 1,
-                    next_retx: now.saturating_add(PAGING_RETX_TICKS),
-                };
+    /// UE stays attached-idle — and the messages deferred behind it run.
+    /// Deterministic tick arithmetic, IMSI order.
+    fn page_retx_sweep(&mut self, now: u64, out: &mut Vec<S1apPdu>) {
+        let due =
+            self.machines_where(|m| matches!(m.state, ProcState::PagingWait { next_retx, .. } if next_retx <= now));
+        for imsi in due {
+            let Some(m) = self.machines.get_mut(&imsi) else { continue };
+            let ProcState::PagingWait { retries, next_retx, .. } = &mut m.state else { continue };
+            if *retries < PAGING_MAX_RETX {
+                *retries += 1;
+                *next_retx = now.saturating_add(PAGING_RETX_TICKS);
                 m.last_progress = now;
-                self.pending_tx.extend(m.last_tx.iter().cloned());
-                self.machines.insert(key, m);
+                self.metrics.paging_retx += 1;
+                out.extend_from_slice(&m.last_tx);
+            } else if let Some(mut m) = self.machines.remove(&imsi) {
+                self.exit(&mut m, Exit::Expired);
+                self.drain(m, out);
             }
         }
     }
 
     /// Expire procedures that made no progress for more than `max_age`
-    /// ticks: drop their mailboxes, roll back half-created users, and
-    /// retire the machines. Returns how many procedures expired.
-    /// `max_age == 0` disables expiry.
+    /// ticks: drop their mailboxes and end them through the exit hook
+    /// (which rolls back half-created users). Returns how many machines
+    /// were reaped. `max_age == 0` disables expiry.
     pub fn expire_procedures(&mut self, now: u64, max_age: u64) -> usize {
         self.proc_tick = now;
         if max_age == 0 {
             return 0;
         }
-        let mut stale: Vec<u64> = self
-            .machines
-            .iter()
-            .filter(|(_, m)| (m.in_flight() || !m.mailbox.is_empty()) && now.saturating_sub(m.last_progress) > max_age)
-            .map(|(imsi, _)| *imsi)
-            .collect();
-        // HashMap iteration order is arbitrary; expire in IMSI order so
-        // replication and the simulator stay deterministic.
-        stale.sort_unstable();
-        let mut n = 0;
-        for imsi in stale {
-            // An earlier iteration's abort compensation (rollback detach)
-            // may already have dropped this machine — re-check membership
-            // instead of trusting the pre-collected list.
-            let Some(mut m) = self.machines.remove(&imsi) else { continue };
-            self.metrics.sig_dropped += m.mailbox.len() as u64;
-            m.mailbox.clear();
-            if m.in_flight() {
-                let was_paging = matches!(m.state, ProcState::PagingWait { .. });
-                self.abort_machine(&mut m);
-                self.metrics.proc_expired += 1;
-                // `abort_machine` closed the paging identity; the buffered
-                // downlink must go with it (nothing will flush it).
-                if was_paging {
-                    if let Some((_, ue_ip)) = self.keys_of(imsi) {
-                        self.pending_updates.push(DpUpdate::DropIdleBuffer { ue_ip });
-                    }
-                }
-            }
-            self.release_machine_enb(&mut m);
-            n += 1;
-        }
-        n
+        let stale = self.machines_where(|m| now.saturating_sub(m.last_progress) > max_age);
+        // An earlier expiry's rollback may already have reaped a machine
+        // on the list.
+        stale.into_iter().filter(|&imsi| self.drop_machine(imsi, Exit::Expired)).count()
+    }
+
+    /// The machines `pick` selects, in IMSI order (`HashMap` order is
+    /// arbitrary; replication and the simulator need determinism). Every
+    /// machine in the table has a procedure in flight.
+    fn machines_where(&self, pick: impl Fn(&UeMachine) -> bool) -> Vec<u64> {
+        let mut v: Vec<u64> = self.machines.values().filter(|m| pick(m)).map(|m| m.imsi).collect();
+        v.sort_unstable();
+        v
     }
 
     /// UEs whose procedure has been in flight without progress for more
@@ -1236,21 +1083,6 @@ impl ControlPlane {
         self.by_guti.contains_key(guti)
     }
 
-    /// Network-triggered page for an idle UE (downlink arrived while
-    /// suspended). Counted as inbound signaling so the conservation
-    /// identities hold without special cases.
-    pub fn page(&mut self, imsi: u64) -> Vec<S1apPdu> {
-        self.metrics.s1ap_rx += 1;
-        self.deliver(imsi, SigMsg::PageTrigger { imsi })
-    }
-
-    /// Network-triggered detach (operator action / subscription
-    /// withdrawn). Counted as inbound signaling like [`Self::page`].
-    pub fn network_detach(&mut self, imsi: u64) -> Vec<S1apPdu> {
-        self.metrics.s1ap_rx += 1;
-        self.deliver(imsi, SigMsg::NetDetach { imsi })
-    }
-
     /// Pages still waiting for the UE to answer — the `paging_in_flight`
     /// term of `paged == paging_resolved + paging_expired + in_flight`.
     pub fn paging_in_flight(&self) -> u64 {
@@ -1265,11 +1097,6 @@ impl ControlPlane {
     /// Number of attached UEs currently in ECM-IDLE (suspended).
     pub fn idle_user_count(&self) -> usize {
         self.idle_ues.len()
-    }
-
-    /// Whether `imsi` is attached but suspended (ECM-IDLE).
-    pub fn is_idle(&self, imsi: u64) -> bool {
-        self.idle_ues.contains(&imsi)
     }
 
     /// Drain PDUs emitted by the supervision sweep (paging retransmits
@@ -1298,22 +1125,13 @@ impl ControlPlane {
     /// plane to forget the user (which also frees the slab slot — the
     /// snapshot no longer references the source arena at all).
     pub fn extract_user(&mut self, imsi: u64) -> Option<UserSnapshot> {
-        let (ctrl, counters, conn) = {
-            let ctx = self.users.remove(imsi).and_then(|h| self.slab.resolve(h))?;
-            let c = ctx.ctrl_read();
-            (c.clone(), ctx.counters(), ctx.s1_conn())
-        };
+        let (ctrl, counters) = self.context_of(imsi).map(|ctx| (ctx.ctrl_read().clone(), ctx.counters()))?;
         // An in-flight procedure does not migrate: the machine is dropped
         // (accounted as aborted) and the peer retries against the new
         // owner. Only the committed ControlState moves.
-        self.drop_machine(imsi);
-        let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
-        self.by_guti.remove(guti);
-        self.unindex_s1(imsi, conn);
-        self.idle_ues.remove(&imsi);
-        self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
+        self.remove_user(imsi);
         self.metrics.migrations_out += 1;
-        self.mark_dirty(imsi);
+        let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
         Some(UserSnapshot { uid: imsi, imsi, gw_teid, ue_ip, ctrl, counters })
     }
 
@@ -1469,22 +1287,11 @@ impl ControlPlane {
     }
 }
 
-/// Drive a complete attach for `imsi` against `cp`, emulating the UE/eNodeB
-/// side (SIM key derived as the HSS provisions it). Returns the
+/// Drive a complete attach for `imsi` through `send` (a slice's control
+/// plane, an inline slice, or a whole node), emulating the UE/eNodeB side
+/// (SIM key derived as the HSS provisions it). Returns the
 /// (guti, ue_ip, gw_teid) from the Attach Accept. Test/bench helper —
 /// this is what the ng4T RAN emulator did for the paper.
-pub fn run_attach_procedure(
-    cp: &mut ControlPlane,
-    imsi: u64,
-    enb_ue_id: u32,
-    enb_teid: u32,
-    enb_ip: u32,
-) -> Option<(u64, u32, u32)> {
-    run_attach_with(|pdu| cp.handle_s1ap(pdu), imsi, enb_ue_id, enb_teid, enb_ip)
-}
-
-/// [`run_attach_procedure`] generalized over the S1AP endpoint (a slice's
-/// control plane, an inline slice, or a whole node).
 pub fn run_attach_with(
     mut send: impl FnMut(&S1apPdu) -> Vec<S1apPdu>,
     imsi: u64,
@@ -1645,7 +1452,7 @@ mod tests {
     #[test]
     fn full_attach_procedure_over_s1ap() {
         let mut cp = cp_with_backends(100);
-        let (guti, ue_ip, gw_teid) = run_attach_procedure(&mut cp, 42, 1, 0xE0, 0xC0A80005).unwrap();
+        let (guti, ue_ip, gw_teid) = run_attach_with(|p| cp.handle_s1ap(p), 42, 1, 0xE0, 0xC0A80005).unwrap();
         assert_eq!(cp.metrics().attaches, 1);
         assert_eq!(cp.metrics().attach_rejects, 0);
         assert_eq!(cp.user_count(), 1);
@@ -1673,7 +1480,7 @@ mod tests {
         let rule = |rule_id, qci| GxRule { rule_id, proto: 0, dst_port_lo: 0, dst_port_hi: 0, qci, rate_kbps: 0 };
         pcrf.set_rules(42, vec![rule(65_537, 3), rule(1, 8)]);
         let mut cp = cp_with_pcrf(100, pcrf);
-        run_attach_procedure(&mut cp, 42, 1, 0xE0, 0xC0A80005).unwrap();
+        run_attach_with(|p| cp.handle_s1ap(p), 42, 1, 0xE0, 0xC0A80005).unwrap();
         let listed: Vec<u16> = cp.context_of(42).unwrap().ctrl_read().pcef_rules.iter().collect();
         assert_eq!(listed, [1]);
         let installed: Vec<(u16, u8)> = cp
@@ -1736,7 +1543,7 @@ mod tests {
     #[test]
     fn x2_path_switch_over_s1ap() {
         let mut cp = cp_with_backends(10);
-        run_attach_procedure(&mut cp, 3, 1, 0xE0, 0xC0A80005).unwrap();
+        run_attach_with(|p| cp.handle_s1ap(p), 3, 1, 0xE0, 0xC0A80005).unwrap();
         let mme_ue_id = 1; // first allocation
         let rsp = cp.handle_s1ap(&S1apPdu::PathSwitchRequest {
             enb_ue_id: 77,
@@ -1755,7 +1562,7 @@ mod tests {
     #[test]
     fn s1_handover_three_way_over_s1ap() {
         let mut cp = cp_with_backends(10);
-        run_attach_procedure(&mut cp, 3, 1, 0xE0, 0xC0A80005).unwrap();
+        run_attach_with(|p| cp.handle_s1ap(p), 3, 1, 0xE0, 0xC0A80005).unwrap();
         // Source eNodeB asks for an S1 handover.
         let rsp = cp.handle_s1ap(&S1apPdu::HandoverRequired { enb_ue_id: 1, mme_ue_id: 1, target_ecgi: 9 });
         let (gw_teid, ambr) = match rsp.as_slice() {
@@ -1776,7 +1583,7 @@ mod tests {
     #[test]
     fn detach_over_s1ap() {
         let mut cp = cp_with_backends(10);
-        let (guti, ..) = run_attach_procedure(&mut cp, 3, 1, 0xE0, 5).unwrap();
+        let (guti, ..) = run_attach_with(|p| cp.handle_s1ap(p), 3, 1, 0xE0, 5).unwrap();
         let rsp = cp.handle_s1ap(&S1apPdu::UplinkNasTransport {
             enb_ue_id: 1,
             mme_ue_id: 1,
@@ -1794,7 +1601,7 @@ mod tests {
     #[test]
     fn tau_over_s1ap() {
         let mut cp = cp_with_backends(10);
-        let (guti, ..) = run_attach_procedure(&mut cp, 3, 1, 0xE0, 5).unwrap();
+        let (guti, ..) = run_attach_with(|p| cp.handle_s1ap(p), 3, 1, 0xE0, 5).unwrap();
         let rsp = cp.handle_s1ap(&S1apPdu::UplinkNasTransport {
             enb_ue_id: 1,
             mme_ue_id: 1,
@@ -1856,12 +1663,12 @@ mod tests {
     /// Attach imsi 1 via full S1AP, then release it to idle. Returns its
     /// GUTI.
     fn attach_and_release(cp: &mut ControlPlane) -> u64 {
-        let (guti, ..) = run_attach_procedure(cp, 1, 10, 0x500, 0xC0A80001).expect("attach");
+        let (guti, ..) = run_attach_with(|p| cp.handle_s1ap(p), 1, 10, 0x500, 0xC0A80001).expect("attach");
         cp.take_updates();
         let rsp = cp.handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 10, mme_ue_id: 1, cause: 0 });
         assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
         assert!(matches!(cp.take_updates().as_slice(), [DpUpdate::Suspend { imsi: 1, .. }]));
-        assert!(cp.is_idle(1));
+        assert!(cp.idle_ues.contains(&1));
         guti
     }
 
@@ -1896,7 +1703,7 @@ mod tests {
         assert!(matches!(rsp.as_slice(), [S1apPdu::DownlinkNasTransport { .. }]));
         assert_eq!(cp.metrics().paging_resolved, 1);
         assert_eq!(cp.paging_in_flight(), 0);
-        assert!(!cp.is_idle(1));
+        assert!(!cp.idle_ues.contains(&1));
         // The wake re-announces the user as active (flushing its buffer).
         assert!(cp.take_updates().iter().any(|u| matches!(u, DpUpdate::Insert { active: true, .. })));
         // The page's interim mme_ue_id was retired with the procedure.
@@ -1924,7 +1731,7 @@ mod tests {
         assert_eq!(cp.metrics().paging_expired, 1);
         assert_eq!(cp.paging_in_flight(), 0);
         assert!(matches!(cp.take_updates().as_slice(), [DpUpdate::DropIdleBuffer { .. }]));
-        assert!(cp.is_idle(1), "expiry keeps the UE attached-idle");
+        assert!(cp.idle_ues.contains(&1), "expiry keeps the UE attached-idle");
         assert_eq!(cp.user_count(), 1);
         assert_identities(&cp);
         // A later page starts a fresh procedure.
@@ -1936,7 +1743,7 @@ mod tests {
     #[test]
     fn page_trigger_for_active_user_is_a_stale_no_op() {
         let mut cp = cp_with_backends(4);
-        run_attach_procedure(&mut cp, 1, 10, 0x500, 0xC0A80001).expect("attach");
+        run_attach_with(|p| cp.handle_s1ap(p), 1, 10, 0x500, 0xC0A80001).expect("attach");
         cp.take_updates();
         assert!(cp.page(1).is_empty(), "active UE is not paged");
         assert_eq!(cp.metrics().paged, 0);
@@ -1955,7 +1762,7 @@ mod tests {
             [S1apPdu::DownlinkNasTransport { .. }, S1apPdu::UeContextReleaseCommand { .. }]
         ));
         assert_eq!(cp.user_count(), 0);
-        assert!(!cp.is_idle(1));
+        assert!(!cp.idle_ues.contains(&1));
         // The preempted page closed as expired; the Remove drops the
         // buffered downlink on the data plane.
         assert_eq!(cp.metrics().paging_expired, 1);
@@ -2004,7 +1811,7 @@ mod tests {
         let mut cp = cp_with_backends(10);
         // Full S1AP lifecycle: attach, X2 + S1 handover, TAU, release,
         // page, service request, detach.
-        let (guti, ..) = run_attach_procedure(&mut cp, 3, 1, 0xE0, 5).unwrap();
+        let (guti, ..) = run_attach_with(|p| cp.handle_s1ap(p), 3, 1, 0xE0, 5).unwrap();
         let ps = S1apPdu::PathSwitchRequest { enb_ue_id: 2, mme_ue_id: 1, new_enb_teid: 0xF1, new_enb_ip: 6, ecgi: 2 };
         assert!(matches!(cp.handle_s1ap(&ps).as_slice(), [S1apPdu::PathSwitchRequestAck { .. }]));
         cp.handle_s1ap(&S1apPdu::HandoverRequired { enb_ue_id: 2, mme_ue_id: 1, target_ecgi: 9 });
@@ -2077,7 +1884,7 @@ mod tests {
         assert!(!cp.machines.contains_key(&2), "a finished procedure leaves no machine behind");
         // A single-shot procedure never enters the table either.
         cp.handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 1, mme_ue_id: 1, cause: 0 });
-        assert!(cp.is_idle(2) && cp.machines.is_empty());
+        assert!(cp.idle_ues.contains(&2) && cp.machines.is_empty());
         // A paging retransmit replays the page byte for byte.
         let page = cp.page(2);
         assert!(matches!(page.as_slice(), [S1apPdu::Paging { .. }]));
@@ -2089,6 +1896,36 @@ mod tests {
         cp.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 3, ecgi: 1, tac: 1, nas: sr });
         assert_eq!(cp.metrics().paging_resolved, 1);
         assert!(cp.machines.is_empty());
+        assert_identities(&cp);
+    }
+
+    #[test]
+    fn deferred_and_dropped_messages_do_not_keep_a_stalled_attach_alive() {
+        let mut cp = cp_with_backends(4);
+        let (mme_ue_id, ..) = attach_to_smc(&mut cp, 2, 1);
+        let nas = NasMsg::SecurityModeComplete.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+        assert!(matches!(cp.machines[&2].state, ProcState::AttachWaitIcs { .. }));
+        let Some(guti) = cp.context_of(2).map(|c| c.ctrl_read().guti) else { panic!() };
+        // The eNodeB never answers the context setup; every tick the UE
+        // sends a TAU (deferred behind the attach) and a stray handover
+        // ack arrives (dropped). Neither is progress.
+        let max_age = 3;
+        let mut expired_at = None;
+        for tick in 1..=4 * max_age {
+            cp.note_tick(tick);
+            let nas = NasMsg::TrackingAreaUpdateRequest { guti, tac: 9 }.encode();
+            cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+            cp.handle_s1ap(&S1apPdu::HandoverRequestAck { mme_ue_id, new_enb_teid: 1, new_enb_ip: 1 });
+            if cp.expire_procedures(tick, max_age) > 0 {
+                expired_at = Some(tick);
+                break;
+            }
+        }
+        assert_eq!(expired_at, Some(max_age + 1));
+        let m = cp.metrics();
+        assert_eq!((m.sig_deferred, m.sig_dropped, m.proc_expired), (max_age + 1, 2 * (max_age + 1), 1));
+        assert!(cp.context_of(2).is_none(), "the half-created user is rolled back");
         assert_identities(&cp);
     }
 }

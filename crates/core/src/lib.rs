@@ -1,5 +1,8 @@
 // IMSI literals are written MCC_MNC_MSIN (e.g. 404_01_…).
 #![allow(clippy::inconsistent_digit_grouping)]
+// No input or backend answer may panic a slice: library code returns
+// errors or counts drops instead of unwrapping.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! # pepc — a high-performance packet core sliced by user
 //!

@@ -10,37 +10,32 @@
 //! a retransmission (answering from the cached response), or drop it.
 //!
 //! The machine itself is pure bookkeeping: [`crate::ctrl::ControlPlane`]
-//! is the dispatcher that routes PDUs to machines, applies dispositions,
-//! and performs the actual state mutations when a message is delivered.
-//! Keeping the policy table here, side-effect free, is what makes the
-//! interleaving test matrix (`tests/procedure_interleavings.rs`) able to
-//! enumerate it exhaustively.
+//! routes PDUs to machines, applies dispositions, and steps a delivered
+//! message through its leg table, one row per ([`Wait`], [`MsgKind`])
+//! pair naming the effect and the next wait state. The policy here and
+//! the leg table are two views of one machine, and a unit test keeps them
+//! in step: a waiting machine gets `Deliver` exactly for the pairs that
+//! have a row. Keeping the policy side-effect free is what lets the
+//! interleaving matrix (`tests/procedure_interleavings.rs`) enumerate it.
 //!
-//! State diagram (attach; `*` marks states where the half-created user
-//! must be rolled back if the procedure is preempted/aborted/expired):
-//!
-//! ```text
-//! Idle --AttachStart--> WaitAuth --AuthRsp--> WaitSmc --SmcComplete-->
-//!     WaitIcs* --IcsRsp--> WaitComplete* --AttachComplete--> Idle
-//! ```
-//!
-//! Handover (S1 three-way):
+//! The legs, read off the rows (`*` marks the states where a user record
+//! exists that must be rolled back if the attach ends any way but
+//! completion):
 //!
 //! ```text
-//! Idle --HoRequired--> HandoverWaitAck --HoAck--> Idle
+//! attach    Idle --AttachStart--> AttachAuth --AuthRsp--> AttachSmc
+//!           --SmcComplete--> AttachIcs* --IcsRsp--> AttachComplete*
+//!           --AttachComplete--> Idle
+//! handover  Idle --HoRequired--> HandoverAck --HoAck--> Idle
+//! paging    Idle --PageTrigger--> Paging --ServiceStart--> Idle
 //! ```
 //!
-//! Network-triggered paging (timer-driven retransmission on the
-//! supervision clock, resolved by the UE's Service Request):
-//!
-//! ```text
-//! Idle --PageTrigger--> PagingWait --ServiceStart--> Idle
-//!                       PagingWait --(retx timer x PAGING_MAX_RETX)--> expire
-//! ```
-//!
-//! Detach, TAU, service request, S1 release, network detach, path switch
-//! (X2), and bearer setup are single-message procedures: they start and
-//! complete in one step and never leave `Idle` behind.
+//! An Attach Request for an IMSI that is already attached skips the
+//! authentication legs and lands in `AttachIcs` with its identifiers
+//! unchanged. A page with no answer expires on the supervision clock
+//! after [`PAGING_MAX_RETX`] retransmissions. Service request, TAU, UE
+//! detach, network detach, X2 path switch and S1 release are one-row
+//! procedures out of `Idle`: they start and complete in one leg.
 
 use pepc_sigproto::nas::NasMsg;
 use pepc_sigproto::s1ap::S1apPdu;
@@ -58,20 +53,13 @@ pub const PAGING_RETX_TICKS: u64 = 2;
 /// counted); 8 comfortably covers every legal overlap of two procedures.
 pub const MAILBOX_CAP: usize = 8;
 
-/// Which procedure a machine is currently running (telemetry label).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcKind {
-    Attach,
-    Handover,
-    Paging,
-}
-
 /// The resumable procedure state. `Copy` so HA snapshots and the
 /// dispatcher can move it around freely; identifiers needed to resume are
 /// carried inline (nothing hides in closures or call stacks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProcState {
     /// No procedure in flight.
+    #[default]
     Idle,
     /// Attach: challenge sent, waiting for the UE's RES.
     AttachWaitAuth { imsi: u64, xres: u64, ecgi: u32, mme_ue_id: u32 },
@@ -91,19 +79,53 @@ pub enum ProcState {
     PagingWait { imsi: u64, mme_ue_id: u32, retries: u8, next_retx: u64 },
 }
 
+/// A [`ProcState`] without the identifiers it carries: the first half of
+/// a leg-table row's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wait {
+    Idle,
+    AttachAuth,
+    AttachSmc,
+    AttachIcs,
+    AttachComplete,
+    HandoverAck,
+    Paging,
+}
+
 impl ProcState {
-    /// The procedure this state belongs to, if any.
-    pub fn kind(&self) -> Option<ProcKind> {
+    pub(crate) fn wait(&self) -> Wait {
         match self {
-            ProcState::Idle => None,
-            ProcState::AttachWaitAuth { .. }
-            | ProcState::AttachWaitSmc { .. }
-            | ProcState::AttachWaitIcs { .. }
-            | ProcState::AttachWaitComplete { .. } => Some(ProcKind::Attach),
-            ProcState::HandoverWaitAck { .. } => Some(ProcKind::Handover),
-            ProcState::PagingWait { .. } => Some(ProcKind::Paging),
+            ProcState::Idle => Wait::Idle,
+            ProcState::AttachWaitAuth { .. } => Wait::AttachAuth,
+            ProcState::AttachWaitSmc { .. } => Wait::AttachSmc,
+            ProcState::AttachWaitIcs { .. } => Wait::AttachIcs,
+            ProcState::AttachWaitComplete { .. } => Wait::AttachComplete,
+            ProcState::HandoverWaitAck { .. } => Wait::HandoverAck,
+            ProcState::PagingWait { .. } => Wait::Paging,
         }
     }
+}
+
+/// A [`SigMsg`] without its fields, NAS messages by type: the second half
+/// of a leg-table row's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MsgKind {
+    AttachStart,
+    ServiceStart,
+    AuthRsp,
+    SmcComplete,
+    AttachComplete,
+    Detach,
+    Tau,
+    /// Any other uplink NAS message: no leg expects it.
+    OtherNas,
+    IcsRsp,
+    PathSwitch,
+    HoRequired,
+    HoAck,
+    ReleaseReq,
+    PageTrigger,
+    NetDetach,
 }
 
 /// A signaling message after routing: addressed to exactly one UE, with
@@ -137,6 +159,30 @@ pub enum SigMsg {
     NetDetach { imsi: u64 },
 }
 
+impl SigMsg {
+    pub(crate) fn kind(&self) -> MsgKind {
+        match self {
+            SigMsg::AttachStart { .. } => MsgKind::AttachStart,
+            SigMsg::ServiceStart { .. } => MsgKind::ServiceStart,
+            SigMsg::Nas { msg, .. } => match msg {
+                NasMsg::AuthenticationResponse { .. } => MsgKind::AuthRsp,
+                NasMsg::SecurityModeComplete => MsgKind::SmcComplete,
+                NasMsg::AttachComplete => MsgKind::AttachComplete,
+                NasMsg::DetachRequest { .. } => MsgKind::Detach,
+                NasMsg::TrackingAreaUpdateRequest { .. } => MsgKind::Tau,
+                _ => MsgKind::OtherNas,
+            },
+            SigMsg::IcsRsp { .. } => MsgKind::IcsRsp,
+            SigMsg::PathSwitch { .. } => MsgKind::PathSwitch,
+            SigMsg::HoRequired { .. } => MsgKind::HoRequired,
+            SigMsg::HoAck { .. } => MsgKind::HoAck,
+            SigMsg::ReleaseReq { .. } => MsgKind::ReleaseReq,
+            SigMsg::PageTrigger { .. } => MsgKind::PageTrigger,
+            SigMsg::NetDetach { .. } => MsgKind::NetDetach,
+        }
+    }
+}
+
 /// What the machine decides to do with an arriving message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
@@ -157,7 +203,7 @@ pub enum Disposition {
 }
 
 /// The single-owner procedure machine for one UE.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UeMachine {
     pub imsi: u64,
     /// Last eNodeB UE id seen for this UE (routing index value).
@@ -173,8 +219,10 @@ pub struct UeMachine {
     /// idempotent. Written only while a procedure stays in flight; empty
     /// in `Idle`, where nothing reads it.
     pub last_tx: Vec<S1apPdu>,
-    /// Tick of the last delivered message (drives the supervision timer
-    /// and the "stuck procedure" oracle).
+    /// Tick of the last delivered, preempting or deduplicated message (or
+    /// paging retransmission); deferred and dropped ones cannot keep a
+    /// stalled procedure alive. Drives the supervision timer and the
+    /// "stuck procedure" oracle.
     pub last_progress: u64,
     /// The user record predates the running procedure (idempotent
     /// re-attach): abort must *not* roll the user back.
@@ -183,16 +231,7 @@ pub struct UeMachine {
 
 impl UeMachine {
     pub fn new(imsi: u64, now: u64) -> Self {
-        UeMachine {
-            imsi,
-            enb_ue_id: 0,
-            enb_bound: false,
-            state: ProcState::Idle,
-            mailbox: VecDeque::new(),
-            last_tx: Vec::new(),
-            last_progress: now,
-            preexisting: false,
-        }
+        UeMachine { imsi, last_progress: now, ..Default::default() }
     }
 
     /// Whether a procedure is in flight.
@@ -204,120 +243,61 @@ impl UeMachine {
     /// message. Pure — no side effects, so tests can sweep it.
     pub fn dispose(&self, msg: &SigMsg) -> Disposition {
         use Disposition::*;
-        match self.state {
-            // Idle: everything is deliverable; the step function decides
+        use MsgKind as K;
+        use Wait as W;
+        let wait = self.state.wait();
+        let attaching = matches!(wait, W::AttachAuth | W::AttachSmc | W::AttachIcs | W::AttachComplete);
+        // A reply naming an MME UE id answers only the procedure waiting
+        // under that id.
+        let awaited = match (self.state, msg) {
+            (ProcState::AttachWaitIcs { mme_ue_id, .. }, SigMsg::IcsRsp { mme_ue_id: got, .. })
+            | (ProcState::HandoverWaitAck { mme_ue_id, .. }, SigMsg::HoAck { mme_ue_id: got, .. }) => mme_ue_id == *got,
+            _ => true,
+        };
+        let same_association = matches!(msg, SigMsg::AttachStart { enb_ue_id, .. } if *enb_ue_id == self.enb_ue_id);
+        match (wait, msg.kind()) {
+            // Idle: everything is deliverable; the leg table decides
             // whether it means anything.
-            ProcState::Idle => Deliver,
-
-            // Mid-attach.
-            ProcState::AttachWaitAuth { mme_ue_id, .. }
-            | ProcState::AttachWaitSmc { mme_ue_id, .. }
-            | ProcState::AttachWaitIcs { mme_ue_id, .. }
-            | ProcState::AttachWaitComplete { mme_ue_id, .. } => match msg {
-                // Retransmitted Attach Request on the same S1 association
-                // is the same attempt; a different association is a new
-                // attempt that displaces this one.
-                SigMsg::AttachStart { enb_ue_id, .. } => {
-                    if *enb_ue_id == self.enb_ue_id {
-                        Dedup
-                    } else {
-                        Preempt
-                    }
-                }
-                // A UE mid-attach has no bearer to re-establish.
-                SigMsg::ServiceStart { .. } => Drop,
-                SigMsg::Nas { msg, .. } => match (self.state, msg) {
-                    // The expected next NAS message of each wait state.
-                    (ProcState::AttachWaitAuth { .. }, NasMsg::AuthenticationResponse { .. })
-                    | (ProcState::AttachWaitSmc { .. }, NasMsg::SecurityModeComplete)
-                    | (ProcState::AttachWaitComplete { .. }, NasMsg::AttachComplete) => Deliver,
-                    // Retransmits of already-consumed steps.
-                    (
-                        ProcState::AttachWaitSmc { .. }
-                        | ProcState::AttachWaitIcs { .. }
-                        | ProcState::AttachWaitComplete { .. },
-                        NasMsg::AuthenticationResponse { .. },
-                    )
-                    | (
-                        ProcState::AttachWaitIcs { .. } | ProcState::AttachWaitComplete { .. },
-                        NasMsg::SecurityModeComplete,
-                    ) => Dedup,
-                    // The UE changed its mind: detach wins over attach.
-                    (_, NasMsg::DetachRequest { .. }) => Preempt,
-                    // Mobility while attaching: hold until the attach
-                    // terminates, then apply.
-                    (_, NasMsg::TrackingAreaUpdateRequest { .. }) => Defer,
-                    // Anything else mid-attach is a protocol error.
-                    _ => Abort,
-                },
-                SigMsg::IcsRsp { mme_ue_id: got, .. } => {
-                    if matches!(self.state, ProcState::AttachWaitIcs { .. }) && *got == mme_ue_id {
-                        Deliver
-                    } else {
-                        Drop
-                    }
-                }
-                // Mobility events wait for the attach to finish.
-                SigMsg::PathSwitch { .. } | SigMsg::HoRequired { .. } => Defer,
-                // An S1 handover ack without a handover in flight.
-                SigMsg::HoAck { .. } => Drop,
-                // The eNodeB wants to release mid-attach: hold it until
-                // the attach terminates (an aborted attach releases
-                // anyway; a completed one is then released normally).
-                SigMsg::ReleaseReq { .. } => Defer,
-                // Downlink for a UE that is attaching: it is not idle, so
-                // there is nothing to page — the data path will deliver
-                // once the attach installs the bearer.
-                SigMsg::PageTrigger { .. } => Drop,
-                // The network kicking the UE out wins over its attach.
-                SigMsg::NetDetach { .. } => Preempt,
-            },
-
-            // Mid-handover.
-            ProcState::HandoverWaitAck { mme_ue_id, .. } => match msg {
-                SigMsg::HoAck { mme_ue_id: got, .. } => {
-                    if *got == mme_ue_id {
-                        Deliver
-                    } else {
-                        Drop
-                    }
-                }
-                // Source eNodeB retransmitting Handover Required.
-                SigMsg::HoRequired { .. } => Dedup,
-                // A fresh attach or a detach displaces the handover.
-                SigMsg::AttachStart { .. } => Preempt,
-                SigMsg::Nas { msg: NasMsg::DetachRequest { .. }, .. } => Preempt,
-                // Competing mobility / activity: after the handover.
-                SigMsg::PathSwitch { .. }
-                | SigMsg::ServiceStart { .. }
-                | SigMsg::Nas { msg: NasMsg::TrackingAreaUpdateRequest { .. }, .. } => Defer,
-                // Radio loss during handover resolves after it settles.
-                SigMsg::ReleaseReq { .. } => Defer,
-                // The network kicking the UE out wins over its handover.
-                SigMsg::NetDetach { .. } => Preempt,
-                // Stray attach-procedure messages during a handover.
-                _ => Drop,
-            },
-
-            // Waiting for a paged UE to answer.
-            ProcState::PagingWait { .. } => match msg {
-                // The UE woke up — exactly what the page asked for.
-                SigMsg::ServiceStart { .. } => Deliver,
-                // Another downlink packet while already paging: the page
-                // in flight covers it (the packet is buffered; answering
-                // the existing page flushes everything).
-                SigMsg::PageTrigger { .. } => Dedup,
-                // A fresh attach supersedes the paged context.
-                SigMsg::AttachStart { .. } => Preempt,
-                // The UE (or the network) leaving cancels the page.
-                SigMsg::Nas { msg: NasMsg::DetachRequest { .. }, .. } => Preempt,
-                SigMsg::NetDetach { .. } => Preempt,
-                // Mobility from idle: apply once the page resolves.
-                SigMsg::Nas { msg: NasMsg::TrackingAreaUpdateRequest { .. }, .. } => Defer,
-                // A release for an already-idle UE is meaningless, as is
-                // any attach/handover-procedure message.
-                _ => Drop,
-            },
+            (W::Idle, _) => Deliver,
+            // The message each wait state is waiting for.
+            (W::AttachAuth, K::AuthRsp)
+            | (W::AttachSmc, K::SmcComplete)
+            | (W::AttachIcs, K::IcsRsp)
+            | (W::AttachComplete, K::AttachComplete)
+            | (W::HandoverAck, K::HoAck)
+            | (W::Paging, K::ServiceStart)
+                if awaited =>
+            {
+                Deliver
+            }
+            // Retransmits of steps already consumed (an Attach Request on
+            // the same S1 association is the same attempt), answered from
+            // the cache. Another downlink packet while paging rides the
+            // page in flight.
+            (_, K::AttachStart) if attaching && same_association => Dedup,
+            (W::AttachSmc | W::AttachIcs | W::AttachComplete, K::AuthRsp)
+            | (W::AttachIcs | W::AttachComplete, K::SmcComplete)
+            | (W::HandoverAck, K::HoRequired)
+            | (W::Paging, K::PageTrigger) => Dedup,
+            // A fresh attach attempt, the UE's detach and the network's
+            // all displace whatever is running.
+            (_, K::AttachStart | K::Detach | K::NetDetach) => Preempt,
+            // Mobility waits for the running procedure to end, and so does
+            // a service request behind a handover.
+            (_, K::Tau) | (W::HandoverAck, K::ServiceStart) => Defer,
+            // Anything else for a paged (idle) UE is meaningless: it has no
+            // radio to release and no attach or handover in flight.
+            (W::Paging, _) => Drop,
+            // Mobility, and the eNodeB releasing the radio, wait for an
+            // attach or handover to settle (an aborted attach releases
+            // anyway; a completed one is then released normally).
+            (_, K::PathSwitch | K::ReleaseReq | K::HoRequired) => Defer,
+            // Any other NAS message mid-attach is a protocol error.
+            (_, K::AuthRsp | K::SmcComplete | K::AttachComplete | K::OtherNas) if attaching => Abort,
+            // Stray replies, a service request from a UE that is still
+            // attaching, and downlink for a UE that is not idle (nothing to
+            // page: the bearer will carry it).
+            _ => Drop,
         }
     }
 }
@@ -461,13 +441,49 @@ mod tests {
         assert_eq!(m.dispose(&nas(NasMsg::AuthenticationResponse { res: 1 })), Disposition::Drop);
     }
 
+    /// One message of every kind, its ids matching [`machine_in`]'s.
+    fn every_kind() -> Vec<SigMsg> {
+        let msgs = vec![
+            SigMsg::AttachStart { enb_ue_id: 10, ecgi: 1, tac: 1, imsi: 7 },
+            SigMsg::ServiceStart { enb_ue_id: 10, ecgi: 1, guti: 9 },
+            nas(NasMsg::AuthenticationResponse { res: 1 }),
+            nas(NasMsg::SecurityModeComplete),
+            nas(NasMsg::AttachComplete),
+            nas(NasMsg::DetachRequest { guti: 9 }),
+            nas(NasMsg::TrackingAreaUpdateRequest { guti: 9, tac: 2 }),
+            nas(NasMsg::ServiceAccept),
+            SigMsg::IcsRsp { enb_ue_id: 10, mme_ue_id: 1, enb_teid: 1, enb_ip: 1 },
+            SigMsg::PathSwitch { enb_ue_id: 10, mme_ue_id: 1, new_enb_teid: 1, new_enb_ip: 1, ecgi: 0 },
+            SigMsg::HoRequired { enb_ue_id: 10, mme_ue_id: 1 },
+            SigMsg::HoAck { mme_ue_id: 1, new_enb_teid: 1, new_enb_ip: 1 },
+            SigMsg::ReleaseReq { enb_ue_id: 10, mme_ue_id: 1, cause: 0 },
+            SigMsg::PageTrigger { imsi: 7 },
+            SigMsg::NetDetach { imsi: 7 },
+        ];
+        let kinds: Vec<MsgKind> = msgs.iter().map(SigMsg::kind).collect();
+        for (i, k) in kinds.iter().enumerate() {
+            assert!(!kinds[..i].contains(k), "{k:?} listed twice");
+        }
+        msgs
+    }
+
     #[test]
-    fn state_kinds() {
-        assert_eq!(ProcState::Idle.kind(), None);
-        assert_eq!(WAIT_AUTH.kind(), Some(ProcKind::Attach));
-        assert_eq!(WAIT_CPL.kind(), Some(ProcKind::Attach));
-        assert_eq!(HO_WAIT.kind(), Some(ProcKind::Handover));
-        assert_eq!(PAGE_WAIT.kind(), Some(ProcKind::Paging));
+    fn policy_delivers_to_a_waiting_machine_exactly_the_leg_rows() {
+        for st in [WAIT_AUTH, WAIT_SMC, WAIT_ICS, WAIT_CPL, HO_WAIT, PAGE_WAIT] {
+            for msg in every_kind() {
+                let delivered = machine_in(st).dispose(&msg) == Disposition::Deliver;
+                let has_row = crate::ctrl::leg(st.wait(), msg.kind()).is_some();
+                assert_eq!(delivered, has_row, "{st:?} x {msg:?}: policy and leg table disagree");
+            }
+        }
+    }
+
+    #[test]
+    fn every_wait_state_a_leg_enters_has_a_leg_out() {
+        let legs = &crate::ctrl::LEGS;
+        for l in legs {
+            assert!(l.to == Wait::Idle || legs.iter().any(|next| next.from == l.to), "{:?} is a dead end", l.to);
+        }
     }
 
     #[test]

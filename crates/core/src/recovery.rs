@@ -48,7 +48,8 @@ pub struct SliceCheckpoint {
 /// Errors during checkpoint / restore.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// The checkpoint bytes were not a valid document.
+    /// The checkpoint bytes were not a valid document (or a document did
+    /// not serialize into one).
     Malformed(String),
     /// Version mismatch.
     WrongVersion { found: u32, expected: u32 },
@@ -81,7 +82,7 @@ impl std::error::Error for RecoveryError {}
 /// record is internally consistent (the paper's rollback-recovery
 /// citations handle cross-packet output consistency, which an EPC data
 /// plane — idempotent per packet — does not need).
-pub fn checkpoint(cp: &ControlPlane) -> Vec<u8> {
+pub fn checkpoint(cp: &ControlPlane) -> Result<Vec<u8>, RecoveryError> {
     let mut users = Vec::with_capacity(cp.user_count());
     for imsi in cp.imsis() {
         if let Some(ctx) = cp.context_of(imsi) {
@@ -92,12 +93,12 @@ pub fn checkpoint(cp: &ControlPlane) -> Vec<u8> {
 }
 
 /// Serialize a checkpoint document: raw format-version byte, then JSON.
-pub fn encode(cp: &SliceCheckpoint) -> Vec<u8> {
-    let body = serde_json::to_vec(cp).expect("checkpoint types always serialize");
+pub fn encode(cp: &SliceCheckpoint) -> Result<Vec<u8>, RecoveryError> {
+    let body = serde_json::to_vec(cp).map_err(|e| RecoveryError::Malformed(e.to_string()))?;
     let mut out = Vec::with_capacity(1 + body.len());
     out.push(cp.version as u8);
     out.extend_from_slice(&body);
-    out
+    Ok(out)
 }
 
 /// Parse checkpoint bytes: the header byte gates the format before the
@@ -168,7 +169,7 @@ mod tests {
     #[test]
     fn checkpoint_restore_roundtrips_everything() {
         let original = populated(50);
-        let bytes = checkpoint(&original);
+        let bytes = checkpoint(&original).unwrap();
 
         let mut recovered = cp();
         let n = restore(&mut recovered, &bytes).unwrap();
@@ -187,7 +188,7 @@ mod tests {
     #[test]
     fn restored_users_keep_identifiers_and_tunnels() {
         let original = populated(5);
-        let bytes = checkpoint(&original);
+        let bytes = checkpoint(&original).unwrap();
         let mut recovered = cp();
         restore(&mut recovered, &bytes).unwrap();
         let c = recovered.context_of(3).unwrap();
@@ -208,7 +209,7 @@ mod tests {
         // Wrong header byte is rejected before the body is even parsed.
         assert!(matches!(restore(&mut c, b"\x63garbage"), Err(RecoveryError::WrongVersion { found: 99, .. })));
         // Header passes but the document's own version field disagrees.
-        let mut doc = parse(&checkpoint(&populated(1))).unwrap();
+        let mut doc = parse(&checkpoint(&populated(1)).unwrap()).unwrap();
         doc.version = 99;
         let mut bytes = vec![CHECKPOINT_VERSION as u8];
         bytes.extend_from_slice(&serde_json::to_vec(&doc).unwrap());
@@ -218,11 +219,11 @@ mod tests {
 
     #[test]
     fn duplicate_imsis_rejected_without_partial_apply() {
-        let mut doc = parse(&checkpoint(&populated(3))).unwrap();
+        let mut doc = parse(&checkpoint(&populated(3)).unwrap()).unwrap();
         let dup = doc.users[1].clone();
         let dup_imsi = dup.ctrl.imsi;
         doc.users.push(dup);
-        let bytes = encode(&doc);
+        let bytes = encode(&doc).unwrap();
         let mut c = cp();
         match restore(&mut c, &bytes) {
             Err(RecoveryError::DuplicateImsi(i)) => assert_eq!(i, dup_imsi),
@@ -234,14 +235,14 @@ mod tests {
 
     #[test]
     fn empty_slice_checkpoints_cleanly() {
-        let bytes = checkpoint(&cp());
+        let bytes = checkpoint(&cp()).unwrap();
         let mut c = cp();
         assert_eq!(restore(&mut c, &bytes).unwrap(), 0);
     }
 
     #[test]
     fn checkpoint_is_version_byte_then_json() {
-        let bytes = checkpoint(&populated(1));
+        let bytes = checkpoint(&populated(1)).unwrap();
         assert_eq!(bytes[0], CHECKPOINT_VERSION as u8);
         let v: serde_json::Value = serde_json::from_slice(&bytes[1..]).unwrap();
         assert_eq!(v["version"], 1);

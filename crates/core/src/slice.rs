@@ -347,16 +347,14 @@ pub struct SliceHandle {
     pub ctrl_rx: Receiver<CtrlReply>,
     /// Live counters.
     pub stats: Arc<SliceStats>,
-    data_worker: Option<Worker<DataPlane>>,
-    ctrl_worker: Option<Worker<ControlPlane>>,
+    data_worker: Worker<DataPlane>,
+    ctrl_worker: Worker<ControlPlane>,
 }
 
 impl SliceHandle {
     /// Stop both threads and return the final planes for inspection.
-    pub fn shutdown(mut self) -> (ControlPlane, DataPlane) {
-        let ctrl = self.ctrl_worker.take().expect("not yet joined").join();
-        let data = self.data_worker.take().expect("not yet joined").join();
-        (ctrl, data)
+    pub fn shutdown(self) -> (ControlPlane, DataPlane) {
+        (self.ctrl_worker.join(), self.data_worker.join())
     }
 }
 
@@ -519,15 +517,7 @@ impl Slice {
             })
         };
 
-        SliceHandle {
-            data_in: data_in_tx,
-            data_out: data_out_rx,
-            ctrl_tx,
-            ctrl_rx,
-            stats,
-            data_worker: Some(data_worker),
-            ctrl_worker: Some(ctrl_worker),
-        }
+        SliceHandle { data_in: data_in_tx, data_out: data_out_rx, ctrl_tx, ctrl_rx, stats, data_worker, ctrl_worker }
     }
 }
 

@@ -94,8 +94,8 @@ fn checkpoint_restore_survives_node_failure() {
     }
 
     // Checkpoint both slices of the failing node.
-    let cp0 = recovery::checkpoint(&node.slice(0).ctrl);
-    let cp1 = recovery::checkpoint(&node.slice(1).ctrl);
+    let cp0 = recovery::checkpoint(&node.slice(0).ctrl).unwrap();
+    let cp1 = recovery::checkpoint(&node.slice(1).ctrl).unwrap();
     drop(node); // the failure
 
     // Recover into a fresh node: users from both checkpoints land on
@@ -136,7 +136,7 @@ fn restore_is_idempotent_per_user() {
     let mut node = pepc::node::PepcNode::new(template(), None);
     node.attach(7);
     let k = node.slice_of(7).unwrap();
-    let cp = recovery::checkpoint(&node.slice(k).ctrl);
+    let cp = recovery::checkpoint(&node.slice(k).ctrl).unwrap();
     // Restoring on top of a live slice overwrites rather than duplicates.
     let before = node.slice(k).ctrl.user_count();
     recovery::restore(&mut node.slice(k).ctrl, &cp).unwrap();

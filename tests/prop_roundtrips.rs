@@ -344,7 +344,7 @@ proptest! {
             original.apply_event(CtrlEvent::Attach { imsi });
         }
         original.take_updates();
-        let bytes = pepc::recovery::checkpoint(&original);
+        let bytes = pepc::recovery::checkpoint(&original).unwrap();
 
         // Truncation at any point must reject cleanly (except the full
         // buffer, which restores) and leave the target untouched on error.

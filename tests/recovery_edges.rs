@@ -42,7 +42,7 @@ fn populated(n: u64) -> ControlPlane {
 /// plane untouched (no partially-adopted users).
 #[test]
 fn checkpoint_truncated_at_every_prefix_rejects_atomically() {
-    let bytes = recovery::checkpoint(&populated(8));
+    let bytes = recovery::checkpoint(&populated(8)).unwrap();
     for cut in 0..bytes.len() {
         let prefix = &bytes[..cut];
         assert!(recovery::parse(prefix).is_err(), "prefix of {cut} bytes parsed as a checkpoint");
@@ -62,7 +62,7 @@ fn checkpoint_truncated_at_every_prefix_rejects_atomically() {
 /// when the body is pristine.
 #[test]
 fn checkpoint_version_byte_gates_before_the_body() {
-    let mut bytes = recovery::checkpoint(&populated(3));
+    let mut bytes = recovery::checkpoint(&populated(3)).unwrap();
     bytes[0] = bytes[0].wrapping_add(1);
     let mut target = cp();
     match recovery::restore(&mut target, &bytes) {
@@ -135,17 +135,20 @@ fn replog_truncated_at_every_prefix_is_counted_corrupt() {
 /// either is malformed, and the whole checkpoint applies nothing.
 #[test]
 fn checkpoint_with_a_reserved_imsi_or_guti_rejects_atomically() {
-    let doc = recovery::parse(&recovery::checkpoint(&populated(3))).unwrap();
+    let doc = recovery::parse(&recovery::checkpoint(&populated(3)).unwrap()).unwrap();
     let reserved: [fn(&mut pepc::state::ControlState); 2] = [|c| c.imsi = u64::MAX, |c| c.guti = u64::MAX - 1];
     for set in reserved {
         let mut bad = doc.clone();
         set(&mut bad.users[1].ctrl);
         let mut target = cp();
-        assert!(matches!(recovery::restore(&mut target, &recovery::encode(&bad)), Err(RecoveryError::Malformed(_))));
+        assert!(matches!(
+            recovery::restore(&mut target, &recovery::encode(&bad).unwrap()),
+            Err(RecoveryError::Malformed(_))
+        ));
         assert_eq!(target.user_count(), 0, "a reserved key partially applied");
         assert!(!target.has_updates());
     }
-    assert_eq!(recovery::restore(&mut cp(), &recovery::encode(&doc)).unwrap(), 3);
+    assert_eq!(recovery::restore(&mut cp(), &recovery::encode(&doc).unwrap()).unwrap(), 3);
 }
 
 /// The same keys over replication: the standby counts the frame corrupt
