@@ -85,7 +85,7 @@ fn user_ctrl(u: u64) -> ControlState {
 fn attach(dp: &mut DataPlane, u: u64) -> u64 {
     let ctrl = user_ctrl(u);
     let t0 = Instant::now();
-    let h = dp.slab().alloc(ctrl, CounterState::default());
+    let h = dp.slab().alloc(ctrl, CounterState::default()).expect("arena has room for the population");
     dp.apply_update(
         DpUpdate::Insert { gw_teid: TEID_BASE + u as u32, ue_ip: UE_IP_BASE + u as u32, handle: h, active: true },
         0,

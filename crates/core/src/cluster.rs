@@ -185,14 +185,15 @@ impl Cluster {
     /// its home slice there, push the data-plane insert, register Demux
     /// steering) and record the redirect entries so region-routed packets
     /// for the dead node's TEID / UE IP re-steer deterministically.
-    /// Returns the slice the user landed on.
-    pub fn adopt_user(&mut self, target: usize, ctrl: ControlState, counters: CounterState) -> usize {
+    /// Returns the slice the user landed on, or `None` (nothing adopted)
+    /// when that slice's arena is full.
+    pub fn adopt_user(&mut self, target: usize, ctrl: ControlState, counters: CounterState) -> Option<usize> {
         assert!(!self.dead[target], "cannot adopt onto a dead node");
         let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
-        let slice = self.nodes[target].adopt_user(ctrl, counters);
+        let slice = self.nodes[target].adopt_user(ctrl, counters)?;
         self.redirect.insert(PacketKey::Teid(gw_teid), target);
         self.redirect.insert(PacketKey::UeIp(ue_ip), target);
-        slice
+        Some(slice)
     }
 
     /// Pseudo-slice id under which balancer-level drops are exported.

@@ -23,6 +23,7 @@
 //! each of a million set-up attaches, for no behaviour the legs lack.
 
 use crate::data::DpUpdate;
+use crate::demux::REGION_SHIFT;
 use crate::inctable::IncrementalTable;
 use crate::metrics::CtrlMetrics;
 use crate::migrate::UserSnapshot;
@@ -32,7 +33,7 @@ use crate::procedure::{
 };
 use crate::proxy::Proxy;
 use crate::slab::{UeHandle, UeRef, UeSlab};
-use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn, Uid};
+use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn};
 use crate::twolevel::BuildKeyHasher;
 use pepc_backend::hss::sim_response;
 use pepc_sigproto::nas::{cause, NasMsg};
@@ -140,6 +141,20 @@ enum Exit {
     Expired,
 }
 
+/// Identifiers in one slice's region: its TEIDs, UE IPs and MME UE ids
+/// are the slice's allocation base plus an offset below this, which is
+/// what the node steers and routes by.
+const REGION: u32 = 1 << REGION_SHIFT;
+
+/// The first region offset at or after `*cursor`, wrapping at the
+/// region's end, that `live` does not claim; the cursor moves past it.
+/// `None` when every offset is live.
+fn claim(cursor: &mut u32, live: impl Fn(u32) -> bool) -> Option<u32> {
+    let offset = (0..REGION).map(|i| (*cursor + i) % REGION).find(|&o| !live(o))?;
+    *cursor = (offset + 1) % REGION;
+    Some(offset)
+}
+
 /// A downlink NAS transport carrying `msg`.
 fn nas_to(out: &mut Vec<S1apPdu>, enb_ue_id: u32, mme_ue_id: u32, msg: NasMsg) {
     out.push(S1apPdu::DownlinkNasTransport { enb_ue_id, mme_ue_id, nas: msg.encode() });
@@ -157,7 +172,8 @@ pub struct ControlPlane {
     by_guti: IncrementalTable<u64>,
     by_mme_ue_id: HashMap<u32, u64, BuildKeyHasher>,
     alloc: Allocator,
-    next_uid: Uid,
+    /// Region offsets the next user id and MME UE id are claimed from.
+    next_uid: u32,
     next_mme_ue_id: u32,
     /// Node parameters.
     gw_ip: u32,
@@ -224,7 +240,7 @@ impl ControlPlane {
             by_mme_ue_id: HashMap::default(),
             alloc,
             next_uid: 0,
-            next_mme_ue_id: alloc.mme_ue_id_base,
+            next_mme_ue_id: 0,
             gw_ip,
             tac,
             pending_updates: Vec::new(),
@@ -274,10 +290,19 @@ impl ControlPlane {
         (self.overload.tracked_enbs(), self.overload.tokens_available())
     }
 
+    /// The next MME UE id of the slice's region that no live association
+    /// or page holds. With all 2^24 held (more than a slab's worth of
+    /// users) the cursor's id is reused.
     fn allocate_mme_ue_id(&mut self) -> u32 {
-        let id = self.next_mme_ue_id;
-        self.next_mme_ue_id += 1;
-        id
+        let base = self.alloc.mme_ue_id_base;
+        let offset = claim(&mut self.next_mme_ue_id, |o| self.by_mme_ue_id.contains_key(&(base + o)));
+        base + offset.unwrap_or(self.next_mme_ue_id)
+    }
+
+    /// Start the id cursors at these region offsets (wrap tests).
+    #[cfg(test)]
+    fn set_id_cursors(&mut self, uid: u32, mme_ue_id: u32) {
+        (self.next_uid, self.next_mme_ue_id) = (uid, mme_ue_id);
     }
 
     // -- core state operations (shared by the legs and the synthetic events) ---
@@ -295,8 +320,9 @@ impl ControlPlane {
     /// per IMSI (re-attach reuses the context and re-announces it). The
     /// caller counts the attach: the synthetic path at once, the S1AP path
     /// only when the NAS Attach Complete lands. Returns the user's (live)
-    /// handle.
-    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32) -> UeHandle {
+    /// handle, or `None` when the slice is full: every user id of its
+    /// region is live, or every slot of its context arena.
+    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32) -> Option<UeHandle> {
         let t0 = std::time::Instant::now();
         self.mark_dirty(imsi);
         let (handle, gw_teid, ue_ip) = match self.context_of(imsi) {
@@ -308,20 +334,21 @@ impl ControlPlane {
                 (ctx.handle(), c.tunnels.gw_teid, c.ue_ip)
             }
             None => {
-                // Identifiers are the slice's allocation bases plus a
-                // per-user counter.
-                let uid = self.next_uid;
-                self.next_uid += 1;
+                // Identifiers are the slice's allocation bases plus a user
+                // id whose GUTI (and so TEID and UE IP) no live user holds:
+                // after a restore or a wrap the cursor may point at one.
+                let guti_base = self.alloc.guti_base;
+                let uid = claim(&mut self.next_uid, |o| self.by_guti.contains_key(guti_base + u64::from(o)))?;
                 let mut ctrl = ControlState::new(imsi);
-                ctrl.guti = self.alloc.guti_base + uid;
-                ctrl.ue_ip = self.alloc.ue_ip_base + uid as u32;
+                ctrl.guti = guti_base + u64::from(uid);
+                ctrl.ue_ip = self.alloc.ue_ip_base + uid;
                 ctrl.ecgi = ecgi;
                 ctrl.tac = self.tac;
                 ctrl.qos = qos;
                 ctrl.device_class = device_class;
-                ctrl.tunnels.gw_teid = self.alloc.teid_base + uid as u32;
+                ctrl.tunnels.gw_teid = self.alloc.teid_base + uid;
                 let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
-                let handle = self.slab.alloc(ctrl, CounterState::default());
+                let handle = self.slab.alloc(ctrl, CounterState::default())?;
                 self.users.insert(imsi, handle);
                 self.by_guti.insert(guti, imsi);
                 (handle, gw_teid, ue_ip)
@@ -329,7 +356,7 @@ impl ControlPlane {
         };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         self.attach_ns.record(t0.elapsed().as_nanos() as u64);
-        handle
+        Some(handle)
     }
 
     fn do_handover(&mut self, imsi: u64, new_enb_teid: u32, new_enb_ip: u32, new_ecgi: u32) -> bool {
@@ -392,7 +419,7 @@ impl ControlPlane {
     fn bind_s1(&mut self, imsi: u64, handle: UeHandle, conn: S1Conn) {
         let Some(ctx) = self.slab.resolve(handle) else { return };
         let old = ctx.s1_conn();
-        ctx.set_s1_conn(conn);
+        ctx.set_s1_conn(Some(conn));
         if let Some(old) = old {
             if old.mme_ue_id != conn.mme_ue_id {
                 self.by_mme_ue_id.remove(&old.mme_ue_id);
@@ -418,13 +445,13 @@ impl ControlPlane {
     // -- synthetic events (at-scale signaling workload) ------------------------
 
     /// Apply one synthetic control event. Returns false for events
-    /// referencing unknown users.
+    /// referencing unknown users and for an attach to a full slice.
     pub fn apply_event(&mut self, ev: CtrlEvent) -> bool {
         match ev {
             CtrlEvent::Attach { imsi } => {
-                self.do_attach(imsi, QosPolicy::default(), DeviceClass::Smartphone, 0);
-                self.metrics.attaches += 1;
-                true
+                let attached = self.do_attach(imsi, QosPolicy::default(), DeviceClass::Smartphone, 0).is_some();
+                self.metrics.attaches += u64::from(attached);
+                attached
             }
             CtrlEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
                 self.do_handover(imsi, new_enb_teid, new_enb_ip, 0)
@@ -771,19 +798,22 @@ impl ControlPlane {
     }
 
     /// Security mode complete: create the user from the HSS profile,
-    /// install its PCRF rules, and send the context setup.
+    /// install its PCRF rules, and send the context setup. A failed HSS
+    /// update or a full slice rejects the attach.
     fn attach_smc(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
         let ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id } = m.state else { return Step::Stale };
         let SigMsg::Nas { enb_ue_id, .. } = msg else { return Step::Stale };
         let Some(proxy) = self.proxy.clone() else { return Step::Fail };
-        let Ok(sub) = proxy.update_location(imsi) else {
+        // Counted on AttachComplete instead.
+        let attached = proxy.update_location(imsi).ok().and_then(|sub| {
+            let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
+            self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi)
+        });
+        let Some(handle) = attached else {
             self.metrics.attach_rejects += 1;
             nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::NETWORK_FAILURE });
             return Step::Fail;
         };
-        let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
-        // Counted on AttachComplete instead.
-        let handle = self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi);
         // The user record exists: it takes over the association.
         m.enb_bound = false;
         self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id: m.enb_ue_id });
@@ -1137,35 +1167,38 @@ impl ControlPlane {
 
     /// Destination side: install a migrated user. Keys (TEID/UE IP) are
     /// preserved so in-flight tunnels stay valid; the context is
-    /// reallocated in *this* slice's arena.
-    pub fn install_user(&mut self, snap: UserSnapshot) {
-        let guti = snap.ctrl.guti;
-        let handle = self.slab.alloc(snap.ctrl, snap.counters);
-        self.by_guti.insert(guti, snap.imsi);
+    /// reallocated in *this* slice's arena. False (nothing installed)
+    /// when that arena is full.
+    pub fn install_user(&mut self, snap: &UserSnapshot) -> bool {
+        let Some(handle) = self.slab.alloc(snap.ctrl.clone(), snap.counters) else { return false };
+        self.by_guti.insert(snap.ctrl.guti, snap.imsi);
         self.users.insert(snap.imsi, handle);
         self.pending_updates.push(DpUpdate::Insert { gw_teid: snap.gw_teid, ue_ip: snap.ue_ip, handle, active: true });
         self.metrics.migrations_in += 1;
         self.mark_dirty(snap.imsi);
+        true
     }
 
     /// Recovery: re-create a user from checkpointed state (see
     /// [`crate::recovery`]). Indexes are rebuilt and the data plane is
-    /// notified exactly as for an attach.
-    pub fn restore_user(&mut self, ctrl: crate::state::ControlState, counters: crate::state::CounterState) {
+    /// notified exactly as for an attach. False (nothing restored) when
+    /// the arena is full.
+    pub fn restore_user(&mut self, ctrl: crate::state::ControlState, counters: crate::state::CounterState) -> bool {
         let imsi = ctrl.imsi;
         let guti = ctrl.guti;
         let gw_teid = ctrl.tunnels.gw_teid;
         let ue_ip = ctrl.ue_ip;
         // Restoring over a live user keeps the S1 association it is indexed under.
         let conn = self.context_of(imsi).and_then(|old| old.s1_conn());
-        let handle = self.slab.alloc(ctrl, counters);
-        if let (Some(conn), Some(ctx)) = (conn, self.slab.resolve(handle)) {
+        let Some(handle) = self.slab.alloc(ctrl, counters) else { return false };
+        if let Some(ctx) = self.slab.resolve(handle) {
             ctx.set_s1_conn(conn);
         }
         self.users.insert(imsi, handle);
         self.by_guti.insert(guti, imsi);
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         self.mark_dirty(imsi);
+        true
     }
 
     /// Report every user's accumulated usage to the PCRF over Gx
@@ -1201,6 +1234,13 @@ impl ControlPlane {
     /// Drain updates queued for the data thread.
     pub fn take_updates(&mut self) -> Vec<DpUpdate> {
         std::mem::take(&mut self.pending_updates)
+    }
+
+    /// Drain updates queued for the data thread in place: the queue keeps
+    /// its capacity, so the slice wiring moves updates without a
+    /// reallocation per message.
+    pub fn drain_updates(&mut self) -> std::vec::Drain<'_, DpUpdate> {
+        self.pending_updates.drain(..)
     }
 
     /// Whether updates are waiting.
@@ -1630,7 +1670,7 @@ mod tests {
             Allocator { teid_base: 0x9000, ue_ip_base: 0x0B000001, guti_base: 0xE000_0000, mme_ue_id_base: 1000 },
             None,
         );
-        dst.install_user(snap);
+        assert!(dst.install_user(&snap));
         assert_eq!(dst.user_count(), 1);
         assert_eq!(dst.metrics().migrations_in, 1);
         let moved = dst.context_of(7).unwrap();
@@ -1926,6 +1966,57 @@ mod tests {
         let m = cp.metrics();
         assert_eq!((m.sig_deferred, m.sig_dropped, m.proc_expired), (max_age + 1, 2 * (max_age + 1), 1));
         assert!(cp.context_of(2).is_none(), "the half-created user is rolled back");
+        assert_identities(&cp);
+    }
+
+    #[test]
+    fn user_ids_wrap_within_the_region_and_skip_live_ones() {
+        let mut cp = cp_synthetic();
+        cp.apply_event(CtrlEvent::Attach { imsi: 1 });
+        cp.set_id_cursors(REGION - 1, 0);
+        cp.apply_event(CtrlEvent::Attach { imsi: 2 });
+        cp.apply_event(CtrlEvent::Attach { imsi: 3 });
+        let ids = |imsi| {
+            let c = cp.context_of(imsi).unwrap().ctrl_read().clone();
+            (c.tunnels.gw_teid - 0x1000, c.ue_ip - 0x0A00_0001, c.guti - 0xD00D_0000)
+        };
+        assert_eq!(ids(2), (REGION - 1, REGION - 1, u64::from(REGION - 1)), "the region's last id");
+        assert_eq!(ids(3), (1, 1, 1), "wrapped to the start, past imsi 1's live id 0");
+    }
+
+    #[test]
+    fn mme_ue_ids_wrap_within_the_region_and_skip_live_ones() {
+        let mut cp = cp_with_backends(10);
+        run_attach_with(|p| cp.handle_s1ap(p), 1, 1, 0xE0, 5).unwrap();
+        cp.set_id_cursors(1, REGION - 1);
+        run_attach_with(|p| cp.handle_s1ap(p), 2, 2, 0xE0, 5).unwrap();
+        run_attach_with(|p| cp.handle_s1ap(p), 3, 3, 0xE0, 5).unwrap();
+        let mme_ue_id = |imsi| cp.context_of(imsi).and_then(|c| c.s1_conn()).map(|c| c.mme_ue_id);
+        // The slice's region is `1 ..= 2^24` (base 1); imsi 1 holds id 1.
+        assert_eq!(mme_ue_id(2), Some(REGION), "the region's last id");
+        assert_eq!(mme_ue_id(3), Some(2), "wrapped to the start, past imsi 1's live id");
+        assert_eq!(cp.metrics().attaches, 3);
+        assert_identities(&cp);
+    }
+
+    #[test]
+    fn a_full_arena_rejects_the_attach_instead_of_panicking() {
+        let slab = Arc::new(UeSlab::new());
+        slab.skip_to(REGION);
+        let hss = Arc::new(Hss::new());
+        hss.provision_range(1, 4, 100_000);
+        let proxy = Arc::new(Proxy::new(hss, Arc::new(Pcrf::with_standard_rules()), 1, 40401));
+        let mut cp = ControlPlane::with_slab(slab, 0x0AFE0001, 1, alloc(), Some(proxy));
+        assert!(!cp.apply_event(CtrlEvent::Attach { imsi: 1 }));
+        let (mme_ue_id, ..) = attach_to_smc(&mut cp, 2, 1);
+        let nas = NasMsg::SecurityModeComplete.encode();
+        let rsp = cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+        let [S1apPdu::DownlinkNasTransport { nas, .. }] = rsp.as_slice() else { panic!("{rsp:?}") };
+        assert_eq!(NasMsg::decode(nas).unwrap(), NasMsg::AttachReject { cause: cause::NETWORK_FAILURE });
+        let m = cp.metrics();
+        assert_eq!((m.attaches, m.attach_rejects, m.proc_aborted), (0, 1, 1));
+        assert_eq!((cp.user_count(), cp.s1_index_len()), (0, (0, 0)));
+        assert!(!cp.has_updates());
         assert_identities(&cp);
     }
 }

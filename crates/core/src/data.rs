@@ -962,7 +962,7 @@ mod tests {
         ctrl.ue_ip = UE_IP;
         ctrl.qos = QosPolicy { qci: 9, ambr_kbps, gbr_kbps: 0 };
         ctrl.tunnels = TunnelState { enb_teid: TEID_DL, enb_ip: ENB_IP, gw_teid: TEID_UL };
-        let h = dp.slab().alloc(ctrl, CounterState::default());
+        let h = dp.slab().alloc(ctrl, CounterState::default()).unwrap();
         dp.apply_update(DpUpdate::Insert { gw_teid: TEID_UL, ue_ip: UE_IP, handle: h, active: true }, 0);
         h
     }
@@ -1143,7 +1143,7 @@ mod tests {
         let mut ctrl = ControlState::new(1);
         ctrl.tunnels.gw_teid = TEID_UL;
         ctrl.ue_ip = UE_IP;
-        let h = dp.slab().alloc(ctrl, CounterState::default());
+        let h = dp.slab().alloc(ctrl, CounterState::default()).unwrap();
         dp.apply_update(DpUpdate::Insert { gw_teid: TEID_UL, ue_ip: UE_IP, handle: h, active: true }, 0);
         assert!(dp.process(uplink_packet(TEID_UL), 10).is_forward());
         let evicted = dp.evict_idle(5000);
@@ -1238,7 +1238,7 @@ mod tests {
         ctrl.ue_ip = UE_IP + 1;
         ctrl.qos = QosPolicy { qci: 9, ambr_kbps: 0, gbr_kbps: 0 };
         ctrl.tunnels = TunnelState { enb_teid: TEID_DL + 1, enb_ip: ENB_IP, gw_teid: TEID_UL + 1 };
-        let h = dp.slab().alloc(ctrl, CounterState::default());
+        let h = dp.slab().alloc(ctrl, CounterState::default()).unwrap();
         dp.apply_update(DpUpdate::Insert { gw_teid: TEID_UL + 1, ue_ip: UE_IP + 1, handle: h, active: true }, 0);
         h
     }
@@ -1343,7 +1343,7 @@ mod tests {
         // Free the slot behind the table's back and let someone else
         // take it (simulating a lost Remove / torn index).
         assert!(dp.slab().free(h));
-        let other = dp.slab().alloc(ControlState::new(999), CounterState::default());
+        let other = dp.slab().alloc(ControlState::new(999), CounterState::default()).unwrap();
         assert_eq!(other.index(), h.index(), "slot reused");
         let v = dp.process(uplink_packet(TEID_UL), 1);
         assert!(matches!(v, PacketVerdict::Drop(DropReason::UnknownUser)));

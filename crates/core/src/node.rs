@@ -311,11 +311,14 @@ impl PepcNode {
         // 2. Extract from the source slice (control thread removes its
         //    indexes and tells the source data thread to forget), and
         // 3. install at the target. A source that will not let go aborts
-        //    the migration: the user stays put.
+        //    the migration: the user stays put. So does a target whose
+        //    arena is full: the user goes back into the slot the extract
+        //    just freed.
         let landed = match self.slices[source].extract_user(imsi) {
+            Some(snap) if self.slices[target].install_user(&snap) => target,
             Some(snap) => {
-                self.slices[target].install_user(snap);
-                target
+                self.slices[source].install_user(&snap);
+                source
             }
             None => source,
         };
@@ -404,15 +407,21 @@ impl PepcNode {
     /// preserved, so in-flight GTP tunnels stay valid), push the
     /// data-plane insert through immediately, and point the Demux at it
     /// (its keys lie in the failed node's region). Returns the slice the
-    /// user landed on.
-    pub fn adopt_user(&mut self, ctrl: crate::state::ControlState, counters: crate::state::CounterState) -> usize {
+    /// user landed on, or `None` when that slice's arena is full.
+    pub fn adopt_user(
+        &mut self,
+        ctrl: crate::state::ControlState,
+        counters: crate::state::CounterState,
+    ) -> Option<usize> {
         let imsi = ctrl.imsi;
         let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
         let k = self.demux.slice_hint(imsi);
-        self.slices[k].ctrl.restore_user(ctrl, counters);
+        if !self.slices[k].ctrl.restore_user(ctrl, counters) {
+            return None;
+        }
         self.slices[k].sync_now();
         self.demux.place(imsi, gw_teid, ue_ip, k);
-        k
+        Some(k)
     }
 
     /// The node configuration.
@@ -428,16 +437,19 @@ mod tests {
     use pepc_net::ipv4::IpProto;
     use pepc_net::{Ipv4Hdr, IPV4_HDR_LEN};
 
-    fn node(slices: usize) -> PepcNode {
-        let config = EpcConfig {
+    fn config(slices: usize) -> EpcConfig {
+        EpcConfig {
             slices,
             slice: crate::config::SliceConfig {
                 batching: crate::config::BatchingConfig { sync_every_packets: 1 },
                 ..Default::default()
             },
             ..EpcConfig::default()
-        };
-        PepcNode::new(config, None)
+        }
+    }
+
+    fn node(slices: usize) -> PepcNode {
+        PepcNode::new(config(slices), None)
     }
 
     fn uplink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
@@ -608,21 +620,33 @@ mod tests {
         assert!(!n.detach(7));
     }
 
+    fn node_with_backends(slices: usize) -> PepcNode {
+        let hss = Arc::new(Hss::new());
+        hss.provision_range(1, 2000, 100_000);
+        PepcNode::new(config(slices), Some((hss, Arc::new(Pcrf::with_standard_rules()))))
+    }
+
+    #[test]
+    fn a_recycled_slot_does_not_hand_over_its_s1_association() {
+        use crate::ctrl::run_attach_with;
+        let mut n = node_with_backends(1);
+        let (guti, ..) = run_attach_with(|pdu| n.handle_s1ap(pdu), 1000, 77, 0xE0, 0xC0A80001).unwrap();
+        let nas = NasMsg::DetachRequest { guti }.encode();
+        n.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 77, mme_ue_id: 1, nas });
+        n.slice(0).sync_now();
+        n.attach(1001);
+        assert_eq!(n.slice(0).ctrl.context_of(1001).unwrap().s1_conn(), None);
+        // An Attach Request from the new user starts a fresh association.
+        let nas = NasMsg::AttachRequest { imsi: 1001, ue_capability: 0 }.encode();
+        let rsp = n.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 78, ecgi: 1, tac: 1, nas });
+        assert!(matches!(rsp.as_slice(), [S1apPdu::InitialContextSetupRequest { mme_ue_id: 2, .. }]), "{rsp:?}");
+        assert_eq!(n.slice(0).ctrl.s1_index_len(), (1, 1));
+    }
+
     #[test]
     fn s1ap_attach_routes_without_registering_anything() {
         use crate::ctrl::run_attach_with;
-        let hss = Arc::new(Hss::new());
-        hss.provision_range(1, 100, 100_000);
-        let pcrf = Arc::new(Pcrf::with_standard_rules());
-        let config = EpcConfig {
-            slices: 2,
-            slice: crate::config::SliceConfig {
-                batching: crate::config::BatchingConfig { sync_every_packets: 1 },
-                ..Default::default()
-            },
-            ..EpcConfig::default()
-        };
-        let mut n = PepcNode::new(config, Some((hss, pcrf)));
+        let mut n = node_with_backends(2);
         // Drive the full attach through the node's S1AP routing.
         let (_, _, _) = run_attach_with(|pdu| n.handle_s1ap(pdu), 42, 1, 0xE0, 0xC0A80001).unwrap();
         assert_eq!(n.user_count(), 1);

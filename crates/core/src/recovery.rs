@@ -56,6 +56,8 @@ pub enum RecoveryError {
     /// The same IMSI appears more than once in one checkpoint; applying
     /// it would silently overwrite one record with the other.
     DuplicateImsi(u64),
+    /// The plane's context arena filled after `restored` records.
+    ArenaFull { restored: usize },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -68,6 +70,7 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::DuplicateImsi(imsi) => {
                 write!(f, "checkpoint lists imsi {imsi} more than once")
             }
+            RecoveryError::ArenaFull { restored } => write!(f, "context arena full after {restored} users"),
         }
     }
 }
@@ -121,7 +124,9 @@ pub fn parse(bytes: &[u8]) -> Result<SliceCheckpoint, RecoveryError> {
 ///
 /// All validation — parse errors, reserved IMSIs/GUTIs and
 /// intra-checkpoint duplicate IMSIs — happens before the first record is
-/// applied, so a rejected checkpoint never partially applies.
+/// applied, so a rejected checkpoint never partially applies. Only a full
+/// context arena stops a restore midway, and its error says how far it
+/// got.
 pub fn restore(cp: &mut ControlPlane, bytes: &[u8]) -> Result<usize, RecoveryError> {
     let parsed = parse(bytes)?;
     let mut seen = std::collections::HashSet::with_capacity(parsed.users.len());
@@ -134,8 +139,10 @@ pub fn restore(cp: &mut ControlPlane, bytes: &[u8]) -> Result<usize, RecoveryErr
         }
     }
     let n = parsed.users.len();
-    for rec in parsed.users {
-        cp.restore_user(rec.ctrl, rec.counters);
+    for (restored, rec) in parsed.users.into_iter().enumerate() {
+        if !cp.restore_user(rec.ctrl, rec.counters) {
+            return Err(RecoveryError::ArenaFull { restored });
+        }
     }
     Ok(n)
 }

@@ -10,11 +10,15 @@
 //! [`UeSlab`] instead stores contexts in large contiguous chunks and
 //! hands out 8-byte **generational handles** ([`UeHandle`]):
 //!
-//! * **Chunks** of [`CHUNK_SLOTS`] contexts are allocated at once and
-//!   published into an atomic chunk directory; slots inside a chunk are
-//!   never individually allocated or freed by the system allocator.
+//! * **Chunks** of [`CHUNK_SLOTS`] contexts (65 KiB) are allocated at
+//!   once and published into a zeroed chunk directory; slots inside a
+//!   chunk are never individually allocated or freed by the system
+//!   allocator. Resident memory follows the live population.
 //! * **Free slots go to a free-list**, so a detach/attach cycle reuses a
 //!   warm slot with no heap traffic at all.
+//! * **Capacity is one identifier region** (2^24 slots, `MAX_CHUNKS` ×
+//!   [`CHUNK_SLOTS`]); past it [`UeSlab::alloc`] returns `None`, which
+//!   callers turn into a rejected attach.
 //! * Each slot carries a **generation counter** (even = free, odd =
 //!   live). A handle embeds the generation it was minted under;
 //!   [`UeSlab::resolve`] re-checks it, so a handle held across the
@@ -36,15 +40,20 @@ use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-/// Slots per chunk. 4096 contexts × 4 cache lines (256 B) each, plus
-/// their generations, ≈ 1 MiB per chunk — large enough to amortize
-/// allocation, small enough that a lightly-used slice doesn't strand
-/// much memory.
-pub const CHUNK_SLOTS: usize = 4096;
+/// Slots per chunk. 256 contexts × 4 cache lines (256 B) each, plus a
+/// 1 KiB generation array: 65 KiB per chunk. A chunk is born on 1 in 256
+/// fresh-slot allocs and costs that alloc one 65 KiB write pass (tens of
+/// µs), and a slice strands at most 64 KiB of slots nobody uses.
+pub const CHUNK_SLOTS: usize = 256;
 
-/// Chunk-directory fan-out; caps the slab at `CHUNK_SLOTS²` ≈ 16.7M
-/// slots, comfortably above the 10M-user target.
-const MAX_CHUNKS: usize = 4096;
+/// Chunk-directory fan-out: exactly one slice's identifier region
+/// (2^24 slots) of chunks, so the slab runs out when the region does.
+const MAX_CHUNKS: usize = (1 << crate::demux::REGION_SHIFT) / CHUNK_SLOTS;
+
+const _: () = assert!(MAX_CHUNKS * CHUNK_SLOTS == 1 << crate::demux::REGION_SHIFT);
+
+/// Directory entries per 4 KiB page, the unit the zeroed directory becomes resident in.
+const DIR_ENTRIES_PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicPtr<Chunk>>();
 
 /// One contiguous block of contexts plus their generation counters.
 ///
@@ -59,9 +68,8 @@ struct Chunk {
     slots: [UeContext; CHUNK_SLOTS],
 }
 
-/// Heap-allocate and fully initialize a chunk. `Chunk` is ≈ 1 MiB —
-/// far too large to construct on the stack and `Box` — so it is built
-/// in place.
+/// Heap-allocate and fully initialize a chunk. `Chunk` is 65 KiB — too
+/// large to construct on the stack and `Box` — so it is built in place.
 fn new_chunk() -> *mut Chunk {
     let layout = Layout::new::<Chunk>();
     // SAFETY: the layout is non-zero-sized.
@@ -172,27 +180,30 @@ impl Default for UeSlab {
 impl UeSlab {
     pub fn new() -> Self {
         UeSlab {
-            dir: (0..MAX_CHUNKS).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
+            // SAFETY: an all-zero `AtomicPtr` is the null pointer, so the
+            // zeroed slice is a directory of unborn chunks. Its pages stay
+            // untouched until a chunk's entry is written.
+            dir: unsafe { Box::<[AtomicPtr<Chunk>]>::new_zeroed_slice(MAX_CHUNKS).assume_init() },
             alloc: Mutex::new(AllocState { free: Vec::new(), next: 0 }),
             live: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
         }
     }
 
-    /// Allocate a slot and initialize it with `ctrl` + `counters`.
-    /// Control-rate: one mutex, no heap traffic unless a fresh chunk is
-    /// needed (once per [`CHUNK_SLOTS`] net new users).
-    pub fn alloc(&self, ctrl: ControlState, counters: CounterState) -> UeHandle {
+    /// Allocate a slot and initialize it with `ctrl` + `counters` (and
+    /// no S1 association). Control-rate: one mutex, no heap traffic unless
+    /// a fresh chunk is needed (once per [`CHUNK_SLOTS`] net new users).
+    /// `None` when every slot of the region is live.
+    pub fn alloc(&self, ctrl: ControlState, counters: CounterState) -> Option<UeHandle> {
         let index = {
             let mut a = self.alloc.lock();
             match a.free.pop() {
                 Some(i) => i,
                 None => {
                     let i = a.next;
-                    assert!((i as usize) < MAX_CHUNKS * CHUNK_SLOTS, "UeSlab exhausted ({} slots)", i);
-                    let c = i as usize / CHUNK_SLOTS;
-                    if self.dir[c].load(Ordering::Acquire).is_null() {
-                        self.dir[c].store(new_chunk(), Ordering::Release);
+                    let entry = self.dir.get(i as usize / CHUNK_SLOTS)?;
+                    if entry.load(Ordering::Acquire).is_null() {
+                        entry.store(new_chunk(), Ordering::Release);
                         self.chunks.fetch_add(1, Ordering::Relaxed);
                     }
                     a.next = i + 1;
@@ -213,10 +224,11 @@ impl UeSlab {
         let ctx = &c.slots[slot];
         *ctx.ctrl_write() = ctrl;
         ctx.update_counters(|c| *c = counters);
+        ctx.set_s1_conn(None);
         let live_gen = generation.wrapping_add(1);
         c.gens[slot].store(live_gen, Ordering::Release);
         self.live.fetch_add(1, Ordering::Relaxed);
-        UeHandle::new(live_gen, index)
+        Some(UeHandle::new(live_gen, index))
     }
 
     /// Release a slot back to the free-list. Returns false (and does
@@ -267,10 +279,7 @@ impl UeSlab {
 
     #[inline]
     fn chunk(&self, c: usize) -> Option<&Chunk> {
-        if c >= MAX_CHUNKS {
-            return None;
-        }
-        let p = self.dir[c].load(Ordering::Acquire);
+        let p = self.dir.get(c)?.load(Ordering::Acquire);
         if p.is_null() {
             None
         } else {
@@ -292,13 +301,21 @@ impl UeSlab {
         self.alloc.lock().free.len() as u64
     }
 
-    /// Resident bytes attributable to the slab: chunk storage plus the
-    /// directory and free-list bookkeeping.
+    /// Resident bytes attributable to the slab: born chunks, the
+    /// directory pages their entries occupy (chunks are born in index
+    /// order), and the free-list.
     pub fn bytes(&self) -> u64 {
-        let chunk_bytes = self.chunks.load(Ordering::Relaxed) * std::mem::size_of::<Chunk>() as u64;
-        let dir_bytes = (MAX_CHUNKS * std::mem::size_of::<AtomicPtr<Chunk>>()) as u64;
+        let chunks = self.chunks.load(Ordering::Relaxed);
+        let chunk_bytes = chunks * std::mem::size_of::<Chunk>() as u64;
+        let dir_bytes = chunks.div_ceil(DIR_ENTRIES_PER_PAGE as u64) * 4096;
         let free_bytes = (self.alloc.lock().free.capacity() * std::mem::size_of::<u32>()) as u64;
         chunk_bytes + dir_bytes + free_bytes
+    }
+
+    /// Act as if every slot below `next` were taken (exhaustion tests).
+    #[cfg(test)]
+    pub(crate) fn skip_to(&self, next: u32) {
+        self.alloc.lock().next = next;
     }
 
     /// Measured bytes per live user — the density audit the capacity
@@ -347,7 +364,7 @@ mod tests {
     fn alloc_resolve_roundtrip() {
         let slab = UeSlab::new();
         let counters = CounterState { uplink_bytes: 777, ..CounterState::default() };
-        let h = slab.alloc(ctrl(404_01_0000000001), counters);
+        let h = slab.alloc(ctrl(404_01_0000000001), counters).unwrap();
         let r = slab.resolve(h).expect("fresh handle resolves");
         assert_eq!(r.ctrl_read().imsi, 404_01_0000000001);
         assert_eq!(r.counters().uplink_bytes, 777, "counters travel into the slot");
@@ -359,25 +376,66 @@ mod tests {
     #[test]
     fn stale_handle_after_free_and_reuse_misses() {
         let slab = UeSlab::new();
-        let h1 = slab.alloc(ctrl(1), CounterState::default());
+        let h1 = slab.alloc(ctrl(1), CounterState::default()).unwrap();
+        slab.resolve(h1).unwrap().set_s1_conn(Some(crate::state::S1Conn { mme_ue_id: 1, enb_ue_id: 77 }));
         assert!(slab.free(h1));
         // The freed slot is reused for a different user.
-        let h2 = slab.alloc(ctrl(2), CounterState::default());
+        let h2 = slab.alloc(ctrl(2), CounterState::default()).unwrap();
         assert_eq!(h1.index(), h2.index(), "free-list reuses the slot");
         assert_ne!(h1, h2, "but the generation differs");
         assert!(slab.resolve(h1).is_none(), "stale handle must miss, not alias");
         assert_eq!(slab.resolve(h2).unwrap().ctrl_read().imsi, 2);
+        assert_eq!(slab.resolve(h2).unwrap().s1_conn(), None, "the old tenant's S1 association stays behind");
+    }
+
+    #[test]
+    fn resident_bytes_follow_the_population_across_chunk_boundaries() {
+        let chunk = std::mem::size_of::<Chunk>() as u64;
+        for n in [1, CHUNK_SLOTS - 1, CHUNK_SLOTS, CHUNK_SLOTS + 1, 3 * CHUNK_SLOTS + 5] {
+            let slab = UeSlab::new();
+            let handles: Vec<_> =
+                (0..n).map(|i| slab.alloc(ctrl(i as u64), CounterState::default()).unwrap()).collect();
+            let born = n.div_ceil(CHUNK_SLOTS);
+            let free_list = (slab.alloc.lock().free.capacity() * std::mem::size_of::<u32>()) as u64;
+            let bytes = slab.bytes();
+            assert!(bytes >= born as u64 * chunk, "{n} users: {bytes} B");
+            assert!(bytes <= born as u64 * chunk + 4096 + free_list, "{n} users: {bytes} B");
+            for (i, h) in handles.iter().enumerate() {
+                assert_eq!(slab.resolve(*h).unwrap().ctrl_read().imsi, i as u64, "{n} users, slot {i}");
+            }
+            let unborn = UeHandle::new(1, (born * CHUNK_SLOTS) as u32);
+            let past_the_directory = UeHandle::new(1, (MAX_CHUNKS * CHUNK_SLOTS) as u32);
+            for h in [unborn, past_the_directory] {
+                slab.prefetch(h);
+                assert!(slab.resolve(h).is_none() && !slab.free(h), "{n} users: {h:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_region_refuses_fresh_slots_and_reuses_freed_ones() {
+        let slab = UeSlab::new();
+        let capacity = (MAX_CHUNKS * CHUNK_SLOTS) as u32;
+        slab.skip_to(capacity - 2);
+        let first = slab.alloc(ctrl(1), CounterState::default()).unwrap();
+        let last = slab.alloc(ctrl(2), CounterState::default()).unwrap();
+        assert_eq!(last.index(), capacity - 1);
+        assert!(slab.alloc(ctrl(3), CounterState::default()).is_none(), "every slot of the region is live");
+        assert!(slab.free(first));
+        let reused = slab.alloc(ctrl(4), CounterState::default()).map(UeHandle::index);
+        assert_eq!(reused, Some(first.index()));
+        assert_eq!(slab.live_slots(), 2);
     }
 
     #[test]
     fn aba_guard_holds_across_many_reuse_cycles() {
         let slab = UeSlab::new();
         let mut stale = Vec::new();
-        let mut h = slab.alloc(ctrl(0), CounterState::default());
+        let mut h = slab.alloc(ctrl(0), CounterState::default()).unwrap();
         for imsi in 1..50u64 {
             stale.push(h);
             assert!(slab.free(h));
-            h = slab.alloc(ctrl(imsi), CounterState::default());
+            h = slab.alloc(ctrl(imsi), CounterState::default()).unwrap();
         }
         for s in &stale {
             assert!(slab.resolve(*s).is_none(), "generation {} aliased", s.generation());
@@ -389,7 +447,7 @@ mod tests {
     #[test]
     fn double_free_is_rejected() {
         let slab = UeSlab::new();
-        let h = slab.alloc(ctrl(1), CounterState::default());
+        let h = slab.alloc(ctrl(1), CounterState::default()).unwrap();
         assert!(slab.free(h));
         assert!(!slab.free(h), "second free of the same handle is a no-op");
         assert_eq!(slab.live_slots(), 0);
@@ -407,11 +465,11 @@ mod tests {
     #[test]
     fn prefetch_of_a_dead_or_bogus_handle_is_a_no_op() {
         let slab = UeSlab::new();
-        let freed = slab.alloc(ctrl(1), CounterState::default());
+        let freed = slab.alloc(ctrl(1), CounterState::default()).unwrap();
         assert!(slab.free(freed));
-        let stale = slab.alloc(ctrl(2), CounterState::default());
+        let stale = slab.alloc(ctrl(2), CounterState::default()).unwrap();
         assert!(slab.free(stale));
-        let live = slab.alloc(ctrl(3), CounterState::default());
+        let live = slab.alloc(ctrl(3), CounterState::default()).unwrap();
         assert_eq!(live.index(), stale.index(), "slot reused: `stale` now names another tenant's slot");
         let (view, counters) = {
             let r = slab.resolve(live).unwrap();
@@ -433,7 +491,7 @@ mod tests {
     fn slots_span_chunk_boundaries() {
         let slab = UeSlab::new();
         let n = CHUNK_SLOTS + 3;
-        let handles: Vec<_> = (0..n).map(|i| slab.alloc(ctrl(i as u64), CounterState::default())).collect();
+        let handles: Vec<_> = (0..n).map(|i| slab.alloc(ctrl(i as u64), CounterState::default()).unwrap()).collect();
         assert_eq!(slab.live_slots(), n as u64);
         for (i, h) in handles.iter().enumerate() {
             assert_eq!(slab.resolve(*h).unwrap().ctrl_read().imsi, i as u64);
@@ -444,7 +502,7 @@ mod tests {
     #[test]
     fn gauges_track_alloc_and_free() {
         let slab = UeSlab::new();
-        let hs: Vec<_> = (0..100).map(|i| slab.alloc(ctrl(i), CounterState::default())).collect();
+        let hs: Vec<_> = (0..100).map(|i| slab.alloc(ctrl(i), CounterState::default()).unwrap()).collect();
         assert_eq!(slab.live_slots(), 100);
         let per_user = slab.bytes_per_user();
         assert!(per_user >= std::mem::size_of::<UeContext>() as u64);
@@ -458,10 +516,10 @@ mod tests {
     #[test]
     fn reuse_republishes_through_the_seqlock_protocol() {
         let slab = UeSlab::new();
-        let h1 = slab.alloc(ctrl(1), CounterState::default());
+        let h1 = slab.alloc(ctrl(1), CounterState::default()).unwrap();
         let v1 = slab.resolve(h1).unwrap().view_version();
         slab.free(h1);
-        let h2 = slab.alloc(ctrl(2), CounterState::default());
+        let h2 = slab.alloc(ctrl(2), CounterState::default()).unwrap();
         let r = slab.resolve(h2).unwrap();
         assert!(r.view_version() > v1, "slot reuse must bump the view sequence, not bypass it");
         assert_eq!(r.view_version() % 2, 0, "no publish left half-finished");
@@ -471,7 +529,7 @@ mod tests {
     #[test]
     fn handle_roundtrips_through_bits() {
         let slab = UeSlab::new();
-        let h = slab.alloc(ctrl(9), CounterState::default());
+        let h = slab.alloc(ctrl(9), CounterState::default()).unwrap();
         let back = UeHandle::from_bits(h.bits());
         assert_eq!(back, h);
         assert_eq!(slab.resolve(back).unwrap().ctrl_read().imsi, 9);

@@ -160,7 +160,7 @@ impl Slice {
         if !self.ctrl.has_updates() {
             return;
         }
-        for u in self.ctrl.take_updates() {
+        for u in self.ctrl.drain_updates() {
             let mut pending = Some((self.clock.now_ns(), u));
             while let Some(u) = pending.take() {
                 if let Err(u) = self.update_tx.push(u) {
@@ -291,11 +291,12 @@ impl Slice {
         Some(snap)
     }
 
-    /// Migration destination: install a user and make it visible.
-    pub fn install_user(&mut self, snap: UserSnapshot) {
-        self.ctrl.install_user(snap);
-        self.flush_ctrl_updates();
+    /// Migration destination: install a user and make it visible. False
+    /// (nothing installed) when the slice's arena is full.
+    pub fn install_user(&mut self, snap: &UserSnapshot) -> bool {
+        let installed = self.ctrl.install_user(snap);
         self.sync_now();
+        installed
     }
 
     /// Assemble this slice's observability registry: plane counters,
@@ -491,7 +492,7 @@ impl Slice {
                                     let _ = ctrl_reply_tx.send(CtrlReply::Extracted { imsi, snapshot });
                                 }
                                 CtrlCmd::Install(snap) => {
-                                    cp.install_user(*snap);
+                                    cp.install_user(&snap);
                                 }
                             }
                         }
@@ -502,7 +503,7 @@ impl Slice {
                     did_work = true;
                     // Stamp with the shared slice clock (Clock is Copy, so
                     // both threads measure from the same origin).
-                    let mut it = cp.take_updates().into_iter().map(|u| (clock.now_ns(), u)).peekable();
+                    let mut it = cp.drain_updates().map(|u| (clock.now_ns(), u)).peekable();
                     while it.peek().is_some() {
                         if update_tx.push_burst(&mut it) == 0 {
                             std::hint::spin_loop();
@@ -701,7 +702,7 @@ mod tests {
         let snap = a.extract_user(7).expect("extracts");
         // Source no longer serves the user.
         assert!(!a.process_packet(uplink(0x1000, 0x0A000001)).is_forward());
-        b.install_user(snap);
+        assert!(b.install_user(&snap));
         // Destination serves it with the ORIGINAL teid (tunnel unbroken).
         assert!(b.process_packet(uplink(0x1000, 0x0A000001)).is_forward());
         let counters = b.ctrl.counters_of(7).unwrap();

@@ -384,8 +384,9 @@ impl UeContext {
     }
 
     /// Replace the S1 association (control thread only).
-    pub fn set_s1_conn(&self, conn: S1Conn) {
-        self.s1_conn.store(u64::from(conn.mme_ue_id) << 32 | u64::from(conn.enb_ue_id), Ordering::Relaxed);
+    pub fn set_s1_conn(&self, conn: Option<S1Conn>) {
+        let packed = conn.map_or(0, |c| u64::from(c.mme_ue_id) << 32 | u64::from(c.enb_ue_id));
+        self.s1_conn.store(packed, Ordering::Relaxed);
     }
 
     // -- control half ---------------------------------------------------------

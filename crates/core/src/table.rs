@@ -357,8 +357,9 @@ impl PepcStore {
 
 impl StateStore for PepcStore {
     fn insert(&self, uid: Uid, ctrl: ControlState) {
-        let handle = self.slab.alloc(ctrl, CounterState::default());
-        self.table.write().insert(uid, handle);
+        if let Some(handle) = self.slab.alloc(ctrl, CounterState::default()) {
+            self.table.write().insert(uid, handle);
+        }
     }
 
     fn remove(&self, uid: Uid) -> bool {

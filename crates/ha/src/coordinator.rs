@@ -481,10 +481,14 @@ impl HaCluster {
         for (rec, _tick) in users {
             let imsi = rec.ctrl.imsi;
             let target = self.cluster.home_node(imsi);
-            self.cluster.adopt_user(target, rec.ctrl, rec.counters);
             // Adoption marks the user dirty on the survivor; replicate it
-            // from its new home so the standby converges.
-            self.owner.insert(imsi, target);
+            // from its new home so the standby converges. A user no
+            // survivor slice had room for has no owner.
+            if self.cluster.adopt_user(target, rec.ctrl, rec.counters).is_some() {
+                self.owner.insert(imsi, target);
+            } else {
+                self.owner.remove(&imsi);
+            }
         }
         for t in 0..self.cluster.node_count() {
             if !self.killed[t] && !self.cluster.is_dead(t) {

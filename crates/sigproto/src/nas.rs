@@ -142,9 +142,27 @@ impl NasMsg {
     const T_SVC_REJ: u8 = 0x4E;
     const T_SVC_ACC: u8 = 0x4F;
 
-    /// Serialize to bytes.
+    /// Bytes [`Self::encode`] produces: the type byte plus the fields.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            NasMsg::SecurityModeComplete | NasMsg::AttachComplete | NasMsg::DetachAccept | NasMsg::ServiceAccept => 0,
+            NasMsg::AuthenticationReject { .. }
+            | NasMsg::AttachReject { .. }
+            | NasMsg::NetworkDetachRequest { .. }
+            | NasMsg::ServiceReject { .. } => 1,
+            NasMsg::SecurityModeCommand { .. } | NasMsg::TrackingAreaUpdateAccept { .. } => 2,
+            NasMsg::CongestionReject { .. } => 3,
+            NasMsg::AuthenticationResponse { .. } | NasMsg::DetachRequest { .. } | NasMsg::ServiceRequest { .. } => 8,
+            NasMsg::TrackingAreaUpdateRequest { .. } => 10,
+            NasMsg::AttachRequest { .. } => 12,
+            NasMsg::AttachAccept { .. } => 14,
+            NasMsg::AuthenticationRequest { .. } => 16,
+        }
+    }
+
+    /// Serialize to bytes, into a buffer of exactly the encoded size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(self.encoded_len());
         match self {
             NasMsg::AttachRequest { imsi, ue_capability } => {
                 out.push(Self::T_ATTACH_REQ);
@@ -318,9 +336,8 @@ mod tests {
         assert!(imsi_from_bcd(&bcd).is_err());
     }
 
-    #[test]
-    fn all_messages_roundtrip() {
-        let msgs = vec![
+    fn sample_msgs() -> Vec<NasMsg> {
+        vec![
             NasMsg::AttachRequest { imsi: 404_01_0000000042, ue_capability: 0xF0F0 },
             NasMsg::AuthenticationRequest { rand: 0x1122334455667788, autn: 0x99AABBCCDDEEFF00 },
             NasMsg::AuthenticationResponse { res: 0xCAFEBABE },
@@ -339,10 +356,22 @@ mod tests {
             NasMsg::ServiceAccept,
             NasMsg::ServiceReject { cause: cause::CONGESTION },
             NasMsg::CongestionReject { cause: cause::CONGESTION, backoff_ms: 1500 },
-        ];
-        for m in msgs {
+        ]
+    }
+
+    #[test]
+    fn all_messages_roundtrip() {
+        for m in sample_msgs() {
             let enc = m.encode();
             assert_eq!(NasMsg::decode(&enc).unwrap(), m, "roundtrip failed for {m:?}");
+        }
+    }
+
+    #[test]
+    fn every_message_encodes_into_an_exactly_sized_buffer() {
+        for m in sample_msgs() {
+            let enc = m.encode();
+            assert_eq!(enc.capacity(), enc.len(), "{m:?}");
         }
     }
 

@@ -103,9 +103,26 @@ impl S1apPdu {
         Ok(buf[off + 2..off + 2 + len].to_vec())
     }
 
-    /// Serialize to bytes.
+    /// Bytes [`Self::encode`] produces: the type byte, the fixed fields,
+    /// and a carried NAS PDU behind its 2-byte length.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            S1apPdu::InitialUeMessage { nas, .. } => 12 + nas.len(),
+            S1apPdu::DownlinkNasTransport { nas, .. } | S1apPdu::UplinkNasTransport { nas, .. } => 10 + nas.len(),
+            S1apPdu::InitialContextSetupRequest { nas, .. } => 22 + nas.len(),
+            S1apPdu::PathSwitchRequestAck { .. }
+            | S1apPdu::HandoverCommand { .. }
+            | S1apPdu::UeContextReleaseComplete { .. } => 8,
+            S1apPdu::UeContextReleaseCommand { .. } | S1apPdu::UeContextReleaseRequest { .. } => 9,
+            S1apPdu::HandoverRequired { .. } | S1apPdu::HandoverRequestAck { .. } | S1apPdu::Paging { .. } => 12,
+            S1apPdu::InitialContextSetupResponse { .. } | S1apPdu::HandoverRequest { .. } => 16,
+            S1apPdu::PathSwitchRequest { .. } => 20,
+        }
+    }
+
+    /// Serialize to bytes, into a buffer of exactly the encoded size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+        let mut out = Vec::with_capacity(self.encoded_len());
         match self {
             S1apPdu::InitialUeMessage { enb_ue_id, ecgi, tac, nas } => {
                 out.push(Self::T_INITIAL_UE);
@@ -364,6 +381,14 @@ mod tests {
         for pdu in sample_pdus() {
             let enc = pdu.encode();
             assert_eq!(S1apPdu::decode(&enc).unwrap(), pdu, "roundtrip failed for {pdu:?}");
+        }
+    }
+
+    #[test]
+    fn every_pdu_encodes_into_an_exactly_sized_buffer() {
+        for pdu in sample_pdus() {
+            let enc = pdu.encode();
+            assert_eq!(enc.capacity(), enc.len(), "{pdu:?}");
         }
     }
 

@@ -98,7 +98,7 @@ fn insert_user_with(dp: &mut DataPlane, u: u32, ambr_kbps: u32, rules: &[u16], a
     for &id in rules {
         ctrl.pcef_rules.push(id);
     }
-    let handle = dp.slab().alloc(ctrl, CounterState::default());
+    let handle = dp.slab().alloc(ctrl, CounterState::default()).unwrap();
     dp.apply_update(DpUpdate::Insert { gw_teid: TEID_BASE + u, ue_ip: UE_IP_BASE + u, handle, active }, now);
     handle
 }
@@ -311,7 +311,7 @@ fn build_edge_plane() -> (DataPlane, Vec<UeHandle>, Vec<UeHandle>) {
     for u in SUSPENDED..SUSPENDED + STALE {
         assert!(dp.slab().free(handles[u as usize]));
         if u % 2 == 0 {
-            let tenant = dp.slab().alloc(ControlState::new(999_000 + u64::from(u)), CounterState::default());
+            let tenant = dp.slab().alloc(ControlState::new(999_000 + u64::from(u)), CounterState::default()).unwrap();
             assert_eq!(tenant.index(), handles[u as usize].index(), "slot reused under the stale table entry");
             tenants.push(tenant);
         }

@@ -132,6 +132,36 @@ fn checkpoint_restore_survives_node_failure() {
 }
 
 #[test]
+fn attach_after_restore_mints_fresh_identifiers() {
+    let one_slice = || pepc::node::PepcNode::new(EpcConfig { slices: 1, ..template() }, None);
+    let mut node = one_slice();
+    for imsi in 0..5u64 {
+        node.attach(imsi);
+    }
+    let bytes = recovery::checkpoint(&node.slice(0).ctrl).unwrap();
+    let mut recovered = one_slice();
+    assert_eq!(recovery::restore(&mut recovered.slice(0).ctrl, &bytes).unwrap(), 5);
+    recovered.attach(99);
+    let identity = |n: &mut pepc::node::PepcNode, imsi: u64| {
+        let c = n.slice(0).ctrl.context_of(imsi).unwrap().ctrl_read().clone();
+        (c.guti, c.tunnels.gw_teid, c.ue_ip)
+    };
+    let fresh = identity(&mut recovered, 99);
+    for imsi in 0..5u64 {
+        let (guti, teid, ue_ip) = identity(&mut recovered, imsi);
+        assert!(guti != fresh.0 && teid != fresh.1 && ue_ip != fresh.2, "imsi 99 reuses imsi {imsi}'s identifiers");
+    }
+    // Each user's packets land in its own context.
+    for imsi in [0, 99] {
+        let (_, teid, ue_ip) = identity(&mut recovered, imsi);
+        assert!(recovered.process(uplink(teid, ue_ip)).is_forward(), "imsi {imsi}");
+    }
+    for imsi in [0, 99] {
+        assert_eq!(recovered.slice(0).ctrl.counters_of(imsi).unwrap().uplink_packets, 1, "imsi {imsi}");
+    }
+}
+
+#[test]
 fn restore_is_idempotent_per_user() {
     let mut node = pepc::node::PepcNode::new(template(), None);
     node.attach(7);

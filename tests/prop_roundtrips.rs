@@ -838,7 +838,7 @@ proptest! {
         ctrl.ue_ip = UE_IP;
         ctrl.qos = QosPolicy { qci: 9, ambr_kbps: 0, gbr_kbps: 0 };
         ctrl.tunnels = TunnelState { enb_teid: TEID_DL, enb_ip: ENB_IP, gw_teid: TEID_UL };
-        let h = dp.slab().alloc(ctrl, CounterState::default());
+        let h = dp.slab().alloc(ctrl, CounterState::default()).unwrap();
         dp.apply_update(DpUpdate::Insert { gw_teid: TEID_UL, ue_ip: UE_IP, handle: h, active: true }, 0);
 
         let downlink = || {

@@ -403,7 +403,7 @@ fn ten_thousand_s1ap_lifecycles_leave_no_steering_residue() {
         let pair = (ctx.ctrl_read().clone(), ctx.counters());
         pair
     };
-    assert_eq!(node.adopt_user(ctrl, counters), k);
+    assert_eq!(node.adopt_user(ctrl, counters), Some(k));
     assert_eq!(s1_identity(&mut node, 5), (k, guti, conn));
     s1ap_detach(&mut node, guti, conn);
     assert_eq!(node.user_count(), RESIDENTS as usize - 1);
