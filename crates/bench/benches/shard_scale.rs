@@ -25,9 +25,8 @@ use pepc::data::PacketVerdict;
 use pepc::demux::packet_key;
 use pepc::node::PepcNode;
 use pepc::LatencyHistogram;
-use pepc_bench::NodeSut;
 use pepc_net::Mbuf;
-use pepc_workload::harness::SystemUnderTest;
+use pepc_workload::harness::{NodeSut, SystemUnderTest};
 use pepc_workload::traffic::TrafficGen;
 use std::time::Instant;
 

@@ -4,20 +4,18 @@
 //! the shape the paper reports, so `figures --fig N` regenerates the
 //! artifact and EXPERIMENTS.md can record paper-vs-measured.
 
-use crate::{NodeSut, Scale};
+use crate::Scale;
 use pepc::config::{BatchingConfig, EpcConfig, IotConfig, SliceConfig, TwoLevelConfig};
 use pepc::ctrl::{run_attach_with, Allocator, ControlPlane};
+use pepc::node::PepcNode;
 use pepc::proxy::Proxy;
-use pepc::slice::Slice;
 use pepc::state::ControlState;
 use pepc::table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
 use pepc_backend::{Hss, Pcrf};
 use pepc_baseline::{BaselinePreset, ClassicConfig, ClassicEpc};
 use pepc_sigproto::s1ap::S1apPdu;
 use pepc_sigproto::sctp::{Association, SctpEvent};
-use pepc_workload::harness::{
-    default_pepc_slice, measure, measure_with, ClassicSut, MeasureOpts, PepcSut, SystemUnderTest,
-};
+use pepc_workload::harness::{measure, measure_with, ClassicSut, MeasureOpts, Measurement, NodeSut, SystemUnderTest};
 use pepc_workload::params::Defaults;
 use pepc_workload::signaling::{EventMix, SignalingGen};
 use pepc_workload::traffic::{TrafficGen, UserKeys};
@@ -28,10 +26,46 @@ fn imsis(n: u64) -> Vec<u64> {
     (0..n).map(|i| Defaults::IMSI_BASE + i).collect()
 }
 
-fn pepc_sut(users: u64) -> (PepcSut, Vec<UserKeys>) {
-    let mut sut = PepcSut::new(default_pepc_slice(users as usize, true, 32));
+/// A 1-slice PEPC node: one slice is one data core, so its rate is the
+/// per-core number the paper reports.
+fn pepc_node(slice: SliceConfig) -> NodeSut {
+    NodeSut::new(PepcNode::new(EpcConfig { slice, ..EpcConfig::default() }, None))
+}
+
+fn pepc_sut(users: u64) -> (NodeSut, Vec<UserKeys>) {
+    let mut sut = pepc_node(SliceConfig { expected_users: users as usize, ..SliceConfig::default() });
     let keys = sut.attach_all(&imsis(users));
     (sut, keys)
+}
+
+/// Offered Mpps with signaling interleaved at exactly `ratio` events per
+/// packet. Packets go through `process` one at a time, so the ratio holds
+/// packet by packet (Figures 6 and 13).
+fn mpps_at_ratio<S: SystemUnderTest>(
+    sut: &mut S,
+    gen: &mut TrafficGen,
+    sig: &mut SignalingGen,
+    ratio: f64,
+    duration: Duration,
+) -> f64 {
+    let start = Instant::now();
+    let mut offered: u64 = 0;
+    let mut event_debt = 0.0f64;
+    while start.elapsed() < duration {
+        for _ in 0..32 {
+            let m = gen.next_packet(0);
+            offered += 1;
+            if let Some(out) = sut.process(m) {
+                gen.recycle(out);
+            }
+            event_debt += ratio;
+            while event_debt >= 1.0 {
+                sut.signal(sig.next_event());
+                event_debt -= 1.0;
+            }
+        }
+    }
+    offered as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 
 fn classic_sut(preset: BaselinePreset, name: &'static str, users: u64) -> (ClassicSut, Vec<UserKeys>) {
@@ -183,7 +217,7 @@ pub struct Fig6Row {
 /// Figure 6: PEPC's data-plane rate as the signaling-to-data ratio grows,
 /// for three population sizes, plus the Industrial#1 reference points.
 pub fn fig06_signaling(scale: Scale) -> Vec<Fig6Row> {
-    let opts = MeasureOpts { duration: scale.duration(), ..Default::default() };
+    let duration = scale.duration();
     let ratios = [0.0001, 0.001, 0.01, 0.1, 0.5, 1.0];
     let mut rows = Vec::new();
     for paper_users in [1u64, 10_000, 1_000_000] {
@@ -194,25 +228,7 @@ pub fn fig06_signaling(scale: Scale) -> Vec<Fig6Row> {
             // Exact ratio: interleave events with packets rather than
             // pacing by wall clock.
             let mut sig = SignalingGen::new(Defaults::IMSI_BASE, users, 0, EventMix { attach_fraction: 0.5 });
-            let start = Instant::now();
-            let mut offered: u64 = 0;
-            let mut event_debt = 0.0f64;
-            while start.elapsed() < opts.duration {
-                for _ in 0..32 {
-                    let m = gen.next_packet(0);
-                    offered += 1;
-                    if let Some(out) = sut.process(m) {
-                        gen.recycle(out);
-                    }
-                    event_debt += ratio;
-                    while event_debt >= 1.0 {
-                        let ev = sig.next_event();
-                        sut.signal(ev);
-                        event_debt -= 1.0;
-                    }
-                }
-            }
-            let mpps = offered as f64 / start.elapsed().as_secs_f64() / 1e6;
+            let mpps = mpps_at_ratio(&mut sut, &mut gen, &mut sig, ratio, duration);
             rows.push(Fig6Row { system: "PEPC", users, ratio, mpps });
         }
     }
@@ -222,25 +238,7 @@ pub fn fig06_signaling(scale: Scale) -> Vec<Fig6Row> {
         let (mut sut, keys) = classic_sut(BaselinePreset::Industrial1, "Industrial#1", users);
         let mut gen = TrafficGen::new(keys);
         let mut sig = SignalingGen::new(Defaults::IMSI_BASE, users, 0, EventMix { attach_fraction: 0.5 });
-        let start = Instant::now();
-        let mut offered: u64 = 0;
-        let mut event_debt = 0.0f64;
-        while start.elapsed() < opts.duration {
-            for _ in 0..32 {
-                let m = gen.next_packet(0);
-                offered += 1;
-                if let Some(out) = sut.process(m) {
-                    gen.recycle(out);
-                }
-                event_debt += ratio;
-                while event_debt >= 1.0 {
-                    let ev = sig.next_event();
-                    sut.signal(ev);
-                    event_debt -= 1.0;
-                }
-            }
-        }
-        let mpps = offered as f64 / start.elapsed().as_secs_f64() / 1e6;
+        let mpps = mpps_at_ratio(&mut sut, &mut gen, &mut sig, ratio, duration);
         rows.push(Fig6Row { system: "Industrial#1", users, ratio, mpps });
     }
     println!("\nFigure 6 — data plane performance vs signaling/data ratio");
@@ -264,10 +262,10 @@ pub struct Fig7Row {
     pub per_core_mpps: Vec<f64>,
 }
 
-/// Figure 7: aggregate throughput vs number of data cores. Slices share
-/// nothing, so on this single-core host each slice is measured in
-/// isolation and the aggregate is the sum (DESIGN.md §2); on a
-/// many-core host the same slices run concurrently with the same result.
+/// Figure 7: aggregate throughput vs number of data cores, *modeled*.
+/// Slices share nothing, so each is measured in isolation as a 1-slice
+/// node on the one harness thread and the aggregate is the sum
+/// (DESIGN.md §2); nothing here runs slices concurrently.
 pub fn fig07_cores(scale: Scale) -> Vec<Fig7Row> {
     let opts = MeasureOpts { duration: scale.duration(), ..Default::default() };
     let mut rows = Vec::new();
@@ -293,7 +291,7 @@ pub fn fig07_cores(scale: Scale) -> Vec<Fig7Row> {
             per_core_mpps: per_core,
         });
     }
-    println!("\nFigure 7 — data plane scaling with data cores (share-nothing sum)");
+    println!("\nFigure 7 — data plane scaling with data cores (modeled: sum of isolated 1-slice nodes)");
     println!("{:>6} {:>10} {:>10} {:>12}", "cores", "users", "events/s", "aggregate");
     for r in &rows {
         println!("{:>6} {:>10} {:>10} {:>9.3} Mpps", r.data_cores, r.users, r.events_per_sec, r.aggregate_mpps);
@@ -322,10 +320,27 @@ fn migration_node(users: u64) -> (NodeSut, Vec<UserKeys>, Vec<u64>) {
         },
         ..EpcConfig::default()
     };
-    let mut sut = NodeSut::new(pepc::node::PepcNode::new(config, None));
+    let mut sut = NodeSut::new(PepcNode::new(config, None));
     let ids = imsis(users);
     let keys = sut.attach_all(&ids);
     (sut, keys, ids)
+}
+
+/// Tick hook that migrates users round-robin between the two slices at
+/// `rate` migrations per second of elapsed time.
+fn migrate_at(ids: &[u64], rate: u64) -> impl FnMut(&mut NodeSut, u64) + '_ {
+    let (mut done, mut next) = (0u64, 0usize);
+    move |sut, elapsed_ns| {
+        let target = (elapsed_ns as u128 * rate as u128 / 1_000_000_000) as u64;
+        while done < target {
+            let imsi = ids[next % ids.len()];
+            next += 1;
+            if let Some(cur) = sut.node.slice_of(imsi) {
+                sut.migrate(imsi, 1 - cur);
+            }
+            done += 1;
+        }
+    }
 }
 
 /// Figure 8: data-plane throughput at increasing migration rates.
@@ -340,19 +355,7 @@ pub fn fig08_migration_tput(scale: Scale) -> Vec<Fig8Row> {
     let mut rows = Vec::new();
     let mut baseline = 0.0;
     for rate in [0u64, 1_000, 10_000, 25_000, 50_000, 100_000, 250_000] {
-        let mut done: u64 = 0;
-        let mut next = 0usize;
-        let m = measure_with(&mut sut, &mut gen, None, &opts, |sut, elapsed_ns| {
-            let target = (elapsed_ns as u128 * rate as u128 / 1_000_000_000) as u64;
-            while done < target {
-                let imsi = ids[next % ids.len()];
-                next += 1;
-                if let Some(cur) = sut.node.slice_of(imsi) {
-                    sut.migrate(imsi, 1 - cur);
-                }
-                done += 1;
-            }
-        });
+        let m = measure_with(&mut sut, &mut gen, None, &opts, migrate_at(&ids, rate));
         let mpps = m.mpps();
         if rate == 0 {
             baseline = mpps;
@@ -384,19 +387,7 @@ pub fn fig09_migration_latency(scale: Scale) -> Vec<Fig9Row> {
     let mut gen = TrafficGen::new(keys);
     let mut rows = Vec::new();
     for rate in [0u64, 1_000, 10_000, 25_000] {
-        let mut done: u64 = 0;
-        let mut next = 0usize;
-        let m = measure_with(&mut sut, &mut gen, None, &opts, |sut, elapsed_ns| {
-            let target = (elapsed_ns as u128 * rate as u128 / 1_000_000_000) as u64;
-            while done < target {
-                let imsi = ids[next % ids.len()];
-                next += 1;
-                if let Some(cur) = sut.node.slice_of(imsi) {
-                    sut.migrate(imsi, 1 - cur);
-                }
-                done += 1;
-            }
-        });
+        let m = measure_with(&mut sut, &mut gen, None, &opts, migrate_at(&ids, rate));
         let h = m.latency.expect("latency sampled");
         rows.push(Fig9Row {
             migrations_per_sec: rate,
@@ -711,9 +702,9 @@ fn measure_store_constants<S: StateStore>(store: &S, users: u64, samples: u64) -
 /// (seqlock) under rising control update rates.
 ///
 /// On a host with ≥3 physical cores this runs the real two-thread
-/// contention experiment. On this reproduction's 1-CPU host cross-core
-/// blocking physically cannot manifest (any control work steals the data
-/// thread's only core 1:1 under *every* locking scheme), so the figure
+/// contention experiment. With fewer cores cross-core blocking cannot
+/// manifest (control work steals the data thread's core 1:1 under
+/// *every* locking scheme, and the OS needs the rest), so the figure
 /// is computed from measured per-store constants with the blocking
 /// semantics made explicit:
 ///
@@ -746,7 +737,7 @@ pub fn fig12_lock_strategies(scale: Scale) -> Vec<Fig12Row> {
         let (v_r, _) = measure_store_constants(&RwLockFineStore::new(users as usize), users, samples);
         let (v_p, _) = measure_store_constants(&PepcStore::new(users as usize), users, samples);
         println!(
-            "\nFigure 12 — shared state implementations (single-CPU host: computed from\n\
+            "\nFigure 12 — shared state implementations ({cores} cores, fewer than 3: computed from\n\
              measured constants; see DESIGN.md §2. visit: giant {:.0} ns, datapath-writer {:.0} ns,\n\
              rwlock-fine {:.0} ns, PEPC seqlock {:.0} ns; giant-lock write hold {:.0} ns/update)",
             v_g * 1e9,
@@ -798,30 +789,16 @@ pub struct Fig13Row {
 pub fn fig13_batching(scale: Scale) -> Vec<Fig13Row> {
     let users = scale.users(100_000);
     let duration = scale.duration() * 2;
-    let run_one = |sync_every: u32, ratio: f64| -> f64 {
-        let mut sut = PepcSut::new(default_pepc_slice(users as usize, true, sync_every));
+    let run_one = |sync_every_packets: u32, ratio: f64| -> f64 {
+        let mut sut = pepc_node(SliceConfig {
+            batching: BatchingConfig { sync_every_packets },
+            expected_users: users as usize,
+            ..SliceConfig::default()
+        });
         let keys = sut.attach_all(&imsis(users));
         let mut gen = TrafficGen::new(keys);
         let mut sig = SignalingGen::new(Defaults::IMSI_BASE, users, 0, EventMix::attaches_only());
-        let start = Instant::now();
-        let mut offered: u64 = 0;
-        let mut debt = 0.0f64;
-        while start.elapsed() < duration {
-            for _ in 0..32 {
-                let m = gen.next_packet(0);
-                offered += 1;
-                if let Some(out) = sut.process(m) {
-                    gen.recycle(out);
-                }
-                debt += ratio;
-                while debt >= 1.0 {
-                    let ev = sig.next_event();
-                    sut.signal(ev);
-                    debt -= 1.0;
-                }
-            }
-        }
-        offered as f64 / start.elapsed().as_secs_f64() / 1e6
+        mpps_at_ratio(&mut sut, &mut gen, &mut sig, ratio, duration)
     };
     let mut rows = Vec::new();
     for ratio in [0.1f64, 0.5, 1.0] {
@@ -865,15 +842,18 @@ pub fn fig14_two_level(scale: Scale) -> Vec<Fig14Row> {
     let total = scale.users(1_000_000);
     let duration = scale.duration();
     let run_one = |two_level: bool, always_on: u64, churn_frac: f64| -> f64 {
-        let mut sut = PepcSut::new(default_pepc_slice(total as usize, two_level, 32));
+        let mut sut = pepc_node(SliceConfig {
+            two_level: TwoLevelConfig { enabled: two_level, ..TwoLevelConfig::default() },
+            expected_users: total as usize,
+            ..SliceConfig::default()
+        });
         let all = imsis(total);
         let keys = sut.attach_all(&all);
         if two_level {
             // Everyone beyond the always-on set starts idle.
-            for imsi in &all[always_on as usize..] {
-                sut.slice.ctrl.demote_user(*imsi);
+            for &imsi in &all[always_on as usize..] {
+                sut.demote(imsi);
             }
-            sut.slice.sync_now();
         }
         // Traffic targets the active population.
         let mut gen = TrafficGen::new(keys[..always_on as usize].to_vec());
@@ -898,11 +878,8 @@ pub fn fig14_two_level(scale: Scale) -> Vec<Fig14Row> {
                         gen.recycle(out);
                     }
                     // ...and the control plane demotes it again.
-                    sut.slice.ctrl.demote_user(all[idx]);
+                    sut.demote(all[idx]);
                     churned += 1;
-                }
-                if churned.is_multiple_of(1024) {
-                    sut.slice.sync_now();
                 }
             }
             for _ in 0..32 {
@@ -963,6 +940,36 @@ pub struct Fig15Row {
     pub customized_mpps: f64,
     pub uncustomized_mpps: f64,
     pub improvement_pct: f64,
+    /// Share of the customized run's packets that took the node's
+    /// stateless-IoT fast path (`iot_fast_path / rx`).
+    pub fast_path_pct: f64,
+}
+
+/// One Figure 15 point: `total` devices of which `iot_count` are IoT,
+/// through a 1-slice node. Customized, the IoT devices live in the
+/// slice's stateless pool (keys computed, no per-user state) and the
+/// node's Demux steers their keys there; uncustomized, every device is
+/// attached with full per-user state.
+fn iot_run(total: u64, iot_count: u64, customized: bool, duration: Duration) -> Measurement {
+    let (teid_base, ip_base) = (0xF000_0000u32, 0x6400_0000u32);
+    let attached = if customized { total - iot_count } else { total };
+    let iot = if customized {
+        IotConfig { enabled: true, teid_base, ip_base, pool_size: iot_count.max(1) as u32 }
+    } else {
+        IotConfig::default()
+    };
+    let mut sut = pepc_node(SliceConfig {
+        two_level: TwoLevelConfig { enabled: true, idle_timeout_ns: u64::MAX },
+        iot,
+        expected_users: attached.max(1) as usize,
+        ..SliceConfig::default()
+    });
+    let mut keys = sut.attach_all(&imsis(attached));
+    if customized {
+        keys.extend((0..iot_count as u32).map(|j| UserKeys { teid: teid_base + j, ue_ip: ip_base + j }));
+    }
+    let mut gen = TrafficGen::new(keys);
+    measure(&mut sut, &mut gen, None, &MeasureOpts { duration, ..Default::default() })
 }
 
 /// Figure 15: throughput gain from the stateless-IoT fast path as the
@@ -971,68 +978,32 @@ pub struct Fig15Row {
 pub fn fig15_iot(scale: Scale) -> Vec<Fig15Row> {
     let total = scale.users(10_000_000);
     let duration = scale.duration();
-    let iot_teid_base = 0xF000_0000u32;
-    let iot_ip_base = 0x6400_0000u32;
-    let run_one = |customized: bool, iot_count: u64| -> f64 {
-        let regular = total - iot_count;
-        let cfg_users = if customized { regular } else { total }.max(1);
-        let mut slice_cfg = SliceConfig {
-            batching: BatchingConfig { sync_every_packets: 32 },
-            two_level: TwoLevelConfig { enabled: true, idle_timeout_ns: u64::MAX },
-            expected_users: cfg_users as usize,
-            ..SliceConfig::default()
-        };
-        if customized {
-            slice_cfg.iot = IotConfig {
-                enabled: true,
-                teid_base: iot_teid_base,
-                ip_base: iot_ip_base,
-                pool_size: iot_count.max(1) as u32,
-            };
-        }
-        let slice = Slice::new(
-            &slice_cfg,
-            Defaults::GW_IP,
-            1,
-            Allocator { teid_base: 0x0100_0000, ue_ip_base: 0x0A00_0001, guti_base: 0xD00D_0000, mme_ue_id_base: 1 },
-            None,
-        );
-        let mut sut = PepcSut::new(slice);
-        // Regular devices (plus, uncustomized, the IoT devices too) get
-        // full per-user state.
-        let attached = if customized { regular } else { total };
-        let mut keys = if attached > 0 { sut.attach_all(&imsis(attached)) } else { Vec::new() };
-        if customized {
-            // IoT devices live in the pool: keys are computed, no state.
-            for j in 0..iot_count {
-                keys.push(UserKeys { teid: iot_teid_base + j as u32, ue_ip: iot_ip_base + j as u32 });
-            }
-        }
-        let mut gen = TrafficGen::new(keys);
-        let m = measure(&mut sut, &mut gen, None, &MeasureOpts { duration, ..Default::default() });
-        m.mpps()
-    };
     let mut rows = Vec::new();
     for &iot_frac in &[0.05f64, 0.25, 0.50, 0.75, 1.0] {
         let iot_count = ((total as f64 * iot_frac) as u64).min(total);
-        let a1 = run_one(true, iot_count);
-        let b1 = run_one(false, iot_count);
-        let b2 = run_one(false, iot_count);
-        let a2 = run_one(true, iot_count);
-        let (customized, uncustomized) = ((a1 + a2) / 2.0, (b1 + b2) / 2.0);
+        let a1 = iot_run(total, iot_count, true, duration);
+        let b1 = iot_run(total, iot_count, false, duration).mpps();
+        let b2 = iot_run(total, iot_count, false, duration).mpps();
+        let a2 = iot_run(total, iot_count, true, duration);
+        let (customized, uncustomized) = ((a1.mpps() + a2.mpps()) / 2.0, (b1 + b2) / 2.0);
+        let fast = a2.snapshot.map_or(0.0, |s| {
+            let t = s.data_totals();
+            t.iot_fast_path as f64 / t.rx.max(1) as f64
+        });
         rows.push(Fig15Row {
             iot_pct: iot_frac * 100.0,
             customized_mpps: customized,
             uncustomized_mpps: uncustomized,
             improvement_pct: (customized / uncustomized - 1.0) * 100.0,
+            fast_path_pct: fast * 100.0,
         });
     }
     println!("\nFigure 15 — stateless-IoT customization ({} devices)", total);
-    println!("{:>8} {:>12} {:>14} {:>8}", "IoT %", "customized", "uncustomized", "gain");
+    println!("{:>8} {:>12} {:>14} {:>8} {:>10}", "IoT %", "customized", "uncustomized", "gain", "fast path");
     for r in &rows {
         println!(
-            "{:>7.0}% {:>9.3} M {:>11.3} M {:>7.1}%",
-            r.iot_pct, r.customized_mpps, r.uncustomized_mpps, r.improvement_pct
+            "{:>7.0}% {:>9.3} M {:>11.3} M {:>7.1}% {:>9.1}%",
+            r.iot_pct, r.customized_mpps, r.uncustomized_mpps, r.improvement_pct, r.fast_path_pct
         );
     }
     rows
@@ -1137,6 +1108,15 @@ mod tests {
         let w = run_lock_experiment(Arc::new(DatapathWriterStore::new(100)), 100, 10_000, d);
         let p = run_lock_experiment(Arc::new(PepcStore::new(100)), 100, 10_000, d);
         assert!(g > 0.0 && w > 0.0 && p > 0.0);
+    }
+
+    #[test]
+    fn iot_pool_and_regular_users_share_a_node() {
+        let m = iot_run(200, 100, true, Duration::from_millis(30));
+        assert!(m.delivery_ratio() > 0.99, "delivery {}", m.delivery_ratio());
+        let t = m.snapshot.expect("node telemetry").data_totals();
+        assert!(t.iot_fast_path > 0, "pool traffic reached the fast path");
+        assert!(t.iot_fast_path < t.forwarded, "regular users forwarded too");
     }
 
     #[test]

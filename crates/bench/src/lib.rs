@@ -1,16 +1,15 @@
-//! # pepc-bench — harness pieces shared by the figure experiments and the
-//! Criterion benches.
+//! # pepc-bench — the paper's evaluation, figure by figure.
 //!
 //! The `figures` binary (this crate's `src/bin/figures.rs`) regenerates
-//! every figure of the paper's evaluation; this library holds the
-//! adapters and experiment bodies so Criterion benches and the binary
-//! run exactly the same code.
+//! every figure of the paper's evaluation from the experiment bodies in
+//! [`experiments`], driving the systems through `pepc_workload::harness`.
+//! The benches under `benches/` measure what the figures do not (lock
+//! strategies, burst sizes, slice scaling, capacity, storms, failover)
+//! and feed the `scripts/bench_*.py` gates.
 
 pub mod experiments;
-pub mod nodesut;
 
 pub use experiments::*;
-pub use nodesut::NodeSut;
 
 /// Experiment scale: `quick` shrinks populations ~10× so the whole
 /// figure suite completes in minutes; `full` is paper scale.

@@ -15,7 +15,12 @@
 //! slice afterwards, so migration loses no packets and never exposes two
 //! slices writing one user's state. The table is consulted first, behind
 //! an `is_empty()` branch: with no moved users, no hash probe.
+//!
+//! The stateless-IoT pool (§4.2) is the one aggregate rule outside the
+//! regions: every slice carries the same pool and serves it without
+//! per-user state, so a pool key goes to any slice, spread by its offset.
 
+use crate::config::IotConfig;
 use pepc_net::Mbuf;
 use std::collections::HashMap;
 
@@ -48,13 +53,16 @@ pub struct Demux {
     teid_base: u32,
     ue_ip_base: u32,
     slices: usize,
+    /// The slices' stateless-IoT pool, when enabled.
+    pool: Option<IotConfig>,
     moved: HashMap<u64, Moved>,
     moved_keys: HashMap<PacketKey, u64>,
 }
 
 impl Demux {
-    pub fn new(teid_base: u32, ue_ip_base: u32, slices: usize) -> Self {
-        Demux { teid_base, ue_ip_base, slices, moved: HashMap::new(), moved_keys: HashMap::new() }
+    pub fn new(teid_base: u32, ue_ip_base: u32, slices: usize, iot: IotConfig) -> Self {
+        let pool = iot.enabled.then_some(iot);
+        Demux { teid_base, ue_ip_base, slices, pool, moved: HashMap::new(), moved_keys: HashMap::new() }
     }
 
     /// Slice a fresh IMSI is homed on (static hash, as the paper's Demux
@@ -100,7 +108,22 @@ impl Demux {
                 };
             }
         }
-        self.region_of(key).map_or(Steer::Unroutable, |k| Steer::ToSlice(k, m))
+        match self.region_of(key) {
+            Some(k) => Steer::ToSlice(k, m),
+            None => self.pool_slice(key).map_or(Steer::Unroutable, |k| Steer::ToSlice(k, m)),
+        }
+    }
+
+    /// Slice serving a key of the stateless-IoT pool: `(key − pool base)
+    /// % slices`, or `None` outside the pool.
+    #[cold]
+    fn pool_slice(&self, key: PacketKey) -> Option<usize> {
+        let pool = self.pool?;
+        let offset = match key {
+            PacketKey::Teid(teid) => teid.wrapping_sub(pool.teid_base),
+            PacketKey::UeIp(ip) => ip.wrapping_sub(pool.ip_base),
+        };
+        (offset < pool.pool_size).then_some(offset as usize % self.slices)
     }
 
     /// Record that `imsi` (with these data-plane keys) lives on `slice`:
@@ -189,7 +212,7 @@ mod tests {
     const IP_BASE: u32 = 0x0A00_0001;
 
     fn demux() -> Demux {
-        Demux::new(TEID_BASE, IP_BASE, 4)
+        Demux::new(TEID_BASE, IP_BASE, 4, IotConfig::default())
     }
 
     /// The `n`-th keys of slice `k`'s region.
@@ -233,6 +256,18 @@ mod tests {
         assert!(matches!(d.steer(uplink(TEID_BASE - 1)), Steer::Unroutable));
         assert!(matches!(d.steer(uplink(TEID_BASE + (4 << REGION_SHIFT))), Steer::Unroutable));
         assert!(matches!(d.steer(downlink(0x0B00_0001 + (4 << REGION_SHIFT))), Steer::Unroutable));
+    }
+
+    #[test]
+    fn pool_keys_spread_by_offset_and_only_when_enabled() {
+        let iot = IotConfig { enabled: true, teid_base: 0xF000_0000, ip_base: 0x6400_0000, pool_size: 10 };
+        let mut d = Demux::new(TEID_BASE, IP_BASE, 4, iot);
+        assert_eq!(slice_of(d.steer(uplink(0xF000_0006))), Some(2));
+        assert_eq!(slice_of(d.steer(downlink(0x6400_0009))), Some(1));
+        assert!(matches!(d.steer(uplink(0xF000_000A)), Steer::Unroutable), "past the pool");
+        assert!(matches!(d.steer(downlink(0x6400_0000 - 1)), Steer::Unroutable), "below the pool");
+        let mut off = Demux::new(TEID_BASE, IP_BASE, 4, IotConfig { enabled: false, ..iot });
+        assert!(matches!(off.steer(uplink(0xF000_0006)), Steer::Unroutable));
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl PepcNode {
             slices.push(Slice::new(&slice_cfg, config.gw_ip, config.tac, alloc, proxy.clone()));
         }
         PepcNode {
-            demux: Demux::new(config.teid_base, config.ue_ip_base, config.slices),
+            demux: Demux::new(config.teid_base, config.ue_ip_base, config.slices, config.slice.iot),
             migration_ns: vec![LatencyHistogram::new(); config.slices],
             buckets: (0..config.slices).map(|_| Bucket::default()).collect(),
             config,
@@ -452,13 +452,7 @@ mod tests {
         PepcNode::new(config(slices), None)
     }
 
-    fn uplink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
-        let k = node.slice_of(imsi).unwrap();
-        let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
-        let (teid, ue_ip) = {
-            let c = ctx.ctrl_read();
-            (c.tunnels.gw_teid, c.ue_ip)
-        };
+    fn uplink(ue_ip: u32, teid: u32) -> Mbuf {
         let mut m = Mbuf::new();
         let mut hdr = vec![0u8; IPV4_HDR_LEN + 16];
         Ipv4Hdr::new(ue_ip, 0x08080808, IpProto::Udp, 16).emit(&mut hdr[..IPV4_HDR_LEN]).unwrap();
@@ -467,15 +461,23 @@ mod tests {
         m
     }
 
-    fn downlink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
-        let k = node.slice_of(imsi).unwrap();
-        let ctx = node.slice(k).ctrl.context_of(imsi).unwrap();
-        let ue_ip = ctx.ctrl_read().ue_ip;
+    fn downlink(ue_ip: u32) -> Mbuf {
         let mut m = Mbuf::new();
         let mut hdr = vec![0u8; IPV4_HDR_LEN + 8];
         Ipv4Hdr::new(0x08080808, ue_ip, IpProto::Udp, 8).emit(&mut hdr[..IPV4_HDR_LEN]).unwrap();
         m.extend(&hdr);
         m
+    }
+
+    fn uplink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
+        let k = node.slice_of(imsi).unwrap();
+        let (teid, ue_ip) = node.slice(k).ctrl.keys_of(imsi).unwrap();
+        uplink(ue_ip, teid)
+    }
+
+    fn downlink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
+        let k = node.slice_of(imsi).unwrap();
+        downlink(node.slice(k).ctrl.keys_of(imsi).unwrap().1)
     }
 
     #[test]
@@ -511,11 +513,35 @@ mod tests {
     #[test]
     fn unroutable_packets_dropped() {
         let mut n = node(1);
-        let mut m = Mbuf::new();
-        let mut hdr = vec![0u8; IPV4_HDR_LEN];
-        Ipv4Hdr::new(1, 0x0BADF00D, IpProto::Udp, 0).emit(&mut hdr).unwrap();
-        m.extend(&hdr);
-        assert!(matches!(n.process(m), NodeVerdict::Drop));
+        assert!(matches!(n.process(downlink(0x0BADF00D)), NodeVerdict::Drop));
+    }
+
+    #[test]
+    fn iot_pool_packets_reach_the_fast_path_on_every_slice() {
+        let mut cfg = config(2);
+        cfg.slice.iot =
+            crate::config::IotConfig { enabled: true, teid_base: 0xF000_0000, ip_base: 0x6400_0000, pool_size: 100 };
+        let mut n = PepcNode::new(cfg, None);
+        // Pool keys lie in no slice's region; nobody attached.
+        let mut burst = Vec::new();
+        for j in 0..4 {
+            burst.push(uplink(0x6400_0000 + j, 0xF000_0000 + j));
+            burst.push(downlink(0x6400_0000 + j));
+        }
+        assert!(n.process_burst(burst).iter().all(NodeVerdict::is_forward));
+        assert!(n.process(uplink(0x6400_0063, 0xF000_0063)).is_forward());
+        assert!(n.process(downlink(0x6400_0063)).is_forward());
+        // One past the pool is unroutable again, dropped before any slice.
+        assert!(matches!(n.process(uplink(0x6400_0064, 0xF000_0064)), NodeVerdict::Drop));
+        assert!(matches!(n.process(downlink(0x6400_0064)), NodeVerdict::Drop));
+
+        let snap = n.metrics_snapshot();
+        assert!(snap.conservation_holds());
+        let t = snap.data_totals();
+        assert_eq!((t.rx, t.forwarded, t.iot_fast_path, t.drops_total()), (10, 10, 10, 0));
+        let iot: Vec<u64> = (0..2).map(|k| n.slice_ref(k).data.iot_packets).collect();
+        assert_eq!(iot.iter().sum::<u64>(), 10);
+        assert!(iot.iter().all(|&p| p > 0), "the pool spreads over both slices: {iot:?}");
     }
 
     #[test]
@@ -533,11 +559,7 @@ mod tests {
             burst.push(uplink_for(&mut n, imsi));
             expect_forward.push(true);
         }
-        let mut unroutable = Mbuf::new();
-        let mut hdr = vec![0u8; IPV4_HDR_LEN];
-        Ipv4Hdr::new(1, 0x0BADF00D, IpProto::Udp, 0).emit(&mut hdr).unwrap();
-        unroutable.extend(&hdr);
-        burst.push(unroutable);
+        burst.push(downlink(0x0BADF00D));
         expect_forward.push(false);
         burst.push(downlink_for(&mut n, 5));
         expect_forward.push(true);

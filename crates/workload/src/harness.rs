@@ -3,16 +3,18 @@
 //! Every figure reports data-plane throughput (Mpps) and/or per-packet
 //! latency while signaling runs at some rate. [`measure`] is that loop:
 //! it interleaves signaling events (at their configured rate) with data
-//! packets on one thread — exactly how a run-to-completion core
+//! bursts on one thread — exactly how a run-to-completion core
 //! experiences the combined load — and reports what got through.
 //!
-//! [`SystemUnderTest`] adapts the two EPCs (PEPC slice, classic EPC) to
-//! the loop, so every comparison runs byte-identical workloads.
+//! [`SystemUnderTest`] adapts three systems to the loop — a PEPC node
+//! ([`NodeSut`]), a replicated PEPC cluster ([`HaSut`]) and the classic
+//! EPC ([`ClassicSut`]) — so every comparison runs byte-identical
+//! workloads.
 
 use crate::signaling::{SigEvent, SignalingGen};
 use crate::traffic::{read_timestamp, TrafficGen, UserKeys};
 use pepc::ctrl::CtrlEvent;
-use pepc::slice::Slice;
+use pepc::node::{NodeVerdict, PepcNode};
 use pepc_baseline::ClassicEpc;
 use pepc_fabric::{Clock, LatencyHistogram};
 use pepc_net::Mbuf;
@@ -51,55 +53,67 @@ pub trait SystemUnderTest {
     }
 }
 
-/// PEPC: an inline slice as the system under test (per-core numbers, as
-/// the paper reports).
-pub struct PepcSut {
-    pub slice: Slice,
-    name: &'static str,
-    /// Reusable verdict buffer so the burst path stays malloc-free.
-    verdicts: Vec<pepc::data::PacketVerdict>,
+/// A PEPC node — Demux, slices, migration queues — as the system under
+/// test. The figures build 1-slice nodes for per-core numbers, as the
+/// paper reports; the migration figures build 2.
+pub struct NodeSut {
+    pub node: PepcNode,
+    /// Forwarded packets that emerged from migration-queue drains; the
+    /// measurement loop counts each as forwarded.
+    backlog: Vec<Mbuf>,
 }
 
-impl PepcSut {
-    pub fn new(slice: Slice) -> Self {
-        PepcSut { slice, name: "PEPC", verdicts: Vec::with_capacity(64) }
+impl NodeSut {
+    pub fn new(node: PepcNode) -> Self {
+        NodeSut { node, backlog: Vec::new() }
     }
 
-    pub fn named(slice: Slice, name: &'static str) -> Self {
-        PepcSut { slice, name, verdicts: Vec::with_capacity(64) }
+    /// Migrate `imsi` to slice `target` (the Figure 8/9 tick hook).
+    pub fn migrate(&mut self, imsi: u64, target: usize) -> bool {
+        let ok = self.node.migrate(imsi, target);
+        self.backlog.extend(self.node.take_migration_output());
+        ok
     }
 
-    /// Demote a user to the secondary table (two-level experiments).
+    /// Demote a user to its slice's secondary table (two-level
+    /// experiments), pushed to the data plane now so churn acts at once.
     pub fn demote(&mut self, imsi: u64) {
-        self.slice.ctrl.demote_user(imsi);
-        // Push through the ring on the next packet sync; force it now so
-        // churn ticks act immediately.
-        self.slice.sync_now();
+        if let Some(k) = self.node.slice_of(imsi) {
+            let slice = self.node.slice(k);
+            slice.ctrl.demote_user(imsi);
+            slice.sync_now();
+        }
     }
 }
 
-impl SystemUnderTest for PepcSut {
+impl SystemUnderTest for NodeSut {
     fn signal(&mut self, ev: SigEvent) -> bool {
-        match ev {
-            SigEvent::Attach { imsi } => self.slice.handle_ctrl_event(CtrlEvent::Attach { imsi }),
-            SigEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
-                self.slice.handle_ctrl_event(CtrlEvent::S1Handover { imsi, new_enb_teid, new_enb_ip })
-            }
-        }
+        self.node.ctrl_event(ev.into())
     }
 
     fn process(&mut self, m: Mbuf) -> Option<Mbuf> {
-        match self.slice.process_packet(m) {
-            pepc::data::PacketVerdict::Forward(out) => Some(out),
-            pepc::data::PacketVerdict::Drop(_) | pepc::data::PacketVerdict::Buffered => None,
+        // A drained migration packet is this call's output first, so none
+        // is lost from the forwarded tally; the offered packet's own
+        // output waits in the backlog.
+        if let Some(queued) = self.backlog.pop() {
+            if let NodeVerdict::Forward(out) = self.node.process(m) {
+                self.backlog.push(out);
+            }
+            return Some(queued);
+        }
+        match self.node.process(m) {
+            NodeVerdict::Forward(out) => Some(out),
+            NodeVerdict::Parked | NodeVerdict::Drop | NodeVerdict::Buffered => None,
         }
     }
 
     fn process_burst(&mut self, burst: &mut Vec<Mbuf>, out: &mut Vec<Mbuf>) {
-        self.verdicts.clear();
-        self.slice.process_burst_into(burst, &mut self.verdicts);
-        for v in self.verdicts.drain(..) {
-            if let pepc::data::PacketVerdict::Forward(fwd) = v {
+        out.append(&mut self.backlog);
+        // The node takes the burst by value; the caller keeps an empty
+        // buffer of the same capacity for its next fill.
+        let capacity = burst.capacity();
+        for v in self.node.process_burst(std::mem::replace(burst, Vec::with_capacity(capacity))) {
+            if let NodeVerdict::Forward(fwd) = v {
                 out.push(fwd);
             }
         }
@@ -108,28 +122,28 @@ impl SystemUnderTest for PepcSut {
     fn attach_all(&mut self, imsis: &[u64]) -> Vec<UserKeys> {
         let mut keys = Vec::with_capacity(imsis.len());
         for &imsi in imsis {
-            self.slice.handle_ctrl_event(CtrlEvent::Attach { imsi });
-            let ctx = self.slice.ctrl.context_of(imsi).expect("attached");
-            let c = ctx.ctrl_read();
-            keys.push(UserKeys { teid: c.tunnels.gw_teid, ue_ip: c.ue_ip });
-            drop(c);
+            let k = self.node.attach(imsi);
             // Give the UE a serving eNodeB so downlink works.
-            self.slice.handle_ctrl_event(CtrlEvent::S1Handover {
+            self.node.ctrl_event(CtrlEvent::S1Handover {
                 imsi,
                 new_enb_teid: 0xE000_0000 + (imsi as u32 & 0xFFFF),
                 new_enb_ip: 0xC0A8_0001,
             });
+            let (teid, ue_ip) = self.node.slice(k).ctrl.keys_of(imsi).expect("attached");
+            keys.push(UserKeys { teid, ue_ip });
         }
-        self.slice.sync_now();
+        for k in 0..self.node.slice_count() {
+            self.node.slice(k).sync_now();
+        }
         keys
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        "PEPC"
     }
 
     fn telemetry(&self) -> Option<pepc::MetricsSnapshot> {
-        Some(pepc::MetricsSnapshot { slices: vec![self.slice.telemetry_snapshot(0)], wires: Vec::new() })
+        Some(self.node.metrics_snapshot())
     }
 }
 
@@ -162,12 +176,7 @@ impl HaSut {
 
 impl SystemUnderTest for HaSut {
     fn signal(&mut self, ev: SigEvent) -> bool {
-        match ev {
-            SigEvent::Attach { imsi } => self.ha.ctrl_event(CtrlEvent::Attach { imsi }),
-            SigEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
-                self.ha.ctrl_event(CtrlEvent::S1Handover { imsi, new_enb_teid, new_enb_ip })
-            }
-        }
+        self.ha.ctrl_event(ev.into())
     }
 
     fn process(&mut self, m: Mbuf) -> Option<Mbuf> {
@@ -177,7 +186,7 @@ impl SystemUnderTest for HaSut {
             self.ha.tick();
         }
         match self.ha.process(m) {
-            pepc::node::NodeVerdict::Forward(out) => Some(out),
+            NodeVerdict::Forward(out) => Some(out),
             _ => None,
         }
     }
@@ -323,22 +332,23 @@ pub struct MeasureOpts {
     /// Record latency for one in `latency_sample_every` packets
     /// (0 = no latency recording).
     pub latency_sample_every: u64,
-    /// Burst size between signaling checks.
+    /// Packets per [`SystemUnderTest::process_burst`] call, between
+    /// signaling checks.
     pub burst: usize,
-    /// Feed each burst through [`SystemUnderTest::process_burst`] instead
-    /// of one packet at a time (the fig13b burst-path experiments).
-    pub use_burst_api: bool,
 }
 
 impl Default for MeasureOpts {
     fn default() -> Self {
-        MeasureOpts { duration: Duration::from_millis(300), latency_sample_every: 0, burst: 32, use_burst_api: false }
+        MeasureOpts { duration: Duration::from_millis(300), latency_sample_every: 0, burst: 32 }
     }
 }
 
 /// Run the interleaved signaling + data loop against `sut` for the
-/// configured duration. `on_tick` runs once per burst boundary with the
-/// elapsed nanoseconds (figures hook churn / migrations here).
+/// configured duration, offering `opts.burst` packets per
+/// [`SystemUnderTest::process_burst`] call. A sampled packet's latency
+/// runs from its generation to the end of its burst. `on_tick` runs once
+/// per burst boundary with the elapsed nanoseconds (figures hook churn /
+/// migrations here).
 pub fn measure_with<S: SystemUnderTest + ?Sized>(
     sut: &mut S,
     gen: &mut TrafficGen,
@@ -371,44 +381,23 @@ pub fn measure_with<S: SystemUnderTest + ?Sized>(
             }
         }
         on_tick(sut, elapsed_ns);
-        if opts.use_burst_api {
-            burst_buf.clear();
-            for _ in 0..opts.burst {
-                let m = gen.next_packet(clock.now_ns());
-                burst_buf.push(m);
-            }
-            offered += burst_buf.len() as u64;
-            fwd_buf.clear();
-            sut.process_burst(&mut burst_buf, &mut fwd_buf);
-            let done = clock.now_ns();
-            for out in fwd_buf.drain(..) {
-                forwarded += 1;
-                if let Some(h) = latency.as_mut() {
-                    if forwarded.is_multiple_of(opts.latency_sample_every) {
-                        if let Some(t0) = read_timestamp(&out) {
-                            h.record(done.saturating_sub(t0));
-                        }
+        burst_buf.clear();
+        for _ in 0..opts.burst {
+            burst_buf.push(gen.next_packet(clock.now_ns()));
+        }
+        offered += burst_buf.len() as u64;
+        sut.process_burst(&mut burst_buf, &mut fwd_buf);
+        let done = clock.now_ns();
+        for out in fwd_buf.drain(..) {
+            forwarded += 1;
+            if let Some(h) = latency.as_mut() {
+                if forwarded.is_multiple_of(opts.latency_sample_every) {
+                    if let Some(t0) = read_timestamp(&out) {
+                        h.record(done.saturating_sub(t0));
                     }
                 }
-                gen.recycle(out);
             }
-        } else {
-            for _ in 0..opts.burst {
-                let now = clock.now_ns();
-                let m = gen.next_packet(now);
-                offered += 1;
-                if let Some(out) = sut.process(m) {
-                    forwarded += 1;
-                    if let Some(h) = latency.as_mut() {
-                        if forwarded.is_multiple_of(opts.latency_sample_every) {
-                            if let Some(t0) = read_timestamp(&out) {
-                                h.record(clock.now_ns().saturating_sub(t0));
-                            }
-                        }
-                    }
-                    gen.recycle(out);
-                }
-            }
+            gen.recycle(out);
         }
     }
     Measurement { offered, forwarded, events, elapsed: start.elapsed(), latency, snapshot: sut.telemetry() }
@@ -424,70 +413,40 @@ pub fn measure<S: SystemUnderTest + ?Sized>(
     measure_with(sut, gen, sig, opts, |_, _| {})
 }
 
-/// Convenience: build an inline PEPC slice with the given batching and
-/// table mode (shared by figures and examples).
-pub fn default_pepc_slice(expected_users: usize, two_level: bool, sync_every: u32) -> Slice {
-    use pepc::config::{BatchingConfig, SliceConfig, TwoLevelConfig};
-    use pepc::ctrl::Allocator;
-    let config = SliceConfig {
-        batching: BatchingConfig { sync_every_packets: sync_every },
-        two_level: TwoLevelConfig { enabled: two_level, idle_timeout_ns: 5_000_000_000 },
-        expected_users,
-        ..SliceConfig::default()
-    };
-    Slice::new(
-        &config,
-        crate::params::Defaults::GW_IP,
-        1,
-        Allocator { teid_base: 0x0100_0000, ue_ip_base: 0x0A00_0001, guti_base: 0xD00D_0000, mme_ue_id_base: 1 },
-        None,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::signaling::EventMix;
+    use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
     use pepc_baseline::{BaselinePreset, ClassicConfig};
 
     fn imsis(n: u64) -> Vec<u64> {
         (0..n).map(|i| crate::params::Defaults::IMSI_BASE + i).collect()
     }
 
+    fn node_sut(slices: usize, sync_every_packets: u32) -> NodeSut {
+        let config = EpcConfig {
+            slices,
+            slice: SliceConfig { batching: BatchingConfig { sync_every_packets }, ..SliceConfig::default() },
+            ..EpcConfig::default()
+        };
+        NodeSut::new(PepcNode::new(config, None))
+    }
+
     #[test]
-    fn pepc_sut_measures_forwarding() {
-        let mut sut = PepcSut::new(default_pepc_slice(64, true, 32));
+    fn node_sut_measures_forwarding_in_bursts() {
+        let mut sut = node_sut(1, 32);
         let keys = sut.attach_all(&imsis(16));
         let mut gen = TrafficGen::new(keys);
         let m = measure(
             &mut sut,
             &mut gen,
             None,
-            &MeasureOpts { duration: Duration::from_millis(50), ..Default::default() },
+            &MeasureOpts { duration: Duration::from_millis(50), latency_sample_every: 16, ..Default::default() },
         );
         assert!(m.offered > 1000, "offered {}", m.offered);
         assert!(m.delivery_ratio() > 0.99, "delivery {}", m.delivery_ratio());
         assert!(m.mpps() > 0.0);
-    }
-
-    #[test]
-    fn burst_api_measures_forwarding() {
-        let mut sut = PepcSut::new(default_pepc_slice(64, true, 32));
-        let keys = sut.attach_all(&imsis(16));
-        let mut gen = TrafficGen::new(keys);
-        let m = measure(
-            &mut sut,
-            &mut gen,
-            None,
-            &MeasureOpts {
-                duration: Duration::from_millis(50),
-                use_burst_api: true,
-                latency_sample_every: 16,
-                ..Default::default()
-            },
-        );
-        assert!(m.offered > 1000, "offered {}", m.offered);
-        assert!(m.delivery_ratio() > 0.99, "delivery {}", m.delivery_ratio());
         assert!(m.latency.expect("sampled").count() > 10);
         let snap = m.snapshot.expect("telemetry");
         assert!(snap.conservation_holds());
@@ -495,8 +454,55 @@ mod tests {
     }
 
     #[test]
+    fn node_sut_forwards_traffic() {
+        let mut sut = node_sut(2, 1);
+        let keys = sut.attach_all(&(0..32u64).collect::<Vec<_>>());
+        let mut gen = TrafficGen::new(keys);
+        let mut ok = 0;
+        for _ in 0..1000 {
+            let m = gen.next_packet(0);
+            if let Some(out) = sut.process(m) {
+                ok += 1;
+                gen.recycle(out);
+            }
+        }
+        assert_eq!(ok, 1000);
+    }
+
+    #[test]
+    fn migrations_during_traffic_lose_nothing() {
+        let mut sut = node_sut(2, 1);
+        let imsis: Vec<u64> = (0..64).collect();
+        let keys = sut.attach_all(&imsis);
+        let mut gen = TrafficGen::new(keys);
+        let mut next_mig = 0usize;
+        let m = measure_with(
+            &mut sut,
+            &mut gen,
+            None,
+            &MeasureOpts { duration: Duration::from_millis(100), ..Default::default() },
+            |sut, _| {
+                // Migrate one user per burst, ping-ponging between slices.
+                let imsi = imsis[next_mig % imsis.len()];
+                next_mig += 1;
+                let cur = sut.node.slice_of(imsi).unwrap();
+                sut.migrate(imsi, 1 - cur);
+            },
+        );
+        assert!(next_mig > 10, "migrations ran: {next_mig}");
+        // Parked packets re-emerge: delivery stays essentially complete.
+        assert!(m.delivery_ratio() > 0.999, "delivery {}", m.delivery_ratio());
+        // Node-level telemetry rides along: both slices reported, and the
+        // migrations show up in the per-slice histograms.
+        let snap = m.snapshot.expect("node telemetry");
+        assert_eq!(snap.slices.len(), 2);
+        assert!(snap.conservation_holds());
+        let migrations: u64 = snap.slices.iter().map(|s| s.migration_ns.count()).sum();
+        assert!(migrations > 10, "migrations recorded: {migrations}");
+    }
+
+    #[test]
     fn ha_sut_survives_a_mid_run_kill() {
-        use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
         let template = EpcConfig {
             slices: 2,
             slice: SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..SliceConfig::default() },
@@ -534,21 +540,6 @@ mod tests {
     fn classic_sut_runs_bursts_via_default_scalar_fallback() {
         let epc = ClassicEpc::new(ClassicConfig::mechanisms_only(BaselinePreset::Industrial1));
         let mut sut = ClassicSut::new(epc, "Industrial#1 (mechanisms)");
-        let keys = sut.attach_all(&imsis(8));
-        let mut gen = TrafficGen::new(keys);
-        let m = measure(
-            &mut sut,
-            &mut gen,
-            None,
-            &MeasureOpts { duration: Duration::from_millis(30), use_burst_api: true, ..Default::default() },
-        );
-        assert!(m.delivery_ratio() > 0.99, "delivery {}", m.delivery_ratio());
-    }
-
-    #[test]
-    fn classic_sut_measures_forwarding() {
-        let epc = ClassicEpc::new(ClassicConfig::mechanisms_only(BaselinePreset::Industrial1));
-        let mut sut = ClassicSut::new(epc, "Industrial#1 (mechanisms)");
         let keys = sut.attach_all(&imsis(16));
         let mut gen = TrafficGen::new(keys);
         let m = measure(
@@ -562,7 +553,7 @@ mod tests {
 
     #[test]
     fn signaling_rate_is_honoured() {
-        let mut sut = PepcSut::new(default_pepc_slice(1024, true, 32));
+        let mut sut = node_sut(1, 32);
         let keys = sut.attach_all(&imsis(64));
         let mut gen = TrafficGen::new(keys);
         let mut sig = SignalingGen::new(crate::params::Defaults::IMSI_BASE, 64, 50_000, EventMix::handovers_only());
@@ -578,7 +569,7 @@ mod tests {
 
     #[test]
     fn latency_sampling_produces_histogram() {
-        let mut sut = PepcSut::new(default_pepc_slice(64, true, 32));
+        let mut sut = node_sut(1, 32);
         let keys = sut.attach_all(&imsis(4));
         let mut gen = TrafficGen::new(keys);
         let m = measure(
@@ -595,7 +586,7 @@ mod tests {
 
     #[test]
     fn measurement_carries_telemetry_snapshot() {
-        let mut sut = PepcSut::new(default_pepc_slice(64, true, 32));
+        let mut sut = node_sut(1, 32);
         let keys = sut.attach_all(&imsis(4));
         let mut gen = TrafficGen::new(keys);
         let m = measure(
@@ -618,7 +609,7 @@ mod tests {
 
     #[test]
     fn tick_hook_runs() {
-        let mut sut = PepcSut::new(default_pepc_slice(64, true, 32));
+        let mut sut = node_sut(1, 32);
         let keys = sut.attach_all(&imsis(4));
         let mut gen = TrafficGen::new(keys);
         let mut ticks = 0;
@@ -636,7 +627,7 @@ mod tests {
     fn pepc_and_classic_run_identical_workloads() {
         // The generator is deterministic: the same seed drives both SUTs
         // with the same packet sequence modulo user keys.
-        let mut a = PepcSut::new(default_pepc_slice(64, true, 32));
+        let mut a = node_sut(1, 32);
         let ka = a.attach_all(&imsis(8));
         let mut b = ClassicSut::new(
             ClassicEpc::new(ClassicConfig::mechanisms_only(BaselinePreset::Industrial2)),

@@ -20,8 +20,9 @@
 //! * [`storm`] — signaling-storm shapes (synchronized wake-up waves,
 //!   exponential-backoff herds, storm-over-steady mixes) for the
 //!   overload/admission experiments (DESIGN.md §15).
-//! * [`harness`] — [`harness::SystemUnderTest`] adapters for PEPC and the
-//!   classic baseline plus the shared throughput/latency measurement loop.
+//! * [`harness`] — [`harness::SystemUnderTest`] adapters for a PEPC node,
+//!   an HA cluster and the classic baseline, plus the one throughput /
+//!   latency measurement loop.
 
 pub mod harness;
 pub mod params;
@@ -30,7 +31,7 @@ pub mod signaling;
 pub mod storm;
 pub mod traffic;
 
-pub use harness::{ClassicSut, HaSut, Measurement, PepcSut, SystemUnderTest};
+pub use harness::{ClassicSut, HaSut, Measurement, NodeSut, SystemUnderTest};
 pub use params::Defaults;
 pub use population::Population;
 pub use signaling::{SigEvent, SignalingGen};

@@ -10,6 +10,17 @@ pub enum SigEvent {
     S1Handover { imsi: u64, new_enb_teid: u32, new_enb_ip: u32 },
 }
 
+impl From<SigEvent> for pepc::ctrl::CtrlEvent {
+    fn from(ev: SigEvent) -> Self {
+        match ev {
+            SigEvent::Attach { imsi } => Self::Attach { imsi },
+            SigEvent::S1Handover { imsi, new_enb_teid, new_enb_ip } => {
+                Self::S1Handover { imsi, new_enb_teid, new_enb_ip }
+            }
+        }
+    }
+}
+
 /// What mix of events to generate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventMix {

@@ -6,8 +6,10 @@
 //! cargo run --release --example classic_vs_pepc
 //! ```
 
+use pepc::config::{EpcConfig, SliceConfig};
+use pepc::node::PepcNode;
 use pepc_baseline::{BaselinePreset, ClassicConfig, ClassicEpc};
-use pepc_workload::harness::{default_pepc_slice, measure, ClassicSut, MeasureOpts, PepcSut, SystemUnderTest};
+use pepc_workload::harness::{measure, ClassicSut, MeasureOpts, NodeSut, SystemUnderTest};
 use pepc_workload::params::Defaults;
 use pepc_workload::signaling::{EventMix, SignalingGen};
 use pepc_workload::traffic::TrafficGen;
@@ -35,7 +37,9 @@ fn main() {
         Defaults::UPLINK_PER_DOWNLINK
     );
 
-    let mut pepc = PepcSut::new(default_pepc_slice(USERS as usize, true, 32));
+    // One slice: the per-core number the baselines are compared against.
+    let slice = SliceConfig { expected_users: USERS as usize, ..SliceConfig::default() };
+    let mut pepc = NodeSut::new(PepcNode::new(EpcConfig { slice, ..EpcConfig::default() }, None));
     let (pepc_mpps, ev) = run(&mut pepc, USERS);
     println!("PEPC          : {pepc_mpps:.3} Mpps  ({ev} signaling events absorbed)");
 

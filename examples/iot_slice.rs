@@ -6,9 +6,8 @@
 //! cargo run --release --example iot_slice
 //! ```
 
-use pepc::config::{IotConfig, SliceConfig, TwoLevelConfig};
-use pepc::ctrl::Allocator;
-use pepc::slice::Slice;
+use pepc::config::{EpcConfig, IotConfig, SliceConfig};
+use pepc::node::PepcNode;
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
@@ -31,30 +30,23 @@ fn sensor_reading(teid: u32) -> Mbuf {
 }
 
 fn main() {
-    // An operator dedicates one slice to 100K stateless IoT sensors.
-    let config = SliceConfig {
-        iot: IotConfig { enabled: true, teid_base: IOT_TEID_BASE, ip_base: IOT_IP_BASE, pool_size: POOL },
-        two_level: TwoLevelConfig::default(),
-        ..SliceConfig::default()
-    };
-    let mut slice = Slice::new(
-        &config,
-        0x0AFE_0001,
-        1,
-        Allocator { teid_base: 0x0100_0000, ue_ip_base: 0x0A00_0001, guti_base: 0xD000, mme_ue_id_base: 1 },
-        None,
-    );
+    // An operator dedicates a two-slice node to 100K stateless IoT
+    // sensors. Every slice carries the same pool; pool keys lie in no
+    // slice's identifier region, so the Demux spreads them by offset.
+    let iot = IotConfig { enabled: true, teid_base: IOT_TEID_BASE, ip_base: IOT_IP_BASE, pool_size: POOL };
+    let config = EpcConfig { slices: 2, slice: SliceConfig { iot, ..SliceConfig::default() }, ..EpcConfig::default() };
+    let teid_base = config.teid_base;
+    let mut node = PepcNode::new(config, None);
 
     // NOTE: no attach, no per-device state. A sensor's TEID membership in
     // the pool is its service definition.
-    println!("slice up: IoT pool of {POOL} devices, zero per-device state\n");
+    println!("node up: 2 slices, IoT pool of {POOL} devices, zero per-device state\n");
 
     let t = Instant::now();
     const N: u32 = 500_000;
     for i in 0..N {
         let teid = IOT_TEID_BASE + (i % POOL);
-        let v = slice.process_packet(sensor_reading(teid));
-        assert!(v.is_forward());
+        assert!(node.process(sensor_reading(teid)).is_forward());
     }
     let elapsed = t.elapsed();
     println!(
@@ -63,13 +55,16 @@ fn main() {
         N as f64 / elapsed.as_secs_f64() / 1e6
     );
 
-    let m = slice.data.metrics();
-    println!("fast-path packets: {} (state lookups skipped)", m.iot_fast_path);
-    println!("aggregate charging for the pool: {} packets, {} bytes", slice.data.iot_packets, slice.data.iot_bytes);
-    assert_eq!(m.iot_fast_path as u32, N);
+    let totals = node.metrics_snapshot().data_totals();
+    println!("fast-path packets: {} (state lookups skipped)", totals.iot_fast_path);
+    for k in 0..node.slice_count() {
+        let d = &node.slice_ref(k).data;
+        println!("slice {k}: aggregate charging for the pool: {} packets, {} bytes", d.iot_packets, d.iot_bytes);
+    }
+    assert_eq!(totals.iot_fast_path as u32, N);
 
-    // A packet from outside the pool still requires state (and is dropped
-    // here, since nobody attached).
-    let v = slice.process_packet(sensor_reading(0x0100_0099));
+    // A regular TEID still requires state: this one lies in slice 0's
+    // region but nobody attached, so the slice drops it.
+    let v = node.process(sensor_reading(teid_base + 0x99));
     println!("\nnon-pool TEID without attach: {:?} (per-user state still enforced)", v);
 }

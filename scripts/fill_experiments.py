@@ -1,37 +1,53 @@
 #!/usr/bin/env python3
-"""Fill EXPERIMENTS.md placeholders from a figures --all output file.
+"""Refresh EXPERIMENTS.md's measured blocks from a `figures` output file.
 
-Usage: python3 scripts/fill_experiments.py figures_quick.txt
+Usage: python3 scripts/fill_experiments.py [figures_quick.txt]
 
-Also fills {STORM_ROWS} (the Fig 6 storm extension) from BENCH_storm.json
-and {CAPACITY_ROWS} (the Fig 5 capacity extension) from
-BENCH_capacity.json when those files exist — regenerate them with
-`python3 scripts/bench_storm.py` / `python3 scripts/bench_capacity.py`.
+Each measured block sits right after a `<!-- figures:KEY -->` line, and
+only those blocks are rewritten, so the script can be re-run after any
+run. KEY is a figure number or `ablation` (the rows under that title in
+the output; for 4, the measured columns of the table), or `storm` /
+`capacity` (from BENCH_storm.json / BENCH_capacity.json, written by
+scripts/bench_storm.py / bench_capacity.py). A block whose source is
+absent is left as it was.
 """
 import json
 import os
 import re
 import sys
 
-
-def section(text, fig, next_fig):
-    start = text.index(f"Figure {fig} ")
-    try:
-        end = text.index(f"Figure {next_fig} ")
-    except ValueError:
-        end = len(text)
-    return text[start:end].strip()
+MARKER = re.compile(r"<!-- figures:(\w+) -->")
+TITLE = re.compile(r"(?:Figure (\d+)|(Ablation)) — ")
 
 
-def rows_only(sec):
-    lines = sec.splitlines()
-    return "\n".join(lines[1:]).strip()
+def sections(text):
+    """Figure number (or 'ablation') -> the lines after its title line."""
+    out, key = {}, None
+    for line in text.splitlines():
+        m = TITLE.match(line)
+        if m:
+            key = m.group(1) or "ablation"
+            out[key] = []
+        elif key is not None:
+            out[key].append(line)
+    return {k: "\n".join(v).strip("\n").splitlines() for k, v in out.items()}
+
+
+def fig4_table(table, rows):
+    """Rewrite the measured Mpps and ratio columns of the Fig 4 table."""
+    mpps = {m[1]: float(m[2]) for m in (re.match(r"(\S+)\s+\d+\s+\d+\s+([\d.]+)$", r) for r in rows) if m}
+    out = []
+    for line in table:
+        cells = line.split("|")
+        if len(cells) == 7 and cells[1].strip() in mpps:
+            name = cells[1].strip()
+            cells[3] = f" {mpps[name]:.2f} "
+            cells[5] = " 1× " if name == "PEPC" else f" {mpps['PEPC'] / mpps[name]:.1f}× "
+        out.append("|".join(cells))
+    return out
 
 
 def storm_rows():
-    """Render BENCH_storm.json as the Fig 6 extension degradation table."""
-    if not os.path.exists("BENCH_storm.json"):
-        return None
     data = json.load(open("BENCH_storm.json"))
     lines = ["admission    offered    goodput %    steady p99 (ms)       shed"]
     for mode, label in [("none", "off"), ("admission", "on")]:
@@ -40,58 +56,41 @@ def storm_rows():
                 f"{label:<12} {mult:>7} {row['goodput_pct']:>12.1f} "
                 f"{row['steady_p99_ms']:>18.1f} {int(row['shed']):>10}"
             )
-    return "\n".join(lines)
+    return lines
 
 
 def capacity_rows():
-    """Render BENCH_capacity.json as the Fig 5 capacity-extension table."""
-    if not os.path.exists("BENCH_capacity.json"):
-        return None
     data = json.load(open("BENCH_capacity.json"))
-    lines = []
+    lines = ["users    RSS (MB)    state B/user    ns/packet    attach p99 ramp/steady (ns)"]
     for label, row in data["milestones"].items():
         lines.append(
             f"{label:<8} {row['rss_bytes'] / 1e6:>11.0f} {row['state_bytes_per_user']:>15.0f} "
             f"{row['pkt_ns']:>12.1f} {int(row['attach_ramp_p99_ns']):>14} / {int(row['attach_steady_p99_ns'])}"
         )
-    return "\n".join(lines)
+    return lines
 
 
 def main(path):
-    out = open(path).read()
-    exp = open("EXPERIMENTS.md").read()
-
-    # Figure 4 table values.
-    fig4 = section(out, 4, 5)
-    vals = {}
-    for line in fig4.splitlines():
-        m = re.match(r"(PEPC|Industrial#1|Industrial#2|OpenAirInterface|OpenEPC)\s+\d+\s+\d+\s+([\d.]+)", line)
-        if m:
-            vals[m.group(1)] = float(m.group(2))
-    pepc = vals["PEPC"]
-    exp = exp.replace("{FIG4_PEPC}", f"{pepc:.2f}")
-    exp = exp.replace("{FIG4_IND1}", f"{vals['Industrial#1']:.2f}")
-    exp = exp.replace("{FIG4_IND2}", f"{vals['Industrial#2']:.2f}")
-    exp = exp.replace("{FIG4_OAI}", f"{vals['OpenAirInterface']:.2f}")
-    exp = exp.replace("{FIG4_OEPC}", f"{vals['OpenEPC']:.2f}")
-    exp = exp.replace("{FIG4_R1}", f"{pepc / vals['Industrial#1']:.1f}")
-    exp = exp.replace("{FIG4_R2}", f"{pepc / vals['Industrial#2']:.1f}")
-    exp = exp.replace("{FIG4_R3}", f"{pepc / vals['OpenAirInterface']:.1f}")
-    exp = exp.replace("{FIG4_R4}", f"{pepc / vals['OpenEPC']:.1f}")
-
-    for fig, nxt in [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14), (14, 15)]:
-        exp = exp.replace("{FIG%d_ROWS}" % fig, rows_only(section(out, fig, nxt)))
-    exp = exp.replace("{FIG15_ROWS}", rows_only(section(out, 15, 99)))
-
-    storm = storm_rows()
-    if storm is not None:
-        exp = exp.replace("{STORM_ROWS}", storm)
-    capacity = capacity_rows()
-    if capacity is not None:
-        exp = exp.replace("{CAPACITY_ROWS}", capacity)
-
-    open("EXPERIMENTS.md", "w").write(exp)
-    print("EXPERIMENTS.md filled from", path)
+    fills = {k: (lambda old, r=r: fig4_table(old, r)) if k == "4" else (lambda _, r=r: r)
+             for k, r in sections(open(path).read()).items()}
+    for key, rows in [("storm", storm_rows), ("capacity", capacity_rows)]:
+        if os.path.exists(f"BENCH_{key}.json"):
+            fills[key] = lambda _, rows=rows: rows()
+    lines, out, i = open("EXPERIMENTS.md").read().split("\n"), [], 0
+    while i < len(lines):
+        out.append(lines[i])
+        m = MARKER.fullmatch(lines[i].strip())
+        i += 1
+        if m and m[1] in fills:
+            fence = lines[i].startswith("```")
+            end = lines.index("```", i + 1) if fence else i
+            while not fence and end < len(lines) and lines[end].startswith("|"):
+                end += 1
+            new = fills[m[1]](lines[i + fence : end])
+            out += [lines[i], *new, "```"] if fence else new
+            i = end + fence
+    open("EXPERIMENTS.md", "w").write("\n".join(out))
+    print("EXPERIMENTS.md refreshed from", path)
 
 
 if __name__ == "__main__":
