@@ -26,10 +26,15 @@
 //! behaviour the paper reports (documented in DESIGN.md §2 and
 //! EXPERIMENTS.md); the *mechanisms* — duplicated writes, transactional
 //! blocking, flat tables, double tunnel processing — are all real code.
+//!
+//! [`table`] holds the shared-state stores of the paper's lock comparison
+//! (§7.1, Figure 12): the giant-lock, datapath-writer and fine-RwLock
+//! designs beside PEPC's own seqlock store, behind one `StateStore` trait.
 
 pub mod classic;
 pub mod components;
 pub mod config;
+pub mod table;
 
 pub use classic::{ClassicEpc, ClassicVerdict};
 pub use components::{Mme, Pgw, Sgw, UserSession};

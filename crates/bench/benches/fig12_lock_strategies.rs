@@ -35,7 +35,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pepc::state::ControlState;
-use pepc::table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
+use pepc_baseline::table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -10,8 +10,8 @@ use pepc::ctrl::{run_attach_with, Allocator, ControlPlane};
 use pepc::node::PepcNode;
 use pepc::proxy::Proxy;
 use pepc::state::ControlState;
-use pepc::table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
 use pepc_backend::{Hss, Pcrf};
+use pepc_baseline::table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
 use pepc_baseline::{BaselinePreset, ClassicConfig, ClassicEpc};
 use pepc_sigproto::s1ap::S1apPdu;
 use pepc_sigproto::sctp::{Association, SctpEvent};

@@ -12,15 +12,15 @@
 //! * **signaling** (attach) is consistent-hashed on the IMSI across
 //!   nodes, so a subscriber's home node is stable under node churn;
 //! * **data** is routed by identifier *ranges*: each node allocates
-//!   TEIDs / UE IPs from a disjoint region (high bits = node index), so
-//!   the balancer recovers the owning node from the packet alone — no
-//!   per-user table at the LB, exactly why GTP deployments give each
-//!   gateway its own TEID space.
+//!   TEIDs / UE IPs from a disjoint region (offset from the base >> 28
+//!   = node index), so the balancer recovers the owning node from the
+//!   packet alone — no per-user table at the LB, exactly why GTP
+//!   deployments give each gateway its own TEID space.
 
 use crate::config::EpcConfig;
-use crate::demux::{packet_key, PacketKey};
+use crate::demux::{packet_key, PacketKey, REGION_SHIFT};
 use crate::node::{NodeVerdict, PepcNode};
-use crate::state::{ControlState, CounterState};
+use crate::recovery::UserRecord;
 use pepc_backend::{Hss, Pcrf};
 use pepc_fabric::Maglev;
 use pepc_net::Mbuf;
@@ -34,6 +34,10 @@ const NODE_SHIFT: u32 = 28;
 /// A cluster of PEPC nodes behind one virtual IP.
 pub struct Cluster {
     nodes: Vec<PepcNode>,
+    /// Node 0's TEID / UE IP bases (the template's); node `k`'s region
+    /// starts `k << NODE_SHIFT` above them.
+    teid_base: u32,
+    ue_ip_base: u32,
     lb: Maglev,
     virtual_ip: u32,
     /// Nodes declared dead by the failover coordinator. Their identifier
@@ -51,22 +55,29 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build `n` nodes from a template config. Each node gets a disjoint
-    /// identifier region; `backends` (HSS/PCRF) are shared, as in a real
-    /// core network.
+    /// identifier region carved from the template's bases; `backends`
+    /// (HSS/PCRF) are shared, as in a real core network.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= n <= 8` and the template has at most 16 slices
+    /// (the slice regions that fit in one node region).
     pub fn new(n: usize, template: EpcConfig, backends: Option<(Arc<Hss>, Arc<Pcrf>)>) -> Self {
         assert!((1..=8).contains(&n), "1..=8 nodes supported by the region layout");
+        assert!(template.slices <= 1 << (NODE_SHIFT - REGION_SHIFT), "at most 16 slices fit in a node region");
         let virtual_ip = template.gw_ip;
         let mut nodes = Vec::with_capacity(n);
         for k in 0..n {
             let mut cfg = template.clone();
-            cfg.teid_base = 0x1000_0000 + ((k as u32) << NODE_SHIFT);
-            cfg.ue_ip_base = 0x0A00_0001 + ((k as u32) << NODE_SHIFT);
+            cfg.teid_base = template.teid_base + ((k as u32) << NODE_SHIFT);
+            cfg.ue_ip_base = template.ue_ip_base + ((k as u32) << NODE_SHIFT);
             cfg.gw_ip = virtual_ip; // one virtual IP for the whole cluster
             nodes.push(PepcNode::new(cfg, backends.clone()));
         }
         let names: Vec<String> = (0..n).map(|k| format!("pepc-node-{k}")).collect();
         Cluster {
             nodes,
+            teid_base: template.teid_base,
+            ue_ip_base: template.ue_ip_base,
             lb: Maglev::new(&names, template.lb_table_size),
             virtual_ip,
             dead: vec![false; n],
@@ -104,7 +115,7 @@ impl Cluster {
     /// the failover blackout.
     pub fn process(&mut self, m: Mbuf) -> NodeVerdict {
         let n = self.nodes.len();
-        match packet_key(&m).and_then(|key| Some((Self::node_of(key)?, key))) {
+        match packet_key(&m).and_then(|key| Some((self.node_of(key)?, key))) {
             Some((k, key)) if k < n => {
                 if self.dead[k] {
                     match self.redirect.get(&key).copied() {
@@ -127,14 +138,14 @@ impl Cluster {
         }
     }
 
-    /// Node whose identifier region `key` lies in.
-    fn node_of(key: PacketKey) -> Option<usize> {
-        match key {
-            // Uplink: TEID regions start at 0x1000_0000, one per node.
-            PacketKey::Teid(teid) => usize::try_from((teid >> NODE_SHIFT).checked_sub(1)?).ok(),
-            // Downlink: UE IP regions start at 0x0A00_0001, one per node.
-            PacketKey::UeIp(ip) => Some((ip >> NODE_SHIFT) as usize),
-        }
+    /// Node whose identifier region `key` lies in: the inverse of the
+    /// bases [`Cluster::new`] hands each node.
+    fn node_of(&self, key: PacketKey) -> Option<usize> {
+        let offset = match key {
+            PacketKey::Teid(teid) => teid.checked_sub(self.teid_base)?,
+            PacketKey::UeIp(ip) => ip.checked_sub(self.ue_ip_base)?,
+        };
+        Some((offset >> NODE_SHIFT) as usize)
     }
 
     // -- failover mechanisms (driven by the `pepc-ha` coordinator) -------------
@@ -187,10 +198,10 @@ impl Cluster {
     /// for the dead node's TEID / UE IP re-steer deterministically.
     /// Returns the slice the user landed on, or `None` (nothing adopted)
     /// when that slice's arena is full.
-    pub fn adopt_user(&mut self, target: usize, ctrl: ControlState, counters: CounterState) -> Option<usize> {
+    pub fn adopt_user(&mut self, target: usize, rec: UserRecord) -> Option<usize> {
         assert!(!self.dead[target], "cannot adopt onto a dead node");
-        let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
-        let slice = self.nodes[target].adopt_user(ctrl, counters)?;
+        let (gw_teid, ue_ip) = (rec.ctrl.tunnels.gw_teid, rec.ctrl.ue_ip);
+        let slice = self.nodes[target].adopt_user(rec)?;
         self.redirect.insert(PacketKey::Teid(gw_teid), target);
         self.redirect.insert(PacketKey::UeIp(ue_ip), target);
         Some(slice)
@@ -250,8 +261,12 @@ mod tests {
     use pepc_net::{Ipv4Hdr, IPV4_HDR_LEN};
 
     fn cluster(n: usize) -> Cluster {
+        cluster_with(n, 2)
+    }
+
+    fn cluster_with(n: usize, slices: usize) -> Cluster {
         let template = EpcConfig {
-            slices: 2,
+            slices,
             slice: SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..SliceConfig::default() },
             ..EpcConfig::default()
         };
@@ -305,19 +320,24 @@ mod tests {
 
     #[test]
     fn data_routes_to_owning_node_both_directions() {
-        let mut c = cluster(4);
-        for imsi in 0..64u64 {
-            c.attach(imsi);
-            c.node(c.home_node(imsi)).ctrl_event(crate::ctrl::CtrlEvent::S1Handover {
-                imsi,
-                new_enb_teid: 0xE000 + imsi as u32,
-                new_enb_ip: 0xC0A80001,
-            });
-        }
-        for imsi in 0..64u64 {
-            let (teid, ue_ip) = keys_of(&mut c, imsi);
-            assert!(c.process(uplink(teid, ue_ip)).is_forward(), "uplink imsi {imsi}");
-            assert!(c.process(downlink(ue_ip)).is_forward(), "downlink imsi {imsi}");
+        // With 8 slices, node k's slices 6 and 7 hand out UE IPs at or
+        // above `(k + 1) << 28`: only an inversion from the bases routes
+        // their downlink.
+        for slices in [2, 8] {
+            let mut c = cluster_with(4, slices);
+            for imsi in 0..64u64 {
+                c.attach(imsi);
+                c.node(c.home_node(imsi)).ctrl_event(crate::ctrl::CtrlEvent::S1Handover {
+                    imsi,
+                    new_enb_teid: 0xE000 + imsi as u32,
+                    new_enb_ip: 0xC0A80001,
+                });
+            }
+            for imsi in 0..64u64 {
+                let (teid, ue_ip) = keys_of(&mut c, imsi);
+                assert!(c.process(uplink(teid, ue_ip)).is_forward(), "{slices} slices: uplink imsi {imsi}");
+                assert!(c.process(downlink(ue_ip)).is_forward(), "{slices} slices: downlink imsi {imsi}");
+            }
         }
     }
 
@@ -348,12 +368,10 @@ mod tests {
         // Standby replica of the user's state (here: read straight off the
         // still-in-memory node; in the HA subsystem this comes from the
         // replication log).
-        let (ctrl, counters) = {
+        let rec = {
             let node = c.node(victim);
             let s = node.slice_of(imsi).unwrap();
-            let ctx = node.slice(s).ctrl.context_of(imsi).unwrap();
-            let pair = (ctx.ctrl_read().clone(), ctx.counters());
-            pair
+            node.slice(s).ctrl.record_of(imsi).unwrap()
         };
 
         c.mark_dead(victim);
@@ -372,7 +390,7 @@ mod tests {
         assert_ne!(target, victim);
 
         // Adoption: state promotes onto a survivor, traffic re-steers.
-        c.adopt_user(target, ctrl, counters);
+        c.adopt_user(target, rec);
         assert!(c.process(uplink(teid, ue_ip)).is_forward(), "uplink after adoption");
         assert!(c.process(downlink(ue_ip)).is_forward(), "downlink after adoption");
         let snap = c.metrics_snapshot();

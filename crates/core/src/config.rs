@@ -113,12 +113,9 @@ pub struct SliceConfig {
     /// a power of two by the ring). Sized so bulk attach floods don't
     /// stall the control thread.
     pub update_ring_capacity: usize,
-    /// Record per-packet pipeline latency and update-propagation delay
-    /// (two monotonic clock reads per packet). Counters are unaffected.
-    pub telemetry: bool,
     /// Record per-stage (parse/lookup/enforce) ns-per-packet medians, one
-    /// amortized sample per burst per stage. Requires `telemetry`; adds
-    /// two extra clock reads per burst, so it is off by default.
+    /// amortized sample per burst per stage. Adds two extra clock reads
+    /// per burst, so it is off by default.
     pub stage_timing: bool,
     /// Control-plane admission control under signaling storms.
     pub overload: OverloadConfig,
@@ -135,7 +132,6 @@ impl Default for SliceConfig {
             pcef_programs: Vec::new(),
             expected_users: 1024,
             update_ring_capacity: 64 * 1024,
-            telemetry: true,
             stage_timing: false,
             overload: OverloadConfig::default(),
         }

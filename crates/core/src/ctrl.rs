@@ -26,12 +26,12 @@ use crate::data::DpUpdate;
 use crate::demux::REGION_SHIFT;
 use crate::inctable::IncrementalTable;
 use crate::metrics::CtrlMetrics;
-use crate::migrate::UserSnapshot;
 use crate::pcef::Pcef;
 use crate::procedure::{
     Disposition, MsgKind, ProcState, SigMsg, UeMachine, Wait, MAILBOX_CAP, PAGING_MAX_RETX, PAGING_RETX_TICKS,
 };
 use crate::proxy::Proxy;
+use crate::recovery::UserRecord;
 use crate::slab::{UeHandle, UeRef, UeSlab};
 use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn};
 use crate::twolevel::BuildKeyHasher;
@@ -1148,57 +1148,71 @@ impl ControlPlane {
         }
     }
 
-    // -- migration --------------------------------------------------------------
+    // -- migration, recovery and HA hand-off -----------------------------------
 
-    /// Source side: extract a user for migration. Copies the consolidated
-    /// state out by value, removes all local indexes, and tells the data
-    /// plane to forget the user (which also frees the slab slot — the
-    /// snapshot no longer references the source arena at all).
-    pub fn extract_user(&mut self, imsi: u64) -> Option<UserSnapshot> {
-        let (ctrl, counters) = self.context_of(imsi).map(|ctx| (ctx.ctrl_read().clone(), ctx.counters()))?;
+    /// A by-value copy of a user's consolidated state: the control half
+    /// and a seqlock snapshot of the counter half. The one place a
+    /// user's state leaves its context — checkpoints, HA replication and
+    /// migration all carry this record.
+    pub fn record_of(&self, imsi: u64) -> Option<UserRecord> {
+        let ctx = self.context_of(imsi)?;
+        let ctrl = ctx.ctrl_read().clone();
+        Some(UserRecord { ctrl, counters: ctx.counters() })
+    }
+
+    /// Source side of a migration: copy the user out by value, remove
+    /// every local index, and tell the data plane to forget the user
+    /// (which also frees its slab slot — the record never references the
+    /// source arena).
+    pub fn extract_user(&mut self, imsi: u64) -> Option<UserRecord> {
+        let rec = self.record_of(imsi)?;
         // An in-flight procedure does not migrate: the machine is dropped
         // (accounted as aborted) and the peer retries against the new
         // owner. Only the committed ControlState moves.
         self.remove_user(imsi);
         self.metrics.migrations_out += 1;
-        let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
-        Some(UserSnapshot { uid: imsi, imsi, gw_teid, ue_ip, ctrl, counters })
+        Some(rec)
     }
 
-    /// Destination side: install a migrated user. Keys (TEID/UE IP) are
-    /// preserved so in-flight tunnels stay valid; the context is
-    /// reallocated in *this* slice's arena. False (nothing installed)
-    /// when that arena is full.
-    pub fn install_user(&mut self, snap: &UserSnapshot) -> bool {
-        let Some(handle) = self.slab.alloc(snap.ctrl.clone(), snap.counters) else { return false };
-        self.by_guti.insert(snap.ctrl.guti, snap.imsi);
-        self.users.insert(snap.imsi, handle);
-        self.pending_updates.push(DpUpdate::Insert { gw_teid: snap.gw_teid, ue_ip: snap.ue_ip, handle, active: true });
-        self.metrics.migrations_in += 1;
-        self.mark_dirty(snap.imsi);
-        true
-    }
-
-    /// Recovery: re-create a user from checkpointed state (see
-    /// [`crate::recovery`]). Indexes are rebuilt and the data plane is
-    /// notified exactly as for an attach. False (nothing restored) when
-    /// the arena is full.
-    pub fn restore_user(&mut self, ctrl: crate::state::ControlState, counters: crate::state::CounterState) -> bool {
-        let imsi = ctrl.imsi;
-        let guti = ctrl.guti;
-        let gw_teid = ctrl.tunnels.gw_teid;
-        let ue_ip = ctrl.ue_ip;
-        // Restoring over a live user keeps the S1 association it is indexed under.
-        let conn = self.context_of(imsi).and_then(|old| old.s1_conn());
+    /// The one way a user enters this plane from outside: a migration's
+    /// destination (or its abort's return to the source), a checkpoint
+    /// restore ([`crate::recovery`]) and an HA adoption. The context is
+    /// allocated in *this* slice's arena; the keys (TEID / UE IP) are the
+    /// record's, so in-flight tunnels stay valid, and the data plane is
+    /// told exactly as for an attach. Over a live user the old context is
+    /// replaced: its keys leave the data plane (which frees its slot)
+    /// ahead of the new insert, and the S1 association it is indexed
+    /// under carries over. False (nothing restored) when the arena is
+    /// full.
+    pub fn restore_user(&mut self, rec: UserRecord) -> bool {
+        let UserRecord { ctrl, counters } = rec;
+        let (imsi, guti, gw_teid, ue_ip) = (ctrl.imsi, ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
+        let old = self.context_of(imsi).map(|ctx| {
+            let c = ctx.ctrl_read();
+            (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
+        });
         let Some(handle) = self.slab.alloc(ctrl, counters) else { return false };
-        if let Some(ctx) = self.slab.resolve(handle) {
-            ctx.set_s1_conn(conn);
+        if let Some((old_guti, old_teid, old_ip, conn)) = old {
+            self.pending_updates.push(DpUpdate::Remove { gw_teid: old_teid, ue_ip: old_ip });
+            if old_guti != guti {
+                self.by_guti.remove(old_guti);
+            }
+            if let Some(ctx) = self.slab.resolve(handle) {
+                ctx.set_s1_conn(conn);
+            }
         }
         self.users.insert(imsi, handle);
         self.by_guti.insert(guti, imsi);
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         self.mark_dirty(imsi);
         true
+    }
+
+    /// Count a migration that landed here through
+    /// [`Self::restore_user`] (the source counted it out at
+    /// [`Self::extract_user`]).
+    pub(crate) fn note_migration_in(&mut self) {
+        self.metrics.migrations_in += 1;
     }
 
     /// Report every user's accumulated usage to the PCRF over Gx
@@ -1652,14 +1666,14 @@ mod tests {
     }
 
     #[test]
-    fn migration_extract_install_preserves_state() {
+    fn migration_extract_restore_preserves_state() {
         let mut src = cp_synthetic();
         src.apply_event(CtrlEvent::Attach { imsi: 7 });
         src.take_updates();
         let ctx = src.context_of(7).unwrap();
         ctx.update_counters(|c| c.uplink_bytes = 12345);
 
-        let snap = src.extract_user(7).unwrap();
+        let rec = src.extract_user(7).unwrap();
         assert_eq!(src.user_count(), 0);
         assert!(matches!(src.take_updates().as_slice(), [DpUpdate::Remove { .. }]));
         assert_eq!(src.metrics().migrations_out, 1);
@@ -1670,9 +1684,9 @@ mod tests {
             Allocator { teid_base: 0x9000, ue_ip_base: 0x0B000001, guti_base: 0xE000_0000, mme_ue_id_base: 1000 },
             None,
         );
-        assert!(dst.install_user(&snap));
+        assert!(dst.restore_user(rec));
         assert_eq!(dst.user_count(), 1);
-        assert_eq!(dst.metrics().migrations_in, 1);
+        assert_eq!(dst.metrics().migrations_in, 0, "the node counts a migration in, not the restore");
         let moved = dst.context_of(7).unwrap();
         assert_eq!(moved.counters().uplink_bytes, 12345, "counters travelled");
         // The update re-announces the ORIGINAL keys so tunnels stay valid.

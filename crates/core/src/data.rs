@@ -37,7 +37,7 @@
 //!
 //! # Burst mode
 //!
-//! The pipeline is organised around [`DataPlane::process_burst`], a
+//! The pipeline is organised around [`DataPlane::process_burst_into`], a
 //! DPDK-style lookup-then-act burst path (§4.3, Figures 13–14):
 //!
 //! 1. **Parse pass** — classify direction and parse/decap headers for the
@@ -60,8 +60,8 @@
 //!    rules), then emit verdicts. No lock is taken per packet or per
 //!    group.
 //!
-//! With telemetry on, the whole burst costs one `Instant` read pair
-//! instead of two clock reads per packet; forwarded packets record the
+//! Telemetry costs the whole burst one `Instant` read pair instead of
+//! two clock reads per packet; forwarded packets record the
 //! amortized per-packet pipeline time so the histogram population still
 //! equals `metrics.forwarded`. The scalar [`DataPlane::process`] is the
 //! burst-size-1 degenerate case of the same machinery, not a parallel
@@ -214,8 +214,6 @@ pub struct DataPlane {
     /// This node's gateway address (outer source of downlink tunnels).
     gw_ip: u32,
     metrics: DataMetrics,
-    /// When false, the per-burst clock reads below are skipped.
-    telemetry: bool,
     /// Wall-clock pipeline latency of every *forwarded* packet, so the
     /// histogram count equals `metrics.forwarded` by construction.
     pipeline_ns: LatencyHistogram,
@@ -231,7 +229,7 @@ pub struct DataPlane {
     /// Lives only within one `process_burst_into` call (cleared at entry
     /// and exit); see the SAFETY note at its use site in pass 3.
     groups: Vec<GroupRun>,
-    /// When true (and `telemetry` too), each burst additionally records
+    /// When true, each burst additionally records
     /// one amortized ns/packet sample per pipeline stage.
     stage_timing: bool,
     /// Per-stage amortized ns/packet, indexed like [`STAGE_NAMES`].
@@ -296,7 +294,6 @@ impl DataPlane {
             iot_bytes: 0,
             gw_ip,
             metrics: DataMetrics::default(),
-            telemetry: true,
             pipeline_ns: LatencyHistogram::new(),
             update_delay_ns: LatencyHistogram::new(),
             slots: Vec::with_capacity(64),
@@ -311,12 +308,6 @@ impl DataPlane {
     /// The context arena this plane resolves handles against.
     pub fn slab(&self) -> &Arc<UeSlab> {
         &self.slab
-    }
-
-    /// Enable/disable per-packet latency recording (the counters in
-    /// [`DataMetrics`] are always maintained).
-    pub fn set_telemetry_enabled(&mut self, enabled: bool) {
-        self.telemetry = enabled;
     }
 
     /// Enable/disable per-stage ns/packet recording (off by default: it
@@ -437,14 +428,14 @@ impl DataPlane {
     /// from the eNodeB; `downlink` packets are plain IP addressed to a UE.
     ///
     /// This is a dedicated burst-size-1 path sharing every decision stage
-    /// with [`Self::process_burst`] (same classifier, same table lookup,
-    /// same [`Self::enforce_one`] core), but skipping the burst machinery
+    /// with [`Self::process_burst_into`] (same classifier, same table
+    /// lookup, same `enforce_one` core), but skipping the burst machinery
     /// — slot/decision/group scratch, prefetch scheduling, run fusion —
     /// that only pays for itself at size > 1. Differential tests pin it
     /// to the burst path's verdicts, counters and metrics.
     pub fn process(&mut self, mut m: Mbuf, now_ns: u64) -> PacketVerdict {
         self.metrics.rx += 1;
-        let t0 = if self.telemetry { Some(Instant::now()) } else { None };
+        let t0 = Instant::now();
         let decision = match self.classify(&mut m) {
             Slot::Done(d) => d,
             Slot::Lookup { uplink, key, bytes } => {
@@ -472,7 +463,7 @@ impl DataPlane {
                 }
             }
         };
-        if let (Some(t0), Decision::Forward) = (t0, decision) {
+        if matches!(decision, Decision::Forward) {
             self.pipeline_ns.record(t0.elapsed().as_nanos() as u64);
         }
         match decision {
@@ -528,8 +519,8 @@ impl DataPlane {
         self.metrics.rx += n as u64;
         let forwarded_before = self.metrics.forwarded;
         // One clock read pair per burst (not two per packet).
-        let t0 = if self.telemetry { Some(Instant::now()) } else { None };
-        let stage = self.telemetry && self.stage_timing;
+        let t0 = Instant::now();
+        let stage = self.stage_timing;
 
         // Pass 1: classify direction and parse headers for the whole
         // burst. Uplink packets are decapped in place. Stage 2a of the
@@ -636,23 +627,19 @@ impl DataPlane {
             }
         }
 
-        if let Some(t0) = t0 {
-            // Forwarded packets record the amortized per-packet pipeline
-            // time so the histogram population equals `metrics.forwarded`
-            // (the invariant the metrics tests check) at one clock read
-            // per burst.
-            let elapsed = t0.elapsed();
-            let per_pkt_ns = elapsed.as_nanos() as u64 / n as u64;
-            self.pipeline_ns.record_n(per_pkt_ns, self.metrics.forwarded - forwarded_before);
-            // One amortized ns/packet sample per stage per burst; the
-            // enforce stage runs from the end of pass 2 to verdict
-            // emission, so the three stage samples sum to ~per_pkt_ns.
-            if let (Some(tp), Some(tl)) = (t_parse, t_lookup) {
-                let n64 = n as u64;
-                self.stage_ns[0].record(tp.duration_since(t0).as_nanos() as u64 / n64);
-                self.stage_ns[1].record(tl.duration_since(tp).as_nanos() as u64 / n64);
-                self.stage_ns[2].record(tl.elapsed().as_nanos() as u64 / n64);
-            }
+        // Forwarded packets record the amortized per-packet pipeline time
+        // so the histogram population equals `metrics.forwarded` (the
+        // invariant the metrics tests check) at one clock read per burst.
+        let per_pkt_ns = t0.elapsed().as_nanos() as u64 / n as u64;
+        self.pipeline_ns.record_n(per_pkt_ns, self.metrics.forwarded - forwarded_before);
+        // One amortized ns/packet sample per stage per burst; the enforce
+        // stage runs from the end of pass 2 to verdict emission, so the
+        // three stage samples sum to ~per_pkt_ns.
+        if let (Some(tp), Some(tl)) = (t_parse, t_lookup) {
+            let n64 = n as u64;
+            self.stage_ns[0].record(tp.duration_since(t0).as_nanos() as u64 / n64);
+            self.stage_ns[1].record(tl.duration_since(tp).as_nanos() as u64 / n64);
+            self.stage_ns[2].record(tl.elapsed().as_nanos() as u64 / n64);
         }
     }
 
@@ -812,9 +799,7 @@ impl DataPlane {
     /// measured by the slice wiring that owns both ring ends.
     #[inline]
     pub fn record_update_delay(&mut self, delay_ns: u64) {
-        if self.telemetry {
-            self.update_delay_ns.record(delay_ns);
-        }
+        self.update_delay_ns.record(delay_ns);
     }
 
     /// Pipeline latency of forwarded packets.
@@ -1364,11 +1349,6 @@ mod tests {
         for (h, name) in dp.stage_latencies().iter().zip(STAGE_NAMES) {
             assert_eq!(h.count(), 1, "stage {name} records once per burst");
         }
-        // Stage timing rides on telemetry: disabling telemetry stops it.
-        dp.set_telemetry_enabled(false);
-        let mut burst = vec![uplink_packet(TEID_UL)];
-        run_burst(&mut dp, &mut burst, 3);
-        assert_eq!(dp.stage_latencies()[0].count(), 1);
     }
 
     const IMSI: u64 = 404_01_0000000001;
@@ -1493,17 +1473,5 @@ mod tests {
         let m = dp.metrics();
         assert_eq!(m.idle_buffered, 2);
         assert!(m.conservation_holds());
-    }
-
-    #[test]
-    fn telemetry_can_be_disabled() {
-        let mut dp = dp();
-        dp.set_telemetry_enabled(false);
-        attach_user(&mut dp, 0);
-        assert!(dp.process(uplink_packet(TEID_UL), 1).is_forward());
-        dp.record_update_delay(123);
-        assert_eq!(dp.pipeline_latency().count(), 0);
-        assert_eq!(dp.update_delay().count(), 0);
-        assert_eq!(dp.metrics().forwarded, 1, "counters stay on");
     }
 }

@@ -15,7 +15,7 @@
 //!   threshold (1/8 load, after mass detach) does the same with a
 //!   smaller `live`.
 //! * Every subsequent **mutating** operation migrates at most
-//!   [`MIGRATE_STEP`] old buckets — a bounded number of relocations per
+//!   `MIGRATE_STEP` old buckets — a bounded number of relocations per
 //!   insert — until `old` is empty and dropped. Lookups probe `live`
 //!   then `old`; reads never relocate (the per-packet path stays
 //!   read-only).

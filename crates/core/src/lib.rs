@@ -29,15 +29,13 @@
 //! |--------------|-------|------------------|
 //! | [`state`]    | §2.3, Table 1 | the per-user state taxonomy, split by writer |
 //! | [`seqlock`]  | §4.2  | single-writer seqlock cells behind [`state::UeContext`] |
-//! | [`table`]    | §7.1, Fig 12  | the shared-state stores (giant lock / datapath-writer / rwlock-fine / PEPC seqlock) |
 //! | [`twolevel`] | §3.2, §7.3, Fig 14 | primary/secondary state tables |
 //! | [`pcef`]     | §4.2  | the BPF match-action Policy & Charging Enforcement Function |
 //! | [`qos`]      | §3.1  | token-bucket MBR/AMBR enforcement |
 //! | [`data`]     | §4.2  | the slice data-plane pipeline (incl. the stateless-IoT fast path, Fig 15) |
 //! | [`ctrl`]     | §4.2  | the slice control plane: S1AP/NAS attach FSM, synthetic events, batched updates (Fig 13) |
-//! | [`slice`]    | §3.2, Listing 1 | the slice: control + data threads over shared state |
+//! | [`slice`](mod@slice) | §3.2, Listing 1 | the slice: control + data threads over shared state |
 //! | [`demux`]    | §3.3  | TEID / UE-IP / IMSI → slice steering |
-//! | [`migrate`]  | §4.3, §6.6 | intra-node user state migration with per-user queues |
 //! | [`node`]     | §3.3  | the PEPC node: slices + scheduler + proxy |
 //! | [`proxy`]    | §3.3  | the HSS (S6a) / PCRF (Gx) proxy |
 
@@ -48,7 +46,6 @@ pub mod data;
 pub mod demux;
 pub mod inctable;
 pub mod metrics;
-pub mod migrate;
 pub mod node;
 pub mod overload;
 pub mod pcef;
@@ -60,7 +57,6 @@ pub mod seqlock;
 pub mod slab;
 pub mod slice;
 pub mod state;
-pub mod table;
 pub mod twolevel;
 
 pub use cluster::Cluster;
@@ -70,7 +66,6 @@ pub use data::{DataPlane, PacketVerdict};
 pub use demux::Demux;
 pub use inctable::IncrementalTable;
 pub use metrics::{CtrlMetrics, DataMetrics};
-pub use migrate::{StateTransferMessage, UserSnapshot};
 pub use node::PepcNode;
 pub use pcef::Pcef;
 pub use pepc_telemetry::{LatencyHistogram, MetricsSnapshot, RingGauge, SliceSnapshot, WireStat};
@@ -79,7 +74,6 @@ pub use seqlock::SeqCell;
 pub use slab::{UeHandle, UeRef, UeSlab};
 pub use slice::{Slice, SliceHandle};
 pub use state::{ControlState, CounterState, CtrlView, DeviceClass, UeContext, Uid};
-pub use table::{DatapathWriterStore, GiantLockStore, PepcStore, RwLockFineStore, StateStore};
 pub use twolevel::TwoLevelTable;
 
 /// Hint the CPU to pull the cache line holding `p` for an upcoming read.

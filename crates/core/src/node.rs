@@ -15,6 +15,7 @@ use crate::ctrl::{Allocator, CtrlEvent};
 use crate::data::PacketVerdict;
 use crate::demux::{Demux, Steer, REGION_SHIFT};
 use crate::proxy::Proxy;
+use crate::recovery::UserRecord;
 use crate::slice::Slice;
 use pepc_backend::{Hss, Pcrf};
 use pepc_fabric::Clock;
@@ -92,10 +93,7 @@ impl PepcNode {
         let mut slices = Vec::with_capacity(config.slices);
         for k in 0..config.slices {
             let alloc = Self::allocator_for(&config, k);
-            let mut slice_cfg = config.slice.clone();
-            slice_cfg.ctrl_core = 2 * k;
-            slice_cfg.data_core = 2 * k + 1;
-            slices.push(Slice::new(&slice_cfg, config.gw_ip, config.tac, alloc, proxy.clone()));
+            slices.push(Slice::new(&config.slice, config.gw_ip, config.tac, alloc, proxy.clone()));
         }
         PepcNode {
             demux: Demux::new(config.teid_base, config.ue_ip_base, config.slices, config.slice.iot),
@@ -294,11 +292,25 @@ impl PepcNode {
         out
     }
 
-    /// Migrate `imsi` from its current slice to `target`. Packets
-    /// arriving mid-migration are parked and drained to the target
-    /// afterwards; their outputs are retrievable via
-    /// [`PepcNode::take_migration_output`]. Returns false if the user is
-    /// unknown or already on `target`.
+    /// Migrate `imsi` from its current slice to `target` (paper §4.3,
+    /// §6.6). A user's state is one consolidated context, so a move hands
+    /// one value between two slices' control threads:
+    ///
+    /// 1. the Demux starts parking the user's packets in a per-user queue
+    ///    (no loss, no reordering);
+    /// 2. the source copies the user out by value as a [`UserRecord`],
+    ///    drops its indexes and has its data plane forget the user, which
+    ///    frees the slab slot: a packet still in flight on the source
+    ///    resolves a dead generation and drops, as after a detach;
+    /// 3. the target restores the record into a fresh slot of *its* arena
+    ///    with the keys unchanged, so tunnels stay valid. A target whose
+    ///    arena is full aborts the move: the user goes back into the slot
+    ///    step 2 freed;
+    /// 4. the Demux repoints and the parked packets drain to the owner;
+    ///    their outputs come out of [`PepcNode::take_migration_output`].
+    ///
+    /// Returns false if the user is unknown, already on `target`, or
+    /// stayed put.
     pub fn migrate(&mut self, imsi: u64, target: usize) -> bool {
         let Some(source) = self.slice_of(imsi) else { return false };
         if source == target || target >= self.slices.len() {
@@ -306,23 +318,17 @@ impl PepcNode {
         }
         let Some((gw_teid, ue_ip)) = self.slices[source].ctrl.keys_of(imsi) else { return false };
         let t0 = self.clock.now_ns();
-        // 1. Park subsequent packets.
         self.demux.park(imsi, gw_teid, ue_ip, source);
-        // 2. Extract from the source slice (control thread removes its
-        //    indexes and tells the source data thread to forget), and
-        // 3. install at the target. A source that will not let go aborts
-        //    the migration: the user stays put. So does a target whose
-        //    arena is full: the user goes back into the slot the extract
-        //    just freed.
-        let landed = match self.slices[source].extract_user(imsi) {
-            Some(snap) if self.slices[target].install_user(&snap) => target,
-            Some(snap) => {
-                self.slices[source].install_user(&snap);
-                source
+        let mut landed = source;
+        if let Some(rec) = self.slices[source].extract_user(imsi) {
+            for k in [target, source] {
+                if self.slices[k].restore_user(rec.clone()) {
+                    self.slices[k].ctrl.note_migration_in();
+                    landed = k;
+                    break;
+                }
             }
-            None => source,
-        };
-        // 4. Repoint the Demux and drain the parked packets to the owner.
+        }
         for m in self.demux.finish(imsi, landed) {
             if let PacketVerdict::Forward(out) = self.slices[landed].process_packet(m) {
                 self.migration_out.push(out);
@@ -403,23 +409,17 @@ impl PepcNode {
     }
 
     /// Adopt a user recovered from another node's replica: restore the
-    /// state into the IMSI's home slice (identifiers and tunnels are
+    /// record into the IMSI's home slice (identifiers and tunnels are
     /// preserved, so in-flight GTP tunnels stay valid), push the
     /// data-plane insert through immediately, and point the Demux at it
     /// (its keys lie in the failed node's region). Returns the slice the
     /// user landed on, or `None` when that slice's arena is full.
-    pub fn adopt_user(
-        &mut self,
-        ctrl: crate::state::ControlState,
-        counters: crate::state::CounterState,
-    ) -> Option<usize> {
-        let imsi = ctrl.imsi;
-        let (gw_teid, ue_ip) = (ctrl.tunnels.gw_teid, ctrl.ue_ip);
+    pub fn adopt_user(&mut self, rec: UserRecord) -> Option<usize> {
+        let (imsi, gw_teid, ue_ip) = (rec.ctrl.imsi, rec.ctrl.tunnels.gw_teid, rec.ctrl.ue_ip);
         let k = self.demux.slice_hint(imsi);
-        if !self.slices[k].ctrl.restore_user(ctrl, counters) {
+        if !self.slices[k].restore_user(rec) {
             return None;
         }
-        self.slices[k].sync_now();
         self.demux.place(imsi, gw_teid, ue_ip, k);
         Some(k)
     }

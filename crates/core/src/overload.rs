@@ -9,7 +9,7 @@
 //! signaled back-off so the herd stops hammering.
 //!
 //! Three mechanisms compose (all opt-in via
-//! [`OverloadConfig`](crate::config::OverloadConfig), disabled =
+//! [`OverloadConfig`], disabled =
 //! byte-identical legacy behavior):
 //!
 //! 1. **Per-eNodeB token bucket.** Procedure-*starting* messages

@@ -11,7 +11,7 @@
 //!
 //! The machine itself is pure bookkeeping: [`crate::ctrl::ControlPlane`]
 //! routes PDUs to machines, applies dispositions, and steps a delivered
-//! message through its leg table, one row per ([`Wait`], [`MsgKind`])
+//! message through its leg table, one row per (`Wait`, `MsgKind`)
 //! pair naming the effect and the next wait state. The policy here and
 //! the leg table are two views of one machine, and a unit test keeps them
 //! in step: a waiting machine gets `Deliver` exactly for the pairs that

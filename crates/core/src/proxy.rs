@@ -2,7 +2,7 @@
 //!
 //! "The PEPC node proxy interfaces with the backend servers like HSS and
 //! PCRF. Specifically, the interface between the HSS and Proxy is the same
-//! as the current interface between the MME and HSS (S6a, Diameter) [and]
+//! as the current interface between the MME and HSS (S6a, Diameter) \[and\]
 //! the interface between the proxy and PCRF is the same as the current
 //! interface between the P-GW and PCRF (Gx)."
 //!

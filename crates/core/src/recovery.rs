@@ -23,7 +23,10 @@ use serde::{Deserialize, Serialize};
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// One user's full consolidated state, as serialized.
+/// One user's full consolidated state, by value: what a checkpoint
+/// serializes, what HA replication ships, and what a migration carries
+/// between slices ([`ControlPlane::record_of`] builds it,
+/// [`ControlPlane::restore_user`] installs it).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct UserRecord {
     pub ctrl: ControlState,
@@ -86,12 +89,7 @@ impl std::error::Error for RecoveryError {}
 /// citations handle cross-packet output consistency, which an EPC data
 /// plane — idempotent per packet — does not need).
 pub fn checkpoint(cp: &ControlPlane) -> Result<Vec<u8>, RecoveryError> {
-    let mut users = Vec::with_capacity(cp.user_count());
-    for imsi in cp.imsis() {
-        if let Some(ctx) = cp.context_of(imsi) {
-            users.push(UserRecord { ctrl: ctx.ctrl_read().clone(), counters: ctx.counters() });
-        }
-    }
+    let users = cp.imsis().into_iter().filter_map(|imsi| cp.record_of(imsi)).collect();
     encode(&SliceCheckpoint { version: CHECKPOINT_VERSION, users })
 }
 
@@ -140,7 +138,7 @@ pub fn restore(cp: &mut ControlPlane, bytes: &[u8]) -> Result<usize, RecoveryErr
     }
     let n = parsed.users.len();
     for (restored, rec) in parsed.users.into_iter().enumerate() {
-        if !cp.restore_user(rec.ctrl, rec.counters) {
+        if !cp.restore_user(rec) {
             return Err(RecoveryError::ArenaFull { restored });
         }
     }

@@ -20,8 +20,8 @@
 use crate::config::SliceConfig;
 use crate::ctrl::{Allocator, ControlPlane, CtrlEvent};
 use crate::data::{DataPlane, DpUpdate, PacketVerdict};
-use crate::migrate::UserSnapshot;
 use crate::proxy::Proxy;
+use crate::recovery::UserRecord;
 use crate::slab::UeSlab;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pepc_fabric::exec::{CoreId, Poll, Worker};
@@ -41,15 +41,15 @@ pub enum CtrlCmd {
     S1ap(S1apPdu),
     /// Migration: extract this user (reply: [`CtrlReply::Extracted`]).
     Extract { imsi: u64 },
-    /// Migration: install this user.
-    Install(Box<UserSnapshot>),
+    /// Migration: restore this user here (counted as a migration in).
+    Install(Box<UserRecord>),
 }
 
 /// Replies from a slice's control thread.
 #[derive(Debug)]
 pub enum CtrlReply {
     S1ap(Vec<S1apPdu>),
-    Extracted { imsi: u64, snapshot: Option<Box<UserSnapshot>> },
+    Extracted { imsi: u64, record: Option<Box<UserRecord>> },
 }
 
 /// Cross-thread observable counters for a running slice.
@@ -73,6 +73,26 @@ impl SliceStats {
     }
 }
 
+/// Apply up to `max` stamped updates from the ring to the data plane,
+/// recording each one's control→data delay; returns how many. Both
+/// modes' data sides drain the ring only through here.
+fn apply_stamped(
+    data: &mut DataPlane,
+    rx: &mut Consumer<(u64, DpUpdate)>,
+    scratch: &mut Vec<(u64, DpUpdate)>,
+    clock: &Clock,
+    max: usize,
+) -> usize {
+    scratch.clear();
+    let n = rx.pop_burst(scratch, max);
+    let now = clock.now_ns();
+    for (stamp, u) in scratch.drain(..) {
+        data.record_update_delay(now.saturating_sub(stamp));
+        data.apply_update(u, now);
+    }
+    n
+}
+
 // ---------------------------------------------------------------------------
 // Inline mode
 // ---------------------------------------------------------------------------
@@ -94,7 +114,8 @@ pub struct Slice {
 
 impl Slice {
     /// Build an inline slice from a config. `proxy` enables the full
-    /// S1AP/NAS attach path.
+    /// S1AP/NAS attach path. [`Slice::spawn`] builds its threads' planes
+    /// here too.
     pub fn new(config: &SliceConfig, gw_ip: u32, tac: u16, alloc: Allocator, proxy: Option<Arc<Proxy>>) -> Self {
         // One arena per slice: the control plane allocates contexts in
         // it, the data plane resolves handles against it. Sharing is what
@@ -102,7 +123,6 @@ impl Slice {
         let slab = Arc::new(UeSlab::new());
         let mut data =
             DataPlane::with_slab(Arc::clone(&slab), gw_ip, config.expected_users, config.two_level, config.iot);
-        data.set_telemetry_enabled(config.telemetry);
         data.set_stage_timing(config.stage_timing);
         for (id, program) in &config.pcef_programs {
             data.apply_update(
@@ -164,13 +184,13 @@ impl Slice {
             let mut pending = Some((self.clock.now_ns(), u));
             while let Some(u) = pending.take() {
                 if let Err(u) = self.update_tx.push(u) {
-                    let now = self.clock.now_ns();
-                    self.update_scratch.clear();
-                    self.update_rx.pop_burst(&mut self.update_scratch, usize::MAX);
-                    for (stamp, v) in self.update_scratch.drain(..) {
-                        self.data.record_update_delay(now.saturating_sub(stamp));
-                        self.data.apply_update(v, now);
-                    }
+                    apply_stamped(
+                        &mut self.data,
+                        &mut self.update_rx,
+                        &mut self.update_scratch,
+                        &self.clock,
+                        usize::MAX,
+                    );
                     pending = Some(u);
                 }
             }
@@ -181,13 +201,7 @@ impl Slice {
     /// into the data plane ("sync").
     pub fn sync_now(&mut self) {
         self.flush_ctrl_updates();
-        let now = self.clock.now_ns();
-        self.update_scratch.clear();
-        self.update_rx.pop_burst(&mut self.update_scratch, usize::MAX);
-        for (stamp, u) in self.update_scratch.drain(..) {
-            self.data.record_update_delay(now.saturating_sub(stamp));
-            self.data.apply_update(u, now);
-        }
+        apply_stamped(&mut self.data, &mut self.update_rx, &mut self.update_scratch, &self.clock, usize::MAX);
         // One bounded resize step per sync keeps in-flight table growth
         // converging on the packet schedule (never a stop-the-world
         // rehash inside a burst).
@@ -222,7 +236,7 @@ impl Slice {
     /// Advance the control plane's procedure-supervision clock. The tick
     /// drives paging retransmission, so any buffer-drop updates it
     /// produced are flushed to the data plane; retransmitted PDUs are
-    /// retrievable via [`Self::take_pending_tx`].
+    /// retrievable via [`Self::pump_paging`].
     pub fn note_tick(&mut self, now: u64) {
         self.ctrl.note_tick(now);
         self.flush_ctrl_updates();
@@ -239,12 +253,6 @@ impl Slice {
         out.extend(self.ctrl.take_pending_tx());
         self.flush_ctrl_updates();
         out
-    }
-
-    /// Drain PDUs produced by the supervision sweep (paging retransmits
-    /// and post-expiry mailbox drains).
-    pub fn take_pending_tx(&mut self) -> Vec<S1apPdu> {
-        self.ctrl.take_pending_tx()
     }
 
     /// Drain buffered downlink flushed by an idle-UE wake (already
@@ -278,25 +286,24 @@ impl Slice {
     }
 
     /// Migration source: extract a user (and sync so the data plane
-    /// forgets it before the snapshot leaves).
-    pub fn extract_user(&mut self, imsi: u64) -> Option<UserSnapshot> {
-        // The snapshot is a by-value copy (control state + counters), so
+    /// forgets it before the record leaves).
+    pub fn extract_user(&mut self, imsi: u64) -> Option<UserRecord> {
+        // The record is a by-value copy (control state + counters), so
         // there is nothing to freeze: once the membership Remove drains
         // to the data plane below, the user's slab slot is freed and any
         // handle still in flight resolves a dead generation and drops —
         // the same semantics as a post-detach packet.
-        let snap = self.ctrl.extract_user(imsi)?;
-        self.flush_ctrl_updates();
+        let rec = self.ctrl.extract_user(imsi)?;
         self.sync_now();
-        Some(snap)
+        Some(rec)
     }
 
-    /// Migration destination: install a user and make it visible. False
-    /// (nothing installed) when the slice's arena is full.
-    pub fn install_user(&mut self, snap: &UserSnapshot) -> bool {
-        let installed = self.ctrl.install_user(snap);
+    /// Restore a user (migration destination, HA adoption) and make it
+    /// visible. False (nothing restored) when the slice's arena is full.
+    pub fn restore_user(&mut self, rec: UserRecord) -> bool {
+        let restored = self.ctrl.restore_user(rec);
         self.sync_now();
-        installed
+        restored
     }
 
     /// Assemble this slice's observability registry: plane counters,
@@ -344,7 +351,7 @@ pub struct SliceHandle {
     pub data_out: Consumer<Mbuf>,
     /// Send control commands here.
     pub ctrl_tx: Sender<CtrlCmd>,
-    /// Control replies (S1AP responses, migration snapshots).
+    /// Control replies (S1AP responses, extracted user records).
     pub ctrl_rx: Receiver<CtrlReply>,
     /// Live counters.
     pub stats: Arc<SliceStats>,
@@ -370,155 +377,120 @@ impl Slice {
         alloc: Allocator,
         proxy: Option<Arc<Proxy>>,
     ) -> SliceHandle {
+        let Slice { ctrl, data, mut update_tx, mut update_rx, sync_every, clock, mut update_scratch, .. } =
+            Slice::new(config, gw_ip, tac, alloc, proxy);
         let stats = Arc::new(SliceStats::default());
-        let (update_tx, update_rx) = SpscRing::with_capacity::<(u64, DpUpdate)>(config.update_ring_capacity);
-        let (data_in_tx, data_in_rx) = SpscRing::with_capacity::<Mbuf>(4096);
-        let (data_out_tx, data_out_rx) = SpscRing::with_capacity::<Mbuf>(4096);
+        let (data_in, mut rx) = SpscRing::with_capacity::<Mbuf>(4096);
+        let (mut tx, data_out) = SpscRing::with_capacity::<Mbuf>(4096);
         let (ctrl_tx, ctrl_cmd_rx) = unbounded::<CtrlCmd>();
         let (ctrl_reply_tx, ctrl_rx) = unbounded::<CtrlReply>();
 
         // --- data thread ---
-        // Same shared-arena wiring as inline mode: handles queued by the
-        // control thread resolve in the data thread's arena because it IS
-        // the control thread's arena.
-        let slab = Arc::new(UeSlab::new());
-        let mut data =
-            DataPlane::with_slab(Arc::clone(&slab), gw_ip, config.expected_users, config.two_level, config.iot);
-        data.set_telemetry_enabled(config.telemetry);
-        data.set_stage_timing(config.stage_timing);
-        for (id, program) in &config.pcef_programs {
-            data.apply_update(
-                DpUpdate::InstallRule { id: *id, program: program.clone(), action: Default::default() },
-                0,
-            );
-        }
-        let sync_every = config.batching.sync_every_packets.max(1) as usize;
+        let sync_every = sync_every as usize;
         let data_stats = Arc::clone(&stats);
-        let clock = Clock::new();
-        let data_worker = {
-            let mut update_rx = update_rx;
-            let mut rx = data_in_rx;
-            let mut tx = data_out_tx;
-            let mut rx_buf: Vec<Mbuf> = Vec::with_capacity(64);
-            let mut out_buf: Vec<PacketVerdict> = Vec::with_capacity(64);
-            let mut upd_buf: Vec<(u64, DpUpdate)> = Vec::with_capacity(64);
-            let mut since_sync = 0usize;
-            Worker::spawn_state(CoreId(config.data_core), data, move |dp: &mut DataPlane| {
-                let mut did_work = false;
-                rx_buf.clear();
-                let n = rx.pop_burst(&mut rx_buf, 32);
-                // Sync membership updates on the batching schedule, or
-                // opportunistically when the data path is idle (so
-                // attaches land even without traffic).
-                since_sync += n;
-                if since_sync >= sync_every || n == 0 {
-                    upd_buf.clear();
-                    update_rx.pop_burst(&mut upd_buf, 1024);
-                    if !upd_buf.is_empty() {
-                        did_work = true;
-                        let now = clock.now_ns();
-                        let applied = upd_buf.len() as u64;
-                        for (stamp, u) in upd_buf.drain(..) {
-                            dp.record_update_delay(now.saturating_sub(stamp));
-                            dp.apply_update(u, now);
-                        }
-                        data_stats.updates_applied.fetch_add(applied, Ordering::Relaxed);
+        let mut rx_buf: Vec<Mbuf> = Vec::with_capacity(64);
+        let mut out_buf: Vec<PacketVerdict> = Vec::with_capacity(64);
+        let mut since_sync = 0usize;
+        let data_worker = Worker::spawn_state(CoreId(config.data_core), data, move |dp: &mut DataPlane| {
+            let mut did_work = false;
+            rx_buf.clear();
+            let n = rx.pop_burst(&mut rx_buf, 32);
+            // Sync membership updates on the batching schedule, or
+            // opportunistically when the data path is idle (so
+            // attaches land even without traffic).
+            since_sync += n;
+            if since_sync >= sync_every || n == 0 {
+                let applied = apply_stamped(dp, &mut update_rx, &mut update_scratch, &clock, 1024);
+                if applied > 0 {
+                    did_work = true;
+                    data_stats.updates_applied.fetch_add(applied as u64, Ordering::Relaxed);
+                }
+                since_sync = 0;
+            }
+            if n == 0 {
+                return if did_work { Poll::Busy } else { Poll::Idle };
+            }
+            data_stats.rx.fetch_add(n as u64, Ordering::Relaxed);
+            let now = clock.now_ns();
+            let mut fwd = 0u64;
+            let mut dropped = 0u64;
+            out_buf.clear();
+            dp.process_burst_into(&mut rx_buf, now, &mut out_buf);
+            for v in out_buf.drain(..) {
+                match v {
+                    PacketVerdict::Forward(out) => {
+                        fwd += 1;
+                        // Full output ring = tail drop, like a NIC.
+                        let _ = tx.push(out);
                     }
-                    since_sync = 0;
+                    PacketVerdict::Drop(_) => dropped += 1,
+                    // Parked in an idle-UE buffer: neither forwarded
+                    // nor dropped yet; it resolves on wake or page
+                    // expiry and is accounted in the plane's metrics.
+                    PacketVerdict::Buffered => {}
                 }
-                if n == 0 {
-                    return if did_work { Poll::Busy } else { Poll::Idle };
-                }
-                data_stats.rx.fetch_add(n as u64, Ordering::Relaxed);
-                let now = clock.now_ns();
-                let mut fwd = 0u64;
-                let mut dropped = 0u64;
-                out_buf.clear();
-                dp.process_burst_into(&mut rx_buf, now, &mut out_buf);
-                for v in out_buf.drain(..) {
-                    match v {
-                        PacketVerdict::Forward(out) => {
-                            fwd += 1;
-                            // Full output ring = tail drop, like a NIC.
-                            let _ = tx.push(out);
-                        }
-                        PacketVerdict::Drop(_) => dropped += 1,
-                        // Parked in an idle-UE buffer: neither forwarded
-                        // nor dropped yet; it resolves on wake or page
-                        // expiry and is accounted in the plane's metrics.
-                        PacketVerdict::Buffered => {}
-                    }
-                }
-                data_stats.forwarded.fetch_add(fwd, Ordering::Relaxed);
-                if dropped > 0 {
-                    data_stats.dropped.fetch_add(dropped, Ordering::Relaxed);
-                }
-                Poll::Busy
-            })
-        };
+            }
+            data_stats.forwarded.fetch_add(fwd, Ordering::Relaxed);
+            if dropped > 0 {
+                data_stats.dropped.fetch_add(dropped, Ordering::Relaxed);
+            }
+            Poll::Busy
+        });
 
         // --- control thread ---
         let ctrl_stats = Arc::clone(&stats);
-        let ctrl_worker = {
-            let mut cp = ControlPlane::with_slab(slab, gw_ip, tac, alloc, proxy);
-            cp.set_overload(config.overload);
-            let mut update_tx = update_tx;
-            Worker::spawn_state(CoreId(config.ctrl_core), cp, move |cp: &mut ControlPlane| {
-                let mut did_work = false;
-                for _ in 0..256 {
-                    match ctrl_cmd_rx.try_recv() {
-                        Ok(cmd) => {
-                            did_work = true;
-                            match cmd {
-                                CtrlCmd::Event(ev) => {
-                                    if cp.apply_event(ev) {
-                                        match ev {
-                                            CtrlEvent::Attach { .. } => {
-                                                ctrl_stats.attaches.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                            CtrlEvent::S1Handover { .. } => {
-                                                ctrl_stats.handovers.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                            _ => {}
-                                        }
-                                    }
+        let ctrl_worker = Worker::spawn_state(CoreId(config.ctrl_core), ctrl, move |cp: &mut ControlPlane| {
+            let mut did_work = false;
+            for cmd in ctrl_cmd_rx.try_iter().take(256) {
+                did_work = true;
+                match cmd {
+                    CtrlCmd::Event(ev) => {
+                        if cp.apply_event(ev) {
+                            match ev {
+                                CtrlEvent::Attach { .. } => {
+                                    ctrl_stats.attaches.fetch_add(1, Ordering::Relaxed);
                                 }
-                                CtrlCmd::S1ap(pdu) => {
-                                    let rsp = cp.handle_s1ap(&pdu);
-                                    let _ = ctrl_reply_tx.send(CtrlReply::S1ap(rsp));
+                                CtrlEvent::S1Handover { .. } => {
+                                    ctrl_stats.handovers.fetch_add(1, Ordering::Relaxed);
                                 }
-                                CtrlCmd::Extract { imsi } => {
-                                    let snapshot = cp.extract_user(imsi).map(Box::new);
-                                    let _ = ctrl_reply_tx.send(CtrlReply::Extracted { imsi, snapshot });
-                                }
-                                CtrlCmd::Install(snap) => {
-                                    cp.install_user(&snap);
-                                }
+                                _ => {}
                             }
                         }
-                        Err(_) => break,
                     }
-                }
-                if cp.has_updates() {
-                    did_work = true;
-                    // Stamp with the shared slice clock (Clock is Copy, so
-                    // both threads measure from the same origin).
-                    let mut it = cp.drain_updates().map(|u| (clock.now_ns(), u)).peekable();
-                    while it.peek().is_some() {
-                        if update_tx.push_burst(&mut it) == 0 {
-                            std::hint::spin_loop();
+                    CtrlCmd::S1ap(pdu) => {
+                        let rsp = cp.handle_s1ap(&pdu);
+                        let _ = ctrl_reply_tx.send(CtrlReply::S1ap(rsp));
+                    }
+                    CtrlCmd::Extract { imsi } => {
+                        let record = cp.extract_user(imsi).map(Box::new);
+                        let _ = ctrl_reply_tx.send(CtrlReply::Extracted { imsi, record });
+                    }
+                    CtrlCmd::Install(rec) => {
+                        if cp.restore_user(*rec) {
+                            cp.note_migration_in();
                         }
                     }
                 }
-                if did_work {
-                    Poll::Busy
-                } else {
-                    Poll::Idle
+            }
+            if cp.has_updates() {
+                did_work = true;
+                // Stamp with the shared slice clock (Clock is Copy, so
+                // both threads measure from the same origin).
+                let mut it = cp.drain_updates().map(|u| (clock.now_ns(), u)).peekable();
+                while it.peek().is_some() {
+                    if update_tx.push_burst(&mut it) == 0 {
+                        std::hint::spin_loop();
+                    }
                 }
-            })
-        };
+            }
+            if did_work {
+                Poll::Busy
+            } else {
+                Poll::Idle
+            }
+        });
 
-        SliceHandle { data_in: data_in_tx, data_out: data_out_rx, ctrl_tx, ctrl_rx, stats, data_worker, ctrl_worker }
+        SliceHandle { data_in, data_out, ctrl_tx, ctrl_rx, stats, data_worker, ctrl_worker }
     }
 }
 
@@ -699,10 +671,10 @@ mod tests {
         a.handle_ctrl_event(CtrlEvent::Attach { imsi: 7 });
         assert!(a.process_packet(uplink(0x1000, 0x0A000001)).is_forward());
 
-        let snap = a.extract_user(7).expect("extracts");
+        let rec = a.extract_user(7).expect("extracts");
         // Source no longer serves the user.
         assert!(!a.process_packet(uplink(0x1000, 0x0A000001)).is_forward());
-        assert!(b.install_user(&snap));
+        assert!(b.restore_user(rec));
         // Destination serves it with the ORIGINAL teid (tunnel unbroken).
         assert!(b.process_packet(uplink(0x1000, 0x0A000001)).is_forward());
         let counters = b.ctrl.counters_of(7).unwrap();
@@ -745,12 +717,12 @@ mod tests {
         h.ctrl_tx.send(CtrlCmd::Extract { imsi: 9 }).unwrap();
         let reply = h.ctrl_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         match reply {
-            CtrlReply::Extracted { imsi, snapshot } => {
+            CtrlReply::Extracted { imsi, record } => {
                 assert_eq!(imsi, 9);
-                let snap = snapshot.expect("user existed");
-                assert_eq!(snap.imsi, 9);
+                let rec = record.expect("user existed");
+                assert_eq!(rec.ctrl.imsi, 9);
                 // Install back.
-                h.ctrl_tx.send(CtrlCmd::Install(snap)).unwrap();
+                h.ctrl_tx.send(CtrlCmd::Install(rec)).unwrap();
             }
             other => panic!("{other:?}"),
         }

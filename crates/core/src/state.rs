@@ -434,16 +434,18 @@ impl UeContext {
         }
     }
 
-    /// Migration freeze: hold the view cell's sequence odd so every
+    /// Handoff freeze: hold the view cell's sequence odd so every
     /// optimistic data-path read fails over to the authoritative lock
-    /// while the user is in transfer (writer-side seq hold; see
-    /// [`crate::migrate`]). Must only be taken by the control thread —
-    /// the view's writer — and control writes must not occur while held.
+    /// while a context is being handed over in place (writer-side seq
+    /// hold; a migration instead copies the user out by value, see
+    /// [`crate::node::PepcNode::migrate`]). Must only be taken by the
+    /// control thread — the view's writer — and control writes must not
+    /// occur while held.
     pub fn freeze_view(&self) -> SeqHold<'_, CtrlView> {
         self.view.hold()
     }
 
-    /// Whether a migration freeze currently holds the view cell.
+    /// Whether a handoff freeze currently holds the view cell.
     pub fn view_frozen(&self) -> bool {
         self.view.is_held()
     }

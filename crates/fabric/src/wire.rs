@@ -29,14 +29,14 @@ use std::time::Duration;
 /// Fault-injection configuration for a wire.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
-    /// Probability in [0,1] that a packet is silently dropped.
+    /// Probability in \[0, 1\] that a packet is silently dropped.
     pub drop_chance: f64,
-    /// Probability in [0,1] that one random byte of a packet is flipped.
+    /// Probability in \[0, 1\] that one random byte of a packet is flipped.
     pub corrupt_chance: f64,
-    /// Probability in [0,1] that a packet is swapped with its successor
+    /// Probability in \[0, 1\] that a packet is swapped with its successor
     /// within the same pumped burst (adjacent reordering).
     pub reorder_chance: f64,
-    /// Probability in [0,1] that a packet is delivered twice (the copy is
+    /// Probability in \[0, 1\] that a packet is delivered twice (the copy is
     /// injected immediately after the original).
     pub duplicate_chance: f64,
     /// Fixed latency, in pump calls: every packet sits in the wire's

@@ -403,14 +403,7 @@ impl HaCluster {
         for s in 0..self.cluster.node(k).slice_count() {
             let dirty = self.cluster.node(k).slice(s).ctrl.take_dirty_users();
             for imsi in dirty {
-                let user = self
-                    .cluster
-                    .node(k)
-                    .slice(s)
-                    .ctrl
-                    .context_of(imsi)
-                    .map(|ctx| UserRecord { ctrl: ctx.ctrl_read().clone(), counters: ctx.counters() });
-                match user {
+                match self.cluster.node(k).slice(s).ctrl.record_of(imsi) {
                     Some(u) => self.emit(k, ReplKind::CtrlSnapshot, imsi, Some(u)),
                     None => self.emit(k, ReplKind::CtrlDelete, imsi, None),
                 }
@@ -424,8 +417,7 @@ impl HaCluster {
             let mut imsis = self.cluster.node(k).slice(s).ctrl.imsis();
             imsis.sort_unstable(); // HashMap order would break determinism
             for imsi in imsis {
-                if let Some(ctx) = self.cluster.node(k).slice(s).ctrl.context_of(imsi) {
-                    let u = UserRecord { ctrl: ctx.ctrl_read().clone(), counters: ctx.counters() };
+                if let Some(u) = self.cluster.node(k).slice(s).ctrl.record_of(imsi) {
                     self.emit(k, ReplKind::CounterDelta, imsi, Some(u));
                 }
             }
@@ -484,7 +476,7 @@ impl HaCluster {
             // Adoption marks the user dirty on the survivor; replicate it
             // from its new home so the standby converges. A user no
             // survivor slice had room for has no owner.
-            if self.cluster.adopt_user(target, rec.ctrl, rec.counters).is_some() {
+            if self.cluster.adopt_user(target, rec).is_some() {
                 self.owner.insert(imsi, target);
             } else {
                 self.owner.remove(&imsi);

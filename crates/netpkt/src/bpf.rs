@@ -3,7 +3,7 @@
 //! The paper implements the PCEF "as a match-action table, consisting of
 //! BPF programs over the 5-tuple and operator specified actions" (§4.2).
 //! This module provides those programs: a branching classifier over the
-//! [`FiveTuple`](crate::FiveTuple) with bounded, verifiable control flow
+//! [`FiveTuple`] with bounded, verifiable control flow
 //! (forward jumps only, like real BPF), so a malformed operator rule can
 //! never hang the data plane.
 //!

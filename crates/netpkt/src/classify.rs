@@ -93,7 +93,7 @@ fn parse_gtp_outer(d: &[u8]) -> Option<u32> {
 /// Branchless classifier: byte-equivalent to [`classify_reference`].
 ///
 /// Every field check becomes a 0/1 predicate over a zero-padded copy of
-/// the first [`WINDOW`] bytes; length checks that the parsers express as
+/// the first `WINDOW` bytes; length checks that the parsers express as
 /// truncation errors become explicit predicates on the real length. The
 /// predicates are AND-ed per branch and a single final select picks the
 /// verdict — no data-dependent branch depends on packet *contents* until

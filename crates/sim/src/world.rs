@@ -593,13 +593,9 @@ impl SimWorld {
         let Some(other) = (0..n).find(|&t| t != k && !self.ha.cluster_ref().is_dead(t) && !self.ha.is_killed(t)) else {
             return;
         };
-        let state = {
-            let node = self.ha.cluster().node(k);
-            let s = node.slice_of(imsi);
-            s.and_then(|s| node.slice(s).ctrl.context_of(imsi)).map(|ctx| (ctx.ctrl_read().clone(), ctx.counters()))
-        };
-        if let Some((ctrl, counters)) = state {
-            self.ha.cluster().adopt_user(other, ctrl, counters);
+        let node = self.ha.cluster().node(k);
+        if let Some(rec) = node.slice_of(imsi).and_then(|s| node.slice(s).ctrl.record_of(imsi)) {
+            self.ha.cluster().adopt_user(other, rec);
         }
     }
 

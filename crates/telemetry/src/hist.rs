@@ -95,7 +95,7 @@ impl LatencyHistogram {
         }
     }
 
-    /// Approximate quantile (`q` in [0,1]) — returns the lower bound of the
+    /// Approximate quantile (`q` in \[0, 1\]) — returns the lower bound of the
     /// bucket containing that rank.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {

@@ -296,11 +296,6 @@ impl Measurement {
         self.offered as f64 / self.elapsed.as_secs_f64() / 1e6
     }
 
-    /// Forwarded (goodput) Mpps.
-    pub fn forwarded_mpps(&self) -> f64 {
-        self.forwarded as f64 / self.elapsed.as_secs_f64() / 1e6
-    }
-
     /// Fraction of offered packets forwarded.
     pub fn delivery_ratio(&self) -> f64 {
         if self.offered == 0 {

@@ -4,7 +4,7 @@
 //! IoT Support" (PAPERS.md) describes the regime these model: millions
 //! of narrowband devices whose firmware wakes them on the same schedule,
 //! so the MME sees *waves* of near-simultaneous attach attempts instead
-//! of the uniform arrivals [`SignalingGen`](crate::SignalingGen)
+//! of the uniform arrivals [`SignalingGen`]
 //! produces. Three generator shapes:
 //!
 //! * [`WakeupWave`] — open-loop synchronized wake-up: every device fires

@@ -144,15 +144,6 @@ impl TrafficGen {
         g
     }
 
-    /// Override the UL:DL mix (e.g. (1, 3) for Industrial#2 comparisons
-    /// flipped to 3:1).
-    pub fn with_mix(mut self, ul: u32, dl: u32) -> Self {
-        assert!(ul + dl > 0);
-        self.ul = ul;
-        self.dl = dl;
-        self
-    }
-
     /// Number of users in the population.
     pub fn user_count(&self) -> usize {
         self.users.len()

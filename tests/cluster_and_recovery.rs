@@ -171,4 +171,9 @@ fn restore_is_idempotent_per_user() {
     let before = node.slice(k).ctrl.user_count();
     recovery::restore(&mut node.slice(k).ctrl, &cp).unwrap();
     assert_eq!(node.slice(k).ctrl.user_count(), before);
+    // ... and the replaced context's slab slot is freed once the data
+    // plane applies the restore, not leaked beside the new one.
+    node.slice(k).sync_now();
+    let slice = node.slice(k);
+    assert_eq!(slice.ctrl.slab().live_slots(), slice.ctrl.user_count() as u64);
 }

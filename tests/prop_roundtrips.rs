@@ -3,9 +3,9 @@
 //! cleanly — never panic, never alias, never lose a user.
 
 use pepc::state::ControlState;
-use pepc::table::{PepcStore, StateStore};
 use pepc::twolevel::TwoLevelTable;
 use pepc::{LatencyHistogram, MetricsSnapshot, RingGauge, SliceSnapshot};
+use pepc_baseline::table::{PepcStore, StateStore};
 use pepc_net::bpf::{BpfProgram, Field, Insn};
 use pepc_net::gtp::{decap_gtpu, encap_gtpu, GtpcMsg};
 use pepc_net::{EtherHdr, FiveTuple, GtpuHdr, Ipv4Hdr, Mbuf, TcpHdr, UdpHdr};

@@ -12,7 +12,7 @@
 
 use pepc::ctrl::{Allocator, ControlPlane, CtrlEvent};
 use pepc::state::{ControlState, CtrlView, UeContext};
-use pepc::table::{PepcStore, StateStore};
+use pepc_baseline::table::{PepcStore, StateStore};
 use std::sync::Arc;
 
 fn cp() -> ControlPlane {

@@ -19,6 +19,7 @@ use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
 use pepc::ctrl::{run_attach_with, CtrlEvent};
 use pepc::demux::PacketKey;
 use pepc::node::{NodeVerdict, PepcNode};
+use pepc::recovery::UserRecord;
 use pepc::state::{ControlState, CounterState, S1Conn, TunnelState};
 use pepc_backend::{Hss, Pcrf};
 use pepc_fabric::clock::VirtualClock;
@@ -117,7 +118,7 @@ fn build_twin(slices: usize, clock: &VirtualClock) -> (PepcNode, Population) {
     let mut ctrl = ControlState::new(imsi);
     ctrl.ue_ip = ue_ip;
     ctrl.tunnels = TunnelState { enb_teid: 0xE900, enb_ip: ENB_IP, gw_teid };
-    node.adopt_user(ctrl, CounterState::default());
+    node.adopt_user(UserRecord { ctrl, counters: CounterState::default() });
     assert_eq!(node.slice_of(imsi), Some(node.home_slice(imsi)));
     live.push(ADOPTED);
     (node, Population { live, gone })
@@ -398,12 +399,8 @@ fn ten_thousand_s1ap_lifecycles_leave_no_steering_residue() {
     // Restoring over a live resident overwrites it without orphaning the
     // S1 association it is indexed under: its detach still unindexes both.
     let (k, guti, conn) = s1_identity(&mut node, 5);
-    let (ctrl, counters) = {
-        let ctx = node.slice(k).ctrl.context_of(5).unwrap();
-        let pair = (ctx.ctrl_read().clone(), ctx.counters());
-        pair
-    };
-    assert_eq!(node.adopt_user(ctrl, counters), Some(k));
+    let rec = node.slice(k).ctrl.record_of(5).unwrap();
+    assert_eq!(node.adopt_user(rec), Some(k));
     assert_eq!(s1_identity(&mut node, 5), (k, guti, conn));
     s1ap_detach(&mut node, guti, conn);
     assert_eq!(node.user_count(), RESIDENTS as usize - 1);
