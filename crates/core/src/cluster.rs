@@ -34,10 +34,6 @@ const NODE_SHIFT: u32 = 28;
 /// A cluster of PEPC nodes behind one virtual IP.
 pub struct Cluster {
     nodes: Vec<PepcNode>,
-    /// Node 0's TEID / UE IP bases (the template's); node `k`'s region
-    /// starts `k << NODE_SHIFT` above them.
-    teid_base: u32,
-    ue_ip_base: u32,
     lb: Maglev,
     virtual_ip: u32,
     /// Nodes declared dead by the failover coordinator. Their identifier
@@ -76,8 +72,6 @@ impl Cluster {
         let names: Vec<String> = (0..n).map(|k| format!("pepc-node-{k}")).collect();
         Cluster {
             nodes,
-            teid_base: template.teid_base,
-            ue_ip_base: template.ue_ip_base,
             lb: Maglev::new(&names, template.lb_table_size),
             virtual_ip,
             dead: vec![false; n],
@@ -139,11 +133,13 @@ impl Cluster {
     }
 
     /// Node whose identifier region `key` lies in: the inverse of the
-    /// bases [`Cluster::new`] hands each node.
+    /// bases [`Cluster::new`] hands each node (node 0's are the
+    /// template's).
     fn node_of(&self, key: PacketKey) -> Option<usize> {
+        let base = self.nodes[0].config();
         let offset = match key {
-            PacketKey::Teid(teid) => teid.checked_sub(self.teid_base)?,
-            PacketKey::UeIp(ip) => ip.checked_sub(self.ue_ip_base)?,
+            PacketKey::Teid(teid) => teid.checked_sub(base.teid_base)?,
+            PacketKey::UeIp(ip) => ip.checked_sub(base.ue_ip_base)?,
         };
         Some((offset >> NODE_SHIFT) as usize)
     }

@@ -1180,10 +1180,11 @@ impl ControlPlane {
     /// allocated in *this* slice's arena; the keys (TEID / UE IP) are the
     /// record's, so in-flight tunnels stay valid, and the data plane is
     /// told exactly as for an attach. Over a live user the old context is
-    /// replaced: its keys leave the data plane (which frees its slot)
-    /// ahead of the new insert, and the S1 association it is indexed
-    /// under carries over. False (nothing restored) when the arena is
-    /// full.
+    /// replaced and the S1 association it is indexed under carries over.
+    /// Its slot is freed by the data plane: the insert frees whatever it
+    /// displaces under the same keys (and wakes a suspended user's
+    /// buffer), while old keys the record does not keep leave first.
+    /// False (nothing restored) when the arena is full.
     pub fn restore_user(&mut self, rec: UserRecord) -> bool {
         let UserRecord { ctrl, counters } = rec;
         let (imsi, guti, gw_teid, ue_ip) = (ctrl.imsi, ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
@@ -1193,7 +1194,9 @@ impl ControlPlane {
         });
         let Some(handle) = self.slab.alloc(ctrl, counters) else { return false };
         if let Some((old_guti, old_teid, old_ip, conn)) = old {
-            self.pending_updates.push(DpUpdate::Remove { gw_teid: old_teid, ue_ip: old_ip });
+            if (old_teid, old_ip) != (gw_teid, ue_ip) {
+                self.pending_updates.push(DpUpdate::Remove { gw_teid: old_teid, ue_ip: old_ip });
+            }
             if old_guti != guti {
                 self.by_guti.remove(old_guti);
             }

@@ -328,12 +328,19 @@ impl DataPlane {
                 if let Some(s) = &woke {
                     self.suspended_by_teid.remove(&s.gw_teid);
                 }
-                if active {
-                    self.by_teid.insert_active(u64::from(gw_teid), handle, now_ns);
-                    self.by_ue_ip.insert_active(u64::from(ue_ip), handle, now_ns);
+                let (teid, ip) = (u64::from(gw_teid), u64::from(ue_ip));
+                let displaced = if active {
+                    [self.by_teid.insert_active(teid, handle, now_ns), self.by_ue_ip.insert_active(ip, handle, now_ns)]
                 } else {
-                    self.by_teid.insert_idle(u64::from(gw_teid), handle);
-                    self.by_ue_ip.insert_idle(u64::from(ue_ip), handle);
+                    [self.by_teid.insert_idle(teid, handle), self.by_ue_ip.insert_idle(ip, handle)]
+                };
+                // A restore over a resident re-indexes its keys onto a
+                // fresh context: free the one it displaces, indexed or
+                // suspended (`free` ignores a handle already freed).
+                for old in displaced.into_iter().chain([woke.as_ref().map(|s| s.handle)]).flatten() {
+                    if old != handle {
+                        self.slab.free(old);
+                    }
                 }
                 if let Some(s) = woke {
                     self.flush_idle_buffer(s, handle);

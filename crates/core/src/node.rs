@@ -633,6 +633,26 @@ mod tests {
     }
 
     #[test]
+    fn migration_to_a_full_arena_returns_the_user_to_its_source() {
+        let mut n = node(2);
+        n.attach(7);
+        let src = n.slice_of(7).unwrap();
+        let dst = 1 - src;
+        n.slice(dst).ctrl.slab().skip_to(1 << REGION_SHIFT);
+        assert!(!n.migrate(7, dst), "the target has no free slot");
+        assert_eq!(n.slice_of(7), Some(src));
+        assert_eq!(n.demux().moved_count(), 0, "back home: no exception entry");
+        let up = uplink_for(&mut n, 7);
+        assert!(n.process(up).is_forward());
+        let snap = n.metrics_snapshot();
+        let (s, d) = (&snap.slices[src].ctrl, &snap.slices[dst].ctrl);
+        assert_eq!((s.migrations_out, s.migrations_in), (1, 1), "out, then back in on the abort");
+        assert_eq!((d.migrations_out, d.migrations_in), (0, 0));
+        assert_eq!(snap.slices[dst].migration_ns.count(), 0);
+        assert_eq!(n.slice(src).data.slab().live_slots(), 1, "the source reuses the slot the extract freed");
+    }
+
+    #[test]
     fn detach_cleans_node_state() {
         let mut n = node(2);
         n.attach(7);

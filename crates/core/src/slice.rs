@@ -181,18 +181,10 @@ impl Slice {
             return;
         }
         for u in self.ctrl.drain_updates() {
-            let mut pending = Some((self.clock.now_ns(), u));
-            while let Some(u) = pending.take() {
-                if let Err(u) = self.update_tx.push(u) {
-                    apply_stamped(
-                        &mut self.data,
-                        &mut self.update_rx,
-                        &mut self.update_scratch,
-                        &self.clock,
-                        usize::MAX,
-                    );
-                    pending = Some(u);
-                }
+            let mut stamped = (self.clock.now_ns(), u);
+            while let Err(back) = self.update_tx.push(stamped) {
+                apply_stamped(&mut self.data, &mut self.update_rx, &mut self.update_scratch, &self.clock, usize::MAX);
+                stamped = back;
             }
         }
     }
@@ -726,6 +718,36 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        h.shutdown();
+        // Commands run in order: a second extract finds the installed user.
+        h.ctrl_tx.send(CtrlCmd::Extract { imsi: 9 }).unwrap();
+        let reply = h.ctrl_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+        assert!(matches!(reply, CtrlReply::Extracted { imsi: 9, record: Some(_) }), "{reply:?}");
+        let (cp, _) = h.shutdown();
+        assert_eq!((cp.metrics().migrations_out, cp.metrics().migrations_in), (2, 1));
+    }
+
+    #[test]
+    fn restore_over_an_idle_user_flushes_its_buffer() {
+        let mut s = inline_slice(1);
+        s.handle_ctrl_event(CtrlEvent::Attach { imsi: 7 });
+        s.handle_ctrl_event(CtrlEvent::S1Handover { imsi: 7, new_enb_teid: 0xE0, new_enb_ip: 0xC0A80001 });
+        s.handle_ctrl_event(CtrlEvent::Release { imsi: 7 });
+        s.sync_now();
+        let (_, ue_ip) = s.ctrl.keys_of(7).unwrap();
+        for _ in 0..2 {
+            let mut m = Mbuf::new();
+            let mut hdr = vec![0u8; IPV4_HDR_LEN + UDP_HDR_LEN];
+            Ipv4Hdr::new(0x08080808, ue_ip, IpProto::Udp, UDP_HDR_LEN).emit(&mut hdr[..IPV4_HDR_LEN]).unwrap();
+            UdpHdr::new(53, 1234, 0).emit(&mut hdr[IPV4_HDR_LEN..]).unwrap();
+            m.extend(&hdr);
+            assert!(matches!(s.process_packet(m), PacketVerdict::Buffered));
+        }
+        let rec = s.ctrl.record_of(7).unwrap();
+        assert!(s.restore_user(rec));
+        assert_eq!(s.take_woken().len(), 2);
+        let m = s.data.metrics();
+        assert_eq!((m.forwarded_on_wake, m.drop_idle_expired, m.idle_buffered), (2, 0, 0));
+        assert!(m.conservation_holds());
+        assert_eq!(s.data.slab().live_slots(), s.ctrl.user_count() as u64, "the old context is freed");
     }
 }

@@ -132,21 +132,23 @@ impl<V> TwoLevelTable<V> {
 
     /// Insert an *active* user (fresh attach): goes to the primary table.
     /// The clock argument is unused (activity lives with the value's
-    /// owner), as in [`Self::get`].
-    pub fn insert_active(&mut self, key: u64, value: V, _now_ns: u64) {
-        self.secondary.remove(key);
-        self.primary.insert(key, value);
+    /// owner), as in [`Self::get`]. Returns the value the key held
+    /// before, from either table.
+    pub fn insert_active(&mut self, key: u64, value: V, _now_ns: u64) -> Option<V> {
+        let idle = self.secondary.remove(key);
+        self.primary.insert(key, value).or(idle)
     }
 
     /// Insert an *idle* user directly into the secondary table (bulk
     /// provisioning, or the single-table baseline's population — in
-    /// single-table mode this still lands in the flat table).
-    pub fn insert_idle(&mut self, key: u64, value: V) {
+    /// single-table mode this still lands in the flat table). Returns the
+    /// value the key held before, from either table.
+    pub fn insert_idle(&mut self, key: u64, value: V) -> Option<V> {
         if self.enabled {
-            self.primary.remove(key);
-            self.secondary.insert(key, value);
+            let active = self.primary.remove(key);
+            self.secondary.insert(key, value).or(active)
         } else {
-            self.primary.insert(key, value);
+            self.primary.insert(key, value)
         }
     }
 
