@@ -34,10 +34,14 @@ pub struct UserRecord {
 }
 
 impl UserRecord {
-    /// Whether the free-form IMSI or GUTI is a key the state tables
-    /// cannot store ([`crate::inctable::is_reserved_key`]): malformed.
-    pub fn has_reserved_key(&self) -> bool {
+    /// Whether a decoded record is one no slice could have produced: the
+    /// free-form IMSI or GUTI is a key the state tables cannot store
+    /// ([`crate::inctable::is_reserved_key`]), or the rule set is not in
+    /// the form `RuleSet::push` builds (more than six ids, or nonzero ids
+    /// past its length).
+    pub fn is_malformed(&self) -> bool {
         [self.ctrl.imsi, self.ctrl.guti].into_iter().any(crate::inctable::is_reserved_key)
+            || !self.ctrl.pcef_rules.is_canonical()
     }
 }
 
@@ -120,17 +124,17 @@ pub fn parse(bytes: &[u8]) -> Result<SliceCheckpoint, RecoveryError> {
 /// how many users were restored. Data-plane membership updates are queued
 /// exactly as attaches would queue them.
 ///
-/// All validation — parse errors, reserved IMSIs/GUTIs and
-/// intra-checkpoint duplicate IMSIs — happens before the first record is
-/// applied, so a rejected checkpoint never partially applies. Only a full
-/// context arena stops a restore midway, and its error says how far it
-/// got.
+/// All validation — parse errors, malformed records
+/// ([`UserRecord::is_malformed`]) and intra-checkpoint duplicate IMSIs —
+/// happens before the first record is applied, so a rejected checkpoint
+/// never partially applies. Only a full context arena stops a restore
+/// midway, and its error says how far it got.
 pub fn restore(cp: &mut ControlPlane, bytes: &[u8]) -> Result<usize, RecoveryError> {
     let parsed = parse(bytes)?;
     let mut seen = std::collections::HashSet::with_capacity(parsed.users.len());
     for rec in &parsed.users {
-        if rec.has_reserved_key() {
-            return Err(RecoveryError::Malformed("reserved imsi or guti".into()));
+        if rec.is_malformed() {
+            return Err(RecoveryError::Malformed("reserved key or non-canonical rule set".into()));
         }
         if !seen.insert(rec.ctrl.imsi) {
             return Err(RecoveryError::DuplicateImsi(rec.ctrl.imsi));

@@ -55,8 +55,8 @@ unsafe impl<const N: usize> SeqPayload for [u64; N] {}
 /// How many torn/odd observations a bounded read tolerates before giving
 /// up. Writers hold the sequence odd for a handful of stores, so any
 /// honest retry resolves in one or two attempts; hitting the limit means
-/// the cell is *held* (a migration freeze) and the caller should take its
-/// fallback path.
+/// pathological writer interference (or a descheduled writer) and the
+/// caller should take its fallback path.
 pub const READ_RETRY_LIMIT: u32 = 64;
 
 /// A single-writer seqlock cell.
@@ -66,7 +66,7 @@ pub const READ_RETRY_LIMIT: u32 = 64;
 /// hammers one while the control thread reads the other.
 #[repr(C, align(64))]
 pub struct SeqCell<T: SeqPayload> {
-    /// Even = stable, odd = write (or freeze) in progress.
+    /// Even = stable, odd = write in progress.
     seq: AtomicU64,
     data: UnsafeCell<T>,
 }
@@ -93,7 +93,7 @@ impl<T: SeqPayload> SeqCell<T> {
         SeqCell { seq: AtomicU64::new(0), data: UnsafeCell::new(value) }
     }
 
-    /// Current sequence value (even = stable; odd = held/in-write).
+    /// Current sequence value (even = stable; odd = in-write).
     pub fn version(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
     }
@@ -130,7 +130,7 @@ impl<T: SeqPayload> SeqCell<T> {
 
     /// Retry [`Self::try_read`] up to `limit` extra times. `Ok((value,
     /// retries))` on success; `Err(retries)` when the cell stayed
-    /// unreadable (held by [`Self::hold`]).
+    /// unreadable.
     #[inline]
     pub fn read_bounded(&self, limit: u32) -> Result<(T, u32), u32> {
         let mut retries = 0;
@@ -169,12 +169,11 @@ impl<T: SeqPayload> SeqCell<T> {
 
     /// Writer-side publish: bump odd, store, bump even. The caller must
     /// be the cell's only concurrent writer (single-writer discipline or
-    /// an external lock) and must not publish while a [`SeqHold`] is
-    /// outstanding.
+    /// an external lock).
     #[inline]
     pub fn publish(&self, value: T) {
         let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s & 1, 0, "SeqCell::publish while held or from a second writer");
+        debug_assert_eq!(s & 1, 0, "SeqCell::publish from a second writer");
         self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
         // Order the odd marker before the payload stores.
         fence(Ordering::Release);
@@ -192,42 +191,11 @@ impl<T: SeqPayload> SeqCell<T> {
         }
         self.seq.store(s.wrapping_add(2), Ordering::Release);
     }
-
-    /// Writer-side freeze: hold the sequence odd until the guard drops,
-    /// making every optimistic read fail (migration's "user in transfer"
-    /// window — readers take their fallback path). The caller must be
-    /// the cell's only writer and must not publish while held.
-    pub fn hold(&self) -> SeqHold<'_, T> {
-        let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s & 1, 0, "SeqCell::hold while already held");
-        self.seq.store(s.wrapping_add(1), Ordering::Release);
-        SeqHold { cell: self }
-    }
-
-    /// Whether a [`SeqHold`] (or an in-flight publish) currently holds
-    /// the cell odd.
-    pub fn is_held(&self) -> bool {
-        self.version() & 1 != 0
-    }
 }
 
 impl<T: SeqPayload> std::fmt::Debug for SeqCell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SeqCell").field("seq", &self.version()).finish_non_exhaustive()
-    }
-}
-
-/// Guard returned by [`SeqCell::hold`]: releases the freeze (bumps the
-/// sequence back to even) on drop.
-#[must_use = "dropping the hold immediately unfreezes the cell"]
-pub struct SeqHold<'a, T: SeqPayload> {
-    cell: &'a SeqCell<T>,
-}
-
-impl<T: SeqPayload> Drop for SeqHold<'_, T> {
-    fn drop(&mut self) {
-        let s = self.cell.seq.load(Ordering::Relaxed);
-        self.cell.seq.store(s.wrapping_add(1), Ordering::Release);
     }
 }
 
@@ -244,18 +212,6 @@ mod tests {
         assert_eq!(v, [4, 5, 6]);
         assert_eq!(retries, 0, "uncontended reads never retry");
         assert_eq!(c.version(), 2, "one publish = two sequence bumps");
-    }
-
-    #[test]
-    fn hold_blocks_optimistic_reads_until_dropped() {
-        let c = SeqCell::new(7u64);
-        let h = c.hold();
-        assert!(c.is_held());
-        assert!(c.try_read().is_none());
-        assert!(matches!(c.read_bounded(3), Err(3)));
-        drop(h);
-        assert!(!c.is_held());
-        assert_eq!(c.try_read(), Some(7));
     }
 
     #[test]

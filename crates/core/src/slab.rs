@@ -10,7 +10,7 @@
 //! [`UeSlab`] instead stores contexts in large contiguous chunks and
 //! hands out 8-byte **generational handles** ([`UeHandle`]):
 //!
-//! * **Chunks** of [`CHUNK_SLOTS`] contexts (65 KiB) are allocated at
+//! * **Chunks** of [`CHUNK_SLOTS`] contexts (49 KiB) are allocated at
 //!   once and published into a zeroed chunk directory; slots inside a
 //!   chunk are never individually allocated or freed by the system
 //!   allocator. Resident memory follows the live population.
@@ -40,10 +40,10 @@ use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-/// Slots per chunk. 256 contexts × 4 cache lines (256 B) each, plus a
-/// 1 KiB generation array: 65 KiB per chunk. A chunk is born on 1 in 256
-/// fresh-slot allocs and costs that alloc one 65 KiB write pass (tens of
-/// µs), and a slice strands at most 64 KiB of slots nobody uses.
+/// Slots per chunk. 256 contexts × 3 cache lines (192 B) each, plus a
+/// 1 KiB generation array: 49 KiB per chunk. A chunk is born on 1 in 256
+/// fresh-slot allocs and costs that alloc one 49 KiB write pass (tens of
+/// µs), and a slice strands at most 48 KiB of slots nobody uses.
 pub const CHUNK_SLOTS: usize = 256;
 
 /// Chunk-directory fan-out: exactly one slice's identifier region
@@ -68,7 +68,7 @@ struct Chunk {
     slots: [UeContext; CHUNK_SLOTS],
 }
 
-/// Heap-allocate and fully initialize a chunk. `Chunk` is 65 KiB — too
+/// Heap-allocate and fully initialize a chunk. `Chunk` is 49 KiB — too
 /// large to construct on the stack and `Box` — so it is built in place.
 fn new_chunk() -> *mut Chunk {
     let layout = Layout::new::<Chunk>();

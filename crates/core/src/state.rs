@@ -15,18 +15,19 @@
 //! | Bandwidth counters            | data thread     | control thread | per-packet |
 //!
 //! [`ControlState`] is everything above the line; [`CounterState`] is the
-//! last row. [`UeContext`] pairs them under the single-writer seqlock
-//! protocol (see [`crate::seqlock`] and DESIGN.md §10): the control
-//! thread owns the authoritative `ControlState` behind a lock *and*
-//! publishes a data-path projection ([`CtrlView`]) into a lock-free
-//! seqlock cell on every mutation; the data thread owns the counter cell
-//! outright and publishes it with plain stores. Neither plane ever takes
-//! a lock on the per-packet path.
+//! last row. [`UeContext`] stores each field once, in three cache lines
+//! under the single-writer seqlock protocol (see [`crate::seqlock`] and
+//! DESIGN.md §10): identifiers and location behind the control lock;
+//! tunnels, QoS, rule ids and device class in the [`CtrlView`] seqlock
+//! cell the data thread reads lock-free; counters in a cell the data
+//! thread owns outright and publishes with plain stores. Control-side
+//! readers and writers see a by-value `ControlState` assembled from the
+//! lock line and the view. Neither plane ever takes a lock on the
+//! per-packet path.
 
-use crate::seqlock::{SeqCell, SeqHold, READ_RETRY_LIMIT};
+use crate::seqlock::{SeqCell, READ_RETRY_LIMIT};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,8 +119,8 @@ pub mod smallrules {
     /// Up to 6 PCEF rule ids stored inline.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
     pub struct RuleSet {
-        ids: [u16; 6],
-        len: u8,
+        pub(super) ids: [u16; 6],
+        pub(super) len: u8,
     }
 
     impl RuleSet {
@@ -142,6 +143,13 @@ pub mod smallrules {
 
         pub fn is_empty(&self) -> bool {
             self.len == 0
+        }
+
+        /// Whether this is a form [`Self::push`] builds: at most six ids,
+        /// zeros past `len`. Deserialized sets may be neither.
+        pub fn is_canonical(&self) -> bool {
+            let len = usize::from(self.len);
+            len <= self.ids.len() && self.ids[len..].iter().all(|&id| id == 0)
         }
     }
 }
@@ -202,11 +210,11 @@ impl CounterState {
     }
 }
 
-/// The data-path-relevant projection of [`ControlState`]: exactly what
-/// the enforcement pass needs per packet — tunnels, QoS parameters, the
-/// PCEF rule view, and the device-class flag. Published by the control
-/// thread into a seqlock cell on every control mutation, so the data
-/// thread reads it without any lock.
+/// The data-path half of [`ControlState`]: exactly what the enforcement
+/// pass needs per packet — tunnels, QoS parameters, the PCEF rule ids,
+/// and the device-class flag. The only copy of those fields in a
+/// [`UeContext`]: published by the control thread into a seqlock cell on
+/// every control mutation, so the data thread reads it without any lock.
 ///
 /// All-integer on purpose (a `u8` flag word instead of `bool`/enum): a
 /// seqlock reader may materialize a torn copy before discarding it, and
@@ -247,21 +255,33 @@ unsafe impl crate::seqlock::SeqPayload for CtrlView {}
 impl CtrlView {
     const FLAG_IOT: u8 = 1;
 
-    /// Project the data-path view out of the authoritative control state.
+    /// Project the data-path view out of a control state.
     pub fn project(c: &ControlState) -> Self {
-        let mut rule_ids = [0u16; 6];
-        for (i, id) in c.pcef_rules.iter().enumerate() {
-            rule_ids[i] = id;
-        }
         CtrlView {
             tunnels: c.tunnels,
             ambr_kbps: c.qos.ambr_kbps,
             gbr_kbps: c.qos.gbr_kbps,
-            rule_ids,
-            rule_len: c.pcef_rules.len() as u8,
+            rule_ids: c.pcef_rules.ids,
+            rule_len: c.pcef_rules.len,
             qci: c.qos.qci,
             flags: if c.device_class == DeviceClass::StatelessIot { Self::FLAG_IOT } else { 0 },
             _pad: [0; 5],
+        }
+    }
+
+    /// The inverse of [`Self::project`]: this view plus the identity
+    /// fields it does not carry.
+    fn assemble(&self, id: &Identity) -> ControlState {
+        ControlState {
+            imsi: id.imsi,
+            guti: id.guti,
+            ue_ip: id.ue_ip,
+            ecgi: id.ecgi,
+            tac: id.tac,
+            device_class: if self.is_iot() { DeviceClass::StatelessIot } else { DeviceClass::Smartphone },
+            qos: self.qos(),
+            tunnels: self.tunnels,
+            pcef_rules: smallrules::RuleSet { ids: self.rule_ids, len: self.rule_len },
         }
     }
 
@@ -288,19 +308,36 @@ impl CtrlView {
     }
 }
 
+/// The [`ControlState`] fields the view does not carry: identifiers and
+/// location, stored behind the context's control lock.
+#[derive(Debug)]
+struct Identity {
+    imsi: u64,
+    guti: u64,
+    ue_ip: u32,
+    ecgi: u32,
+    tac: u16,
+}
+
+impl Identity {
+    fn of(c: &ControlState) -> Self {
+        Identity { imsi: c.imsi, guti: c.guti, ue_ip: c.ue_ip, ecgi: c.ecgi, tac: c.tac }
+    }
+}
+
 /// A user's consolidated state under the single-writer lock protocol
-/// (paper §4.2; DESIGN.md §10).
+/// (paper §4.2; DESIGN.md §10): three cache lines, each [`ControlState`]
+/// field stored once (the `const` assertions below hold the compiler to
+/// the layout).
 ///
-/// Layout (each part on its own cache line — the `const` assertions
-/// below hold the compiler to it):
-///
-/// * `ctrl` — the authoritative [`ControlState`], written only by the
-///   control thread. The lock is for *control-plane-side* coherent reads
-///   (checkpointing, HA replication, migration) and for serializing the
-///   writer; the data path never takes it.
-/// * `view` — the seqlock-published [`CtrlView`] projection the data
-///   thread reads lock-free ([`UeContext::ctrl_view`]). Republished by
-///   [`CtrlWriteGuard`] on drop of every control write.
+/// * `ident` + `s1_conn` — identifiers and location, written only by the
+///   control thread. The lock serializes the writer and makes control-side
+///   reads (signaling, checkpoints, HA replication) coherent across the
+///   lock line and the view; the data path never takes it.
+/// * `view` — the [`CtrlView`] seqlock cell: tunnels, QoS, rule ids and
+///   device class, read lock-free by the data thread
+///   ([`UeContext::ctrl_view`]). Published by [`CtrlWriteGuard`] on drop
+///   of every control write, under the lock.
 /// * `counters` — the [`CounterState`] cell. The data thread is its
 ///   single writer (owner reads + [`UeContext::publish_counters`]);
 ///   control/recovery/HA readers take consistent snapshots via
@@ -308,20 +345,21 @@ impl CtrlView {
 #[derive(Debug)]
 #[repr(C)]
 pub struct UeContext {
-    ctrl: RwLock<ControlState>,
+    ident: RwLock<Identity>,
     /// The UE's current [`S1Conn`] as `mme_ue_id << 32 | enb_ue_id`, 0 =
     /// none. Control-thread state (atomic only for `Sync`), in the padding
-    /// of the control lines: free, and read where detach reads the keys.
+    /// of the lock line: free, and read where detach reads the keys.
     s1_conn: AtomicU64,
     view: SeqCell<CtrlView>,
     counters: SeqCell<CounterState>,
 }
 
-// Padding audit: the seqlock cells are 64-byte aligned, so within the
-// (repr(C)) context the view and counter cells start on distinct cache
-// lines and the counter cell never shares a line with anything else —
-// the data thread's per-packet stores cannot false-share with control
-// reads of the view or the lock word.
+// Padding audit: the lock line (48-byte `RwLock<Identity>` + `s1_conn`)
+// fits before the first 64-byte aligned cell, so the context is exactly
+// three lines. The view and counter cells start on distinct lines and the
+// counter cell never shares a line with anything else — the data
+// thread's per-packet stores cannot false-share with control reads of
+// the view or the lock word.
 const _: () = {
     assert!(std::mem::align_of::<SeqCell<CtrlView>>() == 64);
     assert!(std::mem::align_of::<SeqCell<CounterState>>() == 64);
@@ -330,12 +368,9 @@ const _: () = {
     // data-path read or publish touches a single cache line.
     assert!(std::mem::size_of::<SeqCell<CtrlView>>() == 64);
     assert!(std::mem::size_of::<SeqCell<CounterState>>() == 64);
-    let view_off = std::mem::offset_of!(UeContext, view);
-    let cnt_off = std::mem::offset_of!(UeContext, counters);
-    assert!(view_off % 64 == 0);
-    assert!(cnt_off % 64 == 0);
-    assert!(cnt_off - view_off >= 64);
-    assert!(std::mem::size_of::<UeContext>() == 256);
+    assert!(std::mem::offset_of!(UeContext, view) == 64);
+    assert!(std::mem::offset_of!(UeContext, counters) == 128);
+    assert!(std::mem::size_of::<UeContext>() == 192);
 };
 
 /// A UE's current S1 association: the id pair its signaling is indexed
@@ -368,11 +403,10 @@ impl UeContext {
     }
 
     fn raw_with_counters(ctrl: ControlState, counters: CounterState) -> Self {
-        let view = CtrlView::project(&ctrl);
         UeContext {
-            ctrl: RwLock::new(ctrl),
+            ident: RwLock::new(Identity::of(&ctrl)),
             s1_conn: AtomicU64::new(0),
-            view: SeqCell::new(view),
+            view: SeqCell::new(CtrlView::project(&ctrl)),
             counters: SeqCell::new(counters),
         }
     }
@@ -391,22 +425,34 @@ impl UeContext {
 
     // -- control half ---------------------------------------------------------
 
-    /// Coherent read of the authoritative control state (control-plane
-    /// side: signaling logic, checkpoints, replication). The data path
-    /// uses [`Self::ctrl_view`] instead.
-    pub fn ctrl_read(&self) -> RwLockReadGuard<'_, ControlState> {
-        self.ctrl.read()
+    /// Coherent read of the control state (control-plane side: signaling
+    /// logic, checkpoints, replication): a guard that holds the control
+    /// lock and derefs to a copy assembled from the lock line and the
+    /// view. The data path uses [`Self::ctrl_view`] instead.
+    pub fn ctrl_read(&self) -> CtrlReadGuard<'_> {
+        let lock = self.ident.read();
+        let state = self.view_locked().assemble(&lock);
+        CtrlReadGuard { _lock: lock, state }
     }
 
-    /// Mutable access for the control thread (the single writer). The
-    /// returned guard republishes the [`CtrlView`] projection into the
-    /// seqlock cell when dropped, so every control mutation is visible
-    /// to the lock-free data path.
+    /// Mutable access for the control thread (the single writer): a
+    /// guard over an assembled copy that, when dropped, stores the
+    /// identity fields and republishes the [`CtrlView`] into the seqlock
+    /// cell, so every control mutation is visible to the lock-free data
+    /// path.
     pub fn ctrl_write(&self) -> CtrlWriteGuard<'_> {
-        CtrlWriteGuard { ctx: self, guard: ManuallyDrop::new(self.ctrl.write()) }
+        let lock = self.ident.write();
+        let state = self.view_locked().assemble(&lock);
+        CtrlWriteGuard { ctx: self, lock, state }
     }
 
-    /// Lock-free data-path read of the control projection.
+    /// Read the view while holding the control lock: publishes happen
+    /// only under the write lock, so the first attempt never retries.
+    fn view_locked(&self) -> CtrlView {
+        self.view.read().0
+    }
+
+    /// Lock-free data-path read of the control view.
     pub fn ctrl_view(&self) -> CtrlView {
         self.ctrl_view_with_retries().0
     }
@@ -424,30 +470,16 @@ impl UeContext {
 
     /// [`Self::ctrl_view`] plus the retry count (stress-test
     /// instrumentation). Optimistic seqlock reads with bounded retries;
-    /// if the cell stays unreadable (held by a migration freeze, or
-    /// pathological writer interference) the read falls back to
-    /// projecting from the authoritative lock, which is always coherent.
+    /// if pathological writer interference keeps the cell unreadable, the
+    /// read falls back to taking the control lock, which excludes writers.
     pub fn ctrl_view_with_retries(&self) -> (CtrlView, u32) {
         match self.view.read_bounded(READ_RETRY_LIMIT) {
             Ok(r) => r,
-            Err(retries) => (CtrlView::project(&self.ctrl.read()), retries),
+            Err(retries) => {
+                let _writers_excluded = self.ident.read();
+                (self.view_locked(), retries)
+            }
         }
-    }
-
-    /// Handoff freeze: hold the view cell's sequence odd so every
-    /// optimistic data-path read fails over to the authoritative lock
-    /// while a context is being handed over in place (writer-side seq
-    /// hold; a migration instead copies the user out by value, see
-    /// [`crate::node::PepcNode::migrate`]). Must only be taken by the
-    /// control thread — the view's writer — and control writes must not
-    /// occur while held.
-    pub fn freeze_view(&self) -> SeqHold<'_, CtrlView> {
-        self.view.hold()
-    }
-
-    /// Whether a handoff freeze currently holds the view cell.
-    pub fn view_frozen(&self) -> bool {
-        self.view.is_held()
     }
 
     /// Sequence number of the view cell (two per publish; test hook).
@@ -494,36 +526,50 @@ impl UeContext {
     }
 }
 
-/// Write guard over the authoritative [`ControlState`]. On drop — while
-/// still holding the lock, so publishes stay serialized — it projects
-/// and republishes the [`CtrlView`] into the seqlock cell. This is the
-/// "writer-side publish on every control mutation" of the protocol: no
-/// call site can mutate control state and forget to publish.
+/// Read guard from [`UeContext::ctrl_read`]: holds the control lock
+/// (excluding writers) and derefs to the assembled [`ControlState`].
+pub struct CtrlReadGuard<'a> {
+    _lock: RwLockReadGuard<'a, Identity>,
+    state: ControlState,
+}
+
+impl Deref for CtrlReadGuard<'_> {
+    type Target = ControlState;
+    fn deref(&self) -> &ControlState {
+        &self.state
+    }
+}
+
+/// Write guard from [`UeContext::ctrl_write`]. On drop — while still
+/// holding the lock, so publishes stay serialized — it stores the
+/// identity fields and republishes the [`CtrlView`] into the seqlock
+/// cell. This is the "writer-side publish on every control mutation" of
+/// the protocol: no call site can mutate control state and forget to
+/// publish.
 pub struct CtrlWriteGuard<'a> {
     ctx: &'a UeContext,
-    guard: ManuallyDrop<RwLockWriteGuard<'a, ControlState>>,
+    lock: RwLockWriteGuard<'a, Identity>,
+    state: ControlState,
 }
 
 impl Deref for CtrlWriteGuard<'_> {
     type Target = ControlState;
     fn deref(&self) -> &ControlState {
-        &self.guard
+        &self.state
     }
 }
 
 impl DerefMut for CtrlWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut ControlState {
-        &mut self.guard
+        &mut self.state
     }
 }
 
 impl Drop for CtrlWriteGuard<'_> {
     fn drop(&mut self) {
-        self.ctx.view.publish(CtrlView::project(&self.guard));
-        // SAFETY: dropped exactly once, here; the field is never touched
-        // again (publishing above still held the lock, keeping seqlock
-        // writers serialized).
-        unsafe { ManuallyDrop::drop(&mut self.guard) };
+        // `lock` is a field, so it is released only after this body.
+        *self.lock = Identity::of(&self.state);
+        self.ctx.view.publish(CtrlView::project(&self.state));
     }
 }
 
@@ -598,20 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_view_falls_back_to_the_lock() {
-        let ue = UeContext::new(ControlState::new(7));
-        let before = ue.ctrl_view();
-        let hold = ue.freeze_view();
-        assert!(ue.view_frozen());
-        let (v, retries) = ue.ctrl_view_with_retries();
-        assert_eq!(v, before, "fallback projection is coherent");
-        assert!(retries > 0, "freeze forces the retry/fallback path");
-        drop(hold);
-        assert!(!ue.view_frozen());
-        assert_eq!(ue.ctrl_view_with_retries().1, 0);
-    }
-
-    #[test]
     fn counter_publish_roundtrips() {
         let ue = UeContext::new(ControlState::new(1));
         let mut c = ue.counters();
@@ -634,9 +666,9 @@ mod tests {
     #[test]
     fn control_state_is_compact() {
         // The data plane touches one CtrlView per packet; the view cell
-        // (sequence word + projection) must fit one cache line, and the
-        // authoritative structs stay within a couple of lines so
-        // millions of users stay cache-friendly (what Figure 5 measures).
+        // (sequence word + view) must fit one cache line, and the by-value
+        // structs stay within a couple of lines so millions of users stay
+        // cache-friendly (what Figure 5 measures).
         assert!(
             std::mem::size_of::<ControlState>() <= 128,
             "ControlState grew to {} bytes",

@@ -62,7 +62,8 @@ impl StandbyStore {
     /// node and frame kind on success (the caller feeds this to its
     /// failure detector as a liveness signal); `None` means the frame was
     /// corrupt and was counted, not applied. A frame naming a reserved
-    /// IMSI or GUTI ([`pepc::inctable::is_reserved_key`]) is corrupt.
+    /// IMSI ([`pepc::inctable::is_reserved_key`]) or carrying a malformed
+    /// record ([`UserRecord::is_malformed`]) is corrupt.
     pub fn ingest(&mut self, bytes: &[u8]) -> Option<(usize, ReplKind)> {
         let rec = match decode(bytes) {
             Ok(rec) => rec,
@@ -72,8 +73,8 @@ impl StandbyStore {
             }
         };
         let node = rec.node as usize;
-        let reserved = is_reserved_key(rec.imsi) || rec.user.as_ref().is_some_and(UserRecord::has_reserved_key);
-        if node >= self.replicas.len() || reserved {
+        let malformed = is_reserved_key(rec.imsi) || rec.user.as_ref().is_some_and(UserRecord::is_malformed);
+        if node >= self.replicas.len() || malformed {
             self.corrupt += 1;
             return None;
         }

@@ -50,7 +50,7 @@ METRICS = [
     "attach_steady_p99_ns",
 ]
 # Slab slot + two incremental-table entries, with growth headroom. The
-# measured figure is ~315-330 B/user (256 B UeContext slot + its
+# measured figure is ~250-265 B/user (192 B UeContext slot + its
 # generation word + 2 x 16 B/bucket tables at post-doubling load); the
 # budget leaves room for load-factor phase, not for a per-user regression
 # (an Arc + Box per user blows straight through it).

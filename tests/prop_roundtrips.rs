@@ -429,6 +429,28 @@ proptest! {
     }
 
     #[test]
+    fn control_state_splits_across_lock_line_and_view_exactly(
+        state in arb_control_state(),
+        other in arb_control_state(),
+        mask in any::<u16>(),
+    ) {
+        // A context stores identity fields behind its lock and the rest
+        // only in the view cell: every valid state must come back from
+        // `ctrl_read` unchanged, and after any write the two halves must
+        // still agree.
+        use pepc::state::{CounterState, CtrlView};
+        let slab = pepc::UeSlab::new();
+        let h = slab.alloc(state.clone(), CounterState::default()).expect("fresh slab has room");
+        let ctx = slab.resolve(h).expect("fresh handle resolves");
+        prop_assert_eq!(&*ctx.ctrl_read(), &state);
+        let mut expect = state;
+        mix_fields(&mut expect, &other, mask);
+        mix_fields(&mut ctx.ctrl_write(), &other, mask);
+        prop_assert_eq!(&*ctx.ctrl_read(), &expect);
+        prop_assert_eq!(ctx.ctrl_view(), CtrlView::project(&ctx.ctrl_read()));
+    }
+
+    #[test]
     fn pepc_store_counters_are_exact(
         visits in proptest::collection::vec((0u64..8, any::<bool>(), 1u64..1500), 0..200),
     ) {
@@ -1201,5 +1223,65 @@ proptest! {
         prop_assert!(m.signaling_conservation_holds(0));
         prop_assert!(m.procedure_accounting_holds(0));
         prop_assert!(cp.user_count() <= 4);
+    }
+}
+
+/// Any state a slice can hold: 0–6 rules, either device class, arbitrary
+/// identifiers, QoS and tunnels.
+fn arb_control_state() -> impl Strategy<Value = ControlState> {
+    (
+        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), any::<u16>(), any::<bool>()),
+        (any::<u8>(), any::<u32>(), any::<u32>()),
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        proptest::collection::vec(any::<u16>(), 0..7),
+    )
+        .prop_map(
+            |((imsi, guti, ue_ip, ecgi, tac, iot), (qci, ambr_kbps, gbr_kbps), (enb_teid, enb_ip, gw_teid), rules)| {
+                use pepc::state::{DeviceClass, QosPolicy, TunnelState};
+                let mut c = ControlState::new(imsi);
+                c.guti = guti;
+                c.ue_ip = ue_ip;
+                c.ecgi = ecgi;
+                c.tac = tac;
+                c.device_class = if iot { DeviceClass::StatelessIot } else { DeviceClass::Smartphone };
+                c.qos = QosPolicy { qci, ambr_kbps, gbr_kbps };
+                c.tunnels = TunnelState { enb_teid, enb_ip, gw_teid };
+                for id in rules {
+                    c.pcef_rules.push(id);
+                }
+                c
+            },
+        )
+}
+
+/// Copy into `c` each field of `from` whose bit is set in `mask`.
+fn mix_fields(c: &mut ControlState, from: &ControlState, mask: u16) {
+    let on = |bit: u16| mask & (1 << bit) != 0;
+    if on(0) {
+        c.imsi = from.imsi;
+    }
+    if on(1) {
+        c.guti = from.guti;
+    }
+    if on(2) {
+        c.ue_ip = from.ue_ip;
+    }
+    if on(3) {
+        c.ecgi = from.ecgi;
+    }
+    if on(4) {
+        c.tac = from.tac;
+    }
+    if on(5) {
+        c.device_class = from.device_class;
+    }
+    if on(6) {
+        c.qos = from.qos;
+    }
+    if on(7) {
+        c.tunnels = from.tunnels;
+    }
+    if on(8) {
+        c.pcef_rules = from.pcef_rules;
     }
 }

@@ -5,9 +5,10 @@
 //! restore path. A checkpoint cut off mid-record (the writing node died
 //! mid-flush) must be rejected atomically — error, no partial apply; a
 //! replication frame with a future format version must be counted as
-//! corrupt by the standby, not applied and not panicked on. The
-//! remaining recovery race — a standby adopting an IMSI while the same
-//! IMSI migrates — lives in the deterministic simulator
+//! corrupt by the standby, not applied and not panicked on; so must a
+//! record no slice could have written (a reserved key, a non-canonical
+//! rule set). The remaining recovery race — a standby adopting an IMSI
+//! while the same IMSI migrates — lives in the deterministic simulator
 //! (`crates/sim/tests/sim_schedules.rs::kill_racing_migration_never_double_adopts`),
 //! where the interleaving is schedulable rather than accidental.
 
@@ -170,5 +171,53 @@ fn replog_frame_with_a_reserved_imsi_or_guti_is_counted_corrupt() {
     assert_eq!(standby.corrupt(), 3);
     assert_eq!((standby.user_count(0), standby.max_seq(0)), (0, 0), "a rejected frame applied");
     assert_eq!(standby.ingest(&frame(7, 0xD000)), Some((0, ReplKind::CtrlSnapshot)));
+    assert_eq!(standby.user_count(0), 1);
+}
+
+/// A rule set's `len` and ids are free-form JSON too. The two forms no
+/// slice can produce: more than the six inline ids, and a nonzero id past
+/// `len`. Each rewrites the empty rule set of a one-user document.
+const NON_CANONICAL_RULES: [&str; 2] =
+    [r#""pcef_rules":{"ids":[0,0,0,0,0,0],"len":9}"#, r#""pcef_rules":{"ids":[0,0,0,0,0,3],"len":0}"#];
+
+fn with_rules(doc: &[u8], rules: &str) -> Vec<u8> {
+    let empty = r#""pcef_rules":{"ids":[0,0,0,0,0,0],"len":0}"#;
+    let text = String::from_utf8(doc.to_vec()).unwrap();
+    assert_eq!(text.matches(empty).count(), 1, "one empty rule set in {text}");
+    text.replace(empty, rules).into_bytes()
+}
+
+/// A checkpoint naming a non-canonical rule set is malformed: restore
+/// rejects it before applying anything, instead of panicking the slice
+/// when the record is installed.
+#[test]
+fn checkpoint_with_a_non_canonical_rule_set_rejects_atomically() {
+    let bytes = recovery::checkpoint(&populated(1)).unwrap();
+    for rules in NON_CANONICAL_RULES {
+        let mut target = cp();
+        let bad = with_rules(&bytes, rules);
+        assert!(matches!(recovery::restore(&mut target, &bad), Err(RecoveryError::Malformed(_))), "{rules}");
+        assert_eq!(target.user_count(), 0, "a non-canonical rule set partially applied");
+        assert!(!target.has_updates());
+    }
+    assert_eq!(recovery::restore(&mut cp(), &bytes).unwrap(), 1);
+}
+
+/// The same records over replication: the standby counts the frame
+/// corrupt and never stores it for adoption.
+#[test]
+fn replog_frame_with_a_non_canonical_rule_set_is_counted_corrupt() {
+    let user =
+        Some(pepc::recovery::UserRecord { ctrl: pepc::state::ControlState::new(7), counters: Default::default() });
+    let frame = encode(&ReplRecord { kind: ReplKind::CtrlSnapshot, node: 0, seq: 1, tick: 1, imsi: 7, user });
+    let mut standby = StandbyStore::new(1);
+    for rules in NON_CANONICAL_RULES {
+        let bad = with_rules(&frame, rules);
+        assert!(decode(&bad).is_ok(), "well-formed on the wire: {rules}");
+        assert_eq!(standby.ingest(&bad), None, "{rules}");
+    }
+    assert_eq!(standby.corrupt(), 2);
+    assert_eq!((standby.user_count(0), standby.max_seq(0)), (0, 0), "a rejected frame applied");
+    assert_eq!(standby.ingest(&frame), Some((0, ReplKind::CtrlSnapshot)));
     assert_eq!(standby.user_count(0), 1);
 }

@@ -2,9 +2,10 @@
 //!
 //! Writers keep coupled invariants across the fields of each cell
 //! (`enb_ip == enb_teid ^ K`; every counter word a function of
-//! `uplink_packets`) so *any* torn read — a snapshot mixing two publishes
-//! — breaks an equation a reader checks. Readers hammer the cells for the whole run;
-//! one violated invariant fails the test.
+//! `uplink_packets`) and across the context's lock line and view cell
+//! (`ecgi == ambr_kbps`) so *any* torn read — a snapshot mixing two
+//! publishes — breaks an equation a reader checks. Readers hammer the
+//! cells for the whole run; one violated invariant fails the test.
 //!
 //! Three seeds run as separate test functions so the CI concurrency
 //! matrix can select them individually.
@@ -63,6 +64,7 @@ fn stress(seed: u64) {
         g.tunnels.enb_teid = 0;
         g.tunnels.enb_ip = TEID_IP_KEY;
         g.qos.ambr_kbps = 7;
+        g.ecgi = 7;
     }
     ctx.publish_counters(counters_for(0));
 
@@ -86,6 +88,7 @@ fn stress(seed: u64) {
                     g.tunnels.enb_teid = x;
                     g.tunnels.enb_ip = x ^ TEID_IP_KEY;
                     g.qos.ambr_kbps = x.wrapping_add(7);
+                    g.ecgi = x.wrapping_add(7);
                 }
                 published += 1;
                 if published.is_multiple_of(64) {
@@ -133,6 +136,24 @@ fn stress(seed: u64) {
         }));
     }
 
+    // Control-side reader: `ctrl_read` assembles identity fields from the
+    // lock line and the rest from the view cell, and one write sets both
+    // `ecgi` (lock line) and `ambr_kbps` (view) — they must never differ.
+    {
+        let ctx = Arc::clone(&ctx);
+        let stop = Arc::clone(&stop);
+        handles.push(std::thread::spawn(move || {
+            let mut reads = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let c = ctx.ctrl_read();
+                assert_eq!(c.ecgi, c.qos.ambr_kbps, "torn control read: lock line and view decoupled");
+                check_view(&CtrlView::project(&c));
+                reads += 1;
+            }
+            reads
+        }));
+    }
+
     // Counter reader: acquire/retry snapshots must never decouple the
     // checksummed fields.
     let counter_reader = {
@@ -166,7 +187,7 @@ fn stress(seed: u64) {
     // Final state is exactly the last publish — no lost updates.
     assert_eq!(ctx.counters(), counters_for(counted));
     check_view(&ctx.ctrl_view());
-    // And the published view always equals the authoritative projection.
+    // And the lock-free view equals the one a locked read assembles.
     assert_eq!(ctx.ctrl_view(), CtrlView::project(&ctx.ctrl_read()));
 }
 

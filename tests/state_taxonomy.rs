@@ -134,20 +134,3 @@ fn writers_on_different_halves_do_not_exclude_each_other() {
     drop(ctrl_guard);
     assert_eq!(ctx.counters().uplink_packets, 1);
 }
-
-#[test]
-fn frozen_view_falls_back_to_the_control_lock() {
-    // Migration freeze holds the view cell's sequence odd; optimistic
-    // readers exhaust their bounded retries and project from the
-    // authoritative control lock instead — reads never block or tear.
-    let ctx: Arc<UeContext> = UeContext::new(ControlState::new(9));
-    let hold = ctx.freeze_view();
-    assert!(ctx.view_frozen());
-    let (view, retries) = ctx.ctrl_view_with_retries();
-    assert_eq!(view, CtrlView::project(&ctx.ctrl_read()));
-    assert!(retries > 0, "frozen cell must have forced the fallback path");
-    drop(hold);
-    assert!(!ctx.view_frozen());
-    let (_, retries) = ctx.ctrl_view_with_retries();
-    assert_eq!(retries, 0, "unfrozen cell reads optimistically again");
-}
