@@ -4,8 +4,10 @@
 //! One `DataPlane` is grown through the milestone populations (default
 //! 1M / 5M / 10M, override with `CAPACITY_SCALES=a,b,c`): every attach
 //! allocates a context in the shared [`UeSlab`] arena and indexes its
-//! handle by TEID and UE IP in the incremental-growth tables. At each
-//! milestone the bench reports:
+//! handle in the plane's incremental-growth index. The plane is built
+//! with the allocation bases the users' TEIDs and UE IPs come from, so
+//! each user is native: one index entry, keyed by its region offset, that
+//! serves both directions. At each milestone the bench reports:
 //!
 //! * process RSS (`/proc/self/status` VmRSS) plus the RSS delta per
 //!   user since the pre-population baseline — measurement buffers are
@@ -32,10 +34,12 @@
 use pepc::config::{IotConfig, TwoLevelConfig};
 use pepc::data::{DataPlane, DpUpdate};
 use pepc::state::{ControlState, CounterState, QosPolicy, TunnelState};
+use pepc::UeSlab;
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
 use pepc_net::{Ipv4Hdr, Mbuf, IPV4_HDR_LEN};
+use std::sync::Arc;
 use std::time::Instant;
 
 const GW_IP: u32 = 0x0AFE_0001;
@@ -80,8 +84,8 @@ fn user_ctrl(u: u64) -> ControlState {
     ctrl
 }
 
-/// One attach: allocate the context in the arena, index the handle by
-/// both data-path keys. Returns wall-clock ns.
+/// One attach: allocate the context in the arena, index the handle
+/// under its data-path keys (one native entry). Returns wall-clock ns.
 fn attach(dp: &mut DataPlane, u: u64) -> u64 {
     let ctrl = user_ctrl(u);
     let t0 = Instant::now();
@@ -136,7 +140,15 @@ fn emit(name: &str, value: f64) {
 fn main() {
     let scales = scales();
     let top = *scales.iter().max().unwrap();
-    let mut dp = DataPlane::new(GW_IP, 1024, TwoLevelConfig::default(), IotConfig::default());
+    let bases = Some((TEID_BASE, UE_IP_BASE));
+    let mut dp = DataPlane::with_slab(
+        Arc::new(UeSlab::new()),
+        GW_IP,
+        1024,
+        TwoLevelConfig::default(),
+        IotConfig::default(),
+        bases,
+    );
 
     // Pre-allocate every measurement buffer before the RSS baseline so
     // milestone deltas measure user state, not the harness.
@@ -195,7 +207,7 @@ fn main() {
         emit(&format!("capacity/pkt_ns/{label}"), pkt_ns);
 
         // Steady window: attach a batch of *new* users at this
-        // occupancy — identical cold-cache alloc + two-key index work
+        // occupancy — identical cold-cache alloc + one-entry index work
         // as the ramp, minus growth rounds (milestones sit well below
         // the next 3/4-load trigger) — then detach them so the next
         // ramp segment starts from exactly `n` users.

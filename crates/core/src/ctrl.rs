@@ -229,14 +229,22 @@ impl ControlPlane {
     /// is required for the full S1AP path; synthetic events work without
     /// it.
     pub fn new(gw_ip: u32, tac: u16, alloc: Allocator, proxy: Option<Arc<Proxy>>) -> Self {
-        Self::with_slab(Arc::new(UeSlab::new()), gw_ip, tac, alloc, proxy)
+        Self::with_slab(Arc::new(UeSlab::new()), gw_ip, tac, alloc, proxy, 0)
     }
 
-    /// Build a control plane over a shared context arena.
-    pub fn with_slab(slab: Arc<UeSlab>, gw_ip: u32, tac: u16, alloc: Allocator, proxy: Option<Arc<Proxy>>) -> Self {
+    /// Build a control plane over a shared context arena, its IMSI and
+    /// GUTI indexes sized to grow to `expected_users` at ≤ 3/4 load.
+    pub fn with_slab(
+        slab: Arc<UeSlab>,
+        gw_ip: u32,
+        tac: u16,
+        alloc: Allocator,
+        proxy: Option<Arc<Proxy>>,
+        expected_users: usize,
+    ) -> Self {
         ControlPlane {
-            users: IncrementalTable::new(),
-            by_guti: IncrementalTable::new(),
+            users: IncrementalTable::with_capacity(expected_users),
+            by_guti: IncrementalTable::with_capacity(expected_users),
             by_mme_ue_id: HashMap::default(),
             alloc,
             next_uid: 0,
@@ -2023,7 +2031,7 @@ mod tests {
         let hss = Arc::new(Hss::new());
         hss.provision_range(1, 4, 100_000);
         let proxy = Arc::new(Proxy::new(hss, Arc::new(Pcrf::with_standard_rules()), 1, 40401));
-        let mut cp = ControlPlane::with_slab(slab, 0x0AFE0001, 1, alloc(), Some(proxy));
+        let mut cp = ControlPlane::with_slab(slab, 0x0AFE0001, 1, alloc(), Some(proxy), 0);
         assert!(!cp.apply_event(CtrlEvent::Attach { imsi: 1 }));
         let (mme_ue_id, ..) = attach_to_smc(&mut cp, 2, 1);
         let nas = NasMsg::SecurityModeComplete.encode();

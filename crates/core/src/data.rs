@@ -28,8 +28,9 @@
 //!
 //! Contexts live in the slice's shared [`UeSlab`] — contiguous chunks
 //! addressed by 8-byte generational [`UeHandle`]s, which is what the
-//! two lookup indexes store (half the per-entry footprint of the former
-//! `Arc<UeContext>` and no per-user heap object). The data plane owns
+//! lookup index stores (half the per-entry footprint of the former
+//! `Arc<UeContext>` and no per-user heap object; one entry per native
+//! user serves both directions, see [`DataPlane`]). The data plane owns
 //! the *end of life* of a slot: applying [`DpUpdate::Remove`] frees the
 //! handle back to the slab after unindexing it, so the control plane
 //! never races a slot reuse with in-flight packets (updates and packets
@@ -68,6 +69,7 @@
 //! code fork.
 
 use crate::config::{IotConfig, TwoLevelConfig};
+use crate::demux::region_split;
 use crate::metrics::DataMetrics;
 use crate::pcef::{Pcef, PcefAction};
 use crate::qos::TokenBucket;
@@ -85,15 +87,15 @@ use std::time::Instant;
 /// thread.
 #[derive(Debug, Clone)]
 pub enum DpUpdate {
-    /// A user attached (or migrated in): index its slab handle by tunnel
-    /// id and UE IP. `active` controls primary vs secondary placement.
+    /// A user attached (or migrated in): index its slab handle under its
+    /// tunnel id and UE IP. `active` controls primary vs secondary placement.
     Insert { gw_teid: u32, ue_ip: u32, handle: UeHandle, active: bool },
     /// A user detached (or migrated out). Applying this also frees the
     /// user's slab slot (see the module docs).
     Remove { gw_teid: u32, ue_ip: u32 },
     /// Demote an idle user to the secondary table (two-level management).
     Demote { gw_teid: u32, ue_ip: u32 },
-    /// S1 release: unindex the user from both lookup tables but *keep*
+    /// S1 release: unindex the user (both directions) but *keep*
     /// the slab slot (context retained while idle). Downlink for the UE
     /// is buffered (bounded) and surfaces a paging event; uplink is
     /// dropped until a Service Request re-inserts it.
@@ -154,8 +156,8 @@ pub const STAGE_NAMES: [&str; 3] = ["parse", "lookup", "enforce"];
 enum Slot {
     /// Outcome fully decided while parsing (malformed, IoT fast path).
     Done(Decision),
-    /// Needs a user-state lookup: direction, table key, charged bytes.
-    Lookup { uplink: bool, key: u64, bytes: u64 },
+    /// Needs a user-state lookup: direction, TEID or UE IP, charged bytes.
+    Lookup { uplink: bool, id: u32, bytes: u64 },
 }
 
 /// Cheap per-packet outcome; mbufs are moved out of the burst only when
@@ -187,10 +189,96 @@ struct SuspendedUe {
     oldest_ns: u64,
 }
 
+/// Index keys are region offsets (below `2^REGION_SHIFT`) or raw TEIDs
+/// and UE IPs tagged above bit 32, the UE IP tag one bit higher: no two
+/// of the three kinds coincide.
+const TAG: u64 = 1 << 32;
+
+/// The tagged key of a raw TEID (uplink) or UE IP.
+fn tagged(uplink: bool, id: u32) -> u64 {
+    TAG << u32::from(!uplink) | u64::from(id)
+}
+
+/// The data plane's one user index (see [`DataPlane`]).
+struct UserIndex {
+    table: TwoLevelTable<UeHandle>,
+    /// `(teid_base, ue_ip_base)` of the native region; `None` on a
+    /// standalone plane, where every user takes two entries.
+    bases: Option<(u32, u32)>,
+    /// Tagged entries held, `[TEID, UE IP]`.
+    tagged: [usize; 2],
+}
+
+impl UserIndex {
+    /// The key an identifier probes first, and whether it is its region
+    /// offset (else its tagged key).
+    #[inline]
+    fn probe_key(&self, uplink: bool, id: u32) -> (u64, bool) {
+        match self.bases.map(|(teid_base, ue_ip_base)| region_split(id, if uplink { teid_base } else { ue_ip_base })) {
+            Some((0, offset)) => (u64::from(offset), true),
+            _ => (tagged(uplink, id), false),
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, uplink: bool, id: u32, now_ns: u64) -> Option<UeHandle> {
+        let (key, native) = self.probe_key(uplink, id);
+        let hit = self.table.get(key, now_ns).copied();
+        if hit.is_none() && native && self.tagged[usize::from(!uplink)] > 0 {
+            return self.table.get(tagged(uplink, id), now_ns).copied();
+        }
+        hit
+    }
+
+    /// A user's entries: its shared offset alone, or both tagged keys.
+    fn keys(&self, gw_teid: u32, ue_ip: u32) -> [Option<u64>; 2] {
+        match (self.probe_key(true, gw_teid), self.probe_key(false, ue_ip)) {
+            ((t, true), (i, true)) if t == i => [Some(t), None],
+            _ => [Some(tagged(true, gw_teid)), Some(tagged(false, ue_ip))],
+        }
+    }
+
+    /// Index a user (`Some((handle, active))`) or unindex it (`None`);
+    /// returns what each of its keys held before.
+    fn set(&mut self, gw_teid: u32, ue_ip: u32, to: Option<(UeHandle, bool)>, now_ns: u64) -> [Option<UeHandle>; 2] {
+        self.keys(gw_teid, ue_ip).map(|k| {
+            let k = k?;
+            let old = match to {
+                Some((h, true)) => self.table.insert_active(k, h, now_ns),
+                Some((h, false)) => self.table.insert_idle(k, h),
+                None => self.table.remove(k),
+            };
+            if k >= TAG && old.is_some() != to.is_some() {
+                let n = &mut self.tagged[usize::from(k >= 2 * TAG)];
+                *n = if to.is_some() { *n + 1 } else { *n - 1 };
+            }
+            old
+        })
+    }
+
+    /// Unindex a user; returns its handle.
+    fn remove(&mut self, gw_teid: u32, ue_ip: u32) -> Option<UeHandle> {
+        let [a, b] = self.set(gw_teid, ue_ip, None, 0);
+        a.or(b)
+    }
+}
+
 /// The data plane of one slice. Owned by exactly one thread.
+///
+/// **One index for both directions.** A slice mints a user's TEID and UE
+/// IP at one offset `o` from its allocation bases, so a *native* user
+/// (both keys in the region, at one offset) takes one entry, keyed `o`,
+/// that uplink and downlink both find. Any other user (migrated in,
+/// HA-adopted, inconsistent) takes two tagged entries, its raw TEID and
+/// raw UE IP. A key in the region probes its offset, then — only on a
+/// miss, while its direction holds any tagged entry — its tagged key; a
+/// key outside probes the tagged key alone. So a native hit is one probe.
+/// Two users collide on an index key only if they share a raw TEID or UE
+/// IP: the key kinds are disjoint, equal offsets stand for equal TEIDs
+/// (and UE IPs), and an offset probed for a two-entry user's key hits a
+/// native user only if that user holds the same raw key.
 pub struct DataPlane {
-    by_teid: TwoLevelTable<UeHandle>,
-    by_ue_ip: TwoLevelTable<UeHandle>,
+    index: UserIndex,
     /// Suspended (idle) UEs keyed by UE IP — consulted only on a
     /// downlink table miss, so the hot path never touches it.
     suspended_by_ip: HashMap<u32, SuspendedUe>,
@@ -257,31 +345,31 @@ struct GroupRun {
 unsafe impl Send for GroupRun {}
 
 impl DataPlane {
-    /// Build a data plane with its own private context arena.
+    /// Build a standalone data plane with its own private context arena.
+    /// It has no native region: every user takes two index entries.
     pub fn new(gw_ip: u32, expected_users: usize, two_level: TwoLevelConfig, iot: IotConfig) -> Self {
-        Self::with_slab(Arc::new(UeSlab::new()), gw_ip, expected_users, two_level, iot)
+        Self::with_slab(Arc::new(UeSlab::new()), gw_ip, expected_users, two_level, iot, None)
     }
 
     /// Build a data plane over a shared context arena (the slice wires
-    /// control and data planes — and sibling shards — to one slab).
+    /// control and data planes to one slab). `bases` are the
+    /// `(teid_base, ue_ip_base)` its users' identifiers are minted from,
+    /// which makes them native (one index entry each).
     pub fn with_slab(
         slab: Arc<UeSlab>,
         gw_ip: u32,
         expected_users: usize,
         two_level: TwoLevelConfig,
         iot: IotConfig,
+        bases: Option<(u32, u32)>,
     ) -> Self {
-        let (by_teid, by_ue_ip) = if two_level.enabled {
-            (
-                TwoLevelTable::new(expected_users, two_level.idle_timeout_ns),
-                TwoLevelTable::new(expected_users, two_level.idle_timeout_ns),
-            )
+        let table = if two_level.enabled {
+            TwoLevelTable::new(expected_users, two_level.idle_timeout_ns)
         } else {
-            (TwoLevelTable::new_single(expected_users), TwoLevelTable::new_single(expected_users))
+            TwoLevelTable::new_single()
         };
         DataPlane {
-            by_teid,
-            by_ue_ip,
+            index: UserIndex { table, bases, tagged: [0; 2] },
             suspended_by_ip: HashMap::new(),
             suspended_by_teid: HashMap::new(),
             idle_buf_cap: IDLE_BUF_CAP,
@@ -328,12 +416,7 @@ impl DataPlane {
                 if let Some(s) = &woke {
                     self.suspended_by_teid.remove(&s.gw_teid);
                 }
-                let (teid, ip) = (u64::from(gw_teid), u64::from(ue_ip));
-                let displaced = if active {
-                    [self.by_teid.insert_active(teid, handle, now_ns), self.by_ue_ip.insert_active(ip, handle, now_ns)]
-                } else {
-                    [self.by_teid.insert_idle(teid, handle), self.by_ue_ip.insert_idle(ip, handle)]
-                };
+                let displaced = self.index.set(gw_teid, ue_ip, Some((handle, active)), now_ns);
                 // A restore over a resident re-indexes its keys onto a
                 // fresh context: free the one it displaces, indexed or
                 // suspended (`free` ignores a handle already freed).
@@ -357,27 +440,24 @@ impl DataPlane {
                     self.metrics.idle_buffered -= n;
                     self.slab.free(s.handle);
                 }
-                // Free-at-Remove: unindex both keys, then release the
+                // Free-at-Remove: unindex the user, then release the
                 // slot. Updates and packets are serialized on this
                 // thread, so no in-flight packet can still resolve the
                 // handle; a subsequent reattach's Insert rides behind
                 // this Remove in FIFO order.
-                let h = self.by_teid.remove(u64::from(gw_teid));
-                let h2 = self.by_ue_ip.remove(u64::from(ue_ip));
-                if let Some(h) = h.or(h2) {
+                if let Some(h) = self.index.remove(gw_teid, ue_ip) {
                     self.slab.free(h);
                 }
             }
             DpUpdate::Demote { gw_teid, ue_ip } => {
-                self.by_teid.demote(u64::from(gw_teid));
-                self.by_ue_ip.demote(u64::from(ue_ip));
+                for k in self.index.keys(gw_teid, ue_ip).into_iter().flatten() {
+                    self.index.table.demote(k);
+                }
             }
             DpUpdate::Suspend { gw_teid, ue_ip, imsi } => {
-                let h = self.by_teid.remove(u64::from(gw_teid));
-                let h2 = self.by_ue_ip.remove(u64::from(ue_ip));
-                if let Some(handle) = h.or(h2) {
+                if let Some(handle) = self.index.remove(gw_teid, ue_ip) {
                     // Context retained: the slot is NOT freed, only the
-                    // indexes forget the UE.
+                    // index forgets the UE.
                     self.suspended_by_teid.insert(gw_teid, ue_ip);
                     self.suspended_by_ip
                         .insert(ue_ip, SuspendedUe { imsi, handle, gw_teid, buf: VecDeque::new(), oldest_ns: now_ns });
@@ -424,11 +504,11 @@ impl DataPlane {
     }
 
     /// Demote users idle past the two-level timeout, as each one's counter
-    /// cell reports it (`last_activity_ns`). Returns demotions per index.
+    /// cell reports it (`last_activity_ns`). Returns index entries
+    /// demoted: one per native user, two per two-entry user.
     pub fn evict_idle(&mut self, now_ns: u64) -> usize {
         let slab = &self.slab;
-        let last = |h: &UeHandle| slab.resolve(*h).map_or(0, |r| r.counters().last_activity_ns);
-        self.by_teid.evict_idle(now_ns, last) + self.by_ue_ip.evict_idle(now_ns, last)
+        self.index.table.evict_idle(now_ns, |h| slab.resolve(*h).map_or(0, |r| r.counters().last_activity_ns))
     }
 
     /// Process one packet. `uplink` packets carry an outer GTP-U stack
@@ -445,9 +525,8 @@ impl DataPlane {
         let t0 = Instant::now();
         let decision = match self.classify(&mut m) {
             Slot::Done(d) => d,
-            Slot::Lookup { uplink, key, bytes } => {
-                let table = if uplink { &mut self.by_teid } else { &mut self.by_ue_ip };
-                let handle = table.get(key, now_ns).copied();
+            Slot::Lookup { uplink, id, bytes } => {
+                let handle = self.index.get(uplink, id, now_ns);
                 match handle.and_then(|h| self.slab.resolve(h)).map(|r| std::ptr::from_ref(r.context())) {
                     Some(p) => {
                         // SAFETY: slot storage lives in slab chunks that
@@ -465,7 +544,7 @@ impl DataPlane {
                     None => {
                         // Table miss: a suspended (idle) UE, or truly
                         // unknown.
-                        self.idle_or_unknown(uplink, key, &mut m, now_ns)
+                        self.idle_or_unknown(uplink, id, &mut m, now_ns)
                     }
                 }
             }
@@ -485,13 +564,13 @@ impl DataPlane {
     /// the first parked packet) and rejects uplink; anything else is an
     /// unknown user. On `Buffered` the mbuf is moved into the idle
     /// buffer and an empty placeholder left behind.
-    fn idle_or_unknown(&mut self, uplink: bool, key: u64, m: &mut Mbuf, now_ns: u64) -> Decision {
+    fn idle_or_unknown(&mut self, uplink: bool, id: u32, m: &mut Mbuf, now_ns: u64) -> Decision {
         if uplink {
-            if self.suspended_by_teid.contains_key(&(key as u32)) {
+            if self.suspended_by_teid.contains_key(&id) {
                 self.metrics.drop_idle_uplink += 1;
                 return Decision::Drop(DropReason::IdleUplink);
             }
-        } else if let Some(s) = self.suspended_by_ip.get_mut(&(key as u32)) {
+        } else if let Some(s) = self.suspended_by_ip.get_mut(&id) {
             if s.buf.len() < self.idle_buf_cap {
                 if s.buf.is_empty() {
                     s.oldest_ns = now_ns;
@@ -537,9 +616,8 @@ impl DataPlane {
         self.slots.clear();
         for m in burst.iter_mut() {
             let slot = self.classify(m);
-            if let Slot::Lookup { uplink, key, .. } = slot {
-                let table = if uplink { &self.by_teid } else { &self.by_ue_ip };
-                table.prefetch(key);
+            if let Slot::Lookup { uplink, id, .. } = slot {
+                self.index.table.prefetch(self.index.probe_key(uplink, id).0);
             }
             self.slots.push(slot);
         }
@@ -561,9 +639,8 @@ impl DataPlane {
             // hints for the rest of the burst: slower, never wrong.
             for slot in &self.slots[tile.clone()] {
                 let handle = match *slot {
-                    Slot::Lookup { uplink, key, .. } => {
-                        let table = if uplink { &mut self.by_teid } else { &mut self.by_ue_ip };
-                        table.get(key, now_ns).copied().inspect(|&h| self.slab.prefetch(h))
+                    Slot::Lookup { uplink, id, .. } => {
+                        self.index.get(uplink, id, now_ns).inspect(|&h| self.slab.prefetch(h))
                     }
                     Slot::Done(_) => None,
                 };
@@ -573,7 +650,7 @@ impl DataPlane {
             // packets of the same user into groups (runs may span tiles).
             // Index loop: `idle_or_unknown` needs `&mut self`.
             for k in tile {
-                let Slot::Lookup { uplink, key, .. } = self.slots[k] else {
+                let Slot::Lookup { uplink, id, .. } = self.slots[k] else {
                     last_ptr = std::ptr::null();
                     continue;
                 };
@@ -585,7 +662,7 @@ impl DataPlane {
                         }
                     }
                     None => {
-                        let d = self.idle_or_unknown(uplink, key, &mut burst[k], now_ns);
+                        let d = self.idle_or_unknown(uplink, id, &mut burst[k], now_ns);
                         self.slots[k] = Slot::Done(d);
                         last_ptr = std::ptr::null();
                     }
@@ -674,7 +751,7 @@ impl DataPlane {
                     self.metrics.forwarded += 1;
                     return Slot::Done(Decision::Forward);
                 }
-                Slot::Lookup { uplink: true, key: u64::from(teid), bytes }
+                Slot::Lookup { uplink: true, id: teid, bytes }
             }
             PktClass::Ipv4 { dst } => {
                 let bytes = m.len() as u64;
@@ -695,7 +772,7 @@ impl DataPlane {
                     self.metrics.forwarded += 1;
                     return Slot::Done(Decision::Forward);
                 }
-                Slot::Lookup { uplink: false, key: u64::from(dst), bytes }
+                Slot::Lookup { uplink: false, id: dst, bytes }
             }
             PktClass::Malformed => {
                 self.metrics.drop_malformed += 1;
@@ -872,39 +949,41 @@ impl DataPlane {
         self.suspended_by_ip.len()
     }
 
-    /// Users currently indexed (by tunnel).
+    /// Users currently indexed: users, not entries (a two-entry user
+    /// counts once).
     pub fn user_count(&self) -> usize {
-        self.by_teid.len()
+        self.index.table.len() - self.index.tagged[1]
     }
 
-    /// Users in the hot (primary) table.
+    /// Users whose uplink entry sits in the hot (primary) level. Walks
+    /// the primary: a test and harness accessor.
     pub fn primary_count(&self) -> usize {
-        self.by_teid.primary_len()
+        self.index.table.primary_keys().filter(|&k| k < 2 * TAG).count()
     }
 
-    /// Two-level churn stats for the TEID index.
+    /// Two-level churn stats of the index, both directions. They count
+    /// probes: a two-entry user's in-region key misses its offset first.
     pub fn table_stats(&self) -> crate::twolevel::TwoLevelStats {
-        self.by_teid.stats()
+        self.index.table.stats()
     }
 
-    /// Resident bytes of the two lookup indexes (memory gauge).
+    /// Resident bytes of the lookup index (memory gauge).
     pub fn table_bytes(&self) -> u64 {
-        self.by_teid.bytes() + self.by_ue_ip.bytes()
+        self.index.table.bytes()
     }
 
     /// Make bounded background progress on any in-flight incremental
-    /// resize of the lookup indexes (inserts and removes also step, so
+    /// resize of the lookup index (inserts and removes also step, so
     /// this only matters for idle convergence after a mass detach).
     pub fn maintain_tables(&mut self) {
-        self.by_teid.maintain();
-        self.by_ue_ip.maintain();
+        self.index.table.maintain();
     }
 
-    /// Whether either lookup index has an incremental resize in flight
+    /// Whether the lookup index has an incremental resize in flight
     /// (footprint and lookup cost include the draining array until it
     /// empties).
     pub fn tables_migrating(&self) -> bool {
-        self.by_teid.is_migrating() || self.by_ue_ip.is_migrating()
+        self.index.table.is_migrating()
     }
 }
 

@@ -27,6 +27,15 @@ use std::collections::HashMap;
 /// Bits of an identifier below the slice index (≈16M users per slice).
 pub const REGION_SHIFT: u32 = 24;
 
+/// The region arithmetic: `id`'s region index counted from the
+/// allocation `base`, and its offset inside that region. The Demux steers
+/// by the index; a slice's data plane keys its native users by the offset.
+#[inline]
+pub(crate) fn region_split(id: u32, base: u32) -> (u32, u32) {
+    let offset = id.wrapping_sub(base);
+    (offset >> REGION_SHIFT, offset & ((1 << REGION_SHIFT) - 1))
+}
+
 /// Where the Demux wants a packet to go.
 #[derive(Debug)]
 pub enum Steer {
@@ -73,11 +82,11 @@ impl Demux {
 
     /// Slice whose allocator issued `key`, if any.
     pub fn region_of(&self, key: PacketKey) -> Option<usize> {
-        let offset = match key {
-            PacketKey::Teid(teid) => teid.wrapping_sub(self.teid_base),
-            PacketKey::UeIp(ip) => ip.wrapping_sub(self.ue_ip_base),
+        let (k, _) = match key {
+            PacketKey::Teid(teid) => region_split(teid, self.teid_base),
+            PacketKey::UeIp(ip) => region_split(ip, self.ue_ip_base),
         };
-        let k = (offset >> REGION_SHIFT) as usize;
+        let k = k as usize;
         (k < self.slices).then_some(k)
     }
 

@@ -14,6 +14,14 @@
 //!   `old` and allocates a double-size `live`; crossing the shrink
 //!   threshold (1/8 load, after mass detach) does the same with a
 //!   smaller `live`.
+//! * A table built [`IncrementalTable::with_capacity`]`(n)` still starts
+//!   at `MIN_CAP` buckets and doubles, but the doubling that would pass
+//!   `ceil(4n/3)` (rounded up to whole 4-bucket lines) lands exactly
+//!   there, and that array grows again only past `n` keys, onto the next
+//!   power of two: `n` keys sit at ≤ 3/4 load instead of anywhere down
+//!   to 3/8, and a population that outgrows its hint is back on the
+//!   doubling chain's sizes. Nothing is presized up front, so resident
+//!   memory follows the keys actually inserted.
 //! * Every subsequent **mutating** operation migrates at most
 //!   `MIGRATE_STEP` old buckets — a bounded number of relocations per
 //!   insert — until `old` is empty and dropped. Lookups probe `live`
@@ -25,10 +33,12 @@
 //! buckets share a cache line and a probe usually reads exactly one line.
 //! The tag is the key's complement: tag 0 means empty (a zeroed
 //! allocation is an all-empty array, no write pass) and tag 1 a
-//! tombstone. Keys hash through the splitmix64 finalizer. The `live`
-//! array uses backward-shift deletion (no tombstones, probe chains never
-//! rot); the `old` array tombstones drained/removed buckets since it only
-//! ever shrinks.
+//! tombstone. Keys hash through the splitmix64 finalizer, and the hash
+//! picks a bucket by multiply-shift (`hash × capacity >> 64`), so any
+//! capacity works; probes wrap from the last bucket to the first. The
+//! `live` array uses backward-shift deletion (no tombstones, probe chains
+//! never rot); the `old` array tombstones drained/removed buckets since it
+//! only ever shrinks.
 //!
 //! **Reserved keys:** `u64::MAX` and `u64::MAX − 1` (the complements of
 //! the two marker tags) can never be stored; lookups of them miss.
@@ -99,25 +109,35 @@ pub struct Loc {
 struct RawTable<V> {
     buckets: Box<[Bucket<V>]>,
     len: usize,
-    mask: usize,
 }
 
 impl<V> RawTable<V> {
     fn with_capacity(cap: usize) -> Self {
-        debug_assert!(cap.is_power_of_two() && cap >= MIN_CAP);
+        debug_assert!(cap >= MIN_CAP);
         // SAFETY: an all-zero bucket is valid — tag 0 (`EMPTY`) and an
         // uninitialized value — so the zeroed slice is an empty array.
         let buckets = unsafe { Box::<[Bucket<V>]>::new_zeroed_slice(cap).assume_init() };
-        RawTable { buckets, len: 0, mask: cap - 1 }
+        RawTable { buckets, len: 0 }
     }
 
     fn capacity(&self) -> usize {
         self.buckets.len()
     }
 
+    /// Multiply-shift: the hash's high bits scaled to the capacity.
     #[inline]
     fn ideal(&self, key: u64) -> usize {
-        splitmix64(key) as usize & self.mask
+        ((u128::from(splitmix64(key)) * self.buckets.len() as u128) >> 64) as usize
+    }
+
+    /// The bucket after `i`, wrapping past the last.
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        if i + 1 < self.buckets.len() {
+            i + 1
+        } else {
+            0
+        }
     }
 
     /// Probe for `key`: skips tombstones, stops at the first empty
@@ -134,7 +154,7 @@ impl<V> RawTable<V> {
             match self.buckets[i].tag {
                 EMPTY => return None,
                 t if t == tag => return Some(i),
-                _ => i = (i + 1) & self.mask,
+                _ => i = self.next(i),
             }
         }
     }
@@ -154,7 +174,7 @@ impl<V> RawTable<V> {
                 }
                 // SAFETY: a bucket tagged with a key holds its value.
                 t if t == tag => return Some(std::mem::replace(unsafe { b.val.assume_init_mut() }, val)),
-                _ => i = (i + 1) & self.mask,
+                _ => i = self.next(i),
             }
         }
     }
@@ -165,10 +185,9 @@ impl<V> RawTable<V> {
         let mut hole = self.find(key)?;
         // SAFETY: `find` only returns full buckets.
         let out = unsafe { self.buckets[hole].val.assume_init_read() };
-        let mask = self.mask;
         let mut j = hole;
         loop {
-            j = (j + 1) & mask;
+            j = self.next(j);
             if !self.buckets[j].full() {
                 break;
             }
@@ -176,7 +195,8 @@ impl<V> RawTable<V> {
             // in the (cyclic) gap between the hole and it — the standard
             // Robin-Hood/backward-shift condition.
             let ideal = self.ideal(!self.buckets[j].tag);
-            if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(hole) & mask) {
+            let cap = self.capacity();
+            if (j + cap - ideal) % cap >= (j + cap - hole) % cap {
                 // SAFETY: relocating a bucket bitwise; the source is
                 // overwritten or emptied below, and `Bucket` has no drop.
                 self.buckets[hole] = unsafe { std::ptr::read(&self.buckets[j]) };
@@ -226,6 +246,14 @@ pub struct IncrementalTable<V> {
     old: Option<RawTable<V>>,
     /// Drain cursor into `old`.
     scan: usize,
+    /// The population [`Self::with_capacity`] was given (0: none).
+    expected: usize,
+}
+
+/// Buckets that hold `expected` keys at ≤ 3/4 load: `ceil(4n/3)`, rounded
+/// up to whole 4-bucket lines.
+fn landing(expected: usize) -> usize {
+    expected.saturating_mul(4).div_ceil(3).next_multiple_of(4)
 }
 
 impl<V> Default for IncrementalTable<V> {
@@ -239,11 +267,12 @@ impl<V> IncrementalTable<V> {
         Self::with_capacity(0)
     }
 
-    /// Pre-size for `expected` entries (rounded so the grow threshold is
-    /// not crossed while filling to `expected`).
+    /// A table that expects `expected` entries: it starts at `MIN_CAP`
+    /// like [`Self::new`], but its growth lands on `ceil(4 · expected / 3)`
+    /// buckets (rounded up to a multiple of 4) and stays there until more
+    /// than `expected` keys are live. Nothing beyond `MIN_CAP` is presized.
     pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.saturating_mul(4) / 3 + 1).next_power_of_two().max(MIN_CAP);
-        IncrementalTable { live: RawTable::with_capacity(cap), old: None, scan: 0 }
+        IncrementalTable { live: RawTable::with_capacity(MIN_CAP), old: None, scan: 0, expected }
     }
 
     pub fn len(&self) -> usize {
@@ -321,9 +350,11 @@ impl<V> IncrementalTable<V> {
         let displaced = self.old.as_mut().and_then(|o| o.remove_tomb(key));
         let prev = self.live.insert(key, val).or(displaced);
         self.migrate_step();
-        if self.live.len * 4 >= self.live.capacity() * 3 {
-            let cap = self.live.capacity() * 2;
-            self.begin_resize(cap);
+        // 3/4 load, or just past the expected population once landed;
+        // past the landing, growth rejoins the power-of-two chain.
+        let (cap, land) = (self.live.capacity(), landing(self.expected));
+        if self.live.len >= if cap == land { self.expected + 1 } else { (cap * 3).div_ceil(4) } {
+            self.begin_resize(if cap < land && land < cap * 2 { land } else { (cap + 1).next_power_of_two() });
         }
         prev
     }
@@ -539,6 +570,84 @@ mod tests {
     }
 
     #[test]
+    fn with_capacity_allocates_only_the_minimum_up_front() {
+        for n in [0, 1, 100, 500_000, 10_000_000] {
+            let t: IncrementalTable<u64> = IncrementalTable::with_capacity(n);
+            assert_eq!(t.capacity(), MIN_CAP, "with_capacity({n}) presized");
+        }
+        assert_eq!(landing(500_000), 666_668, "ceil(4n/3) rounded up to a 4-bucket line");
+    }
+
+    /// Fill `with_capacity(n)` to `n` keys, recording every live
+    /// capacity the growth chain passes through.
+    fn fill(n: usize) -> (IncrementalTable<u64>, Vec<usize>) {
+        let mut t = IncrementalTable::with_capacity(n);
+        let mut chain = vec![t.live.capacity()];
+        for k in 0..n as u64 {
+            t.insert(k, k);
+            if t.live.capacity() != *chain.last().unwrap() {
+                chain.push(t.live.capacity());
+            }
+        }
+        (t, chain)
+    }
+
+    #[test]
+    fn doubling_chain_lands_on_the_rounded_population() {
+        // From 12 keys up, ceil(4n/3) is at least MIN_CAP (below it the
+        // table never leaves MIN_CAP before n keys).
+        for n in [12, 13, 100, 999, 3001, 50_000] {
+            let (t, chain) = fill(n);
+            let land = landing(n);
+            assert_eq!(land, (4 * n).div_ceil(3).next_multiple_of(4));
+            assert_eq!(*chain.last().unwrap(), land, "n = {n}: chain {chain:?}");
+            for w in chain.windows(2) {
+                assert!(w[1] == w[0] * 2 || w[1] == land, "n = {n}: step {w:?} neither doubles nor lands");
+            }
+            assert!(n * 4 <= t.live.capacity() * 3, "n = {n}: landed above 3/4 load");
+        }
+    }
+
+    #[test]
+    fn landed_table_grows_exactly_once_past_its_population() {
+        for n in [12, 13, 100, 999, 3001, 50_000] {
+            let (mut t, _) = fill(n);
+            let land = landing(n);
+            while t.is_migrating() {
+                t.maintain();
+            }
+            assert_eq!(t.capacity(), land, "n = {n}: filled to n, no resize past the landing");
+            t.insert(n as u64, 0);
+            assert!(t.is_migrating(), "n = {n}: key n + 1 begins a resize");
+            let pow2 = (land + 1).next_power_of_two();
+            assert_eq!(t.live.capacity(), pow2, "n = {n}: one step, back onto the power-of-two chain");
+            for k in 0..=n as u64 {
+                assert!(t.contains_key(k), "n = {n}: key {k} lost");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_shift_wraps_past_the_last_bucket() {
+        // A non-power-of-two array: three keys homed on the last bucket
+        // fill it and wrap to buckets 0 and 1; a fourth, homed on 0,
+        // lands on 2. Removing the first shifts all three back across
+        // the wrap.
+        let mut t = RawTable::with_capacity(21);
+        let homed = |home: usize, n: usize| (0u64..).filter(|&k| t.ideal(k) == home).take(n).collect::<Vec<_>>();
+        let (last, first) = (homed(20, 3), homed(0, 1));
+        let [a, b, c, d] = [last[0], last[1], last[2], first[0]];
+        for k in [a, b, c, d] {
+            assert_eq!(t.insert(k, k), None);
+        }
+        assert_eq!([a, b, c, d].map(|k| t.find(k)), [Some(20), Some(0), Some(1), Some(2)]);
+        assert_eq!(t.remove_shift(a), Some(a));
+        assert_eq!([a, b, c, d].map(|k| t.find(k)), [None, Some(20), Some(0), Some(1)]);
+        assert!(!t.buckets[2].full(), "the hole ends after the cluster");
+        assert_eq!(t.len, 3);
+    }
+
+    #[test]
     fn iter_covers_both_arrays_exactly_once() {
         let mut t = IncrementalTable::with_capacity(0);
         let mut k = 0u64;
@@ -596,9 +705,15 @@ mod tests {
         }
 
         proptest! {
+            // `expected` 12..80 lands the growth chain on capacities that
+            // are not powers of two (20 … 108 buckets) at these key
+            // counts; 0 is the pure doubling chain.
             #[test]
-            fn matches_hashmap_model(ops in proptest::collection::vec(op_strategy(), 0..400)) {
-                let mut t: IncrementalTable<u64> = IncrementalTable::new();
+            fn matches_hashmap_model(
+                expected in prop_oneof![Just(0usize), 12usize..80],
+                ops in proptest::collection::vec(op_strategy(), 0..400),
+            ) {
+                let mut t: IncrementalTable<u64> = IncrementalTable::with_capacity(expected);
                 let mut m: HashMap<u64, u64> = HashMap::new();
                 for op in ops {
                     match op {

@@ -121,8 +121,9 @@ impl Slice {
         // it, the data plane resolves handles against it. Sharing is what
         // keeps a handle meaningful on both sides of the update ring.
         let slab = Arc::new(UeSlab::new());
+        let bases = Some((alloc.teid_base, alloc.ue_ip_base));
         let mut data =
-            DataPlane::with_slab(Arc::clone(&slab), gw_ip, config.expected_users, config.two_level, config.iot);
+            DataPlane::with_slab(Arc::clone(&slab), gw_ip, config.expected_users, config.two_level, config.iot, bases);
         data.set_stage_timing(config.stage_timing);
         for (id, program) in &config.pcef_programs {
             data.apply_update(
@@ -131,7 +132,7 @@ impl Slice {
             );
         }
         let (update_tx, update_rx) = SpscRing::with_capacity(config.update_ring_capacity);
-        let mut ctrl = ControlPlane::with_slab(slab, gw_ip, tac, alloc, proxy);
+        let mut ctrl = ControlPlane::with_slab(slab, gw_ip, tac, alloc, proxy, config.expected_users);
         ctrl.set_overload(config.overload);
         Slice {
             ctrl,

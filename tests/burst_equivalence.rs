@@ -20,7 +20,9 @@ use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
 use pepc_net::{Ipv4Hdr, Mbuf, IPV4_HDR_LEN};
+use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const GW_IP: u32 = 0x0AFE_0001;
@@ -486,5 +488,249 @@ fn rule_carrying_users_match_scalar_across_a_rule_replacement() {
         let after = burst_dp.metrics();
         assert_eq!(after.drop_qos, before.drop_qos, "the replaced rule no longer limits");
         assert!(after.drop_gate > before.drop_gate && after.forwarded > before.forwarded, "{after:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One index ≡ two tables
+// ---------------------------------------------------------------------------
+
+/// Users of the index-equivalence property (slots; each has fixed keys
+/// per key class, so live keys are unique).
+const MODEL_USERS: u32 = 8;
+
+/// Where a user's identifiers come from, relative to the plane's
+/// allocation bases (`TEID_BASE`, `UE_IP_BASE`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum KeyClass {
+    /// TEID and UE IP at one region offset: one index entry.
+    Native,
+    /// Both in the region, at different offsets (a restored or
+    /// inconsistent record): two tagged entries, found by the fallback.
+    Mismatched,
+    /// Outside the region (migrated in, HA-adopted): two tagged entries.
+    Foreign,
+}
+
+/// `(TEID, UE IP)` of user slot `u` in class `c`; distinct across slots
+/// and classes.
+fn model_keys(u: u32, c: KeyClass) -> (u32, u32) {
+    match c {
+        KeyClass::Native => (TEID_BASE + u, UE_IP_BASE + u),
+        KeyClass::Mismatched => (TEID_BASE + 64 + u, UE_IP_BASE + 64 + (u + 1) % MODEL_USERS),
+        KeyClass::Foreign => (TEID_BASE + (1 << 24) + u, UE_IP_BASE + (3 << 24) + u),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum ModelOp {
+    /// Attach, restore over a live user (fresh handle), or wake a
+    /// suspended one (its handle). A resident keeps its class.
+    Insert {
+        u: u32,
+        class: KeyClass,
+        active: bool,
+    },
+    Remove {
+        u: u32,
+        class: KeyClass,
+    },
+    Suspend {
+        u: u32,
+    },
+    Demote {
+        u: u32,
+        class: KeyClass,
+    },
+    Evict,
+    /// `(user, pick, uplink)`: `pick < 3` addresses a resident by its own
+    /// keys, otherwise the keys of class `pick − 3`.
+    Burst(Vec<(u32, u8, bool)>),
+}
+
+fn model_op() -> impl Strategy<Value = ModelOp> {
+    let class = || prop_oneof![Just(KeyClass::Native), Just(KeyClass::Mismatched), Just(KeyClass::Foreign)];
+    prop_oneof![
+        (0..MODEL_USERS, class(), any::<bool>()).prop_map(|(u, class, active)| ModelOp::Insert { u, class, active }),
+        (0..MODEL_USERS, class()).prop_map(|(u, class)| ModelOp::Remove { u, class }),
+        (0..MODEL_USERS).prop_map(|u| ModelOp::Suspend { u }),
+        (0..MODEL_USERS, class()).prop_map(|(u, class)| ModelOp::Demote { u, class }),
+        Just(ModelOp::Evict),
+        proptest::collection::vec((0..MODEL_USERS, 0u8..6, any::<bool>()), 1..12).prop_map(ModelOp::Burst),
+    ]
+}
+
+/// The reference: the data plane as it was, one map per direction, plus
+/// the parked (suspended) users and the metrics it would count.
+#[derive(Default)]
+struct TwoTables {
+    by_teid: HashMap<u32, UeHandle>,
+    by_ip: HashMap<u32, UeHandle>,
+    /// Suspended users: UE IP → (TEID, buffered downlink).
+    parked: HashMap<u32, (u32, u64)>,
+    /// Forwarded packets per handle, `(uplink, downlink)`.
+    charged: HashMap<UeHandle, (u64, u64)>,
+    metrics: pepc::metrics::DataMetrics,
+}
+
+impl TwoTables {
+    fn insert(&mut self, teid: u32, ip: u32, h: UeHandle) {
+        self.metrics.updates_applied += 1;
+        if let Some((_, buf)) = self.parked.remove(&ip) {
+            self.metrics.forwarded += buf;
+            self.metrics.forwarded_on_wake += buf;
+            self.metrics.idle_buffered -= buf;
+        }
+        self.by_teid.insert(teid, h);
+        self.by_ip.insert(ip, h);
+    }
+
+    fn remove(&mut self, teid: u32, ip: u32) {
+        self.metrics.updates_applied += 1;
+        if let Some((_, buf)) = self.parked.remove(&ip) {
+            self.metrics.drop_idle_expired += buf;
+            self.metrics.idle_buffered -= buf;
+        }
+        self.by_teid.remove(&teid);
+        self.by_ip.remove(&ip);
+    }
+
+    fn suspend(&mut self, teid: u32, ip: u32) {
+        self.metrics.updates_applied += 1;
+        let (a, b) = (self.by_teid.remove(&teid), self.by_ip.remove(&ip));
+        if a.or(b).is_some() {
+            self.parked.insert(ip, (teid, 0));
+        }
+    }
+
+    fn packet(&mut self, uplink: bool, id: u32) -> (u8, Option<DropReason>) {
+        let m = &mut self.metrics;
+        m.rx += 1;
+        let hit = if uplink { self.by_teid.get(&id) } else { self.by_ip.get(&id) };
+        if let Some(h) = hit {
+            m.forwarded += 1;
+            let c = self.charged.entry(*h).or_default();
+            if uplink {
+                c.0 += 1
+            } else {
+                c.1 += 1
+            }
+            return (0, None);
+        }
+        if uplink {
+            if self.parked.values().any(|&(t, _)| t == id) {
+                m.drop_idle_uplink += 1;
+                return (1, Some(DropReason::IdleUplink));
+            }
+        } else if let Some((_, buf)) = self.parked.get_mut(&id) {
+            if *buf < pepc::data::IDLE_BUF_CAP as u64 {
+                *buf += 1;
+                m.idle_buffered += 1;
+                return (2, None);
+            }
+            m.drop_idle_overflow += 1;
+            return (1, Some(DropReason::IdleOverflow));
+        }
+        m.drop_unknown_user += 1;
+        (1, Some(DropReason::UnknownUser))
+    }
+}
+
+/// A resident (indexed or suspended) user slot.
+struct Resident {
+    class: KeyClass,
+    handle: UeHandle,
+    suspended: bool,
+}
+
+/// Run `ops` through a plane built with the allocation bases and through
+/// the two-map model; every observable must agree after every op.
+fn check_one_index_against_two_tables(ops: Vec<ModelOp>) -> Result<(), TestCaseError> {
+    let two_level = TwoLevelConfig { enabled: true, idle_timeout_ns: 5 };
+    let slab = Arc::new(UeSlab::new());
+    let bases = Some((TEID_BASE, UE_IP_BASE));
+    let mut dp = DataPlane::with_slab(Arc::clone(&slab), GW_IP, 16, two_level, IotConfig::default(), bases);
+    let mut model = TwoTables::default();
+    let mut residents: HashMap<u32, Resident> = HashMap::new();
+    for (step, op) in ops.into_iter().enumerate() {
+        let now = step as u64;
+        match op {
+            ModelOp::Insert { u, class, active } => {
+                let class = residents.get(&u).map_or(class, |r| r.class);
+                let (teid, ip) = model_keys(u, class);
+                let handle = match residents.get(&u) {
+                    Some(r) if r.suspended => r.handle,
+                    _ => {
+                        let mut ctrl = ControlState::new(404_01_0000000000 + u64::from(u));
+                        (ctrl.ue_ip, ctrl.tunnels) =
+                            (ip, TunnelState { enb_teid: 0xE000 + u, enb_ip: ENB_IP, gw_teid: teid });
+                        slab.alloc(ctrl, CounterState::default()).expect("slab room")
+                    }
+                };
+                dp.apply_update(DpUpdate::Insert { gw_teid: teid, ue_ip: ip, handle, active }, now);
+                model.insert(teid, ip, handle);
+                residents.insert(u, Resident { class, handle, suspended: false });
+            }
+            ModelOp::Remove { u, class } => {
+                let (teid, ip) = model_keys(u, residents.remove(&u).map_or(class, |r| r.class));
+                dp.apply_update(DpUpdate::Remove { gw_teid: teid, ue_ip: ip }, now);
+                model.remove(teid, ip);
+            }
+            ModelOp::Suspend { u } => {
+                let Some(r) = residents.get_mut(&u).filter(|r| !r.suspended) else { continue };
+                let (teid, ip) = model_keys(u, r.class);
+                r.suspended = true;
+                dp.apply_update(DpUpdate::Suspend { gw_teid: teid, ue_ip: ip, imsi: u64::from(u) }, now);
+                model.suspend(teid, ip);
+            }
+            ModelOp::Demote { u, class } => {
+                let (teid, ip) = model_keys(u, residents.get(&u).map_or(class, |r| r.class));
+                dp.apply_update(DpUpdate::Demote { gw_teid: teid, ue_ip: ip }, now);
+                model.metrics.updates_applied += 1;
+            }
+            ModelOp::Evict => {
+                dp.evict_idle(now);
+            }
+            ModelOp::Burst(specs) => {
+                let classes = [KeyClass::Native, KeyClass::Mismatched, KeyClass::Foreign];
+                let keyed: Vec<(bool, u32)> = specs
+                    .iter()
+                    .map(|&(u, pick, uplink)| {
+                        let class = match residents.get(&u) {
+                            Some(r) if pick < 3 => r.class,
+                            _ => classes[usize::from(pick % 3)],
+                        };
+                        let (teid, ip) = model_keys(u, class);
+                        (uplink, if uplink { teid } else { ip })
+                    })
+                    .collect();
+                let mut burst: Vec<Mbuf> = keyed
+                    .iter()
+                    .map(|&(up, id)| if up { uplink(id, UE_IP_BASE, 443) } else { inner_udp(0x0808_0808, id, 443, 48) })
+                    .collect();
+                let mut out = Vec::new();
+                dp.process_burst_into(&mut burst, now, &mut out);
+                for (k, (v, &(uplink, id))) in out.iter().zip(&keyed).enumerate() {
+                    let got = verdict_kind(v);
+                    prop_assert_eq!((got.0, got.1), model.packet(uplink, id), "step {} packet {}", step, k);
+                }
+            }
+        }
+        prop_assert_eq!(dp.metrics(), model.metrics, "step {}", step);
+        prop_assert_eq!(dp.user_count(), model.by_teid.len(), "step {}", step);
+        prop_assert_eq!(slab.live_slots(), residents.len() as u64, "step {}", step);
+    }
+    for r in residents.values() {
+        let c = slab.resolve(r.handle).expect("resident handle").counters();
+        let want = model.charged.get(&r.handle).copied().unwrap_or_default();
+        prop_assert_eq!((c.uplink_packets, c.downlink_packets), want, "a packet charged the wrong user");
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn one_index_matches_two_tables(ops in proptest::collection::vec(model_op(), 1..80)) {
+        check_one_index_against_two_tables(ops)?;
     }
 }
