@@ -314,24 +314,18 @@ impl StateStore for RwLockFineStore {
 /// counter publishes on the data path, and an 8-byte generational
 /// [`UeHandle`] per table entry instead of a 16-byte `Arc` pointer.
 pub struct PepcStore {
-    slab: Arc<UeSlab>,
+    slab: UeSlab,
     table: RwLock<HashMap<Uid, UeHandle, BuildKeyHasher>>,
 }
 
 impl PepcStore {
     pub fn new(capacity: usize) -> Self {
-        Self::with_slab(Arc::new(UeSlab::new()), capacity)
-    }
-
-    /// Build a store over a shared arena. Two stores over one slab model
-    /// two slices of a node: migration moves a *handle* between their
-    /// tables while the context never moves in memory.
-    pub fn with_slab(slab: Arc<UeSlab>, capacity: usize) -> Self {
-        PepcStore { slab, table: RwLock::new(HashMap::with_capacity_and_hasher(capacity, Default::default())) }
+        let table = RwLock::new(HashMap::with_capacity_and_hasher(capacity, Default::default()));
+        PepcStore { slab: UeSlab::new(), table }
     }
 
     /// The arena contexts resolve against.
-    pub fn slab(&self) -> &Arc<UeSlab> {
+    pub fn slab(&self) -> &UeSlab {
         &self.slab
     }
 
@@ -341,18 +335,6 @@ impl PepcStore {
     pub fn get(&self, uid: Uid) -> Option<UeRef<'_>> {
         let h = *self.table.read().get(&uid)?;
         self.slab.resolve(h)
-    }
-
-    /// Index a pre-allocated context by handle (used by migration, which
-    /// moves the user between same-arena stores without copying).
-    pub fn insert_handle(&self, uid: Uid, handle: UeHandle) {
-        self.table.write().insert(uid, handle);
-    }
-
-    /// Remove and return the user's handle, keeping the slot live
-    /// (migration source side; the destination re-indexes the handle).
-    pub fn take(&self, uid: Uid) -> Option<UeHandle> {
-        self.table.write().remove(&uid)
     }
 }
 
@@ -486,20 +468,6 @@ mod tests {
         // property, now with a handle instead of an Arc.
         s.data_path_visit(1, true, 50, 9, &mut |_| true).unwrap();
         assert_eq!(ctx.counters().uplink_bytes, 50);
-        // take() removes the index entry but keeps the slot live.
-        let moved = s.take(1).unwrap();
-        assert_eq!(moved.bits(), ctx.handle().bits(), "same slot, same generation");
-        assert!(s.get(1).is_none());
-        // ... and back in at a destination store over the SAME arena:
-        // the context never moved in memory.
-        let s2 = PepcStore::with_slab(Arc::clone(s.slab()), 4);
-        s2.insert_handle(1, moved);
-        assert_eq!(s2.read_counters(1).unwrap().uplink_bytes, 50);
-        assert_eq!(
-            std::ptr::from_ref(s2.get(1).unwrap().context()),
-            std::ptr::from_ref(ctx.context()),
-            "zero-copy migration: both stores resolve to one slot"
-        );
     }
 
     #[test]

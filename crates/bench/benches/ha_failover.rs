@@ -112,7 +112,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let (mut ha, victim, _, (teid, ue_ip)) = build(HaConfig::default());
             let dead_after = HaConfig::default().detector.dead_after;
-            ha.kill_node(victim);
+            ha.kill_node(victim).unwrap();
             for _ in 0..dead_after {
                 ha.tick();
             }

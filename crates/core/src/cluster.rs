@@ -11,25 +11,46 @@
 //!
 //! * **signaling** (attach) is consistent-hashed on the IMSI across
 //!   nodes, so a subscriber's home node is stable under node churn;
-//! * **data** is routed by identifier *ranges*: each node allocates
-//!   TEIDs / UE IPs from a disjoint region (offset from the base >> 28
-//!   = node index), so the balancer recovers the owning node from the
-//!   packet alone — no per-user table at the LB, exactly why GTP
-//!   deployments give each gateway its own TEID space.
+//! * **data** is routed by identifier *region*: each node allocates
+//!   TEIDs / UE IPs from 16 disjoint regions of `2^24` (offset from the
+//!   base >> 28 = node index), and a `RegionMap` names each region's
+//!   node, so the balancer recovers the owning node from the packet alone
+//!   — no per-user table at the LB, exactly why GTP deployments give each
+//!   gateway its own TEID space.
+//!
+//! Failover moves regions, not users: a failed node's region goes whole
+//! to one survivor, which serves it on the slice the dead node did.
 
 use crate::config::EpcConfig;
-use crate::demux::{packet_key, PacketKey, REGION_SHIFT};
+use crate::demux::{packet_key, PacketKey, RegionMap, REGION_SHIFT};
 use crate::node::{NodeVerdict, PepcNode};
 use crate::recovery::UserRecord;
 use pepc_backend::{Hss, Pcrf};
 use pepc_fabric::Maglev;
 use pepc_net::Mbuf;
 use pepc_telemetry::{DataMetrics, MetricsSnapshot, SliceSnapshot};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Bits reserved below the node index in TEID / UE IP spaces.
 const NODE_SHIFT: u32 = 28;
+
+/// Identifier regions per node: region `r` is slice `r % NODE_REGIONS`'s.
+const NODE_REGIONS: usize = 1 << (NODE_SHIFT - REGION_SHIFT);
+
+/// Why the cluster refused a failover step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterError {
+    /// No node has this index.
+    NoSuchNode(usize),
+    /// The node is already powered off.
+    AlreadyDead(usize),
+    /// Powering off the last live node would leave nobody to fail over to.
+    LastLiveNode,
+    /// Steering repair for a node that is not powered off.
+    NotDead(usize),
+    /// The node's steering was already repaired.
+    AlreadyRepaired(usize),
+}
 
 /// A cluster of PEPC nodes behind one virtual IP.
 pub struct Cluster {
@@ -37,11 +58,11 @@ pub struct Cluster {
     lb: Maglev,
     virtual_ip: u32,
     /// Nodes declared dead by the failover coordinator. Their identifier
-    /// regions stay allocated (TEIDs / UE IPs survive the failover), but
-    /// packets re-steer through the redirect table below.
+    /// regions stay allocated (TEIDs / UE IPs survive the failover) and
+    /// move to survivors as their users are adopted.
     dead: Vec<bool>,
-    /// Adopted-user re-steering: gateway TEID / UE IP → surviving node.
-    redirect: HashMap<PacketKey, usize>,
+    /// Data steering: identifier region → node serving it.
+    regions: RegionMap,
     /// Balancer-level terminal drops (unroutable regions, failover
     /// blackout). Exported as a pseudo-slice so cluster-wide packet
     /// conservation stays checkable: `rx` here counts only packets the
@@ -59,7 +80,7 @@ impl Cluster {
     /// (the slice regions that fit in one node region).
     pub fn new(n: usize, template: EpcConfig, backends: Option<(Arc<Hss>, Arc<Pcrf>)>) -> Self {
         assert!((1..=8).contains(&n), "1..=8 nodes supported by the region layout");
-        assert!(template.slices <= 1 << (NODE_SHIFT - REGION_SHIFT), "at most 16 slices fit in a node region");
+        assert!(template.slices <= NODE_REGIONS, "at most 16 slices fit in a node region");
         let virtual_ip = template.gw_ip;
         let mut nodes = Vec::with_capacity(n);
         for k in 0..n {
@@ -75,7 +96,7 @@ impl Cluster {
             lb: Maglev::new(&names, template.lb_table_size),
             virtual_ip,
             dead: vec![false; n],
-            redirect: HashMap::new(),
+            regions: RegionMap::new(template.teid_base, template.ue_ip_base, n, NODE_REGIONS),
             lb_drops: DataMetrics::default(),
         }
     }
@@ -95,87 +116,60 @@ impl Cluster {
         self.lb.lookup(imsi)
     }
 
-    /// Attach a subscriber on its home node; returns the node index.
+    /// Attach a subscriber on its home node; returns the node index. A
+    /// user adopted after a failover lives elsewhere: `pepc_ha::HaCluster`
+    /// routes its signaling by owner instead.
     pub fn attach(&mut self, imsi: u64) -> usize {
         let k = self.home_node(imsi);
         self.nodes[k].attach(imsi);
         k
     }
 
-    /// Route one data packet: TEID (uplink) / UE IP (downlink) ranges
-    /// identify the owning node without any per-user LB state. Packets
-    /// whose region node is dead re-steer through the redirect table a
-    /// failover populated; before adoption completes they are charged to
-    /// the failover blackout.
+    /// Route one data packet: the TEID (uplink) / UE IP (downlink) region
+    /// names the serving node without any per-user LB state. A region
+    /// whose node is dead — not adopted yet, or its adopter died too — is
+    /// charged to the failover blackout.
     pub fn process(&mut self, m: Mbuf) -> NodeVerdict {
-        let n = self.nodes.len();
-        match packet_key(&m).and_then(|key| Some((self.node_of(key)?, key))) {
-            Some((k, key)) if k < n => {
-                if self.dead[k] {
-                    match self.redirect.get(&key).copied() {
-                        Some(t) => self.nodes[t].process(m),
-                        None => {
-                            self.lb_drops.rx += 1;
-                            self.lb_drops.drop_failover += 1;
-                            NodeVerdict::Drop
-                        }
-                    }
-                } else {
-                    self.nodes[k].process(m)
-                }
-            }
-            _ => {
-                self.lb_drops.rx += 1;
-                self.lb_drops.drop_unknown_user += 1;
-                NodeVerdict::Drop
-            }
+        match packet_key(&m).and_then(|key| self.regions.owner(key)) {
+            Some(k) if !self.dead[k] => return self.nodes[k].process(m),
+            Some(_) => self.lb_drops.drop_failover += 1,
+            None => self.lb_drops.drop_unknown_user += 1,
         }
-    }
-
-    /// Node whose identifier region `key` lies in: the inverse of the
-    /// bases [`Cluster::new`] hands each node (node 0's are the
-    /// template's).
-    fn node_of(&self, key: PacketKey) -> Option<usize> {
-        let base = self.nodes[0].config();
-        let offset = match key {
-            PacketKey::Teid(teid) => teid.checked_sub(base.teid_base)?,
-            PacketKey::UeIp(ip) => ip.checked_sub(base.ue_ip_base)?,
-        };
-        Some((offset >> NODE_SHIFT) as usize)
+        self.lb_drops.rx += 1;
+        NodeVerdict::Drop
     }
 
     // -- failover mechanisms (driven by the `pepc-ha` coordinator) -------------
 
-    /// Node `k` just died: its region's packets start blackholing (charged
+    /// Node `k` just died: its regions' packets start blackholing (charged
     /// to the failover blackout) the instant the hardware goes away —
     /// *before* any detector has noticed. Steering is not repaired yet;
     /// that is [`Cluster::repair_steering`]'s job, once a failure detector
     /// confirms the death.
-    ///
-    /// # Panics
-    /// Panics if `k` is already dead or the last live node.
-    pub fn power_off(&mut self, k: usize) {
-        assert!(!self.dead[k], "node {k} already dead");
-        assert!(self.live_count() > 1, "cannot power off the last live node");
-        self.dead[k] = true;
+    pub fn power_off(&mut self, k: usize) -> Result<(), ClusterError> {
+        match self.dead.get(k) {
+            None => Err(ClusterError::NoSuchNode(k)),
+            Some(true) => Err(ClusterError::AlreadyDead(k)),
+            Some(false) if self.live_count() == 1 => Err(ClusterError::LastLiveNode),
+            Some(false) => {
+                self.dead[k] = true;
+                Ok(())
+            }
+        }
     }
 
     /// Repair the Maglev table after `k`'s death was confirmed: only the
     /// dead node's keys re-steer — survivors' signaling homes are
     /// untouched, so in-flight flows of healthy users never move.
-    ///
-    /// # Panics
-    /// Panics if `k` was not powered off first, or was already repaired.
-    pub fn repair_steering(&mut self, k: usize) {
-        assert!(self.dead[k], "repair_steering before power_off({k})");
+    pub fn repair_steering(&mut self, k: usize) -> Result<(), ClusterError> {
+        if self.dead.get(k) != Some(&true) {
+            return Err(ClusterError::NotDead(k));
+        }
+        if !self.lb.is_alive(k) {
+            return Err(ClusterError::AlreadyRepaired(k));
+        }
         self.lb.remove_backend(k);
-    }
-
-    /// Declare node `k` dead and repair steering in one step — the
-    /// shortcut for callers without a detection delay to model.
-    pub fn mark_dead(&mut self, k: usize) {
-        self.power_off(k);
-        self.repair_steering(k);
+        Ok(())
     }
 
     /// Whether node `k` has been declared dead.
@@ -188,19 +182,32 @@ impl Cluster {
         self.dead.iter().filter(|&&d| !d).count()
     }
 
-    /// Promote one recovered user onto live node `target` (restore into
-    /// its home slice there, push the data-plane insert, register Demux
-    /// steering) and record the redirect entries so region-routed packets
-    /// for the dead node's TEID / UE IP re-steer deterministically.
-    /// Returns the slice the user landed on, or `None` (nothing adopted)
-    /// when that slice's arena is full.
-    pub fn adopt_user(&mut self, target: usize, rec: UserRecord) -> Option<usize> {
-        assert!(!self.dead[target], "cannot adopt onto a dead node");
-        let (gw_teid, ue_ip) = (rec.ctrl.tunnels.gw_teid, rec.ctrl.ue_ip);
-        let slice = self.nodes[target].adopt_user(rec)?;
-        self.redirect.insert(PacketKey::Teid(gw_teid), target);
-        self.redirect.insert(PacketKey::UeIp(ue_ip), target);
-        Some(slice)
+    /// Promote one recovered user onto a live node. If its region's node
+    /// is dead, the region first moves whole to the survivor the repaired
+    /// Maglev table picks for it, which serves it on the slice the dead
+    /// node did; every later user of that region lands there too. The
+    /// user is then restored on the region's node. Returns `(node,
+    /// slice)`, or `None` (nothing adopted) when the region's node is dead
+    /// and its steering unrepaired, the keys lie in no slice's region, or
+    /// the landing slice's arena is full.
+    pub fn adopt_user(&mut self, rec: UserRecord) -> Option<(usize, usize)> {
+        let teid = rec.ctrl.tunnels.gw_teid;
+        let key = PacketKey::Teid(teid);
+        let mut node = self.regions.owner(key)?;
+        if self.dead[node] {
+            // Adopters keep the slice, so the region index names it even
+            // after a cascade; the dead node's own state is never read.
+            let region = self.regions.region(key);
+            let (heir, slice) = (self.lb.lookup(region as u64), region % NODE_REGIONS);
+            if self.dead[heir] || slice >= self.nodes[heir].slice_count() {
+                return None;
+            }
+            self.nodes[heir].adopt_region(teid, slice);
+            self.regions.assign(region, heir);
+            node = heir;
+        }
+        let slice = self.nodes[node].adopt_user(rec)?;
+        Some((node, slice))
     }
 
     /// Pseudo-slice id under which balancer-level drops are exported.
@@ -346,10 +353,8 @@ mod tests {
         assert!(!c.process(Mbuf::from_payload(&[0u8; 8])).is_forward());
     }
 
-    #[test]
-    fn dead_node_blackholes_then_redirects_after_adoption() {
-        let mut c = cluster(3);
-        for imsi in 0..48u64 {
+    fn attach_with_bearers(c: &mut Cluster, users: u64) {
+        for imsi in 0..users {
             c.attach(imsi);
             c.node(c.home_node(imsi)).ctrl_event(crate::ctrl::CtrlEvent::S1Handover {
                 imsi,
@@ -357,20 +362,33 @@ mod tests {
                 new_enb_ip: 0xC0A80001,
             });
         }
+    }
+
+    /// Standby replica of a user's state (here: read straight off the
+    /// still-in-memory node; in the HA subsystem this comes from the
+    /// replication log).
+    fn record_of(c: &mut Cluster, node: usize, imsi: u64) -> UserRecord {
+        let node = c.node(node);
+        let s = node.slice_of(imsi).unwrap();
+        node.slice(s).ctrl.record_of(imsi).unwrap()
+    }
+
+    fn kill(c: &mut Cluster, k: usize) {
+        c.power_off(k).unwrap();
+        c.repair_steering(k).unwrap();
+    }
+
+    #[test]
+    fn dead_node_blackholes_then_its_region_moves_on_adoption() {
+        let mut c = cluster(3);
+        attach_with_bearers(&mut c, 48);
         // Pick a victim node and one of its users.
         let victim = c.home_node(0);
         let imsi = 0u64;
         let (teid, ue_ip) = keys_of(&mut c, imsi);
-        // Standby replica of the user's state (here: read straight off the
-        // still-in-memory node; in the HA subsystem this comes from the
-        // replication log).
-        let rec = {
-            let node = c.node(victim);
-            let s = node.slice_of(imsi).unwrap();
-            node.slice(s).ctrl.record_of(imsi).unwrap()
-        };
+        let rec = record_of(&mut c, victim, imsi);
 
-        c.mark_dead(victim);
+        kill(&mut c, victim);
         assert!(c.is_dead(victim));
         assert_eq!(c.live_count(), 2);
         // Blackout: packets for the dead region drop under the failover cause.
@@ -380,22 +398,66 @@ mod tests {
         assert!(snap.conservation_holds());
         assert_eq!(snap.data_totals().drop_failover, 2);
 
-        // Maglev repair: the victim no longer owns any signaling keys, and
-        // surviving homes did not move.
-        let target = c.home_node(imsi);
+        // Adoption: the region moves to a survivor, which serves it on the
+        // slice the victim did; traffic re-steers with no per-user entry.
+        let slice = c.node(victim).slice_of(imsi).unwrap();
+        let (target, landed) = c.adopt_user(rec).unwrap();
         assert_ne!(target, victim);
-
-        // Adoption: state promotes onto a survivor, traffic re-steers.
-        c.adopt_user(target, rec);
+        assert_eq!(landed, slice);
         assert!(c.process(uplink(teid, ue_ip)).is_forward(), "uplink after adoption");
         assert!(c.process(downlink(ue_ip)).is_forward(), "downlink after adoption");
+        assert!(c.node(target).demux().is_clear(), "the region, not the user, was adopted");
         let snap = c.metrics_snapshot();
         assert!(snap.conservation_holds());
         assert_eq!(snap.data_totals().drop_failover, 2, "no further failover drops");
         // Counters travelled with the user.
-        let node = c.node(target);
-        let s = node.slice_of(imsi).unwrap();
-        assert!(node.slice(s).ctrl.counters_of(imsi).unwrap().uplink_packets >= 1);
+        assert!(c.node(target).slice(landed).ctrl.counters_of(imsi).unwrap().uplink_packets >= 1);
+    }
+
+    #[test]
+    fn a_dead_adopter_drops_its_adopted_regions_as_failover() {
+        let mut c = cluster(3);
+        attach_with_bearers(&mut c, 48);
+        let victim = c.home_node(0);
+        let (teid, ue_ip) = keys_of(&mut c, 0);
+        let rec = record_of(&mut c, victim, 0);
+        kill(&mut c, victim);
+        let (adopter, _) = c.adopt_user(rec).unwrap();
+        assert!(c.process(uplink(teid, ue_ip)).is_forward());
+
+        c.power_off(adopter).unwrap();
+        assert!(!c.process(uplink(teid, ue_ip)).is_forward(), "a dead adopter forwards nothing");
+        let lb = c.metrics_snapshot().slices.pop().unwrap();
+        assert_eq!((lb.slice_id, lb.data.drop_failover), (Cluster::LB_SLICE_ID, 1));
+    }
+
+    #[test]
+    fn an_adopted_user_leaves_the_adopters_gutis_alone() {
+        let mut c = cluster_with(2, 1);
+        let mut first = [None, None];
+        for imsi in 0..16u64 {
+            let k = c.attach(imsi);
+            first[k].get_or_insert(imsi);
+        }
+        let [Some(local), Some(foreign)] = first else { panic!("both nodes got users: {first:?}") };
+        let guti = c.node(0).slice(0).ctrl.context_of(local).unwrap().ctrl_read().guti;
+        let rec = record_of(&mut c, 1, foreign);
+        kill(&mut c, 1);
+        assert_eq!(c.adopt_user(rec), Some((0, 0)));
+        assert!(c.node(0).detach(foreign));
+        assert!(c.node(0).slice(0).ctrl.knows_guti(guti), "the adoptee's detach took a resident's GUTI");
+    }
+
+    #[test]
+    fn failover_steps_refuse_instead_of_panicking() {
+        let mut c = cluster(2);
+        assert_eq!(c.repair_steering(0), Err(ClusterError::NotDead(0)));
+        assert_eq!(c.power_off(2), Err(ClusterError::NoSuchNode(2)));
+        assert_eq!(c.power_off(0), Ok(()));
+        assert_eq!(c.power_off(0), Err(ClusterError::AlreadyDead(0)));
+        assert_eq!(c.power_off(1), Err(ClusterError::LastLiveNode));
+        assert_eq!(c.repair_steering(0), Ok(()));
+        assert_eq!(c.repair_steering(0), Err(ClusterError::AlreadyRepaired(0)));
     }
 
     #[test]

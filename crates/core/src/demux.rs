@@ -5,16 +5,17 @@
 //! uplink) or user device IP address (for downlink) to map incoming
 //! traffic to a specific slice", and IMSI/GUTI for signaling.
 //!
-//! Steering is **arithmetic on the identifier region** (DESIGN.md §5):
-//! slice `k` allocates TEIDs and UE addresses from `base + (k << 24)`, so
-//! the owning slice is the identifier's high bits and the Demux keeps no
-//! per-user state. Its one table holds the *exceptions* — users living on
-//! a slice other than the one their identifiers name (migrated, adopted
-//! from a failed node) — and the **per-user migration queues** (§4.3):
-//! packets of a user mid-migration are parked here and drained to the new
-//! slice afterwards, so migration loses no packets and never exposes two
-//! slices writing one user's state. The table is consulted first, behind
-//! an `is_empty()` branch: with no moved users, no hash probe.
+//! Steering is **one table read on the identifier region** (DESIGN.md
+//! §5): slice `k` allocates TEIDs and UE addresses from `base + (k << 24)`,
+//! and a `RegionMap` names the slice serving each region — its own
+//! slices', and any region the node adopted from a failed peer. Besides
+//! that map the Demux holds the *exceptions* — users living on a slice
+//! other than the one their region names (migrated) — and the **per-user
+//! migration queues** (§4.3): packets of a user mid-migration are parked
+//! here and drained to the new slice afterwards, so migration loses no
+//! packets and never exposes two slices writing one user's state. The
+//! table is consulted first, behind an `is_empty()` branch: with no moved
+//! users, no hash probe.
 //!
 //! The stateless-IoT pool (§4.2) is the one aggregate rule outside the
 //! regions: every slice carries the same pool and serves it without
@@ -36,6 +37,53 @@ pub(crate) fn region_split(id: u32, base: u32) -> (u32, u32) {
     (offset >> REGION_SHIFT, offset & ((1 << REGION_SHIFT) - 1))
 }
 
+/// Owner of each identifier region. The u32 key space holds exactly 256
+/// regions of `2^REGION_SHIFT`, so the map is a flat table; a TEID and a UE
+/// IP minted together lie at one offset from their bases and so name the
+/// same region. The cluster maps regions to nodes, a node's Demux to slices.
+#[derive(Debug, Clone)]
+pub(crate) struct RegionMap {
+    teid_base: u32,
+    ue_ip_base: u32,
+    /// `u8::MAX`: unowned.
+    owner: [u8; 256],
+}
+
+impl RegionMap {
+    /// A map over identifiers allocated from these bases in which owner
+    /// `k < owners` holds the `span` regions from `k * span` on.
+    pub(crate) fn new(teid_base: u32, ue_ip_base: u32, owners: usize, span: usize) -> Self {
+        let mut map = RegionMap { teid_base, ue_ip_base, owner: [u8::MAX; 256] };
+        for r in 0..owners * span {
+            map.assign(r, r / span);
+        }
+        map
+    }
+
+    /// Index of the region `key` lies in.
+    #[inline]
+    pub(crate) fn region(&self, key: PacketKey) -> usize {
+        let (id, base) = match key {
+            PacketKey::Teid(teid) => (teid, self.teid_base),
+            PacketKey::UeIp(ip) => (ip, self.ue_ip_base),
+        };
+        region_split(id, base).0 as usize
+    }
+
+    /// Owner of the region `key` lies in, if any.
+    #[inline]
+    pub(crate) fn owner(&self, key: PacketKey) -> Option<usize> {
+        let owner = self.owner[self.region(key)];
+        (owner != u8::MAX).then_some(usize::from(owner))
+    }
+
+    /// Hand `region` to `owner` (below 255).
+    pub(crate) fn assign(&mut self, region: usize, owner: usize) {
+        assert!(owner < 255, "owner {owner} out of range");
+        self.owner[region] = owner as u8;
+    }
+}
+
 /// Where the Demux wants a packet to go.
 #[derive(Debug)]
 pub enum Steer {
@@ -43,7 +91,7 @@ pub enum Steer {
     ToSlice(usize, Mbuf),
     /// The user is migrating; the packet has been parked.
     Parked,
-    /// Unparseable, or keyed in no slice's region and by no moved user.
+    /// Unparseable, or keyed in no served region and by no moved user.
     Unroutable,
 }
 
@@ -56,11 +104,12 @@ struct Moved {
     parked: Option<Vec<Mbuf>>,
 }
 
-/// Region arithmetic plus the exception table.
+/// The region map plus the exception table.
 #[derive(Debug)]
 pub struct Demux {
-    teid_base: u32,
-    ue_ip_base: u32,
+    /// Region → slice: slice `k`'s own region maps to `k`, an adopted
+    /// region to the slice that took it over.
+    regions: RegionMap,
     slices: usize,
     /// The slices' stateless-IoT pool, when enabled.
     pool: Option<IotConfig>,
@@ -70,8 +119,9 @@ pub struct Demux {
 
 impl Demux {
     pub fn new(teid_base: u32, ue_ip_base: u32, slices: usize, iot: IotConfig) -> Self {
+        let regions = RegionMap::new(teid_base, ue_ip_base, slices, 1);
         let pool = iot.enabled.then_some(iot);
-        Demux { teid_base, ue_ip_base, slices, pool, moved: HashMap::new(), moved_keys: HashMap::new() }
+        Demux { regions, slices, pool, moved: HashMap::new(), moved_keys: HashMap::new() }
     }
 
     /// Slice a fresh IMSI is homed on (static hash, as the paper's Demux
@@ -80,14 +130,16 @@ impl Demux {
         (imsi.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.slices
     }
 
-    /// Slice whose allocator issued `key`, if any.
+    /// Slice serving `key`'s region, if any: the slice whose allocator
+    /// issued it, or the one that adopted its region.
+    #[inline]
     pub fn region_of(&self, key: PacketKey) -> Option<usize> {
-        let (k, _) = match key {
-            PacketKey::Teid(teid) => region_split(teid, self.teid_base),
-            PacketKey::UeIp(ip) => region_split(ip, self.ue_ip_base),
-        };
-        let k = k as usize;
-        (k < self.slices).then_some(k)
+        self.regions.owner(key)
+    }
+
+    /// Serve the region `teid` lies in (a failed node's) on `slice`.
+    pub(crate) fn adopt_region(&mut self, teid: u32, slice: usize) {
+        self.regions.assign(self.regions.region(PacketKey::Teid(teid)), slice);
     }
 
     /// Whether no user is off-home or migrating: all steering is arithmetic.
@@ -312,6 +364,19 @@ mod tests {
         d.place(9, teid, ip, home);
         assert_eq!(slice_of(d.steer(uplink(teid))), Some(home));
         assert_eq!(slice_of(d.steer(downlink(ip))), Some(home));
+    }
+
+    #[test]
+    fn an_adopted_region_steers_by_the_map_alone() {
+        let mut d = demux();
+        // Keys from a failed node's region, past every local slice's.
+        let (teid, ip) = keys(0x40, 5);
+        let k = d.home_slice(9);
+        d.adopt_region(teid, k);
+        assert_eq!(slice_of(d.steer(uplink(teid))), Some(k));
+        assert_eq!(slice_of(d.steer(downlink(ip))), Some(k));
+        d.place(9, teid, ip, k);
+        assert!(d.is_clear(), "a user in its adopted region needs no entry");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::config::EpcConfig;
 use crate::ctrl::{Allocator, CtrlEvent};
 use crate::data::PacketVerdict;
-use crate::demux::{Demux, Steer, REGION_SHIFT};
+use crate::demux::{Demux, PacketKey, Steer, REGION_SHIFT};
 use crate::proxy::Proxy;
 use crate::recovery::UserRecord;
 use crate::slice::Slice;
@@ -25,7 +25,9 @@ use pepc_sigproto::s1ap::S1apPdu;
 use pepc_telemetry::{LatencyHistogram, MetricsSnapshot};
 use std::sync::Arc;
 
-/// Base of the GUTI space; slice `k`'s region starts `k << 32` above it.
+/// Base of the GUTI space. A slice's GUTI block starts its TEID base
+/// `<< 32` above it, so GUTIs are unique across a cluster and name their
+/// TEID region.
 const GUTI_BASE: u64 = 0xD00D_0000_0000;
 
 /// Outcome of handing the node a data packet.
@@ -121,10 +123,11 @@ impl PepcNode {
     /// per slice). Steering inverts exactly this layout.
     fn allocator_for(config: &EpcConfig, k: usize) -> Allocator {
         let k = k as u32;
+        let teid_base = config.teid_base + (k << REGION_SHIFT);
         Allocator {
-            teid_base: config.teid_base + (k << REGION_SHIFT),
+            teid_base,
             ue_ip_base: config.ue_ip_base + (k << REGION_SHIFT),
-            guti_base: GUTI_BASE + (u64::from(k) << 32),
+            guti_base: GUTI_BASE.wrapping_add(u64::from(teid_base) << 32),
             mme_ue_id_base: 1 + (k << REGION_SHIFT),
         }
     }
@@ -236,19 +239,18 @@ impl PepcNode {
         ((mme_ue_id.saturating_sub(1) >> REGION_SHIFT) as usize).min(self.slices.len().saturating_sub(1))
     }
 
-    /// Slice owning a GUTI: the one whose region it lies in, if it knows
-    /// it. A moved user keeps its GUTI, so while any user is off-home the
-    /// other slices are probed too. Unknown GUTIs go to slice 0, which
-    /// answers with the release-and-reattach command.
+    /// Slice owning a GUTI: the one serving the TEID region its block
+    /// names (adopted regions included), if it knows it. A migrated user
+    /// keeps its GUTI, so while any user is off-home the other slices are
+    /// probed too. Unknown GUTIs go to slice 0, which answers with the
+    /// release-and-reattach command.
     fn slice_of_guti(&self, guti: u64) -> usize {
         let knows = |k: &usize| self.slices[*k].ctrl.knows_guti(guti);
-        let home = (guti.wrapping_sub(GUTI_BASE) >> 32) as usize;
-        if home < self.slices.len() && knows(&home) {
-            home
-        } else if self.demux.is_clear() {
-            0
-        } else {
-            (0..self.slices.len()).find(knows).unwrap_or(0)
+        let teid_base = (guti.wrapping_sub(GUTI_BASE) >> 32) as u32;
+        match self.demux.region_of(PacketKey::Teid(teid_base)) {
+            Some(k) if knows(&k) => k,
+            _ if self.demux.is_clear() => 0,
+            _ => (0..self.slices.len()).find(knows).unwrap_or(0),
         }
     }
 
@@ -408,15 +410,25 @@ impl PepcNode {
         self.demux.place(imsi, gw_teid, ue_ip, slice);
     }
 
+    /// Serve the identifier region `teid` lies in — a failed node's — on
+    /// `slice`: its TEIDs, UE IPs and GUTIs steer there from now on.
+    pub fn adopt_region(&mut self, teid: u32, slice: usize) {
+        self.demux.adopt_region(teid, slice);
+    }
+
     /// Adopt a user recovered from another node's replica: restore the
-    /// record into the IMSI's home slice (identifiers and tunnels are
-    /// preserved, so in-flight GTP tunnels stay valid), push the
-    /// data-plane insert through immediately, and point the Demux at it
-    /// (its keys lie in the failed node's region). Returns the slice the
-    /// user landed on, or `None` when that slice's arena is full.
+    /// record (identifiers and tunnels are preserved, so in-flight GTP
+    /// tunnels stay valid) over its resident copy if it has one, else into
+    /// the slice serving its keys' region, else into its IMSI's home; then
+    /// tell the Demux, which keeps an entry only if that slice is not
+    /// where the region and the IMSI point. Returns the slice the user
+    /// landed on, or `None` when that slice's arena is full.
     pub fn adopt_user(&mut self, rec: UserRecord) -> Option<usize> {
         let (imsi, gw_teid, ue_ip) = (rec.ctrl.imsi, rec.ctrl.tunnels.gw_teid, rec.ctrl.ue_ip);
-        let k = self.demux.slice_hint(imsi);
+        let k = self
+            .slice_of(imsi)
+            .or_else(|| self.demux.region_of(PacketKey::Teid(gw_teid)))
+            .unwrap_or_else(|| self.demux.home_slice(imsi));
         if !self.slices[k].restore_user(rec) {
             return None;
         }

@@ -14,9 +14,8 @@
 //!    [`FailureDetector`];
 //! 3. when the detector declares a node dead, the coordinator repairs the
 //!    Maglev table (only the dead node's keys re-steer) and adopts every
-//!    replicated user onto its new home node, after which the blackout
-//!    ends: redirect entries steer the old TEID / UE-IP regions to the
-//!    survivors.
+//!    replicated user, after which the blackout ends: each of the dead
+//!    node's TEID / UE-IP regions has moved whole to one survivor.
 //!
 //! Killing a node ([`HaCluster::kill_node`]) severs its wire — frames
 //! still queued at the source are lost, exactly as a crashed NIC loses
@@ -28,7 +27,7 @@
 use crate::detector::{DetectorConfig, FailureDetector, NodeHealth};
 use crate::replog::{encode, ReplKind, ReplRecord};
 use crate::standby::StandbyStore;
-use pepc::cluster::Cluster;
+use pepc::cluster::{Cluster, ClusterError};
 use pepc::ctrl::CtrlEvent;
 use pepc::node::NodeVerdict;
 use pepc::recovery::UserRecord;
@@ -102,10 +101,6 @@ pub struct HaCluster {
     rx: Vec<Port>,
     standby: StandbyStore,
     detector: FailureDetector,
-    /// Nodes the test harness crashed (they stop emitting; their wire is
-    /// severed). Distinct from `Cluster::is_dead`, which flips at the same
-    /// moment but expresses the data-plane consequence.
-    killed: Vec<bool>,
     /// IMSI → node currently hosting it (updated by adoption).
     owner: HashMap<u64, usize>,
     failovers: Vec<FailoverReport>,
@@ -156,16 +151,28 @@ impl HaCluster {
             tx,
             wires,
             rx,
-            killed: vec![false; n],
             owner: HashMap::new(),
             failovers: Vec::new(),
             scratch: Vec::with_capacity(64),
         }
     }
 
-    /// Attach a subscriber on its home node and replicate it synchronously.
+    /// Node that takes `imsi`'s signaling: the node hosting it while that
+    /// node is alive (after a failover, the survivor its region moved to),
+    /// else its IMSI home.
+    pub fn serving_node(&self, imsi: u64) -> usize {
+        match self.owner.get(&imsi) {
+            Some(&k) if !self.cluster.is_dead(k) => k,
+            _ => self.cluster.home_node(imsi),
+        }
+    }
+
+    /// Attach a subscriber on its [serving node](Self::serving_node) — a
+    /// re-attach refreshes the context it already has — and replicate it
+    /// synchronously.
     pub fn attach(&mut self, imsi: u64) -> usize {
-        let k = self.cluster.attach(imsi);
+        let k = self.serving_node(imsi);
+        self.cluster.node(k).attach(imsi);
         self.owner.insert(imsi, k);
         self.replicate_node(k);
         k
@@ -209,7 +216,7 @@ impl HaCluster {
     /// Signaling to a killed or dead node is lost in the blackout window
     /// and returns no responses, like any packet to a crashed box.
     pub fn node_s1ap(&mut self, k: usize, pdu: &pepc_sigproto::s1ap::S1apPdu) -> Vec<pepc_sigproto::s1ap::S1apPdu> {
-        if self.killed[k] || self.cluster.is_dead(k) {
+        if self.cluster.is_dead(k) {
             return vec![];
         }
         // An attach starting here makes node `k` the owner (the UE's
@@ -255,7 +262,7 @@ impl HaCluster {
     /// dirty-user snapshots, counter deltas when the interval divides the
     /// tick, and a heartbeat. No-op for killed or dead nodes.
     pub fn emit_periodic(&mut self, k: usize) {
-        if self.killed[k] || self.cluster.is_dead(k) {
+        if self.cluster.is_dead(k) {
             return;
         }
         // Supervise procedures in coordinator ticks: stamp the clock every
@@ -277,7 +284,19 @@ impl HaCluster {
     /// Phase 3 of a tick, per node: pump node `k`'s replication wire and
     /// ingest whatever reached the standby.
     pub fn pump_wire(&mut self, k: usize) {
-        self.pump_node(k);
+        self.wires[k].pump(self.cfg.pump_burst);
+        loop {
+            self.scratch.clear();
+            self.rx[k].rx_burst(&mut self.scratch, self.cfg.pump_burst);
+            if self.scratch.is_empty() {
+                return;
+            }
+            for m in self.scratch.drain(..) {
+                if let Some((node, _)) = self.standby.ingest(m.data()) {
+                    self.detector.observe_heartbeat(node, self.tick);
+                }
+            }
+        }
     }
 
     /// Phase 4 of a tick: advance the failure detector and fail over any
@@ -292,13 +311,14 @@ impl HaCluster {
     }
 
     /// Crash node `k`: its replication wire is severed (frames queued at
-    /// the source are lost with it) and its region starts blackholing.
+    /// the source are lost with it) and its regions start blackholing.
     /// Recovery happens automatically once the detector declares it dead.
-    pub fn kill_node(&mut self, k: usize) {
-        assert!(!self.killed[k], "node {k} already killed");
-        self.killed[k] = true;
+    /// Refused, with nothing changed, for a node already dead, the last
+    /// live one, or an index out of range.
+    pub fn kill_node(&mut self, k: usize) -> Result<(), ClusterError> {
+        self.cluster.power_off(k)?;
         self.wires[k].sever();
-        self.cluster.power_off(k);
+        Ok(())
     }
 
     /// Detector's view of node `k`.
@@ -324,11 +344,6 @@ impl HaCluster {
     /// Immutable view of the wrapped cluster (oracles, inspection).
     pub fn cluster_ref(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// Whether the harness crashed node `k`.
-    pub fn is_killed(&self, k: usize) -> bool {
-        self.killed[k]
     }
 
     /// The configured counter-delta interval (staleness bound on a clean
@@ -390,14 +405,14 @@ impl HaCluster {
     /// Snapshot node `k`'s dirty users into the log and pump synchronously.
     fn replicate_node(&mut self, k: usize) {
         self.replicate_dirty(k);
-        self.pump_node(k);
+        self.pump_wire(k);
     }
 
     /// Drain the dirty-user hook of every slice on node `k`: a user that
     /// still resolves replicates as a full snapshot; one that no longer
     /// exists was detached and replicates as a delete.
     fn replicate_dirty(&mut self, k: usize) {
-        if self.killed[k] {
+        if self.cluster.is_dead(k) {
             return;
         }
         for s in 0..self.cluster.node(k).slice_count() {
@@ -431,59 +446,34 @@ impl HaCluster {
         self.tx[k].tx(Mbuf::from_payload(&encode(&rec)));
     }
 
-    /// Pump node `k`'s wire and ingest whatever arrived at the standby.
-    fn pump_node(&mut self, k: usize) {
-        self.wires[k].pump(self.cfg.pump_burst);
-        loop {
-            self.scratch.clear();
-            self.rx[k].rx_burst(&mut self.scratch, self.cfg.pump_burst);
-            if self.scratch.is_empty() {
-                return;
-            }
-            for m in self.scratch.drain(..) {
-                if let Some((node, _)) = self.standby.ingest(m.data()) {
-                    self.detector.observe_heartbeat(node, self.tick);
-                }
-            }
-        }
-    }
-
     /// The detector declared `k` dead: repair steering, then promote every
-    /// replicated user onto its post-repair home node.
+    /// replicated user onto the survivor its region moves to.
     fn failover(&mut self, k: usize) {
-        if !self.cluster.is_dead(k) {
-            if self.cluster.live_count() <= 1 {
-                // Detector declared the last live node dead (every
-                // heartbeat starved — e.g. a shrunk schedule deleting all
-                // emits). There is no survivor to adopt onto; acting
-                // would power off the whole cluster, so ignore the
-                // detector rather than panic.
-                return;
-            }
-            // Detector fired without the harness killing the node first
-            // (e.g. a fully partitioned but running node): treat it as
-            // dead for data too — split-brain forwarding would be worse.
-            self.cluster.power_off(k);
+        // A detector firing without the harness killing the node first
+        // (e.g. a fully partitioned but running node) powers it off too:
+        // split-brain forwarding would be worse. If `k` is the last live
+        // node (every heartbeat starved — e.g. a shrunk schedule deleting
+        // all emits) there is no survivor to adopt onto: ignore the
+        // detector.
+        if self.cluster.power_off(k) == Err(ClusterError::LastLiveNode) || self.cluster.repair_steering(k).is_err() {
+            return;
         }
-        self.cluster.repair_steering(k);
         let users = self.standby.users_of(k);
         let users_recovered = users.len();
         let last_contact = self.detector.last_seen(k);
         let max_counter_staleness = self.standby.max_counter_staleness(k, last_contact);
         for (rec, _tick) in users {
             let imsi = rec.ctrl.imsi;
-            let target = self.cluster.home_node(imsi);
             // Adoption marks the user dirty on the survivor; replicate it
             // from its new home so the standby converges. A user no
             // survivor slice had room for has no owner.
-            if self.cluster.adopt_user(target, rec).is_some() {
-                self.owner.insert(imsi, target);
-            } else {
-                self.owner.remove(&imsi);
-            }
+            match self.cluster.adopt_user(rec) {
+                Some((node, _)) => self.owner.insert(imsi, node),
+                None => self.owner.remove(&imsi),
+            };
         }
         for t in 0..self.cluster.node_count() {
-            if !self.killed[t] && !self.cluster.is_dead(t) {
+            if !self.cluster.is_dead(t) {
                 self.replicate_node(t);
             }
         }
@@ -640,7 +630,7 @@ mod tests {
         let victims: Vec<u64> = (0..24).filter(|&i| c.owner_of(i) == Some(victim)).collect();
         let (teid, ue_ip) = keys_of(&mut c, 0);
 
-        c.kill_node(victim);
+        c.kill_node(victim).unwrap();
         // Blackout: the victim's region drops until the detector fires.
         assert!(!c.process(uplink(teid, ue_ip)).is_forward());
         for _ in 0..dead_after {
@@ -668,6 +658,31 @@ mod tests {
     }
 
     #[test]
+    fn re_attach_of_an_adopted_user_refreshes_it_on_its_adopter() {
+        let dead_after = HaConfig::default().detector.dead_after;
+        let mut c = ha(3, HaConfig::default());
+        for imsi in 0..48u64 {
+            attach_with_bearer(&mut c, imsi);
+        }
+        let victim = c.owner_of(0).unwrap();
+        let victims: Vec<u64> = (0..48).filter(|&i| c.owner_of(i) == Some(victim)).collect();
+        c.kill_node(victim).unwrap();
+        for _ in 0..dead_after {
+            c.tick();
+        }
+        // An adopted user whose adopter is not its (repaired) IMSI home.
+        let imsi = *victims.iter().find(|&&i| c.owner_of(i) != Some(c.cluster_ref().home_node(i))).unwrap();
+        let heir = c.owner_of(imsi).unwrap();
+        let (users, keys) = (c.cluster_ref().user_count(), keys_of(&mut c, imsi));
+
+        assert!(c.ctrl_event(CtrlEvent::Attach { imsi }));
+        assert_eq!(c.owner_of(imsi), Some(heir), "signaling left the adopter");
+        assert_eq!(c.cluster_ref().user_count(), users, "re-attach minted a second context");
+        assert_eq!(keys_of(&mut c, imsi), keys, "the adopter's context was not the one refreshed");
+        assert!(c.process(uplink(keys.0, keys.1)).is_forward());
+    }
+
+    #[test]
     fn survivors_keep_forwarding_through_the_blackout() {
         let mut c = ha(3, HaConfig::default());
         for imsi in 0..24u64 {
@@ -676,7 +691,7 @@ mod tests {
         let victim = c.owner_of(0).unwrap();
         let survivor_imsi = (0..24).find(|&i| c.owner_of(i) != Some(victim)).unwrap();
         let (teid, ue_ip) = keys_of(&mut c, survivor_imsi);
-        c.kill_node(victim);
+        c.kill_node(victim).unwrap();
         assert!(c.process(uplink(teid, ue_ip)).is_forward(), "survivors unaffected");
     }
 }

@@ -6,6 +6,7 @@
 //! needs no out-of-band context: `(config, schedule)` rebuilds the exact
 //! run.
 
+use pepc::cluster::Cluster;
 use serde::{Deserialize, Serialize};
 
 /// A scheduled fault-scenario command. Commands become *eligible* at
@@ -141,6 +142,31 @@ impl SimConfig {
             overload: false,
             idle_users: 0,
         }
+    }
+
+    /// A failover cascade on 4 nodes: node `a` dies at tick 8, and after
+    /// its failover, at tick 20, so does the survivor its first region
+    /// moved to — that region is adopted again.
+    pub fn cascade_failover(seed: u64) -> Self {
+        let kill = |at_tick, node: usize| ChaosCmd { at_tick, kind: ChaosKind::Kill, node: node as u32, amount: 0 };
+        let a = (seed % 4) as usize;
+        let mut cfg =
+            SimConfig { nodes: 4, users: 24, ticks: 40, chaos: vec![kill(8, a)], ..Self::two_node_failover(seed) };
+        let heir = cfg.first_region_heir(a).expect("a 4-node cluster fails a region over");
+        cfg.chaos.push(kill(20, heir));
+        cfg
+    }
+
+    /// The survivor node `victim`'s first region moves to when it dies:
+    /// fail one user of that region over on the cluster the world builds.
+    fn first_region_heir(&self, victim: usize) -> Option<usize> {
+        let mut c = Cluster::new(self.nodes as usize, crate::world::template(self), None);
+        let imsi = (0..).find(|&i| c.home_node(i) == victim && c.node_ref(victim).home_slice(i) == 0)?;
+        c.attach(imsi);
+        let rec = c.node(victim).slice(0).ctrl.record_of(imsi)?;
+        c.power_off(victim).ok()?;
+        c.repair_steering(victim).ok()?;
+        Some(c.adopt_user(rec)?.0)
     }
 
     /// A 3-node cluster where one node's replication wire partitions and
@@ -372,6 +398,35 @@ impl SimConfig {
             storm_tick: 0,
             overload: false,
             idle_users: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pepc_ha::{HaCluster, HaConfig};
+
+    /// The cascade's second victim is the node the HA failover moved the
+    /// first victim's first region to.
+    #[test]
+    fn cascade_kills_the_adopter() {
+        for seed in 0..4 {
+            let cfg = SimConfig::cascade_failover(seed);
+            let (victim, heir) = (cfg.chaos[0].node as usize, cfg.chaos[1].node as usize);
+            let mut ha = HaCluster::new(4, crate::world::template(&cfg), HaConfig::default());
+            let first_region: Vec<u64> = (0..64u64)
+                .filter(|&imsi| {
+                    ha.attach(imsi) == victim && ha.cluster_ref().node_ref(victim).slice_of(imsi) == Some(0)
+                })
+                .collect();
+            assert!(!first_region.is_empty(), "seed {seed}");
+            ha.kill_node(victim).unwrap();
+            for _ in 0..HaConfig::default().detector.dead_after {
+                ha.tick();
+            }
+            assert_eq!(ha.failovers().len(), 1, "seed {seed}");
+            assert!(first_region.iter().all(|&imsi| ha.owner_of(imsi) == Some(heir)), "seed {seed}");
         }
     }
 }

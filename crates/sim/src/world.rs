@@ -109,6 +109,24 @@ fn fnv(h: u64, v: u64) -> u64 {
     h
 }
 
+/// The node template every simulated cluster is built from.
+pub(crate) fn template(cfg: &SimConfig) -> EpcConfig {
+    EpcConfig {
+        slices: 2,
+        slice: SliceConfig {
+            batching: BatchingConfig { sync_every_packets: 1 },
+            expected_users: 64,
+            update_ring_capacity: 1024,
+            overload: if cfg.overload { storm_overload_config() } else { OverloadConfig::default() },
+            ..SliceConfig::default()
+        },
+        // Small prime: thousands of clusters get built per sweep, and a
+        // 16-user scenario doesn't need a 65537-slot spread.
+        lb_table_size: 251,
+        ..EpcConfig::default()
+    }
+}
+
 /// The simulated cluster plus everything the oracles track about it.
 pub struct SimWorld {
     pub(crate) ha: HaCluster,
@@ -134,20 +152,6 @@ pub struct SimWorld {
 impl SimWorld {
     pub fn new(cfg: SimConfig) -> Self {
         assert!((2..=8).contains(&cfg.nodes), "2..=8 nodes (a kill needs a survivor)");
-        let template = EpcConfig {
-            slices: 2,
-            slice: SliceConfig {
-                batching: BatchingConfig { sync_every_packets: 1 },
-                expected_users: 64,
-                update_ring_capacity: 1024,
-                overload: if cfg.overload { storm_overload_config() } else { OverloadConfig::default() },
-                ..SliceConfig::default()
-            },
-            // Small prime: thousands of clusters get built per sweep,
-            // and a 16-user scenario doesn't need a 65537-slot spread.
-            lb_table_size: 251,
-            ..EpcConfig::default()
-        };
         // BugKind::StuckProcedure models a supervision timer that never
         // fires: the HA layer gets timeout 0 while the oracle still
         // expects reaping within the configured bound.
@@ -169,7 +173,7 @@ impl SimWorld {
         } else {
             None
         };
-        let mut ha = HaCluster::with_backends(cfg.nodes as usize, template, ha_cfg, backends);
+        let mut ha = HaCluster::with_backends(cfg.nodes as usize, template(&cfg), ha_cfg, backends);
         let clock = VirtualClock::new();
         ha.set_clock(clock.clock());
         let ops = Self::generate_ops(&cfg);
@@ -382,7 +386,7 @@ impl SimWorld {
                     return;
                 }
                 let home = self.ha.cluster_ref().home_node(imsi);
-                if self.ha.cluster_ref().is_dead(home) || self.ha.is_killed(home) {
+                if self.ha.cluster_ref().is_dead(home) {
                     return; // blackout: the attach is lost, as in life
                 }
                 let k = self.ha.attach(imsi);
@@ -428,7 +432,8 @@ impl SimWorld {
     }
 
     /// One emulator step: send the message the UE's stage calls for to
-    /// its pinned node, parse the response, maybe advance. A down node
+    /// its serving node (the one hosting it, adopters included), parse the
+    /// response, maybe advance. A down node
     /// means the message is lost (no state change — the next op
     /// retransmits, which the control plane answers from its dedup
     /// cache once the procedure is mid-flight).
@@ -439,8 +444,8 @@ impl SimWorld {
         if ue.abandoner && ue.stage != 0 {
             return; // walked away mid-procedure; supervision must clean up
         }
-        let k = self.ha.cluster_ref().home_node(imsi);
-        if self.ha.is_killed(k) || self.ha.cluster_ref().is_dead(k) {
+        let k = self.ha.serving_node(imsi);
+        if self.ha.cluster_ref().is_dead(k) {
             return; // signaling lost in the blackout
         }
         let pdu = match ue.stage {
@@ -561,7 +566,7 @@ impl SimWorld {
     fn pump_paging(&mut self) {
         let n = self.node_count();
         for k in 0..n {
-            if self.ha.is_killed(k) || self.ha.cluster_ref().is_dead(k) {
+            if self.ha.cluster_ref().is_dead(k) {
                 continue;
             }
             let node = self.ha.cluster().node(k);
@@ -590,12 +595,12 @@ impl SimWorld {
     /// oracle exists to catch.
     fn double_adopt(&mut self, imsi: u64, k: usize) {
         let n = self.node_count();
-        let Some(other) = (0..n).find(|&t| t != k && !self.ha.cluster_ref().is_dead(t) && !self.ha.is_killed(t)) else {
+        let Some(other) = (0..n).find(|&t| t != k && !self.ha.cluster_ref().is_dead(t)) else {
             return;
         };
         let node = self.ha.cluster().node(k);
         if let Some(rec) = node.slice_of(imsi).and_then(|s| node.slice(s).ctrl.record_of(imsi)) {
-            self.ha.cluster().adopt_user(other, rec);
+            self.ha.cluster().node(other).adopt_user(rec);
         }
     }
 
@@ -605,11 +610,9 @@ impl SimWorld {
             return;
         }
         match cmd.kind {
+            // A kill of a dead node, or of the last live one, is a no-op.
             ChaosKind::Kill => {
-                if !self.ha.is_killed(k) && !self.ha.cluster_ref().is_dead(k) && self.ha.cluster_ref().live_count() > 1
-                {
-                    self.ha.kill_node(k);
-                }
+                let _ = self.ha.kill_node(k);
             }
             ChaosKind::Partition => self.ha.wire_mut(k).set_partitioned(true),
             ChaosKind::Heal => self.ha.wire_mut(k).set_partitioned(false),

@@ -57,6 +57,18 @@ fn schedule_matrix_lossy_wires_green() {
     }
 }
 
+/// Two kills, the second taking out the first one's adopter: every
+/// schedule fails over twice, so the first victim's region is adopted
+/// again from a dead adopter.
+#[test]
+fn schedule_matrix_cascade_failover_green() {
+    let n = schedules_from_env(1000).min(64);
+    for seed in 1..=n {
+        let r = run_green(&SimConfig::cascade_failover(seed));
+        assert_eq!(r.failovers, 2, "seed {seed}: the cascade did not fail over twice");
+    }
+}
+
 /// Per-message signaling under a mid-handshake crash: attach handshakes
 /// run message-by-message, the kill lands inside the handshake window,
 /// and one subscriber abandons its attach entirely. The in-run oracles

@@ -169,8 +169,8 @@ impl HaSut {
 
     /// Crash a node; the workload loop keeps running through the blackout
     /// and the coordinator recovers automatically.
-    pub fn kill_node(&mut self, k: usize) {
-        self.ha.kill_node(k);
+    pub fn kill_node(&mut self, k: usize) -> Result<(), pepc::cluster::ClusterError> {
+        self.ha.kill_node(k)
     }
 }
 
@@ -516,7 +516,7 @@ mod tests {
             &MeasureOpts { duration: Duration::from_millis(60), ..Default::default() },
             |sut, elapsed_ns| {
                 if !killed && elapsed_ns > 20_000_000 {
-                    sut.kill_node(victim);
+                    sut.kill_node(victim).unwrap();
                     killed = true;
                 }
             },

@@ -117,6 +117,8 @@ fn checkpoint_restore_survives_node_failure() {
             recovered.restore_steering(imsi, teid, ue_ip, k);
         }
     }
+    // Every restored user sits in its keys' region: no exception entry.
+    assert!(recovered.demux().is_clear());
 
     // Every user resumes on the same tunnels with counters intact.
     let mut total_packets = 0;

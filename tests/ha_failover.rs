@@ -13,6 +13,8 @@
 //!   blackout drops;
 //! * surviving users' signaling homes never move (Maglev repair is
 //!   minimally disruptive);
+//! * failover moves the victim's regions, leaving no per-user steering
+//!   entry on any survivor;
 //! * the whole run is a pure function of its seed (three seeds in CI, and
 //!   an identical-seed determinism check).
 
@@ -72,6 +74,8 @@ struct ChaosOutcome {
     /// (imsi, home) of surviving users before and after the repair.
     survivor_homes_before: Vec<(u64, usize)>,
     survivor_homes_after: Vec<(u64, usize)>,
+    /// Exception entries each survivor's Demux holds at the end.
+    survivor_moved: Vec<usize>,
     report: FailoverReport,
     snap: MetricsSnapshot,
     forwarded: u64,
@@ -138,7 +142,7 @@ fn run_chaos(seed: u64) -> ChaosOutcome {
             for &imsi in &victims {
                 ground_truth.push((imsi, ctrl_state_of(&mut ha, victim, imsi).unwrap()));
             }
-            ha.kill_node(victim);
+            ha.kill_node(victim).unwrap();
         }
 
         for _ in 0..PACKETS_PER_ROUND {
@@ -165,6 +169,8 @@ fn run_chaos(seed: u64) -> ChaosOutcome {
     assert_eq!(ha.failovers().len(), 1, "exactly one failover");
     let report = ha.failovers()[0];
     let survivor_homes_after: Vec<(u64, usize)> = survivors.iter().map(|&i| (i, ha.owner_of(i).unwrap())).collect();
+    let survivor_moved =
+        (0..NODES).filter(|&k| k != victim).map(|k| ha.cluster_ref().node_ref(k).demux().moved_count()).collect();
     let snap = ha.metrics_snapshot();
     ChaosOutcome {
         victim,
@@ -173,6 +179,7 @@ fn run_chaos(seed: u64) -> ChaosOutcome {
         adopted,
         survivor_homes_before,
         survivor_homes_after,
+        survivor_moved,
         report,
         snap,
         forwarded,
@@ -205,6 +212,10 @@ fn assert_chaos_invariants(seed: u64) {
     // Maglev repair was minimally disruptive: no surviving user's
     // signaling home moved.
     assert_eq!(o.survivor_homes_before, o.survivor_homes_after, "seed {seed}: survivors moved");
+
+    // Failover adopted the victim's regions, not its users: with no
+    // migration before the kill, no survivor holds an exception entry.
+    assert_eq!(o.survivor_moved, [0, 0], "seed {seed}: per-user steering entries after failover");
 
     // Packet conservation holds cluster-wide, blackout included, and the
     // blackout was actually exercised.
