@@ -76,8 +76,9 @@ impl Cluster {
     /// (HSS/PCRF) are shared, as in a real core network.
     ///
     /// # Panics
-    /// Panics unless `1 <= n <= 8` and the template has at most 16 slices
-    /// (the slice regions that fit in one node region).
+    /// Panics unless `1 <= n <= 8`, the template has at most 16 slices
+    /// (the slice regions that fit in one node region) and its
+    /// `lb_table_size` exceeds `n`.
     pub fn new(n: usize, template: EpcConfig, backends: Option<(Arc<Hss>, Arc<Pcrf>)>) -> Self {
         assert!((1..=8).contains(&n), "1..=8 nodes supported by the region layout");
         assert!(template.slices <= NODE_REGIONS, "at most 16 slices fit in a node region");
@@ -91,9 +92,13 @@ impl Cluster {
             nodes.push(PepcNode::new(cfg, backends.clone()));
         }
         let names: Vec<String> = (0..n).map(|k| format!("pepc-node-{k}")).collect();
+        let lb = match Maglev::new(&names, template.lb_table_size) {
+            Ok(lb) => lb,
+            Err(e) => panic!("{e}"),
+        };
         Cluster {
             nodes,
-            lb: Maglev::new(&names, template.lb_table_size),
+            lb,
             virtual_ip,
             dead: vec![false; n],
             regions: RegionMap::new(template.teid_base, template.ue_ip_base, n, NODE_REGIONS),
@@ -168,8 +173,8 @@ impl Cluster {
         if !self.lb.is_alive(k) {
             return Err(ClusterError::AlreadyRepaired(k));
         }
-        self.lb.remove_backend(k);
-        Ok(())
+        // `power_off` keeps a node up, so a dead one is never the last.
+        self.lb.remove_backend(k).map_err(|_| ClusterError::LastLiveNode)
     }
 
     /// Whether node `k` has been declared dead.

@@ -21,6 +21,15 @@
 //! `suspend_user`) without wire messages. Feeding it through the machines
 //! instead would add message kinds, policy rows and a machine checkout to
 //! each of a million set-up attaches, for no behaviour the legs lack.
+//!
+//! **Identifiers** (DESIGN.md §16). A slice mints a native user's TEID, UE
+//! IP and GUTI at the region offset its slab slot and tenant count name
+//! ([`UeSlab::offset_of`]), so a GUTI resolves by arithmetic: slot, tenant,
+//! then the context's own GUTI and IMSI registration. `by_guti` holds only
+//! foreign users — migrated in, adopted, restored, or in a slot past the
+//! `2^k` that `expected_users` sizes — whose ids come from `claim`'s
+//! cursor. A native mint that would reproduce a GUTI `by_guti` holds falls
+//! back to the cursor too.
 
 use crate::data::DpUpdate;
 use crate::demux::REGION_SHIFT;
@@ -141,14 +150,15 @@ enum Exit {
     Expired,
 }
 
-/// Identifiers in one slice's region: its TEIDs, UE IPs and MME UE ids
-/// are the slice's allocation base plus an offset below this, which is
-/// what the node steers and routes by.
+/// Identifiers in one slice's region: its TEIDs, UE IPs, GUTIs and MME
+/// UE ids are the slice's allocation base plus an offset below this,
+/// which is what the node steers and routes by.
 const REGION: u32 = 1 << REGION_SHIFT;
 
 /// The first region offset at or after `*cursor`, wrapping at the
 /// region's end, that `live` does not claim; the cursor moves past it.
-/// `None` when every offset is live.
+/// `None` when every offset is live. Only foreign identifiers are
+/// claimed: a native user's name its slab slot (module docs).
 fn claim(cursor: &mut u32, live: impl Fn(u32) -> bool) -> Option<u32> {
     let offset = (0..REGION).map(|i| (*cursor + i) % REGION).find(|&o| !live(o))?;
     *cursor = (offset + 1) % REGION;
@@ -169,10 +179,13 @@ pub struct ControlPlane {
     /// incrementally (bounded relocations per insert — no stop-the-world
     /// rehash under an attach storm) and shrinks after mass detach.
     users: IncrementalTable<UeHandle>,
+    /// GUTI → IMSI of foreign users only: a native GUTI names its slot.
     by_guti: IncrementalTable<u64>,
     by_mme_ue_id: HashMap<u32, u64, BuildKeyHasher>,
     alloc: Allocator,
-    /// Region offsets the next user id and MME UE id are claimed from.
+    /// Region offsets the next foreign user id and MME UE id are claimed
+    /// from. Foreign ids start in the last tenant block, the one a native
+    /// slot reaches last.
     next_uid: u32,
     next_mme_ue_id: u32,
     /// Node parameters.
@@ -232,8 +245,8 @@ impl ControlPlane {
         Self::with_slab(Arc::new(UeSlab::new()), gw_ip, tac, alloc, proxy, 0)
     }
 
-    /// Build a control plane over a shared context arena, its IMSI and
-    /// GUTI indexes sized to grow to `expected_users` at ≤ 3/4 load.
+    /// Build a control plane over a shared context arena, its IMSI index
+    /// sized to grow to `expected_users` at ≤ 3/4 load.
     pub fn with_slab(
         slab: Arc<UeSlab>,
         gw_ip: u32,
@@ -244,10 +257,10 @@ impl ControlPlane {
     ) -> Self {
         ControlPlane {
             users: IncrementalTable::with_capacity(expected_users),
-            by_guti: IncrementalTable::with_capacity(expected_users),
+            by_guti: IncrementalTable::new(),
             by_mme_ue_id: HashMap::default(),
             alloc,
-            next_uid: 0,
+            next_uid: REGION - slab.named_slots(),
             next_mme_ue_id: 0,
             gw_ip,
             tac,
@@ -342,24 +355,31 @@ impl ControlPlane {
                 (ctx.handle(), c.tunnels.gw_teid, c.ue_ip)
             }
             None => {
-                // Identifiers are the slice's allocation bases plus a user
-                // id whose GUTI (and so TEID and UE IP) no live user holds:
-                // after a restore or a wrap the cursor may point at one.
-                let guti_base = self.alloc.guti_base;
-                let uid = claim(&mut self.next_uid, |o| self.by_guti.contains_key(guti_base + u64::from(o)))?;
-                let mut ctrl = ControlState::new(imsi);
-                ctrl.guti = guti_base + u64::from(uid);
-                ctrl.ue_ip = self.alloc.ue_ip_base + uid;
-                ctrl.ecgi = ecgi;
-                ctrl.tac = self.tac;
-                ctrl.qos = qos;
-                ctrl.device_class = device_class;
-                ctrl.tunnels.gw_teid = self.alloc.teid_base + uid;
-                let (guti, gw_teid, ue_ip) = (ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
-                let handle = self.slab.alloc(ctrl, CounterState::default())?;
+                // Identifiers are the slice's allocation bases plus one user
+                // id: the offset the slot and its tenant name, unless a
+                // foreign user holds it or the slot names none; then the
+                // cursor's next id that no user holds.
+                let (a, tac, slab, by_guti) = (self.alloc, self.tac, &self.slab, &self.by_guti);
+                let held = |o: u32| by_guti.contains_key(a.guti_base + u64::from(o));
+                let (cursor, mut uid) = (&mut self.next_uid, 0);
+                let init = |h| {
+                    uid = match slab.offset_of(h) {
+                        Some(o) if !held(o) => o,
+                        _ => claim(cursor, |o| held(o) || slab.named(o).is_some())?,
+                    };
+                    let mut ctrl = ControlState::new(imsi);
+                    ctrl.guti = a.guti_base + u64::from(uid);
+                    ctrl.ue_ip = a.ue_ip_base + uid;
+                    (ctrl.ecgi, ctrl.tac, ctrl.qos, ctrl.device_class) = (ecgi, tac, qos, device_class);
+                    ctrl.tunnels.gw_teid = a.teid_base + uid;
+                    Some(ctrl)
+                };
+                let handle = slab.alloc_with(init, CounterState::default())?;
                 self.users.insert(imsi, handle);
-                self.by_guti.insert(guti, imsi);
-                (handle, gw_teid, ue_ip)
+                if slab.offset_of(handle) != Some(uid) {
+                    self.by_guti.insert(a.guti_base + u64::from(uid), imsi);
+                }
+                (handle, a.teid_base + uid, a.ue_ip_base + uid)
             }
         };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
@@ -561,7 +581,7 @@ impl ControlPlane {
                 Ok(NasMsg::AttachRequest { imsi, .. }) => {
                     (Some(imsi), SigMsg::AttachStart { enb_ue_id, ecgi, tac, imsi })
                 }
-                Ok(NasMsg::ServiceRequest { guti }) => match self.by_guti.get(guti).copied() {
+                Ok(NasMsg::ServiceRequest { guti }) => match self.user_of_guti(guti) {
                     Some(imsi) => (Some(imsi), SigMsg::ServiceStart { enb_ue_id, ecgi, guti }),
                     // Unknown GUTI: tell the eNodeB to release the UE;
                     // it will re-attach with its IMSI.
@@ -577,7 +597,7 @@ impl ControlPlane {
                 let Ok(msg) = NasMsg::decode(nas) else { return Routed::Discard };
                 let imsi = match msg {
                     NasMsg::DetachRequest { guti } | NasMsg::TrackingAreaUpdateRequest { guti, .. } => {
-                        self.by_guti.get(guti).copied()
+                        self.user_of_guti(guti)
                     }
                     _ => by_enb(enb_ue_id).or_else(|| by_mme(mme_ue_id)),
                 };
@@ -910,7 +930,7 @@ impl ControlPlane {
         let imsi = m.imsi;
         m.enb_ue_id = enb_ue_id;
         // Re-check: a deferred service request may outlive the user.
-        let Some(handle) = self.users.get(imsi).copied().filter(|_| self.by_guti.get(guti) == Some(&imsi)) else {
+        let Some(handle) = self.users.get(imsi).copied().filter(|_| self.user_of_guti(guti) == Some(imsi)) else {
             out.push(S1apPdu::UeContextReleaseCommand { enb_ue_id, mme_ue_id: 0, cause: cause::ILLEGAL_UE });
             return Step::Stale;
         };
@@ -930,7 +950,7 @@ impl ControlPlane {
             return Step::Stale;
         };
         // Re-check: a deferred TAU may outlive the user.
-        let Some(user) = self.by_guti.get(guti).copied() else { return Step::Stale };
+        let Some(user) = self.user_of_guti(guti) else { return Step::Stale };
         let Some(ctx) = self.context_of(user) else { return Step::Stale };
         ctx.ctrl_write().tac = tac;
         self.mark_dirty(user);
@@ -944,7 +964,7 @@ impl ControlPlane {
         };
         // Routing resolved the GUTI, but a preemption rollback may just
         // have removed the user.
-        let Some(user) = self.by_guti.get(guti).copied() else { return Step::Stale };
+        let Some(user) = self.user_of_guti(guti) else { return Step::Stale };
         self.do_detach(user);
         nas_to(out, enb_ue_id, mme_ue_id, NasMsg::DetachAccept);
         Step::To(ProcState::Idle)
@@ -1118,7 +1138,19 @@ impl ControlPlane {
     /// Whether a GUTI resolves to a user on this slice (routing probe for
     /// the node layer).
     pub fn knows_guti(&self, guti: u64) -> bool {
-        self.by_guti.contains_key(guti)
+        self.user_of_guti(guti).is_some()
+    }
+
+    /// The IMSI a GUTI names: by arithmetic when it names a live slot
+    /// whose registered context carries it, else through the foreign
+    /// index.
+    fn user_of_guti(&self, guti: u64) -> Option<u64> {
+        let offset = u32::try_from(guti.wrapping_sub(self.alloc.guti_base)).ok().filter(|&o| o < REGION);
+        let native = offset.and_then(|o| self.slab.named(o)).and_then(|(h, _)| {
+            let (imsi, named) = self.slab.resolve(h)?.imsi_guti();
+            (named == guti && self.users.get(imsi) == Some(&h)).then_some(imsi)
+        });
+        native.or_else(|| self.by_guti.get(guti).copied())
     }
 
     /// Pages still waiting for the UE to answer — the `paging_in_flight`
@@ -1213,7 +1245,12 @@ impl ControlPlane {
             }
         }
         self.users.insert(imsi, handle);
-        self.by_guti.insert(guti, imsi);
+        // Foreign unless the record's identifiers name the slot it landed in.
+        let o = self.slab.offset_of(handle);
+        let a = self.alloc;
+        if o.map(|o| (a.guti_base + u64::from(o), a.teid_base + o, a.ue_ip_base + o)) != Some((guti, gw_teid, ue_ip)) {
+            self.by_guti.insert(guti, imsi);
+        }
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         self.mark_dirty(imsi);
         true
@@ -1998,6 +2035,9 @@ mod tests {
     fn user_ids_wrap_within_the_region_and_skip_live_ones() {
         let mut cp = cp_synthetic();
         cp.apply_event(CtrlEvent::Attach { imsi: 1 });
+        // Slots past the 2^8 an empty hint's identifiers name mint from
+        // the cursor.
+        cp.slab().skip_to(1 << 8);
         cp.set_id_cursors(REGION - 1, 0);
         cp.apply_event(CtrlEvent::Attach { imsi: 2 });
         cp.apply_event(CtrlEvent::Attach { imsi: 3 });

@@ -27,10 +27,10 @@
 //! # State density (DESIGN.md §16)
 //!
 //! Contexts live in the slice's shared [`UeSlab`] — contiguous chunks
-//! addressed by 8-byte generational [`UeHandle`]s, which is what the
-//! lookup index stores (half the per-entry footprint of the former
-//! `Arc<UeContext>` and no per-user heap object; one entry per native
-//! user serves both directions, see [`DataPlane`]). The data plane owns
+//! addressed by 8-byte generational [`UeHandle`]s. A native user's TEID
+//! and UE IP name its slab slot, so it resolves by arithmetic and costs
+//! the index one bit; only foreign users take table entries (see
+//! [`DataPlane`]). The data plane owns
 //! the *end of life* of a slot: applying [`DpUpdate::Remove`] frees the
 //! handle back to the slab after unindexing it, so the control plane
 //! never races a slot reuse with in-flight packets (updates and packets
@@ -47,12 +47,13 @@
 //!    lines hinted as soon as its key is known (stage **2a** of the
 //!    lookup, below), so the rest of the parse pass covers that fetch.
 //! 2. **Lookup pass** — staged, so that a cold user's dependent misses
-//!    (table lines → generation → cell lines) are paid once per stage,
-//!    overlapped across the burst, instead of serially per packet:
-//!    **(2a)** hint every lookup's table lines from the hash alone;
-//!    then, a tile of the burst at a time, **(2b)** run the real
-//!    two-level `get` in packet order, keep the handle, and hint its
-//!    generation and cell lines from the handle's arithmetic alone, and
+//!    (generation → cell lines, with a table line first for a foreign
+//!    key) are paid once per stage, overlapped across the burst, instead
+//!    of serially per packet: **(2a)** hint every lookup's generation and
+//!    cell lines from a native key's arithmetic, and a foreign key's
+//!    table line from the hash; then, a tile of the burst at a time,
+//!    **(2b)** run the index `get` in packet order, keep the handle, and
+//!    hint its generation and cell lines from the handle's arithmetic, and
 //!    **(2c)** resolve each handle and fuse consecutive packets of the
 //!    same user into *groups*.
 //! 3. **Act pass** — enforce each group with **one** lock-free seqlock
@@ -189,9 +190,8 @@ struct SuspendedUe {
     oldest_ns: u64,
 }
 
-/// Index keys are region offsets (below `2^REGION_SHIFT`) or raw TEIDs
-/// and UE IPs tagged above bit 32, the UE IP tag one bit higher: no two
-/// of the three kinds coincide.
+/// Table keys are raw TEIDs and UE IPs tagged above bit 32, the UE IP tag
+/// one bit higher, so the two kinds never coincide.
 const TAG: u64 = 1 << 32;
 
 /// The tagged key of a raw TEID (uplink) or UE IP.
@@ -201,82 +201,141 @@ fn tagged(uplink: bool, id: u32) -> u64 {
 
 /// The data plane's one user index (see [`DataPlane`]).
 struct UserIndex {
-    table: TwoLevelTable<UeHandle>,
     /// `(teid_base, ue_ip_base)` of the native region; `None` on a
-    /// standalone plane, where every user takes two entries.
+    /// standalone plane, where every user is foreign.
     bases: Option<(u32, u32)>,
+    /// Users served by arithmetic: slots this plane shows in the slab.
+    natives: usize,
+    /// Whether `Demote` moves users to the secondary level.
+    two_level: bool,
+    /// Everyone else, under both tagged keys.
+    table: TwoLevelTable<UeHandle>,
     /// Tagged entries held, `[TEID, UE IP]`.
     tagged: [usize; 2],
 }
 
 impl UserIndex {
-    /// The key an identifier probes first, and whether it is its region
-    /// offset (else its tagged key).
+    /// `id`'s offset in the native region, if it lies there.
     #[inline]
-    fn probe_key(&self, uplink: bool, id: u32) -> (u64, bool) {
-        match self.bases.map(|(teid_base, ue_ip_base)| region_split(id, if uplink { teid_base } else { ue_ip_base })) {
-            Some((0, offset)) => (u64::from(offset), true),
-            _ => (tagged(uplink, id), false),
+    fn offset(&self, uplink: bool, id: u32) -> Option<u32> {
+        let (teid_base, ue_ip_base) = self.bases?;
+        match region_split(id, if uplink { teid_base } else { ue_ip_base }) {
+            (0, offset) => Some(offset),
+            _ => None,
         }
     }
 
+    /// The offset both keys lie at, if they share one.
+    fn shared(&self, gw_teid: u32, ue_ip: u32) -> Option<u32> {
+        self.offset(true, gw_teid).filter(|&o| self.offset(false, ue_ip) == Some(o))
+    }
+
+    /// The user a native key names, if this plane shows its slot.
     #[inline]
-    fn get(&mut self, uplink: bool, id: u32, now_ns: u64) -> Option<UeHandle> {
-        let (key, native) = self.probe_key(uplink, id);
-        let hit = self.table.get(key, now_ns).copied();
-        if hit.is_none() && native && self.tagged[usize::from(!uplink)] > 0 {
-            return self.table.get(tagged(uplink, id), now_ns).copied();
-        }
-        hit
+    fn native(slab: &UeSlab, offset: Option<u32>) -> Option<UeHandle> {
+        slab.named(offset?).and_then(|(h, shown)| shown.then_some(h))
     }
 
-    /// A user's entries: its shared offset alone, or both tagged keys.
-    fn keys(&self, gw_teid: u32, ue_ip: u32) -> [Option<u64>; 2] {
-        match (self.probe_key(true, gw_teid), self.probe_key(false, ue_ip)) {
-            ((t, true), (i, true)) if t == i => [Some(t), None],
-            _ => [Some(tagged(true, gw_teid)), Some(tagged(false, ue_ip))],
+    fn show(&mut self, slab: &UeSlab, h: UeHandle, on: bool) {
+        if slab.show(h, on) {
+            self.natives = if on { self.natives + 1 } else { self.natives - 1 };
         }
     }
 
-    /// Index a user (`Some((handle, active))`) or unindex it (`None`);
-    /// returns what each of its keys held before.
-    fn set(&mut self, gw_teid: u32, ue_ip: u32, to: Option<(UeHandle, bool)>, now_ns: u64) -> [Option<UeHandle>; 2] {
-        self.keys(gw_teid, ue_ip).map(|k| {
-            let k = k?;
-            let old = match to {
-                Some((h, true)) => self.table.insert_active(k, h, now_ns),
-                Some((h, false)) => self.table.insert_idle(k, h),
-                None => self.table.remove(k),
-            };
-            if k >= TAG && old.is_some() != to.is_some() {
-                let n = &mut self.tagged[usize::from(k >= 2 * TAG)];
-                *n = if to.is_some() { *n + 1 } else { *n - 1 };
-            }
-            old
-        })
+    /// A native key resolves by arithmetic, with no table probe; any other
+    /// key probes the table.
+    #[inline]
+    fn get(&mut self, slab: &UeSlab, uplink: bool, id: u32, now_ns: u64) -> Option<UeHandle> {
+        Self::native(slab, self.offset(uplink, id)).or_else(|| self.table.get(tagged(uplink, id), now_ns).copied())
+    }
+
+    /// Hint the lines [`Self::get`] reads first for `id`.
+    #[inline]
+    fn prefetch(&self, slab: &UeSlab, uplink: bool, id: u32) {
+        if let Some(o) = self.offset(uplink, id) {
+            slab.prefetch_named(o);
+        }
+        if self.tagged[usize::from(!uplink)] > 0 {
+            self.table.prefetch(tagged(uplink, id));
+        }
+    }
+
+    /// Index a user (`Some((handle, active))`) or unindex whoever these
+    /// keys lead to (`None`); returns what they held before. An active
+    /// user whose keys name its own slot and tenant is native: its slot is
+    /// shown. Any other user takes both tagged keys.
+    fn set(
+        &mut self,
+        slab: &UeSlab,
+        gw_teid: u32,
+        ue_ip: u32,
+        to: Option<(UeHandle, bool)>,
+        now_ns: u64,
+    ) -> [Option<UeHandle>; 3] {
+        let shared = self.shared(gw_teid, ue_ip);
+        let shown = Self::native(slab, shared);
+        if let Some(h) = shown {
+            self.show(slab, h, false);
+        }
+        let native = to.filter(|&(h, active)| active && shared.is_some() && slab.offset_of(h) == shared);
+        let foreign = to.filter(|_| native.is_none());
+        let [a, b] = [(true, gw_teid), (false, ue_ip)].map(|(uplink, id)| self.put(uplink, id, foreign, now_ns));
+        if let Some((h, _)) = native {
+            self.show(slab, h, true);
+        }
+        [shown, a, b]
+    }
+
+    /// Insert or remove (`None`) one tagged key, keeping `tagged` in step.
+    fn put(&mut self, uplink: bool, id: u32, to: Option<(UeHandle, bool)>, now_ns: u64) -> Option<UeHandle> {
+        let (key, n) = (tagged(uplink, id), usize::from(!uplink));
+        let old = match to {
+            Some((h, true)) => self.table.insert_active(key, h, now_ns),
+            Some((h, false)) => self.table.insert_idle(key, h),
+            None if self.tagged[n] == 0 => None,
+            None => self.table.remove(key),
+        };
+        if old.is_some() != to.is_some() {
+            self.tagged[n] = if to.is_some() { self.tagged[n] + 1 } else { self.tagged[n] - 1 };
+        }
+        old
     }
 
     /// Unindex a user; returns its handle.
-    fn remove(&mut self, gw_teid: u32, ue_ip: u32) -> Option<UeHandle> {
-        let [a, b] = self.set(gw_teid, ue_ip, None, 0);
-        a.or(b)
+    fn remove(&mut self, slab: &UeSlab, gw_teid: u32, ue_ip: u32) -> Option<UeHandle> {
+        self.set(slab, gw_teid, ue_ip, None, 0).into_iter().flatten().next()
+    }
+
+    /// Demote a user to the secondary level. A native leaves the
+    /// arithmetic path for the table, and stays there until re-inserted.
+    fn demote(&mut self, slab: &UeSlab, gw_teid: u32, ue_ip: u32) {
+        let keys = [(true, gw_teid), (false, ue_ip)];
+        if let Some(h) = Self::native(slab, self.shared(gw_teid, ue_ip)).filter(|_| self.two_level) {
+            self.show(slab, h, false);
+            for (uplink, id) in keys {
+                self.put(uplink, id, Some((h, true)), 0);
+            }
+        }
+        for (uplink, id) in keys {
+            self.table.demote(tagged(uplink, id));
+        }
     }
 }
 
 /// The data plane of one slice. Owned by exactly one thread.
 ///
-/// **One index for both directions.** A slice mints a user's TEID and UE
-/// IP at one offset `o` from its allocation bases, so a *native* user
-/// (both keys in the region, at one offset) takes one entry, keyed `o`,
-/// that uplink and downlink both find. Any other user (migrated in,
-/// HA-adopted, inconsistent) takes two tagged entries, its raw TEID and
-/// raw UE IP. A key in the region probes its offset, then — only on a
-/// miss, while its direction holds any tagged entry — its tagged key; a
-/// key outside probes the tagged key alone. So a native hit is one probe.
-/// Two users collide on an index key only if they share a raw TEID or UE
-/// IP: the key kinds are disjoint, equal offsets stand for equal TEIDs
-/// (and UE IPs), and an offset probed for a two-entry user's key hits a
-/// native user only if that user holds the same raw key.
+/// **One index for both directions.** A slice mints a *native* user's
+/// TEID and UE IP at the region offset its slab slot and tenant count
+/// name ([`UeSlab::offset_of`]), so a key in the native region resolves by
+/// arithmetic alone, with no table probe: offset → slot → one load of the
+/// slot's generation word, which must hold the tenant the offset names and
+/// this plane's shown bit ([`UeSlab::show`]). The plane sets that bit when
+/// it applies an `Insert` carrying the handle's own native keys and clears
+/// it on `Remove`, `Suspend` and `Demote`, so what packets see stays FIFO
+/// with the updates. Every other user is *foreign* — migrated in,
+/// HA-adopted, restored, demoted, or minted past the slots identifiers
+/// name — and takes two table entries, its raw TEID and raw UE IP tagged by
+/// direction; a key that misses natively probes the table.
 pub struct DataPlane {
     index: UserIndex,
     /// Suspended (idle) UEs keyed by UE IP — consulted only on a
@@ -346,15 +405,15 @@ unsafe impl Send for GroupRun {}
 
 impl DataPlane {
     /// Build a standalone data plane with its own private context arena.
-    /// It has no native region: every user takes two index entries.
+    /// It has no native region: every user is foreign.
     pub fn new(gw_ip: u32, expected_users: usize, two_level: TwoLevelConfig, iot: IotConfig) -> Self {
         Self::with_slab(Arc::new(UeSlab::new()), gw_ip, expected_users, two_level, iot, None)
     }
 
     /// Build a data plane over a shared context arena (the slice wires
     /// control and data planes to one slab). `bases` are the
-    /// `(teid_base, ue_ip_base)` its users' identifiers are minted from,
-    /// which makes them native (one index entry each).
+    /// `(teid_base, ue_ip_base)` its native users' identifiers are minted
+    /// from.
     pub fn with_slab(
         slab: Arc<UeSlab>,
         gw_ip: u32,
@@ -369,7 +428,7 @@ impl DataPlane {
             TwoLevelTable::new_single()
         };
         DataPlane {
-            index: UserIndex { table, bases, tagged: [0; 2] },
+            index: UserIndex { bases, natives: 0, two_level: two_level.enabled, table, tagged: [0; 2] },
             suspended_by_ip: HashMap::new(),
             suspended_by_teid: HashMap::new(),
             idle_buf_cap: IDLE_BUF_CAP,
@@ -416,7 +475,7 @@ impl DataPlane {
                 if let Some(s) = &woke {
                     self.suspended_by_teid.remove(&s.gw_teid);
                 }
-                let displaced = self.index.set(gw_teid, ue_ip, Some((handle, active)), now_ns);
+                let displaced = self.index.set(&self.slab, gw_teid, ue_ip, Some((handle, active)), now_ns);
                 // A restore over a resident re-indexes its keys onto a
                 // fresh context: free the one it displaces, indexed or
                 // suspended (`free` ignores a handle already freed).
@@ -445,17 +504,13 @@ impl DataPlane {
                 // thread, so no in-flight packet can still resolve the
                 // handle; a subsequent reattach's Insert rides behind
                 // this Remove in FIFO order.
-                if let Some(h) = self.index.remove(gw_teid, ue_ip) {
+                if let Some(h) = self.index.remove(&self.slab, gw_teid, ue_ip) {
                     self.slab.free(h);
                 }
             }
-            DpUpdate::Demote { gw_teid, ue_ip } => {
-                for k in self.index.keys(gw_teid, ue_ip).into_iter().flatten() {
-                    self.index.table.demote(k);
-                }
-            }
+            DpUpdate::Demote { gw_teid, ue_ip } => self.index.demote(&self.slab, gw_teid, ue_ip),
             DpUpdate::Suspend { gw_teid, ue_ip, imsi } => {
-                if let Some(handle) = self.index.remove(gw_teid, ue_ip) {
+                if let Some(handle) = self.index.remove(&self.slab, gw_teid, ue_ip) {
                     // Context retained: the slot is NOT freed, only the
                     // index forgets the UE.
                     self.suspended_by_teid.insert(gw_teid, ue_ip);
@@ -503,9 +558,9 @@ impl DataPlane {
         }
     }
 
-    /// Demote users idle past the two-level timeout, as each one's counter
-    /// cell reports it (`last_activity_ns`). Returns index entries
-    /// demoted: one per native user, two per two-entry user.
+    /// Demote table users idle past the two-level timeout, as each one's
+    /// counter cell reports it (`last_activity_ns`). Returns index entries
+    /// demoted: two per foreign user. Natives hold no entry to evict.
     pub fn evict_idle(&mut self, now_ns: u64) -> usize {
         let slab = &self.slab;
         self.index.table.evict_idle(now_ns, |h| slab.resolve(*h).map_or(0, |r| r.counters().last_activity_ns))
@@ -526,7 +581,7 @@ impl DataPlane {
         let decision = match self.classify(&mut m) {
             Slot::Done(d) => d,
             Slot::Lookup { uplink, id, bytes } => {
-                let handle = self.index.get(uplink, id, now_ns);
+                let handle = self.index.get(&self.slab, uplink, id, now_ns);
                 match handle.and_then(|h| self.slab.resolve(h)).map(|r| std::ptr::from_ref(r.context())) {
                     Some(p) => {
                         // SAFETY: slot storage lives in slab chunks that
@@ -617,7 +672,7 @@ impl DataPlane {
         for m in burst.iter_mut() {
             let slot = self.classify(m);
             if let Slot::Lookup { uplink, id, .. } = slot {
-                self.index.table.prefetch(self.index.probe_key(uplink, id).0);
+                self.index.prefetch(&self.slab, uplink, id);
             }
             self.slots.push(slot);
         }
@@ -640,7 +695,7 @@ impl DataPlane {
             for slot in &self.slots[tile.clone()] {
                 let handle = match *slot {
                     Slot::Lookup { uplink, id, .. } => {
-                        self.index.get(uplink, id, now_ns).inspect(|&h| self.slab.prefetch(h))
+                        self.index.get(&self.slab, uplink, id, now_ns).inspect(|&h| self.slab.prefetch(h))
                     }
                     Slot::Done(_) => None,
                 };
@@ -949,25 +1004,26 @@ impl DataPlane {
         self.suspended_by_ip.len()
     }
 
-    /// Users currently indexed: users, not entries (a two-entry user
+    /// Users currently indexed: users, not entries (a foreign user
     /// counts once).
     pub fn user_count(&self) -> usize {
-        self.index.table.len() - self.index.tagged[1]
+        self.index.natives + self.index.tagged[0]
     }
 
-    /// Users whose uplink entry sits in the hot (primary) level. Walks
-    /// the primary: a test and harness accessor.
+    /// Users served natively or from the hot (primary) level. Walks the
+    /// primary: a test and harness accessor.
     pub fn primary_count(&self) -> usize {
-        self.index.table.primary_keys().filter(|&k| k < 2 * TAG).count()
+        self.index.natives + self.index.table.primary_keys().filter(|&k| k < 2 * TAG).count()
     }
 
-    /// Two-level churn stats of the index, both directions. They count
-    /// probes: a two-entry user's in-region key misses its offset first.
+    /// Two-level churn stats of the table, both directions. They count
+    /// table probes, which native hits never make.
     pub fn table_stats(&self) -> crate::twolevel::TwoLevelStats {
         self.index.table.stats()
     }
 
-    /// Resident bytes of the lookup index (memory gauge).
+    /// Resident bytes of the lookup index (memory gauge). Natives take
+    /// none: their bit lives in the slab's generation word.
     pub fn table_bytes(&self) -> u64 {
         self.index.table.bytes()
     }

@@ -235,8 +235,13 @@ impl PepcNode {
         v
     }
 
+    /// Slice owning an MME UE id: slice `k` allocates them from
+    /// `1 + (k << REGION_SHIFT)`, so the id names the region of slice `k`'s
+    /// TEIDs, and whoever serves that region (adopted regions included)
+    /// gets it. Ids in no served region go to the last slice.
     fn slice_of_mme_ue_id(&self, mme_ue_id: u32) -> usize {
-        ((mme_ue_id.saturating_sub(1) >> REGION_SHIFT) as usize).min(self.slices.len().saturating_sub(1))
+        let teid = self.config.teid_base.wrapping_add(mme_ue_id.saturating_sub(1) >> REGION_SHIFT << REGION_SHIFT);
+        self.demux.region_of(PacketKey::Teid(teid)).unwrap_or(self.slices.len() - 1)
     }
 
     /// Slice owning a GUTI: the one serving the TEID region its block
@@ -402,12 +407,6 @@ impl PepcNode {
     /// The node's Demux (inspection).
     pub fn demux(&self) -> &Demux {
         &self.demux
-    }
-
-    /// Recovery hook: tell the Demux a restored user lives on `slice` —
-    /// after a migration, not where its identifiers point.
-    pub fn restore_steering(&mut self, imsi: u64, gw_teid: u32, ue_ip: u32, slice: usize) {
-        self.demux.place(imsi, gw_teid, ue_ip, slice);
     }
 
     /// Serve the identifier region `teid` lies in — a failed node's — on
@@ -695,6 +694,20 @@ mod tests {
         let rsp = n.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 78, ecgi: 1, tac: 1, nas });
         assert!(matches!(rsp.as_slice(), [S1apPdu::InitialContextSetupRequest { mme_ue_id: 2, .. }]), "{rsp:?}");
         assert_eq!(n.slice(0).ctrl.s1_index_len(), (1, 1));
+    }
+
+    #[test]
+    fn an_mme_ue_id_from_an_adopted_region_reaches_its_adopter() {
+        let mut n = node_with_backends(2);
+        // Slice 1 failed; slice 0 serves its region.
+        let teid_base = n.config().teid_base;
+        n.adopt_region(teid_base + (1 << REGION_SHIFT), 0);
+        let release = |mme_ue_id| S1apPdu::UeContextReleaseRequest { enb_ue_id: 5, mme_ue_id, cause: 0 };
+        n.handle_s1ap(&release(1 + (1 << REGION_SHIFT) + 5));
+        let rx = |n: &PepcNode, k: usize| n.slice_ref(k).ctrl.metrics().s1ap_rx;
+        assert_eq!((rx(&n, 0), rx(&n, 1)), (1, 0), "slice 1's MME UE id reached slice 0");
+        n.handle_s1ap(&release(1 + 5));
+        assert_eq!((rx(&n, 0), rx(&n, 1)), (2, 0), "slice 0's own ids stay home");
     }
 
     #[test]

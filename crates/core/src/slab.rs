@@ -14,8 +14,9 @@
 //!   once and published into a zeroed chunk directory; slots inside a
 //!   chunk are never individually allocated or freed by the system
 //!   allocator. Resident memory follows the live population.
-//! * **Free slots go to a free-list**, so a detach/attach cycle reuses a
-//!   warm slot with no heap traffic at all.
+//! * **Free slots go to a FIFO free queue**, so a detach/attach cycle
+//!   reuses a slot with no heap traffic at all, and a slot freed now is
+//!   handed out again only after every slot freed before it.
 //! * **Capacity is one identifier region** (2^24 slots, `MAX_CHUNKS` ×
 //!   [`CHUNK_SLOTS`]); past it [`UeSlab::alloc`] returns `None`, which
 //!   callers turn into a rejected attach.
@@ -33,9 +34,11 @@
 //! optimistic reader racing a slot reuse only ever observes
 //! protocol-mediated writes.
 
+use crate::demux::REGION_SHIFT;
 use crate::state::{ControlState, CounterState, UeContext};
 use parking_lot::Mutex;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -48,9 +51,19 @@ pub const CHUNK_SLOTS: usize = 256;
 
 /// Chunk-directory fan-out: exactly one slice's identifier region
 /// (2^24 slots) of chunks, so the slab runs out when the region does.
-const MAX_CHUNKS: usize = (1 << crate::demux::REGION_SHIFT) / CHUNK_SLOTS;
+const MAX_CHUNKS: usize = (1 << REGION_SHIFT) / CHUNK_SLOTS;
 
-const _: () = assert!(MAX_CHUNKS * CHUNK_SLOTS == 1 << crate::demux::REGION_SHIFT);
+const _: () = assert!(MAX_CHUNKS * CHUNK_SLOTS == 1 << REGION_SHIFT);
+
+/// The data plane's shown bit in a generation word (see [`UeSlab::show`]);
+/// the generation is the 31 bits below it.
+const SHOWN: u32 = 1 << 31;
+
+/// The generation a word holds, if it is live (odd).
+#[inline]
+fn live(word: u32) -> Option<u32> {
+    Some(word & !SHOWN).filter(|g| g % 2 == 1)
+}
 
 /// Directory entries per 4 KiB page, the unit the zeroed directory becomes resident in.
 const DIR_ENTRIES_PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicPtr<Chunk>>();
@@ -61,9 +74,9 @@ const DIR_ENTRIES_PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicPtr<Chunk>>
 /// so a resolve touches one densely-packed counter line and the context
 /// lines stay exclusively the planes' own traffic.
 struct Chunk {
-    /// Per-slot generation: even = free, odd = live. Bumped with
-    /// `Release` on alloc (after the slot content is re-initialized) and
-    /// on free, read with `Acquire` by `resolve`.
+    /// Per-slot generation (even = free, odd = live) below the shown
+    /// bit. Bumped with `Release` on alloc (after the slot content is
+    /// re-initialized) and on free, read with `Acquire` by `resolve`.
     gens: [AtomicU32; CHUNK_SLOTS],
     slots: [UeContext; CHUNK_SLOTS],
 }
@@ -151,11 +164,11 @@ impl Deref for UeRef<'_> {
     }
 }
 
-/// Allocation state behind the mutex: the free-list and the bump cursor.
-/// Chunk creation also happens under this lock, so at most one thread
-/// ever races the directory publish.
+/// Allocation state behind the mutex: the free queue and the bump
+/// cursor. Chunk creation also happens under this lock, so at most one
+/// thread ever races the directory publish.
 struct AllocState {
-    free: Vec<u32>,
+    free: VecDeque<u32>,
     next: u32,
 }
 
@@ -169,6 +182,8 @@ pub struct UeSlab {
     alloc: Mutex<AllocState>,
     live: AtomicU64,
     chunks: AtomicU64,
+    /// `k`: a native identifier's region offset names slot `offset mod 2^k`.
+    slot_bits: u32,
 }
 
 impl Default for UeSlab {
@@ -178,15 +193,23 @@ impl Default for UeSlab {
 }
 
 impl UeSlab {
+    /// A slab whose identifiers name the minimum `2^8` slots.
     pub fn new() -> Self {
+        Self::with_population(0)
+    }
+
+    /// A slab whose identifiers name `2^k` slots, `k` sized for
+    /// `expected_users` (module docs).
+    pub fn with_population(expected_users: usize) -> Self {
         UeSlab {
             // SAFETY: an all-zero `AtomicPtr` is the null pointer, so the
             // zeroed slice is a directory of unborn chunks. Its pages stay
             // untouched until a chunk's entry is written.
             dir: unsafe { Box::<[AtomicPtr<Chunk>]>::new_zeroed_slice(MAX_CHUNKS).assume_init() },
-            alloc: Mutex::new(AllocState { free: Vec::new(), next: 0 }),
+            alloc: Mutex::new(AllocState { free: VecDeque::new(), next: 0 }),
             live: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
+            slot_bits: expected_users.next_power_of_two().trailing_zeros().clamp(8, REGION_SHIFT - 4),
         }
     }
 
@@ -195,28 +218,41 @@ impl UeSlab {
     /// a fresh chunk is needed (once per [`CHUNK_SLOTS`] net new users).
     /// `None` when every slot of the region is live.
     pub fn alloc(&self, ctrl: ControlState, counters: CounterState) -> Option<UeHandle> {
-        let index = {
+        self.alloc_with(|_| Some(ctrl), counters)
+    }
+
+    /// [`Self::alloc`], with the control state built by `init` from the
+    /// handle the slot will carry, so identifiers can name it. Runs under
+    /// the alloc lock; when `init` declines, nothing is allocated.
+    pub fn alloc_with(
+        &self,
+        init: impl FnOnce(UeHandle) -> Option<ControlState>,
+        counters: CounterState,
+    ) -> Option<UeHandle> {
+        let (h, ctrl) = {
             let mut a = self.alloc.lock();
-            match a.free.pop() {
-                Some(i) => i,
+            let index = match a.free.front() {
+                Some(&i) => i,
                 None => {
-                    let i = a.next;
-                    let entry = self.dir.get(i as usize / CHUNK_SLOTS)?;
+                    let entry = self.dir.get(a.next as usize / CHUNK_SLOTS)?;
                     if entry.load(Ordering::Acquire).is_null() {
                         entry.store(new_chunk(), Ordering::Release);
                         self.chunks.fetch_add(1, Ordering::Relaxed);
                     }
-                    a.next = i + 1;
-                    i
+                    a.next
                 }
+            };
+            let (c, slot) = self.at(index)?;
+            let generation = c.gens[slot].load(Ordering::Relaxed);
+            debug_assert_eq!(generation % 2, 0, "allocating a live slot");
+            let h = UeHandle::new(generation + 1, index);
+            let ctrl = init(h)?;
+            if a.free.pop_front().is_none() {
+                a.next = index + 1;
             }
+            (h, ctrl)
         };
-        let (chunk, slot) = (index as usize / CHUNK_SLOTS, index as usize % CHUNK_SLOTS);
-        // SAFETY: the chunk was published (under the lock) before any
-        // index into it was handed out.
-        let c = unsafe { &*self.dir[chunk].load(Ordering::Acquire) };
-        let generation = c.gens[slot].load(Ordering::Relaxed);
-        debug_assert_eq!(generation % 2, 0, "allocating a live slot");
+        let (c, slot) = self.at(h.index())?;
         // Re-initialize through the context's own publish protocol (write
         // guard republishes the view; counter publish bumps the cell
         // sequence) so a stale optimistic reader racing this reuse only
@@ -225,26 +261,66 @@ impl UeSlab {
         *ctx.ctrl_write() = ctrl;
         ctx.update_counters(|c| *c = counters);
         ctx.set_s1_conn(None);
-        let live_gen = generation.wrapping_add(1);
-        c.gens[slot].store(live_gen, Ordering::Release);
+        c.gens[slot].store(h.generation(), Ordering::Release);
         self.live.fetch_add(1, Ordering::Relaxed);
-        Some(UeHandle::new(live_gen, index))
+        Some(h)
     }
 
-    /// Release a slot back to the free-list. Returns false (and does
+    /// How many slots native identifiers name: `2^k`.
+    pub fn named_slots(&self) -> u32 {
+        1 << self.slot_bits
+    }
+
+    /// The region offset `h`'s native identifiers sit at: its tenant
+    /// count (mod `2^g`) above its slot. `None` for a slot past `2^k`.
+    #[inline]
+    pub fn offset_of(&self, h: UeHandle) -> Option<u32> {
+        let k = self.slot_bits;
+        (h.index() >> k == 0).then(|| ((h.generation() >> 1) << k | h.index()) & ((1 << REGION_SHIFT) - 1))
+    }
+
+    /// The live handle in the slot a region offset names, if its tenant
+    /// is the one the offset names, and whether the slot is shown
+    /// ([`Self::show`]). Lock-free: one generation load, like
+    /// [`Self::resolve`].
+    #[inline]
+    pub fn named(&self, offset: u32) -> Option<(UeHandle, bool)> {
+        let index = offset & (self.named_slots() - 1);
+        let (c, slot) = self.at(index)?;
+        let word = c.gens[slot].load(Ordering::Acquire);
+        let h = UeHandle::new(live(word)?, index);
+        (self.offset_of(h) == Some(offset)).then_some((h, word & SHOWN != 0))
+    }
+
+    /// Set or clear `h`'s shown bit: the data plane's mark that it serves
+    /// the slot's user by arithmetic. Only the data thread calls it, and a
+    /// free clears the bit. False (nothing changed) for a stale handle.
+    pub fn show(&self, h: UeHandle, on: bool) -> bool {
+        let Some((c, slot)) = self.at(h.index()) else { return false };
+        if live(c.gens[slot].load(Ordering::Acquire)) != Some(h.generation()) {
+            return false;
+        }
+        c.gens[slot].store(h.generation() | if on { SHOWN } else { 0 }, Ordering::Release);
+        true
+    }
+
+    /// [`Self::prefetch`] for the slot a region offset names.
+    #[inline]
+    pub fn prefetch_named(&self, offset: u32) {
+        self.prefetch(UeHandle::new(0, offset & (self.named_slots() - 1)));
+    }
+
+    /// Release a slot to the back of the free queue. Returns false (and does
     /// nothing) if the handle is stale — already freed, or freed and
     /// reallocated to someone else.
     pub fn free(&self, h: UeHandle) -> bool {
-        let index = h.index() as usize;
-        let Some(c) = self.chunk(index / CHUNK_SLOTS) else { return false };
-        let slot = index % CHUNK_SLOTS;
-        let generation = c.gens[slot].load(Ordering::Acquire);
-        if generation != h.generation() || generation % 2 == 0 {
+        let Some((c, slot)) = self.at(h.index()) else { return false };
+        if live(c.gens[slot].load(Ordering::Acquire)) != Some(h.generation()) {
             return false;
         }
-        c.gens[slot].store(generation.wrapping_add(1), Ordering::Release);
+        c.gens[slot].store(h.generation().wrapping_add(1) & !SHOWN, Ordering::Release);
         self.live.fetch_sub(1, Ordering::Relaxed);
-        self.alloc.lock().free.push(h.index());
+        self.alloc.lock().free.push_back(h.index());
         true
     }
 
@@ -253,14 +329,9 @@ impl UeSlab {
     /// stale handle — the ABA guard.
     #[inline]
     pub fn resolve(&self, h: UeHandle) -> Option<UeRef<'_>> {
-        let index = h.index() as usize;
-        let c = self.chunk(index / CHUNK_SLOTS)?;
-        let slot = index % CHUNK_SLOTS;
-        let generation = c.gens[slot].load(Ordering::Acquire);
-        if generation != h.generation() || generation % 2 == 0 {
-            return None;
-        }
-        Some(UeRef { ctx: &c.slots[slot], handle: h })
+        let (c, slot) = self.at(h.index())?;
+        (live(c.gens[slot].load(Ordering::Acquire)) == Some(h.generation()))
+            .then(|| UeRef { ctx: &c.slots[slot], handle: h })
     }
 
     /// Hint the lines [`Self::resolve`] and the enforcement pass will
@@ -270,22 +341,17 @@ impl UeSlab {
     /// unborn chunk is a no-op.
     #[inline]
     pub fn prefetch(&self, h: UeHandle) {
-        let index = h.index() as usize;
-        let Some(c) = self.chunk(index / CHUNK_SLOTS) else { return };
-        let slot = index % CHUNK_SLOTS;
+        let Some((c, slot)) = self.at(h.index()) else { return };
         crate::prefetch_line(&c.gens[slot]);
         c.slots[slot].prefetch_cells();
     }
 
+    /// The born chunk holding slot `index`, and the slot's place in it.
     #[inline]
-    fn chunk(&self, c: usize) -> Option<&Chunk> {
-        let p = self.dir.get(c)?.load(Ordering::Acquire);
-        if p.is_null() {
-            None
-        } else {
-            // SAFETY: published chunks live until the slab drops.
-            Some(unsafe { &*p })
-        }
+    fn at(&self, index: u32) -> Option<(&Chunk, usize)> {
+        let p = self.dir.get(index as usize / CHUNK_SLOTS)?.load(Ordering::Acquire);
+        // SAFETY: published chunks live until the slab drops.
+        (!p.is_null()).then(|| (unsafe { &*p }, index as usize % CHUNK_SLOTS))
     }
 
     // -- gauges ---------------------------------------------------------------
@@ -295,7 +361,7 @@ impl UeSlab {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// Slots sitting on the free-list, ready for reuse without heap
+    /// Slots sitting on the free queue, ready for reuse without heap
     /// traffic.
     pub fn free_slots(&self) -> u64 {
         self.alloc.lock().free.len() as u64
@@ -303,7 +369,7 @@ impl UeSlab {
 
     /// Resident bytes attributable to the slab: born chunks, the
     /// directory pages their entries occupy (chunks are born in index
-    /// order), and the free-list.
+    /// order), and the free queue.
     pub fn bytes(&self) -> u64 {
         let chunks = self.chunks.load(Ordering::Relaxed);
         let chunk_bytes = chunks * std::mem::size_of::<Chunk>() as u64;
@@ -381,7 +447,7 @@ mod tests {
         assert!(slab.free(h1));
         // The freed slot is reused for a different user.
         let h2 = slab.alloc(ctrl(2), CounterState::default()).unwrap();
-        assert_eq!(h1.index(), h2.index(), "free-list reuses the slot");
+        assert_eq!(h1.index(), h2.index(), "the free queue reuses the slot");
         assert_ne!(h1, h2, "but the generation differs");
         assert!(slab.resolve(h1).is_none(), "stale handle must miss, not alias");
         assert_eq!(slab.resolve(h2).unwrap().ctrl_read().imsi, 2);
@@ -442,6 +508,28 @@ mod tests {
         }
         assert_eq!(slab.resolve(h).unwrap().ctrl_read().imsi, 49);
         assert_eq!(slab.live_slots(), 1);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_first_in_first_out_and_name_their_next_tenant() {
+        let slab = UeSlab::new();
+        let hs: Vec<_> = (0..3).map(|i| slab.alloc(ctrl(i), CounterState::default()).unwrap()).collect();
+        for &i in &[1, 0, 2] {
+            assert!(slab.free(hs[i]));
+        }
+        let reused: Vec<_> = (0..3).map(|i| slab.alloc(ctrl(10 + i), CounterState::default()).unwrap()).collect();
+        assert_eq!(reused.iter().map(|h| h.index()).collect::<Vec<_>>(), [1, 0, 2], "oldest free first");
+        for (old, new) in [(hs[1], reused[0]), (hs[0], reused[1])] {
+            // Tenant 1 of the slot: one tenant block above tenant 0's name.
+            assert_eq!(slab.offset_of(new), slab.offset_of(old).map(|o| o + slab.named_slots()));
+            assert_eq!(slab.named(slab.offset_of(new).unwrap()), Some((new, false)));
+            assert_eq!(slab.named(slab.offset_of(old).unwrap()), None, "the old name is stale");
+        }
+        assert!(slab.show(reused[0], true) && !slab.show(hs[1], true), "a stale handle cannot be shown");
+        assert_eq!(slab.named(slab.offset_of(reused[0]).unwrap()), Some((reused[0], true)));
+        assert!(slab.resolve(reused[0]).is_some(), "the shown bit is not part of the generation");
+        assert!(slab.free(reused[0]));
+        assert_eq!(slab.named(slab.offset_of(reused[0]).unwrap()), None, "a free clears it");
     }
 
     #[test]

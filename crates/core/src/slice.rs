@@ -120,7 +120,7 @@ impl Slice {
         // One arena per slice: the control plane allocates contexts in
         // it, the data plane resolves handles against it. Sharing is what
         // keeps a handle meaningful on both sides of the update ring.
-        let slab = Arc::new(UeSlab::new());
+        let slab = Arc::new(UeSlab::with_population(config.expected_users));
         let bases = Some((alloc.teid_base, alloc.ue_ip_base));
         let mut data =
             DataPlane::with_slab(Arc::clone(&slab), gw_ip, config.expected_users, config.two_level, config.iot, bases);
@@ -353,23 +353,25 @@ pub struct SliceHandle {
 }
 
 impl SliceHandle {
-    /// Stop both threads and return the final planes for inspection.
-    pub fn shutdown(self) -> (ControlPlane, DataPlane) {
-        (self.ctrl_worker.join(), self.data_worker.join())
+    /// Stop both threads and return the final planes for inspection, or
+    /// the payload a plane's thread panicked with.
+    pub fn shutdown(self) -> std::thread::Result<(ControlPlane, DataPlane)> {
+        Ok((self.ctrl_worker.join()?, self.data_worker.join()?))
     }
 }
 
 impl Slice {
     /// Spawn a threaded slice: control thread on `config.ctrl_core`, data
     /// thread on `config.data_core` (paper: "The PEPC control and data
-    /// plane threads are pinned to separate cores").
+    /// plane threads are pinned to separate cores"). Fails only when the
+    /// OS cannot start a thread.
     pub fn spawn(
         config: &SliceConfig,
         gw_ip: u32,
         tac: u16,
         alloc: Allocator,
         proxy: Option<Arc<Proxy>>,
-    ) -> SliceHandle {
+    ) -> std::io::Result<SliceHandle> {
         let Slice { ctrl, data, mut update_tx, mut update_rx, sync_every, clock, mut update_scratch, .. } =
             Slice::new(config, gw_ip, tac, alloc, proxy);
         let stats = Arc::new(SliceStats::default());
@@ -428,7 +430,7 @@ impl Slice {
                 data_stats.dropped.fetch_add(dropped, Ordering::Relaxed);
             }
             Poll::Busy
-        });
+        })?;
 
         // --- control thread ---
         let ctrl_stats = Arc::clone(&stats);
@@ -481,9 +483,9 @@ impl Slice {
             } else {
                 Poll::Idle
             }
-        });
+        })?;
 
-        SliceHandle { data_in, data_out, ctrl_tx, ctrl_rx, stats, data_worker, ctrl_worker }
+        Ok(SliceHandle { data_in, data_out, ctrl_tx, ctrl_rx, stats, data_worker, ctrl_worker })
     }
 }
 
@@ -677,7 +679,7 @@ mod tests {
     #[test]
     fn threaded_slice_end_to_end() {
         let config = SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..SliceConfig::default() };
-        let mut h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None);
+        let mut h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None).unwrap();
         h.ctrl_tx.send(CtrlCmd::Event(CtrlEvent::Attach { imsi: 7 })).unwrap();
         // Wait for the attach to land.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -699,13 +701,13 @@ mod tests {
         let mut out = Vec::new();
         while h.data_out.pop_burst(&mut out, 16) > 0 {}
         assert!(!out.is_empty());
-        h.shutdown();
+        h.shutdown().unwrap();
     }
 
     #[test]
     fn threaded_migration_roundtrip() {
         let config = SliceConfig::default();
-        let h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None);
+        let h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None).unwrap();
         h.ctrl_tx.send(CtrlCmd::Event(CtrlEvent::Attach { imsi: 9 })).unwrap();
         h.ctrl_tx.send(CtrlCmd::Extract { imsi: 9 }).unwrap();
         let reply = h.ctrl_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
@@ -723,7 +725,7 @@ mod tests {
         h.ctrl_tx.send(CtrlCmd::Extract { imsi: 9 }).unwrap();
         let reply = h.ctrl_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         assert!(matches!(reply, CtrlReply::Extracted { imsi: 9, record: Some(_) }), "{reply:?}");
-        let (cp, _) = h.shutdown();
+        let (cp, _) = h.shutdown().unwrap();
         assert_eq!((cp.metrics().migrations_out, cp.metrics().migrations_in), (2, 1));
     }
 

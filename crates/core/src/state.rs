@@ -417,6 +417,13 @@ impl UeContext {
         (packed != 0).then_some(S1Conn { mme_ue_id: (packed >> 32) as u32, enb_ue_id: packed as u32 })
     }
 
+    /// The IMSI and GUTI the context is registered under: a lock-line
+    /// read, without assembling the whole control state.
+    pub fn imsi_guti(&self) -> (u64, u64) {
+        let i = self.ident.read();
+        (i.imsi, i.guti)
+    }
+
     /// Replace the S1 association (control thread only).
     pub fn set_s1_conn(&self, conn: Option<S1Conn>) {
         let packed = conn.map_or(0, |c| u64::from(c.mme_ue_id) << 32 | u64::from(c.enb_ue_id));

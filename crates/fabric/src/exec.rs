@@ -43,31 +43,29 @@ impl<R: Send + 'static> Worker<R> {
     /// `poll` receives a `&stop` flag it may consult for long-running
     /// drains; the loop also checks the flag between polls. On exit the
     /// worker returns `finish()`'s value, retrieved via [`Worker::join`].
-    pub fn spawn<P, F>(core: CoreId, mut poll: P, finish: F) -> Self
+    /// Fails only when the OS cannot start a thread.
+    pub fn spawn<P, F>(core: CoreId, mut poll: P, finish: F) -> std::io::Result<Self>
     where
         P: FnMut() -> Poll + Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("pepc-core-{}", core.0))
-            .spawn(move || {
-                pin_to_core(core);
-                loop {
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match poll() {
-                        Poll::Busy => {}
-                        Poll::Idle => std::hint::spin_loop(),
-                        Poll::Done => break,
-                    }
+        let handle = std::thread::Builder::new().name(format!("pepc-core-{}", core.0)).spawn(move || {
+            pin_to_core(core);
+            loop {
+                if stop2.load(Ordering::Relaxed) {
+                    break;
                 }
-                finish()
-            })
-            .expect("spawn worker thread");
-        Worker { stop, handle: Some(handle), core }
+                match poll() {
+                    Poll::Busy => {}
+                    Poll::Idle => std::hint::spin_loop(),
+                    Poll::Done => break,
+                }
+            }
+            finish()
+        })?;
+        Ok(Worker { stop, handle: Some(handle), core })
     }
 
     /// The core this worker was assigned.
@@ -78,30 +76,27 @@ impl<R: Send + 'static> Worker<R> {
     /// Spawn a worker that owns a piece of state, polled via
     /// `poll(&mut state)`; [`Worker::join`] returns the state. This is how
     /// a PEPC slice gets its plane back after stopping the thread.
-    pub fn spawn_state<P>(core: CoreId, mut state: R, mut poll: P) -> Self
+    pub fn spawn_state<P>(core: CoreId, mut state: R, mut poll: P) -> std::io::Result<Self>
     where
         P: FnMut(&mut R) -> Poll + Send + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("pepc-core-{}", core.0))
-            .spawn(move || {
-                pin_to_core(core);
-                loop {
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match poll(&mut state) {
-                        Poll::Busy => {}
-                        Poll::Idle => std::hint::spin_loop(),
-                        Poll::Done => break,
-                    }
+        let handle = std::thread::Builder::new().name(format!("pepc-core-{}", core.0)).spawn(move || {
+            pin_to_core(core);
+            loop {
+                if stop2.load(Ordering::Relaxed) {
+                    break;
                 }
-                state
-            })
-            .expect("spawn worker thread");
-        Worker { stop, handle: Some(handle), core }
+                match poll(&mut state) {
+                    Poll::Busy => {}
+                    Poll::Idle => std::hint::spin_loop(),
+                    Poll::Done => break,
+                }
+            }
+            state
+        })?;
+        Ok(Worker { stop, handle: Some(handle), core })
     }
 
     /// Ask the worker to stop at its next poll boundary.
@@ -118,10 +113,11 @@ impl<R: Send + 'static> Worker<R> {
     }
 
     /// Stop (if not already stopped) and wait for the worker, returning
-    /// its final value.
-    pub fn join(mut self) -> R {
+    /// its final value, or the payload it panicked with.
+    pub fn join(mut self) -> std::thread::Result<R> {
         self.request_stop();
-        self.handle.take().expect("worker already joined").join().expect("worker panicked")
+        // Only `join` and `drop`, which both consume the worker, take it.
+        self.handle.take().map_or_else(|| Err(Box::new("worker already joined") as _), JoinHandle::join)
     }
 }
 
@@ -185,11 +181,12 @@ mod tests {
                 Poll::Busy
             },
             move || c3.load(Ordering::Relaxed),
-        );
+        )
+        .unwrap();
         while count.load(Ordering::Relaxed) < 1000 {
             std::hint::spin_loop();
         }
-        let final_count = w.join();
+        let final_count = w.join().unwrap();
         assert!(final_count >= 1000);
     }
 
@@ -209,22 +206,23 @@ mod tests {
                 }
             },
             || 42u32,
-        );
-        assert_eq!(w.join(), 42);
+        )
+        .unwrap();
+        assert_eq!(w.join().unwrap(), 42);
     }
 
     #[test]
     fn idle_worker_still_stops() {
-        let w = Worker::spawn(CoreId(3), || Poll::Idle, || "done");
+        let w = Worker::spawn(CoreId(3), || Poll::Idle, || "done").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert_eq!(w.join(), "done");
+        assert_eq!(w.join().unwrap(), "done");
     }
 
     #[test]
     fn oversubscribed_core_id_is_tolerated() {
         // CoreId far beyond the host's core count: pin silently skipped.
-        let w = Worker::spawn(CoreId(4096), || Poll::Done, || ());
-        w.join();
+        let w = Worker::spawn(CoreId(4096), || Poll::Done, || ()).unwrap();
+        w.join().unwrap();
     }
 
     #[test]
@@ -236,13 +234,14 @@ mod tests {
             } else {
                 Poll::Done
             }
-        });
+        })
+        .unwrap();
         // `join` alone would request a stop, possibly before the worker
         // thread has polled five times; wait for it to finish by itself.
         while !w.is_finished() {
             std::thread::yield_now();
         }
-        assert_eq!(w.join(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(w.join().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -257,7 +256,8 @@ mod tests {
                     Poll::Busy
                 },
                 || (),
-            );
+            )
+            .unwrap();
         } // dropped here; must not hang
         let after = count.load(Ordering::Relaxed);
         std::thread::sleep(std::time::Duration::from_millis(5));

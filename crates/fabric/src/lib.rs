@@ -1,3 +1,6 @@
+// The substrate returns errors instead of unwrapping: a worker or wire
+// failure is its caller's to handle.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # pepc-fabric — the packet-processing substrate PEPC runs on
 //!
 //! The paper runs PEPC inside NetBricks over DPDK: run-to-completion
@@ -31,7 +34,7 @@ pub mod wire;
 
 pub use clock::{Clock, LatencyHistogram, RateMeter, VirtualClock};
 pub use exec::{CoreId, Worker};
-pub use maglev::Maglev;
+pub use maglev::{Maglev, MaglevError};
 pub use port::{Port, PortPair, PortStats};
 pub use ring::SpscRing;
 pub use wire::{FaultSpec, Wire, WireStats};

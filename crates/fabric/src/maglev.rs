@@ -6,6 +6,29 @@
 //! Maglev lookup-table construction, which gives near-perfectly even
 //! spread and minimal disruption when nodes come and go.
 
+/// Why a table cannot be built or repaired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MaglevError {
+    /// No backends, or a table no larger than the backend count.
+    TooFewSlots,
+    /// The backend is out of range or already removed.
+    NotLive(usize),
+    /// Removing the backend would leave none in service.
+    LastLive,
+}
+
+impl std::fmt::Display for MaglevError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MaglevError::TooFewSlots => write!(f, "need at least one backend and more slots than backends"),
+            MaglevError::NotLive(i) => write!(f, "backend {i} is not in service"),
+            MaglevError::LastLive => write!(f, "cannot remove the last live backend"),
+        }
+    }
+}
+
+impl std::error::Error for MaglevError {}
+
 /// A Maglev consistent-hash table mapping flow hashes to backends.
 #[derive(Debug, Clone)]
 pub struct Maglev {
@@ -22,13 +45,12 @@ impl Maglev {
     pub const DEFAULT_TABLE_SIZE: usize = 65537;
 
     /// Build a table over `backends` (names are arbitrary identifiers).
-    ///
-    /// # Panics
-    /// Panics if `backends` is empty or `table_size` is not larger than
-    /// the number of backends.
-    pub fn new(backends: &[String], table_size: usize) -> Self {
-        assert!(!backends.is_empty(), "need at least one backend");
-        assert!(table_size > backends.len(), "table must exceed backend count");
+    /// Fails when `backends` is empty or `table_size` is not larger than
+    /// their number.
+    pub fn new(backends: &[String], table_size: usize) -> Result<Self, MaglevError> {
+        if backends.is_empty() || table_size <= backends.len() {
+            return Err(MaglevError::TooFewSlots);
+        }
         let n = backends.len();
         let m = table_size;
         let (offset, skip) = permutation_params(backends, m);
@@ -52,7 +74,7 @@ impl Maglev {
                 }
             }
         }
-        Maglev { table, backends: backends.to_vec(), alive: vec![true; n] }
+        Ok(Maglev { table, backends: backends.to_vec(), alive: vec![true; n] })
     }
 
     /// Repair the table in place after backend `dead` fails.
@@ -64,16 +86,16 @@ impl Maglev {
     /// surviving backend never re-steer, and keys of the dead backend
     /// land deterministically on survivors. Backend indices are stable
     /// across removals ([`Self::lookup`] keeps returning the same handle
-    /// for surviving backends).
-    ///
-    /// # Panics
-    /// Panics if `dead` is out of range, already removed, or the last
-    /// live backend.
-    pub fn remove_backend(&mut self, dead: usize) {
-        assert!(dead < self.backends.len(), "backend index out of range");
-        assert!(self.alive[dead], "backend already removed");
+    /// for surviving backends). Fails, changing nothing, when `dead` is
+    /// not in service or is the last backend that is.
+    pub fn remove_backend(&mut self, dead: usize) -> Result<(), MaglevError> {
+        if !self.alive.get(dead).copied().unwrap_or(false) {
+            return Err(MaglevError::NotLive(dead));
+        }
+        if self.alive_count() == 1 {
+            return Err(MaglevError::LastLive);
+        }
         self.alive[dead] = false;
-        assert!(self.alive.iter().any(|&a| a), "cannot remove the last live backend");
 
         let m = self.table.len();
         let n = self.backends.len();
@@ -108,6 +130,7 @@ impl Maglev {
                 }
             }
         }
+        Ok(())
     }
 
     /// Whether backend `i` is still in service.
@@ -124,16 +147,6 @@ impl Maglev {
     pub fn lookup(&self, key: u64) -> usize {
         let h = fnv1a(&key.to_le_bytes(), 0x811C_9DC5) as usize;
         self.table[h % self.table.len()] as usize
-    }
-
-    /// Name of the backend responsible for `key`.
-    pub fn backend(&self, key: u64) -> &str {
-        &self.backends[self.lookup(key)]
-    }
-
-    /// Number of backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
     }
 }
 
@@ -173,7 +186,7 @@ mod tests {
 
     #[test]
     fn lookup_is_deterministic() {
-        let m = Maglev::new(&names(5), 1031);
+        let m = Maglev::new(&names(5), 1031).unwrap();
         for k in 0..100u64 {
             assert_eq!(m.lookup(k), m.lookup(k));
         }
@@ -181,7 +194,7 @@ mod tests {
 
     #[test]
     fn spread_is_roughly_even() {
-        let m = Maglev::new(&names(5), 65537);
+        let m = Maglev::new(&names(5), 65537).unwrap();
         let mut counts = [0usize; 5];
         for k in 0..100_000u64 {
             counts[m.lookup(k)] += 1;
@@ -199,17 +212,18 @@ mod tests {
     fn removing_a_backend_disrupts_few_keys() {
         let all = names(10);
         let without_last = all[..9].to_vec();
-        let before = Maglev::new(&all, 65537);
-        let after = Maglev::new(&without_last, 65537);
+        let before = Maglev::new(&all, 65537).unwrap();
+        let after = Maglev::new(&without_last, 65537).unwrap();
         let mut moved = 0;
         let mut to_removed = 0;
         for k in 0..50_000u64 {
-            let b = before.backend(k);
-            if b == "pepc-node-9" {
+            // Backends 0..9 keep their names, so their indices agree.
+            let b = before.lookup(k);
+            if b == 9 {
                 to_removed += 1;
                 continue; // those keys must move
             }
-            if after.backend(k) != b {
+            if after.lookup(k) != b {
                 moved += 1;
             }
         }
@@ -220,31 +234,31 @@ mod tests {
 
     #[test]
     fn single_backend_takes_everything() {
-        let m = Maglev::new(&names(1), 101);
+        let m = Maglev::new(&names(1), 101).unwrap();
         for k in 0..100u64 {
             assert_eq!(m.lookup(k), 0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one backend")]
-    fn empty_backends_rejected() {
-        let _ = Maglev::new(&[], 101);
+    fn too_few_slots_are_rejected() {
+        assert_eq!(Maglev::new(&[], 101).err(), Some(MaglevError::TooFewSlots));
+        assert_eq!(Maglev::new(&names(3), 3).err(), Some(MaglevError::TooFewSlots));
     }
 
     #[test]
     fn every_slot_is_filled() {
-        let m = Maglev::new(&names(3), 257);
+        let m = Maglev::new(&names(3), 257).unwrap();
         assert!(m.table.iter().all(|&s| s != u32::MAX));
-        assert_eq!(m.backend_count(), 3);
+        assert_eq!(m.alive_count(), 3);
     }
 
     #[test]
     fn repair_resteers_only_the_dead_backends_keys() {
         for size in [257usize, 1031, 65537] {
-            let before = Maglev::new(&names(5), size);
+            let before = Maglev::new(&names(5), size).unwrap();
             let mut after = before.clone();
-            after.remove_backend(2);
+            after.remove_backend(2).unwrap();
             assert!(!after.is_alive(2));
             assert_eq!(after.alive_count(), 4);
             for k in 0..20_000u64 {
@@ -261,14 +275,14 @@ mod tests {
 
     #[test]
     fn repair_is_deterministic_and_composes() {
-        let mut a = Maglev::new(&names(4), 1031);
+        let mut a = Maglev::new(&names(4), 1031).unwrap();
         let mut b = a.clone();
-        a.remove_backend(1);
-        b.remove_backend(1);
+        a.remove_backend(1).unwrap();
+        b.remove_backend(1).unwrap();
         assert_eq!(a.table, b.table);
         // A second failure repairs again, still only vacated slots move.
         let before_second = a.clone();
-        a.remove_backend(3);
+        a.remove_backend(3).unwrap();
         for k in 0..10_000u64 {
             let owner = before_second.lookup(k);
             if owner != 3 {
@@ -280,9 +294,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "last live backend")]
     fn cannot_remove_last_backend() {
-        let mut m = Maglev::new(&names(1), 101);
-        m.remove_backend(0);
+        let mut m = Maglev::new(&names(2), 101).unwrap();
+        assert_eq!(m.remove_backend(2), Err(MaglevError::NotLive(2)));
+        m.remove_backend(0).unwrap();
+        let table = m.table.clone();
+        assert_eq!(m.remove_backend(0), Err(MaglevError::NotLive(0)));
+        assert_eq!(m.remove_backend(1), Err(MaglevError::LastLive));
+        assert_eq!((m.alive_count(), m.table), (1, table), "a refused removal changes nothing");
     }
 }

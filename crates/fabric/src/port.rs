@@ -157,18 +157,6 @@ impl PortPair {
             Port { rx: b_rx, tx: b_tx, stats: Arc::new(PortStats::default()) },
         )
     }
-
-    /// Create a unidirectional link: returns (tx-only producer port end,
-    /// rx-only consumer port end) sharing one ring. The "unused" direction
-    /// of each port is a zero-capacity stub.
-    pub fn simplex(depth: usize) -> (Port, Port) {
-        let (tx, rx) = SpscRing::with_capacity(depth);
-        let (stub_tx, stub_rx) = SpscRing::with_capacity(2);
-        (
-            Port { rx: stub_rx, tx, stats: Arc::new(PortStats::default()) },
-            Port { rx, tx: stub_tx, stats: Arc::new(PortStats::default()) },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -246,13 +234,6 @@ mod tests {
         assert_eq!(gauges[0].capacity, 8);
         assert_eq!(gauges[1].name, "enb_tx");
         assert_eq!(gauges[1].depth, 0);
-    }
-
-    #[test]
-    fn simplex_link_flows_one_way() {
-        let (mut tx_end, mut rx_end) = PortPair::simplex(8);
-        assert!(tx_end.tx(Mbuf::from_payload(b"x")));
-        assert_eq!(rx_end.rx_one().unwrap().data(), b"x");
     }
 
     #[test]

@@ -153,21 +153,11 @@ impl Wire {
         self.delay_line.clear();
     }
 
-    /// Whether [`Wire::sever`] has been called.
-    pub fn is_severed(&self) -> bool {
-        self.severed
-    }
-
     /// Partition (`true`) or heal (`false`) the wire. While partitioned a
     /// pump moves nothing: frames wait at the source and in the delay
     /// line, and resume flowing after the heal — late, but intact.
     pub fn set_partitioned(&mut self, on: bool) {
         self.partitioned = on;
-    }
-
-    /// Whether the wire is currently partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
     }
 
     /// Update the fault parameters mid-run (scenario DSL hook). The RNG
@@ -229,11 +219,7 @@ impl Wire {
         // Delivery: everything whose due pump has arrived, oldest first.
         let mut forwarded = 0;
         while forwarded < max {
-            match self.delay_line.front() {
-                Some(&(d, _)) if d <= self.pump_seq => {}
-                _ => break,
-            }
-            let (_, mut m) = self.delay_line.pop_front().expect("checked front");
+            let Some((_, mut m)) = self.delay_line.pop_front_if(|(d, _)| *d <= self.pump_seq) else { break };
             if self.spec.rate_limit.is_some() {
                 if self.tokens == 0 {
                     self.stats.rate_limited += 1;
@@ -413,7 +399,6 @@ mod tests {
             src.tx(Mbuf::from_payload(&[i]));
         }
         wire.sever();
-        assert!(wire.is_severed());
         assert_eq!(wire.pump(100), 0);
         src.tx(Mbuf::from_payload(&[99]));
         assert_eq!(wire.pump(100), 0);
@@ -531,7 +516,6 @@ mod tests {
             src.tx(Mbuf::from_payload(&[i]));
         }
         wire.set_partitioned(true);
-        assert!(wire.is_partitioned());
         assert_eq!(wire.pump(100), 0);
         assert_eq!(wire.pump(100), 0);
         assert_eq!(wire.stats().forwarded, 0);

@@ -19,8 +19,8 @@
 pub struct DetectorConfig {
     /// Silent ticks before a node is suspected.
     pub suspect_after: u64,
-    /// Silent ticks before a node is declared dead. Must exceed
-    /// `suspect_after`.
+    /// Silent ticks before a node is declared dead. Read as at least
+    /// `suspect_after + 1`.
     pub dead_after: u64,
 }
 
@@ -46,9 +46,12 @@ pub struct FailureDetector {
 }
 
 impl FailureDetector {
-    /// Track `n` nodes, all initially alive and seen "now" (tick 0).
-    pub fn new(n: usize, cfg: DetectorConfig) -> Self {
-        assert!(cfg.suspect_after > 0 && cfg.dead_after > cfg.suspect_after);
+    /// Track `n` nodes, all initially alive and seen "now" (tick 0). A
+    /// node is suspected after at least one silent tick and declared dead
+    /// strictly after it is suspected: `cfg` is raised to that if needed.
+    pub fn new(n: usize, mut cfg: DetectorConfig) -> Self {
+        cfg.suspect_after = cfg.suspect_after.max(1);
+        cfg.dead_after = cfg.dead_after.max(cfg.suspect_after + 1);
         FailureDetector { cfg, last_seen: vec![0; n], health: vec![NodeHealth::Alive; n] }
     }
 

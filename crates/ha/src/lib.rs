@@ -1,3 +1,6 @@
+// Replication, detection and failover must not panic a node: library
+// code returns errors or counts corrupt frames instead of unwrapping.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // IMSI literals are written MCC_MNC_MSIN (e.g. 404_01_…).
 #![allow(clippy::inconsistent_digit_grouping)]
 

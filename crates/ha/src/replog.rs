@@ -81,9 +81,11 @@ impl std::fmt::Display for ReplogError {
 
 impl std::error::Error for ReplogError {}
 
-/// Serialize a record: raw version byte, then JSON body.
+/// Serialize a record: raw version byte, then JSON body. The record
+/// types always serialize; were one not to, the frame goes out with an
+/// empty body and the standby counts it corrupt.
 pub fn encode(rec: &ReplRecord) -> Vec<u8> {
-    let body = serde_json::to_vec(rec).expect("replication record types always serialize");
+    let body = serde_json::to_vec(rec).unwrap_or_default();
     let mut out = Vec::with_capacity(1 + body.len());
     out.push(REPLOG_VERSION);
     out.extend_from_slice(&body);

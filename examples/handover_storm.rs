@@ -38,7 +38,7 @@ fn main() {
         ..SliceConfig::default()
     };
     let alloc = Allocator { teid_base: 0x1000, ue_ip_base: 0x0A00_0001, guti_base: 0xD000, mme_ue_id_base: 1 };
-    let mut handle = Slice::spawn(&config, 0x0AFE_0001, 1, alloc, None);
+    let mut handle = Slice::spawn(&config, 0x0AFE_0001, 1, alloc, None).expect("spawn the slice's threads");
 
     // Attach a population through the control thread.
     for imsi in 0..USERS {
@@ -89,6 +89,6 @@ fn main() {
         "  ({:.1}% delivered while every user's tunnel state was being rewritten)",
         forwarded as f64 / sent as f64 * 100.0
     );
-    let (ctrl, _data) = handle.shutdown();
+    let (ctrl, _data) = handle.shutdown().expect("slice threads exit cleanly");
     println!("control thread final state: {} users, {} handovers", ctrl.user_count(), ctrl.metrics().handovers);
 }

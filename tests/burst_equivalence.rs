@@ -310,13 +310,17 @@ fn build_edge_plane() -> (DataPlane, Vec<UeHandle>, Vec<UeHandle>) {
         dp.apply_update(DpUpdate::Suspend { gw_teid: TEID_BASE + u, ue_ip: UE_IP_BASE + u, imsi }, 0);
     }
     let mut tenants = Vec::new();
-    for u in SUSPENDED..SUSPENDED + STALE {
+    // Reuse is FIFO: each even slot is re-tenanted before the odd ones
+    // join the free queue.
+    let (even, odd): (Vec<u32>, Vec<u32>) = (SUSPENDED..SUSPENDED + STALE).partition(|u| u % 2 == 0);
+    for u in even {
         assert!(dp.slab().free(handles[u as usize]));
-        if u % 2 == 0 {
-            let tenant = dp.slab().alloc(ControlState::new(999_000 + u64::from(u)), CounterState::default()).unwrap();
-            assert_eq!(tenant.index(), handles[u as usize].index(), "slot reused under the stale table entry");
-            tenants.push(tenant);
-        }
+        let tenant = dp.slab().alloc(ControlState::new(999_000 + u64::from(u)), CounterState::default()).unwrap();
+        assert_eq!(tenant.index(), handles[u as usize].index(), "slot reused under the stale table entry");
+        tenants.push(tenant);
+    }
+    for u in odd {
+        assert!(dp.slab().free(handles[u as usize]));
     }
     (dp, handles, tenants)
 }

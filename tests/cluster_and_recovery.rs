@@ -106,17 +106,6 @@ fn checkpoint_restore_survives_node_failure() {
     assert_eq!(n0 + n1, 100);
     recovered.slice(0).sync_now();
     recovered.slice(1).sync_now();
-    // Rebuild the Demux from restored state (what a recovery controller
-    // does from the same checkpoint).
-    for k in 0..2 {
-        for imsi in recovered.slice(k).ctrl.imsis() {
-            let ctx = recovered.slice(k).ctrl.context_of(imsi).unwrap();
-            let c = ctx.ctrl_read();
-            let (teid, ue_ip) = (c.tunnels.gw_teid, c.ue_ip);
-            drop(c);
-            recovered.restore_steering(imsi, teid, ue_ip, k);
-        }
-    }
     // Every restored user sits in its keys' region: no exception entry.
     assert!(recovered.demux().is_clear());
 

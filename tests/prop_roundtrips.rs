@@ -310,11 +310,11 @@ proptest! {
         // only the dead backend's keys move.
         let m = [251usize, 1031, 65537][size_pick];
         let names: Vec<String> = (0..n).map(|k| format!("pepc-node-{k}")).collect();
-        let mut lb = pepc_fabric::Maglev::new(&names, m);
+        let mut lb = pepc_fabric::Maglev::new(&names, m).unwrap();
         let dead = (dead_pick as usize) % n;
         let keys: Vec<u64> = (0..2000u64).map(|i| key_base.wrapping_add(i)).collect();
         let before: Vec<usize> = keys.iter().map(|&k| lb.lookup(k)).collect();
-        lb.remove_backend(dead);
+        lb.remove_backend(dead).unwrap();
         prop_assert_eq!(lb.alive_count(), n - 1);
         for (&key, &owner) in keys.iter().zip(&before) {
             let now = lb.lookup(key);
