@@ -4,10 +4,14 @@
 //! One `DataPlane` is grown through the milestone populations (default
 //! 1M / 5M / 10M, override with `CAPACITY_SCALES=a,b,c`): every attach
 //! allocates a context in the shared [`UeSlab`] arena and indexes its
-//! handle in the plane's incremental-growth index. The plane is built
-//! with the allocation bases the users' TEIDs and UE IPs come from, so
-//! each user is native: one index entry, keyed by its region offset, that
-//! serves both directions. At each milestone the bench reports:
+//! handle in the plane's index. The plane is built with the allocation
+//! bases the users' TEIDs and UE IPs come from, over a slab sized for the
+//! top milestone as a slice sizes it from `expected_users`, so a user
+//! whose keys name its slot and tenant is native: no index entry, both
+//! directions resolved by arithmetic (DESIGN.md §16). Users past the
+//! 2^20 slots identifiers can name, and those landing in slots the steady
+//! window re-tenanted, are foreign: two tagged entries in the plane's
+//! incremental-growth table. At each milestone the bench reports:
 //!
 //! * process RSS (`/proc/self/status` VmRSS) plus the RSS delta per
 //!   user since the pre-population baseline — measurement buffers are
@@ -85,7 +89,7 @@ fn user_ctrl(u: u64) -> ControlState {
 }
 
 /// One attach: allocate the context in the arena, index the handle
-/// under its data-path keys (one native entry). Returns wall-clock ns.
+/// under its data-path keys (no entry for a native). Returns wall-clock ns.
 fn attach(dp: &mut DataPlane, u: u64) -> u64 {
     let ctrl = user_ctrl(u);
     let t0 = Instant::now();
@@ -142,7 +146,7 @@ fn main() {
     let top = *scales.iter().max().unwrap();
     let bases = Some((TEID_BASE, UE_IP_BASE));
     let mut dp = DataPlane::with_slab(
-        Arc::new(UeSlab::new()),
+        Arc::new(UeSlab::with_population(top as usize)),
         GW_IP,
         1024,
         TwoLevelConfig::default(),
@@ -207,8 +211,8 @@ fn main() {
         emit(&format!("capacity/pkt_ns/{label}"), pkt_ns);
 
         // Steady window: attach a batch of *new* users at this
-        // occupancy — identical cold-cache alloc + one-entry index work
-        // as the ramp, minus growth rounds (milestones sit well below
+        // occupancy — identical cold-cache alloc + index work as the
+        // ramp, minus growth rounds (milestones sit well below
         // the next 3/4-load trigger) — then detach them so the next
         // ramp segment starts from exactly `n` users.
         steady_ns.clear();
