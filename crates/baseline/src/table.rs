@@ -488,8 +488,9 @@ mod tests {
 
     #[test]
     fn pepc_data_path_does_not_block_on_ctrl_readers() {
-        // A control-plane reader holding the ctrl read lock must not stop
-        // the data path (which reads the seqlock view, never the lock).
+        // A control-plane read must not stop the data path, which reads
+        // the seqlock view and takes the slab's writer lock only when its
+        // retries run out.
         let s = Arc::new(PepcStore::new(4));
         s.insert(1, ControlState::new(1));
         let ctx = s.get(1).unwrap();

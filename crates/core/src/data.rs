@@ -589,7 +589,7 @@ impl DataPlane {
                         // `self.slab` keeps the slab alive across this
                         // call (same argument as burst pass 3).
                         let ctx = unsafe { &*p };
-                        let c = ctx.ctrl_view();
+                        let c = self.slab.ctrl_view(ctx);
                         let run_bucket = TokenBucket::from_kbps(c.ambr_kbps);
                         let mut cnt = ctx.counters();
                         let d = self.enforce_one(&c, run_bucket, &mut cnt, uplink, bytes, &mut m, now_ns);
@@ -845,7 +845,7 @@ impl DataPlane {
         // Seqlock read of the control projection (its writer is the
         // control thread); downlink tunnel endpoints come from this same
         // consistent snapshot.
-        let c = ctx.ctrl_view();
+        let c = self.slab.ctrl_view(ctx);
         // With no PCEF rules the action is always the default, so the
         // effective rate is the plain AMBR for every packet of the run.
         let run_bucket = TokenBucket::from_kbps(c.ambr_kbps);

@@ -205,7 +205,6 @@ mod tests {
         assert_eq!(s.tunnels.enb_teid, 0xE003);
         assert_eq!(s.tunnels.gw_teid, 0x1000 + 3);
         // GUTI index rebuilt: a detach-by-guti style lookup still works.
-        drop(s);
         assert!(recovered.apply_event(CtrlEvent::Detach { imsi: 3 }));
     }
 

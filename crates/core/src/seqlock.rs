@@ -19,7 +19,7 @@
 //!
 //! Writers are **not** serialized by the cell — that is the caller's
 //! contract (the single-writer discipline of Table 1, or an external
-//! lock, as [`crate::state::UeContext::ctrl_write`] does). A `debug_assert`
+//! lock, as [`crate::slab::UeRef::ctrl_write`] does). A `debug_assert`
 //! in [`SeqCell::publish`] catches violations in test builds.
 //!
 //! The payload copy runs at 64-bit-word granularity (see [`SeqPayload`]):

@@ -10,10 +10,13 @@
 //! [`UeSlab`] instead stores contexts in large contiguous chunks and
 //! hands out 8-byte **generational handles** ([`UeHandle`]):
 //!
-//! * **Chunks** of [`CHUNK_SLOTS`] contexts (49 KiB) are allocated at
-//!   once and published into a zeroed chunk directory; slots inside a
-//!   chunk are never individually allocated or freed by the system
-//!   allocator. Resident memory follows the live population.
+//! * **Chunks** of [`CHUNK_SLOTS`] slots (41 KiB) are allocated at once
+//!   and published into a zeroed chunk directory; slots inside a chunk
+//!   are never individually allocated or freed by the system allocator.
+//!   Resident memory follows the live population. A slot is a 128-byte
+//!   [`UeContext`] (the two lines both planes touch) plus a 32-byte
+//!   identity entry (what only the control thread touches) in an
+//!   array of its own, indexed by the same slot number.
 //! * **Free slots go to a FIFO free queue**, so a detach/attach cycle
 //!   reuses a slot with no heap traffic at all, and a slot freed now is
 //!   handed out again only after every slot freed before it.
@@ -29,24 +32,28 @@
 //! Concurrency contract, matching the slice's single-writer discipline:
 //! `alloc`/`free` are control-rate operations serialized by one internal
 //! mutex; `resolve` is the per-packet operation and is lock-free (two
-//! acquire loads + a compare). Slot *contents* are re-initialized through
-//! [`UeContext`]'s own publish protocol — never raw stores — so a stale
-//! optimistic reader racing a slot reuse only ever observes
-//! protocol-mediated writes.
+//! acquire loads + a compare). One writer lock per slab serializes
+//! control writes: a write stores the identity entry and publishes the
+//! view under its write side, a coherent control read assembles both
+//! under its read side, and the data path takes it only when a view read
+//! exhausts its retries. Slot *contents* are re-initialized through that
+//! same publish protocol — never raw stores — so a stale optimistic
+//! reader racing a slot reuse only ever observes protocol-mediated
+//! writes.
 
 use crate::demux::REGION_SHIFT;
-use crate::state::{ControlState, CounterState, UeContext};
-use parking_lot::Mutex;
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use crate::seqlock::READ_RETRY_LIMIT;
+use crate::state::{ControlState, CounterState, CtrlView, S1Conn, UeContext};
+use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::ops::Deref;
-use std::ptr;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-/// Slots per chunk. 256 contexts × 3 cache lines (192 B) each, plus a
-/// 1 KiB generation array: 49 KiB per chunk. A chunk is born on 1 in 256
-/// fresh-slot allocs and costs that alloc one 49 KiB write pass (tens of
-/// µs), and a slice strands at most 48 KiB of slots nobody uses.
+/// Slots per chunk. 256 contexts × 2 cache lines (128 B), a 32 B
+/// identity entry each, plus a 1 KiB generation array: 41 KiB per chunk.
+/// A chunk is born on 1 in 256 fresh-slot allocs and costs that alloc one
+/// 41 KiB zeroing pass (tens of µs), and a slice strands at most 41 KiB
+/// of slots nobody uses.
 pub const CHUNK_SLOTS: usize = 256;
 
 /// Chunk-directory fan-out: exactly one slice's identifier region
@@ -68,39 +75,49 @@ fn live(word: u32) -> Option<u32> {
 /// Directory entries per 4 KiB page, the unit the zeroed directory becomes resident in.
 const DIR_ENTRIES_PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicPtr<Chunk>>();
 
-/// One contiguous block of contexts plus their generation counters.
+/// One contiguous block of slots: their generation counters, contexts
+/// and identity entries, each in an array of its own.
 ///
-/// Generations live in their own array (not interleaved with the slots)
-/// so a resolve touches one densely-packed counter line and the context
-/// lines stay exclusively the planes' own traffic.
+/// Generations live apart from the contexts so a resolve touches one
+/// densely-packed counter line and the context lines stay exclusively
+/// the planes' own traffic; identities live apart so the data path's
+/// lines carry nothing only the control thread reads.
 struct Chunk {
     /// Per-slot generation (even = free, odd = live) below the shown
     /// bit. Bumped with `Release` on alloc (after the slot content is
     /// re-initialized) and on free, read with `Acquire` by `resolve`.
     gens: [AtomicU32; CHUNK_SLOTS],
     slots: [UeContext; CHUNK_SLOTS],
+    ids: [Identity; CHUNK_SLOTS],
 }
 
-/// Heap-allocate and fully initialize a chunk. `Chunk` is 49 KiB — too
-/// large to construct on the stack and `Box` — so it is built in place.
+/// The [`ControlState`] fields the view does not carry — identifiers and
+/// cell — and the S1 association: a slot's 32 bytes that only the control
+/// thread touches. Relaxed atomics, only for `Sync`: the slab's writer
+/// lock orders them against the view (module docs).
+#[derive(Debug)]
+struct Identity {
+    imsi: AtomicU64,
+    guti: AtomicU64,
+    /// `ue_ip << 32 | ecgi`.
+    ip_ecgi: AtomicU64,
+    /// The [`S1Conn`] as `mme_ue_id << 32 | enb_ue_id`, 0 = none.
+    s1_conn: AtomicU64,
+}
+
+const _: () = {
+    assert!(std::mem::size_of::<Identity>() == 32);
+    assert!(std::mem::size_of::<Chunk>() == 41 * 1024);
+};
+
+/// Heap-allocate a chunk of vacant slots, built in place: `Chunk` is
+/// 41 KiB, too large to construct on the stack and `Box`. Every field is
+/// an integer atomic or a seqlock cell over an all-integer payload, so
+/// the all-zero chunk is a valid one: zero generations (free), zero
+/// cells, zero identities.
 fn new_chunk() -> *mut Chunk {
-    let layout = Layout::new::<Chunk>();
-    // SAFETY: the layout is non-zero-sized.
-    let p = unsafe { alloc(layout) }.cast::<Chunk>();
-    if p.is_null() {
-        handle_alloc_error(layout);
-    }
-    // SAFETY: `p` is valid for `Chunk` writes; every slot and generation
-    // is initialized exactly once before the pointer is published.
-    unsafe {
-        let gens = ptr::addr_of_mut!((*p).gens).cast::<AtomicU32>();
-        let slots = ptr::addr_of_mut!((*p).slots).cast::<UeContext>();
-        for i in 0..CHUNK_SLOTS {
-            ptr::write(gens.add(i), AtomicU32::new(0));
-            ptr::write(slots.add(i), UeContext::raw(ControlState::new(0)));
-        }
-    }
-    p
+    // SAFETY: all-zero is a valid `Chunk` (see above).
+    Box::into_raw(unsafe { Box::<Chunk>::new_zeroed().assume_init() })
 }
 
 /// An 8-byte generational handle to a slab slot: generation in the high
@@ -135,13 +152,32 @@ impl UeHandle {
     }
 }
 
-/// A resolved handle: a borrow of the slot's context plus the handle it
-/// came from. Derefs to [`UeContext`], so call sites read through it
-/// exactly as they read through the old `Arc<UeContext>`.
+/// A resolved handle: a borrow of the slot's context and identity entry,
+/// the slab's writer lock, and the handle it came from. Derefs to
+/// [`UeContext`] for the cells both planes share; the control-side
+/// accessors assemble the whole [`ControlState`].
 #[derive(Debug, Clone, Copy)]
 pub struct UeRef<'a> {
     ctx: &'a UeContext,
+    ident: &'a Identity,
+    writers: &'a RwLock<()>,
     handle: UeHandle,
+}
+
+/// The data path's read of `ctx`'s view: optimistic seqlock reads with
+/// bounded retries, plus the retry count. If pathological writer
+/// interference keeps the cell unreadable, it falls back to
+/// [`view_excluding_writers`].
+#[inline]
+fn view_with_retries(ctx: &UeContext, writers: &RwLock<()>) -> (CtrlView, u32) {
+    ctx.view.read_bounded(READ_RETRY_LIMIT).unwrap_or_else(|retries| (view_excluding_writers(ctx, writers), retries))
+}
+
+/// Read `ctx`'s view under the read side of `writers`: every publish holds
+/// the write side, so the read never retries.
+fn view_excluding_writers(ctx: &UeContext, writers: &RwLock<()>) -> CtrlView {
+    let _writers_excluded = writers.read();
+    ctx.view.read().0
 }
 
 impl<'a> UeRef<'a> {
@@ -154,6 +190,115 @@ impl<'a> UeRef<'a> {
     /// grouping on the burst path).
     pub fn context(&self) -> &'a UeContext {
         self.ctx
+    }
+
+    /// Coherent read of the control state (signaling logic, checkpoints,
+    /// replication): a copy assembled from the identity entry and the
+    /// view under the read side of the slab's writer lock, released
+    /// before it returns. The data path uses [`Self::ctrl_view`] instead.
+    pub fn ctrl_read(&self) -> CtrlReadGuard {
+        let _r = self.writers.read();
+        CtrlReadGuard(self.assemble())
+    }
+
+    /// Mutable access for the control thread (the single writer): a guard
+    /// over an assembled copy that, when dropped, stores it back (identity
+    /// entry and [`CtrlView`]) under the write side of the slab's writer
+    /// lock, so every control mutation is visible to the lock-free data
+    /// path. The copy is assembled without the lock: only the writer
+    /// stores to what it reads.
+    pub fn ctrl_write(&self) -> CtrlWriteGuard<'a> {
+        CtrlWriteGuard { user: *self, state: self.assemble() }
+    }
+
+    /// The control state, from the identity entry and the view.
+    fn assemble(&self) -> ControlState {
+        let (imsi, guti) = self.imsi_guti();
+        let ip_ecgi = self.ident.ip_ecgi.load(Ordering::Relaxed);
+        // No publish races this read on the writer's thread or under the
+        // lock's read side, so it does not retry.
+        let view = self.ctx.view.read().0;
+        view.assemble(imsi, guti, (ip_ecgi >> 32) as u32, ip_ecgi as u32)
+    }
+
+    /// Store `c` as the user's control state: identity entry and view,
+    /// both under the write side of the writer lock, so a coherent read
+    /// never sees one without the other and publishes stay serialized.
+    /// The S1 association is left as it is.
+    fn publish(&self, c: &ControlState) {
+        let view = CtrlView::project(c);
+        let _w = self.writers.write();
+        self.ident.imsi.store(c.imsi, Ordering::Relaxed);
+        self.ident.guti.store(c.guti, Ordering::Relaxed);
+        self.ident.ip_ecgi.store(u64::from(c.ue_ip) << 32 | u64::from(c.ecgi), Ordering::Relaxed);
+        self.ctx.view.publish(view);
+    }
+
+    /// Lock-free data-path read of the control view.
+    pub fn ctrl_view(&self) -> CtrlView {
+        self.ctrl_view_with_retries().0
+    }
+
+    /// [`Self::ctrl_view`] plus the retry count (stress-test
+    /// instrumentation).
+    pub fn ctrl_view_with_retries(&self) -> (CtrlView, u32) {
+        view_with_retries(self.ctx, self.writers)
+    }
+
+    /// The IMSI and GUTI the user is registered under: two loads, no
+    /// lock — for the control thread, whose own stores they read.
+    pub fn imsi_guti(&self) -> (u64, u64) {
+        (self.ident.imsi.load(Ordering::Relaxed), self.ident.guti.load(Ordering::Relaxed))
+    }
+
+    /// The UE's current S1 association, if it has signaled over S1AP.
+    pub fn s1_conn(&self) -> Option<S1Conn> {
+        let packed = self.ident.s1_conn.load(Ordering::Relaxed);
+        (packed != 0).then_some(S1Conn { mme_ue_id: (packed >> 32) as u32, enb_ue_id: packed as u32 })
+    }
+
+    /// Replace the S1 association (control thread only).
+    pub fn set_s1_conn(&self, conn: Option<S1Conn>) {
+        let packed = conn.map_or(0, |c| u64::from(c.mme_ue_id) << 32 | u64::from(c.enb_ue_id));
+        self.ident.s1_conn.store(packed, Ordering::Relaxed);
+    }
+}
+
+/// Read guard from [`UeRef::ctrl_read`]: derefs to a coherent copy of the
+/// [`ControlState`]. It holds no lock.
+pub struct CtrlReadGuard(ControlState);
+
+impl Deref for CtrlReadGuard {
+    type Target = ControlState;
+    fn deref(&self) -> &ControlState {
+        &self.0
+    }
+}
+
+/// Write guard from [`UeRef::ctrl_write`]. Its drop is the protocol's
+/// "writer-side publish on every control mutation": no call site can
+/// mutate control state and forget to publish.
+pub struct CtrlWriteGuard<'a> {
+    user: UeRef<'a>,
+    state: ControlState,
+}
+
+impl Deref for CtrlWriteGuard<'_> {
+    type Target = ControlState;
+    fn deref(&self) -> &ControlState {
+        &self.state
+    }
+}
+
+impl DerefMut for CtrlWriteGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ControlState {
+        &mut self.state
+    }
+}
+
+impl Drop for CtrlWriteGuard<'_> {
+    fn drop(&mut self) {
+        self.user.publish(&self.state);
     }
 }
 
@@ -180,6 +325,8 @@ pub struct UeSlab {
     /// valid for the borrow's lifetime.
     dir: Box<[AtomicPtr<Chunk>]>,
     alloc: Mutex<AllocState>,
+    /// Serializes control writes (module docs).
+    writers: RwLock<()>,
     live: AtomicU64,
     chunks: AtomicU64,
     /// `k`: a native identifier's region offset names slot `offset mod 2^k`.
@@ -207,6 +354,7 @@ impl UeSlab {
             // untouched until a chunk's entry is written.
             dir: unsafe { Box::<[AtomicPtr<Chunk>]>::new_zeroed_slice(MAX_CHUNKS).assume_init() },
             alloc: Mutex::new(AllocState { free: VecDeque::new(), next: 0 }),
+            writers: RwLock::new(()),
             live: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             slot_bits: expected_users.next_power_of_two().trailing_zeros().clamp(8, REGION_SHIFT - 4),
@@ -253,14 +401,14 @@ impl UeSlab {
             (h, ctrl)
         };
         let (c, slot) = self.at(h.index())?;
-        // Re-initialize through the context's own publish protocol (write
-        // guard republishes the view; counter publish bumps the cell
-        // sequence) so a stale optimistic reader racing this reuse only
-        // ever sees protocol-mediated writes, never a raw overwrite.
-        let ctx = &c.slots[slot];
-        *ctx.ctrl_write() = ctrl;
-        ctx.update_counters(|c| *c = counters);
-        ctx.set_s1_conn(None);
+        // Re-initialize through the publish protocol (the view publish and
+        // the counter publish bump their cells' sequences) so a stale
+        // optimistic reader racing this reuse only ever sees
+        // protocol-mediated writes, never a raw overwrite.
+        let user = self.user(c, slot, h);
+        user.publish(&ctrl);
+        user.publish_counters(counters);
+        user.set_s1_conn(None);
         c.gens[slot].store(h.generation(), Ordering::Release);
         self.live.fetch_add(1, Ordering::Relaxed);
         Some(h)
@@ -330,8 +478,20 @@ impl UeSlab {
     #[inline]
     pub fn resolve(&self, h: UeHandle) -> Option<UeRef<'_>> {
         let (c, slot) = self.at(h.index())?;
-        (live(c.gens[slot].load(Ordering::Acquire)) == Some(h.generation()))
-            .then(|| UeRef { ctx: &c.slots[slot], handle: h })
+        (live(c.gens[slot].load(Ordering::Acquire)) == Some(h.generation())).then(|| self.user(c, slot, h))
+    }
+
+    #[inline]
+    fn user<'a>(&'a self, c: &'a Chunk, slot: usize, handle: UeHandle) -> UeRef<'a> {
+        UeRef { ctx: &c.slots[slot], ident: &c.ids[slot], writers: &self.writers, handle }
+    }
+
+    /// The data path's read of the view of `ctx`, a context of this slab
+    /// (the burst path holds contexts, not [`UeRef`]s): lock-free, as
+    /// [`UeRef::ctrl_view`].
+    #[inline]
+    pub(crate) fn ctrl_view(&self, ctx: &UeContext) -> CtrlView {
+        view_with_retries(ctx, &self.writers).0
     }
 
     /// Hint the lines [`Self::resolve`] and the enforcement pass will
@@ -399,22 +559,16 @@ impl Drop for UeSlab {
             if p.is_null() {
                 continue;
             }
-            // SAFETY: exclusive access (`&mut self`); every slot was
-            // initialized at chunk birth and is dropped exactly once.
-            unsafe {
-                let slots = ptr::addr_of_mut!((*p).slots).cast::<UeContext>();
-                for i in 0..CHUNK_SLOTS {
-                    ptr::drop_in_place(slots.add(i));
-                }
-                dealloc(p.cast::<u8>(), Layout::new::<Chunk>());
-            }
+            // SAFETY: exclusive access (`&mut self`); `p` came from
+            // `Box::into_raw` in `new_chunk` and is released exactly once.
+            drop(unsafe { Box::from_raw(p) });
         }
     }
 }
 
 // SAFETY: the raw chunk pointers are an ownership detail; all shared
 // access goes through `&UeContext` (itself `Sync`), atomics, or the
-// alloc mutex.
+// slab's locks.
 unsafe impl Send for UeSlab {}
 unsafe impl Sync for UeSlab {}
 
@@ -439,19 +593,61 @@ mod tests {
         assert_eq!(slab.free_slots(), 0);
     }
 
+    /// A tenant whose every identity field differs from `tenant(..)` of
+    /// another `n`.
+    fn tenant(n: u32) -> ControlState {
+        ControlState {
+            guti: 0xD000 + u64::from(n),
+            ue_ip: 0x0A00_0000 + n,
+            ecgi: 0xE000 + n,
+            tac: 0x70 + n as u16,
+            ..ctrl(u64::from(n))
+        }
+    }
+
     #[test]
     fn stale_handle_after_free_and_reuse_misses() {
         let slab = UeSlab::new();
-        let h1 = slab.alloc(ctrl(1), CounterState::default()).unwrap();
-        slab.resolve(h1).unwrap().set_s1_conn(Some(crate::state::S1Conn { mme_ue_id: 1, enb_ue_id: 77 }));
+        let h1 = slab.alloc(tenant(1), CounterState::default()).unwrap();
+        slab.resolve(h1).unwrap().set_s1_conn(Some(S1Conn { mme_ue_id: 1, enb_ue_id: 77 }));
         assert!(slab.free(h1));
         // The freed slot is reused for a different user.
-        let h2 = slab.alloc(ctrl(2), CounterState::default()).unwrap();
+        let h2 = slab.alloc(tenant(2), CounterState::default()).unwrap();
         assert_eq!(h1.index(), h2.index(), "the free queue reuses the slot");
         assert_ne!(h1, h2, "but the generation differs");
         assert!(slab.resolve(h1).is_none(), "stale handle must miss, not alias");
-        assert_eq!(slab.resolve(h2).unwrap().ctrl_read().imsi, 2);
-        assert_eq!(slab.resolve(h2).unwrap().s1_conn(), None, "the old tenant's S1 association stays behind");
+        let r = slab.resolve(h2).unwrap();
+        // The slot's identity entry and view carry the new tenant only.
+        assert_eq!(*r.ctrl_read(), tenant(2));
+        assert_eq!(r.imsi_guti(), (2, 0xD002));
+        assert_eq!(r.ctrl_view().tac, 0x72);
+        assert_eq!(r.s1_conn(), None, "the old tenant's S1 association stays behind");
+    }
+
+    #[test]
+    fn data_path_fallback_reads_the_view_beside_ctrl_readers() {
+        // The retry-exhausted view read takes the read side of the slab's
+        // writer lock, as a coherent control read does while it assembles
+        // its copy: another thread inside that window (and holding a
+        // `ctrl_read` guard) must not block it.
+        let slab = UeSlab::new();
+        let h = slab.alloc(tenant(1), CounterState::default()).unwrap();
+        let published = slab.resolve(h).unwrap().ctrl_view();
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let r = slab.resolve(h).unwrap();
+                let _guard = r.ctrl_read();
+                let _assembling = slab.writers.read();
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let r = slab.resolve(h).unwrap();
+            assert_eq!(view_excluding_writers(r.context(), &slab.writers), published);
+            assert_eq!(slab.ctrl_view(r.context()), published);
+            release.wait();
+        });
     }
 
     #[test]

@@ -15,22 +15,20 @@
 //! | Bandwidth counters            | data thread     | control thread | per-packet |
 //!
 //! [`ControlState`] is everything above the line; [`CounterState`] is the
-//! last row. [`UeContext`] stores each field once, in three cache lines
-//! under the single-writer seqlock protocol (see [`crate::seqlock`] and
-//! DESIGN.md §10): identifiers and location behind the control lock;
-//! tunnels, QoS, rule ids and device class in the [`CtrlView`] seqlock
-//! cell the data thread reads lock-free; counters in a cell the data
-//! thread owns outright and publishes with plain stores. Control-side
-//! readers and writers see a by-value `ControlState` assembled from the
-//! lock line and the view. Neither plane ever takes a lock on the
-//! per-packet path.
+//! last row. Each field is stored once (see [`crate::seqlock`] and
+//! DESIGN.md §10). A [`UeContext`] is the two cache lines both planes
+//! touch: the [`CtrlView`] seqlock cell (tunnels, QoS, rule ids, device
+//! class, tracking area), which the data thread reads lock-free, and the
+//! counter cell, which the data thread owns outright and publishes with
+//! plain stores. The fields only the control thread uses — identifiers,
+//! the rest of the location, the S1 association — sit in an
+//! identity entry beside the context in its slab slot
+//! ([`crate::slab`]). Control-side readers and writers see a by-value
+//! `ControlState` assembled from the identity and the view. Neither plane
+//! ever takes a lock on the per-packet path.
 
-use crate::seqlock::{SeqCell, READ_RETRY_LIMIT};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use crate::seqlock::SeqCell;
 use serde::{Deserialize, Serialize};
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Slice-internal user identifier: dense, assigned at attach.
 pub type Uid = u64;
@@ -212,8 +210,9 @@ impl CounterState {
 
 /// The data-path half of [`ControlState`]: exactly what the enforcement
 /// pass needs per packet — tunnels, QoS parameters, the PCEF rule ids,
-/// and the device-class flag. The only copy of those fields in a
-/// [`UeContext`]: published by the control thread into a seqlock cell on
+/// and the device-class flag — plus the tracking area code, which fills
+/// two of the bytes the layout would otherwise pad. The only copy of
+/// those fields: published by the control thread into a seqlock cell on
 /// every control mutation, so the data thread reads it without any lock.
 ///
 /// All-integer on purpose (a `u8` flag word instead of `bool`/enum): a
@@ -238,8 +237,10 @@ pub struct CtrlView {
     rule_len: u8,             // 32
     /// QoS class identifier of the default bearer.
     pub qci: u8, // 33
-    flags: u8,                // 34
-    _pad: [u8; 5],            // 35..40, always zero
+    /// Tracking area code (see [`ControlState::tac`]).
+    pub tac: u16, // 34..36
+    flags: u8,                // 36
+    _pad: [u8; 3],            // 37..40, always zero
 }
 
 const _: () = {
@@ -264,20 +265,21 @@ impl CtrlView {
             rule_ids: c.pcef_rules.ids,
             rule_len: c.pcef_rules.len,
             qci: c.qos.qci,
+            tac: c.tac,
             flags: if c.device_class == DeviceClass::StatelessIot { Self::FLAG_IOT } else { 0 },
-            _pad: [0; 5],
+            _pad: [0; 3],
         }
     }
 
     /// The inverse of [`Self::project`]: this view plus the identity
     /// fields it does not carry.
-    fn assemble(&self, id: &Identity) -> ControlState {
+    pub(crate) fn assemble(&self, imsi: u64, guti: u64, ue_ip: u32, ecgi: u32) -> ControlState {
         ControlState {
-            imsi: id.imsi,
-            guti: id.guti,
-            ue_ip: id.ue_ip,
-            ecgi: id.ecgi,
-            tac: id.tac,
+            imsi,
+            guti,
+            ue_ip,
+            ecgi,
+            tac: self.tac,
             device_class: if self.is_iot() { DeviceClass::StatelessIot } else { DeviceClass::Smartphone },
             qos: self.qos(),
             tunnels: self.tunnels,
@@ -308,73 +310,45 @@ impl CtrlView {
     }
 }
 
-/// The [`ControlState`] fields the view does not carry: identifiers and
-/// location, stored behind the context's control lock.
-#[derive(Debug)]
-struct Identity {
-    imsi: u64,
-    guti: u64,
-    ue_ip: u32,
-    ecgi: u32,
-    tac: u16,
-}
-
-impl Identity {
-    fn of(c: &ControlState) -> Self {
-        Identity { imsi: c.imsi, guti: c.guti, ue_ip: c.ue_ip, ecgi: c.ecgi, tac: c.tac }
-    }
-}
-
-/// A user's consolidated state under the single-writer lock protocol
-/// (paper §4.2; DESIGN.md §10): three cache lines, each [`ControlState`]
-/// field stored once (the `const` assertions below hold the compiler to
-/// the layout).
+/// A user's consolidated state under the single-writer protocol (paper
+/// §4.2; DESIGN.md §10): the two cache lines both planes touch, each in a
+/// seqlock cell of its own (the `const` assertions below hold the
+/// compiler to the layout).
 ///
-/// * `ident` + `s1_conn` — identifiers and location, written only by the
-///   control thread. The lock serializes the writer and makes control-side
-///   reads (signaling, checkpoints, HA replication) coherent across the
-///   lock line and the view; the data path never takes it.
-/// * `view` — the [`CtrlView`] seqlock cell: tunnels, QoS, rule ids and
-///   device class, read lock-free by the data thread
-///   ([`UeContext::ctrl_view`]). Published by [`CtrlWriteGuard`] on drop
-///   of every control write, under the lock.
+/// * `view` — the [`CtrlView`] cell: tunnels, QoS, rule ids, device class
+///   and tracking area, read lock-free by the data thread. Published by
+///   the control thread on every control write, under its slab's writer
+///   lock ([`crate::slab::UeRef::ctrl_write`]).
 /// * `counters` — the [`CounterState`] cell. The data thread is its
 ///   single writer (owner reads + [`UeContext::publish_counters`]);
 ///   control/recovery/HA readers take consistent snapshots via
 ///   acquire/retry ([`UeContext::counters`]).
+///
+/// The rest of a user's [`ControlState`] lives in its slot's
+/// identity entry; [`crate::slab::UeRef`] pairs the two for control-side
+/// access.
 #[derive(Debug)]
 #[repr(C)]
 pub struct UeContext {
-    ident: RwLock<Identity>,
-    /// The UE's current [`S1Conn`] as `mme_ue_id << 32 | enb_ue_id`, 0 =
-    /// none. Control-thread state (atomic only for `Sync`), in the padding
-    /// of the lock line: free, and read where detach reads the keys.
-    s1_conn: AtomicU64,
-    view: SeqCell<CtrlView>,
+    pub(crate) view: SeqCell<CtrlView>,
     counters: SeqCell<CounterState>,
 }
 
-// Padding audit: the lock line (48-byte `RwLock<Identity>` + `s1_conn`)
-// fits before the first 64-byte aligned cell, so the context is exactly
-// three lines. The view and counter cells start on distinct lines and the
-// counter cell never shares a line with anything else — the data
-// thread's per-packet stores cannot false-share with control reads of
-// the view or the lock word.
+// Padding audit: each cell (8-byte seq + payload) is exactly one line, so
+// a data-path read or publish touches a single line, and the counter
+// cell — the data thread's per-packet stores — never shares a line with
+// the view the control thread publishes.
 const _: () = {
-    assert!(std::mem::align_of::<SeqCell<CtrlView>>() == 64);
-    assert!(std::mem::align_of::<SeqCell<CounterState>>() == 64);
     assert!(std::mem::align_of::<UeContext>() == 64);
-    // Each cell (8-byte seq + payload) stays within one line, so a
-    // data-path read or publish touches a single cache line.
     assert!(std::mem::size_of::<SeqCell<CtrlView>>() == 64);
     assert!(std::mem::size_of::<SeqCell<CounterState>>() == 64);
-    assert!(std::mem::offset_of!(UeContext, view) == 64);
-    assert!(std::mem::offset_of!(UeContext, counters) == 128);
-    assert!(std::mem::size_of::<UeContext>() == 192);
+    assert!(std::mem::offset_of!(UeContext, view) == 0);
+    assert!(std::mem::offset_of!(UeContext, counters) == 64);
+    assert!(std::mem::size_of::<UeContext>() == 128);
 };
 
 /// A UE's current S1 association: the id pair its signaling is indexed
-/// under in the control plane's routing maps, kept with the context so
+/// under in the control plane's routing maps, kept with the identity so
 /// teardown unindexes by key. Slice-local: not part of [`ControlState`],
 /// so neither checkpointed, replicated nor migrated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,85 +359,6 @@ pub struct S1Conn {
 }
 
 impl UeContext {
-    pub fn new(ctrl: ControlState) -> Arc<Self> {
-        Self::with_counters(ctrl, CounterState::default())
-    }
-
-    /// Build a context with pre-existing counters (checkpoint restore /
-    /// HA adoption) — no publish race, the cell is born populated.
-    pub fn with_counters(ctrl: ControlState, counters: CounterState) -> Arc<Self> {
-        Arc::new(Self::raw_with_counters(ctrl, counters))
-    }
-
-    /// An un-Arc'd context — slot storage for [`crate::slab::UeSlab`],
-    /// which places contexts in contiguous chunks instead of individual
-    /// heap objects.
-    pub(crate) fn raw(ctrl: ControlState) -> Self {
-        Self::raw_with_counters(ctrl, CounterState::default())
-    }
-
-    fn raw_with_counters(ctrl: ControlState, counters: CounterState) -> Self {
-        UeContext {
-            ident: RwLock::new(Identity::of(&ctrl)),
-            s1_conn: AtomicU64::new(0),
-            view: SeqCell::new(CtrlView::project(&ctrl)),
-            counters: SeqCell::new(counters),
-        }
-    }
-
-    /// The UE's current S1 association, if it has signaled over S1AP.
-    pub fn s1_conn(&self) -> Option<S1Conn> {
-        let packed = self.s1_conn.load(Ordering::Relaxed);
-        (packed != 0).then_some(S1Conn { mme_ue_id: (packed >> 32) as u32, enb_ue_id: packed as u32 })
-    }
-
-    /// The IMSI and GUTI the context is registered under: a lock-line
-    /// read, without assembling the whole control state.
-    pub fn imsi_guti(&self) -> (u64, u64) {
-        let i = self.ident.read();
-        (i.imsi, i.guti)
-    }
-
-    /// Replace the S1 association (control thread only).
-    pub fn set_s1_conn(&self, conn: Option<S1Conn>) {
-        let packed = conn.map_or(0, |c| u64::from(c.mme_ue_id) << 32 | u64::from(c.enb_ue_id));
-        self.s1_conn.store(packed, Ordering::Relaxed);
-    }
-
-    // -- control half ---------------------------------------------------------
-
-    /// Coherent read of the control state (control-plane side: signaling
-    /// logic, checkpoints, replication): a guard that holds the control
-    /// lock and derefs to a copy assembled from the lock line and the
-    /// view. The data path uses [`Self::ctrl_view`] instead.
-    pub fn ctrl_read(&self) -> CtrlReadGuard<'_> {
-        let lock = self.ident.read();
-        let state = self.view_locked().assemble(&lock);
-        CtrlReadGuard { _lock: lock, state }
-    }
-
-    /// Mutable access for the control thread (the single writer): a
-    /// guard over an assembled copy that, when dropped, stores the
-    /// identity fields and republishes the [`CtrlView`] into the seqlock
-    /// cell, so every control mutation is visible to the lock-free data
-    /// path.
-    pub fn ctrl_write(&self) -> CtrlWriteGuard<'_> {
-        let lock = self.ident.write();
-        let state = self.view_locked().assemble(&lock);
-        CtrlWriteGuard { ctx: self, lock, state }
-    }
-
-    /// Read the view while holding the control lock: publishes happen
-    /// only under the write lock, so the first attempt never retries.
-    fn view_locked(&self) -> CtrlView {
-        self.view.read().0
-    }
-
-    /// Lock-free data-path read of the control view.
-    pub fn ctrl_view(&self) -> CtrlView {
-        self.ctrl_view_with_retries().0
-    }
-
     /// Hint the CPU to pull the two lines the enforcement pass reads: the
     /// view cell's and the counter cell's (each one line). The burst
     /// path's probe stage calls this (through
@@ -473,20 +368,6 @@ impl UeContext {
     pub fn prefetch_cells(&self) {
         crate::prefetch_line(&self.view);
         crate::prefetch_line(&self.counters);
-    }
-
-    /// [`Self::ctrl_view`] plus the retry count (stress-test
-    /// instrumentation). Optimistic seqlock reads with bounded retries;
-    /// if pathological writer interference keeps the cell unreadable, the
-    /// read falls back to taking the control lock, which excludes writers.
-    pub fn ctrl_view_with_retries(&self) -> (CtrlView, u32) {
-        match self.view.read_bounded(READ_RETRY_LIMIT) {
-            Ok(r) => r,
-            Err(retries) => {
-                let _writers_excluded = self.ident.read();
-                (self.view_locked(), retries)
-            }
-        }
     }
 
     /// Sequence number of the view cell (two per publish; test hook).
@@ -533,56 +414,10 @@ impl UeContext {
     }
 }
 
-/// Read guard from [`UeContext::ctrl_read`]: holds the control lock
-/// (excluding writers) and derefs to the assembled [`ControlState`].
-pub struct CtrlReadGuard<'a> {
-    _lock: RwLockReadGuard<'a, Identity>,
-    state: ControlState,
-}
-
-impl Deref for CtrlReadGuard<'_> {
-    type Target = ControlState;
-    fn deref(&self) -> &ControlState {
-        &self.state
-    }
-}
-
-/// Write guard from [`UeContext::ctrl_write`]. On drop — while still
-/// holding the lock, so publishes stay serialized — it stores the
-/// identity fields and republishes the [`CtrlView`] into the seqlock
-/// cell. This is the "writer-side publish on every control mutation" of
-/// the protocol: no call site can mutate control state and forget to
-/// publish.
-pub struct CtrlWriteGuard<'a> {
-    ctx: &'a UeContext,
-    lock: RwLockWriteGuard<'a, Identity>,
-    state: ControlState,
-}
-
-impl Deref for CtrlWriteGuard<'_> {
-    type Target = ControlState;
-    fn deref(&self) -> &ControlState {
-        &self.state
-    }
-}
-
-impl DerefMut for CtrlWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut ControlState {
-        &mut self.state
-    }
-}
-
-impl Drop for CtrlWriteGuard<'_> {
-    fn drop(&mut self) {
-        // `lock` is a field, so it is released only after this body.
-        *self.lock = Identity::of(&self.state);
-        self.ctx.view.publish(CtrlView::project(&self.state));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::{UeHandle, UeSlab};
 
     #[test]
     fn control_state_defaults_are_sensible() {
@@ -619,40 +454,54 @@ mod tests {
         assert_eq!(s.last_activity_ns, 42);
     }
 
+    /// A one-user slab: contexts exist only in slab slots.
+    fn one_user(ctrl: ControlState, counters: CounterState) -> (UeSlab, UeHandle) {
+        let slab = UeSlab::new();
+        let h = slab.alloc(ctrl, counters).expect("fresh slab has room");
+        (slab, h)
+    }
+
     #[test]
     fn ue_context_halves_stay_independent() {
-        let ue = UeContext::new(ControlState::new(1));
-        // Hold the control half read-locked while the data side updates
-        // counters — the core of the paper's contention-avoidance claim.
-        // With seqlock cells the counter publish takes no lock at all.
-        let ctrl_guard = ue.ctrl_read();
+        let (slab, h) = one_user(ControlState::new(1), CounterState::default());
+        let ue = slab.resolve(h).unwrap();
+        // Keep a control write open while the data side updates counters
+        // — the core of the paper's contention-avoidance claim. With
+        // seqlock cells the counter publish takes no lock at all.
+        let mut ctrl_guard = ue.ctrl_write();
+        ctrl_guard.ecgi = 9;
         ue.update_counters(|c| c.uplink_packets += 1);
-        assert_eq!(ctrl_guard.imsi, 1);
+        drop(ctrl_guard);
+        assert_eq!(ue.ctrl_read().ecgi, 9);
         assert_eq!(ue.counters().uplink_packets, 1);
     }
 
     #[test]
     fn ctrl_write_republishes_the_view() {
-        let ue = UeContext::new(ControlState::new(1));
+        let (slab, h) = one_user(ControlState::new(1), CounterState::default());
+        let ue = slab.resolve(h).unwrap();
         let v0 = ue.view_version();
         {
             let mut c = ue.ctrl_write();
             c.tunnels.enb_teid = 0xBEEF;
             c.qos.ambr_kbps = 64;
             c.device_class = DeviceClass::StatelessIot;
+            c.tac = 0x1234;
         }
         assert_eq!(ue.view_version(), v0 + 2, "one publish per write guard drop");
         let v = ue.ctrl_view();
         assert_eq!(v.tunnels.enb_teid, 0xBEEF);
         assert_eq!(v.ambr_kbps, 64);
         assert!(v.is_iot());
+        assert_eq!(v.tac, 0x1234, "the tracking area rides in the view");
         // The lock-free view always equals the lock-held projection.
         assert_eq!(v, CtrlView::project(&ue.ctrl_read()));
     }
 
     #[test]
     fn counter_publish_roundtrips() {
-        let ue = UeContext::new(ControlState::new(1));
+        let (slab, h) = one_user(ControlState::new(1), CounterState::default());
+        let ue = slab.resolve(h).unwrap();
         let mut c = ue.counters();
         c.uplink_packets = 3;
         c.uplink_bytes = 300;
@@ -663,9 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn with_counters_preserves_restored_state() {
+    fn alloc_preserves_restored_counters() {
         let counters = CounterState { downlink_bytes: 999, qos_drops: 2, ..CounterState::default() };
-        let ue = UeContext::with_counters(ControlState::new(5), counters);
+        let (slab, h) = one_user(ControlState::new(5), counters);
+        let ue = slab.resolve(h).unwrap();
         assert_eq!(ue.counters(), counters);
         assert_eq!(ue.ctrl_read().imsi, 5);
     }

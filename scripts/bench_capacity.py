@@ -49,11 +49,12 @@ METRICS = [
     "attach_ramp_max_ns",
     "attach_steady_p99_ns",
 ]
-# Slab slot + one incremental-index entry, with growth headroom. The
-# measured figure is ~220-230 B/user (192 B UeContext slot + its
-# generation word + one 16 B bucket per native user at post-doubling
-# load); the budget leaves room for load-factor phase, not for a per-user
-# regression (an Arc + Box per user blows straight through it).
+# Slab slot + index entries, with growth headroom. A slab slot is 164 B
+# (128 B UeContext + 32 B identity entry + its generation word); a native
+# user takes no data-index entry, a foreign one two 16 B buckets at
+# post-doubling load. The budget leaves room for load-factor phase, not
+# for a per-user regression (an Arc + Box per user blows straight
+# through it).
 MAX_STATE_BYTES_PER_USER = 640
 # Incremental growth: attaches that land during a table-growth round
 # must stay within this multiple of steady-state attach p99.

@@ -385,8 +385,10 @@ proptest! {
     ) {
         // An arbitrary CounterState pushed through the seqlock cell must
         // come back bit-identical — publish/read is a pure round-trip.
-        use pepc::state::{CounterState, UeContext};
-        let ctx = UeContext::new(ControlState::new(1));
+        use pepc::state::CounterState;
+        let slab = pepc::UeSlab::new();
+        let h = slab.alloc(ControlState::new(1), CounterState::default()).expect("fresh slab has room");
+        let ctx = slab.resolve(h).expect("fresh handle resolves");
         let c = CounterState {
             uplink_packets: fields[0],
             uplink_bytes: fields[1],
@@ -406,13 +408,15 @@ proptest! {
 
     #[test]
     fn ctrl_view_always_equals_lock_projection(
-        muts in proptest::collection::vec((0u8..5, any::<u32>()), 0..40),
+        muts in proptest::collection::vec((0u8..6, any::<u32>()), 0..40),
     ) {
         // After any sequence of control-plane mutations (each through the
         // publishing write guard), the lock-free view must equal what the
         // RwLock-era reader would have projected from the locked state.
-        use pepc::state::{CtrlView, UeContext};
-        let ctx = UeContext::new(ControlState::new(9));
+        use pepc::state::{CounterState, CtrlView};
+        let slab = pepc::UeSlab::new();
+        let h = slab.alloc(ControlState::new(9), CounterState::default()).expect("fresh slab has room");
+        let ctx = slab.resolve(h).expect("fresh handle resolves");
         for (which, v) in muts {
             {
                 let mut g = ctx.ctrl_write();
@@ -421,6 +425,7 @@ proptest! {
                     1 => g.tunnels.enb_ip = v,
                     2 => g.qos.ambr_kbps = v,
                     3 => g.qos.qci = v as u8,
+                    4 => g.tac = v as u16,
                     _ => g.pcef_rules.push(v as u16),
                 }
             }
@@ -429,25 +434,28 @@ proptest! {
     }
 
     #[test]
-    fn control_state_splits_across_lock_line_and_view_exactly(
+    fn control_state_splits_across_identity_and_view_exactly(
         state in arb_control_state(),
         other in arb_control_state(),
         mask in any::<u16>(),
     ) {
-        // A context stores identity fields behind its lock and the rest
-        // only in the view cell: every valid state must come back from
-        // `ctrl_read` unchanged, and after any write the two halves must
-        // still agree.
+        // A slot stores identifiers and cell in its identity entry and
+        // the rest, tracking area included, only in the view cell: every
+        // valid state must come back from `ctrl_read` unchanged, and
+        // after any write the two halves must still agree.
         use pepc::state::{CounterState, CtrlView};
         let slab = pepc::UeSlab::new();
         let h = slab.alloc(state.clone(), CounterState::default()).expect("fresh slab has room");
         let ctx = slab.resolve(h).expect("fresh handle resolves");
         prop_assert_eq!(&*ctx.ctrl_read(), &state);
+        prop_assert_eq!(ctx.ctrl_view().tac, state.tac);
         let mut expect = state;
         mix_fields(&mut expect, &other, mask);
         mix_fields(&mut ctx.ctrl_write(), &other, mask);
         prop_assert_eq!(&*ctx.ctrl_read(), &expect);
         prop_assert_eq!(ctx.ctrl_view(), CtrlView::project(&ctx.ctrl_read()));
+        prop_assert_eq!(ctx.ctrl_view().tac, expect.tac);
+        prop_assert_eq!(ctx.imsi_guti(), (expect.imsi, expect.guti));
     }
 
     #[test]

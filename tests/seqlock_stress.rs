@@ -2,7 +2,7 @@
 //!
 //! Writers keep coupled invariants across the fields of each cell
 //! (`enb_ip == enb_teid ^ K`; every counter word a function of
-//! `uplink_packets`) and across the context's lock line and view cell
+//! `uplink_packets`) and across the slot's identity entry and view cell
 //! (`ecgi == ambr_kbps`) so *any* torn read — a snapshot mixing two
 //! publishes — breaks an equation a reader checks. Readers hammer the
 //! cells for the whole run; one violated invariant fails the test.
@@ -11,7 +11,8 @@
 //! matrix can select them individually.
 
 use pepc::seqlock::READ_RETRY_LIMIT;
-use pepc::state::{ControlState, CounterState, CtrlView, UeContext};
+use pepc::state::{ControlState, CounterState, CtrlView};
+use pepc::UeSlab;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,7 +58,9 @@ fn check_view(v: &CtrlView) {
 }
 
 fn stress(seed: u64) {
-    let ctx = UeContext::new(ControlState::new(seed));
+    let slab = Arc::new(UeSlab::new());
+    let h = slab.alloc(ControlState::new(seed), CounterState::default()).expect("fresh slab has room");
+    let ctx = slab.resolve(h).expect("fresh handle resolves");
     // Establish the invariants before any reader looks.
     {
         let mut g = ctx.ctrl_write();
@@ -72,12 +75,13 @@ fn stress(seed: u64) {
     let max_retries = Arc::new(AtomicU32::new(0));
     let mut handles = Vec::new();
 
-    // Two control writers: they serialize on the control lock (each
+    // Two control writers: they serialize on the slab's writer lock (each
     // publish happens under it), exercising back-to-back republishes.
     for w in 0..2u64 {
-        let ctx = Arc::clone(&ctx);
+        let slab = Arc::clone(&slab);
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
+            let ctx = slab.resolve(h).expect("live");
             let mut lcg = seed ^ (w << 32) | 1;
             let mut published = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -102,9 +106,10 @@ fn stress(seed: u64) {
     // Exactly ONE counter writer: the counter cell is single-writer by
     // protocol (the data thread).
     let counter_writer = {
-        let ctx = Arc::clone(&ctx);
+        let slab = Arc::clone(&slab);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            let ctx = slab.resolve(h).expect("live");
             let mut n = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 n += 1;
@@ -120,10 +125,11 @@ fn stress(seed: u64) {
     // View readers: optimistic seqlock reads plus the bounded-retry
     // entry point the data plane actually uses.
     for _ in 0..2 {
-        let ctx = Arc::clone(&ctx);
+        let slab = Arc::clone(&slab);
         let stop = Arc::clone(&stop);
         let max_retries = Arc::clone(&max_retries);
         handles.push(std::thread::spawn(move || {
+            let ctx = slab.resolve(h).expect("live");
             let mut reads = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let (v, retries) = ctx.ctrl_view_with_retries();
@@ -137,16 +143,18 @@ fn stress(seed: u64) {
     }
 
     // Control-side reader: `ctrl_read` assembles identity fields from the
-    // lock line and the rest from the view cell, and one write sets both
-    // `ecgi` (lock line) and `ambr_kbps` (view) — they must never differ.
+    // slot's identity entry and the rest from the view cell, and one write
+    // sets both `ecgi` (identity) and `ambr_kbps` (view) — they must never
+    // differ.
     {
-        let ctx = Arc::clone(&ctx);
+        let slab = Arc::clone(&slab);
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
+            let ctx = slab.resolve(h).expect("live");
             let mut reads = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let c = ctx.ctrl_read();
-                assert_eq!(c.ecgi, c.qos.ambr_kbps, "torn control read: lock line and view decoupled");
+                assert_eq!(c.ecgi, c.qos.ambr_kbps, "torn control read: identity and view decoupled");
                 check_view(&CtrlView::project(&c));
                 reads += 1;
             }
@@ -157,9 +165,10 @@ fn stress(seed: u64) {
     // Counter reader: acquire/retry snapshots must never decouple the
     // checksummed fields.
     let counter_reader = {
-        let ctx = Arc::clone(&ctx);
+        let slab = Arc::clone(&slab);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            let ctx = slab.resolve(h).expect("live");
             let mut reads = 0u64;
             let mut last_n = 0u64;
             while !stop.load(Ordering::Relaxed) {

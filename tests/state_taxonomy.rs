@@ -11,7 +11,8 @@
 //! | Bandwidth counters     | r                   | w+r              |
 
 use pepc::ctrl::{Allocator, ControlPlane, CtrlEvent};
-use pepc::state::{ControlState, CtrlView, UeContext};
+use pepc::state::{ControlState, CounterState, CtrlView};
+use pepc::UeSlab;
 use pepc_baseline::table::{PepcStore, StateStore};
 use std::sync::Arc;
 
@@ -119,15 +120,18 @@ fn per_event_vs_per_packet_update_frequencies() {
 
 #[test]
 fn writers_on_different_halves_do_not_exclude_each_other() {
-    // Regression guard for the fine-grained claim: a held control write
-    // lock must not block counter publishes (disjoint cells — the counter
-    // cell has no lock at all).
-    let ctx: Arc<UeContext> = UeContext::new(ControlState::new(1));
+    // Regression guard for the fine-grained claim: a control write in
+    // progress must not block counter publishes (disjoint cells — the
+    // counter cell has no lock at all).
+    let slab = Arc::new(UeSlab::new());
+    let h = slab.alloc(ControlState::new(1), CounterState::default()).expect("fresh slab has room");
+    let ctx = slab.resolve(h).expect("fresh handle resolves");
     let ctrl_guard = ctx.ctrl_write();
     let t = {
-        let ctx = Arc::clone(&ctx);
+        let slab = Arc::clone(&slab);
         std::thread::spawn(move || {
-            ctx.update_counters(|c| c.uplink_packets += 1); // must not deadlock
+            // Must not deadlock.
+            slab.resolve(h).expect("live").update_counters(|c| c.uplink_packets += 1);
         })
     };
     t.join().unwrap();
