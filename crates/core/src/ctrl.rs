@@ -1035,8 +1035,8 @@ impl ControlPlane {
         S1apPdu::InitialContextSetupRequest { enb_ue_id, mme_ue_id, gw_teid, gw_ip, ambr_kbps, nas }
     }
 
-    /// Suspend `imsi`'s data path: unindex it from the forwarding tables
-    /// (context retained in the slab) so downlink buffers behind a page.
+    /// Suspend `imsi`'s data path: the data plane marks its slot idle
+    /// (context retained, still indexed) so downlink buffers behind a page.
     fn suspend_user(&mut self, imsi: u64) -> bool {
         let Some((gw_teid, ue_ip)) = self.keys_of(imsi) else { return false };
         self.pending_updates.push(DpUpdate::Suspend { gw_teid, ue_ip, imsi });

@@ -30,8 +30,8 @@
 //! addressed by 8-byte generational [`UeHandle`]s. A native user's TEID
 //! and UE IP name its slab slot, so it resolves by arithmetic and costs
 //! the index one bit; only foreign users take table entries (see
-//! [`DataPlane`]). The data plane owns
-//! the *end of life* of a slot: applying [`DpUpdate::Remove`] frees the
+//! [`DataPlane`]). An idle user stays indexed. The data plane owns the
+//! *end of life* of a slot: applying [`DpUpdate::Remove`] frees the
 //! handle back to the slab after unindexing it, so the control plane
 //! never races a slot reuse with in-flight packets (updates and packets
 //! are serialized on this thread).
@@ -74,13 +74,13 @@ use crate::demux::region_split;
 use crate::metrics::DataMetrics;
 use crate::pcef::{Pcef, PcefAction};
 use crate::qos::TokenBucket;
-use crate::slab::{UeHandle, UeSlab};
+use crate::slab::{UeHandle, UeSlab, IDLE, SHOWN};
 use crate::state::{CounterState, CtrlView, UeContext};
-use crate::twolevel::TwoLevelTable;
+use crate::twolevel::{BuildKeyHasher, TwoLevelTable};
 use pepc_net::gtp::{encap_gtpu, GTPU_OVERHEAD};
 use pepc_net::{classify_fast, BpfProgram, FiveTuple, Mbuf, PktClass};
 use pepc_telemetry::LatencyHistogram;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,13 +96,13 @@ pub enum DpUpdate {
     Remove { gw_teid: u32, ue_ip: u32 },
     /// Demote an idle user to the secondary table (two-level management).
     Demote { gw_teid: u32, ue_ip: u32 },
-    /// S1 release: unindex the user (both directions) but *keep*
-    /// the slab slot (context retained while idle). Downlink for the UE
-    /// is buffered (bounded) and surfaces a paging event; uplink is
+    /// S1 release: set the idle bit of the user's slot; it stays indexed,
+    /// its context retained. Its downlink is buffered (bounded) and pages
+    /// the IMSI in the slot's identity (`imsi` repeats it); its uplink is
     /// dropped until a Service Request re-inserts it.
     Suspend { gw_teid: u32, ue_ip: u32, imsi: u64 },
     /// Paging gave up (retransmissions exhausted): discard the UE's
-    /// buffered downlink as `drop_idle_expired`. The UE stays suspended.
+    /// buffered downlink as `drop_idle_expired`. The UE stays idle.
     DropIdleBuffer { ue_ip: u32 },
     /// Install a PCEF rule program slice-wide.
     InstallRule { id: u16, program: BpfProgram, action: PcefAction },
@@ -115,9 +115,9 @@ pub enum DropReason {
     GateClosed,
     RateExceeded,
     Malformed,
-    /// Downlink for a suspended (idle) UE whose idle buffer is full.
+    /// Downlink for an idle UE whose idle buffer is full.
     IdleOverflow,
-    /// Uplink from a suspended UE (it must Service Request first).
+    /// Uplink from an idle UE (it must Service Request first).
     IdleUplink,
 }
 
@@ -128,9 +128,9 @@ pub enum PacketVerdict {
     Forward(Mbuf),
     /// Drop it.
     Drop(DropReason),
-    /// Downlink parked in a suspended UE's idle buffer; it re-emerges
-    /// from [`DataPlane::take_woken`] when the UE wakes (or is dropped
-    /// as `drop_idle_expired` if the page expires first).
+    /// Downlink parked in an idle UE's buffer; it re-emerges from
+    /// [`DataPlane::take_woken`] when the UE wakes (or is dropped as
+    /// `drop_idle_expired` if the page expires first or the UE detaches).
     Buffered,
 }
 
@@ -152,10 +152,11 @@ const LOOKUP_TILE: usize = 32;
 /// of lookup stage 2a), probe+resolve (2b–2c), enforce+charge.
 pub const STAGE_NAMES: [&str; 3] = ["parse", "lookup", "enforce"];
 
-/// Pass-1 classification of one packet in a burst.
+/// One packet of a burst: pass 1 classifies it; a lookup is decided in
+/// pass 2 (idle or unknown user) or pass 3 (enforced).
 #[derive(Clone, Copy)]
 enum Slot {
-    /// Outcome fully decided while parsing (malformed, IoT fast path).
+    /// Outcome decided (while parsing: malformed, IoT fast path).
     Done(Decision),
     /// Needs a user-state lookup: direction, TEID or UE IP, charged bytes.
     Lookup { uplink: bool, id: u32, bytes: u64 },
@@ -167,26 +168,33 @@ enum Slot {
 enum Decision {
     Forward,
     Drop(DropReason),
-    /// The mbuf was already moved into a suspended UE's idle buffer
-    /// (the slot in the burst holds an empty placeholder).
+    /// The mbuf was already moved into an idle UE's buffer (the slot in
+    /// the burst holds an empty placeholder).
     Buffered,
+}
+
+impl Decision {
+    /// The verdict on `m` (for `Buffered`, the placeholder left behind).
+    fn verdict(self, m: Mbuf) -> PacketVerdict {
+        match self {
+            Decision::Forward => PacketVerdict::Forward(m),
+            Decision::Drop(r) => PacketVerdict::Drop(r),
+            Decision::Buffered => PacketVerdict::Buffered,
+        }
+    }
 }
 
 /// Default per-UE idle downlink buffer depth (packets parked while the
 /// UE is paged). Tunable via [`DataPlane::set_idle_buffer_cap`].
 pub const IDLE_BUF_CAP: usize = 4;
 
-/// A UE parked by [`DpUpdate::Suspend`]: out of the lookup tables, slab
-/// slot retained, downlink queued here until it wakes.
-struct SuspendedUe {
+/// Downlink parked for one idle user, born with its first packet.
+struct Parked {
+    /// The paged IMSI, from the slot's identity.
     imsi: u64,
-    handle: UeHandle,
-    gw_teid: u32,
-    /// Bounded by the plane's `idle_buf_cap`.
-    buf: VecDeque<Mbuf>,
-    /// Arrival tick of the oldest packet currently in `buf` (stuck-idle
-    /// oracle input); meaningless while `buf` is empty, refreshed on the
-    /// empty→non-empty transition.
+    /// In arrival order, bounded by the plane's `idle_buf_cap`.
+    buf: Vec<Mbuf>,
+    /// Arrival tick of `buf[0]` (stuck-idle oracle input).
     oldest_ns: u64,
 }
 
@@ -237,7 +245,7 @@ impl UserIndex {
     }
 
     fn show(&mut self, slab: &UeSlab, h: UeHandle, on: bool) {
-        if slab.show(h, on) {
+        if slab.mark(h, SHOWN, on) {
             self.natives = if on { self.natives + 1 } else { self.natives - 1 };
         }
     }
@@ -247,6 +255,11 @@ impl UserIndex {
     #[inline]
     fn get(&mut self, slab: &UeSlab, uplink: bool, id: u32, now_ns: u64) -> Option<UeHandle> {
         Self::native(slab, self.offset(uplink, id)).or_else(|| self.table.get(tagged(uplink, id), now_ns).copied())
+    }
+
+    /// The user these keys lead to, with no promotion and no stats.
+    fn find(&self, slab: &UeSlab, gw_teid: u32, ue_ip: u32) -> Option<UeHandle> {
+        Self::native(slab, self.shared(gw_teid, ue_ip)).or_else(|| self.table.peek(tagged(true, gw_teid)).copied())
     }
 
     /// Hint the lines [`Self::get`] reads first for `id`.
@@ -301,11 +314,6 @@ impl UserIndex {
         old
     }
 
-    /// Unindex a user; returns its handle.
-    fn remove(&mut self, slab: &UeSlab, gw_teid: u32, ue_ip: u32) -> Option<UeHandle> {
-        self.set(slab, gw_teid, ue_ip, None, 0).into_iter().flatten().next()
-    }
-
     /// Demote a user to the secondary level. A native leaves the
     /// arithmetic path for the table, and stays there until re-inserted.
     fn demote(&mut self, slab: &UeSlab, gw_teid: u32, ue_ip: u32) {
@@ -329,20 +337,25 @@ impl UserIndex {
 /// name ([`UeSlab::offset_of`]), so a key in the native region resolves by
 /// arithmetic alone, with no table probe: offset → slot → one load of the
 /// slot's generation word, which must hold the tenant the offset names and
-/// this plane's shown bit ([`UeSlab::show`]). The plane sets that bit when
-/// it applies an `Insert` carrying the handle's own native keys and clears
-/// it on `Remove`, `Suspend` and `Demote`, so what packets see stays FIFO
-/// with the updates. Every other user is *foreign* — migrated in,
-/// HA-adopted, restored, demoted, or minted past the slots identifiers
-/// name — and takes two table entries, its raw TEID and raw UE IP tagged by
-/// direction; a key that misses natively probes the table.
+/// this plane's shown bit. The plane sets that bit when it applies an
+/// `Insert` carrying the handle's own native keys and clears it on
+/// `Remove` and `Demote`, so what packets see stays FIFO with the updates.
+/// Every other user is *foreign* — migrated in, HA-adopted, restored,
+/// demoted, or minted past the slots identifiers name — and takes two
+/// table entries, its raw TEID and raw UE IP tagged by direction; a key
+/// that misses natively probes the table.
+///
+/// **ECM-IDLE is a bit.** `Suspend` sets the slot's idle bit, keeping
+/// the user indexed, and an `Insert` of the handle clears it. The resolve
+/// reads it from the generation word it checks: an idle hit parks downlink
+/// and drops uplink.
 pub struct DataPlane {
     index: UserIndex,
-    /// Suspended (idle) UEs keyed by UE IP — consulted only on a
-    /// downlink table miss, so the hot path never touches it.
-    suspended_by_ip: HashMap<u32, SuspendedUe>,
-    /// Uplink-side view of the suspended set: gateway TEID → UE IP.
-    suspended_by_teid: HashMap<u32, u32>,
+    /// Downlink parked for idle users, by UE IP; an entry lives from its
+    /// first packet to the wake, expiry or detach that empties it.
+    parked: HashMap<u32, Parked, BuildKeyHasher>,
+    /// Indexed users this plane marked idle.
+    idle: usize,
     /// Per-UE idle buffer depth (see [`IDLE_BUF_CAP`]).
     idle_buf_cap: usize,
     /// IMSIs whose idle buffer went empty→non-empty since the last
@@ -369,7 +382,6 @@ pub struct DataPlane {
     update_delay_ns: LatencyHistogram,
     /// Burst scratch (reused across calls; never holds state between them).
     slots: Vec<Slot>,
-    decisions: Vec<Decision>,
     /// What stage 2b's table `get` returned per packet, for stage 2c.
     handles: Vec<Option<UeHandle>>,
     /// Same-user run starts discovered in pass 2: (first slot index, ctx).
@@ -429,8 +441,8 @@ impl DataPlane {
         };
         DataPlane {
             index: UserIndex { bases, natives: 0, two_level: two_level.enabled, table, tagged: [0; 2] },
-            suspended_by_ip: HashMap::new(),
-            suspended_by_teid: HashMap::new(),
+            parked: HashMap::default(),
+            idle: 0,
             idle_buf_cap: IDLE_BUF_CAP,
             paging_events: Vec::new(),
             woken: Vec::new(),
@@ -444,7 +456,6 @@ impl DataPlane {
             pipeline_ns: LatencyHistogram::new(),
             update_delay_ns: LatencyHistogram::new(),
             slots: Vec::with_capacity(64),
-            decisions: Vec::with_capacity(64),
             handles: Vec::with_capacity(64),
             groups: Vec::with_capacity(64),
             stage_timing: false,
@@ -468,87 +479,62 @@ impl DataPlane {
         self.metrics.updates_applied += 1;
         match update {
             DpUpdate::Insert { gw_teid, ue_ip, handle, active } => {
-                // A Service Request re-inserting a suspended UE wakes it:
-                // pull it out of the parking maps first, then flush its
-                // idle buffer through the freshly indexed tunnel.
-                let woke = self.suspended_by_ip.remove(&ue_ip);
-                if let Some(s) = &woke {
-                    self.suspended_by_teid.remove(&s.gw_teid);
-                }
-                let displaced = self.index.set(&self.slab, gw_teid, ue_ip, Some((handle, active)), now_ns);
                 // A restore over a resident re-indexes its keys onto a
-                // fresh context: free the one it displaces, indexed or
-                // suspended (`free` ignores a handle already freed).
-                for old in displaced.into_iter().chain([woke.as_ref().map(|s| s.handle)]).flatten() {
-                    if old != handle {
-                        self.slab.free(old);
-                    }
+                // fresh context: free the one it displaces, idle or not
+                // (`free` ignores a handle already freed).
+                let displaced = self.index.set(&self.slab, gw_teid, ue_ip, Some((handle, active)), now_ns);
+                for old in displaced.into_iter().flatten().filter(|&old| old != handle) {
+                    self.release(old);
                 }
-                if let Some(s) = woke {
-                    self.flush_idle_buffer(s, handle);
-                }
+                // A Service Request re-inserting an idle UE wakes it, and
+                // what these keys parked leaves through the fresh tunnel.
+                self.idle -= usize::from(self.slab.mark(handle, IDLE, false));
+                self.unpark(ue_ip, Some(handle));
             }
             DpUpdate::Remove { gw_teid, ue_ip } => {
-                // A detach can land while the UE is suspended (parked
-                // outside the tables): drop its buffered downlink and
-                // free the retained slot.
-                if let Some(s) = self.suspended_by_ip.remove(&ue_ip) {
-                    self.suspended_by_teid.remove(&s.gw_teid);
-                    let n = s.buf.len() as u64;
-                    self.metrics.drop_idle_expired += n;
-                    self.metrics.idle_buffered -= n;
-                    self.slab.free(s.handle);
-                }
-                // Free-at-Remove: unindex the user, then release the
-                // slot. Updates and packets are serialized on this
-                // thread, so no in-flight packet can still resolve the
-                // handle; a subsequent reattach's Insert rides behind
-                // this Remove in FIFO order.
-                if let Some(h) = self.index.remove(&self.slab, gw_teid, ue_ip) {
-                    self.slab.free(h);
+                // Free-at-Remove: unindex the user, idle or not, drop what
+                // it parked, then release the slot. Updates and packets
+                // are serialized on this thread, so no in-flight packet
+                // can still resolve the handle; a subsequent reattach's
+                // Insert rides behind this Remove in FIFO order.
+                self.unpark(ue_ip, None);
+                for h in self.index.set(&self.slab, gw_teid, ue_ip, None, 0).into_iter().flatten() {
+                    self.release(h);
                 }
             }
             DpUpdate::Demote { gw_teid, ue_ip } => self.index.demote(&self.slab, gw_teid, ue_ip),
-            DpUpdate::Suspend { gw_teid, ue_ip, imsi } => {
-                if let Some(handle) = self.index.remove(&self.slab, gw_teid, ue_ip) {
-                    // Context retained: the slot is NOT freed, only the
-                    // index forgets the UE.
-                    self.suspended_by_teid.insert(gw_teid, ue_ip);
-                    self.suspended_by_ip
-                        .insert(ue_ip, SuspendedUe { imsi, handle, gw_teid, buf: VecDeque::new(), oldest_ns: now_ns });
+            DpUpdate::Suspend { gw_teid, ue_ip, .. } => {
+                // The user stays indexed and keeps its slot.
+                if let Some(h) = self.index.find(&self.slab, gw_teid, ue_ip) {
+                    self.idle += usize::from(self.slab.mark(h, IDLE, true));
                 }
             }
-            DpUpdate::DropIdleBuffer { ue_ip } => {
-                if let Some(s) = self.suspended_by_ip.get_mut(&ue_ip) {
-                    let n = s.buf.len() as u64;
-                    s.buf.clear();
-                    self.metrics.drop_idle_expired += n;
-                    self.metrics.idle_buffered -= n;
-                }
-            }
+            DpUpdate::DropIdleBuffer { ue_ip } => self.unpark(ue_ip, None),
             DpUpdate::InstallRule { id, program, action } => {
                 self.pcef.install(id, program, action);
             }
         }
     }
 
-    /// Drain a woken UE's idle buffer: GTP-U encap each parked downlink
-    /// packet toward the re-established eNodeB tunnel and count it
-    /// forwarded (`forwarded_on_wake`). Packets surface via
-    /// [`Self::take_woken`].
-    fn flush_idle_buffer(&mut self, mut s: SuspendedUe, handle: UeHandle) {
-        let tunnels = self.slab.resolve(handle).map(|r| r.ctrl_view().tunnels);
-        let Some(t) = tunnels else {
-            // Stale handle (defensive): account the buffer as expired.
-            let n = s.buf.len() as u64;
-            self.metrics.drop_idle_expired += n;
-            self.metrics.idle_buffered -= n;
+    /// Free the slot of a user the index no longer leads to.
+    fn release(&mut self, h: UeHandle) {
+        self.idle -= usize::from(self.slab.mark(h, IDLE, false));
+        self.slab.free(h);
+    }
+
+    /// Empty what `ue_ip` parked: GTP-U encap it toward the woken user
+    /// `to`'s eNodeB tunnel, counted in `forwarded_on_wake` (it surfaces
+    /// via [`Self::take_woken`]), or, with no live `to`, drop it all as
+    /// `drop_idle_expired`.
+    fn unpark(&mut self, ue_ip: u32, to: Option<UeHandle>) {
+        let Some(p) = self.parked.remove(&ue_ip) else { return };
+        self.metrics.idle_buffered -= p.buf.len() as u64;
+        let Some(t) = to.and_then(|h| self.slab.resolve(h)).map(|r| r.ctrl_view().tunnels) else {
+            self.metrics.drop_idle_expired += p.buf.len() as u64;
             return;
         };
-        let (enb_ip, enb_teid, gw_ip) = (t.enb_ip, t.enb_teid, self.gw_ip);
-        for mut m in s.buf.drain(..) {
-            self.metrics.idle_buffered -= 1;
-            if encap_gtpu(&mut m, gw_ip, enb_ip, enb_teid).is_err() {
+        for mut m in p.buf {
+            if encap_gtpu(&mut m, self.gw_ip, t.enb_ip, t.enb_teid).is_err() {
                 self.metrics.drop_malformed += 1;
                 continue;
             }
@@ -582,8 +568,8 @@ impl DataPlane {
             Slot::Done(d) => d,
             Slot::Lookup { uplink, id, bytes } => {
                 let handle = self.index.get(&self.slab, uplink, id, now_ns);
-                match handle.and_then(|h| self.slab.resolve(h)).map(|r| std::ptr::from_ref(r.context())) {
-                    Some(p) => {
+                match self.resolve(handle, uplink, id, &mut m, now_ns) {
+                    Ok(p) => {
                         // SAFETY: slot storage lives in slab chunks that
                         // are only released when the slab drops, and
                         // `self.slab` keeps the slab alive across this
@@ -596,50 +582,52 @@ impl DataPlane {
                         ctx.publish_counters(cnt);
                         d
                     }
-                    None => {
-                        // Table miss: a suspended (idle) UE, or truly
-                        // unknown.
-                        self.idle_or_unknown(uplink, id, &mut m, now_ns)
-                    }
+                    Err(d) => d,
                 }
             }
         };
         if matches!(decision, Decision::Forward) {
             self.pipeline_ns.record(t0.elapsed().as_nanos() as u64);
         }
-        match decision {
-            Decision::Forward => PacketVerdict::Forward(m),
-            Decision::Drop(r) => PacketVerdict::Drop(r),
-            Decision::Buffered => PacketVerdict::Buffered,
-        }
+        decision.verdict(m)
     }
 
-    /// Lookup-miss resolution shared by the scalar and burst paths: a
-    /// suspended UE buffers downlink (bounded, raising a paging event on
-    /// the first parked packet) and rejects uplink; anything else is an
-    /// unknown user. On `Buffered` the mbuf is moved into the idle
-    /// buffer and an empty placeholder left behind.
-    fn idle_or_unknown(&mut self, uplink: bool, id: u32, m: &mut Mbuf, now_ns: u64) -> Decision {
+    /// Resolve a probed handle (scalar and burst paths): the served user's
+    /// context, or what became of `m`. An idle user's uplink drops and its
+    /// downlink parks (bounded, paging the slot's IMSI on the first, `m`
+    /// left an empty placeholder); a real miss is an unknown user.
+    fn resolve(
+        &mut self,
+        h: Option<UeHandle>,
+        uplink: bool,
+        ue_ip: u32,
+        m: &mut Mbuf,
+        now_ns: u64,
+    ) -> Result<*const UeContext, Decision> {
+        let imsi = match h.and_then(|h| self.slab.resolve_idle(h)) {
+            Some((r, false)) => return Ok(std::ptr::from_ref(r.context())),
+            Some((r, true)) => r.imsi_guti().0,
+            None => {
+                self.metrics.drop_unknown_user += 1;
+                return Err(Decision::Drop(DropReason::UnknownUser));
+            }
+        };
         if uplink {
-            if self.suspended_by_teid.contains_key(&id) {
-                self.metrics.drop_idle_uplink += 1;
-                return Decision::Drop(DropReason::IdleUplink);
-            }
-        } else if let Some(s) = self.suspended_by_ip.get_mut(&id) {
-            if s.buf.len() < self.idle_buf_cap {
-                if s.buf.is_empty() {
-                    s.oldest_ns = now_ns;
-                    self.paging_events.push(s.imsi);
-                }
-                s.buf.push_back(std::mem::replace(m, Mbuf::new()));
-                self.metrics.idle_buffered += 1;
-                return Decision::Buffered;
-            }
-            self.metrics.drop_idle_overflow += 1;
-            return Decision::Drop(DropReason::IdleOverflow);
+            self.metrics.drop_idle_uplink += 1;
+            return Err(Decision::Drop(DropReason::IdleUplink));
         }
-        self.metrics.drop_unknown_user += 1;
-        Decision::Drop(DropReason::UnknownUser)
+        if self.parked.get(&ue_ip).map_or(0, |p| p.buf.len()) >= self.idle_buf_cap {
+            self.metrics.drop_idle_overflow += 1;
+            return Err(Decision::Drop(DropReason::IdleOverflow));
+        }
+        let paging = &mut self.paging_events;
+        let p = self.parked.entry(ue_ip).or_insert_with(|| {
+            paging.push(imsi);
+            Parked { imsi, buf: Vec::new(), oldest_ns: now_ns }
+        });
+        p.buf.push(std::mem::replace(m, Mbuf::new()));
+        self.metrics.idle_buffered += 1;
+        Err(Decision::Buffered)
     }
 
     /// Process a whole burst: verdicts are appended to `out` (one per
@@ -681,8 +669,6 @@ impl DataPlane {
         // Pass 2: probe and resolve, one tile at a time. Each stage's
         // loads depend on lines the previous stage only *hinted*, so the
         // misses of a tile overlap instead of queueing behind each other.
-        self.decisions.clear();
-        self.decisions.resize(n, Decision::Drop(DropReason::Malformed));
         self.handles.clear();
         self.groups.clear();
         let mut last_ptr: *const UeContext = std::ptr::null();
@@ -701,23 +687,23 @@ impl DataPlane {
                 };
                 self.handles.push(handle);
             }
-            // 2c: generation check, miss handling, and fusing consecutive
-            // packets of the same user into groups (runs may span tiles).
-            // Index loop: `idle_or_unknown` needs `&mut self`.
+            // 2c: generation and idle check, idle and miss handling, and
+            // fusing consecutive packets of the same user into groups
+            // (runs may span tiles). Index loop: `resolve` needs `&mut
+            // self`.
             for k in tile {
                 let Slot::Lookup { uplink, id, .. } = self.slots[k] else {
                     last_ptr = std::ptr::null();
                     continue;
                 };
-                match self.handles[k].and_then(|h| self.slab.resolve(h)).map(|r| std::ptr::from_ref(r.context())) {
-                    Some(p) => {
+                match self.resolve(self.handles[k], uplink, id, &mut burst[k], now_ns) {
+                    Ok(p) => {
                         if p != last_ptr {
                             last_ptr = p;
                             self.groups.push(GroupRun { start: k, ctx: p });
                         }
                     }
-                    None => {
-                        let d = self.idle_or_unknown(uplink, id, &mut burst[k], now_ns);
+                    Err(d) => {
                         self.slots[k] = Slot::Done(d);
                         last_ptr = std::ptr::null();
                     }
@@ -741,29 +727,18 @@ impl DataPlane {
             // chunks that are only released when the slab drops, and we
             // hold `&mut self` (so `self.slab` — an owning Arc — stays
             // put) across both passes; nothing in between frees slab
-            // slots (pass 3 only touches slots / decisions / metrics /
-            // pcef), so the pointee is still the same live user.
+            // slots (pass 3 only touches slots / metrics / pcef), so the
+            // pointee is still the same live user.
             let ctx = unsafe { &*g.ctx };
             self.enforce_group(ctx, g.start, end, burst, now_ns);
         }
         self.groups = groups;
         self.groups.clear(); // drop the raw pointers before returning
 
-        // Copy pass-1/2 decisions for the slots decided outside groups.
-        for k in 0..n {
-            if let Slot::Done(d) = self.slots[k] {
-                self.decisions[k] = d;
-            }
-        }
-
+        // Every slot is decided by now.
         for (k, m) in burst.drain(..).enumerate() {
-            match self.decisions[k] {
-                Decision::Forward => out.push(PacketVerdict::Forward(m)),
-                Decision::Drop(r) => out.push(PacketVerdict::Drop(r)),
-                // The real mbuf already moved into the idle buffer; `m`
-                // is the placeholder.
-                Decision::Buffered => out.push(PacketVerdict::Buffered),
-            }
+            let Slot::Done(d) = self.slots[k] else { unreachable!("pass 3 decides every lookup") };
+            out.push(d.verdict(m));
         }
 
         // Forwarded packets record the amortized per-packet pipeline time
@@ -854,13 +829,14 @@ impl DataPlane {
         // writer, so it never retries; mutate locally across the run and
         // publish once at the end.
         let mut cnt = ctx.counters();
-        #[allow(clippy::needless_range_loop)] // k indexes three parallel arrays
+        #[allow(clippy::needless_range_loop)] // k indexes two parallel arrays
         for k in start..end {
             let Slot::Lookup { uplink, bytes, .. } = self.slots[k] else {
                 debug_assert!(false, "groups span Lookup slots");
                 continue;
             };
-            self.decisions[k] = self.enforce_one(&c, run_bucket, &mut cnt, uplink, bytes, &mut burst[k], now_ns);
+            let d = self.enforce_one(&c, run_bucket, &mut cnt, uplink, bytes, &mut burst[k], now_ns);
+            self.slots[k] = Slot::Done(d);
         }
         // One release publish per same-user run (the seqlock analogue of
         // the former per-run `counters.write()` release).
@@ -982,32 +958,27 @@ impl DataPlane {
         std::mem::take(&mut self.woken)
     }
 
-    /// Suspended UEs currently holding buffered downlink, as
+    /// Idle UEs currently holding buffered downlink, as
     /// `(imsi, buffered_packets, oldest_arrival_ns)` — input to the
     /// stuck-idle oracle (a UE with parked packets, no page in flight,
     /// and no wake-up within the bound is stuck). The timestamp is the
     /// arrival of the oldest packet still buffered, not the suspension
     /// time: a long-idle UE that just received downlink is not stuck.
     pub fn idle_buffered_report(&self) -> Vec<(u64, usize, u64)> {
-        let mut v: Vec<(u64, usize, u64)> = self
-            .suspended_by_ip
-            .values()
-            .filter(|s| !s.buf.is_empty())
-            .map(|s| (s.imsi, s.buf.len(), s.oldest_ns))
-            .collect();
+        let mut v: Vec<_> = self.parked.values().map(|p| (p.imsi, p.buf.len(), p.oldest_ns)).collect();
         v.sort_unstable();
         v
     }
 
     /// Suspended (idle but context-retained) UEs.
     pub fn suspended_count(&self) -> usize {
-        self.suspended_by_ip.len()
+        self.idle
     }
 
-    /// Users currently indexed: users, not entries (a foreign user
-    /// counts once).
+    /// Users currently served: indexed and not idle. Users, not entries
+    /// (a foreign user counts once).
     pub fn user_count(&self) -> usize {
-        self.index.natives + self.index.tagged[0]
+        self.index.natives + self.index.tagged[0] - self.idle
     }
 
     /// Users served natively or from the hot (primary) level. Walks the
@@ -1593,6 +1564,33 @@ mod tests {
         assert!(m.conservation_holds());
         // Now genuinely unknown.
         assert!(matches!(dp.process(inner_udp(1, UE_IP, 80, 16), 40), PacketVerdict::Drop(DropReason::UnknownUser)));
+    }
+
+    #[test]
+    fn wake_flushes_each_users_downlink_in_arrival_order() {
+        let mut dp = dp();
+        let (a, b) = (attach_user(&mut dp, 0), attach_second_user(&mut dp));
+        suspend(&mut dp);
+        dp.apply_update(DpUpdate::Suspend { gw_teid: TEID_UL + 1, ue_ip: UE_IP + 1, imsi: IMSI + 1 }, 10);
+        // Interleaved downlink for both, its payload length naming the
+        // user and the packet's place.
+        let arrivals = [(UE_IP, 10), (UE_IP + 1, 20), (UE_IP + 1, 21), (UE_IP, 11), (UE_IP, 12), (UE_IP + 1, 22)];
+        let mut burst = arrivals.iter().map(|&(ip, len)| inner_udp(1, ip, 80, len)).collect();
+        assert!(run_burst(&mut dp, &mut burst, 20).iter().all(|v| matches!(v, PacketVerdict::Buffered)));
+        assert_eq!(dp.take_paging_events(), vec![IMSI, IMSI + 1]);
+        // What a wake flushed: each packet's tunnel and payload length.
+        let woken = |dp: &mut DataPlane| -> Vec<(u32, usize)> {
+            let payload = |mut m: Mbuf| (decap_gtpu(&mut m).unwrap().0.teid, m.len() - IPV4_HDR_LEN - UDP_HDR_LEN);
+            dp.take_woken().into_iter().map(payload).collect()
+        };
+        dp.apply_update(DpUpdate::Insert { gw_teid: TEID_UL + 1, ue_ip: UE_IP + 1, handle: b, active: true }, 30);
+        assert_eq!(woken(&mut dp), [(TEID_DL + 1, 20), (TEID_DL + 1, 21), (TEID_DL + 1, 22)], "only its own");
+        assert_eq!(dp.idle_buffered_report(), vec![(IMSI, 3, 20)]);
+        assert_eq!((dp.user_count(), dp.suspended_count()), (1, 1));
+        dp.apply_update(DpUpdate::Insert { gw_teid: TEID_UL, ue_ip: UE_IP, handle: a, active: true }, 40);
+        assert_eq!(woken(&mut dp), [(TEID_DL, 10), (TEID_DL, 11), (TEID_DL, 12)]);
+        assert!(dp.idle_buffered_report().is_empty());
+        assert!(dp.metrics().conservation_holds());
     }
 
     #[test]

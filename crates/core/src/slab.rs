@@ -62,14 +62,19 @@ const MAX_CHUNKS: usize = (1 << REGION_SHIFT) / CHUNK_SLOTS;
 
 const _: () = assert!(MAX_CHUNKS * CHUNK_SLOTS == 1 << REGION_SHIFT);
 
-/// The data plane's shown bit in a generation word (see [`UeSlab::show`]);
-/// the generation is the 31 bits below it.
-const SHOWN: u32 = 1 << 31;
+/// The data plane's marks in a generation word ([`UeSlab::mark`]); the
+/// generation is the 30 bits below them. `SHOWN`: the plane serves the
+/// slot's user by arithmetic.
+pub(crate) const SHOWN: u32 = 1 << 31;
+/// `IDLE`: the slot's user is in ECM-IDLE, so the plane buffers its
+/// downlink and drops its uplink.
+pub(crate) const IDLE: u32 = 1 << 30;
+const MARKS: u32 = SHOWN | IDLE;
 
 /// The generation a word holds, if it is live (odd).
 #[inline]
 fn live(word: u32) -> Option<u32> {
-    Some(word & !SHOWN).filter(|g| g % 2 == 1)
+    Some(word & !MARKS).filter(|g| g % 2 == 1)
 }
 
 /// Directory entries per 4 KiB page, the unit the zeroed directory becomes resident in.
@@ -83,9 +88,10 @@ const DIR_ENTRIES_PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicPtr<Chunk>>
 /// the planes' own traffic; identities live apart so the data path's
 /// lines carry nothing only the control thread reads.
 struct Chunk {
-    /// Per-slot generation (even = free, odd = live) below the shown
-    /// bit. Bumped with `Release` on alloc (after the slot content is
-    /// re-initialized) and on free, read with `Acquire` by `resolve`.
+    /// Per-slot generation (even = free, odd = live) below the data
+    /// plane's marks. Bumped with `Release` on alloc (after the slot
+    /// content is re-initialized) and on free, read with `Acquire` by
+    /// `resolve`.
     gens: [AtomicU32; CHUNK_SLOTS],
     slots: [UeContext; CHUNK_SLOTS],
     ids: [Identity; CHUNK_SLOTS],
@@ -428,9 +434,8 @@ impl UeSlab {
     }
 
     /// The live handle in the slot a region offset names, if its tenant
-    /// is the one the offset names, and whether the slot is shown
-    /// ([`Self::show`]). Lock-free: one generation load, like
-    /// [`Self::resolve`].
+    /// is the one the offset names, and whether the data plane shows the
+    /// slot. Lock-free: one generation load, like [`Self::resolve`].
     #[inline]
     pub fn named(&self, offset: u32) -> Option<(UeHandle, bool)> {
         let index = offset & (self.named_slots() - 1);
@@ -440,15 +445,17 @@ impl UeSlab {
         (self.offset_of(h) == Some(offset)).then_some((h, word & SHOWN != 0))
     }
 
-    /// Set or clear `h`'s shown bit: the data plane's mark that it serves
-    /// the slot's user by arithmetic. Only the data thread calls it, and a
-    /// free clears the bit. False (nothing changed) for a stale handle.
-    pub fn show(&self, h: UeHandle, on: bool) -> bool {
+    /// Set or clear one of `h`'s marks, [`SHOWN`] or [`IDLE`]; the other
+    /// is kept. Only the data thread calls it, and a free clears both.
+    /// True when the mark changed: false for a stale handle or a mark
+    /// already as asked.
+    pub(crate) fn mark(&self, h: UeHandle, bit: u32, on: bool) -> bool {
         let Some((c, slot)) = self.at(h.index()) else { return false };
-        if live(c.gens[slot].load(Ordering::Acquire)) != Some(h.generation()) {
+        let word = c.gens[slot].load(Ordering::Acquire);
+        if live(word) != Some(h.generation()) || (word & bit != 0) == on {
             return false;
         }
-        c.gens[slot].store(h.generation() | if on { SHOWN } else { 0 }, Ordering::Release);
+        c.gens[slot].store(word ^ bit, Ordering::Release);
         true
     }
 
@@ -466,7 +473,7 @@ impl UeSlab {
         if live(c.gens[slot].load(Ordering::Acquire)) != Some(h.generation()) {
             return false;
         }
-        c.gens[slot].store(h.generation().wrapping_add(1) & !SHOWN, Ordering::Release);
+        c.gens[slot].store(h.generation().wrapping_add(1) & !MARKS, Ordering::Release);
         self.live.fetch_sub(1, Ordering::Relaxed);
         self.alloc.lock().free.push_back(h.index());
         true
@@ -477,8 +484,16 @@ impl UeSlab {
     /// stale handle — the ABA guard.
     #[inline]
     pub fn resolve(&self, h: UeHandle) -> Option<UeRef<'_>> {
+        self.resolve_idle(h).map(|(r, _)| r)
+    }
+
+    /// [`Self::resolve`], and whether the slot is [`IDLE`], from the same
+    /// generation load.
+    #[inline]
+    pub(crate) fn resolve_idle(&self, h: UeHandle) -> Option<(UeRef<'_>, bool)> {
         let (c, slot) = self.at(h.index())?;
-        (live(c.gens[slot].load(Ordering::Acquire)) == Some(h.generation())).then(|| self.user(c, slot, h))
+        let word = c.gens[slot].load(Ordering::Acquire);
+        (live(word) == Some(h.generation())).then(|| (self.user(c, slot, h), word & IDLE != 0))
     }
 
     #[inline]
@@ -721,11 +736,28 @@ mod tests {
             assert_eq!(slab.named(slab.offset_of(new).unwrap()), Some((new, false)));
             assert_eq!(slab.named(slab.offset_of(old).unwrap()), None, "the old name is stale");
         }
-        assert!(slab.show(reused[0], true) && !slab.show(hs[1], true), "a stale handle cannot be shown");
+        assert!(slab.mark(reused[0], SHOWN, true) && !slab.mark(hs[1], SHOWN, true), "a stale handle cannot be shown");
         assert_eq!(slab.named(slab.offset_of(reused[0]).unwrap()), Some((reused[0], true)));
         assert!(slab.resolve(reused[0]).is_some(), "the shown bit is not part of the generation");
+        // The idle bit: a stale handle cannot set it, and it leaves the
+        // shown bit and the generation check alone, as they leave it.
+        assert!(!slab.mark(hs[1], IDLE, true), "a stale handle cannot go idle");
+        assert_eq!(slab.resolve_idle(reused[1]).map(|(_, idle)| idle), Some(false));
+        assert!(slab.mark(reused[0], IDLE, true) && !slab.mark(reused[0], IDLE, true), "set once");
+        assert_eq!(slab.named(slab.offset_of(reused[0]).unwrap()), Some((reused[0], true)), "still shown");
+        assert_eq!(slab.resolve_idle(reused[0]).map(|(r, idle)| (r.handle(), idle)), Some((reused[0], true)));
+        assert!(slab.resolve(reused[0]).is_some(), "the idle bit is not part of the generation");
+        assert!(slab.mark(reused[0], SHOWN, false));
+        assert_eq!(slab.named(slab.offset_of(reused[0]).unwrap()), Some((reused[0], false)));
+        assert_eq!(slab.resolve_idle(reused[0]).map(|(_, idle)| idle), Some(true), "unshowing keeps it idle");
+        assert!(slab.mark(reused[0], SHOWN, true) && slab.mark(reused[1], IDLE, true));
         assert!(slab.free(reused[0]));
         assert_eq!(slab.named(slab.offset_of(reused[0]).unwrap()), None, "a free clears it");
+        let next = slab.alloc(ctrl(20), CounterState::default()).unwrap();
+        assert_eq!(next.index(), reused[0].index(), "the freed slot's next tenant");
+        assert_eq!(slab.named(slab.offset_of(next).unwrap()), Some((next, false)), "a free clears both bits");
+        assert_eq!(slab.resolve_idle(next).map(|(_, idle)| idle), Some(false));
+        assert!(slab.mark(reused[1], IDLE, false) && slab.resolve_idle(reused[1]).is_some_and(|(_, idle)| !idle));
     }
 
     #[test]

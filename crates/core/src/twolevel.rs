@@ -191,6 +191,12 @@ impl<V> TwoLevelTable<V> {
         self.primary.prefetch(key);
     }
 
+    /// The value `key` holds in either table, with no promotion and no
+    /// stats: a membership update's lookup, not a packet's.
+    pub fn peek(&self, key: u64) -> Option<&V> {
+        self.primary.get(key).or_else(|| self.secondary.get(key))
+    }
+
     /// Remove a user entirely (detach / migration). Returns the value.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         self.primary.remove(key).or_else(|| self.secondary.remove(key))

@@ -7,9 +7,9 @@
 //!
 //! * [`sctp`] — SCTP-lite, the transport under S1AP on the S1-MME
 //!   interface (3GPP mandates SCTP; the paper used the Linux kernel's
-//!   implementation and found it a bottleneck — see
-//!   [`sctp::SerializedService`], which reproduces that bottleneck for
-//!   Figure 11).
+//!   implementation and found it a bottleneck; Figure 11 models that
+//!   bottleneck as a serial share of attach cost in `pepc-bench`, not
+//!   here).
 //! * [`s1ap`] — the S1 Application Protocol between eNodeB and MME:
 //!   initial UE messages, NAS transport, context setup, path switch
 //!   (X2 handover) and S1 handover messages.

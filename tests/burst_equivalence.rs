@@ -542,6 +542,18 @@ enum ModelOp {
     Suspend {
         u: u32,
     },
+    /// Paging gave up on the `u`-th suspended resident (mod their count):
+    /// drop what its keys parked. It stays idle. With nobody suspended,
+    /// user `u`'s native keys.
+    DropIdleBuffer {
+        u: u32,
+    },
+    /// Restore over the `u`-th suspended resident: its keys, a fresh
+    /// handle. A no-op with nobody suspended.
+    Restore {
+        u: u32,
+        active: bool,
+    },
     Demote {
         u: u32,
         class: KeyClass,
@@ -558,6 +570,8 @@ fn model_op() -> impl Strategy<Value = ModelOp> {
         (0..MODEL_USERS, class(), any::<bool>()).prop_map(|(u, class, active)| ModelOp::Insert { u, class, active }),
         (0..MODEL_USERS, class()).prop_map(|(u, class)| ModelOp::Remove { u, class }),
         (0..MODEL_USERS).prop_map(|u| ModelOp::Suspend { u }),
+        (0..MODEL_USERS).prop_map(|u| ModelOp::DropIdleBuffer { u }),
+        (0..MODEL_USERS, any::<bool>()).prop_map(|(u, active)| ModelOp::Restore { u, active }),
         (0..MODEL_USERS, class()).prop_map(|(u, class)| ModelOp::Demote { u, class }),
         Just(ModelOp::Evict),
         proptest::collection::vec((0..MODEL_USERS, 0u8..6, any::<bool>()), 1..12).prop_map(ModelOp::Burst),
@@ -607,6 +621,15 @@ impl TwoTables {
         }
     }
 
+    fn drop_idle_buffer(&mut self, ip: u32) {
+        self.metrics.updates_applied += 1;
+        if let Some((_, buf)) = self.parked.get_mut(&ip) {
+            self.metrics.drop_idle_expired += *buf;
+            self.metrics.idle_buffered -= *buf;
+            *buf = 0;
+        }
+    }
+
     fn packet(&mut self, uplink: bool, id: u32) -> (u8, Option<DropReason>) {
         let m = &mut self.metrics;
         m.rx += 1;
@@ -647,6 +670,13 @@ struct Resident {
     suspended: bool,
 }
 
+/// The `u`-th suspended resident, counting in user order and wrapping.
+fn nth_suspended(residents: &HashMap<u32, Resident>, u: u32) -> Option<u32> {
+    let mut idle: Vec<u32> = residents.iter().filter(|(_, r)| r.suspended).map(|(&v, _)| v).collect();
+    idle.sort_unstable();
+    idle.get(u as usize % idle.len().max(1)).copied()
+}
+
 /// Run `ops` through a plane built with the allocation bases and through
 /// the two-map model; every observable must agree after every op.
 fn check_one_index_against_two_tables(ops: Vec<ModelOp>) -> Result<(), TestCaseError> {
@@ -656,6 +686,11 @@ fn check_one_index_against_two_tables(ops: Vec<ModelOp>) -> Result<(), TestCaseE
     let mut dp = DataPlane::with_slab(Arc::clone(&slab), GW_IP, 16, two_level, IotConfig::default(), bases);
     let mut model = TwoTables::default();
     let mut residents: HashMap<u32, Resident> = HashMap::new();
+    let fresh = |u: u32, (teid, ip): (u32, u32)| {
+        let mut ctrl = ControlState::new(404_01_0000000000 + u64::from(u));
+        (ctrl.ue_ip, ctrl.tunnels) = (ip, TunnelState { enb_teid: 0xE000 + u, enb_ip: ENB_IP, gw_teid: teid });
+        slab.alloc(ctrl, CounterState::default()).expect("slab room")
+    };
     for (step, op) in ops.into_iter().enumerate() {
         let now = step as u64;
         match op {
@@ -664,12 +699,7 @@ fn check_one_index_against_two_tables(ops: Vec<ModelOp>) -> Result<(), TestCaseE
                 let (teid, ip) = model_keys(u, class);
                 let handle = match residents.get(&u) {
                     Some(r) if r.suspended => r.handle,
-                    _ => {
-                        let mut ctrl = ControlState::new(404_01_0000000000 + u64::from(u));
-                        (ctrl.ue_ip, ctrl.tunnels) =
-                            (ip, TunnelState { enb_teid: 0xE000 + u, enb_ip: ENB_IP, gw_teid: teid });
-                        slab.alloc(ctrl, CounterState::default()).expect("slab room")
-                    }
+                    _ => fresh(u, (teid, ip)),
                 };
                 dp.apply_update(DpUpdate::Insert { gw_teid: teid, ue_ip: ip, handle, active }, now);
                 model.insert(teid, ip, handle);
@@ -686,6 +716,21 @@ fn check_one_index_against_two_tables(ops: Vec<ModelOp>) -> Result<(), TestCaseE
                 r.suspended = true;
                 dp.apply_update(DpUpdate::Suspend { gw_teid: teid, ue_ip: ip, imsi: u64::from(u) }, now);
                 model.suspend(teid, ip);
+            }
+            ModelOp::DropIdleBuffer { u } => {
+                let keys = nth_suspended(&residents, u).map(|v| model_keys(v, residents[&v].class));
+                let (_, ip) = keys.unwrap_or_else(|| model_keys(u, KeyClass::Native));
+                dp.apply_update(DpUpdate::DropIdleBuffer { ue_ip: ip }, now);
+                model.drop_idle_buffer(ip);
+            }
+            ModelOp::Restore { u, active } => {
+                let Some(u) = nth_suspended(&residents, u) else { continue };
+                let r = residents.get_mut(&u).expect("a suspended resident");
+                let (teid, ip) = model_keys(u, r.class);
+                let handle = fresh(u, (teid, ip));
+                (r.handle, r.suspended) = (handle, false);
+                dp.apply_update(DpUpdate::Insert { gw_teid: teid, ue_ip: ip, handle, active }, now);
+                model.insert(teid, ip, handle);
             }
             ModelOp::Demote { u, class } => {
                 let (teid, ip) = model_keys(u, residents.get(&u).map_or(class, |r| r.class));
@@ -722,6 +767,7 @@ fn check_one_index_against_two_tables(ops: Vec<ModelOp>) -> Result<(), TestCaseE
         }
         prop_assert_eq!(dp.metrics(), model.metrics, "step {}", step);
         prop_assert_eq!(dp.user_count(), model.by_teid.len(), "step {}", step);
+        prop_assert_eq!(dp.suspended_count(), model.parked.len(), "step {}", step);
         prop_assert_eq!(slab.live_slots(), residents.len() as u64, "step {}", step);
     }
     for r in residents.values() {
