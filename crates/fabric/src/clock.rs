@@ -1,8 +1,7 @@
 //! Timestamps and measurement helpers.
 //!
-//! Every figure harness in `pepc-bench` reports either a packet rate
-//! (Mpps) or a per-packet latency distribution; [`RateMeter`] and
-//! [`LatencyHistogram`] are the shared implementations.
+//! Latency distributions are recorded into [`LatencyHistogram`], which
+//! lives in `pepc-telemetry` and is re-exported here.
 //!
 //! Time itself is pluggable: a [`Clock`] reads either the host's
 //! monotonic clock (the default — benchmarks measure real nanoseconds) or
@@ -13,7 +12,7 @@
 //! with the same seed observe byte-identical timestamps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // The histogram moved to `pepc-telemetry` so the core crates can record
 // latencies without depending on fabric; re-exported here for existing
@@ -105,60 +104,10 @@ impl VirtualClock {
     }
 }
 
-/// Counts events over a (wall or virtual) clock window and reports a rate.
-#[derive(Debug)]
-pub struct RateMeter {
-    clock: Clock,
-    start_ns: u64,
-    events: u64,
-}
-
-impl RateMeter {
-    pub fn start() -> Self {
-        Self::start_with(Clock::new())
-    }
-
-    /// Start a meter on an explicit clock (virtual-time harnesses).
-    pub fn start_with(clock: Clock) -> Self {
-        RateMeter { start_ns: clock.now_ns(), clock, events: 0 }
-    }
-
-    /// Record `n` events (e.g. a burst of packets).
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Total events recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Elapsed time since `start`.
-    pub fn elapsed(&self) -> Duration {
-        Duration::from_nanos(self.clock.now_ns().saturating_sub(self.start_ns))
-    }
-
-    /// Events per second so far.
-    pub fn rate(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.events as f64 / secs
-        }
-    }
-
-    /// Rate in millions of events (packets) per second — the unit the
-    /// paper's figures use.
-    pub fn mpps(&self) -> f64 {
-        self.rate() / 1e6
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn clock_is_monotonic() {
@@ -167,17 +116,6 @@ mod tests {
         let b = c.now_ns();
         assert!(b >= a);
         assert!(!c.is_virtual());
-    }
-
-    #[test]
-    fn rate_meter_counts() {
-        let mut m = RateMeter::start();
-        m.add(10);
-        m.add(5);
-        assert_eq!(m.events(), 15);
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(m.rate() > 0.0);
-        assert!(m.mpps() < 1.0);
     }
 
     #[test]
@@ -208,15 +146,5 @@ mod tests {
         v2.advance_ns(7);
         assert_eq!(a.now_ns(), 7);
         assert_eq!(b.now_ns(), 7);
-    }
-
-    #[test]
-    fn rate_meter_on_virtual_time() {
-        let v = VirtualClock::new();
-        let mut m = RateMeter::start_with(v.clock());
-        m.add(1_000_000);
-        v.advance_ns(1_000_000_000); // exactly one virtual second
-        assert_eq!(m.elapsed(), Duration::from_secs(1));
-        assert!((m.mpps() - 1.0).abs() < 1e-9, "mpps {}", m.mpps());
     }
 }

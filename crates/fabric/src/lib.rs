@@ -11,30 +11,28 @@
 //! This crate therefore reproduces the *execution model* in user space:
 //!
 //! * [`ring::SpscRing`] — a bounded single-producer/single-consumer ring
-//!   with cache-padded indices, the building block for every port and
-//!   inter-thread channel on the data path (DPDK `rte_ring` equivalent).
-//! * [`port::Port`] — a virtual NIC queue pair (rx/tx) with counters,
-//!   supporting batched I/O like DPDK's burst API.
-//! * [`wire::Wire`] — connects a tx queue to an rx queue, optionally
-//!   injecting faults (drop / corrupt / rate-limit), in the spirit of the
-//!   smoltcp examples' `--drop-chance` / `--corrupt-chance` switches.
+//!   with cache-padded indices, the building block for every inter-thread
+//!   channel on the data path (DPDK `rte_ring` equivalent).
+//! * [`wire::Wire`] — a single-threaded link: a bounded send queue, a
+//!   pump that optionally injects faults (drop / corrupt / reorder /
+//!   delay / duplicate / rate-limit) in the spirit of the smoltcp
+//!   examples' `--drop-chance` / `--corrupt-chance` switches, and a
+//!   bounded receive queue.
 //! * [`exec`] — worker threads with best-effort core pinning and a
 //!   run-to-completion poll loop.
-//! * [`clock`] — cheap timestamps and rate/latency meters used by every
-//!   benchmark harness.
+//! * [`clock`] — wall or virtual timestamps, and the latency histogram
+//!   every benchmark harness records into.
 //! * [`maglev`] — a Maglev-style consistent-hash load balancer, standing in
 //!   for the cluster load balancer that fronts a PEPC deployment (§3.4).
 
 pub mod clock;
 pub mod exec;
 pub mod maglev;
-pub mod port;
 pub mod ring;
 pub mod wire;
 
-pub use clock::{Clock, LatencyHistogram, RateMeter, VirtualClock};
+pub use clock::{Clock, LatencyHistogram, VirtualClock};
 pub use exec::{CoreId, Worker};
 pub use maglev::{Maglev, MaglevError};
-pub use port::{Port, PortPair, PortStats};
 pub use ring::SpscRing;
 pub use wire::{FaultSpec, Wire, WireStats};

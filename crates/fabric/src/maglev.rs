@@ -40,10 +40,6 @@ pub struct Maglev {
 }
 
 impl Maglev {
-    /// Default lookup-table size; a prime ≫ the expected backend count,
-    /// as the Maglev paper prescribes (they use 65537 for small setups).
-    pub const DEFAULT_TABLE_SIZE: usize = 65537;
-
     /// Build a table over `backends` (names are arbitrary identifiers).
     /// Fails when `backends` is empty or `table_size` is not larger than
     /// their number.

@@ -1,8 +1,10 @@
 //! The failover coordinator: a [`Cluster`] wrapped with live replication,
 //! failure detection, and automated failover.
 //!
-//! `HaCluster` owns one replication [`Wire`] per node (node → standby).
-//! Driving it is explicitly tick-based, like the rest of the fabric:
+//! `HaCluster` owns one replication [`Wire`] per node (node → standby)
+//! and no per-user state: a user's node is the live node whose own index
+//! holds it. Driving it is explicitly tick-based, like the rest of the
+//! fabric:
 //!
 //! 1. control events replicate **synchronously** — the event's dirty users
 //!    are snapshotted, framed, and pumped across the wire before the call
@@ -13,12 +15,13 @@
 //!    every wire into the [`StandbyStore`], and advances the
 //!    [`FailureDetector`];
 //! 3. when the detector declares a node dead, the coordinator repairs the
-//!    Maglev table (only the dead node's keys re-steer) and adopts every
-//!    replicated user, after which the blackout ends: each of the dead
-//!    node's TEID / UE-IP regions has moved whole to one survivor.
+//!    Maglev table (only the dead node's keys re-steer) and moves every
+//!    replicated user out of the standby onto a survivor, after which the
+//!    blackout ends: each of the dead node's TEID / UE-IP regions has
+//!    moved whole to one survivor.
 //!
 //! Killing a node ([`HaCluster::kill_node`]) severs its wire — frames
-//! still queued at the source are lost, exactly as a crashed NIC loses
+//! still in its send queue are lost, exactly as a crashed NIC loses
 //! them — and power-offs its region in the cluster, so data packets
 //! blackhole (charged to `drop_failover`) until failover completes. The
 //! wires take a [`FaultSpec`], so chaos tests can add probabilistic drop /
@@ -32,10 +35,13 @@ use pepc::ctrl::CtrlEvent;
 use pepc::node::NodeVerdict;
 use pepc::recovery::UserRecord;
 use pepc::EpcConfig;
-use pepc_fabric::{FaultSpec, Port, PortPair, Wire};
+use pepc_fabric::{FaultSpec, Wire};
 use pepc_net::Mbuf;
 use pepc_telemetry::{MetricsSnapshot, WireStat};
-use std::collections::HashMap;
+
+/// Frames a replication wire moves per pump, and the standby takes per
+/// receive.
+const PUMP_BURST: usize = 1024;
 
 /// Tuning for the HA layer.
 #[derive(Debug, Clone)]
@@ -48,10 +54,6 @@ pub struct HaConfig {
     /// Fault injection template for the replication wires; node `k` runs
     /// with `seed + k` so wires fault independently but reproducibly.
     pub fault: FaultSpec,
-    /// Replication wire queue depth, in frames.
-    pub queue_depth: usize,
-    /// Frames pumped per wire per pump call.
-    pub pump_burst: usize,
     /// Abort any UE procedure that makes no signaling progress for this
     /// many ticks (mailboxes drain, half-created users roll back). `0`
     /// disables procedure supervision.
@@ -64,8 +66,6 @@ impl Default for HaConfig {
             counter_interval: 8,
             detector: DetectorConfig::default(),
             fault: FaultSpec::none(),
-            queue_depth: 4096,
-            pump_burst: 1024,
             procedure_timeout_ticks: 0,
         }
     }
@@ -94,15 +94,9 @@ pub struct HaCluster {
     tick: u64,
     /// Per-node last-issued replication sequence number.
     seq: Vec<u64>,
-    /// Node-side ends of the replication wires.
-    tx: Vec<Port>,
     wires: Vec<Wire>,
-    /// Standby-side ends.
-    rx: Vec<Port>,
     standby: StandbyStore,
     detector: FailureDetector,
-    /// IMSI → node currently hosting it (updated by adoption).
-    owner: HashMap<u64, usize>,
     failovers: Vec<FailoverReport>,
     scratch: Vec<Mbuf>,
 }
@@ -130,17 +124,9 @@ impl HaCluster {
                 node.slice(s).ctrl.track_dirty_users();
             }
         }
-        let mut tx = Vec::with_capacity(n);
-        let mut wires = Vec::with_capacity(n);
-        let mut rx = Vec::with_capacity(n);
-        for k in 0..n {
-            let (src, src_far) = PortPair::new(cfg.queue_depth);
-            let (sink_far, sink) = PortPair::new(cfg.queue_depth);
-            let spec = FaultSpec { seed: cfg.fault.seed.wrapping_add(k as u64), ..cfg.fault.clone() };
-            tx.push(src);
-            wires.push(Wire::new(src_far, sink_far, spec));
-            rx.push(sink);
-        }
+        let wires = (0..n)
+            .map(|k| Wire::new(FaultSpec { seed: cfg.fault.seed.wrapping_add(k as u64), ..cfg.fault.clone() }))
+            .collect();
         HaCluster {
             cluster,
             detector: FailureDetector::new(n, cfg.detector),
@@ -148,23 +134,17 @@ impl HaCluster {
             cfg,
             tick: 0,
             seq: vec![0; n],
-            tx,
             wires,
-            rx,
-            owner: HashMap::new(),
             failovers: Vec::new(),
             scratch: Vec::with_capacity(64),
         }
     }
 
-    /// Node that takes `imsi`'s signaling: the node hosting it while that
-    /// node is alive (after a failover, the survivor its region moved to),
-    /// else its IMSI home.
+    /// Node that takes `imsi`'s signaling: the [live node hosting
+    /// it](Self::owner_of) (after a failover, the survivor its region
+    /// moved to), else its IMSI home.
     pub fn serving_node(&self, imsi: u64) -> usize {
-        match self.owner.get(&imsi) {
-            Some(&k) if !self.cluster.is_dead(k) => k,
-            _ => self.cluster.home_node(imsi),
-        }
+        self.owner_of(imsi).unwrap_or_else(|| self.cluster.home_node(imsi))
     }
 
     /// Attach a subscriber on its [serving node](Self::serving_node) — a
@@ -173,7 +153,6 @@ impl HaCluster {
     pub fn attach(&mut self, imsi: u64) -> usize {
         let k = self.serving_node(imsi);
         self.cluster.node(k).attach(imsi);
-        self.owner.insert(imsi, k);
         self.replicate_node(k);
         k
     }
@@ -181,8 +160,8 @@ impl HaCluster {
     /// Apply a signaling event on the subscriber's current node (home node
     /// originally; the adopting survivor after a failover) and replicate
     /// the resulting state synchronously. Returns `false` if the event was
-    /// rejected — including signaling for a user whose node just died and
-    /// has not been failed over yet.
+    /// rejected — including signaling for a user no live node holds, such
+    /// as one whose node just died and has not been failed over yet.
     pub fn ctrl_event(&mut self, ev: CtrlEvent) -> bool {
         let imsi = match ev {
             CtrlEvent::Attach { imsi } => {
@@ -194,14 +173,8 @@ impl HaCluster {
             | CtrlEvent::Detach { imsi }
             | CtrlEvent::Release { imsi } => imsi,
         };
-        let Some(&k) = self.owner.get(&imsi) else { return false };
-        if self.cluster.is_dead(k) {
-            return false; // signaling lost in the blackout window
-        }
+        let Some(k) = self.owner_of(imsi) else { return false };
         let ok = self.cluster.node(k).ctrl_event(ev);
-        if ok && matches!(ev, CtrlEvent::Detach { .. }) {
-            self.owner.remove(&imsi);
-        }
         self.replicate_node(k);
         ok
     }
@@ -218,14 +191,6 @@ impl HaCluster {
     pub fn node_s1ap(&mut self, k: usize, pdu: &pepc_sigproto::s1ap::S1apPdu) -> Vec<pepc_sigproto::s1ap::S1apPdu> {
         if self.cluster.is_dead(k) {
             return vec![];
-        }
-        // An attach starting here makes node `k` the owner (the UE's
-        // signaling connection terminates on it).
-        if let pepc_sigproto::s1ap::S1apPdu::InitialUeMessage { nas, .. } = pdu {
-            if let Ok(pepc_sigproto::nas::NasMsg::AttachRequest { imsi, .. }) = pepc_sigproto::nas::NasMsg::decode(nas)
-            {
-                self.owner.insert(imsi, k);
-            }
         }
         let rsp = self.cluster.node(k).handle_s1ap(pdu);
         self.replicate_node(k);
@@ -284,11 +249,10 @@ impl HaCluster {
     /// Phase 3 of a tick, per node: pump node `k`'s replication wire and
     /// ingest whatever reached the standby.
     pub fn pump_wire(&mut self, k: usize) {
-        self.wires[k].pump(self.cfg.pump_burst);
+        self.wires[k].pump(PUMP_BURST);
         loop {
             self.scratch.clear();
-            self.rx[k].rx_burst(&mut self.scratch, self.cfg.pump_burst);
-            if self.scratch.is_empty() {
+            if self.wires[k].recv(&mut self.scratch, PUMP_BURST) == 0 {
                 return;
             }
             for m in self.scratch.drain(..) {
@@ -310,8 +274,8 @@ impl HaCluster {
         }
     }
 
-    /// Crash node `k`: its replication wire is severed (frames queued at
-    /// the source are lost with it) and its regions start blackholing.
+    /// Crash node `k`: its replication wire is severed (frames in its
+    /// send queue are lost with it) and its regions start blackholing.
     /// Recovery happens automatically once the detector declares it dead.
     /// Refused, with nothing changed, for a node already dead, the last
     /// live one, or an index out of range.
@@ -371,9 +335,11 @@ impl HaCluster {
         self.tick
     }
 
-    /// Node currently hosting `imsi`, if attached.
+    /// Live node currently hosting `imsi`, if any: the one whose own
+    /// user index holds it.
     pub fn owner_of(&self, imsi: u64) -> Option<usize> {
-        self.owner.get(&imsi).copied()
+        (0..self.cluster.node_count())
+            .find(|&k| !self.cluster.is_dead(k) && self.cluster.node_ref(k).slice_of(imsi).is_some())
     }
 
     /// Cluster-wide metrics with the replication wires' stats attached.
@@ -443,11 +409,12 @@ impl HaCluster {
     fn emit(&mut self, k: usize, kind: ReplKind, imsi: u64, user: Option<UserRecord>) {
         self.seq[k] += 1;
         let rec = ReplRecord { kind, node: k as u32, seq: self.seq[k], tick: self.tick, imsi, user };
-        self.tx[k].tx(Mbuf::from_payload(&encode(&rec)));
+        self.wires[k].send(Mbuf::from_payload(&encode(&rec)));
     }
 
-    /// The detector declared `k` dead: repair steering, then promote every
-    /// replicated user onto the survivor its region moves to.
+    /// The detector declared `k` dead: repair steering, then move every
+    /// replicated user out of the standby onto the survivor its region
+    /// moves to.
     fn failover(&mut self, k: usize) {
         // A detector firing without the harness killing the node first
         // (e.g. a fully partitioned but running node) powers it off too:
@@ -458,19 +425,15 @@ impl HaCluster {
         if self.cluster.power_off(k) == Err(ClusterError::LastLiveNode) || self.cluster.repair_steering(k).is_err() {
             return;
         }
-        let users = self.standby.users_of(k);
-        let users_recovered = users.len();
         let last_contact = self.detector.last_seen(k);
         let max_counter_staleness = self.standby.max_counter_staleness(k, last_contact);
-        for (rec, _tick) in users {
-            let imsi = rec.ctrl.imsi;
+        let users = self.standby.take_users(k);
+        let users_recovered = users.len();
+        for rec in users {
             // Adoption marks the user dirty on the survivor; replicate it
             // from its new home so the standby converges. A user no
-            // survivor slice had room for has no owner.
-            match self.cluster.adopt_user(rec) {
-                Some((node, _)) => self.owner.insert(imsi, node),
-                None => self.owner.remove(&imsi),
-            };
+            // survivor slice had room for is lost.
+            self.cluster.adopt_user(rec);
         }
         for t in 0..self.cluster.node_count() {
             if !self.cluster.is_dead(t) {
@@ -655,6 +618,16 @@ mod tests {
         assert_eq!(snap.data_totals().drop_failover, 1);
         assert_eq!(snap.wires.len(), 3);
         assert!(snap.wires.iter().all(|w| w.forwarded > 0), "all wires carried replication");
+
+        // The standby holds each recovered user once, under its adopter.
+        assert_eq!(c.standby().user_count(victim), 0);
+        for &imsi in &victims {
+            let heir = c.owner_of(imsi).unwrap();
+            for k in 0..3 {
+                let held = c.standby().users_of(k).iter().any(|(rec, _)| rec.ctrl.imsi == imsi);
+                assert_eq!(held, k == heir, "imsi {imsi} on node {k}'s replica (adopter {heir})");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! * **corruption** — undecodable frames are counted and skipped
 //!   ([`crate::replog::decode`] never panics);
 //! * **resurrection** — a delete tombstones the IMSI at its sequence
-//!   number, so a reordered older snapshot cannot revive a detached user.
+//!   number, so a reordered older snapshot cannot revive a detached user;
+//! * **retirement** — a failover moves a dead node's users out
+//!   ([`StandbyStore::take_users`]), so the standby holds each user once,
+//!   under its adopter; user frames that still arrive from the retired
+//!   node (a healed partition's backlog) are counted stale, never applied.
 
 use crate::replog::{decode, ReplKind, ReplRecord};
 use pepc::inctable::is_reserved_key;
@@ -42,8 +46,11 @@ struct NodeReplica {
     max_seq: u64,
     /// Frames received (any kind).
     received: u64,
-    /// Frames ignored as older than already-applied state.
+    /// Frames ignored as older than already-applied state, or as late
+    /// user frames for a retired replica.
     stale: u64,
+    /// Failed over: its users were taken and it accepts no more.
+    retired: bool,
 }
 
 /// Standby replicas for a whole cluster.
@@ -88,6 +95,10 @@ impl StandbyStore {
         let r = &mut self.replicas[rec.node as usize];
         r.received += 1;
         r.max_seq = r.max_seq.max(rec.seq);
+        if r.retired && rec.kind != ReplKind::Heartbeat {
+            r.stale += 1;
+            return;
+        }
         match rec.kind {
             ReplKind::Heartbeat => {}
             ReplKind::CtrlDelete => {
@@ -151,9 +162,17 @@ impl StandbyStore {
     }
 
     /// The replicated users of `node`, ascending by IMSI, each with the
-    /// tick its counters were captured at. This is what a failover adopts.
+    /// tick its counters were captured at.
     pub fn users_of(&self, node: usize) -> Vec<(UserRecord, u64)> {
         self.replicas[node].users.values().map(|u| (u.record.clone(), u.counter_tick)).collect()
+    }
+
+    /// Move `node`'s replicated users out, ascending by IMSI, and retire
+    /// its replica. This is what a failover adopts.
+    pub fn take_users(&mut self, node: usize) -> Vec<UserRecord> {
+        let r = &mut self.replicas[node];
+        r.retired = true;
+        std::mem::take(&mut r.users).into_values().map(|u| u.record).collect()
     }
 
     /// Replicated user count for `node`.
@@ -254,6 +273,23 @@ mod tests {
         bytes[mid] ^= 0xFF;
         let _ = s.ingest(&bytes); // may or may not decode; must not panic
         assert!(s.corrupt() >= 2);
+    }
+
+    #[test]
+    fn a_retired_replica_ignores_late_user_frames_but_reports_its_node() {
+        let mut s = StandbyStore::new(1);
+        s.apply(rec(ReplKind::CtrlSnapshot, 1, 1, 7, 0));
+        let taken = s.take_users(0);
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].ctrl.imsi, 7);
+        assert_eq!(s.user_count(0), 0, "the users moved out");
+        let late = encode(&rec(ReplKind::CtrlSnapshot, 2, 2, 9, 0));
+        assert_eq!(s.ingest(&late), Some((0, ReplKind::CtrlSnapshot)), "the detector still hears the node");
+        assert_eq!(s.user_count(0), 0, "a retired replica applies nothing");
+        assert_eq!(s.stale(0), 1);
+        let beat = encode(&rec(ReplKind::Heartbeat, 3, 3, 0, 0));
+        assert_eq!(s.ingest(&beat), Some((0, ReplKind::Heartbeat)));
+        assert_eq!(s.stale(0), 1, "a heartbeat is not stale");
     }
 
     #[test]

@@ -239,6 +239,39 @@ fn legacy_scenario_digests_are_stable_across_refactors() {
     }
 }
 
+/// The failover paths: a cascade that adopts a region twice, a kill in
+/// the middle of S1AP attaches, and a partition under a storm that fails
+/// a running node over. Routing signaling by the live nodes' own user
+/// indexes and retiring a failed-over node's replica must not change
+/// what any of these runs observes.
+#[test]
+fn failover_scenario_digests_are_pinned() {
+    #[allow(clippy::type_complexity)]
+    let cases: &[(&str, fn(u64) -> SimConfig, &[(u64, u64)])] = &[
+        (
+            "cascade_failover",
+            SimConfig::cascade_failover,
+            &[(1, 0x7a0e2105b0f5f46d), (7, 0xc977b8f3279a63a3), (42, 0xed959ed4ce1f9c58), (1234, 0xab0664379eb78693)],
+        ),
+        (
+            "kill_mid_attach",
+            SimConfig::kill_mid_attach,
+            &[(1, 0xb54e6eab46f4e0d7), (7, 0xce2fe100df0f00c4), (42, 0x885042618f1997b5), (1234, 0xbe872f6973c0b199)],
+        ),
+        (
+            "storm_partition",
+            SimConfig::storm_partition,
+            &[(1, 0x2bc4684b3f88d37e), (7, 0xc365df5a506262b6), (42, 0xb711deaefd50191e), (1234, 0xff3427e3b2151382)],
+        ),
+    ];
+    for (name, mk, golden) in cases {
+        for &(seed, want) in *golden {
+            let got = run(&mk(seed)).digest;
+            assert_eq!(got, want, "{name} seed {seed}: digest {got:#018x} != golden {want:#018x}");
+        }
+    }
+}
+
 #[test]
 fn same_seed_reproduces_identical_trace() {
     for seed in [1, 7, 42, 1234, 0xDEAD_BEEF] {

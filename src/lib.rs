@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`pepc`] | the PEPC system itself (slices, node, migration, …) |
 //! | [`pepc_net`] | packet buffers, Ethernet/IPv4/UDP/TCP/GTP codecs, BPF VM |
-//! | [`pepc_fabric`] | rings, virtual ports, workers, load balancer |
+//! | [`pepc_fabric`] | rings, fault-injecting wires, workers, load balancer |
 //! | [`pepc_sigproto`] | SCTP-lite, S1AP, NAS, Diameter-lite, Gx-lite |
 //! | [`pepc_backend`] | HSS and PCRF |
 //! | [`pepc_baseline`] | the classic MME/S-GW/P-GW EPC it is compared to |

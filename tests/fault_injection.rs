@@ -4,7 +4,7 @@
 
 use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
 use pepc::node::PepcNode;
-use pepc_fabric::{FaultSpec, Port, PortPair, Wire};
+use pepc_fabric::{FaultSpec, Wire};
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
@@ -37,26 +37,18 @@ fn uplink_for(node: &mut PepcNode, imsi: u64) -> Mbuf {
     m
 }
 
-/// A faulty wire between the "eNodeB" and the node: drops and corrupts.
-fn faulty_rig(spec: FaultSpec) -> (Port, Wire, Port) {
-    let (enb, enb_far) = PortPair::new(4096);
-    let (node_far, node_port) = PortPair::new(4096);
-    (enb, Wire::new(enb_far, node_far, spec), node_port)
-}
-
 #[test]
 fn corrupted_packets_are_dropped_cleanly_and_good_ones_flow() {
     let mut n = node();
     n.attach(7);
-    let (mut enb, mut wire, mut rx) =
-        faulty_rig(FaultSpec { corrupt_chance: 0.30, seed: 1234, ..FaultSpec::default() });
+    let mut wire = Wire::new(FaultSpec { corrupt_chance: 0.30, seed: 1234, ..FaultSpec::default() });
     for _ in 0..2000 {
         let pkt = uplink_for(&mut n, 7);
-        enb.tx(pkt);
+        wire.send(pkt);
     }
     while wire.pump(256) > 0 {}
     let mut arrived = Vec::new();
-    rx.rx_burst(&mut arrived, usize::MAX);
+    wire.recv(&mut arrived, usize::MAX);
     assert_eq!(arrived.len(), 2000);
 
     let mut forwarded = 0;
@@ -79,14 +71,14 @@ fn corrupted_packets_are_dropped_cleanly_and_good_ones_flow() {
 fn lossy_wire_reduces_delivery_but_not_correctness() {
     let mut n = node();
     n.attach(7);
-    let (mut enb, mut wire, mut rx) = faulty_rig(FaultSpec { drop_chance: 0.5, seed: 7, ..FaultSpec::default() });
+    let mut wire = Wire::new(FaultSpec { drop_chance: 0.5, seed: 7, ..FaultSpec::default() });
     for _ in 0..1000 {
         let pkt = uplink_for(&mut n, 7);
-        enb.tx(pkt);
+        wire.send(pkt);
     }
     while wire.pump(256) > 0 {}
     let mut arrived = Vec::new();
-    rx.rx_burst(&mut arrived, usize::MAX);
+    wire.recv(&mut arrived, usize::MAX);
     let got = arrived.len();
     assert!((300..700).contains(&got), "wire dropped ~half: {got}");
     for m in arrived {
@@ -131,14 +123,14 @@ fn truncated_real_packets_never_panic() {
 fn run_faulty(spec: FaultSpec, count: usize) -> (pepc_fabric::WireStats, pepc::MetricsSnapshot) {
     let mut n = node();
     n.attach(7);
-    let (mut enb, mut wire, mut rx) = faulty_rig(spec);
+    let mut wire = Wire::new(spec);
     for _ in 0..count {
         let pkt = uplink_for(&mut n, 7);
-        enb.tx(pkt);
+        wire.send(pkt);
     }
     while wire.pump(256) > 0 {}
     let mut arrived = Vec::new();
-    rx.rx_burst(&mut arrived, usize::MAX);
+    wire.recv(&mut arrived, usize::MAX);
     for m in arrived {
         let _ = n.process(m);
     }

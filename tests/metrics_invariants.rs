@@ -10,7 +10,7 @@ use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
 use pepc::node::PepcNode;
 use pepc::pcef::PcefAction;
 use pepc::MetricsSnapshot;
-use pepc_fabric::{FaultSpec, PortPair, Wire};
+use pepc_fabric::{FaultSpec, Wire};
 use pepc_net::bpf::BpfProgram;
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
@@ -98,13 +98,7 @@ fn run_mixed_workload(seed: u64) -> MetricsSnapshot {
     // A faulty wire between the "eNodeB" and the node: the fault PRNG is
     // seeded, so the exact set of dropped/corrupted packets — and
     // therefore every drop counter — is a pure function of `seed`.
-    let (mut enb, enb_far) = PortPair::new(8192);
-    let (node_far, mut rx) = PortPair::new(8192);
-    let mut wire = Wire::new(
-        enb_far,
-        node_far,
-        FaultSpec { drop_chance: 0.05, corrupt_chance: 0.10, seed, ..FaultSpec::default() },
-    );
+    let mut wire = Wire::new(FaultSpec { drop_chance: 0.05, corrupt_chance: 0.10, seed, ..FaultSpec::default() });
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for _ in 0..4000 {
@@ -139,11 +133,11 @@ fn run_mixed_workload(seed: u64) -> MetricsSnapshot {
                 Mbuf::from_payload(&bytes)
             }
         };
-        enb.tx(m);
+        assert!(wire.send(m));
     }
     while wire.pump(256) > 0 {}
     let mut arrived = Vec::new();
-    rx.rx_burst(&mut arrived, usize::MAX);
+    wire.recv(&mut arrived, usize::MAX);
     for m in arrived {
         let _ = n.process(m);
     }
