@@ -4,12 +4,15 @@
 
 use pepc::cluster::Cluster;
 use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
-use pepc::ctrl::CtrlEvent;
+use pepc::ctrl::{run_attach_with, CtrlEvent};
 use pepc::recovery;
+use pepc_backend::{Hss, Pcrf};
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
 use pepc_net::{Ipv4Hdr, Mbuf, IPV4_HDR_LEN};
+use pepc_sigproto::s1ap::S1apPdu;
+use std::sync::Arc;
 
 fn template() -> EpcConfig {
     EpcConfig {
@@ -167,4 +170,31 @@ fn restore_is_idempotent_per_user() {
     node.slice(k).sync_now();
     let slice = node.slice(k);
     assert_eq!(slice.ctrl.slab().live_slots(), slice.ctrl.user_count() as u64);
+}
+
+#[test]
+fn an_mme_ue_id_names_one_ue_across_the_cluster() {
+    let hss = Arc::new(Hss::new());
+    hss.provision_range(1, 64, 100_000);
+    let backends = Some((hss, Arc::new(Pcrf::with_standard_rules())));
+    let mut c = Cluster::new(2, EpcConfig { slices: 1, ..template() }, backends);
+    // One UE homed on each node, attached over S1AP on distinct eNodeB UE ids.
+    let (victim, heirs_own) =
+        ((1..).find(|&i| c.home_node(i) == 0).unwrap(), (1..).find(|&i| c.home_node(i) == 1).unwrap());
+    let mme_ue_id = |c: &mut Cluster, k: usize, imsi: u64, enb_ue_id: u32| {
+        run_attach_with(|pdu| c.node(k).handle_s1ap(pdu), imsi, enb_ue_id, 0xE000, 0xC0A8_0001).expect("attach");
+        c.node(k).slice(0).ctrl.context_of(imsi).unwrap().s1_conn().unwrap().mme_ue_id
+    };
+    let (id, other) = (mme_ue_id(&mut c, 0, victim, 1), mme_ue_id(&mut c, 1, heirs_own, 2));
+    assert_ne!(id, other, "both nodes minted MME UE id {id}");
+
+    // Node 0 dies and node 1 adopts the victim.
+    let rec = c.node(0).slice(0).ctrl.record_of(victim).unwrap();
+    c.power_off(0).unwrap();
+    c.repair_steering(0).unwrap();
+    assert_eq!(c.adopt_user(rec), Some((1, 0)));
+    // The victim's eNodeB releases it under the id node 0 gave it: that id
+    // names no UE of node 1's own.
+    c.node(1).handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 1, mme_ue_id: id, cause: 0 });
+    assert_eq!(c.node(1).slice(0).ctrl.idle_user_count(), 0);
 }
