@@ -206,11 +206,10 @@ pub enum Disposition {
 #[derive(Debug, Default)]
 pub struct UeMachine {
     pub imsi: u64,
-    /// Last eNodeB UE id seen for this UE (routing index value).
+    /// The eNodeB UE id of the UE's last attach, service request or
+    /// handover. It addresses replies and tells a retransmitted Attach
+    /// Request from a fresh one; routing never reads it.
     pub enb_ue_id: u32,
-    /// This machine owns the routing-index entry of `enb_ue_id`: an attach
-    /// is running ahead of the user record, which takes it over at birth.
-    pub enb_bound: bool,
     pub state: ProcState,
     /// Messages deferred until the running procedure terminates.
     pub mailbox: VecDeque<SigMsg>,

@@ -307,10 +307,10 @@ fn run_lifecycles() -> u64 {
     let in_flight = r.cp.procedures_in_flight();
     assert!(m.procedure_accounting_holds(in_flight) && m.signaling_conservation_holds(r.cp.mailbox_backlog()));
     assert!(m.paging_accounting_holds(r.cp.paging_in_flight()));
-    let (by_mme, by_enb) = r.cp.s1_index_len();
+    let by_mme = r.cp.s1_index_len();
     let json = serde_json::to_string(&m).unwrap();
     r.fold(json.as_bytes());
-    for v in [in_flight, r.cp.user_count() as u64, r.cp.idle_user_count() as u64, by_mme as u64, by_enb as u64] {
+    for v in [in_flight, r.cp.user_count() as u64, r.cp.idle_user_count() as u64, by_mme as u64] {
         r.fold(&v.to_le_bytes());
     }
     r.digest
@@ -323,8 +323,10 @@ fn lifecycle_replay_matches_goldens() {
 }
 
 /// Captured on the hand-written per-procedure step functions that the
-/// table-driven stepper replaced.
-const GOLDEN_LIFECYCLES: u64 = 0x7ef9_7a40_c06c_d99b;
+/// table-driven stepper replaced, then re-captured on that same code with
+/// one change: the digest folds the one S1 routing index, no longer an
+/// eNodeB-UE-id index beside it.
+const GOLDEN_LIFECYCLES: u64 = 0xda41_818d_34d6_443b;
 
 #[test]
 #[ignore]

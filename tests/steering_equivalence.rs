@@ -385,11 +385,10 @@ fn ten_thousand_s1ap_lifecycles_leave_no_steering_residue() {
     for n in (0..CHURN).step_by(97) {
         assert_eq!(node.slice_of(RESIDENTS + 1 + n), None);
     }
-    // The control planes' routing indexes hold the residents' S1
+    // The control planes' routing index holds the residents' S1
     // associations and nothing of the ten thousand that came and went.
-    let (by_mme, by_enb) =
-        (0..2).map(|k| node.slice(k).ctrl.s1_index_len()).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    assert_eq!((by_mme, by_enb), (RESIDENTS as usize, RESIDENTS as usize));
+    let by_mme: usize = (0..2).map(|k| node.slice(k).ctrl.s1_index_len()).sum();
+    assert_eq!(by_mme, RESIDENTS as usize);
     let snap = node.metrics_snapshot();
     for s in &snap.slices {
         assert!(s.ctrl.signaling_conservation_holds(s.mailbox_backlog));
@@ -397,16 +396,15 @@ fn ten_thousand_s1ap_lifecycles_leave_no_steering_residue() {
     }
 
     // Restoring over a live resident overwrites it without orphaning the
-    // S1 association it is indexed under: its detach still unindexes both.
+    // S1 association it is indexed under: its detach still unindexes it.
     let (k, guti, conn) = s1_identity(&mut node, 5);
     let rec = node.slice(k).ctrl.record_of(5).unwrap();
     assert_eq!(node.adopt_user(rec), Some(k));
     assert_eq!(s1_identity(&mut node, 5), (k, guti, conn));
     s1ap_detach(&mut node, guti, conn);
     assert_eq!(node.user_count(), RESIDENTS as usize - 1);
-    let (by_mme, by_enb) =
-        (0..2).map(|k| node.slice(k).ctrl.s1_index_len()).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    assert_eq!((by_mme, by_enb), (RESIDENTS as usize - 1, RESIDENTS as usize - 1));
+    let by_mme: usize = (0..2).map(|k| node.slice(k).ctrl.s1_index_len()).sum();
+    assert_eq!(by_mme, RESIDENTS as usize - 1);
 
     // A churned IMSI attaches again, on its home slice, and forwards.
     let imsi = RESIDENTS + 1;
