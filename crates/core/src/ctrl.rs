@@ -1177,7 +1177,7 @@ impl ControlPlane {
     pub fn record_of(&self, imsi: u64) -> Option<UserRecord> {
         let ctx = self.context_of(imsi)?;
         let ctrl = ctx.ctrl_read().clone();
-        Some(UserRecord { ctrl, counters: ctx.counters() })
+        Some(UserRecord { ctrl, counters: ctx.counters(), s1_conn: ctx.s1_conn() })
     }
 
     /// Source side of a migration: copy the user out by value, remove
@@ -1199,15 +1199,17 @@ impl ControlPlane {
     /// restore ([`crate::recovery`]) and an HA adoption. The context is
     /// allocated in *this* slice's arena; the keys (TEID / UE IP) are the
     /// record's, so in-flight tunnels stay valid, and the data plane is
-    /// told exactly as for an attach. Over a live user the old context is
-    /// replaced, the S1 association it is indexed under carries over, and
-    /// the user leaves ECM-IDLE with the insert that wakes it.
+    /// told exactly as for an attach. The record's S1 association is bound
+    /// here unless its MME UE id names another UE. Over a live user the
+    /// old context is replaced, its S1 association carries over unless
+    /// the record's replaces it, and the user leaves ECM-IDLE with the
+    /// insert that wakes it.
     /// Its slot is freed by the data plane: the insert frees whatever it
     /// displaces under the same keys (and wakes a suspended user's
     /// buffer), while old keys the record does not keep leave first.
     /// False (nothing restored) when the arena is full.
     pub fn restore_user(&mut self, rec: UserRecord) -> bool {
-        let UserRecord { ctrl, counters } = rec;
+        let UserRecord { ctrl, counters, s1_conn } = rec;
         let (imsi, guti, gw_teid, ue_ip) = (ctrl.imsi, ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
         let old = self.context_of(imsi).map(|ctx| {
             let c = ctx.ctrl_read();
@@ -1226,6 +1228,9 @@ impl ControlPlane {
             }
         }
         self.users.insert(imsi, handle);
+        if let Some(conn) = s1_conn.filter(|c| self.by_mme_ue_id.get(&c.mme_ue_id).is_none_or(|&o| o == imsi)) {
+            self.bind_s1(imsi, handle, conn);
+        }
         // Foreign unless the record's identifiers name the slot it landed in.
         let o = self.slab.offset_of(handle);
         let a = self.alloc;
@@ -2102,6 +2107,29 @@ mod tests {
         let rec = cp.record_of(1).unwrap();
         assert!(cp.restore_user(rec));
         assert_eq!(cp.idle_user_count(), 0);
+    }
+
+    #[test]
+    fn a_restore_binds_the_records_s1_association() {
+        let mut cp = cp_with_backends(1);
+        run_attach_with(|p| cp.handle_s1ap(p), 1, 10, 0xE000, 0xC0A80001).expect("attach");
+        let live = cp.context_of(1).unwrap().s1_conn().unwrap();
+        // The record names another association, as an adopted user's
+        // does: it replaces the live one.
+        let moved = S1Conn { mme_ue_id: live.mme_ue_id + 100, enb_ue_id: 20 };
+        assert!(cp.restore_user(UserRecord { s1_conn: Some(moved), ..cp.record_of(1).unwrap() }));
+        assert_eq!(cp.context_of(1).unwrap().s1_conn(), Some(moved));
+        assert_eq!(cp.s1_index_len(), 1, "the live association is unindexed");
+        let release = |cp: &mut ControlPlane, c: S1Conn| {
+            cp.handle_s1ap(&S1apPdu::UeContextReleaseRequest {
+                enb_ue_id: c.enb_ue_id,
+                mme_ue_id: c.mme_ue_id,
+                cause: 0,
+            })
+        };
+        assert_eq!(release(&mut cp, live), vec![]);
+        assert_eq!(release(&mut cp, moved).len(), 1);
+        assert_eq!(cp.idle_user_count(), 1);
     }
 }
 

@@ -3,12 +3,14 @@
 //!
 //! This implementation drives its slices *inline* (single logical thread
 //! per node), which keeps behaviour deterministic for tests and lets the
-//! figure harnesses measure per-core work precisely; the threaded
-//! execution mode lives in [`crate::slice::Slice::spawn`] and is
-//! exercised by the slice tests and examples. The node scheduler's
-//! responsibilities from the paper are all here: instantiating slices
-//! from operator configuration, steering (via [`Demux`]), and state
-//! migration with per-user packet queues.
+//! figure harnesses measure per-core work precisely. The threaded driver,
+//! [`crate::slice::Slice::spawn`], runs the same slice code (the update
+//! flush, the batched sync, the plane methods) on two threads behind
+//! bounded rings; no node drives it yet, because it does not yet return
+//! paging events or woken packets, nor migrate (ROADMAP item 1). The
+//! node scheduler's responsibilities from the paper are all here:
+//! instantiating slices from operator configuration, steering (via
+//! [`Demux`]), and state migration with per-user packet queues.
 
 use crate::config::EpcConfig;
 use crate::ctrl::{Allocator, CtrlEvent};

@@ -17,7 +17,7 @@
 //! swap in a binary codec without touching callers.
 
 use crate::ctrl::ControlPlane;
-use crate::state::{ControlState, CounterState};
+use crate::state::{ControlState, CounterState, S1Conn};
 use serde::{Deserialize, Serialize};
 
 /// Current checkpoint format version.
@@ -31,6 +31,10 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 pub struct UserRecord {
     pub ctrl: ControlState,
     pub counters: CounterState,
+    /// The S1 association the user's eNodeB names it by. Absent from
+    /// checkpoints and frames written before it was recorded.
+    #[serde(default)]
+    pub s1_conn: Option<S1Conn>,
 }
 
 impl UserRecord {
@@ -239,6 +243,17 @@ mod tests {
         }
         assert_eq!(c.user_count(), 0, "duplicate checkpoint must not partially apply");
         assert!(!c.has_updates());
+    }
+
+    #[test]
+    fn a_checkpoint_without_s1_associations_still_restores() {
+        // As written before records carried the association.
+        let text = String::from_utf8(checkpoint(&populated(3)).unwrap()).unwrap();
+        let old = text.replace(",\"s1_conn\":null", "");
+        assert_ne!(old, text);
+        let mut c = cp();
+        assert_eq!(restore(&mut c, old.as_bytes()).unwrap(), 3);
+        assert_eq!(c.record_of(2).unwrap().s1_conn, None);
     }
 
     #[test]

@@ -22,10 +22,13 @@
 //! lock, as [`crate::slab::UeRef::ctrl_write`] does). A `debug_assert`
 //! in [`SeqCell::publish`] catches violations in test builds.
 //!
-//! The payload copy runs at 64-bit-word granularity (see [`SeqPayload`]):
-//! a `read_volatile` of a mixed-width struct scalarizes into per-field
-//! volatile loads, which measures ~3× slower than word loads for the
-//! control-view payload — enough to lose to the RwLock it replaces.
+//! The payload is copied one 64-bit word at a time (see [`SeqPayload`]),
+//! each word a `Relaxed` atomic load or store (a plain `mov` on x86-64),
+//! with fences ordering the words against the sequence. A reader racing a
+//! writer may copy a torn payload but makes no data race, which a plain
+//! or volatile copy would, undefined behaviour even if the copy is then
+//! discarded. Word copies also beat per-field ones ~3× on the
+//! control-view payload.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -71,12 +74,11 @@ pub struct SeqCell<T: SeqPayload> {
     data: UnsafeCell<T>,
 }
 
-// SAFETY: all shared access to `data` is mediated by the sequence
-// protocol above — readers discard any copy whose bracketing sequence
-// loads disagree, and writers are serialized by the caller's
-// single-writer contract. `T: SeqPayload` (no drop, no interior
-// references, all bit patterns valid) keeps torn intermediate copies
-// inert.
+// SAFETY: shared access to `data` is whole-word atomic and mediated by
+// the sequence protocol above — readers discard any copy whose
+// bracketing sequence loads disagree, and writers are serialized by the
+// caller's single-writer contract. `T: SeqPayload` (no drop, no interior
+// references, all bit patterns valid) makes a torn copy a valid value.
 unsafe impl<T: SeqPayload + Send> Sync for SeqCell<T> {}
 
 impl<T: SeqPayload> SeqCell<T> {
@@ -106,19 +108,20 @@ impl<T: SeqPayload> SeqCell<T> {
         if s1 & 1 != 0 {
             return None;
         }
-        // SAFETY: this may race `publish` and produce a torn copy; the
-        // sequence re-check below discards any such copy before it is
-        // used, and `T`'s all-bit-patterns-valid + no-padding contract
-        // ([`SeqPayload`]) keeps the torn temporary itself well-defined.
-        // Volatile word loads stop the compiler caching or eliding the
-        // racy copy; `WORDS` guarantees size/alignment make the word
-        // view exact.
+        // SAFETY: `WORDS` makes the payload exactly `WORDS` 8-aligned
+        // words, so each `from_ptr` names one aligned word of the cell,
+        // which is only ever accessed as a whole-word atomic (here and in
+        // `publish`). A racing `publish` can therefore tear the copy
+        // between words but never make it a data race; the sequence
+        // re-check below discards a torn copy, and `T`'s
+        // any-bit-pattern contract ([`SeqPayload`]) makes it a valid `T`
+        // until then.
         let v = unsafe {
             let mut out = MaybeUninit::<T>::uninit();
-            let src = self.data.get() as *const u64;
+            let src = self.data.get() as *mut u64;
             let dst = out.as_mut_ptr() as *mut u64;
             for i in 0..Self::WORDS {
-                dst.add(i).write(src.add(i).read_volatile());
+                dst.add(i).write(AtomicU64::from_ptr(src.add(i)).load(Ordering::Relaxed));
             }
             out.assume_init()
         };
@@ -181,12 +184,13 @@ impl<T: SeqPayload> SeqCell<T> {
         // discard copies taken during this window; the single-writer
         // contract excludes concurrent writers. `SeqPayload` (no padding,
         // size/alignment via `WORDS`) makes the word view of `value`
-        // fully initialized and exact.
+        // fully initialized and exact, and each cell word is stored as a
+        // whole-word atomic, as `try_read` loads it.
         unsafe {
             let src = &value as *const T as *const u64;
             let dst = self.data.get() as *mut u64;
             for i in 0..Self::WORDS {
-                dst.add(i).write_volatile(src.add(i).read());
+                AtomicU64::from_ptr(dst.add(i)).store(src.add(i).read(), Ordering::Relaxed);
             }
         }
         self.seq.store(s.wrapping_add(2), Ordering::Release);

@@ -8,14 +8,21 @@
 //! SPSC update ring, drained by the data thread every
 //! `batching.sync_every_packets` packets (Figure 13).
 //!
-//! Two operating modes:
+//! One slice, two drivers. [`Slice`] is inline and single-threaded: the
+//! caller drives both planes, deterministically; [`crate::node::PepcNode`],
+//! the simulator, the tests and the figure harnesses run it.
+//! [`Slice::spawn`] runs each plane on its own thread, reached only through
+//! the bounded rings of a [`SliceHandle`]; a full ring hands the item back.
+//! Both run the same plumbing: one control-side flush onto the update
+//! ring, and one data-side sync on the `sync_every` schedule, table
+//! maintenance included. Each [`CtrlCmd`] is one inline method
+//! ([`Slice::handle_ctrl_event`], [`Slice::handle_s1ap`],
+//! [`Slice::note_tick`]), and a command's updates are on the ring before
+//! its reply is.
 //!
-//! * [`Slice`] — inline, single-threaded: the caller drives both planes
-//!   explicitly. Deterministic; used by unit/integration tests and the
-//!   single-core figure harnesses.
-//! * [`Slice::spawn`] — threaded: returns a [`SliceHandle`] whose rings
-//!   and command channels the node (or a harness) feeds, with the two
-//!   plane threads running to completion on their cores.
+//! A threaded slice does not yet drain paging events, woken packets or a
+//! tick's paging PDUs, and does not migrate: each needs a data→control
+//! ring (ROADMAP item 1).
 
 use crate::config::SliceConfig;
 use crate::ctrl::{Allocator, ControlPlane, CtrlEvent};
@@ -23,93 +30,88 @@ use crate::data::{DataPlane, DpUpdate, PacketVerdict};
 use crate::proxy::Proxy;
 use crate::recovery::UserRecord;
 use crate::slab::UeSlab;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pepc_fabric::exec::{CoreId, Poll, Worker};
 use pepc_fabric::ring::{Consumer, Producer, SpscRing};
 use pepc_fabric::Clock;
 use pepc_net::Mbuf;
 use pepc_sigproto::s1ap::S1apPdu;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Commands the node scheduler sends a slice's control thread.
-#[derive(Debug)]
-pub enum CtrlCmd {
-    /// A synthetic signaling event.
-    Event(CtrlEvent),
-    /// An S1AP PDU (replies come back as [`CtrlReply::S1ap`]).
-    S1ap(S1apPdu),
-    /// Migration: extract this user (reply: [`CtrlReply::Extracted`]).
-    Extract { imsi: u64 },
-    /// Migration: restore this user here (counted as a migration in).
-    Install(Box<UserRecord>),
-}
+/// An update-ring entry: the update and its enqueue time, so the data
+/// plane can histogram the control→data propagation delay at apply.
+type Stamped = (u64, DpUpdate);
 
-/// Replies from a slice's control thread.
-#[derive(Debug)]
-pub enum CtrlReply {
-    S1ap(Vec<S1apPdu>),
-    Extracted { imsi: u64, record: Option<Box<UserRecord>> },
-}
-
-/// Cross-thread observable counters for a running slice.
-#[derive(Debug, Default)]
-pub struct SliceStats {
-    pub rx: AtomicU64,
-    pub forwarded: AtomicU64,
-    pub dropped: AtomicU64,
-    pub attaches: AtomicU64,
-    pub handovers: AtomicU64,
-    pub updates_applied: AtomicU64,
-}
-
-impl SliceStats {
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
+/// The control side of the ring plumbing: move `ctrl`'s queued updates
+/// onto the update ring, each stamped with `clock`'s time. `full` runs
+/// while the ring is full. Returns early, dropping the rest, only when
+/// the ring's consumer is gone (a threaded slice's data thread died).
+#[inline]
+fn flush_updates(ctrl: &mut ControlPlane, tx: &mut Producer<Stamped>, clock: &Clock, mut full: impl FnMut()) {
+    if !ctrl.has_updates() {
+        return;
     }
-
-    pub fn rx(&self) -> u64 {
-        self.rx.load(Ordering::Relaxed)
+    for u in ctrl.drain_updates() {
+        let mut stamped = (clock.now_ns(), u);
+        while let Err(back) = tx.push(stamped) {
+            if tx.is_disconnected() {
+                return;
+            }
+            full();
+            stamped = back;
+        }
     }
 }
 
-/// Apply up to `max` stamped updates from the ring to the data plane,
-/// recording each one's control→data delay; returns how many. Both
-/// modes' data sides drain the ring only through here.
-fn apply_stamped(
-    data: &mut DataPlane,
-    rx: &mut Consumer<(u64, DpUpdate)>,
-    scratch: &mut Vec<(u64, DpUpdate)>,
-    clock: &Clock,
-    max: usize,
-) -> usize {
-    scratch.clear();
-    let n = rx.pop_burst(scratch, max);
-    let now = clock.now_ns();
-    for (stamp, u) in scratch.drain(..) {
-        data.record_update_delay(now.saturating_sub(stamp));
-        data.apply_update(u, now);
+/// The data side of the ring plumbing: the update ring's consumer, its
+/// scratch, and the batched-sync schedule.
+struct DataSync {
+    rx: Consumer<Stamped>,
+    scratch: Vec<Stamped>,
+    every: u32,
+    since: u32,
+}
+
+impl DataSync {
+    /// Count `packets` toward the schedule; true once a sync is due.
+    #[inline]
+    fn due(&mut self, packets: usize) -> bool {
+        self.since = self.since.saturating_add(packets as u32);
+        self.since >= self.every
     }
-    n
+
+    /// Apply every queued update to the data plane, recording each one's
+    /// control→data delay.
+    fn drain(&mut self, data: &mut DataPlane, clock: &Clock) {
+        self.scratch.clear();
+        self.rx.pop_burst(&mut self.scratch, usize::MAX);
+        let now = clock.now_ns();
+        for (stamp, u) in self.scratch.drain(..) {
+            data.record_update_delay(now.saturating_sub(stamp));
+            data.apply_update(u, now);
+        }
+    }
+
+    /// A sync: drain the ring, take one bounded resize step (which keeps
+    /// in-flight table growth converging on the packet schedule, never a
+    /// stop-the-world rehash inside a burst), and restart the count.
+    fn run(&mut self, data: &mut DataPlane, clock: &Clock) {
+        self.drain(data, clock);
+        data.maintain_tables();
+        self.since = 0;
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Inline mode
+// Inline driver
 // ---------------------------------------------------------------------------
 
 /// An inline (caller-driven) slice.
-///
-/// Update-ring entries are stamped with the enqueue time so the data
-/// plane can histogram the control→data propagation delay at apply.
 pub struct Slice {
     pub ctrl: ControlPlane,
     pub data: DataPlane,
-    update_tx: Producer<(u64, DpUpdate)>,
-    update_rx: Consumer<(u64, DpUpdate)>,
-    sync_every: u32,
-    packets_since_sync: u32,
+    update_tx: Producer<Stamped>,
+    sync: DataSync,
     clock: Clock,
-    update_scratch: Vec<(u64, DpUpdate)>,
 }
 
 impl Slice {
@@ -131,18 +133,20 @@ impl Slice {
                 0,
             );
         }
-        let (update_tx, update_rx) = SpscRing::with_capacity(config.update_ring_capacity);
+        let (update_tx, rx) = SpscRing::with_capacity(config.update_ring_capacity);
         let mut ctrl = ControlPlane::with_slab(slab, gw_ip, tac, alloc, proxy, config.expected_users);
         ctrl.set_overload(config.overload);
         Slice {
             ctrl,
             data,
             update_tx,
-            update_rx,
-            sync_every: config.batching.sync_every_packets.max(1),
-            packets_since_sync: 0,
+            sync: DataSync {
+                rx,
+                scratch: Vec::with_capacity(64),
+                every: config.batching.sync_every_packets.max(1),
+                since: 0,
+            },
             clock: Clock::new(),
-            update_scratch: Vec::with_capacity(64),
         }
     }
 
@@ -172,40 +176,25 @@ impl Slice {
         rsp
     }
 
-    /// Move control-plane updates into the update ring (the control
-    /// thread's half of the batching machinery). In inline mode this
-    /// slice owns both ring ends, so a full ring is drained straight into
-    /// the data plane instead of blocking (bulk attach floods would
-    /// otherwise deadlock a single-threaded driver).
+    /// Move control-plane updates into the update ring. This slice owns
+    /// both ring ends, so a full ring drains straight into the data plane
+    /// instead of blocking (bulk attach floods would otherwise deadlock a
+    /// single-threaded driver).
     fn flush_ctrl_updates(&mut self) {
-        if !self.ctrl.has_updates() {
-            return;
-        }
-        for u in self.ctrl.drain_updates() {
-            let mut stamped = (self.clock.now_ns(), u);
-            while let Err(back) = self.update_tx.push(stamped) {
-                apply_stamped(&mut self.data, &mut self.update_rx, &mut self.update_scratch, &self.clock, usize::MAX);
-                stamped = back;
-            }
-        }
+        let Slice { ctrl, data, update_tx, sync, clock } = self;
+        flush_updates(ctrl, update_tx, clock, || sync.drain(data, clock));
     }
 
     /// Flush any control-plane updates into the ring, then drain the ring
     /// into the data plane ("sync").
     pub fn sync_now(&mut self) {
         self.flush_ctrl_updates();
-        apply_stamped(&mut self.data, &mut self.update_rx, &mut self.update_scratch, &self.clock, usize::MAX);
-        // One bounded resize step per sync keeps in-flight table growth
-        // converging on the packet schedule (never a stop-the-world
-        // rehash inside a burst).
-        self.data.maintain_tables();
-        self.packets_since_sync = 0;
+        self.sync.run(&mut self.data, &self.clock);
     }
 
     /// Process one data packet, honouring the batched-sync schedule.
     pub fn process_packet(&mut self, m: Mbuf) -> PacketVerdict {
-        self.packets_since_sync += 1;
-        if self.packets_since_sync >= self.sync_every {
+        if self.sync.due(1) {
             self.sync_now();
         }
         self.data.process(m, self.clock.now_ns())
@@ -219,8 +208,7 @@ impl Slice {
     /// are appended to `out` (one per packet, input order), which callers
     /// reuse so the burst path stays malloc-free per call.
     pub fn process_burst_into(&mut self, burst: &mut Vec<Mbuf>, out: &mut Vec<PacketVerdict>) {
-        self.packets_since_sync = self.packets_since_sync.saturating_add(burst.len() as u32);
-        if self.packets_since_sync >= self.sync_every {
+        if self.sync.due(burst.len()) {
             self.sync_now();
         }
         self.data.process_burst_into(burst, self.clock.now_ns(), out)
@@ -314,7 +302,7 @@ impl Slice {
         s.service_request_ns = self.ctrl.service_request_latency().clone();
         s.handover_ns = self.ctrl.handover_latency().clone();
         s.stage_ns = self.data.stage_latencies().to_vec();
-        s.rings.push(self.update_rx.gauge("update_ring"));
+        s.rings.push(self.sync.rx.gauge("update_ring"));
         // Memory gauges (ISSUE 9): arena footprint, index footprint, and
         // the audit ratio. live_slots tracks attached users exactly —
         // every attach allocates one slot, every detach frees it.
@@ -333,21 +321,50 @@ impl Slice {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded mode
+// Threaded driver
 // ---------------------------------------------------------------------------
 
-/// Handle to a running (threaded) slice.
+/// A command for a threaded slice's control thread: one per inline method
+/// of the same job.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CtrlCmd {
+    /// [`Slice::handle_ctrl_event`]; replied to with [`CtrlReply::Event`].
+    Event(CtrlEvent),
+    /// [`Slice::handle_s1ap`]; replied to with [`CtrlReply::S1ap`].
+    S1ap(S1apPdu),
+    /// [`Slice::note_tick`]; no reply.
+    Tick(u64),
+}
+
+/// A threaded slice's reply to a [`CtrlCmd`], in command order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CtrlReply {
+    /// Whether the event applied.
+    Event(bool),
+    /// The PDUs answering an S1AP PDU.
+    S1ap(Vec<S1apPdu>),
+}
+
+/// Packets each data ring holds.
+const DATA_RING_CAPACITY: usize = 4096;
+/// Commands the mailbox holds, and replies the reply ring holds.
+const CTRL_RING_CAPACITY: usize = 256;
+/// Most packets the data thread takes per poll.
+const BURST: usize = 32;
+
+/// Handle to a threaded slice: its four bounded rings and its two
+/// threads. A full ring's `push` hands the item back.
 pub struct SliceHandle {
-    /// Push raw packets for the data thread here.
+    /// Raw packets for the data thread.
     pub data_in: Producer<Mbuf>,
-    /// Forwarded packets come out here.
+    /// Forwarded packets. The data thread takes no more ingress than this
+    /// ring has room for, so while it stays full, ingress backs up.
     pub data_out: Consumer<Mbuf>,
-    /// Send control commands here.
-    pub ctrl_tx: Sender<CtrlCmd>,
-    /// Control replies (S1AP responses, extracted user records).
-    pub ctrl_rx: Receiver<CtrlReply>,
-    /// Live counters.
-    pub stats: Arc<SliceStats>,
+    /// The control thread's mailbox.
+    pub ctrl_tx: Producer<CtrlCmd>,
+    /// Replies. While this ring is full the control thread takes no
+    /// commands.
+    pub ctrl_rx: Consumer<CtrlReply>,
     data_worker: Worker<DataPlane>,
     ctrl_worker: Worker<ControlPlane>,
 }
@@ -356,6 +373,8 @@ impl SliceHandle {
     /// Stop both threads and return the final planes for inspection, or
     /// the payload a plane's thread panicked with.
     pub fn shutdown(self) -> std::thread::Result<(ControlPlane, DataPlane)> {
+        // The control thread stops first: a flush it is in the middle of
+        // needs the data thread to drain the update ring.
         Ok((self.ctrl_worker.join()?, self.data_worker.join()?))
     }
 }
@@ -363,8 +382,9 @@ impl SliceHandle {
 impl Slice {
     /// Spawn a threaded slice: control thread on `config.ctrl_core`, data
     /// thread on `config.data_core` (paper: "The PEPC control and data
-    /// plane threads are pinned to separate cores"). Fails only when the
-    /// OS cannot start a thread.
+    /// plane threads are pinned to separate cores"). Each thread owns its
+    /// plane and one end of the update ring, and runs the inline slice's
+    /// flush or sync. Fails only when the OS cannot start a thread.
     pub fn spawn(
         config: &SliceConfig,
         gw_ip: u32,
@@ -372,120 +392,59 @@ impl Slice {
         alloc: Allocator,
         proxy: Option<Arc<Proxy>>,
     ) -> std::io::Result<SliceHandle> {
-        let Slice { ctrl, data, mut update_tx, mut update_rx, sync_every, clock, mut update_scratch, .. } =
-            Slice::new(config, gw_ip, tac, alloc, proxy);
-        let stats = Arc::new(SliceStats::default());
-        let (data_in, mut rx) = SpscRing::with_capacity::<Mbuf>(4096);
-        let (mut tx, data_out) = SpscRing::with_capacity::<Mbuf>(4096);
-        let (ctrl_tx, ctrl_cmd_rx) = unbounded::<CtrlCmd>();
-        let (ctrl_reply_tx, ctrl_rx) = unbounded::<CtrlReply>();
+        let Slice { ctrl, data, mut update_tx, mut sync, clock } = Slice::new(config, gw_ip, tac, alloc, proxy);
+        let (data_in, mut ingress) = SpscRing::with_capacity(DATA_RING_CAPACITY);
+        let (mut egress, data_out) = SpscRing::with_capacity(DATA_RING_CAPACITY);
+        let (ctrl_tx, mut mailbox) = SpscRing::with_capacity(CTRL_RING_CAPACITY);
+        let (mut replies, ctrl_rx) = SpscRing::with_capacity(CTRL_RING_CAPACITY);
 
-        // --- data thread ---
-        let sync_every = sync_every as usize;
-        let data_stats = Arc::clone(&stats);
-        let mut rx_buf: Vec<Mbuf> = Vec::with_capacity(64);
-        let mut out_buf: Vec<PacketVerdict> = Vec::with_capacity(64);
-        let mut since_sync = 0usize;
+        let mut burst = Vec::with_capacity(BURST);
+        let mut verdicts = Vec::with_capacity(BURST);
         let data_worker = Worker::spawn_state(CoreId(config.data_core), data, move |dp: &mut DataPlane| {
-            let mut did_work = false;
-            rx_buf.clear();
-            let n = rx.pop_burst(&mut rx_buf, 32);
-            // Sync membership updates on the batching schedule, or
-            // opportunistically when the data path is idle (so
-            // attaches land even without traffic).
-            since_sync += n;
-            if since_sync >= sync_every || n == 0 {
-                let applied = apply_stamped(dp, &mut update_rx, &mut update_scratch, &clock, 1024);
-                if applied > 0 {
-                    did_work = true;
-                    data_stats.updates_applied.fetch_add(applied as u64, Ordering::Relaxed);
-                }
-                since_sync = 0;
+            let room = egress.capacity() - egress.len();
+            let n = ingress.pop_burst(&mut burst, room.min(BURST));
+            // An idle data thread syncs too, so updates land without
+            // traffic.
+            if sync.due(n) || n == 0 {
+                sync.run(dp, &clock);
             }
             if n == 0 {
-                return if did_work { Poll::Busy } else { Poll::Idle };
+                return Poll::Idle;
             }
-            data_stats.rx.fetch_add(n as u64, Ordering::Relaxed);
-            let now = clock.now_ns();
-            let mut fwd = 0u64;
-            let mut dropped = 0u64;
-            out_buf.clear();
-            dp.process_burst_into(&mut rx_buf, now, &mut out_buf);
-            for v in out_buf.drain(..) {
-                match v {
-                    PacketVerdict::Forward(out) => {
-                        fwd += 1;
-                        // Full output ring = tail drop, like a NIC.
-                        let _ = tx.push(out);
-                    }
-                    PacketVerdict::Drop(_) => dropped += 1,
-                    // Parked in an idle-UE buffer: neither forwarded
-                    // nor dropped yet; it resolves on wake or page
-                    // expiry and is accounted in the plane's metrics.
-                    PacketVerdict::Buffered => {}
+            dp.process_burst_into(&mut burst, clock.now_ns(), &mut verdicts);
+            for v in verdicts.drain(..) {
+                if let PacketVerdict::Forward(m) = v {
+                    let pushed = egress.push(m).is_ok();
+                    debug_assert!(pushed, "egress room was checked before the burst was taken");
                 }
-            }
-            data_stats.forwarded.fetch_add(fwd, Ordering::Relaxed);
-            if dropped > 0 {
-                data_stats.dropped.fetch_add(dropped, Ordering::Relaxed);
             }
             Poll::Busy
         })?;
 
-        // --- control thread ---
-        let ctrl_stats = Arc::clone(&stats);
         let ctrl_worker = Worker::spawn_state(CoreId(config.ctrl_core), ctrl, move |cp: &mut ControlPlane| {
-            let mut did_work = false;
-            for cmd in ctrl_cmd_rx.try_iter().take(256) {
-                did_work = true;
-                match cmd {
-                    CtrlCmd::Event(ev) => {
-                        if cp.apply_event(ev) {
-                            match ev {
-                                CtrlEvent::Attach { .. } => {
-                                    ctrl_stats.attaches.fetch_add(1, Ordering::Relaxed);
-                                }
-                                CtrlEvent::S1Handover { .. } => {
-                                    ctrl_stats.handovers.fetch_add(1, Ordering::Relaxed);
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    CtrlCmd::S1ap(pdu) => {
-                        let rsp = cp.handle_s1ap(&pdu);
-                        let _ = ctrl_reply_tx.send(CtrlReply::S1ap(rsp));
-                    }
-                    CtrlCmd::Extract { imsi } => {
-                        let record = cp.extract_user(imsi).map(Box::new);
-                        let _ = ctrl_reply_tx.send(CtrlReply::Extracted { imsi, record });
-                    }
-                    CtrlCmd::Install(rec) => {
-                        if cp.restore_user(*rec) {
-                            cp.note_migration_in();
-                        }
-                    }
+            if replies.len() == replies.capacity() {
+                return Poll::Idle;
+            }
+            let Some(cmd) = mailbox.pop() else { return Poll::Idle };
+            let reply = match cmd {
+                CtrlCmd::Event(ev) => Some(CtrlReply::Event(cp.apply_event(ev))),
+                CtrlCmd::S1ap(pdu) => Some(CtrlReply::S1ap(cp.handle_s1ap(&pdu))),
+                CtrlCmd::Tick(now) => {
+                    cp.note_tick(now);
+                    None
                 }
+            };
+            // Once the sender holds the reply, the command's updates are
+            // on the ring.
+            flush_updates(cp, &mut update_tx, &clock, std::thread::yield_now);
+            if let Some(reply) = reply {
+                let pushed = replies.push(reply).is_ok();
+                debug_assert!(pushed, "reply room was checked before the command was taken");
             }
-            if cp.has_updates() {
-                did_work = true;
-                // Stamp with the shared slice clock (Clock is Copy, so
-                // both threads measure from the same origin).
-                let mut it = cp.drain_updates().map(|u| (clock.now_ns(), u)).peekable();
-                while it.peek().is_some() {
-                    if update_tx.push_burst(&mut it) == 0 {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-            if did_work {
-                Poll::Busy
-            } else {
-                Poll::Idle
-            }
+            Poll::Busy
         })?;
 
-        Ok(SliceHandle { data_in, data_out, ctrl_tx, ctrl_rx, stats, data_worker, ctrl_worker })
+        Ok(SliceHandle { data_in, data_out, ctrl_tx, ctrl_rx, data_worker, ctrl_worker })
     }
 }
 
@@ -493,10 +452,12 @@ impl Slice {
 mod tests {
     use super::*;
     use crate::config::{BatchingConfig, SliceConfig};
+    use crate::ctrl::run_attach_with;
     use pepc_net::gtp::encap_gtpu;
     use pepc_net::ipv4::IpProto;
     use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
     use pepc_net::{Ipv4Hdr, IPV4_HDR_LEN};
+    use std::time::{Duration, Instant};
 
     fn alloc() -> Allocator {
         Allocator { teid_base: 0x1000, ue_ip_base: 0x0A000001, guti_base: 0xD000, mme_ue_id_base: 1 }
@@ -676,57 +637,200 @@ mod tests {
         assert_eq!(counters.uplink_packets, 2, "counters moved with the user");
     }
 
+    /// Push `cmd` into a threaded slice's mailbox, retrying while it is
+    /// full, and wait for its reply (`Tick` has none).
+    fn call(h: &mut SliceHandle, mut cmd: CtrlCmd) -> Option<CtrlReply> {
+        let tick = matches!(cmd, CtrlCmd::Tick(_));
+        while let Err(back) = h.ctrl_tx.push(cmd) {
+            cmd = back;
+            std::thread::yield_now();
+        }
+        if tick {
+            return None;
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(r) = h.ctrl_rx.pop() {
+                return Some(r);
+            }
+            assert!(Instant::now() < deadline, "no reply");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The inline slice's method for each command's job.
+    fn call_inline(s: &mut Slice, cmd: CtrlCmd) -> Option<CtrlReply> {
+        match cmd {
+            CtrlCmd::Event(ev) => Some(CtrlReply::Event(s.handle_ctrl_event(ev))),
+            CtrlCmd::S1ap(pdu) => Some(CtrlReply::S1ap(s.handle_s1ap(&pdu))),
+            CtrlCmd::Tick(now) => {
+                s.note_tick(now);
+                None
+            }
+        }
+    }
+
+    /// Pop egress until `n` packets came out; false at the deadline.
+    fn drain_egress(h: &mut SliceHandle, n: usize) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut out = Vec::new();
+        while out.len() < n && Instant::now() < deadline {
+            let want = n - out.len();
+            if h.data_out.pop_burst(&mut out, want) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        out.len() == n
+    }
+
     #[test]
     fn threaded_slice_end_to_end() {
         let config = SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..SliceConfig::default() };
         let mut h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None).unwrap();
-        h.ctrl_tx.send(CtrlCmd::Event(CtrlEvent::Attach { imsi: 7 })).unwrap();
-        // Wait for the attach to land.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while h.stats.attaches.load(Ordering::Relaxed) == 0 {
-            assert!(std::time::Instant::now() < deadline, "attach never applied");
-            std::hint::spin_loop();
+        assert_eq!(call(&mut h, CtrlCmd::Event(CtrlEvent::Attach { imsi: 7 })), Some(CtrlReply::Event(true)));
+        // The reply means the insert is on the update ring, so the first
+        // packet already sees the user.
+        assert!(h.data_in.push(uplink(0x1000, 0x0A000001)).is_ok());
+        assert!(drain_egress(&mut h, 1), "threaded pipeline never forwarded");
+        let (cp, dp) = h.shutdown().unwrap();
+        assert_eq!((cp.metrics().attaches, dp.metrics().forwarded), (1, 1));
+    }
+
+    const USERS: u64 = 6;
+
+    fn backed_config() -> (SliceConfig, Arc<Proxy>) {
+        use pepc_backend::{Hss, Pcrf};
+        let hss = Arc::new(Hss::new());
+        hss.provision_range(1, USERS, 100_000);
+        let proxy = Arc::new(Proxy::new(hss, Arc::new(Pcrf::with_standard_rules()), 1, 40401));
+        (SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..SliceConfig::default() }, proxy)
+    }
+
+    /// S1AP attaches, handovers, releases and ticks through `send`; the
+    /// replies in order, and the (TEID, UE IP) of each user still active.
+    fn script(mut send: impl FnMut(CtrlCmd) -> Option<CtrlReply>) -> (Vec<CtrlReply>, Vec<(u32, u32)>) {
+        let mut replies = Vec::new();
+        let mut active = Vec::new();
+        for imsi in 1..=USERS {
+            let attach = run_attach_with(
+                |pdu| {
+                    let reply = send(CtrlCmd::S1ap(pdu.clone())).expect("an S1AP command is answered");
+                    let CtrlReply::S1ap(rsp) = &reply else { panic!("{reply:?}") };
+                    let rsp = rsp.clone();
+                    replies.push(reply);
+                    rsp
+                },
+                imsi,
+                imsi as u32,
+                0xE000 + imsi as u32,
+                0xC0A8_0001,
+            );
+            let (_, ue_ip, gw_teid) = attach.expect("attach");
+            active.push((gw_teid, ue_ip));
         }
-        // Updates propagate through the ring asynchronously; retry sends
-        // until the data thread forwards.
-        let mut forwarded = false;
-        while std::time::Instant::now() < deadline {
-            let _ = h.data_in.push(uplink(0x1000, 0x0A000001));
-            if h.stats.forwarded() > 0 {
-                forwarded = true;
-                break;
-            }
+        let events = (1..=USERS)
+            .map(|imsi| CtrlEvent::S1Handover { imsi, new_enb_teid: 0xF000 + imsi as u32, new_enb_ip: 0xC0A8_0002 })
+            .chain([CtrlEvent::Release { imsi: 1 }, CtrlEvent::Release { imsi: 2 }, CtrlEvent::Detach { imsi: 99 }]);
+        for (now, ev) in (1..).zip(events) {
+            replies.extend(send(CtrlCmd::Event(ev)));
+            assert_eq!(send(CtrlCmd::Tick(now)), None);
         }
-        assert!(forwarded, "threaded pipeline never forwarded");
-        let mut out = Vec::new();
-        while h.data_out.pop_burst(&mut out, 16) > 0 {}
-        assert!(!out.is_empty());
-        h.shutdown().unwrap();
+        (replies, active.split_off(2))
     }
 
     #[test]
-    fn threaded_migration_roundtrip() {
-        let config = SliceConfig::default();
-        let h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None).unwrap();
-        h.ctrl_tx.send(CtrlCmd::Event(CtrlEvent::Attach { imsi: 9 })).unwrap();
-        h.ctrl_tx.send(CtrlCmd::Extract { imsi: 9 }).unwrap();
-        let reply = h.ctrl_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        match reply {
-            CtrlReply::Extracted { imsi, record } => {
-                assert_eq!(imsi, 9);
-                let rec = record.expect("user existed");
-                assert_eq!(rec.ctrl.imsi, 9);
-                // Install back.
-                h.ctrl_tx.send(CtrlCmd::Install(rec)).unwrap();
+    fn threaded_slice_matches_inline() {
+        const K: usize = 16;
+        let (config, proxy) = backed_config();
+        let mut inline = Slice::new(&config, 0x0AFE0001, 1, alloc(), Some(proxy));
+        let (inline_replies, active) = script(|cmd| call_inline(&mut inline, cmd));
+        let mut burst: Vec<Mbuf> =
+            active.iter().flat_map(|&(teid, ip)| (0..K).map(move |_| uplink(teid, ip))).collect();
+        let sent = burst.len();
+        inline.process_burst_into(&mut burst, &mut Vec::new());
+
+        let (config, proxy) = backed_config();
+        let mut h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), Some(proxy)).unwrap();
+        let (replies, threaded_active) = script(|cmd| call(&mut h, cmd));
+        assert_eq!(threaded_active, active);
+        for &(teid, ip) in &active {
+            for _ in 0..K {
+                assert!(h.data_in.push(uplink(teid, ip)).is_ok());
             }
-            other => panic!("{other:?}"),
         }
-        // Commands run in order: a second extract finds the installed user.
-        h.ctrl_tx.send(CtrlCmd::Extract { imsi: 9 }).unwrap();
-        let reply = h.ctrl_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert!(matches!(reply, CtrlReply::Extracted { imsi: 9, record: Some(_) }), "{reply:?}");
-        let (cp, _) = h.shutdown().unwrap();
-        assert_eq!((cp.metrics().migrations_out, cp.metrics().migrations_in), (2, 1));
+        let forwarded = inline.data.metrics().forwarded as usize;
+        assert_eq!(forwarded, sent, "every active user's packets forward");
+        assert!(drain_egress(&mut h, forwarded), "egress short of the inline slice's {forwarded}");
+        let (cp, dp) = h.shutdown().unwrap();
+
+        assert_eq!(replies, inline_replies);
+        assert_eq!(cp.metrics(), inline.ctrl.metrics());
+        assert_eq!(dp.metrics(), inline.data.metrics());
+        assert_eq!(dp.metrics().forwarded as usize, forwarded, "forwarded == popped from egress");
+        assert_eq!((cp.user_count(), cp.idle_user_count()), (inline.ctrl.user_count(), inline.ctrl.idle_user_count()));
+        assert_eq!(dp.user_count(), inline.data.user_count());
+        assert_eq!(dp.slab().live_slots(), inline.data.slab().live_slots());
+    }
+
+    #[test]
+    fn threaded_slice_rings_are_bounded() {
+        let config = SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..SliceConfig::default() };
+        let mut h = Slice::spawn(&config, 0x0AFE0001, 1, alloc(), None).unwrap();
+        // Nothing drains the replies: the control thread answers until the
+        // reply ring is full, then the mailbox fills behind it.
+        let mut accepted = 0u64;
+        let refused = loop {
+            match h.ctrl_tx.push(CtrlCmd::Event(CtrlEvent::Attach { imsi: accepted })) {
+                Ok(()) => accepted += 1,
+                Err(back) => break back,
+            }
+        };
+        assert_eq!(refused, CtrlCmd::Event(CtrlEvent::Attach { imsi: accepted }), "the command comes back intact");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.ctrl_rx.len() < CTRL_RING_CAPACITY || h.ctrl_tx.len() < CTRL_RING_CAPACITY {
+            assert!(Instant::now() < deadline, "rings never filled");
+            let _ = h.ctrl_tx.push(CtrlCmd::Event(CtrlEvent::Attach { imsi: accepted })).map(|()| accepted += 1);
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            (h.ctrl_rx.len(), h.ctrl_tx.len()),
+            (CTRL_RING_CAPACITY, CTRL_RING_CAPACITY),
+            "full replies stall it"
+        );
+        assert_eq!(accepted, 2 * CTRL_RING_CAPACITY as u64);
+        // Draining the replies lets every accepted command through.
+        let mut answered = 0;
+        while answered < accepted {
+            assert!(Instant::now() < deadline, "{answered} of {accepted} answered");
+            match h.ctrl_rx.pop() {
+                Some(r) => {
+                    assert_eq!(r, CtrlReply::Event(true));
+                    answered += 1;
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+
+        // Egress is never drained: the data thread fills it, then takes no
+        // more ingress, and ingress fills behind it.
+        let (teid, ue_ip) = (0x1000, 0x0A00_0001);
+        let mut offered = 0usize;
+        while h.data_out.len() < DATA_RING_CAPACITY || h.data_in.len() < DATA_RING_CAPACITY {
+            assert!(Instant::now() < deadline, "data rings never filled");
+            if h.data_in.push(uplink(teid, ue_ip)).is_ok() {
+                offered += 1;
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(h.data_in.push(uplink(teid, ue_ip)).is_err(), "a full ingress hands the packet back");
+        assert_eq!((h.data_out.len(), h.data_in.len()), (DATA_RING_CAPACITY, DATA_RING_CAPACITY));
+        assert_eq!(offered, 2 * DATA_RING_CAPACITY);
+        let (_, dp) = h.shutdown().unwrap();
+        let m = dp.metrics();
+        assert_eq!((m.rx, m.forwarded), (DATA_RING_CAPACITY as u64, DATA_RING_CAPACITY as u64), "{m:?}");
     }
 
     #[test]

@@ -349,9 +349,10 @@ const _: () = {
 
 /// A UE's current S1 association: the id pair its signaling is indexed
 /// under in the control plane's routing maps, kept with the identity so
-/// teardown unindexes by key. Slice-local: not part of [`ControlState`],
-/// so neither checkpointed, replicated nor migrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// teardown unindexes by key. Not part of [`ControlState`]: a
+/// [`crate::recovery::UserRecord`] carries it beside the state, so a
+/// restored, migrated or HA-adopted user keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct S1Conn {
     /// Allocated by the slice from its region; never 0.
     pub mme_ue_id: u32,

@@ -1,11 +1,11 @@
 //! Worker threads with run-to-completion semantics.
 //!
 //! PEPC pins each slice's control and data threads to dedicated cores
-//! (§3.2). [`Worker::spawn`] reproduces this: it starts an OS thread,
-//! attempts a best-effort CPU affinity pin (silently skipped on hosts with
-//! fewer cores — like this reproduction environment — or where the
-//! syscall is unavailable), and drives a caller-supplied poll function
-//! until asked to stop.
+//! (§3.2). [`Worker::spawn_state`] reproduces this: it starts an OS
+//! thread, attempts a best-effort CPU affinity pin (silently skipped on
+//! hosts with fewer cores — like this reproduction environment — or where
+//! the syscall is unavailable), and drives a caller-supplied poll function
+//! over the state it owns until asked to stop.
 //!
 //! The poll function returns [`Poll`]: `Busy` means work was done (poll
 //! again immediately), `Idle` means nothing to do (the loop spins briefly —
@@ -31,51 +31,16 @@ pub enum Poll {
 }
 
 /// Handle to a running worker thread.
-pub struct Worker<R = ()> {
+pub struct Worker<R> {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<R>>,
-    core: CoreId,
 }
 
 impl<R: Send + 'static> Worker<R> {
-    /// Spawn a worker on `core` running `poll` to completion.
-    ///
-    /// `poll` receives a `&stop` flag it may consult for long-running
-    /// drains; the loop also checks the flag between polls. On exit the
-    /// worker returns `finish()`'s value, retrieved via [`Worker::join`].
-    /// Fails only when the OS cannot start a thread.
-    pub fn spawn<P, F>(core: CoreId, mut poll: P, finish: F) -> std::io::Result<Self>
-    where
-        P: FnMut() -> Poll + Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new().name(format!("pepc-core-{}", core.0)).spawn(move || {
-            pin_to_core(core);
-            loop {
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                match poll() {
-                    Poll::Busy => {}
-                    Poll::Idle => std::hint::spin_loop(),
-                    Poll::Done => break,
-                }
-            }
-            finish()
-        })?;
-        Ok(Worker { stop, handle: Some(handle), core })
-    }
-
-    /// The core this worker was assigned.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Spawn a worker that owns a piece of state, polled via
-    /// `poll(&mut state)`; [`Worker::join`] returns the state. This is how
-    /// a PEPC slice gets its plane back after stopping the thread.
+    /// Spawn a worker on `core` that owns a piece of state, polled via
+    /// `poll(&mut state)` to completion; [`Worker::join`] returns the
+    /// state. This is how a PEPC slice gets its plane back after stopping
+    /// the thread. Fails only when the OS cannot start a thread.
     pub fn spawn_state<P>(core: CoreId, mut state: R, mut poll: P) -> std::io::Result<Self>
     where
         P: FnMut(&mut R) -> Poll + Send + 'static,
@@ -96,7 +61,7 @@ impl<R: Send + 'static> Worker<R> {
             }
             state
         })?;
-        Ok(Worker { stop, handle: Some(handle), core })
+        Ok(Worker { stop, handle: Some(handle) })
     }
 
     /// Ask the worker to stop at its next poll boundary.
@@ -172,48 +137,37 @@ mod tests {
     #[test]
     fn worker_runs_until_stopped() {
         let count = Arc::new(AtomicU64::new(0));
-        let c2 = Arc::clone(&count);
-        let c3 = Arc::clone(&count);
-        let w = Worker::spawn(
-            CoreId(0),
-            move || {
-                c2.fetch_add(1, Ordering::Relaxed);
-                Poll::Busy
-            },
-            move || c3.load(Ordering::Relaxed),
-        )
+        let w = Worker::spawn_state(CoreId(0), Arc::clone(&count), |c: &mut Arc<AtomicU64>| {
+            c.fetch_add(1, Ordering::Relaxed);
+            Poll::Busy
+        })
         .unwrap();
         while count.load(Ordering::Relaxed) < 1000 {
             std::hint::spin_loop();
         }
-        let final_count = w.join().unwrap();
-        assert!(final_count >= 1000);
+        assert!(w.join().unwrap().load(Ordering::Relaxed) >= 1000);
     }
 
     #[test]
     fn worker_exits_on_done() {
-        let w = Worker::spawn(
-            CoreId(0),
-            {
-                let mut n = 0;
-                move || {
-                    n += 1;
-                    if n >= 10 {
-                        Poll::Done
-                    } else {
-                        Poll::Busy
-                    }
-                }
-            },
-            || 42u32,
-        )
+        let w = Worker::spawn_state(CoreId(0), 0u32, |n: &mut u32| {
+            *n += 1;
+            if *n >= 10 {
+                Poll::Done
+            } else {
+                Poll::Busy
+            }
+        })
         .unwrap();
-        assert_eq!(w.join().unwrap(), 42);
+        while !w.is_finished() {
+            std::thread::yield_now();
+        }
+        assert_eq!(w.join().unwrap(), 10);
     }
 
     #[test]
     fn idle_worker_still_stops() {
-        let w = Worker::spawn(CoreId(3), || Poll::Idle, || "done").unwrap();
+        let w = Worker::spawn_state(CoreId(3), "done", |_: &mut &str| Poll::Idle).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert_eq!(w.join().unwrap(), "done");
     }
@@ -221,7 +175,7 @@ mod tests {
     #[test]
     fn oversubscribed_core_id_is_tolerated() {
         // CoreId far beyond the host's core count: pin silently skipped.
-        let w = Worker::spawn(CoreId(4096), || Poll::Done, || ()).unwrap();
+        let w = Worker::spawn_state(CoreId(4096), (), |_: &mut ()| Poll::Done).unwrap();
         w.join().unwrap();
     }
 
@@ -249,14 +203,10 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&count);
         {
-            let _w = Worker::spawn(
-                CoreId(0),
-                move || {
-                    c2.fetch_add(1, Ordering::Relaxed);
-                    Poll::Busy
-                },
-                || (),
-            )
+            let _w = Worker::spawn_state(CoreId(0), (), move |_: &mut ()| {
+                c2.fetch_add(1, Ordering::Relaxed);
+                Poll::Busy
+            })
             .unwrap();
         } // dropped here; must not hang
         let after = count.load(Ordering::Relaxed);

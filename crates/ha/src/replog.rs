@@ -138,7 +138,7 @@ mod tests {
             seq: 1,
             tick: 3,
             imsi: ctrl.imsi,
-            user: Some(UserRecord { ctrl: ctrl.clone(), counters }),
+            user: Some(UserRecord { ctrl: ctrl.clone(), counters, s1_conn: None }),
         };
         let back = decode(&encode(&rec)).unwrap();
         let user = back.user.unwrap();

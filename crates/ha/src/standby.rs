@@ -220,7 +220,7 @@ mod tests {
             ReplKind::CtrlSnapshot | ReplKind::CounterDelta => {
                 let ctrl = ControlState::new(imsi);
                 let counters = CounterState { uplink_packets: uplink, ..CounterState::default() };
-                Some(UserRecord { ctrl, counters })
+                Some(UserRecord { ctrl, counters, s1_conn: None })
             }
             _ => None,
         };

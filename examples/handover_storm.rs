@@ -10,12 +10,11 @@
 
 use pepc::config::{BatchingConfig, SliceConfig};
 use pepc::ctrl::{Allocator, CtrlEvent};
-use pepc::slice::{CtrlCmd, Slice};
+use pepc::slice::{CtrlCmd, CtrlReply, Slice};
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
 use pepc_net::{Ipv4Hdr, Mbuf, IPV4_HDR_LEN};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 const USERS: u64 = 1_000;
@@ -40,19 +39,28 @@ fn main() {
     let alloc = Allocator { teid_base: 0x1000, ue_ip_base: 0x0A00_0001, guti_base: 0xD000, mme_ue_id_base: 1 };
     let mut handle = Slice::spawn(&config, 0x0AFE_0001, 1, alloc, None).expect("spawn the slice's threads");
 
-    // Attach a population through the control thread.
-    for imsi in 0..USERS {
-        handle.ctrl_tx.send(CtrlCmd::Event(CtrlEvent::Attach { imsi })).unwrap();
-    }
-    while handle.stats.attaches.load(Ordering::Relaxed) < USERS {
-        std::hint::spin_loop();
+    // Attach a population through the control thread. Its mailbox and
+    // reply ring are bounded: a full mailbox hands the command back, and
+    // the control thread stops taking commands while replies go unread.
+    let mut attached = 0u64;
+    let mut imsi = 0u64;
+    while attached < USERS {
+        if imsi < USERS && handle.ctrl_tx.push(CtrlCmd::Event(CtrlEvent::Attach { imsi })).is_ok() {
+            imsi += 1;
+        }
+        while let Some(reply) = handle.ctrl_rx.pop() {
+            attached += u64::from(reply == CtrlReply::Event(true));
+        }
     }
     println!("{USERS} users attached on the control thread");
 
     // Feed data traffic and a handover storm concurrently.
     let start = Instant::now();
     let mut sent = 0u64;
-    let mut handovers = 0u64;
+    let mut offered_handovers = 0u64;
+    let mut refused_handovers = 0u64;
+    let mut applied = 0u64;
+    let mut forwarded = 0u64;
     let mut drain = Vec::new();
     while start.elapsed() < Duration::from_secs(1) {
         for i in 0..64u64 {
@@ -63,32 +71,42 @@ fn main() {
                 sent += 1;
             }
         }
-        // Storm: every loop iteration rehomes a user to a new eNodeB.
-        let imsi = handovers % USERS;
-        handle
-            .ctrl_tx
-            .send(CtrlCmd::Event(CtrlEvent::S1Handover {
-                imsi,
-                new_enb_teid: 0xE000_0000 + handovers as u32,
-                new_enb_ip: 0xC0A8_0001 + (handovers % 64) as u32,
-            }))
-            .unwrap();
-        handovers += 1;
-        handle.data_out.pop_burst(&mut drain, 256);
+        // Storm: every loop iteration rehomes a user to a new eNodeB,
+        // unless the mailbox is full.
+        let n = offered_handovers;
+        let cmd = CtrlCmd::Event(CtrlEvent::S1Handover {
+            imsi: n % USERS,
+            new_enb_teid: 0xE000_0000 + n as u32,
+            new_enb_ip: 0xC0A8_0001 + (n % 64) as u32,
+        });
+        offered_handovers += 1;
+        refused_handovers += u64::from(handle.ctrl_tx.push(cmd).is_err());
+        while let Some(reply) = handle.ctrl_rx.pop() {
+            applied += u64::from(reply == CtrlReply::Event(true));
+        }
+        forwarded += handle.data_out.pop_burst(&mut drain, 256) as u64;
         drain.clear();
     }
 
     // Let the pipeline settle, then report.
     std::thread::sleep(Duration::from_millis(50));
-    let forwarded = handle.stats.forwarded();
-    let applied = handle.stats.handovers.load(Ordering::Relaxed);
+    while let Some(reply) = handle.ctrl_rx.pop() {
+        applied += u64::from(reply == CtrlReply::Event(true));
+    }
+    forwarded += handle.data_out.pop_burst(&mut drain, usize::MAX) as u64;
     println!("in 1s of storm:");
+    println!("  handovers offered: {offered_handovers}, refused by the full mailbox: {refused_handovers}");
     println!("  handovers applied by the control thread: {applied}");
     println!("  packets forwarded by the data thread:    {forwarded} of {sent} offered");
     println!(
         "  ({:.1}% delivered while every user's tunnel state was being rewritten)",
         forwarded as f64 / sent as f64 * 100.0
     );
-    let (ctrl, _data) = handle.shutdown().expect("slice threads exit cleanly");
-    println!("control thread final state: {} users, {} handovers", ctrl.user_count(), ctrl.metrics().handovers);
+    let (ctrl, data) = handle.shutdown().expect("slice threads exit cleanly");
+    println!(
+        "final planes: {} users, {} handovers; {} packets forwarded",
+        ctrl.user_count(),
+        ctrl.metrics().handovers,
+        data.metrics().forwarded
+    );
 }

@@ -1,8 +1,7 @@
 //! Offline shim for the `crossbeam` crate.
 //!
-//! Provides the subset the repo uses: `utils::CachePadded` (alignment
-//! wrapper that keeps hot atomics on their own cache line) and
-//! `channel::{unbounded, Sender, Receiver}` backed by `std::sync::mpsc`.
+//! Provides the subset the repo uses: `utils::CachePadded`, the
+//! alignment wrapper that keeps hot atomics on their own cache line.
 
 pub mod utils {
     use std::ops::{Deref, DerefMut};
@@ -49,59 +48,8 @@ pub mod utils {
     }
 }
 
-pub mod channel {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
-
-    /// Unbounded MPSC channel (the repo only ever attaches one consumer,
-    /// so mpsc semantics match the crossbeam usage here).
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    #[derive(Debug)]
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-    }
-
-    #[derive(Debug)]
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout)
-        }
-
-        pub fn try_iter(&self) -> mpsc::TryIter<'_, T> {
-            self.0.try_iter()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel::unbounded;
     use super::utils::CachePadded;
     use std::sync::atomic::AtomicUsize;
 
@@ -110,13 +58,5 @@ mod tests {
         assert!(std::mem::align_of::<CachePadded<AtomicUsize>>() >= 64);
         let p = CachePadded::new(5u32);
         assert_eq!(*p, 5);
-    }
-
-    #[test]
-    fn channel_roundtrip() {
-        let (tx, rx) = unbounded();
-        tx.send(7u8).unwrap();
-        assert_eq!(rx.try_recv().unwrap(), 7);
-        assert!(rx.try_recv().is_err());
     }
 }

@@ -7,7 +7,10 @@
 //! mis-serialization.
 //!
 //! Generated impls target the shim `serde` crate's value-model traits
-//! (`Serialize::to_value` / `Deserialize::from_value`).
+//! (`Serialize::to_value` / `Deserialize::from_value`). `#[serde(...)]`
+//! attributes are accepted and ignored: a missing field reads as `Null`,
+//! so the one this repo uses, `#[serde(default)]` on an `Option`, holds
+//! by construction.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -18,12 +21,12 @@ enum Item {
     Enum(String, Vec<String>),
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }

@@ -229,10 +229,11 @@ fn burst_path_identical_under_concurrent_view_republish() {
         let (mut burst_dp, burst_ctxs) = build_plane();
 
         let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(AtomicBool::new(false));
         let republisher = {
             let slab = Arc::clone(burst_dp.slab());
             let handles = burst_ctxs.clone();
-            let stop = Arc::clone(&stop);
+            let (stop, started) = (Arc::clone(&stop), Arc::clone(&started));
             std::thread::spawn(move || {
                 let mut rounds = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -243,11 +244,17 @@ fn burst_path_identical_under_concurrent_view_republish() {
                         drop(slab.resolve(*h).expect("live handle").ctrl_write());
                     }
                     rounds += 1;
+                    started.store(true, Ordering::Release);
                     std::thread::yield_now();
                 }
                 rounds
             })
         };
+        // The bursts start only after the republisher's first round, so
+        // the two overlap for certain.
+        while !started.load(Ordering::Acquire) && !republisher.is_finished() {
+            std::thread::yield_now();
+        }
 
         let mut sticky = 0u32;
         let mut now = 1_000u64;

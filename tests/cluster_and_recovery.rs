@@ -193,8 +193,14 @@ fn an_mme_ue_id_names_one_ue_across_the_cluster() {
     c.power_off(0).unwrap();
     c.repair_steering(0).unwrap();
     assert_eq!(c.adopt_user(rec), Some((1, 0)));
-    // The victim's eNodeB releases it under the id node 0 gave it: that id
-    // names no UE of node 1's own.
-    c.node(1).handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 1, mme_ue_id: id, cause: 0 });
-    assert_eq!(c.node(1).slice(0).ctrl.idle_user_count(), 0);
+    // The victim's eNodeB releases it under the id node 0 gave it: the
+    // adopted record carried that association, so the release suspends
+    // the victim, and the heir's own UE stays connected.
+    let rsp = c.node(1).handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 1, mme_ue_id: id, cause: 0 });
+    assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { mme_ue_id, .. }] if *mme_ue_id == id));
+    assert_eq!(c.node(1).slice(0).ctrl.idle_user_count(), 1);
+    // The heir's own UE was still connected: its own release idles a
+    // second UE.
+    c.node(1).handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 2, mme_ue_id: other, cause: 0 });
+    assert_eq!(c.node(1).slice(0).ctrl.idle_user_count(), 2);
 }

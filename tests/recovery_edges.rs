@@ -117,6 +117,7 @@ fn replog_truncated_at_every_prefix_is_counted_corrupt() {
         user: Some(pepc::recovery::UserRecord {
             ctrl: pepc::state::ControlState::new(404_01_0000000001),
             counters: Default::default(),
+            s1_conn: None,
         }),
     });
     let mut standby = StandbyStore::new(2);
@@ -160,7 +161,7 @@ fn replog_frame_with_a_reserved_imsi_or_guti_is_counted_corrupt() {
     let frame = |imsi: u64, guti: u64| {
         let mut ctrl = pepc::state::ControlState::new(imsi);
         ctrl.guti = guti;
-        let user = Some(pepc::recovery::UserRecord { ctrl, counters: Default::default() });
+        let user = Some(pepc::recovery::UserRecord { ctrl, counters: Default::default(), s1_conn: None });
         encode(&ReplRecord { kind: ReplKind::CtrlSnapshot, node: 0, seq: 1, tick: 1, imsi, user })
     };
     let mut standby = StandbyStore::new(1);
@@ -207,8 +208,8 @@ fn checkpoint_with_a_non_canonical_rule_set_rejects_atomically() {
 /// corrupt and never stores it for adoption.
 #[test]
 fn replog_frame_with_a_non_canonical_rule_set_is_counted_corrupt() {
-    let user =
-        Some(pepc::recovery::UserRecord { ctrl: pepc::state::ControlState::new(7), counters: Default::default() });
+    let ctrl = pepc::state::ControlState::new(7);
+    let user = Some(pepc::recovery::UserRecord { ctrl, counters: Default::default(), s1_conn: None });
     let frame = encode(&ReplRecord { kind: ReplKind::CtrlSnapshot, node: 0, seq: 1, tick: 1, imsi: 7, user });
     let mut standby = StandbyStore::new(1);
     for rules in NON_CANONICAL_RULES {

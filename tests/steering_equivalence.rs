@@ -118,7 +118,7 @@ fn build_twin(slices: usize, clock: &VirtualClock) -> (PepcNode, Population) {
     let mut ctrl = ControlState::new(imsi);
     ctrl.ue_ip = ue_ip;
     ctrl.tunnels = TunnelState { enb_teid: 0xE900, enb_ip: ENB_IP, gw_teid };
-    node.adopt_user(UserRecord { ctrl, counters: CounterState::default() });
+    node.adopt_user(UserRecord { ctrl, counters: CounterState::default(), s1_conn: None });
     assert_eq!(node.slice_of(imsi), Some(node.home_slice(imsi)));
     live.push(ADOPTED);
     (node, Population { live, gone })
