@@ -30,6 +30,20 @@
 //! `2^k` that `expected_users` sizes — whose ids come from `claim`'s
 //! cursor. A native mint that would reproduce a GUTI `by_guti` holds falls
 //! back to the cursor too.
+//!
+//! An MME UE id names the slot the same way. An attach's sits at the
+//! slot's native offset, and each later association of the same tenant
+//! (service request, re-attach without one) steps the offset's tenant
+//! bits once, mod `2^g`, so a PDU of a superseded association is
+//! discarded. Routing a native id reads the slot's live tenant and takes
+//! it only if its current association carries the id; the IMSI comes from
+//! the same identity line. `by_mme_ue_id` holds only foreign associations
+//! (a record's id brought in by a migration, adoption or restore, or a
+//! slot past `2^k`), and a native id it holds sends the mint to the
+//! cursor. An attach reserves its slot at the challenge, because the
+//! eNodeB learns the id from the Authentication Request; the slot is
+//! published (IMSI entry, data-plane insert) at Security Mode Complete,
+//! or freed if the attach ends first.
 
 use crate::data::DpUpdate;
 use crate::demux::REGION_SHIFT;
@@ -42,7 +56,7 @@ use crate::procedure::{
 use crate::proxy::Proxy;
 use crate::recovery::UserRecord;
 use crate::slab::{UeHandle, UeRef, UeSlab};
-use crate::state::{ControlState, CounterSnapshot, CounterState, DeviceClass, QosPolicy, S1Conn};
+use crate::state::{ControlState, CounterSnapshot, CounterState, QosPolicy, S1Conn};
 use crate::twolevel::BuildKeyHasher;
 use pepc_backend::hss::sim_response;
 use pepc_sigproto::nas::{cause, NasMsg};
@@ -68,7 +82,11 @@ pub enum CtrlEvent {
     Release { imsi: u64 },
 }
 
-/// Allocation bases carving a slice's identifier space out of the node's.
+/// Allocation bases carving a slice's identifier space out of the node's:
+/// each identifier is its base plus a region offset, the one a native
+/// user's slot and tenant name or a foreign one's cursor claim (module
+/// docs). A native MME UE id steps that offset's tenant bits once per
+/// association.
 #[derive(Debug, Clone, Copy)]
 pub struct Allocator {
     pub teid_base: u32,
@@ -164,6 +182,11 @@ fn claim(cursor: &mut u32, live: impl Fn(u32) -> bool) -> Option<u32> {
     Some(offset)
 }
 
+/// Whether `ctx`'s current S1 association is the one `mme_ue_id` names.
+fn carries(ctx: &UeRef, mme_ue_id: u32) -> bool {
+    ctx.s1_conn().is_some_and(|c| c.mme_ue_id == mme_ue_id)
+}
+
 /// A downlink NAS transport carrying `msg`.
 fn nas_to(out: &mut Vec<S1apPdu>, enb_ue_id: u32, mme_ue_id: u32, msg: NasMsg) {
     out.push(S1apPdu::DownlinkNasTransport { enb_ue_id, mme_ue_id, nas: msg.encode() });
@@ -180,10 +203,12 @@ pub struct ControlPlane {
     users: IncrementalTable<UeHandle>,
     /// GUTI → IMSI of foreign users only: a native GUTI names its slot.
     by_guti: IncrementalTable<u64>,
-    /// MME UE id → IMSI, the one routing key of UE-associated S1AP: each
-    /// user's current association, an attach's id until its user record
-    /// exists, and a page's interim id.
+    /// MME UE id → IMSI of foreign associations only: a native id names
+    /// its slot (module docs).
     by_mme_ue_id: HashMap<u32, u64, BuildKeyHasher>,
+    /// Live associations whose id names their slot; with the foreign
+    /// index, the S1 leak oracle.
+    native_s1: usize,
     alloc: Allocator,
     /// Region offsets the next foreign user id and MME UE id are claimed
     /// from. Foreign ids start in the last tenant block, the one a native
@@ -258,9 +283,10 @@ impl ControlPlane {
             users: IncrementalTable::with_capacity(expected_users),
             by_guti: IncrementalTable::new(),
             by_mme_ue_id: HashMap::default(),
+            native_s1: 0,
             alloc,
             next_uid: REGION - slab.named_slots(),
-            next_mme_ue_id: 0,
+            next_mme_ue_id: REGION - slab.named_slots(),
             gw_ip,
             tac,
             pending_updates: Vec::new(),
@@ -309,13 +335,26 @@ impl ControlPlane {
         (self.overload.tracked_enbs(), self.overload.tokens_available())
     }
 
-    /// The next MME UE id of the slice's region that no live association
-    /// or page holds. With all 2^24 held (more than a slab's worth of
-    /// users) the cursor's id is reused.
-    fn allocate_mme_ue_id(&mut self) -> u32 {
+    /// The MME UE id `h`'s next association takes: one tenant block past
+    /// its current one if that names its slot, else the offset its slot
+    /// and tenant name. When the slot names none or the foreign index
+    /// holds that id, the cursor's next id that no association holds;
+    /// with all 2^24 held (more than a slab's worth of users) the cursor's
+    /// id is reused.
+    fn mint_mme_ue_id(&mut self, h: UeHandle) -> u32 {
         let base = self.alloc.mme_ue_id_base;
-        let offset = claim(&mut self.next_mme_ue_id, |o| self.by_mme_ue_id.contains_key(&(base + o)));
-        base + offset.unwrap_or(self.next_mme_ue_id)
+        let current = self.slab.resolve(h).and_then(|ctx| ctx.s1_conn()).map(|c| c.mme_ue_id);
+        let native = match current.filter(|&id| self.names_slot(id, h)) {
+            Some(id) => Some((id.wrapping_sub(base) + self.slab.named_slots()) % REGION),
+            None => self.slab.offset_of(h),
+        };
+        if let Some(o) = native.filter(|&o| !self.by_mme_ue_id.contains_key(&(base + o))) {
+            return base + o;
+        }
+        let mut cursor = self.next_mme_ue_id;
+        let offset = claim(&mut cursor, |o| self.user_of_mme_ue_id(base + o).is_some());
+        self.next_mme_ue_id = cursor;
+        base + offset.unwrap_or(cursor)
     }
 
     /// Start the id cursors at these region offsets (wrap tests).
@@ -335,56 +374,79 @@ impl ControlPlane {
         Some((c.tunnels.gw_teid, c.ue_ip))
     }
 
-    /// Create and index a user; queues the data-plane insert. Idempotent
-    /// per IMSI (re-attach reuses the context and re-announces it active,
-    /// ending any ECM-IDLE as a service request would). The
-    /// caller counts the attach: the synthetic path at once, the S1AP path
-    /// only when the NAS Attach Complete lands. Returns the user's (live)
-    /// handle, or `None` when the slice is full: every user id of its
-    /// region is live, or every slot of its context arena.
-    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, device_class: DeviceClass, ecgi: u32) -> Option<UeHandle> {
+    /// The synthetic attach: mint a user (or, for an attached IMSI, reuse
+    /// its context) and publish it at once. The caller counts the attach.
+    /// Returns the user's (live) handle, or `None` when the slice is full.
+    fn do_attach(&mut self, imsi: u64, qos: QosPolicy) -> Option<UeHandle> {
         let t0 = std::time::Instant::now();
-        self.mark_dirty(imsi);
-        let (handle, gw_teid, ue_ip) = match self.context_of(imsi) {
-            // Re-attach: refresh and re-announce as active.
-            Some(ctx) => {
-                let mut c = ctx.ctrl_write();
-                c.ecgi = ecgi;
-                c.qos = qos;
-                (ctx.handle(), c.tunnels.gw_teid, c.ue_ip)
-            }
+        let handle = match self.users.get(imsi) {
+            Some(&h) => h,
             None => {
-                // Identifiers are the slice's allocation bases plus one user
-                // id: the offset the slot and its tenant name, unless a
-                // foreign user holds it or the slot names none; then the
-                // cursor's next id that no user holds.
-                let (a, tac, slab, by_guti) = (self.alloc, self.tac, &self.slab, &self.by_guti);
-                let held = |o: u32| by_guti.contains_key(a.guti_base + u64::from(o));
-                let (cursor, mut uid) = (&mut self.next_uid, 0);
-                let init = |h| {
-                    uid = match slab.offset_of(h) {
-                        Some(o) if !held(o) => o,
-                        _ => claim(cursor, |o| held(o) || slab.named(o).is_some())?,
-                    };
-                    let mut ctrl = ControlState::new(imsi);
-                    ctrl.guti = a.guti_base + u64::from(uid);
-                    ctrl.ue_ip = a.ue_ip_base + uid;
-                    (ctrl.ecgi, ctrl.tac, ctrl.qos, ctrl.device_class) = (ecgi, tac, qos, device_class);
-                    ctrl.tunnels.gw_teid = a.teid_base + uid;
-                    Some(ctrl)
-                };
-                let handle = slab.alloc_with(init, CounterState::default())?;
-                self.users.insert(imsi, handle);
-                if slab.offset_of(handle) != Some(uid) {
-                    self.by_guti.insert(a.guti_base + u64::from(uid), imsi);
-                }
-                (handle, a.teid_base + uid, a.ue_ip_base + uid)
+                let h = self.mint(imsi, 0)?;
+                self.users.insert(imsi, h);
+                h
             }
+        };
+        self.publish(imsi, handle, qos, Some(0));
+        self.attach_ns.record(t0.elapsed().as_nanos() as u64);
+        Some(handle)
+    }
+
+    /// Claim a slot for `imsi` and mint its identifiers: the slice's
+    /// allocation bases plus one user id, the offset the slot and its
+    /// tenant name, unless a foreign user holds it or the slot names none;
+    /// then the cursor's next id that no user holds. Publishes nothing (no
+    /// IMSI entry, no data-plane insert), but indexes a foreign GUTI at
+    /// once so the cursor cannot hand it out twice. `None` when the slice
+    /// is full: every user id of its region is live, or every slot of its
+    /// context arena.
+    fn mint(&mut self, imsi: u64, ecgi: u32) -> Option<UeHandle> {
+        let (a, tac, slab, by_guti) = (self.alloc, self.tac, &self.slab, &self.by_guti);
+        let held = |o: u32| by_guti.contains_key(a.guti_base + u64::from(o));
+        let (cursor, mut uid) = (&mut self.next_uid, 0);
+        let init = |h| {
+            uid = match slab.offset_of(h) {
+                Some(o) if !held(o) => o,
+                _ => claim(cursor, |o| held(o) || slab.named(o).is_some())?,
+            };
+            let mut ctrl = ControlState::new(imsi);
+            ctrl.guti = a.guti_base + u64::from(uid);
+            ctrl.ue_ip = a.ue_ip_base + uid;
+            (ctrl.ecgi, ctrl.tac) = (ecgi, tac);
+            ctrl.tunnels.gw_teid = a.teid_base + uid;
+            Some(ctrl)
+        };
+        let handle = slab.alloc_with(init, CounterState::default())?;
+        if slab.offset_of(handle) != Some(uid) {
+            self.by_guti.insert(a.guti_base + u64::from(uid), imsi);
+        }
+        Some(handle)
+    }
+
+    /// Publish a minted user whose IMSI the caller indexed, or refresh an
+    /// attached one: set its QoS (and its cell, if given) and announce it
+    /// active, ending any ECM-IDLE as a service request would.
+    fn publish(&mut self, imsi: u64, handle: UeHandle, qos: QosPolicy, ecgi: Option<u32>) {
+        self.mark_dirty(imsi);
+        let Some(ctx) = self.slab.resolve(handle) else { return };
+        let (gw_teid, ue_ip) = {
+            let mut c = ctx.ctrl_write();
+            (c.qos, c.ecgi) = (qos, ecgi.unwrap_or(c.ecgi));
+            (c.tunnels.gw_teid, c.ue_ip)
         };
         self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
         self.idle_ues.remove(&imsi);
-        self.attach_ns.record(t0.elapsed().as_nanos() as u64);
-        Some(handle)
+    }
+
+    /// Free the slot an attach reserved and never published, with the
+    /// association and the foreign GUTI it holds.
+    fn unreserve(&mut self, handle: UeHandle) {
+        let Some(guti) = self.slab.resolve(handle).map(|ctx| ctx.imsi_guti().1) else { return };
+        self.unbind_s1(handle);
+        if self.slab.offset_of(handle).map(|o| self.alloc.guti_base + u64::from(o)) != Some(guti) {
+            self.by_guti.remove(guti);
+        }
+        self.slab.free(handle);
     }
 
     fn do_handover(&mut self, imsi: u64, new_enb_teid: u32, new_enb_ip: u32, new_ecgi: u32) -> bool {
@@ -421,14 +483,12 @@ impl ControlPlane {
     /// slot. Detach, attach rollback and migration share it.
     fn remove_user(&mut self, imsi: u64) -> bool {
         let Some(ctx) = self.users.remove(imsi).and_then(|h| self.slab.resolve(h)) else { return false };
-        let (guti, gw_teid, ue_ip, conn) = {
+        let (guti, gw_teid, ue_ip, handle) = {
             let c = ctx.ctrl_read();
-            (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
+            (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.handle())
         };
         self.by_guti.remove(guti);
-        if let Some(conn) = conn {
-            self.by_mme_ue_id.remove(&conn.mme_ue_id);
-        }
+        self.unbind_s1(handle);
         self.idle_ues.remove(&imsi);
         self.pending_updates.push(DpUpdate::Remove { gw_teid, ue_ip });
         self.mark_dirty(imsi);
@@ -436,20 +496,60 @@ impl ControlPlane {
         true
     }
 
-    // -- S1 association index --------------------------------------------------
-    // A UE is indexed under the MME UE id of one S1 association at a time.
-    // The id lives with its owner — the user's context, or the machine's
-    // wait state while an attach runs ahead of the user record or a page
-    // waits for its answer — so every teardown unindexes by key.
+    // -- S1 associations ----------------------------------------------------------
+    // A UE holds one S1 association at a time, in its slot's identity
+    // entry (a reserved attach's slot included). A native id is booked in
+    // `native_s1`, a foreign one in the index; every teardown takes the
+    // association off the slot and the books together.
+
+    /// The region offset an MME UE id of this slice sits at, if it is one.
+    fn mme_offset(&self, mme_ue_id: u32) -> Option<u32> {
+        Some(mme_ue_id.wrapping_sub(self.alloc.mme_ue_id_base)).filter(|&o| o < REGION)
+    }
+
+    /// Whether `mme_ue_id` names `h`'s slot, so that it resolves by
+    /// arithmetic and takes no index entry.
+    fn names_slot(&self, mme_ue_id: u32, h: UeHandle) -> bool {
+        self.mme_offset(mme_ue_id).is_some_and(|o| o & (self.slab.named_slots() - 1) == h.index())
+    }
 
     /// Make `conn` the user's S1 association, replacing the one it had.
     fn bind_s1(&mut self, imsi: u64, handle: UeHandle, conn: S1Conn) {
+        self.unbind_s1(handle);
         let Some(ctx) = self.slab.resolve(handle) else { return };
-        if let Some(old) = ctx.s1_conn().filter(|old| old.mme_ue_id != conn.mme_ue_id) {
-            self.by_mme_ue_id.remove(&old.mme_ue_id);
-        }
         ctx.set_s1_conn(Some(conn));
-        self.by_mme_ue_id.insert(conn.mme_ue_id, imsi);
+        if self.names_slot(conn.mme_ue_id, handle) {
+            self.native_s1 += 1;
+        } else {
+            self.by_mme_ue_id.insert(conn.mme_ue_id, imsi);
+        }
+    }
+
+    /// Take the user's S1 association off its slot and the books.
+    fn unbind_s1(&mut self, handle: UeHandle) -> Option<S1Conn> {
+        let ctx = self.slab.resolve(handle)?;
+        let conn = ctx.s1_conn()?;
+        ctx.set_s1_conn(None);
+        if self.names_slot(conn.mme_ue_id, handle) {
+            self.native_s1 -= 1;
+        } else {
+            self.by_mme_ue_id.remove(&conn.mme_ue_id);
+        }
+        Some(conn)
+    }
+
+    /// The IMSI whose current association `mme_ue_id` is: by arithmetic
+    /// when it names a live slot whose association carries it, else
+    /// through the foreign index.
+    fn user_of_mme_ue_id(&self, mme_ue_id: u32) -> Option<u64> {
+        let native = self.mme_offset(mme_ue_id).and_then(|o| self.slab.occupant(o)).filter(|c| carries(c, mme_ue_id));
+        native.map(|ctx| ctx.imsi_guti().0).or_else(|| self.by_mme_ue_id.get(&mme_ue_id).copied())
+    }
+
+    /// Whether an MME UE id names a live association on this slice
+    /// (routing probe for the node layer).
+    pub fn knows_mme_ue_id(&self, mme_ue_id: u32) -> bool {
+        self.user_of_mme_ue_id(mme_ue_id).is_some()
     }
 
     // -- synthetic events (at-scale signaling workload) ------------------------
@@ -459,7 +559,7 @@ impl ControlPlane {
     pub fn apply_event(&mut self, ev: CtrlEvent) -> bool {
         match ev {
             CtrlEvent::Attach { imsi } => {
-                let attached = self.do_attach(imsi, QosPolicy::default(), DeviceClass::Smartphone, 0).is_some();
+                let attached = self.do_attach(imsi, QosPolicy::default()).is_some();
                 self.metrics.attaches += u64::from(attached);
                 attached
             }
@@ -558,7 +658,7 @@ impl ControlPlane {
     /// alone: that id is unique across the cluster, while eNodeB UE ids
     /// repeat across eNodeBs.
     fn route(&self, pdu: &S1apPdu) -> Routed {
-        let by_mme = |id: u32| self.by_mme_ue_id.get(&id).copied();
+        let by_mme = |id: u32| self.user_of_mme_ue_id(id);
         let (imsi, msg) = match *pdu {
             S1apPdu::InitialUeMessage { enb_ue_id, ecgi, tac, ref nas } => match NasMsg::decode(nas) {
                 Ok(NasMsg::AttachRequest { imsi, .. }) => {
@@ -707,11 +807,10 @@ impl ControlPlane {
     }
 
     /// The one way a procedure ends (completed, preempted, aborted, expired,
-    /// or dropped with its user). Writes the terminal counter; unindexes
-    /// the MME UE id the machine owns (an attach's before its user record
-    /// exists, a page's interim one); closes a page (resolved or expired,
-    /// and on expiry its buffered downlink dropped); rolls back a
-    /// half-created attach.
+    /// or dropped with its user). Writes the terminal counter; frees the
+    /// slot an attach reserved and never published; closes a page
+    /// (resolved or expired, and on expiry its buffered downlink dropped);
+    /// rolls back a half-created attach.
     fn exit(&mut self, m: &mut UeMachine, how: Exit) {
         let metrics = &mut self.metrics;
         *match how {
@@ -726,16 +825,15 @@ impl ControlPlane {
         if attach_user && how != Exit::Completed && !m.preexisting && self.remove_user(m.imsi) {
             self.departed = Some(m.imsi);
         }
-        if let ProcState::AttachWaitAuth { mme_ue_id, .. } | ProcState::AttachWaitSmc { mme_ue_id, .. } = m.state {
-            self.by_mme_ue_id.remove(&mme_ue_id);
+        if let ProcState::AttachWaitAuth { handle, .. } | ProcState::AttachWaitSmc { handle, .. } = m.state {
+            self.unreserve(handle);
         }
-        if let ProcState::PagingWait { mme_ue_id, .. } = m.state {
+        if matches!(m.state, ProcState::PagingWait { .. }) {
             if how == Exit::Completed {
                 self.metrics.paging_resolved += 1;
             } else {
                 self.metrics.paging_expired += 1;
             }
-            self.by_mme_ue_id.remove(&mme_ue_id);
             // A preemptor's `Remove` or `Insert` settles the buffer; after
             // an expiry nothing else would.
             if how == Exit::Expired {
@@ -765,13 +863,16 @@ impl ControlPlane {
 
     /// Attach Request: challenge a fresh IMSI through the HSS, or re-accept
     /// an attached one (the UE lost our accept) without re-authentication,
-    /// with the same identifiers and the MME UE id of its association.
+    /// with the same identifiers and the MME UE id of its association. A
+    /// challenged attach reserves its slot: identifiers and association
+    /// minted, nothing published. An unknown IMSI or a full slice rejects
+    /// it with no association made.
     fn attach_start(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
         let SigMsg::AttachStart { enb_ue_id, ecgi, .. } = msg else { return Step::Stale };
         let imsi = m.imsi;
         m.enb_ue_id = enb_ue_id;
         if let Some((handle, conn)) = self.context_of(imsi).map(|ctx| (ctx.handle(), ctx.s1_conn())) {
-            let mme_ue_id = conn.map_or_else(|| self.allocate_mme_ue_id(), |c| c.mme_ue_id);
+            let mme_ue_id = conn.map_or_else(|| self.mint_mme_ue_id(handle), |c| c.mme_ue_id);
             self.activate(imsi, handle, Some(ecgi), S1Conn { mme_ue_id, enb_ue_id });
             if let Some(ctx) = self.context_of(imsi) {
                 out.push(self.accept_attach(&ctx.ctrl_read(), enb_ue_id, mme_ue_id));
@@ -780,20 +881,26 @@ impl ControlPlane {
             return Step::To(ProcState::AttachWaitIcs { imsi, mme_ue_id });
         }
         let Some(proxy) = self.proxy.clone() else { return Step::Stale };
-        let mme_ue_id = self.allocate_mme_ue_id();
-        let Ok(ch) = proxy.authentication_info(imsi) else {
-            self.metrics.attach_rejects += 1;
-            nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::IMSI_UNKNOWN });
-            return Step::Fail;
+        let reserved = match proxy.authentication_info(imsi) {
+            Ok(ch) => self.mint(imsi, ecgi).map(|h| (ch, h)).ok_or(cause::NETWORK_FAILURE),
+            Err(_) => Err(cause::IMSI_UNKNOWN),
         };
-        // Until the user record exists the machine owns the id.
-        self.by_mme_ue_id.insert(mme_ue_id, imsi);
+        let (ch, handle) = match reserved {
+            Ok(reserved) => reserved,
+            Err(cause) => {
+                self.metrics.attach_rejects += 1;
+                nas_to(out, enb_ue_id, 0, NasMsg::AttachReject { cause });
+                return Step::Fail;
+            }
+        };
+        let mme_ue_id = self.mint_mme_ue_id(handle);
+        self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id });
         nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AuthenticationRequest { rand: ch.rand, autn: ch.autn });
-        Step::To(ProcState::AttachWaitAuth { imsi, xres: ch.xres, ecgi, mme_ue_id })
+        Step::To(ProcState::AttachWaitAuth { imsi, xres: ch.xres, handle, mme_ue_id })
     }
 
     fn attach_auth(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
-        let ProcState::AttachWaitAuth { imsi, xres, ecgi, mme_ue_id } = m.state else { return Step::Stale };
+        let ProcState::AttachWaitAuth { imsi, xres, handle, mme_ue_id } = m.state else { return Step::Stale };
         let SigMsg::Nas { enb_ue_id, msg: NasMsg::AuthenticationResponse { res }, .. } = msg else {
             return Step::Stale;
         };
@@ -803,27 +910,38 @@ impl ControlPlane {
             return Step::Fail;
         }
         nas_to(out, enb_ue_id, mme_ue_id, NasMsg::SecurityModeCommand { integrity_alg: 2, ciphering_alg: 1 });
-        Step::To(ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id })
+        Step::To(ProcState::AttachWaitSmc { imsi, handle, mme_ue_id })
     }
 
-    /// Security mode complete: create the user from the HSS profile,
-    /// install its PCRF rules, and send the context setup. A failed HSS
-    /// update or a full slice rejects the attach.
+    /// Security mode complete: publish the reserved user with its HSS
+    /// profile, install its PCRF rules, and send the context setup. A
+    /// failed HSS update rejects the attach.
     fn attach_smc(&mut self, m: &mut UeMachine, msg: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
-        let ProcState::AttachWaitSmc { imsi, ecgi, mme_ue_id } = m.state else { return Step::Stale };
+        let ProcState::AttachWaitSmc { imsi, handle, mme_ue_id } = m.state else { return Step::Stale };
         let SigMsg::Nas { enb_ue_id, .. } = msg else { return Step::Stale };
         let Some(proxy) = self.proxy.clone() else { return Step::Fail };
-        // Counted on AttachComplete instead.
-        let attached = proxy.update_location(imsi).ok().and_then(|sub| {
-            let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
-            self.do_attach(imsi, qos, DeviceClass::Smartphone, ecgi)
-        });
-        let Some(handle) = attached else {
+        let Ok(sub) = proxy.update_location(imsi) else {
             self.metrics.attach_rejects += 1;
             nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::NETWORK_FAILURE });
             return Step::Fail;
         };
-        // The user record exists: it takes over the association.
+        let t0 = std::time::Instant::now();
+        // A user published under this IMSI meanwhile (a synthetic attach,
+        // a restore) keeps its slot; the association moves to it.
+        let handle = match self.users.get(imsi) {
+            Some(&user) => {
+                self.unreserve(handle);
+                user
+            }
+            None => {
+                self.users.insert(imsi, handle);
+                handle
+            }
+        };
+        let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
+        self.publish(imsi, handle, qos, None);
+        self.attach_ns.record(t0.elapsed().as_nanos() as u64);
+        // Counted on AttachComplete.
         self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id: m.enb_ue_id });
         let rules = proxy.fetch_rules(mme_ue_id, imsi).unwrap_or_default();
         if let Some(ctx) = self.slab.resolve(handle) {
@@ -865,9 +983,7 @@ impl ControlPlane {
         let SigMsg::HoRequired { enb_ue_id, mme_ue_id } = msg else { return Step::Stale };
         let imsi = m.imsi;
         // Re-check: a deferred handover may outlive the session.
-        let Some(ctx) = self.context_of(imsi).filter(|_| self.by_mme_ue_id.get(&mme_ue_id) == Some(&imsi)) else {
-            return Step::Stale;
-        };
+        let Some(ctx) = self.context_of(imsi).filter(|ctx| carries(ctx, mme_ue_id)) else { return Step::Stale };
         let (handle, gw_teid, ambr_kbps) = {
             let c = ctx.ctrl_read();
             (ctx.handle(), c.tunnels.gw_teid, c.qos.ambr_kbps)
@@ -886,20 +1002,18 @@ impl ControlPlane {
         Step::To(ProcState::Idle)
     }
 
-    /// Downlink arrived for an idle UE: page it. The supervision tick
-    /// retransmits the page until the UE answers with a Service Request
-    /// or the retry budget runs out.
+    /// Downlink arrived for an idle UE: page it under the association it
+    /// was released from. The supervision tick retransmits the page until
+    /// the UE answers with a Service Request or the retry budget runs out.
     fn page_trigger(&mut self, m: &mut UeMachine, _: SigMsg, out: &mut Vec<S1apPdu>) -> Step {
         let imsi = m.imsi;
         // Stale trigger: the UE re-activated or detached before it drained.
         let Some(ctx) = self.context_of(imsi).filter(|_| self.idle_ues.contains(&imsi)) else { return Step::Stale };
-        let guti = ctx.ctrl_read().guti;
-        let mme_ue_id = self.allocate_mme_ue_id();
-        self.by_mme_ue_id.insert(mme_ue_id, imsi);
+        let (guti, mme_ue_id) = (ctx.imsi_guti().1, ctx.s1_conn().map_or(0, |c| c.mme_ue_id));
         self.metrics.paged += 1;
         out.push(S1apPdu::Paging { mme_ue_id, guti });
         let next_retx = self.proc_tick.saturating_add(PAGING_RETX_TICKS);
-        Step::To(ProcState::PagingWait { imsi, mme_ue_id, retries: 0, next_retx })
+        Step::To(ProcState::PagingWait { imsi, retries: 0, next_retx })
     }
 
     /// Service Request (idle→active): re-activate a known user on a fresh
@@ -917,7 +1031,7 @@ impl ControlPlane {
         if m.in_flight() {
             self.exit(m, Exit::Completed);
         }
-        let mme_ue_id = self.allocate_mme_ue_id();
+        let mme_ue_id = self.mint_mme_ue_id(handle);
         self.activate(imsi, handle, (ecgi != 0).then_some(ecgi), S1Conn { mme_ue_id, enb_ue_id });
         self.metrics.service_requests += 1;
         self.service_request_ns.record(t0.elapsed().as_nanos() as u64);
@@ -967,7 +1081,7 @@ impl ControlPlane {
             return Step::Stale;
         };
         // Re-check: a deferred path switch may outlive the session.
-        if self.by_mme_ue_id.get(&mme_ue_id) != Some(&m.imsi)
+        if !self.context_of(m.imsi).is_some_and(|ctx| carries(&ctx, mme_ue_id))
             || !self.do_handover(m.imsi, new_enb_teid, new_enb_ip, ecgi)
         {
             return Step::Stale;
@@ -1213,22 +1327,22 @@ impl ControlPlane {
         let (imsi, guti, gw_teid, ue_ip) = (ctrl.imsi, ctrl.guti, ctrl.tunnels.gw_teid, ctrl.ue_ip);
         let old = self.context_of(imsi).map(|ctx| {
             let c = ctx.ctrl_read();
-            (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.s1_conn())
+            (c.guti, c.tunnels.gw_teid, c.ue_ip, ctx.handle())
         });
         let Some(handle) = self.slab.alloc(ctrl, counters) else { return false };
-        if let Some((old_guti, old_teid, old_ip, conn)) = old {
+        let mut carried = None;
+        if let Some((old_guti, old_teid, old_ip, old_handle)) = old {
             if (old_teid, old_ip) != (gw_teid, ue_ip) {
                 self.pending_updates.push(DpUpdate::Remove { gw_teid: old_teid, ue_ip: old_ip });
             }
             if old_guti != guti {
                 self.by_guti.remove(old_guti);
             }
-            if let Some(ctx) = self.slab.resolve(handle) {
-                ctx.set_s1_conn(conn);
-            }
+            carried = self.unbind_s1(old_handle);
         }
         self.users.insert(imsi, handle);
-        if let Some(conn) = s1_conn.filter(|c| self.by_mme_ue_id.get(&c.mme_ue_id).is_none_or(|&o| o == imsi)) {
+        let s1_conn = s1_conn.filter(|c| self.user_of_mme_ue_id(c.mme_ue_id).is_none_or(|o| o == imsi));
+        if let Some(conn) = s1_conn.or(carried) {
             self.bind_s1(imsi, handle, conn);
         }
         // Foreign unless the record's identifiers name the slot it landed in.
@@ -1342,8 +1456,14 @@ impl ControlPlane {
         self.users.len()
     }
 
-    /// Size of the MME-UE-id routing index (leak oracle).
+    /// Live S1 associations, native and foreign (leak oracle).
     pub fn s1_index_len(&self) -> usize {
+        self.native_s1 + self.by_mme_ue_id.len()
+    }
+
+    /// Entries of the foreign MME-UE-id index: associations whose id does
+    /// not name their user's slot.
+    pub fn foreign_s1_len(&self) -> usize {
         self.by_mme_ue_id.len()
     }
 
@@ -2040,6 +2160,8 @@ mod tests {
     fn mme_ue_ids_wrap_within_the_region_and_skip_live_ones() {
         let mut cp = cp_with_backends(10);
         run_attach_with(|p| cp.handle_s1ap(p), 1, 1, 0xE0, 5).unwrap();
+        // Slots past the 2^8 named ones take their ids from the cursor.
+        cp.slab().skip_to(1 << 8);
         cp.set_id_cursors(1, REGION - 1);
         run_attach_with(|p| cp.handle_s1ap(p), 2, 2, 0xE0, 5).unwrap();
         run_attach_with(|p| cp.handle_s1ap(p), 3, 3, 0xE0, 5).unwrap();
@@ -2048,6 +2170,7 @@ mod tests {
         assert_eq!(mme_ue_id(2), Some(REGION), "the region's last id");
         assert_eq!(mme_ue_id(3), Some(2), "wrapped to the start, past imsi 1's live id");
         assert_eq!(cp.metrics().attaches, 3);
+        assert_eq!((cp.s1_index_len(), cp.foreign_s1_len()), (3, 2), "imsi 1's id names its slot");
         assert_identities(&cp);
     }
 
@@ -2060,16 +2183,86 @@ mod tests {
         let proxy = Arc::new(Proxy::new(hss, Arc::new(Pcrf::with_standard_rules()), 1, 40401));
         let mut cp = ControlPlane::with_slab(slab, 0x0AFE0001, 1, alloc(), Some(proxy), 0);
         assert!(!cp.apply_event(CtrlEvent::Attach { imsi: 1 }));
-        let (mme_ue_id, ..) = attach_to_smc(&mut cp, 2, 1);
-        let nas = NasMsg::SecurityModeComplete.encode();
-        let rsp = cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+        // The attach reserves its slot at the challenge, so the reject
+        // answers the Attach Request.
+        let nas = NasMsg::AttachRequest { imsi: 2, ue_capability: 0 }.encode();
+        let rsp = cp.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 1, ecgi: 0x100, tac: 1, nas });
         let [S1apPdu::DownlinkNasTransport { nas, .. }] = rsp.as_slice() else { panic!("{rsp:?}") };
         assert_eq!(NasMsg::decode(nas).unwrap(), NasMsg::AttachReject { cause: cause::NETWORK_FAILURE });
         let m = cp.metrics();
         assert_eq!((m.attaches, m.attach_rejects, m.proc_aborted), (0, 1, 1));
+        assert!(cp.machines.is_empty());
         assert_eq!((cp.user_count(), cp.s1_index_len()), (0, 0));
         assert!(!cp.has_updates());
         assert_identities(&cp);
+    }
+
+    /// A Service Request for `guti` on eNodeB UE id `enb_ue_id`; returns
+    /// the MME UE id of the association it opened.
+    fn service_request(cp: &mut ControlPlane, enb_ue_id: u32, guti: u64) -> u32 {
+        let nas = NasMsg::ServiceRequest { guti }.encode();
+        let rsp = cp.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id, ecgi: 0x100, tac: 1, nas });
+        let [S1apPdu::DownlinkNasTransport { mme_ue_id, .. }] = rsp.as_slice() else { panic!("{rsp:?}") };
+        *mme_ue_id
+    }
+
+    #[test]
+    fn a_superseded_association_is_discarded_after_a_service_request_and_after_a_page() {
+        let mut cp = cp_with_backends(4);
+        let guti = attach_and_release(&mut cp);
+        let release = |cp: &mut ControlPlane, mme_ue_id| {
+            cp.handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 10, mme_ue_id, cause: 0 })
+        };
+        let mut ids = vec![1];
+        for paged in [false, true] {
+            if paged {
+                assert!(matches!(release(&mut cp, ids[ids.len() - 1]).as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
+                assert_eq!(cp.page(1).len(), 1);
+            }
+            ids.push(service_request(&mut cp, 11, guti));
+            let dropped = cp.metrics().sig_dropped;
+            for &stale in &ids[..ids.len() - 1] {
+                assert_eq!(release(&mut cp, stale), vec![], "paged: {paged}, id {stale}");
+            }
+            assert_eq!(cp.metrics().sig_dropped, dropped + ids.len() as u64 - 1);
+            assert_eq!(cp.idle_user_count(), 0, "the UE stays connected");
+        }
+        // Each association took its own id, one tenant block apart.
+        assert_eq!(ids, [1, 1 + (1 << 8), 1 + (2 << 8)]);
+        assert_eq!((cp.s1_index_len(), cp.foreign_s1_len()), (1, 0));
+        assert_identities(&cp);
+    }
+
+    #[test]
+    fn an_attach_aborted_at_authentication_or_at_smc_frees_its_reserved_slot() {
+        let mut cp = cp_with_backends(4);
+        let settled = |cp: &ControlPlane| {
+            assert_eq!(cp.slab().live_slots(), cp.user_count() as u64);
+            assert_eq!((cp.user_count(), cp.s1_index_len()), (0, 0));
+            assert!(cp.machines.is_empty());
+            assert_identities(cp);
+        };
+        // A wrong RES ends the attach at authentication.
+        let challenge = cp.handle_s1ap(&S1apPdu::InitialUeMessage {
+            enb_ue_id: 1,
+            ecgi: 0x100,
+            tac: 1,
+            nas: NasMsg::AttachRequest { imsi: 2, ue_capability: 0 }.encode(),
+        });
+        let [S1apPdu::DownlinkNasTransport { mme_ue_id, .. }] = challenge.as_slice() else { panic!("{challenge:?}") };
+        assert_eq!((cp.slab().live_slots(), cp.s1_index_len(), cp.user_count()), (1, 1, 0), "reserved, unpublished");
+        let nas = NasMsg::AuthenticationResponse { res: 0xBAD }.encode();
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: *mme_ue_id, nas });
+        settled(&cp);
+        // An out-of-order NAS message ends it at SMC.
+        let (mme_ue_id, ..) = attach_to_smc(&mut cp, 3, 1);
+        let nas = NasMsg::AttachComplete.encode();
+        let rsp = cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
+        let [S1apPdu::DownlinkNasTransport { nas, .. }] = rsp.as_slice() else { panic!("{rsp:?}") };
+        assert_eq!(NasMsg::decode(nas).unwrap(), NasMsg::AttachReject { cause: cause::PROTOCOL_ERROR });
+        settled(&cp);
+        assert_eq!(cp.metrics().proc_aborted, 2);
+        assert!(!cp.has_updates(), "nothing reached the data plane");
     }
 
     #[test]

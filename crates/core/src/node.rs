@@ -243,12 +243,21 @@ impl PepcNode {
     }
 
     /// Slice owning an MME UE id: an id is a TEID of its slice's region
-    /// moved down by `MME_UE_ID_OFFSET`, so whoever serves that region
-    /// (adopted regions included) gets it. Ids in no served region go to
-    /// the last slice.
+    /// moved down by `MME_UE_ID_OFFSET` (a native one naming a slot there),
+    /// so whoever serves that region (adopted regions included) gets it. A
+    /// migrated UE keeps its association, so while any user is off-home a
+    /// region's slice that does not know the id has the other slices
+    /// probed, as for a GUTI. Ids nobody knows go to the region's slice,
+    /// or to the last slice when no region holds them.
     fn slice_of_mme_ue_id(&self, mme_ue_id: u32) -> usize {
-        let teid = mme_ue_id.wrapping_add(MME_UE_ID_OFFSET);
-        self.demux.region_of(PacketKey::Teid(teid)).unwrap_or(self.slices.len() - 1)
+        let knows = |k: &usize| self.slices[*k].ctrl.knows_mme_ue_id(mme_ue_id);
+        let region = self.demux.region_of(PacketKey::Teid(mme_ue_id.wrapping_add(MME_UE_ID_OFFSET)));
+        match region {
+            _ if self.demux.is_clear() => region,
+            Some(k) if knows(&k) => Some(k),
+            _ => (0..self.slices.len()).find(knows).or(region),
+        }
+        .unwrap_or(self.slices.len() - 1)
     }
 
     /// Slice owning a GUTI: the one serving the TEID region its block
@@ -696,10 +705,12 @@ mod tests {
         n.slice(0).sync_now();
         n.attach(1001);
         assert_eq!(n.slice(0).ctrl.context_of(1001).unwrap().s1_conn(), None);
-        // An Attach Request from the new user starts a fresh association.
+        // An Attach Request from the new user starts a fresh association,
+        // at its tenant's offset: one tenant block above the old one's id.
         let nas = NasMsg::AttachRequest { imsi: 1001, ue_capability: 0 }.encode();
         let rsp = n.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 78, ecgi: 1, tac: 1, nas });
-        assert!(matches!(rsp.as_slice(), [S1apPdu::InitialContextSetupRequest { mme_ue_id: 2, .. }]), "{rsp:?}");
+        let id = 1 + n.slice(0).ctrl.slab().named_slots();
+        assert!(matches!(rsp.as_slice(), [S1apPdu::InitialContextSetupRequest { mme_ue_id, .. }] if *mme_ue_id == id));
         assert_eq!(n.slice(0).ctrl.s1_index_len(), 1);
     }
 

@@ -30,13 +30,16 @@
 //! paging    Idle --PageTrigger--> Paging --ServiceStart--> Idle
 //! ```
 //!
-//! An Attach Request for an IMSI that is already attached skips the
-//! authentication legs and lands in `AttachIcs` with its identifiers
-//! unchanged. A page with no answer expires on the supervision clock
+//! Before that, from the challenge on, `AttachAuth` and `AttachSmc` hold
+//! the slot the attach reserved, unpublished, and free it if the attach
+//! ends there. An Attach Request for an IMSI that is already attached
+//! skips the authentication legs and lands in `AttachIcs` with its
+//! identifiers unchanged. A page with no answer expires on the supervision clock
 //! after [`PAGING_MAX_RETX`] retransmissions. Service request, TAU, UE
 //! detach, network detach, X2 path switch and S1 release are one-row
 //! procedures out of `Idle`: they start and complete in one leg.
 
+use crate::slab::UeHandle;
 use pepc_sigproto::nas::NasMsg;
 use pepc_sigproto::s1ap::S1apPdu;
 use std::collections::VecDeque;
@@ -61,10 +64,12 @@ pub enum ProcState {
     /// No procedure in flight.
     #[default]
     Idle,
-    /// Attach: challenge sent, waiting for the UE's RES.
-    AttachWaitAuth { imsi: u64, xres: u64, ecgi: u32, mme_ue_id: u32 },
+    /// Attach: challenge sent, waiting for the UE's RES. `handle` is the
+    /// slot the attach reserved: identifiers and association minted,
+    /// nothing published (freed if the attach ends here).
+    AttachWaitAuth { imsi: u64, xres: u64, handle: UeHandle, mme_ue_id: u32 },
     /// Attach: security mode commanded, waiting for completion.
-    AttachWaitSmc { imsi: u64, ecgi: u32, mme_ue_id: u32 },
+    AttachWaitSmc { imsi: u64, handle: UeHandle, mme_ue_id: u32 },
     /// Attach: context setup sent, waiting for the eNodeB's endpoint.
     /// The user record exists from here on (rollback on abort).
     AttachWaitIcs { imsi: u64, mme_ue_id: u32 },
@@ -76,7 +81,7 @@ pub enum ProcState {
     /// UE's Service Request. `next_retx` is the supervision tick the next
     /// retransmission fires at; after [`PAGING_MAX_RETX`] retransmissions
     /// the page expires and the buffered downlink is dropped.
-    PagingWait { imsi: u64, mme_ue_id: u32, retries: u8, next_retx: u64 },
+    PagingWait { imsi: u64, retries: u8, next_retx: u64 },
 }
 
 /// A [`ProcState`] without the identifiers it carries: the first half of
@@ -316,12 +321,13 @@ mod tests {
         SigMsg::Nas { enb_ue_id: 10, mme_ue_id: 1, msg }
     }
 
-    const WAIT_AUTH: ProcState = ProcState::AttachWaitAuth { imsi: 7, xres: 1, ecgi: 1, mme_ue_id: 1 };
-    const WAIT_SMC: ProcState = ProcState::AttachWaitSmc { imsi: 7, ecgi: 1, mme_ue_id: 1 };
+    const SLOT: UeHandle = UeHandle::from_bits(1);
+    const WAIT_AUTH: ProcState = ProcState::AttachWaitAuth { imsi: 7, xres: 1, handle: SLOT, mme_ue_id: 1 };
+    const WAIT_SMC: ProcState = ProcState::AttachWaitSmc { imsi: 7, handle: SLOT, mme_ue_id: 1 };
     const WAIT_ICS: ProcState = ProcState::AttachWaitIcs { imsi: 7, mme_ue_id: 1 };
     const WAIT_CPL: ProcState = ProcState::AttachWaitComplete { imsi: 7, mme_ue_id: 1 };
     const HO_WAIT: ProcState = ProcState::HandoverWaitAck { imsi: 7, source_enb_ue_id: 10, mme_ue_id: 1 };
-    const PAGE_WAIT: ProcState = ProcState::PagingWait { imsi: 7, mme_ue_id: 1, retries: 0, next_retx: 2 };
+    const PAGE_WAIT: ProcState = ProcState::PagingWait { imsi: 7, retries: 0, next_retx: 2 };
 
     #[test]
     fn idle_delivers_everything() {

@@ -153,7 +153,7 @@ impl UeHandle {
     }
 
     /// Rebuild a handle from [`Self::bits`].
-    pub fn from_bits(bits: u64) -> Self {
+    pub const fn from_bits(bits: u64) -> Self {
         UeHandle(bits)
     }
 }
@@ -443,6 +443,16 @@ impl UeSlab {
         let word = c.gens[slot].load(Ordering::Acquire);
         let h = UeHandle::new(live(word)?, index);
         (self.offset_of(h) == Some(offset)).then_some((h, word & SHOWN != 0))
+    }
+
+    /// The live tenant of the slot a region offset names, whichever tenant
+    /// the offset's upper bits name. Lock-free: one generation load.
+    #[inline]
+    pub(crate) fn occupant(&self, offset: u32) -> Option<UeRef<'_>> {
+        let index = offset & (self.named_slots() - 1);
+        let (c, slot) = self.at(index)?;
+        let h = UeHandle::new(live(c.gens[slot].load(Ordering::Acquire))?, index);
+        Some(self.user(c, slot, h))
     }
 
     /// Set or clear one of `h`'s marks, [`SHOWN`] or [`IDLE`]; the other

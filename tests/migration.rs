@@ -3,20 +3,26 @@
 //! tunnel validity (paper §4.3 / §6.6).
 
 use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
-use pepc::ctrl::CtrlEvent;
+use pepc::ctrl::{run_attach_with, CtrlEvent};
 use pepc::node::PepcNode;
+use pepc_backend::{Hss, Pcrf};
+use pepc_sigproto::s1ap::S1apPdu;
+use std::sync::Arc;
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
 use pepc_net::{Ipv4Hdr, Mbuf, IPV4_HDR_LEN};
 
-fn node(slices: usize) -> PepcNode {
-    let config = EpcConfig {
+fn config(slices: usize) -> EpcConfig {
+    EpcConfig {
         slices,
         slice: SliceConfig { batching: BatchingConfig { sync_every_packets: 1 }, ..Default::default() },
         ..EpcConfig::default()
-    };
-    PepcNode::new(config, None)
+    }
+}
+
+fn node(slices: usize) -> PepcNode {
+    PepcNode::new(config(slices), None)
 }
 
 fn uplink(node: &mut PepcNode, imsi: u64) -> Mbuf {
@@ -138,4 +144,24 @@ fn migrate_unknown_or_invalid_is_safe() {
     // User unharmed.
     let pkt = uplink(&mut n, 7);
     assert!(n.process(pkt).is_forward());
+}
+
+/// A UE moved off its home slice keeps its S1 association: its eNodeB's
+/// next PDU under the UE's MME UE id reaches the slice now serving it.
+#[test]
+fn a_migrated_ue_stays_reachable_under_its_mme_ue_id() {
+    let hss = Arc::new(Hss::new());
+    hss.provision_range(1, 16, 100_000);
+    let mut n = PepcNode::new(config(2), Some((hss, Arc::new(Pcrf::with_standard_rules()))));
+    let imsi = 3;
+    run_attach_with(|p| n.handle_s1ap(p), imsi, 7, 0xE000, 0xC0A8_0001).expect("attach");
+    let home = n.slice_of(imsi).unwrap();
+    let id = n.slice(home).ctrl.context_of(imsi).and_then(|c| c.s1_conn()).unwrap().mme_ue_id;
+    assert!(n.migrate(imsi, 1 - home));
+
+    let rsp = n.handle_s1ap(&S1apPdu::UeContextReleaseRequest { enb_ue_id: 7, mme_ue_id: id, cause: 0 });
+    assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { mme_ue_id, .. }] if *mme_ue_id == id));
+    let dropped: u64 = (0..2).map(|k| n.slice_ref(k).ctrl.metrics().sig_dropped).sum();
+    assert_eq!(dropped, 0);
+    assert_eq!(n.slice(1 - home).ctrl.idle_user_count(), 1);
 }

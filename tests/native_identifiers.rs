@@ -110,6 +110,83 @@ fn a_reattach_into_the_same_slot_strands_the_old_identifiers() {
     assert!(flows(&mut n, teid_b, ue_ip_b), "the new tenant is served");
 }
 
+/// The MME UE id of `imsi`'s current S1 association on slice 0.
+fn mme_ue_id(n: &mut PepcNode, imsi: u64) -> u32 {
+    n.slice(0).ctrl.context_of(imsi).and_then(|c| c.s1_conn()).expect("associated").mme_ue_id
+}
+
+fn release(enb_ue_id: u32, mme_ue_id: u32) -> S1apPdu {
+    S1apPdu::UeContextReleaseRequest { enb_ue_id, mme_ue_id, cause: 0 }
+}
+
+#[test]
+fn a_reattach_into_the_same_slot_strands_the_old_mme_ue_id() {
+    let mut n = node(1, SMALL);
+    let a = IMSI_BASE + 1;
+    let (guti, ..) = run_attach_with(|p| n.handle_s1ap(p), a, 1, 0xE1, ENB_IP).expect("attach");
+    let (slot, old) = (n.slice(0).ctrl.context_of(a).unwrap().handle().index(), mme_ue_id(&mut n, a));
+    let detach = NasMsg::DetachRequest { guti }.encode();
+    n.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: old, nas: detach });
+    n.slice(0).sync_now();
+
+    let b = IMSI_BASE + 2;
+    run_attach_with(|p| n.handle_s1ap(p), b, 2, 0xE2, ENB_IP).expect("attach");
+    assert_eq!(n.slice(0).ctrl.context_of(b).unwrap().handle().index(), slot, "the next tenant takes the freed slot");
+    let new = mme_ue_id(&mut n, b);
+    assert_eq!(new - old, NAMED, "tenant 1 of the same slot: one tenant block above the old id");
+
+    // The old association's PDUs reach nobody.
+    let dropped = |n: &PepcNode| n.slice_ref(0).ctrl.metrics().sig_dropped;
+    let before = dropped(&n);
+    assert_eq!(n.handle_s1ap(&release(1, old)), vec![]);
+    let ho = S1apPdu::HandoverRequired { enb_ue_id: 1, mme_ue_id: old, target_ecgi: 9 };
+    assert_eq!(n.handle_s1ap(&ho), vec![]);
+    assert_eq!(dropped(&n) - before, 2, "both discarded");
+    assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 0, "the new tenant stays connected");
+    // The new tenant's own association is served.
+    let rsp = n.handle_s1ap(&release(2, new));
+    assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { mme_ue_id, .. }] if *mme_ue_id == new));
+    assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 1);
+}
+
+#[test]
+fn native_s1ap_users_hold_no_association_entry() {
+    let mut n = node(1, SMALL);
+    let ues: Vec<_> = (0..NAMED)
+        .map(|i| {
+            let imsi = IMSI_BASE + u64::from(i);
+            let (guti, ..) = run_attach_with(|p| n.handle_s1ap(p), imsi, i, 0xE000 + i, ENB_IP).expect("attach");
+            (imsi, i, guti)
+        })
+        .collect();
+    for &(imsi, enb_ue_id, guti) in &ues {
+        let id = mme_ue_id(&mut n, imsi);
+        let rsp = n.handle_s1ap(&S1apPdu::HandoverRequired { enb_ue_id, mme_ue_id: id, target_ecgi: 9 });
+        assert!(matches!(rsp.as_slice(), [S1apPdu::HandoverRequest { .. }]), "{rsp:?}");
+        let ack = S1apPdu::HandoverRequestAck { mme_ue_id: id, new_enb_teid: 0xF000 + enb_ue_id, new_enb_ip: ENB_IP };
+        assert!(matches!(n.handle_s1ap(&ack).as_slice(), [S1apPdu::HandoverCommand { .. }]));
+        for _ in 0..2 {
+            let id = mme_ue_id(&mut n, imsi);
+            assert!(matches!(n.handle_s1ap(&release(enb_ue_id, id)).as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
+            let nas = NasMsg::ServiceRequest { guti }.encode();
+            let rsp = n.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id, ecgi: 1, tac: 1, nas });
+            assert!(matches!(rsp.as_slice(), [S1apPdu::DownlinkNasTransport { mme_ue_id, .. }] if *mme_ue_id != id));
+        }
+    }
+    let books = |n: &PepcNode| (n.slice_ref(0).ctrl.foreign_s1_len(), n.slice_ref(0).ctrl.s1_index_len());
+    assert_eq!(books(&n), (0, NAMED as usize), "every association names its slot");
+    assert_eq!(n.slice_ref(0).ctrl.metrics().sig_dropped, 0);
+
+    // A user past the named slots holds the one entry, and is served.
+    let imsi = IMSI_BASE + u64::from(NAMED);
+    run_attach_with(|p| n.handle_s1ap(p), imsi, NAMED, 0xE000, ENB_IP).expect("attach");
+    assert_eq!(n.slice(0).ctrl.context_of(imsi).unwrap().handle().index(), NAMED);
+    assert_eq!(books(&n), (1, NAMED as usize + 1));
+    let id = mme_ue_id(&mut n, imsi);
+    assert!(matches!(n.handle_s1ap(&release(NAMED, id)).as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
+    assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 1);
+}
+
 #[test]
 fn users_past_the_named_slots_live_in_the_foreign_index() {
     let mut n = node(1, SMALL);

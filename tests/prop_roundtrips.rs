@@ -758,16 +758,17 @@ proptest! {
         pdu in fuzz_pdu(),
     ) {
         use pepc::procedure::{ProcState, UeMachine};
+        use pepc::slab::UeHandle;
         // Every reachable machine state must classify every routable
         // message without panicking — the policy table is total.
         let states = [
             ProcState::Idle,
-            ProcState::AttachWaitAuth { imsi: 1, xres: 9, ecgi: 1, mme_ue_id: 1 },
-            ProcState::AttachWaitSmc { imsi: 1, ecgi: 1, mme_ue_id: 1 },
+            ProcState::AttachWaitAuth { imsi: 1, xres: 9, handle: UeHandle::from_bits(1), mme_ue_id: 1 },
+            ProcState::AttachWaitSmc { imsi: 1, handle: UeHandle::from_bits(1), mme_ue_id: 1 },
             ProcState::AttachWaitIcs { imsi: 1, mme_ue_id: 1 },
             ProcState::AttachWaitComplete { imsi: 1, mme_ue_id: 1 },
             ProcState::HandoverWaitAck { imsi: 1, source_enb_ue_id: 2, mme_ue_id: 1 },
-            ProcState::PagingWait { imsi: 1, mme_ue_id: 1, retries: 0, next_retx: 2 },
+            ProcState::PagingWait { imsi: 1, retries: 0, next_retx: 2 },
         ];
         let mut m = UeMachine::new(1, 0);
         m.enb_ue_id = 2;
