@@ -941,7 +941,6 @@ impl ControlPlane {
         let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
         self.publish(imsi, handle, qos, None);
         self.attach_ns.record(t0.elapsed().as_nanos() as u64);
-        // Counted on AttachComplete.
         self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id: m.enb_ue_id });
         let rules = proxy.fetch_rules(mme_ue_id, imsi).unwrap_or_default();
         if let Some(ctx) = self.slab.resolve(handle) {
@@ -2216,7 +2215,10 @@ mod tests {
         let mut ids = vec![1];
         for paged in [false, true] {
             if paged {
-                assert!(matches!(release(&mut cp, ids[ids.len() - 1]).as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
+                assert!(matches!(
+                    release(&mut cp, ids[ids.len() - 1]).as_slice(),
+                    [S1apPdu::UeContextReleaseCommand { .. }]
+                ));
                 assert_eq!(cp.page(1).len(), 1);
             }
             ids.push(service_request(&mut cp, 11, guti));

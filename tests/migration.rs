@@ -6,12 +6,12 @@ use pepc::config::{BatchingConfig, EpcConfig, SliceConfig};
 use pepc::ctrl::{run_attach_with, CtrlEvent};
 use pepc::node::PepcNode;
 use pepc_backend::{Hss, Pcrf};
-use pepc_sigproto::s1ap::S1apPdu;
-use std::sync::Arc;
 use pepc_net::gtp::encap_gtpu;
 use pepc_net::ipv4::IpProto;
 use pepc_net::udp::{UdpHdr, UDP_HDR_LEN};
 use pepc_net::{Ipv4Hdr, Mbuf, IPV4_HDR_LEN};
+use pepc_sigproto::s1ap::S1apPdu;
+use std::sync::Arc;
 
 fn config(slices: usize) -> EpcConfig {
     EpcConfig {

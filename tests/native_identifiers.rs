@@ -167,7 +167,10 @@ fn native_s1ap_users_hold_no_association_entry() {
         assert!(matches!(n.handle_s1ap(&ack).as_slice(), [S1apPdu::HandoverCommand { .. }]));
         for _ in 0..2 {
             let id = mme_ue_id(&mut n, imsi);
-            assert!(matches!(n.handle_s1ap(&release(enb_ue_id, id)).as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]));
+            assert!(matches!(
+                n.handle_s1ap(&release(enb_ue_id, id)).as_slice(),
+                [S1apPdu::UeContextReleaseCommand { .. }]
+            ));
             let nas = NasMsg::ServiceRequest { guti }.encode();
             let rsp = n.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id, ecgi: 1, tac: 1, nas });
             assert!(matches!(rsp.as_slice(), [S1apPdu::DownlinkNasTransport { mme_ue_id, .. }] if *mme_ue_id != id));
