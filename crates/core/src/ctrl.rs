@@ -31,11 +31,13 @@
 //! cursor. A native mint that would reproduce a GUTI `by_guti` holds falls
 //! back to the cursor too.
 //!
-//! An MME UE id names the slot the same way. An attach's sits at the
-//! slot's native offset, and each later association of the same tenant
-//! (service request, re-attach without one) steps the offset's tenant
-//! bits once, mod `2^g`, so a PDU of a superseded association is
-//! discarded. Routing a native id reads the slot's live tenant and takes
+//! An MME UE id names the slot the same way. Each association (attach,
+//! service request, re-attach without one) steps the tenant bits once,
+//! mod `2^g`, past the last id the slot carried, whichever tenant held
+//! it (the slot's identity keeps it across a free); a slot's first sits
+//! at its native offset. So a PDU of a superseded association, or of an
+//! earlier tenant's, is discarded until the slot has gone through `2^g`
+//! associations. Routing a native id reads the slot's live tenant and takes
 //! it only if its current association carries the id; the IMSI comes from
 //! the same identity line. `by_mme_ue_id` holds only foreign associations
 //! (a record's id brought in by a migration, adoption or restore, or a
@@ -86,7 +88,7 @@ pub enum CtrlEvent {
 /// each identifier is its base plus a region offset, the one a native
 /// user's slot and tenant name or a foreign one's cursor claim (module
 /// docs). A native MME UE id steps that offset's tenant bits once per
-/// association.
+/// association the slot carries, across its tenants.
 #[derive(Debug, Clone, Copy)]
 pub struct Allocator {
     pub teid_base: u32,
@@ -336,15 +338,16 @@ impl ControlPlane {
     }
 
     /// The MME UE id `h`'s next association takes: one tenant block past
-    /// its current one if that names its slot, else the offset its slot
+    /// the last id its slot carried, the current association's or an
+    /// earlier tenant's, if that names the slot; else the offset its slot
     /// and tenant name. When the slot names none or the foreign index
     /// holds that id, the cursor's next id that no association holds;
     /// with all 2^24 held (more than a slab's worth of users) the cursor's
     /// id is reused.
     fn mint_mme_ue_id(&mut self, h: UeHandle) -> u32 {
         let base = self.alloc.mme_ue_id_base;
-        let current = self.slab.resolve(h).and_then(|ctx| ctx.s1_conn()).map(|c| c.mme_ue_id);
-        let native = match current.filter(|&id| self.names_slot(id, h)) {
+        let last = self.slab.resolve(h).map(|ctx| ctx.last_mme_ue_id());
+        let native = match last.filter(|&id| self.names_slot(id, h)) {
             Some(id) => Some((id.wrapping_sub(base) + self.slab.named_slots()) % REGION),
             None => self.slab.offset_of(h),
         };
@@ -374,20 +377,41 @@ impl ControlPlane {
         Some((c.tunnels.gw_teid, c.ue_ip))
     }
 
-    /// The synthetic attach: mint a user (or, for an attached IMSI, reuse
-    /// its context) and publish it at once. The caller counts the attach.
-    /// Returns the user's (live) handle, or `None` when the slice is full.
-    fn do_attach(&mut self, imsi: u64, qos: QosPolicy) -> Option<UeHandle> {
+    /// Attach `imsi` and publish it: reuse its context if it is attached
+    /// (freeing the slot `reserved`, if any), else index `reserved` (an
+    /// S1AP attach's slot, minted at its challenge) or mint a slot in
+    /// cell 0 (the synthetic attach). Sets the QoS and announces the user
+    /// active. The caller counts the attach. Returns the user's (live)
+    /// handle, or `None` when the slice is full. `attach_ns` times it all,
+    /// so an S1AP attach's sample leaves out its slot claim.
+    fn do_attach(&mut self, imsi: u64, qos: QosPolicy, reserved: Option<UeHandle>) -> Option<UeHandle> {
         let t0 = std::time::Instant::now();
-        let handle = match self.users.get(imsi) {
-            Some(&h) => h,
+        let handle = match self.users.get(imsi).copied() {
+            Some(user) => {
+                if let Some(h) = reserved {
+                    self.unreserve(h);
+                }
+                user
+            }
             None => {
-                let h = self.mint(imsi, 0)?;
+                let h = match reserved {
+                    Some(h) => h,
+                    None => self.mint(imsi, 0)?,
+                };
                 self.users.insert(imsi, h);
                 h
             }
         };
-        self.publish(imsi, handle, qos, Some(0));
+        self.mark_dirty(imsi);
+        if let Some(ctx) = self.slab.resolve(handle) {
+            let mut c = ctx.ctrl_write();
+            // The synthetic attach's cell is 0; an S1AP attach's is minted in.
+            (c.qos, c.ecgi) = (qos, if reserved.is_some() { c.ecgi } else { 0 });
+            let (gw_teid, ue_ip) = (c.tunnels.gw_teid, c.ue_ip);
+            self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
+        }
+        // Announced active: any ECM-IDLE ends, as a service request's would.
+        self.idle_ues.remove(&imsi);
         self.attach_ns.record(t0.elapsed().as_nanos() as u64);
         Some(handle)
     }
@@ -421,21 +445,6 @@ impl ControlPlane {
             self.by_guti.insert(a.guti_base + u64::from(uid), imsi);
         }
         Some(handle)
-    }
-
-    /// Publish a minted user whose IMSI the caller indexed, or refresh an
-    /// attached one: set its QoS (and its cell, if given) and announce it
-    /// active, ending any ECM-IDLE as a service request would.
-    fn publish(&mut self, imsi: u64, handle: UeHandle, qos: QosPolicy, ecgi: Option<u32>) {
-        self.mark_dirty(imsi);
-        let Some(ctx) = self.slab.resolve(handle) else { return };
-        let (gw_teid, ue_ip) = {
-            let mut c = ctx.ctrl_write();
-            (c.qos, c.ecgi) = (qos, ecgi.unwrap_or(c.ecgi));
-            (c.tunnels.gw_teid, c.ue_ip)
-        };
-        self.pending_updates.push(DpUpdate::Insert { gw_teid, ue_ip, handle, active: true });
-        self.idle_ues.remove(&imsi);
     }
 
     /// Free the slot an attach reserved and never published, with the
@@ -559,7 +568,7 @@ impl ControlPlane {
     pub fn apply_event(&mut self, ev: CtrlEvent) -> bool {
         match ev {
             CtrlEvent::Attach { imsi } => {
-                let attached = self.do_attach(imsi, QosPolicy::default()).is_some();
+                let attached = self.do_attach(imsi, QosPolicy::default(), None).is_some();
                 self.metrics.attaches += u64::from(attached);
                 attached
             }
@@ -925,22 +934,10 @@ impl ControlPlane {
             nas_to(out, enb_ue_id, mme_ue_id, NasMsg::AttachReject { cause: cause::NETWORK_FAILURE });
             return Step::Fail;
         };
-        let t0 = std::time::Instant::now();
         // A user published under this IMSI meanwhile (a synthetic attach,
         // a restore) keeps its slot; the association moves to it.
-        let handle = match self.users.get(imsi) {
-            Some(&user) => {
-                self.unreserve(handle);
-                user
-            }
-            None => {
-                self.users.insert(imsi, handle);
-                handle
-            }
-        };
         let qos = QosPolicy { qci: sub.default_qci, ambr_kbps: sub.ambr_kbps, gbr_kbps: 0 };
-        self.publish(imsi, handle, qos, None);
-        self.attach_ns.record(t0.elapsed().as_nanos() as u64);
+        let Some(handle) = self.do_attach(imsi, qos, Some(handle)) else { return Step::Stale };
         self.bind_s1(imsi, handle, S1Conn { mme_ue_id, enb_ue_id: m.enb_ue_id });
         let rules = proxy.fetch_rules(mme_ue_id, imsi).unwrap_or_default();
         if let Some(ctx) = self.slab.resolve(handle) {
@@ -1471,7 +1468,9 @@ impl ControlPlane {
         self.metrics
     }
 
-    /// Attach-procedure processing latency.
+    /// Attach-procedure processing latency: the slot claim and publish of
+    /// a synthetic attach; an S1AP attach's publish at Security Mode
+    /// Complete only, its slot claimed at the challenge.
     pub fn attach_latency(&self) -> &LatencyHistogram {
         &self.attach_ns
     }
@@ -1891,6 +1890,7 @@ mod tests {
     fn page_resolves_via_service_request_and_wakes_user() {
         let mut cp = cp_with_backends(4);
         let guti = attach_and_release(&mut cp);
+        let released = cp.context_of(1).unwrap().s1_conn().unwrap().mme_ue_id;
         let out = cp.page(1);
         let paged_id = match out.as_slice() {
             [S1apPdu::Paging { mme_ue_id, guti: g }] => {
@@ -1899,6 +1899,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         };
+        assert_eq!(paged_id, released, "the page carries the released association's id");
         assert_eq!(cp.paging_in_flight(), 1);
         assert_identities(&cp);
         // The UE answers with a Service Request on a fresh S1 association.
@@ -1908,14 +1909,16 @@ mod tests {
             tac: 1,
             nas: NasMsg::ServiceRequest { guti }.encode(),
         });
-        assert!(matches!(rsp.as_slice(), [S1apPdu::DownlinkNasTransport { .. }]));
+        let next = released + cp.slab.named_slots();
+        assert!(
+            matches!(rsp.as_slice(), [S1apPdu::DownlinkNasTransport { mme_ue_id, .. }] if *mme_ue_id == next),
+            "the service request's association: one tenant block above: {rsp:?}"
+        );
         assert_eq!(cp.metrics().paging_resolved, 1);
         assert_eq!(cp.paging_in_flight(), 0);
         assert!(!cp.idle_ues.contains(&1));
         // The wake re-announces the user as active (flushing its buffer).
         assert!(cp.take_updates().iter().any(|u| matches!(u, DpUpdate::Insert { active: true, .. })));
-        // The page's interim mme_ue_id was retired with the procedure.
-        let _ = paged_id;
         assert_identities(&cp);
     }
 
@@ -2251,13 +2254,16 @@ mod tests {
             tac: 1,
             nas: NasMsg::AttachRequest { imsi: 2, ue_capability: 0 }.encode(),
         });
-        let [S1apPdu::DownlinkNasTransport { mme_ue_id, .. }] = challenge.as_slice() else { panic!("{challenge:?}") };
+        let [S1apPdu::DownlinkNasTransport { mme_ue_id: aborted, .. }] = *challenge.as_slice() else {
+            panic!("{challenge:?}")
+        };
         assert_eq!((cp.slab().live_slots(), cp.s1_index_len(), cp.user_count()), (1, 1, 0), "reserved, unpublished");
         let nas = NasMsg::AuthenticationResponse { res: 0xBAD }.encode();
-        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: *mme_ue_id, nas });
+        cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: aborted, nas });
         settled(&cp);
         // An out-of-order NAS message ends it at SMC.
         let (mme_ue_id, ..) = attach_to_smc(&mut cp, 3, 1);
+        assert_eq!(mme_ue_id - aborted, cp.slab.named_slots(), "the freed slot's next tenant steps past its id");
         let nas = NasMsg::AttachComplete.encode();
         let rsp = cp.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id, nas });
         let [S1apPdu::DownlinkNasTransport { nas, .. }] = rsp.as_slice() else { panic!("{rsp:?}") };

@@ -107,7 +107,9 @@ struct Identity {
     guti: AtomicU64,
     /// `ue_ip << 32 | ecgi`.
     ip_ecgi: AtomicU64,
-    /// The [`S1Conn`] as `mme_ue_id << 32 | enb_ue_id`, 0 = none.
+    /// The [`S1Conn`] as `mme_ue_id << 32 | enb_ue_id`. With no
+    /// association (an MME UE id is never 0), the low half keeps the last
+    /// MME UE id the slot carried, whichever tenant held it; 0 = none yet.
     s1_conn: AtomicU64,
 }
 
@@ -260,12 +262,25 @@ impl<'a> UeRef<'a> {
     /// The UE's current S1 association, if it has signaled over S1AP.
     pub fn s1_conn(&self) -> Option<S1Conn> {
         let packed = self.ident.s1_conn.load(Ordering::Relaxed);
-        (packed != 0).then_some(S1Conn { mme_ue_id: (packed >> 32) as u32, enb_ue_id: packed as u32 })
+        let mme_ue_id = (packed >> 32) as u32;
+        (mme_ue_id != 0).then_some(S1Conn { mme_ue_id, enb_ue_id: packed as u32 })
     }
 
-    /// Replace the S1 association (control thread only).
+    /// The MME UE id of the slot's current association, else of the last
+    /// one any tenant of the slot held; 0 if none ever did.
+    pub fn last_mme_ue_id(&self) -> u32 {
+        let packed = self.ident.s1_conn.load(Ordering::Relaxed);
+        match (packed >> 32) as u32 {
+            0 => packed as u32,
+            current => current,
+        }
+    }
+
+    /// Replace the S1 association (control thread only). Clearing it
+    /// keeps its MME UE id as the slot's last, across a free and reuse.
     pub fn set_s1_conn(&self, conn: Option<S1Conn>) {
-        let packed = conn.map_or(0, |c| u64::from(c.mme_ue_id) << 32 | u64::from(c.enb_ue_id));
+        let packed =
+            conn.map_or(u64::from(self.last_mme_ue_id()), |c| u64::from(c.mme_ue_id) << 32 | u64::from(c.enb_ue_id));
         self.ident.s1_conn.store(packed, Ordering::Relaxed);
     }
 }
@@ -647,6 +662,7 @@ mod tests {
         assert_eq!(r.imsi_guti(), (2, 0xD002));
         assert_eq!(r.ctrl_view().tac, 0x72);
         assert_eq!(r.s1_conn(), None, "the old tenant's S1 association stays behind");
+        assert_eq!(r.last_mme_ue_id(), 1, "but its MME UE id is the slot's last");
     }
 
     #[test]

@@ -121,32 +121,51 @@ fn release(enb_ue_id: u32, mme_ue_id: u32) -> S1apPdu {
 
 #[test]
 fn a_reattach_into_the_same_slot_strands_the_old_mme_ue_id() {
-    let mut n = node(1, SMALL);
-    let a = IMSI_BASE + 1;
-    let (guti, ..) = run_attach_with(|p| n.handle_s1ap(p), a, 1, 0xE1, ENB_IP).expect("attach");
-    let (slot, old) = (n.slice(0).ctrl.context_of(a).unwrap().handle().index(), mme_ue_id(&mut n, a));
-    let detach = NasMsg::DetachRequest { guti }.encode();
-    n.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: old, nas: detach });
-    n.slice(0).sync_now();
+    // Whatever associations the old tenant went through, the next tenant
+    // starts one tenant block past the last id the slot carried.
+    for cycles in [0, 1, 3] {
+        let mut n = node(1, SMALL);
+        let a = IMSI_BASE + 1;
+        let (guti, ..) = run_attach_with(|p| n.handle_s1ap(p), a, 1, 0xE1, ENB_IP).expect("attach");
+        let slot = n.slice(0).ctrl.context_of(a).unwrap().handle().index();
+        let mut old = vec![mme_ue_id(&mut n, a)];
+        for _ in 0..cycles {
+            let rsp = n.handle_s1ap(&release(1, old[old.len() - 1]));
+            assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { .. }]), "{rsp:?}");
+            let nas = NasMsg::ServiceRequest { guti }.encode();
+            n.handle_s1ap(&S1apPdu::InitialUeMessage { enb_ue_id: 1, ecgi: 1, tac: 1, nas });
+            old.push(mme_ue_id(&mut n, a));
+        }
+        let last = old[old.len() - 1];
+        let detach = NasMsg::DetachRequest { guti }.encode();
+        n.handle_s1ap(&S1apPdu::UplinkNasTransport { enb_ue_id: 1, mme_ue_id: last, nas: detach });
+        n.slice(0).sync_now();
 
-    let b = IMSI_BASE + 2;
-    run_attach_with(|p| n.handle_s1ap(p), b, 2, 0xE2, ENB_IP).expect("attach");
-    assert_eq!(n.slice(0).ctrl.context_of(b).unwrap().handle().index(), slot, "the next tenant takes the freed slot");
-    let new = mme_ue_id(&mut n, b);
-    assert_eq!(new - old, NAMED, "tenant 1 of the same slot: one tenant block above the old id");
+        let b = IMSI_BASE + 2;
+        run_attach_with(|p| n.handle_s1ap(p), b, 2, 0xE2, ENB_IP).expect("attach");
+        assert_eq!(
+            n.slice(0).ctrl.context_of(b).unwrap().handle().index(),
+            slot,
+            "the next tenant takes the freed slot"
+        );
+        let new = mme_ue_id(&mut n, b);
+        assert_eq!(new - last, NAMED, "one tenant block above the slot's last id, after {cycles} service requests");
 
-    // The old association's PDUs reach nobody.
-    let dropped = |n: &PepcNode| n.slice_ref(0).ctrl.metrics().sig_dropped;
-    let before = dropped(&n);
-    assert_eq!(n.handle_s1ap(&release(1, old)), vec![]);
-    let ho = S1apPdu::HandoverRequired { enb_ue_id: 1, mme_ue_id: old, target_ecgi: 9 };
-    assert_eq!(n.handle_s1ap(&ho), vec![]);
-    assert_eq!(dropped(&n) - before, 2, "both discarded");
-    assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 0, "the new tenant stays connected");
-    // The new tenant's own association is served.
-    let rsp = n.handle_s1ap(&release(2, new));
-    assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { mme_ue_id, .. }] if *mme_ue_id == new));
-    assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 1);
+        // Every association of the old tenant reaches nobody.
+        let dropped = |n: &PepcNode| n.slice_ref(0).ctrl.metrics().sig_dropped;
+        let before = dropped(&n);
+        for &id in &old {
+            assert_eq!(n.handle_s1ap(&release(1, id)), vec![]);
+            let ho = S1apPdu::HandoverRequired { enb_ue_id: 1, mme_ue_id: id, target_ecgi: 9 };
+            assert_eq!(n.handle_s1ap(&ho), vec![]);
+        }
+        assert_eq!(dropped(&n) - before, 2 * old.len() as u64, "all discarded");
+        assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 0, "the new tenant stays connected");
+        // The new tenant's own association is served.
+        let rsp = n.handle_s1ap(&release(2, new));
+        assert!(matches!(rsp.as_slice(), [S1apPdu::UeContextReleaseCommand { mme_ue_id, .. }] if *mme_ue_id == new));
+        assert_eq!(n.slice_ref(0).ctrl.idle_user_count(), 1);
+    }
 }
 
 #[test]
